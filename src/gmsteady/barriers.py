@@ -93,6 +93,8 @@ class Exponents:
     s: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.p, self.q, self.m, self.s))):
+            raise ValueError("p, q, m, s must be finite")
         if not (self.p > 0 and self.q > 0 and self.m > 0):
             raise ValueError("p, q, m must be positive")
         if self.s < 0:
@@ -135,6 +137,11 @@ class SourceModel:
     profile: Union[RadialField, float, None] = None
 
     def __post_init__(self) -> None:
+        numbers = [self.alpha, self.beta, self.rate]
+        if isinstance(self.profile, (int, float)):
+            numbers.append(self.profile)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError("source alpha, beta, rate and amplitude must be finite")
         if self.kind is SourceKind.ZERO:
             if self.alpha != 0.0 or self.beta != 0.0:
                 raise ValueError("zero source forces alpha = beta = 0")
@@ -210,6 +217,8 @@ class Problem:
     def __post_init__(self) -> None:
         if self.dimension < 3:
             raise ValueError("dimension must be >= 3")
+        if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
+            raise ValueError("shifts must be finite")
         if self.lam < 0 or self.mu < 0:
             raise ValueError("shifts must be >= 0")
         if (self.lam > 0) != (self.mu > 0):
@@ -361,10 +370,22 @@ class ConstantsLedger:
 def _strict(lhs: float, rhs: float, name: str, violated: list) -> None:
     """Record ``name`` unless lhs > rhs strictly, with ties flagged."""
     scale = max(abs(lhs), abs(rhs), 1e-300)
-    if abs(lhs - rhs) <= _TIE_REL * scale:
+    if math.isfinite(scale) and abs(lhs - rhs) <= _TIE_REL * scale:
         violated.append(name + " (boundary)")
     elif not lhs > rhs:
         violated.append(name)
+
+
+def _pow_or_inf(base: float, exponent: float) -> float:
+    """base**exponent, or inf where it exceeds the float range.
+
+    Near sigma = 1 the alpha bounds overflow; an overflowing bound lies
+    above every float alpha, so inf keeps the comparison exact.
+    """
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def exp_regime_ledger(
@@ -499,9 +520,9 @@ def alg_regime_ledger(
     big_d = (big_c**m / (b * (n - b - 2.0))) ** (1.0 / (s + 1.0))
     delta = (a - 2.0) * (n - a) / 2.0 * big_c
     eps = min(
-        (big_c / big_a) ** (1.0 / (1.0 - sig)),
-        (big_d / big_b) ** ((s + 1.0) / (m * (1.0 - sig))),
-        delta ** (1.0 / (1.0 - sig)),
+        _pow_or_inf(big_c / big_a, 1.0 / (1.0 - sig)),
+        _pow_or_inf(big_d / big_b, (s + 1.0) / (m * (1.0 - sig))),
+        _pow_or_inf(delta, 1.0 / (1.0 - sig)),
     )
 
     m1_lo = big_a * alpha

@@ -34,7 +34,7 @@ from .errors import HypothesisError
 from .potentials import convr_check, representation_residual
 from .profiles import BarrierFamily, BarrierProfile
 from .radial_core import RadialField, RadialGrid, apply_radial_laplacian
-from .solvers import decay_fit
+from .solvers import _fit_window, _pde_residuals, decay_fit
 
 __all__ = [
     "ClosedFormSolution",
@@ -207,28 +207,14 @@ def verify_solution(
     if np.any(u.values <= 0) or np.any(v.values <= 0):
         raise ValueError("fields must be positive")
     n = problem.dimension
-    r = u.grid.nodes
-    rho_vals = problem.rho.evaluate(r)
-    lap_u = apply_radial_laplacian(u, n).values
-    lap_v = apply_radial_laplacian(v, n).values
-    res_u_all = lap_u + problem.lam * u.values - (
-        u.values**exponents.p / v.values**exponents.q + rho_vals
-    )
-    res_v_all = lap_v + problem.mu * v.values - u.values**exponents.m / v.values**exponents.s
-    mask = r <= 0.5 * u.grid.radius
-    pde_u = float(np.max(np.abs(res_u_all[mask])))
-    pde_v = float(np.max(np.abs(res_v_all[mask])))
+    pde_u, pde_v = _pde_residuals(problem, exponents, u, v)
 
     rep_u = rep_v = None
     if representation:
         rep_u, rep_v = representation_residual(problem, exponents, u, v)
 
     family = BarrierFamily.W if problem.lam > 0 else BarrierFamily.Z
-    radius = u.grid.radius
-    if family is BarrierFamily.W:
-        window = (0.35 * radius, 0.75 * radius)
-    else:
-        window = (0.04 * radius, 0.16 * radius)
+    window = _fit_window(family, u.grid.radius)
     fit_u = decay_fit(u, family, window)
     fit_v = decay_fit(v, family, window)
     bound, holds = convr_check(v)

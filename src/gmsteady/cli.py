@@ -13,8 +13,7 @@ dashes or underscores both accepted); explicit flags override the file.
 Outputs: a JSON report per run (stable key order, explicit timestamp),
 CSV tables with a header row, and two-column whitespace-separated field
 dumps headed by "# r value".  Exit codes: 0 success, 1 usage or parse
-error, 2 hypothesis refusal, 3 non-convergence.  GM_STEADY_THREADS caps
-region-sweep parallelism.
+error, 2 hypothesis refusal, 3 non-convergence.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
@@ -162,34 +159,26 @@ def _parse_sweep(spec: str):
 _SWEEPABLE = {"p", "q", "m", "s", "lam", "mu", "alpha", "beta", "rate"}
 
 
-def _source_from_args(args) -> SourceModel:
-    kind = args.rho
-    if kind == "zero":
-        return SourceModel.zero()
-    amplitude = args.rho_amplitude
-    if kind == "exp":
-        return SourceModel.exp_envelope(args.alpha, args.beta, args.rate, amplitude)
-    if kind == "alg":
-        return SourceModel.alg_envelope(args.alpha, args.beta, args.rate, amplitude)
-    raise ValueError(f"unknown source kind {kind!r}")
+_ENVELOPES = {"exp": SourceModel.exp_envelope, "alg": SourceModel.alg_envelope}
 
 
-def _point_verdict(args, overrides: dict):
-    vals = {
-        "p": args.p, "q": args.q, "m": args.m, "s": args.s,
-        "lam": args.lam, "mu": args.mu,
-        "alpha": args.alpha, "beta": args.beta, "rate": args.rate,
-    }
+def _problem_from_args(args, **overrides) -> tuple:
+    """(Problem, Exponents) from the parsed flags, with swept values overriding.
+
+    Subcommands without --rho-amplitude use the envelope midpoint.
+    """
+    vals = {name: getattr(args, name) for name in _SWEEPABLE}
     vals.update(overrides)
     exponents = Exponents(vals["p"], vals["q"], vals["m"], vals["s"])
     if args.rho == "zero":
         rho = SourceModel.zero()
-    elif args.rho == "exp":
-        rho = SourceModel.exp_envelope(vals["alpha"], vals["beta"], vals["rate"])
+    elif args.rho in _ENVELOPES:
+        rho = _ENVELOPES[args.rho](
+            vals["alpha"], vals["beta"], vals["rate"], getattr(args, "rho_amplitude", None)
+        )
     else:
-        rho = SourceModel.alg_envelope(vals["alpha"], vals["beta"], vals["rate"])
-    problem = Problem(args.dimension, vals["lam"], vals["mu"], rho)
-    return classify(problem, exponents)
+        raise ValueError(f"unknown source kind {args.rho!r}")
+    return Problem(args.dimension, vals["lam"], vals["mu"], rho), exponents
 
 
 def cmd_region(args) -> int:
@@ -203,30 +192,12 @@ def cmd_region(args) -> int:
         raise ValueError("region needs at least one --sweep")
 
     grids = np.meshgrid(*[v for _, v in sweeps], indexing="ij")
-    points = [
-        {name: float(g.flat[i]) for (name, _), g in zip(sweeps, grids)}
-        for i in range(grids[0].size)
-    ]
-
-    try:
-        max_workers = int(os.environ.get("GM_STEADY_THREADS", "0"))
-    except ValueError:
-        max_workers = 0
-    max_workers = max_workers or min(8, os.cpu_count() or 1)
-
-    def work(overrides):
-        return _point_verdict(args, overrides)
-
-    if len(points) > 64 and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            verdicts = list(pool.map(work, points))
-    else:
-        verdicts = [work(pt) for pt in points]
-
     header = ["index"] + [name for name, _ in sweeps] + ["status", "tag"]
     rows = []
     counts: dict = {}
-    for i, (pt, verdict) in enumerate(zip(points, verdicts)):
+    for i in range(grids[0].size):
+        pt = {name: float(g.flat[i]) for (name, _), g in zip(sweeps, grids)}
+        verdict = classify(*_problem_from_args(args, **pt))
         tag = verdict.tag or ""
         rows.append([i] + [pt[name] for name, _ in sweeps] + [verdict.status.value, tag])
         key = f"{verdict.status.value}:{tag}" if tag else verdict.status.value
@@ -242,7 +213,7 @@ def cmd_region(args) -> int:
         "rho": args.rho,
         "sweeps": {name: [float(v) for v in vals] for name, vals in sweeps},
         "counts": counts,
-        "points": len(points),
+        "points": len(rows),
     }
     _write_report(args.report, report)
     for key in sorted(counts):
@@ -251,9 +222,7 @@ def cmd_region(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    exponents = Exponents(args.p, args.q, args.m, args.s)
-    rho = _source_from_args(args)
-    problem = Problem(args.dimension, args.lam, args.mu, rho)
+    problem, exponents = _problem_from_args(args)
     verdict = classify(problem, exponents)
     if verdict.status is not VerdictStatus.EXISTENCE_GUARANTEED and not args.force:
         detail = verdict.reason
@@ -292,7 +261,7 @@ def cmd_solve(args) -> int:
             "rate": args.rate,
         },
         "verdict": verdict.as_dict(),
-        "rho_divergence": divergence_probe_rho(args.dimension, rho).as_dict(),
+        "rho_divergence": divergence_probe_rho(args.dimension, problem.rho).as_dict(),
         "solve": report.as_dict(),
     }
     _write_report(args.report, payload)
@@ -331,9 +300,7 @@ def cmd_verify(args) -> int:
         u.decay_tag = BarrierProfile(family, args.u_rate)
     if args.v_rate:
         v.decay_tag = BarrierProfile(family, args.v_rate)
-    exponents = Exponents(args.p, args.q, args.m, args.s)
-    rho = _source_from_args(args)
-    problem = Problem(args.dimension, args.lam, args.mu, rho)
+    problem, exponents = _problem_from_args(args)
     cert = verify_solution(
         problem, exponents, u, v, representation=not args.no_representation
     )

@@ -43,7 +43,7 @@ from .barriers import SourceKind, SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import GreenParams, green_lambda, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
-from .radial_core import RadialField
+from .radial_core import RadialField, RadialGrid
 
 __all__ = [
     "DivergenceVerdict",
@@ -87,14 +87,12 @@ def _cumulative_weighted(nodes: np.ndarray, values: np.ndarray, power: float) ->
     return out
 
 
-def _tail_weighted_integral(profile: BarrierProfile, radius: float, weight_power: int = 1) -> float:
-    """int_R^inf s^weight_power * profile(s) ds in closed form (weight s^1).
+def _tail_weighted_integral(profile: BarrierProfile, radius: float) -> float:
+    """int_R^inf s * profile(s) ds in closed form.
 
     W(a): substitute t = sqrt(1+s^2):  e^(-aT) (T/a + 1/a^2), T = sqrt(1+R^2).
     Z(a): (1+R^2)^((2-a)/2) / (a-2), requires a > 2.
     """
-    if weight_power != 1:
-        raise ValueError("only the s^1 weight has a closed form here")
     t0 = math.sqrt(1.0 + radius * radius)
     a = profile.rate
     if profile.family is BarrierFamily.W:
@@ -142,13 +140,11 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
         raise ValueError("source must be nonnegative")
     r = source.grid.nodes
 
-    tail, _amp = _tail_model(source)
+    tail, amp = _tail_model(source)
     tail_j = 0.0
     if tail is not None:
         assert source.decay_tag is not None
-        tail_j = source.tail_amplitude() * _tail_weighted_integral(
-            source.decay_tag, source.grid.radius
-        )
+        tail_j = amp * _tail_weighted_integral(source.decay_tag, source.grid.radius)
 
     inner = _cumulative_weighted(r, g, n - 1)  # int_0^r s^(N-1) g
     j_cum = _cumulative_weighted(r, g, 1)  # int_0^r s g
@@ -193,7 +189,7 @@ def bessel_potential_radial(
     nu = n / 2.0 - 1.0
     k = math.sqrt(shift)
     spline = CubicSpline(r, g)
-    tail, _amp = _tail_model(source)
+    tail, _ = _tail_model(source)
 
     xg, wg = _gauss(12)
     nnode = r.size
@@ -444,15 +440,24 @@ def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
         total = rho.beta * w * math.exp(-a) * (1.0 / a + 1.0 / (a * a))
         return DivergenceReport(DivergenceVerdict.CONVERGENT, value=total, shell_sums=shells)
 
-    # tabulated: numeric shells inside the grid
     assert isinstance(rho.profile, RadialField)
-    prof = rho.profile
-    r, vals = prof.grid.nodes, prof.values
+    return _tabulated_probe(n, rho.profile.grid, rho.profile.values)
+
+
+def _tabulated_probe(dimension: int, grid: RadialGrid, vals: np.ndarray) -> DivergenceReport:
+    """Shell heuristic for the integral of |x|^(2-N) g over R^N, g tabulated.
+
+    The r <= 1 head and the dyadic shells [2^j, 2^(j+1)] inside the grid
+    are trapezoid sums of |S^(N-1)| r g(r); a shell with fewer than four
+    nodes ends the list.
+    """
+    r = grid.nodes
+    w = sphere_area(dimension)
     head_mask = r <= 1.0
     head = float(w * np.trapezoid(r[head_mask] * vals[head_mask], r[head_mask]))
     shells = []
     j = 0
-    while 2.0 ** (j + 1) <= prof.grid.radius:
+    while 2.0 ** (j + 1) <= grid.radius:
         lo, hi = 2.0**j, 2.0 ** (j + 1)
         mask = (r >= lo) & (r <= hi)
         if np.count_nonzero(mask) < 4:
@@ -532,23 +537,7 @@ def divergence_probe_nested(dimension: int, rho: SourceModel, m: float) -> Diver
 
     assert isinstance(rho.profile, RadialField)
     inner = newton_potential_radial(n, rho.profile)
-    r = inner.grid.nodes
-    w = sphere_area(n)
-    head_mask = r <= 1.0
-    head = float(
-        w * np.trapezoid(r[head_mask] * inner.values[head_mask] ** m, r[head_mask])
-    )
-    shells = []
-    j = 0
-    while 2.0 ** (j + 1) <= inner.grid.radius:
-        lo, hi = 2.0**j, 2.0 ** (j + 1)
-        mask = (r >= lo) & (r <= hi)
-        if np.count_nonzero(mask) < 4:
-            break
-        contrib = w * np.trapezoid(r[mask] * inner.values[mask] ** m, r[mask])
-        shells.append((hi, float(contrib)))
-        j += 1
-    return _classify_shells(shells, head)
+    return _tabulated_probe(n, inner.grid, inner.values**m)
 
 
 def convr_check(v: RadialField):

@@ -91,6 +91,10 @@ class RadialGrid:
     @classmethod
     def auto(cls, radius: float, h0: float = 0.02, stretch: float = 1.02) -> "RadialGrid":
         """Graded grid reaching ``radius`` from an initial spacing ``h0``."""
+        if not all(np.isfinite((radius, h0, stretch))):
+            raise ValueError("grid radius, h0 and stretch must be finite")
+        if not (radius > 0 and h0 > 0):
+            raise ValueError("grid radius and h0 must be positive")
         if stretch <= 1.0:
             n = max(16, int(np.ceil(radius / h0)) + 1)
             return cls.uniform(radius, n)

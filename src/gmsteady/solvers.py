@@ -189,6 +189,32 @@ def _fit_window(family: BarrierFamily, radius: float) -> tuple:
     return (0.04 * radius, 0.16 * radius)
 
 
+def _pde_residuals(
+    problem: Problem, exponents: Exponents, u: RadialField, v: RadialField
+) -> tuple:
+    """Sup over r <= R/2 of both equation residuals of the pair (u, v).
+
+    The half ball keeps the Dirichlet truncation out of the measurement.
+    """
+    n = problem.dimension
+    r = u.grid.nodes
+    uu, vv = u.values, v.values
+    rho_vals = problem.rho.evaluate(r)
+    lap_u = apply_radial_laplacian(u, n).values
+    lap_v = apply_radial_laplacian(v, n).values
+    res_u = lap_u + problem.lam * uu - (uu**exponents.p / vv**exponents.q + rho_vals)
+    res_v = lap_v + problem.mu * vv - uu**exponents.m / vv**exponents.s
+    mask = r <= 0.5 * u.grid.radius
+    return float(np.max(np.abs(res_u[mask]))), float(np.max(np.abs(res_v[mask])))
+
+
+def _sandwich_margins(vals: np.ndarray, env: np.ndarray, lo: float, hi: float):
+    """((min, max) of vals / (lo * env), whether both lie in [1, hi/lo] up to 1e-9)."""
+    ratios = vals / (lo * env)
+    margin = (float(np.min(ratios)), float(np.max(ratios)))
+    return margin, margin[0] >= 1.0 - 1e-9 and margin[1] <= (hi / lo) * (1.0 + 1e-9)
+
+
 def _field_envelope(psi: RadialField, profile: BarrierProfile):
     """Tightest constants (m, M) with m * B <= psi <= M * B on the grid."""
     env = np.asarray(eval_barrier(profile, psi.grid.nodes), dtype=float)
@@ -345,10 +371,8 @@ def solve_singular_scalar(
             f"ball-growth stability gap {gap:.3e} exceeds boundary barrier {allowance:.3e}"
         )
 
-    ratios = vals / (c_low * env)
-    margins = {"v": (float(np.min(ratios)), float(np.max(ratios)))}
-    ratio_cap = c_high / c_low
-    sandwiched = margins["v"][0] >= 1.0 - 1e-9 and margins["v"][1] <= ratio_cap * (1.0 + 1e-9)
+    margin_v, sandwiched = _sandwich_margins(vals, env, c_low, c_high)
+    margins = {"v": margin_v}
 
     radius = grid.radius
     window = _fit_window(barrier.family, radius)
@@ -381,11 +405,6 @@ def solve_singular_scalar(
 # ---------------------------------------------------------------------------
 # coupled fixed points
 # ---------------------------------------------------------------------------
-
-
-def _sandwich_margins(vals: np.ndarray, env: np.ndarray, lo: float, hi: float):
-    ratios = vals / (lo * env)
-    return float(np.min(ratios)), float(np.max(ratios)), hi / lo
 
 
 def _picard_coupled(
@@ -455,14 +474,9 @@ def _picard_coupled(
         else:
             u, v = u_new, v_new
 
-        mu_lo, mu_hi, cap_u = _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)
-        mv_lo, mv_hi, cap_v = _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)
-        if not (
-            mu_lo >= 1.0 - 1e-9
-            and mu_hi <= cap_u * (1.0 + 1e-9)
-            and mv_lo >= 1.0 - 1e-9
-            and mv_hi <= cap_v * (1.0 + 1e-9)
-        ):
+        _, inside_u = _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)
+        _, inside_v = _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)
+        if not (inside_u and inside_v):
             return u, v, env_u, env_v, it, change, False
         if change <= tol_change:
             break
@@ -479,8 +493,6 @@ def _coupled_report(
     tol_residual: float,
     max_iter: int,
 ) -> SolveReport:
-    n = problem.dimension
-    p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     exp_regime = ledger.regime is Regime.EXPONENTIAL
     fam = BarrierFamily.W if exp_regime else BarrierFamily.Z
 
@@ -512,25 +524,19 @@ def _coupled_report(
 
     u_field = RadialField(grid, u, b_u)
     v_field = RadialField(grid, v, b_v)
-    rho_vals = problem.rho.evaluate(grid.nodes)
-    lap_u = apply_radial_laplacian(u_field, n).values
-    lap_v = apply_radial_laplacian(v_field, n).values
-    res_u_all = lap_u + problem.lam * u - (u**p / v**q + rho_vals)
-    res_v_all = lap_v + problem.mu * v - u**m / v**s
-    mask = grid.nodes <= 0.5 * grid.radius
-    res_u = float(np.max(np.abs(res_u_all[mask])))
-    res_v = float(np.max(np.abs(res_v_all[mask])))
+    res_u, res_v = _pde_residuals(problem, exponents, u_field, v_field)
 
     margins = {
-        "u": _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)[:2],
-        "v": _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)[:2],
+        "u": _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)[0],
+        "v": _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)[0],
     }
+    window = _fit_window(fam, grid.radius)
     # u in the algebraic regime comes from a tail-closed potential, so it
     # carries no truncation error and fits best in the far field
-    window_u = (0.3 * grid.radius, 0.7 * grid.radius) if not exp_regime else _fit_window(fam, grid.radius)
+    window_u = window if exp_regime else (0.3 * grid.radius, 0.7 * grid.radius)
     decay = {
         "u": decay_fit(u_field, fam, window_u),
-        "v": decay_fit(v_field, fam, _fit_window(fam, grid.radius)),
+        "v": decay_fit(v_field, fam, window),
     }
 
     if not (sandwiched and sandwiched2):

@@ -309,3 +309,46 @@ def test_classify_deterministic_and_total(rng):
         v1 = classify(problem, ex)
         v2 = classify(problem, ex)
         assert v1.status == v2.status and v1.tag == v2.tag
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_inputs_rejected(bad):
+    for i in range(4):
+        values = [2.0, 1.0, 1.0, 0.5]
+        values[i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Exponents(*values)
+    for i in range(3):
+        values = [1.0, 2.0, 1.0]
+        values[i] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SourceModel.exp_envelope(*values)
+        with pytest.raises(ValueError, match="finite"):
+            SourceModel.alg_envelope(*values)
+    with pytest.raises(ValueError, match="finite"):
+        SourceModel.exp_envelope(1.0, 2.0, 1.0, amplitude=bad)
+    src = SourceModel.exp_envelope(1.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        Problem(3, bad, 16.0, src)
+    with pytest.raises(ValueError, match="finite"):
+        Problem(3, 16.0, bad, src)
+
+
+def test_alg_ledger_near_sigma_one_does_not_overflow():
+    # sigma = 4 / (2 (p - 1)) -> 1 as p -> 3: two alpha bounds exceed
+    # the float range, and an overflowing bound never binds
+    ex = Exponents(3.0001, 2.0, 2.0, 1.0)
+    ledger = alg_regime_ledger(ex, 5, 0.01, 0.015, 3.05)
+    assert "alpha-upper (boundary)" not in ledger.violated
+    problem = Problem(5, 0.0, 0.0, SourceModel.alg_envelope(0.01, 0.015, 3.05))
+    assert classify(problem, ex).status is VerdictStatus.UNKNOWN
+    for p in np.linspace(2.99, 3.01, 41):
+        for a in np.linspace(3.0, 5.0, 21):
+            problem = Problem(5, 0.0, 0.0, SourceModel.alg_envelope(0.01, 0.015, float(a)))
+            classify(problem, Exponents(float(p), 2.0, 2.0, 1.0))
+    # sigma = 1 - 3.3e-5 here: all three alpha bounds overflow, so
+    # epsilon is inf and bounds nothing, while the four constants stay finite
+    ex = Exponents(1.454301091668461, 3.799950782391188, 0.34392977928354646, 1.876857468403601)
+    ledger = alg_regime_ledger(ex, 8, 0.01, 0.015, 7.879799343259501)
+    assert ledger.aux["epsilon"] == math.inf
+    assert ledger.feasible and ledger.violated == []

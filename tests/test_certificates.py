@@ -125,3 +125,11 @@ def test_verify_solution_on_solver_output(alg_worked_case):
     assert cert.rep_residual_u <= 1e-8
     assert cert.rep_residual_v <= 2e-4
     assert cert.flags == []  # rho > 0: the contradiction window does not apply
+
+
+@pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
+def test_solve_and_verify_share_the_pde_residual(case, request):
+    problem, exponents, _, rep = request.getfixturevalue(case)
+    cert = verify_solution(problem, exponents, rep.u, rep.v, representation=False)
+    assert rep.residual_u == cert.pde_residual_u
+    assert rep.residual_v == cert.pde_residual_v

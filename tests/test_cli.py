@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gmsteady.barriers import Exponents, Problem, SourceModel, classify
 from gmsteady.cli import main
 
 
@@ -185,3 +186,77 @@ def test_threads_env_respected(tmp_path, monkeypatch):
     rc = run(["region", "-N", "3", "--m", "5", "--sweep", "p=1.1:6.0:100",
               "--report", str(tmp_path / "r.json"), "--out-table", str(tmp_path / "t.csv")])
     assert rc == 0
+
+
+# (fixed flags, sweeps, Problem/Exponents factory) for one lattice per regime
+_REGION_CASES = [
+    (["-N", "3", "--lam", "4096", "--mu", "16", "--m", "1", "--s", "0",
+      "--rho", "exp", "--alpha", "1", "--beta", "2", "--rate", "1"],
+     ["p=0.5:6.0:12", "q=0.1:4.0:9"],
+     lambda p, q: (Problem(3, 4096.0, 16.0, SourceModel.exp_envelope(1.0, 2.0, 1.0)),
+                   Exponents(p, q, 1.0, 0.0))),
+    (["-N", "5", "--q", "2", "--m", "2", "--s", "1",
+      "--rho", "alg", "--alpha", "0.01", "--beta", "0.015"],
+     ["p=1.2:9.0:12", "rate=2.0:5.0:9"],
+     lambda p, a: (Problem(5, 0.0, 0.0, SourceModel.alg_envelope(0.01, 0.015, a)),
+                   Exponents(p, 2.0, 2.0, 1.0))),
+    (["-N", "3", "--s", "1"],
+     ["p=1.1:6.0:12", "m=0.5:6.0:9"],
+     lambda p, m: (Problem(3, 0.0, 0.0, SourceModel.zero()), Exponents(p, 1.0, m, 1.0))),
+]
+
+
+@pytest.mark.parametrize("fixed, sweeps, build", _REGION_CASES)
+def test_region_rows_match_scalar_classify(tmp_path, fixed, sweeps, build):
+    table = tmp_path / "region.csv"
+    sweep_args = [a for spec in sweeps for a in ("--sweep", spec)]
+    rc = run(["region", *fixed, *sweep_args, "--report", str(tmp_path / "r.json"),
+              "--out-table", str(table)])
+    assert rc == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 12 * 9
+    for row in rows:
+        verdict = classify(*build(float(row[1]), float(row[2])))
+        assert row[3:] == [verdict.status.value, verdict.tag or ""]
+
+
+def test_region_sweep_across_sigma_one(tmp_path):
+    # sigma = 4 / (2 (p - 1)) crosses 1 at p = 3, where the algebraic
+    # ledger's alpha bounds leave the float range
+    rc = run(["region", "-N", "5", "--q", "2", "--m", "2", "--s", "1",
+              "--rho", "alg", "--alpha", "0.01", "--beta", "0.015",
+              "--sweep", "p=2.99:3.01:21", "--sweep", "rate=3:5:41",
+              "--report", str(tmp_path / "r.json")])
+    assert rc == 0
+
+
+_EXP_POINT = ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1",
+              "--m", "1", "--s", "0", "--rho", "exp", "--alpha", "1", "--beta", "2",
+              "--rate", "1"]
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--h0", "0"), ("--h0", "-0.5"),
+                                         ("--h0", "nan"), ("--stretch", "inf")])
+def test_solve_bad_grid_exit_code(tmp_path, capsys, flag, value):
+    rc = run(["solve", *_EXP_POINT, "--radius", "10", flag, value,
+              "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("flag", ["--p", "--q", "--m", "--s", "--lam", "--mu",
+                                  "--alpha", "--beta", "--rate", "--rho-amplitude",
+                                  "--radius"])
+def test_solve_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
+    rc = run(["solve", *_EXP_POINT, flag, value, "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys)

@@ -269,3 +269,17 @@ def test_convr_check_profiles():
 
     with pytest.raises(ValueError):
         convr_check(RadialField(g, np.zeros(g.n)))
+
+
+@pytest.mark.parametrize("rate, m", [(3.0, 1.0), (4.0, 2.0), (2.5, 3.0)])
+def test_divergence_probe_nested_tabulated_matches_rho_probe(rate, m):
+    g = RadialGrid.auto(3000.0, h0=0.1, stretch=1.05)
+    prof = RadialField(g, (1.0 + g.nodes**2) ** (-rate / 2.0),
+                       BarrierProfile(BarrierFamily.Z, rate))
+    nested = divergence_probe_nested(3, SourceModel.tabulated(prof), m)
+    inner = newton_potential_radial(3, prof)
+    direct = divergence_probe_rho(3, SourceModel.tabulated(RadialField(g, inner.values**m)))
+    assert len(nested.shell_sums) >= 8
+    assert nested.shell_sums == direct.shell_sums
+    assert nested.verdict is direct.verdict
+    assert nested.value == direct.value

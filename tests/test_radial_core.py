@@ -173,3 +173,13 @@ def test_field_validation():
         RadialField(g, np.ones(g.n - 1))
     with pytest.raises(ValueError):
         RadialField(g, np.full(g.n, np.nan))
+
+
+@pytest.mark.parametrize(
+    "radius, h0, stretch",
+    [(10.0, 0.0, 1.02), (10.0, -0.1, 1.02), (10.0, 0.0, 1.0), (0.0, 0.02, 1.02),
+     (np.inf, 0.02, 1.02), (10.0, np.nan, 1.02), (10.0, 0.02, np.inf), (10.0, 0.02, np.nan)],
+)
+def test_auto_grid_rejects_bad_input(radius, h0, stretch):
+    with pytest.raises(ValueError, match="grid"):
+        RadialGrid.auto(radius, h0=h0, stretch=stretch)
