@@ -411,7 +411,8 @@ def exp_regime_ledger(
     lam > max(2 a^2, N^2), mu > max(2 b^2, N^2), the orderings
     M1_upper > M1_lower, M2_upper > M2_lower, and the source budget
     (lam/4) M1_upper >= beta.  The budget is equivalent to
-    mu <= c0 * lam^(p(s+1)/q - m) with the reported c0.
+    mu <= c0 * lam^(p(s+1)/q - m) with the reported c0.  Constants that
+    float64 cannot hold make the ledger infeasible ("float-range", NaN).
     """
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     if p <= 1:
@@ -430,26 +431,29 @@ def exp_regime_ledger(
     b = a * m / (s + 1.0)
     n = dimension
 
-    m1_lo = alpha / (2.0 * lam)
-    m2_lo = (alpha**m / 2.0 ** (m + 1.0)) ** (1.0 / (s + 1.0)) * mu ** (
-        -1.0 / (s + 1.0)
-    ) * lam ** (-m / (s + 1.0))
-    m1_hi = ((lam / 4.0) * m2_lo**q) ** (1.0 / (p - 1.0))
-    m2_hi = (2.0 * m1_hi**m / mu) ** (1.0 / (s + 1.0))
-
-    # budget constant: (lam/4) M1_upper >= beta  <=>  mu <= c0 lam^(p(s+1)/q - m)
-    kconst = (0.25 * (alpha**m / 2.0 ** (m + 1.0)) ** (q / (s + 1.0))) ** (
-        1.0 / (p - 1.0)
-    )
-    c0 = (kconst / (4.0 * beta)) ** (m / sig)
-
     violated: list = []
     _strict(lam, max(2.0 * a * a, float(n * n)), "lambda-threshold", violated)
     _strict(mu, max(2.0 * b * b, float(n * n)), "mu-threshold", violated)
-    _strict(m1_hi, m1_lo, "m1-ordering", violated)
-    _strict(m2_hi, m2_lo, "m2-ordering", violated)
-    if not (lam / 4.0) * m1_hi >= beta:
-        violated.append("beta-budget")
+    try:
+        m1_lo = alpha / (2.0 * lam)
+        m2_lo = ((alpha**m / 2.0 ** (m + 1.0)) ** (1.0 / (s + 1.0))
+                 * mu ** (-1.0 / (s + 1.0)) * lam ** (-m / (s + 1.0)))
+        m1_hi = ((lam / 4.0) * m2_lo**q) ** (1.0 / (p - 1.0))
+        m2_hi = (2.0 * m1_hi**m / mu) ** (1.0 / (s + 1.0))
+
+        # budget constant: (lam/4) M1_upper >= beta  <=>  mu <= c0 lam^(p(s+1)/q - m)
+        kconst = (0.25 * (alpha**m / 2.0 ** (m + 1.0)) ** (q / (s + 1.0))) ** (1.0 / (p - 1.0))
+        c0 = (kconst / (4.0 * beta)) ** (m / sig)
+        if not all(0.0 < c < math.inf for c in (m1_lo, m2_lo, m1_hi, m2_hi)):
+            raise OverflowError
+    except OverflowError:  # such constants cannot certify a sandwich
+        m1_lo = m2_lo = m1_hi = m2_hi = c0 = math.nan
+        violated.append("float-range")
+    else:
+        _strict(m1_hi, m1_lo, "m1-ordering", violated)
+        _strict(m2_hi, m2_lo, "m2-ordering", violated)
+        if not (lam / 4.0) * m1_hi >= beta:
+            violated.append("beta-budget")
 
     return ConstantsLedger(
         regime=Regime.EXPONENTIAL,

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy import special
@@ -42,7 +41,6 @@ __all__ = [
     "BesselOrder",
     "GreenParams",
     "KernelBoundsReport",
-    "KernelNormalization",
     "bessel_k",
     "bessel_k_flagged",
     "gamma",
@@ -63,10 +61,6 @@ gamma = special.gamma
 _TINY = np.finfo(float).tiny
 
 
-class KernelNormalization(Enum):
-    DELTA_CALIBRATED = "delta-calibrated"
-
-
 @dataclass(frozen=True)
 class BesselOrder:
     """Order nu >= 0 of K_nu; in practice nu = N/2 - 1."""
@@ -84,7 +78,6 @@ class GreenParams:
 
     dimension: int
     shift: float
-    normalization: KernelNormalization = KernelNormalization.DELTA_CALIBRATED
 
     def __post_init__(self) -> None:
         if self.dimension < 3:

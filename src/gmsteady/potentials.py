@@ -21,6 +21,11 @@ factors are evaluated in exponentially scaled form so the scheme never
 overflows, and tails beyond the grid are closed using the declared
 decay model of the source.
 
+Both potentials integrate the source's cubic-spline interpolant with
+one Gauss-piece rule: equal pieces of at most 8 e-folds of e^(k r) per
+grid interval (one 8-point piece when k = 0, 12-point pieces otherwise),
+all points in one array.
+
 Divergence probes classify improper integrals by exact exponent tests
 for envelope sources and by dyadic shell sums otherwise.  Numerics
 cannot prove divergence for tabulated data, so the shell heuristic
@@ -29,6 +34,7 @@ cannot prove divergence for tabulated data, so the shell heuristic
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
@@ -57,34 +63,38 @@ __all__ = [
     "convr_check",
 ]
 
-_GAUSS_CACHE: dict = {}
 
-
+@functools.cache
 def _gauss(npts: int):
-    if npts not in _GAUSS_CACHE:
-        _GAUSS_CACHE[npts] = np.polynomial.legendre.leggauss(npts)
-    return _GAUSS_CACHE[npts]
+    return np.polynomial.legendre.leggauss(npts)
 
 
-def _cumulative_weighted(nodes: np.ndarray, values: np.ndarray, power: float) -> np.ndarray:
-    """Cumulative integral int_0^{r_i} s^power * g(s) ds on the grid.
+def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0):
+    """Gauss points on the intervals [ends[i], ends[i+1]], cut into equal
+    pieces of at most 8 e-folds of e^(rate r) (one piece for rate 0).
 
-    g is the cubic-spline interpolant of ``values``; the monomial
-    weight is handled by per-interval Gauss quadrature, which keeps the
-    near-origin contributions accurate where s^power vanishes fast.
+    Returns the (pieces, npts) points mid + half*x, each piece's
+    half-width (its weights are half*w) and the interval owning it.
     """
-    spline = CubicSpline(nodes, values)
-    xg, wg = _gauss(8)
-    a = nodes[:-1]
-    b = nodes[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * xg[None, :]
-    contrib = half * np.sum(wg[None, :] * pts**power * spline(pts), axis=1)
-    out = np.empty(nodes.size)
-    out[0] = 0.0
-    np.cumsum(contrib, out=out[1:])
-    return out
+    a, b = ends[:-1], ends[1:]
+    nsub = np.maximum(1, np.ceil(rate * (b - a) / 8.0)).astype(int)
+    owner = np.repeat(np.arange(a.size), nsub)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
+    step = ((b - a) / nsub)[owner]
+    lo = a[owner] + j * step
+    hi = np.where(j + 1 == nsub[owner], b[owner], lo + step)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _gauss(npts)[0], half, owner
+
+
+def _cumulative_weighted(pts, half, g_pts, power: float) -> np.ndarray:
+    """int_0^{r_i} s^power g(s) ds from one Gauss piece per grid interval.
+
+    Gauss quadrature of the monomial weight keeps the near-origin
+    contributions accurate where s^power vanishes fast.
+    """
+    contrib = half * np.sum(_gauss(pts.shape[1])[1] * pts**power * g_pts, axis=1)
+    return np.concatenate(([0.0], np.cumsum(contrib)))
 
 
 def _tail_weighted_integral(profile: BarrierProfile, radius: float) -> float:
@@ -146,8 +156,10 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
         assert source.decay_tag is not None
         tail_j = amp * _tail_weighted_integral(source.decay_tag, source.grid.radius)
 
-    inner = _cumulative_weighted(r, g, n - 1)  # int_0^r s^(N-1) g
-    j_cum = _cumulative_weighted(r, g, 1)  # int_0^r s g
+    pts, half, _ = _gauss_pieces(r, 8)
+    g_pts = CubicSpline(r, g)(pts)
+    inner = _cumulative_weighted(pts, half, g_pts, n - 1)  # int_0^r s^(N-1) g
+    j_cum = _cumulative_weighted(pts, half, g_pts, 1)  # int_0^r s g
     outer = (j_cum[-1] - j_cum) + tail_j  # int_r^inf s g
 
     u = np.empty_like(g)
@@ -160,20 +172,18 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     return RadialField(source.grid, u, BarrierProfile(BarrierFamily.Z, out_rate))
 
 
-def _interval_pieces(k: float, a: float, b: float, efolds_per_piece: float = 8.0):
-    nsub = max(1, int(math.ceil(k * (b - a) / efolds_per_piece)))
-    return np.linspace(a, b, nsub + 1)
-
-
 def bessel_potential_radial(
     dimension: int, shift: float, source: RadialField
 ) -> RadialField:
     """Convolution G_shift * source restricted to radii (shift > 0).
 
     Evaluated through the factored spherical mean: cumulative scaled
-    integrals against I_nu below the diagonal and K_nu above it, chained
-    with explicit e^(-k h) suppression factors so no intermediate ever
-    overflows.  Applying -Delta + shift discretely to the output
+    integrals against I_nu below the diagonal and K_nu above it, on the
+    shared Gauss pieces.  Each point's e^(k s) growth is suppressed
+    against its own interval end, e^(k(s - r_(i+1))) for I_nu and
+    e^(k(r_i - s)) for K_nu (e^(k(R - s)) in the tail beyond R), and the
+    interval sums are chained with e^(-k h) factors, so no intermediate
+    ever overflows.  Applying -Delta + shift discretely to the output
     reproduces the source to quadrature accuracy.
     """
     n = dimension
@@ -188,49 +198,36 @@ def bessel_potential_radial(
     r = source.grid.nodes
     nu = n / 2.0 - 1.0
     k = math.sqrt(shift)
-    spline = CubicSpline(r, g)
     tail, _ = _tail_model(source)
+    wg = _gauss(12)[1]
 
-    xg, wg = _gauss(12)
+    def weighted(pts, half, vals):
+        # Gauss-weighted s^(N/2) g(s) at every point of every piece
+        return half[:, None] * wg * vals * pts ** (n / 2.0)
+
     nnode = r.size
-    ip_int = np.zeros(nnode - 1)
-    iq_int = np.zeros(nnode - 1)
-    for i in range(nnode - 1):
-        edges = _interval_pieces(k, r[i], r[i + 1])
-        for a, b in zip(edges[:-1], edges[1:]):
-            pts = 0.5 * (a + b) + 0.5 * (b - a) * xg
-            w = 0.5 * (b - a) * wg
-            core = w * spline(pts) * pts ** (n / 2.0)
-            # right-referenced for P, suppressed to the interval's right end
-            ip = np.sum(core * special.ive(nu, k * pts) * np.exp(k * (pts - b)))
-            iq = np.sum(core * special.kve(nu, k * pts) * np.exp(k * (a - pts)))
-            ip_int[i] += ip * math.exp(k * (b - r[i + 1]))
-            iq_int[i] += iq * math.exp(k * (r[i] - a))
+    pts, half, owner = _gauss_pieces(r, 12, k)
+    core = weighted(pts, half, CubicSpline(r, g)(pts))
+    ip = core * special.ive(nu, k * pts) * np.exp(k * (pts - r[1:][owner, None]))
+    iq = core * special.kve(nu, k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
+    ip_int = np.bincount(owner, np.sum(ip, axis=1))
+    iq_int = np.bincount(owner, np.sum(iq, axis=1))
 
     decay = np.exp(-k * np.diff(r))
     p_acc = np.zeros(nnode)
     for i in range(nnode - 1):
         p_acc[i + 1] = p_acc[i] * decay[i] + ip_int[i]
 
-    # tail contribution to Q at r = R
+    # tail contribution to Q at r = R: geometric intervals until 46 e-folds
     q_tail = 0.0
     if tail is not None:
         radius = source.grid.radius
         h = max(r[-1] - r[-2], 1e-3)
-        sa = radius
-        for _ in range(400):
-            sb = sa + h
-            edges = _interval_pieces(k, sa, sb)
-            for a, b in zip(edges[:-1], edges[1:]):
-                pts = 0.5 * (a + b) + 0.5 * (b - a) * xg
-                w = 0.5 * (b - a) * wg
-                core = w * tail(pts) * pts ** (n / 2.0)
-                iq = np.sum(core * special.kve(nu, k * pts) * np.exp(k * (a - pts)))
-                q_tail += iq * math.exp(k * (radius - a))
-            sa = sb
-            h *= 1.25
-            if k * (sa - radius) > 46.0:
-                break
+        ends = radius + np.concatenate(([0.0], np.cumsum(h * 1.25 ** np.arange(400))))
+        ends = ends[: np.searchsorted(k * (ends - radius), 46.0, side="right") + 1]
+        tpts, thalf, _ = _gauss_pieces(ends, 12, k)
+        tq = weighted(tpts, thalf, tail(tpts)) * special.kve(nu, k * tpts)
+        q_tail = float(np.sum(tq * np.exp(k * (radius - tpts))))
 
     q_acc = np.zeros(nnode)
     q_acc[-1] = q_tail

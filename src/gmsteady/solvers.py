@@ -429,6 +429,8 @@ def _picard_coupled(
 
     u = ledger.m1_lower * env_u
     v = ledger.m2_lower * env_v
+    if not np.all(v > 0):
+        raise HypothesisError(f"M2_lower * B_v underflows to 0 within radius {grid.radius:g}")
     v_low_guard = ledger.m2_lower * env_v
 
     damping = False

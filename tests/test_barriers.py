@@ -144,6 +144,17 @@ def test_exp_ledger_infeasible_cases():
     assert "lambda-threshold" in led2.violated
 
 
+def test_exp_ledger_float_range_is_infeasible():
+    # p near 1: M1_upper = ((lam/4) M2_lower^q)^(1/(p-1)) leaves the float
+    # range while every threshold holds
+    ex = Exponents(1.001, 0.0005, 1, 0)
+    led = exp_regime_ledger(ex, 3, 4096.0, 16.0, 1.0, 2.0, 1.0)
+    assert not led.feasible
+    assert led.violated == ["float-range"]
+    verdict = classify(Problem(3, 4096.0, 16.0, SourceModel.exp_envelope(1.0, 2.0, 1.0)), ex)
+    assert verdict.status is VerdictStatus.UNKNOWN
+
+
 def test_exp_ledger_regime_errors():
     with pytest.raises(RegimeError):
         exp_regime_ledger(Exponents(2, 1, 2, 0), 3, 4096.0, 16.0, 1.0, 2.0, 1.0)  # sigma 2

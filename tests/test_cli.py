@@ -260,3 +260,44 @@ def test_solve_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
     rc = run(["solve", *_EXP_POINT, flag, value, "--report", str(tmp_path / "s.json")])
     assert rc == 1
     _assert_one_line_error(capsys)
+
+
+def _assert_one_line_refusal(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("refused: ")
+    return lines[0]
+
+
+# p near 1 with extreme shifts: the exponential ledger's upper constants
+# leave the float range
+_OVERFLOW_POINT = ["-N", "3", "--lam", "5.851e7", "--mu", "0.001139", "--q", "0.0178",
+                   "--m", "2.463", "--s", "0.8182", "--rho", "exp", "--rate", "2.758"]
+
+
+def test_region_ledger_overflow_point_is_unknown(tmp_path, capsys):
+    table = tmp_path / "region.csv"
+    rc = run(["region", *_OVERFLOW_POINT, "--sweep", "p=1.037",
+              "--report", str(tmp_path / "r.json"), "--out-table", str(table)])
+    assert rc == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert rows == [["0", "1.037", "unknown", ""]]
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_solve_ledger_overflow_point_refused(tmp_path, capsys):
+    rc = run(["solve", *_OVERFLOW_POINT, "--p", "1.037", "--report", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert "float-range" in _assert_one_line_refusal(capsys)
+
+
+def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys):
+    # lam = 1e300 certifies M2_lower ~ 1.6e-302, and M2_lower * B_v
+    # underflows to 0 on the doubled ball
+    args = ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--report", str(tmp_path / "s.json")]
+    args[args.index("--lam") + 1] = "1e300"
+    rc = run(args)
+    assert rc == 2
+    assert "underflows" in _assert_one_line_refusal(capsys)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
+from scipy.interpolate import CubicSpline
 
-from gmsteady.barriers import Exponents, Problem, SourceModel
+from gmsteady.barriers import Exponents, Problem, SourceModel, barrier_operator_value
 from gmsteady.errors import NonIntegrableTailError
 from gmsteady.kernels import GreenParams, green_lambda
 from gmsteady.potentials import (
@@ -18,6 +20,7 @@ from gmsteady.potentials import (
 )
 from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier
 from gmsteady.radial_core import RadialField, RadialGrid, apply_radial_laplacian
+from gmsteady.solvers import default_exp_radius
 
 
 def test_newton_uniform_ball():
@@ -283,3 +286,87 @@ def test_divergence_probe_nested_tabulated_matches_rho_probe(rate, m):
     assert nested.shell_sums == direct.shell_sums
     assert nested.verdict is direct.verdict
     assert nested.value == direct.value
+
+
+@pytest.mark.parametrize("n, shift, a, radius", [
+    (3, 4096.0, 1.0, default_exp_radius(1.0)),
+    (5, 16.0, 1.5, 25.0),
+    (4, 1.0, 0.5, 40.0),
+])
+def test_bessel_recovers_manufactured_profile(n, shift, a, radius):
+    # the source (-Delta + shift) W_a in closed form has potential W_a;
+    # shift 4096 cuts each interval into several Gauss pieces
+    g = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
+    tag = BarrierProfile(BarrierFamily.W, a)
+    src = RadialField(g, np.asarray(barrier_operator_value(tag, shift, g.nodes, n)), tag)
+    u = bessel_potential_radial(n, shift, src)
+    exact = np.asarray(eval_barrier(tag, g.nodes))
+    mask = g.nodes <= 0.5 * radius
+    assert np.max(np.abs(u.values[mask] / exact[mask] - 1.0)) <= 1e-4
+
+
+def _bessel_loop_reference(n, shift, source):
+    """Interval-by-interval loop form of the shifted potential.
+
+    Every Gauss piece is suppressed against its own edges and then
+    chained to the interval ends, and the tail is walked one geometric
+    interval at a time; the vectorised potential must agree to rounding.
+    """
+    r = source.grid.nodes
+    radius = source.grid.radius
+    nu, k = n / 2.0 - 1.0, math.sqrt(shift)
+    spline = CubicSpline(r, source.values)
+    amp = source.tail_amplitude()
+    xg, wg = np.polynomial.legendre.leggauss(12)
+
+    def pieces(a, b):
+        edges = np.linspace(a, b, max(1, math.ceil(k * (b - a) / 8.0)) + 1)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * xg
+            yield lo, hi, pts, 0.5 * (hi - lo) * wg * pts ** (n / 2.0)
+
+    ip, iq = np.zeros(r.size - 1), np.zeros(r.size - 1)
+    for i in range(r.size - 1):
+        for lo, hi, pts, w in pieces(r[i], r[i + 1]):
+            core = w * spline(pts)
+            ip[i] += np.sum(core * special.ive(nu, k * pts) * np.exp(k * (pts - hi))) \
+                * math.exp(k * (hi - r[i + 1]))
+            iq[i] += np.sum(core * special.kve(nu, k * pts) * np.exp(k * (lo - pts))) \
+                * math.exp(k * (r[i] - lo))
+    q_tail, sa, h = 0.0, radius, max(r[-1] - r[-2], 1e-3)
+    for _ in range(400):
+        for lo, hi, pts, w in pieces(sa, sa + h):
+            core = w * amp * eval_barrier(source.decay_tag, pts)
+            q_tail += np.sum(core * special.kve(nu, k * pts) * np.exp(k * (lo - pts))) \
+                * math.exp(k * (radius - lo))
+        sa, h = sa + h, 1.25 * h
+        if k * (sa - radius) > 46.0:
+            break
+
+    decay = np.exp(-k * np.diff(r))
+    p_acc, q_acc = np.zeros(r.size), np.zeros(r.size)
+    q_acc[-1] = q_tail
+    for i in range(r.size - 1):
+        p_acc[i + 1] = p_acc[i] * decay[i] + ip[i]
+    for i in range(r.size - 2, -1, -1):
+        q_acc[i] = q_acc[i + 1] * decay[i] + iq[i]
+    u = np.empty(r.size)
+    zr = k * r[1:]
+    u[1:] = r[1:] ** (1.0 - n / 2.0) * (
+        special.kve(nu, zr) * p_acc[1:] + special.ive(nu, zr) * q_acc[1:])
+    u[0] = (k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
+    return u
+
+
+@pytest.mark.parametrize("n, shift, tag", [
+    (3, 4096.0, BarrierProfile(BarrierFamily.W, 1.0)),
+    (4, 64.0, BarrierProfile(BarrierFamily.Z, 3.5)),
+    (5, 1.0, BarrierProfile(BarrierFamily.W, 0.7)),
+    (5, 4096.0, BarrierProfile(BarrierFamily.Z, 3.5)),
+])
+def test_bessel_matches_loop_reference(n, shift, tag):
+    g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
+    src = RadialField(g, np.asarray(eval_barrier(tag, g.nodes)), tag)
+    u = bessel_potential_radial(n, shift, src).values
+    ref = _bessel_loop_reference(n, shift, src)
+    assert np.max(np.abs(u / ref - 1.0)) <= 1e-12
