@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 
@@ -66,8 +67,20 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _finite_or_text(obj):
+    """``obj`` with each non-finite float spelled "inf", "-inf" or "nan" (strict JSON)."""
+    if isinstance(obj, dict):
+        return {key: _finite_or_text(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_text(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    return obj
+
+
 def _write_report(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float)
+    payload = _finite_or_text(payload)
+    text = json.dumps(payload, indent=2, sort_keys=True, default=float, allow_nan=False)
     if path is None or path == "-":
         print(text)
     else:
@@ -316,8 +329,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    if args.lam < 0:
-        raise ValueError("shift must be >= 0")
     r_values = np.geomspace(args.r_min, args.r_max, args.r_count)
     if args.lam == 0:
         values = [green_zero(args.dimension, float(r)) for r in r_values]
@@ -326,11 +337,12 @@ def cmd_kernel(args) -> int:
     else:
         params = GreenParams(args.dimension, args.lam)
         values = [green_lambda(params, float(r)) for r in r_values]
-        mass = green_lambda_mass(params)
+        # the bounds go first: they reject an underflowing kernel before quad
         if args.r_min < 1.0 < args.r_max:
             bounds = verify_kernel_bounds(params, r_values)
         else:
             bounds = None
+        mass = green_lambda_mass(params)
 
     header = ["r", "value", "mass_identity"]
     mass_cell = mass if mass is not None else ""

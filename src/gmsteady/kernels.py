@@ -82,6 +82,8 @@ class GreenParams:
     def __post_init__(self) -> None:
         if self.dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {self.dimension}")
+        if not math.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
         if self.shift < 0:
             raise ValueError(f"shift must be >= 0, got {self.shift}")
 
@@ -212,7 +214,10 @@ def verify_kernel_bounds(params: GreenParams, r_grid) -> KernelBoundsReport:
     The grid must contain radii both below and above 1.  Far-field
     ratios are computed in log space so the exponential factors cancel
     analytically and the measurement stays finite for arbitrarily large
-    radii.  Raises if any ratio is non-finite.
+    radii.  Raises ValueError if a ratio is non-finite or below the
+    smallest normal double, where its reciprocal, and so the constant,
+    would overflow (the near-field ratio underflows as sqrt(lambda) r
+    nears 700).
     """
     if params.shift <= 0:
         raise ValueError("kernel bounds apply to shift > 0")
@@ -234,8 +239,9 @@ def verify_kernel_bounds(params: GreenParams, r_grid) -> KernelBoundsReport:
     far_ratio = np.exp(log_far_ratio)
     near_ratio = green_lambda(params, near) / near ** (2.0 - n)
 
-    if not (np.all(np.isfinite(far_ratio)) and np.all(np.isfinite(near_ratio))):
-        raise RuntimeError("kernel ratios unbounded on the supplied grid")
+    ratios = np.concatenate((far_ratio, near_ratio))
+    if not np.all(np.isfinite(ratios) & (ratios >= _TINY)):
+        raise ValueError("kernel ratios underflow or are non-finite on the supplied grid")
 
     def sandwich_constant(ratios: np.ndarray) -> float:
         hi = float(np.max(ratios))

@@ -10,9 +10,10 @@ evaluated at interval midpoints and divided by exact shell volumes
 second-order accurate for smooth fields, and yields an M-matrix for any
 shift >= 0, so the discrete maximum principle holds on every grid.
 
-At r = 0 symmetry gives a zero flux through the origin; the last node
-of ``apply_radial_laplacian`` is filled by a one-sided cubic fit since
-it has no right neighbour.
+At r = 0 symmetry gives a zero flux through the origin.  ``RadialOperator``
+assembles -Delta + shift once per grid and shift; the one-shot wrappers
+call it, and ``apply_radial_laplacian`` fills the last node, which has
+no right neighbour, by a one-sided cubic fit.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "GridSpacing",
     "RadialGrid",
     "RadialField",
+    "RadialOperator",
     "apply_radial_laplacian",
     "solve_linear_radial",
     "solve_linear_radial_variable",
@@ -163,18 +165,50 @@ class RadialField:
         return float(self.values[-1] / ref)
 
 
-def _fv_coefficients(nodes: np.ndarray, dimension: int):
-    """Midpoint flux weights g_i = r_{i-1/2}^(N-1)/h_i and shell volumes."""
-    n = nodes.size
-    h = np.diff(nodes)
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    g = mid ** (dimension - 1) / h
-    vol = np.empty(n - 1)
-    # volume of the control cell around node i (exact shell integral of r^(N-1))
-    vol_bounds = mid**dimension / dimension
-    vol[0] = vol_bounds[0]
-    vol[1:] = vol_bounds[1:] - vol_bounds[:-1]
-    return g, vol
+class RadialOperator:
+    """-Delta + shift in flux form on one grid, assembled once and reused.
+
+    ``shift`` is a nonnegative scalar or one value per node.  Only the
+    constructor computes the flux weights g_i = r_{i+1/2}^(N-1)/h_i, the
+    cell volumes and the banded matrix (Dirichlet row at R).
+    """
+
+    def __init__(self, grid: RadialGrid, dimension: int, shift=0.0) -> None:
+        if dimension < 3:
+            raise ValueError(f"dimension must be >= 3, got {dimension}")
+        shift = np.asarray(shift, dtype=float)
+        if shift.ndim and shift.shape != grid.nodes.shape:
+            raise ValueError("shift values must match the grid")
+        if not np.all(shift >= 0):
+            raise ValueError("shift must be >= 0")
+        nodes = grid.nodes
+        shift = np.broadcast_to(shift, nodes.shape)
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        g = self._g = mid ** (dimension - 1) / np.diff(nodes)
+        # control cell around node i: exact shell integral of r^(N-1)
+        vol = self._vol = np.diff(mid**dimension / dimension, prepend=0.0)
+        # ab form; no flux through r = 0, and the last row is Dirichlet
+        ab = self._band = np.zeros((3, nodes.size))
+        ab[0, 1:] = -g / vol
+        ab[1, :-1] = (np.concatenate(([0.0], g[:-1])) + g) / vol + shift[:-1]
+        ab[1, -1] = 1.0
+        ab[2, :-2] = -g[:-1] / vol[1:]
+
+    def laplacian(self, values: np.ndarray) -> np.ndarray:
+        """-Delta of ``values`` at every node but the last (no right neighbour)."""
+        flux = self._g * (values[1:] - values[:-1])  # flux through r_{i+1/2}
+        return -np.diff(flux, prepend=0.0) / self._vol
+
+    def solve(self, rhs_values: np.ndarray, boundary_value: float) -> np.ndarray:
+        """Solve (-Delta + shift) u = rhs with u'(0) = 0 and u(R) = boundary_value."""
+        if not np.isfinite(boundary_value):
+            raise ValueError("boundary value must be finite")
+        b = np.array(rhs_values, dtype=float)
+        b[-1] = boundary_value
+        u = solve_banded((1, 1), self._band, b)
+        if not np.all(np.isfinite(u)):
+            raise RuntimeError("radial solve produced non-finite values")
+        return u
 
 
 def apply_radial_laplacian(field: RadialField, dimension: int) -> RadialField:
@@ -184,16 +218,11 @@ def apply_radial_laplacian(field: RadialField, dimension: int) -> RadialField:
     uses the symmetric zero-flux cell.  The last node has no right
     neighbour and is filled from a one-sided cubic fit.
     """
-    if dimension < 3:
-        raise ValueError(f"dimension must be >= 3, got {dimension}")
     nodes = field.grid.nodes
     u = field.values
     n = nodes.size
-    g, vol = _fv_coefficients(nodes, dimension)
     out = np.empty(n)
-    flux = g * (u[1:] - u[:-1])  # flux through r_{i+1/2}, i = 0..n-2
-    out[0] = -flux[0] / vol[0]
-    out[1:-1] = -(flux[1:] - flux[:-1]) / vol[1:]
+    out[:-1] = RadialOperator(field.grid, dimension).laplacian(u)
     # one-sided cubic at the last node: -u'' - (N-1)/r u'
     tail = slice(n - 4, n)
     coeffs = np.polyfit(nodes[tail] - nodes[-1], u[tail], 3)
@@ -201,30 +230,6 @@ def apply_radial_laplacian(field: RadialField, dimension: int) -> RadialField:
     d2 = 2.0 * coeffs[1]
     out[-1] = -d2 - (dimension - 1) / nodes[-1] * d1
     return RadialField(field.grid, out)
-
-
-def _assemble_banded(nodes: np.ndarray, dimension: int, shift: np.ndarray):
-    """Banded matrix (ab form) of -Delta + shift with Dirichlet row at R."""
-    n = nodes.size
-    g, vol = _fv_coefficients(nodes, dimension)
-    diag = np.empty(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-
-    diag[0] = g[0] / vol[0] + shift[0]
-    upper[0] = -g[0] / vol[0]
-    diag[1:-1] = (g[:-1] + g[1:]) / vol[1:] + shift[1:-1]
-    lower[: n - 2] = -g[:-1] / vol[1:]
-    upper[1:] = -g[1:] / vol[1:]
-    # Dirichlet at r = R
-    diag[-1] = 1.0
-    lower[-1] = 0.0
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
 
 
 def solve_linear_radial_variable(
@@ -239,23 +244,10 @@ def solve_linear_radial_variable(
     The system matrix is an M-matrix, so f >= 0 and boundary_value >= 0
     imply u >= 0.
     """
-    if dimension < 3:
-        raise ValueError(f"dimension must be >= 3, got {dimension}")
-    shift = np.asarray(shift_values, dtype=float)
-    nodes = rhs.grid.nodes
-    if shift.shape != nodes.shape:
+    if np.shape(shift_values) != rhs.grid.nodes.shape:
         raise ValueError("shift values must match the grid")
-    if np.any(shift < 0):
-        raise ValueError("shift must be >= 0")
-    if not np.isfinite(boundary_value):
-        raise ValueError("boundary value must be finite")
-    ab = _assemble_banded(nodes, dimension, shift)
-    b = rhs.values.copy()
-    b[-1] = boundary_value
-    u = solve_banded((1, 1), ab, b)
-    if not np.all(np.isfinite(u)):
-        raise RuntimeError("radial solve produced non-finite values")
-    return RadialField(rhs.grid, u)
+    op = RadialOperator(rhs.grid, dimension, shift_values)
+    return RadialField(rhs.grid, op.solve(rhs.values, boundary_value))
 
 
 def solve_linear_radial(
@@ -265,10 +257,8 @@ def solve_linear_radial(
     boundary_value: float,
 ) -> RadialField:
     """Dirichlet solve of -Delta u + shift * u = rhs with symmetry at r = 0."""
-    if shift < 0:
-        raise ValueError(f"shift must be >= 0, got {shift}")
-    shift_values = np.full(rhs.grid.n, float(shift))
-    return solve_linear_radial_variable(dimension, shift_values, rhs, boundary_value)
+    op = RadialOperator(rhs.grid, dimension, shift)
+    return RadialField(rhs.grid, op.solve(rhs.values, boundary_value))
 
 
 def write_field(field: RadialField, path) -> None:

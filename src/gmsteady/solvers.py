@@ -48,12 +48,7 @@ from .barriers import ConstantsLedger, Exponents, Problem, Regime, SourceKind
 from .errors import HypothesisError, NonexistenceError, RegimeError
 from .potentials import newton_potential_radial
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
-from .radial_core import (
-    RadialField,
-    RadialGrid,
-    apply_radial_laplacian,
-    solve_linear_radial_variable,
-)
+from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
     "IterationState",
@@ -196,12 +191,12 @@ def _pde_residuals(
 
     The half ball keeps the Dirichlet truncation out of the measurement.
     """
-    n = problem.dimension
-    r = u.grid.nodes
-    uu, vv = u.values, v.values
-    rho_vals = problem.rho.evaluate(r)
-    lap_u = apply_radial_laplacian(u, n).values
-    lap_v = apply_radial_laplacian(v, n).values
+    op = RadialOperator(u.grid, problem.dimension)
+    r = u.grid.nodes[:-1]  # the last node is never inside the half ball
+    uu, vv = u.values[:-1], v.values[:-1]
+    rho_vals = problem.rho.evaluate(u.grid.nodes)[:-1]
+    lap_u = op.laplacian(u.values)
+    lap_v = op.laplacian(v.values)
     res_u = lap_u + problem.lam * uu - (uu**exponents.p / vv**exponents.q + rho_vals)
     res_v = lap_v + problem.mu * vv - uu**exponents.m / vv**exponents.s
     mask = r <= 0.5 * u.grid.radius
@@ -235,40 +230,32 @@ def _monotone_ball(
     tol_residual: float,
     max_iter: int,
     trace: Optional[list] = None,
-    ball_radius: Optional[float] = None,
 ) -> tuple:
     """Shifted monotone iteration from the sub-solution on a fixed ball.
 
     Returns (values, residual, iterations, monotone_ok).  The boundary
-    value is pinned to the sub-solution at R throughout.
+    value is pinned to the sub-solution at R throughout.  The shift
+    mu + L is fixed, so one operator, assembled here, serves every
+    solve and every residual (which skips the Dirichlet node at R).
     """
     shift_l = s * psi_vals * v_low ** (-s - 1.0) if s > 0 else np.zeros_like(psi_vals)
-    shift_total = shift_l + mu
+    op = RadialOperator(grid, dimension, shift_l + mu)
     v = v_low.copy()
     monotone_ok = True
     residual = math.inf
     for it in range(1, max_iter + 1):
         rhs_vals = psi_vals * np.maximum(v, v_low) ** (-s) + shift_l * v
-        rhs = RadialField(grid, rhs_vals)
-        v_new = solve_linear_radial_variable(dimension, shift_total, rhs, v_low[-1]).values
+        v_new = op.solve(rhs_vals, v_low[-1])
         drop = float(np.min(v_new - v))
         if drop < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
             monotone_ok = False
         v = v_new
-        lap = apply_radial_laplacian(RadialField(grid, v), dimension)
-        res = lap.values + mu * v - psi_vals * np.maximum(v, v_low) ** (-s)
-        residual = float(np.max(np.abs(res[:-1])))
+        inner = v[:-1]
+        res = op.laplacian(v) + mu * inner - psi_vals[:-1] * np.maximum(inner, v_low[:-1]) ** (-s)
+        residual = float(np.max(np.abs(res)))
         if trace is not None:
-            trace.append(
-                IterationState(
-                    ball_radius if ball_radius is not None else grid.radius,
-                    it,
-                    None,
-                    RadialField(grid, v.copy()),
-                    (residual,),
-                    monotone_ok,
-                )
-            )
+            trace.append(IterationState(grid.radius, it, None, RadialField(grid, v.copy()),
+                                        (residual,), monotone_ok))
         if residual <= tol_residual:
             return v, residual, it, monotone_ok
     return v, residual, max_iter, monotone_ok
@@ -353,8 +340,7 @@ def solve_singular_scalar(
         env = np.asarray(eval_barrier(barrier, g.nodes), dtype=float)
         v_low = c_low * env
         vals, res, its, mono = _monotone_ball(
-            n, shift, s, psi_vals, g, v_low, tol_residual, max_iter,
-            trace, ball_radius=g.radius,
+            n, shift, s, psi_vals, g, v_low, tol_residual, max_iter, trace
         )
         return vals, env, res, its, mono
 
@@ -432,6 +418,8 @@ def _picard_coupled(
     if not np.all(v > 0):
         raise HypothesisError(f"M2_lower * B_v underflows to 0 within radius {grid.radius:g}")
     v_low_guard = ledger.m2_lower * env_v
+    # the resolvent of -Delta + lam is the same on every iteration of this ball
+    resolvent = RadialOperator(grid, n, problem.lam) if exp_regime else None
 
     damping = False
     last_change = math.inf
@@ -441,10 +429,7 @@ def _picard_coupled(
         its_used = it
         rhs_u_vals = u**p / v**q + rho_vals
         if exp_regime:
-            rhs_u = RadialField(grid, rhs_u_vals)
-            u_new = solve_linear_radial_variable(
-                n, np.full(grid.n, problem.lam), rhs_u, ledger.m1_lower * env_u[-1]
-            ).values
+            u_new = resolvent.solve(rhs_u_vals, ledger.m1_lower * env_u[-1])
         else:
             rhs_u = RadialField(grid, rhs_u_vals, BarrierProfile(fam, problem.rho.rate))
             u_new = newton_potential_radial(n, rhs_u).values

@@ -301,3 +301,33 @@ def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys):
     rc = run(args)
     assert rc == 2
     assert "underflows" in _assert_one_line_refusal(capsys)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_solve_report_is_strict_json(tmp_path):
+    # sigma ~ 1 - 3e-5: the ledger's epsilon overflows to inf
+    report = tmp_path / "s.json"
+    rc = run(["solve", "-N", "8", "--p", "1.454301091668461", "--q", "3.799950782391188",
+              "--m", "0.34392977928354646", "--s", "1.876857468403601", "--rho", "alg",
+              "--alpha", "0.01", "--beta", "0.015", "--rate", "7.879799343259501",
+              "--report", str(report)])
+    assert rc == 0
+    payload = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert payload["verdict"]["ledger"]["aux"]["epsilon"] == "inf"
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "5.5e5", "1e6"])
+def test_kernel_bad_shift_exit_code(tmp_path, capsys, lam):
+    # nan and inf are rejected up front; on the default r grid the
+    # near-field ratio is subnormal at 5.5e5 (its reciprocal overflows)
+    # and underflows to 0 at 1e6
+    rc = run(["kernel", "--lam", lam, "--report", str(tmp_path / "k.json")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not (tmp_path / "k.json").exists()

@@ -173,6 +173,15 @@ def test_verify_kernel_bounds_argument_errors():
         verify_kernel_bounds(params, [])
     with pytest.raises(ValueError):
         verify_kernel_bounds(params, [2.0, 3.0])  # no near-field radii
+    # sqrt(1e6) * 0.9 = 900: the near-field ratio underflows to 0
+    with pytest.raises(ValueError, match="kernel ratios"):
+        verify_kernel_bounds(GreenParams(3, 1e6), [0.01, 0.9, 2.0])
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf])
+def test_green_params_reject_non_finite_shift(shift):
+    with pytest.raises(ValueError, match="finite"):
+        GreenParams(3, shift)
 
 
 def test_green_zero_discrete_harmonicity():

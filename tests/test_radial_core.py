@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from gmsteady.errors import FieldParseError
 from gmsteady.radial_core import (
     GridSpacing,
     RadialField,
     RadialGrid,
+    RadialOperator,
     apply_radial_laplacian,
     read_field,
     solve_linear_radial,
@@ -139,6 +141,83 @@ def test_variable_shift_solver_rejects_bad_input():
         solve_linear_radial(3, -1.0, rhs, 0.0)
     with pytest.raises(ValueError):
         solve_linear_radial(3, 0.0, rhs, float("nan"))
+    with pytest.raises(ValueError, match="dimension"):
+        RadialOperator(g, 2)
+    with pytest.raises(ValueError, match="shift"):
+        RadialOperator(g, 3, -1.0)
+    with pytest.raises(ValueError, match="shift"):
+        RadialOperator(g, 3, np.full(g.n, -1.0))
+    with pytest.raises(ValueError, match="shift"):
+        RadialOperator(g, 3, np.ones(g.n - 1))
+    with pytest.raises(ValueError, match="boundary"):
+        RadialOperator(g, 3, 1.0).solve(rhs.values, float("inf"))
+
+
+# The flux-form arithmetic as it stood before RadialOperator assembled it
+# once per grid: the operator must reproduce it bit for bit.
+def _reference_coefficients(nodes, dimension):
+    h = np.diff(nodes)
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    g = mid ** (dimension - 1) / h
+    vol = np.empty(nodes.size - 1)
+    vol_bounds = mid**dimension / dimension
+    vol[0] = vol_bounds[0]
+    vol[1:] = vol_bounds[1:] - vol_bounds[:-1]
+    return g, vol
+
+
+def _reference_laplacian(nodes, dimension, u):
+    g, vol = _reference_coefficients(nodes, dimension)
+    out = np.empty(nodes.size - 1)
+    flux = g * (u[1:] - u[:-1])
+    out[0] = -flux[0] / vol[0]
+    out[1:] = -(flux[1:] - flux[:-1]) / vol[1:]
+    return out
+
+
+def _reference_band(nodes, dimension, shift):
+    n = nodes.size
+    g, vol = _reference_coefficients(nodes, dimension)
+    diag = np.empty(n)
+    lower = np.zeros(n - 1)
+    upper = np.zeros(n - 1)
+    diag[0] = g[0] / vol[0] + shift[0]
+    upper[0] = -g[0] / vol[0]
+    diag[1:-1] = (g[:-1] + g[1:]) / vol[1:] + shift[1:-1]
+    lower[: n - 2] = -g[:-1] / vol[1:]
+    upper[1:] = -g[1:] / vol[1:]
+    diag[-1] = 1.0
+    lower[-1] = 0.0
+    ab = np.zeros((3, n))
+    ab[0, 1:] = upper
+    ab[1, :] = diag
+    ab[2, :-1] = lower
+    return ab
+
+
+@pytest.mark.parametrize("dimension", [3, 4, 5])
+@pytest.mark.parametrize("array_shift", [False, True])
+def test_operator_matches_reference_stencil_and_band(dimension, array_shift):
+    rng = np.random.default_rng(100 + dimension)
+    grid = RadialGrid.graded(12.0, 70, 1.04)
+    shift = 2.5 * rng.random(grid.n) if array_shift else 2.5
+    op = RadialOperator(grid, dimension, shift)
+    for _ in range(3):
+        u = np.exp(-grid.nodes) + rng.random(grid.n)
+        assert np.array_equal(op.laplacian(u), _reference_laplacian(grid.nodes, dimension, u))
+        f, boundary = rng.random(grid.n), float(rng.random())
+        b = f.copy()
+        b[-1] = boundary
+        ab = _reference_band(grid.nodes, dimension, np.broadcast_to(shift, grid.nodes.shape))
+        assert np.array_equal(op.solve(f, boundary), solve_banded((1, 1), ab, b))
+    # the wrappers route through the same operator
+    field = RadialField(grid, u)
+    assert np.array_equal(apply_radial_laplacian(field, dimension).values[:-1], op.laplacian(u))
+    shift_values = np.broadcast_to(shift, grid.nodes.shape)
+    assert np.array_equal(
+        solve_linear_radial_variable(dimension, shift_values, RadialField(grid, f), boundary).values,
+        op.solve(f, boundary),
+    )
 
 
 def test_field_roundtrip(tmp_path):

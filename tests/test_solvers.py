@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gmsteady import solvers
 from gmsteady.barriers import (
     Exponents,
     Problem,
@@ -12,7 +13,12 @@ from gmsteady.barriers import (
 )
 from gmsteady.errors import HypothesisError, NonexistenceError, RegimeError
 from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier
-from gmsteady.radial_core import RadialField, RadialGrid
+from gmsteady.radial_core import (
+    RadialField,
+    RadialGrid,
+    apply_radial_laplacian,
+    solve_linear_radial_variable,
+)
 from gmsteady.solvers import (
     ScalarRegime,
     SolveStatus,
@@ -67,6 +73,46 @@ class TestScalarExponential:
             if prev is not None and prev.v.grid.n == state.v.grid.n:
                 assert np.min(state.v.values - prev.v.values) >= -1e-12
             prev = state
+
+    def test_trace_matches_per_iteration_assembly(self, monkeypatch):
+        # the monotone loop as it stood when every pass assembled its own
+        # band and applied the full -Delta; the shared operator must
+        # leave every traced iterate unchanged
+        def per_iteration_ball(dimension, mu, s, psi_vals, grid, v_low, tol_residual,
+                               max_iter, trace=None, ball_radius=None):
+            shift_l = s * psi_vals * v_low ** (-s - 1.0)
+            shift_total = shift_l + mu
+            v = v_low.copy()
+            monotone_ok = True
+            residual = math.inf
+            for it in range(1, max_iter + 1):
+                rhs = RadialField(grid, psi_vals * np.maximum(v, v_low) ** (-s) + shift_l * v)
+                v_new = solve_linear_radial_variable(dimension, shift_total, rhs, v_low[-1]).values
+                if float(np.min(v_new - v)) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
+                    monotone_ok = False
+                v = v_new
+                lap = apply_radial_laplacian(RadialField(grid, v), dimension)
+                res = lap.values + mu * v - psi_vals * np.maximum(v, v_low) ** (-s)
+                residual = float(np.max(np.abs(res[:-1])))
+                trace.append(solvers.IterationState(
+                    ball_radius if ball_radius is not None else grid.radius,
+                    it, None, RadialField(grid, v.copy()), (residual,), monotone_ok))
+                if residual <= tol_residual:
+                    return v, residual, it, monotone_ok
+            return v, residual, max_iter, monotone_ok
+
+        rep = self.run(record_trace=True)
+        monkeypatch.setattr(solvers, "_monotone_ball", per_iteration_ball)
+        ref = self.run(record_trace=True)
+        assert len(rep.trace) == len(ref.trace) > 1
+        for got, want in zip(rep.trace, ref.trace):
+            assert (got.ball_radius, got.iterate_index, got.u) == (
+                want.ball_radius, want.iterate_index, want.u)
+            assert np.array_equal(got.v.grid.nodes, want.v.grid.nodes)
+            assert np.array_equal(got.v.values, want.v.values)
+            assert got.residuals == want.residuals
+            assert got.monotone_flag == want.monotone_flag
+        assert np.array_equal(rep.v.values, ref.v.values)
 
     def test_exponential_rate(self):
         rep = self.run()
