@@ -56,8 +56,8 @@ def aubin_talenti(dimension: int, amplitude: float, r):
     n = dimension
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    if amplitude <= 0:
-        raise ValueError("amplitude must be positive")
+    if not (amplitude > 0 and math.isfinite(amplitude * amplitude)):
+        raise ValueError("amplitude must be positive with a finite square")
     rr = np.asarray(r, dtype=float)
     base = amplitude * math.sqrt(n * (n - 2.0)) / (amplitude**2 + rr * rr)
     out = base ** ((n - 2.0) / 2.0)
@@ -138,9 +138,9 @@ def verify_cor3(
     residuals are O(h^2): halving the grid spacing shrinks them by
     about four.
     """
-    sol = closed_form_ground_state(dimension, p, s, amplitude)
-    ex = sol.induced_exponents
+    # the bubble checks N >= 3 before the induced exponents divide by N - 2
     w = aubin_talenti(dimension, amplitude, grid.nodes)
+    ex = closed_form_ground_state(dimension, p, s, amplitude).induced_exponents
     lap = RadialOperator(grid, dimension).laplacian(w)
     rhs_u = w**ex.p / w**ex.q
     rhs_v = w**ex.m / w**ex.s

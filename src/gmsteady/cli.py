@@ -7,8 +7,10 @@ Subcommands
     verify   certify a closed-form or dumped solution pair
 
 Configuration comes from flags or from a key=value text file passed via
---config (one pair per line, '#' starts a comment, flag spellings with
-dashes or underscores both accepted); explicit flags override the file.
+--config (one pair per line, '#' starts a comment, keys are the long flag
+names with dashes or underscores).  Each pair becomes a flag placed before
+the explicit ones, so argparse converts and checks file values like flag
+values and an explicit flag wins over the file.
 
 Outputs: a JSON report per run (stable key order, explicit timestamp),
 CSV tables with a header row, and two-column whitespace-separated field
@@ -33,9 +35,7 @@ from .barriers import (
     Problem,
     SourceModel,
     VerdictStatus,
-    alg_regime_ledger,
     classify,
-    exp_regime_ledger,
 )
 from .certificates import verify_cor3, verify_solution
 from .errors import FieldParseError, HypothesisError, NonexistenceError, RegimeError
@@ -95,8 +95,18 @@ def _write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _load_config(path) -> dict:
-    values = {}
+_SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _load_config(path, command_parser: argparse.ArgumentParser) -> list:
+    """Flag tokens for ``command_parser`` from a key = value config file.
+
+    ``lam = 4`` gives ``--lam 4``, so argparse reads the value as it
+    reads the flag on the command line; a switch key gives its flag for
+    true/yes/1 and nothing for false/no/0.
+    """
+    flags = command_parser._option_string_actions
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -105,47 +115,18 @@ def _load_config(path) -> dict:
             if "=" not in text:
                 raise FieldParseError("expected key=value", lineno)
             key, _, val = text.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-
-def _coerce_config_value(raw: str):
-    low = raw.lower()
-    if low in ("true", "yes"):
-        return True
-    if low in ("false", "no"):
-        return False
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill defaults from the config file; explicit flags keep priority."""
-    if not getattr(args, "config", None):
-        return
-    file_values = _load_config(args.config)
-    sentinel = parser.parse_args([args.command])  # defaults only
-    for key, raw in file_values.items():
-        if not hasattr(args, key):
-            raise SystemExit(_fail(f"config: unknown key {key!r}"))
-        if getattr(args, key) != getattr(sentinel, key, None):
-            continue  # flag was given explicitly
-        default = getattr(sentinel, key, None)
-        if isinstance(default, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes"))
-        elif isinstance(default, int):
-            setattr(args, key, int(raw))
-        elif isinstance(default, float):
-            setattr(args, key, float(raw))
-        else:
-            # flags defaulting to None (paths, optional numbers): best-effort
-            setattr(args, key, _coerce_config_value(raw))
+            key, val = key.strip(), val.strip()
+            flag = "--" + key.replace("_", "-")
+            if flag not in flags or flag in ("--config", "--help"):
+                raise ValueError(f"config line {lineno}: unknown key {key!r}")
+            if flags[flag].nargs != 0:
+                tokens += [flag, val]
+            elif val.lower() not in _SWITCH_VALUES:
+                raise ValueError(
+                    f"config line {lineno}: {key} takes true/yes/1 or false/no/0, got {val!r}")
+            elif _SWITCH_VALUES[val.lower()]:
+                tokens.append(flag)
+    return tokens
 
 
 def _parse_sweep(spec: str):
@@ -159,6 +140,8 @@ def _parse_sweep(spec: str):
         if len(parts) != 3:
             raise ValueError(f"sweep range {rng!r} must be start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if not math.isfinite(stop - start):
+            raise ValueError(f"sweep range {rng!r} needs finite ends")
         if count < 1:
             raise ValueError("sweep count must be >= 1")
         values = np.linspace(start, stop, count)
@@ -237,7 +220,7 @@ def cmd_region(args) -> int:
 def cmd_solve(args) -> int:
     problem, exponents = _problem_from_args(args)
     verdict = classify(problem, exponents)
-    if verdict.status is not VerdictStatus.EXISTENCE_GUARANTEED and not args.force:
+    if verdict.status is not VerdictStatus.EXISTENCE_GUARANTEED:
         detail = verdict.reason
         if verdict.ledger is not None:
             detail += f"; violated: {verdict.ledger.violated}"
@@ -247,21 +230,8 @@ def cmd_solve(args) -> int:
     grid = None
     if args.radius is not None:
         grid = RadialGrid.auto(args.radius, h0=args.h0, stretch=args.stretch)
-    try:
-        # --force bypasses only the classification gate; the solver still
-        # needs a feasible ledger, rebuilt here when the verdict has none
-        if problem.lam > 0:
-            ledger = verdict.ledger or exp_regime_ledger(
-                exponents, args.dimension, args.lam, args.mu,
-                args.alpha, args.beta, args.rate)
-            report = solve_coupled_exp(problem, exponents, ledger, grid=grid)
-        else:
-            ledger = verdict.ledger or alg_regime_ledger(
-                exponents, args.dimension, args.alpha, args.beta, args.rate)
-            report = solve_coupled_alg(problem, exponents, ledger, grid=grid)
-    except (RegimeError, HypothesisError, NonexistenceError) as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_REFUSED
+    solve = solve_coupled_exp if problem.lam > 0 else solve_coupled_alg
+    report = solve(problem, exponents, verdict.ledger, grid=grid)
 
     payload = {
         "command": "solve",
@@ -329,6 +299,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    if not (0.0 < args.r_min < math.inf and 0.0 < args.r_max < math.inf):
+        raise ValueError("kernel needs finite positive --r-min and --r-max")
     r_values = np.geomspace(args.r_min, args.r_max, args.r_count)
     if args.lam == 0:
         values = [green_zero(args.dimension, float(r)) for r in r_values]
@@ -370,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser, for --config
 
     def add_common(p):
         p.add_argument("--config", help="key=value config file; flags override")
@@ -402,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem(p_solve)
     p_solve.add_argument("--rho-amplitude", type=float, default=None,
                          help="evaluable amplitude in [alpha, beta] (default midpoint)")
-    p_solve.add_argument("--force", action="store_true",
-                         help="run even when classification is not existence-guaranteed")
     p_solve.add_argument("--radius", type=float, default=None, help="truncation radius")
     p_solve.add_argument("--h0", type=float, default=0.02, help="initial grid spacing")
     p_solve.add_argument("--stretch", type=float, default=1.02, help="grid stretch factor")
@@ -443,13 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        _apply_config(args, parser)
+        if args.config:
+            # file flags go first, so the explicit ones after them win
+            explicit = argv[argv.index(args.command) + 1:]
+            file_tokens = _load_config(args.config, parser.commands[args.command])
+            args = parser.parse_args([args.command, *file_tokens, *explicit])
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE

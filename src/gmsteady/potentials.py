@@ -24,7 +24,8 @@ decay model of the source.
 Both potentials integrate the source's cubic-spline interpolant with
 one Gauss-piece rule: equal pieces of at most 8 e-folds of e^(k r) per
 grid interval (one 8-point piece when k = 0, 12-point pieces otherwise),
-all points in one array.
+evaluated as whole arrays (the shifted potential in runs of at most
+_PIECE_BLOCK pieces, which bounds its memory at large k).
 
 Divergence probes classify improper integrals by exact exponent tests
 for envelope sources and by dyadic shell sums otherwise.  Numerics
@@ -64,27 +65,37 @@ __all__ = [
 ]
 
 
+#: Gauss pieces the shifted potential evaluates at once (12 points each).
+_PIECE_BLOCK = 4096
+
+
 @functools.cache
 def _gauss(npts: int):
     return np.polynomial.legendre.leggauss(npts)
 
 
-def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0):
+def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0):
     """Gauss points on the intervals [ends[i], ends[i+1]], cut into equal
     pieces of at most 8 e-folds of e^(rate r) (one piece for rate 0).
 
-    Returns the (pieces, npts) points mid + half*x, each piece's
-    half-width (its weights are half*w) and the interval owning it.
+    Yields the (pieces, npts) points mid + half*x, each piece's
+    half-width (its weights are half*w) and the interval owning it, in
+    runs of at most ``block`` consecutive pieces (one run when 0).
     """
     a, b = ends[:-1], ends[1:]
     nsub = np.maximum(1, np.ceil(rate * (b - a) / 8.0)).astype(int)
-    owner = np.repeat(np.arange(a.size), nsub)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(nsub) - nsub, nsub)
-    step = ((b - a) / nsub)[owner]
-    lo = a[owner] + j * step
-    hi = np.where(j + 1 == nsub[owner], b[owner], lo + step)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * _gauss(npts)[0], half, owner
+    first = np.cumsum(nsub) - nsub  # index of each interval's first piece
+    total = int(first[-1] + nsub[-1])
+    size = block or total
+    for start in range(0, total, size):
+        piece = np.arange(start, min(start + size, total))
+        owner = np.searchsorted(first, piece, side="right") - 1
+        j = piece - first[owner]
+        step = ((b - a) / nsub)[owner]
+        lo = a[owner] + j * step
+        hi = np.where(j + 1 == nsub[owner], b[owner], lo + step)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        yield mid[:, None] + half[:, None] * _gauss(npts)[0], half, owner
 
 
 def _cumulative_weighted(pts, half, g_pts, power: float) -> np.ndarray:
@@ -156,7 +167,7 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
         assert source.decay_tag is not None
         tail_j = amp * _tail_weighted_integral(source.decay_tag, source.grid.radius)
 
-    pts, half, _ = _gauss_pieces(r, 8)
+    pts, half, _ = next(_gauss_pieces(r, 8))
     g_pts = CubicSpline(r, g)(pts)
     inner = _cumulative_weighted(pts, half, g_pts, n - 1)  # int_0^r s^(N-1) g
     j_cum = _cumulative_weighted(pts, half, g_pts, 1)  # int_0^r s g
@@ -206,12 +217,16 @@ def bessel_potential_radial(
         return half[:, None] * wg * vals * pts ** (n / 2.0)
 
     nnode = r.size
-    pts, half, owner = _gauss_pieces(r, 12, k)
-    core = weighted(pts, half, CubicSpline(r, g)(pts))
-    ip = core * special.ive(nu, k * pts) * np.exp(k * (pts - r[1:][owner, None]))
-    iq = core * special.kve(nu, k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
-    ip_int = np.bincount(owner, np.sum(ip, axis=1))
-    iq_int = np.bincount(owner, np.sum(iq, axis=1))
+    spline = CubicSpline(r, g)
+    ip_int, iq_int = np.zeros((2, nnode - 1))
+    # the piece count grows like sqrt(shift) * R; summing run by run
+    # bounds the memory
+    for pts, half, owner in _gauss_pieces(r, 12, k, _PIECE_BLOCK):
+        core = weighted(pts, half, spline(pts))
+        ip = core * special.ive(nu, k * pts) * np.exp(k * (pts - r[1:][owner, None]))
+        iq = core * special.kve(nu, k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
+        ip_int += np.bincount(owner, np.sum(ip, axis=1), minlength=nnode - 1)
+        iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=nnode - 1)
 
     decay = np.exp(-k * np.diff(r))
     p_acc = np.zeros(nnode)
@@ -225,9 +240,9 @@ def bessel_potential_radial(
         h = max(r[-1] - r[-2], 1e-3)
         ends = radius + np.concatenate(([0.0], np.cumsum(h * 1.25 ** np.arange(400))))
         ends = ends[: np.searchsorted(k * (ends - radius), 46.0, side="right") + 1]
-        tpts, thalf, _ = _gauss_pieces(ends, 12, k)
-        tq = weighted(tpts, thalf, tail(tpts)) * special.kve(nu, k * tpts)
-        q_tail = float(np.sum(tq * np.exp(k * (radius - tpts))))
+        for tpts, thalf, _ in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
+            tq = weighted(tpts, thalf, tail(tpts)) * special.kve(nu, k * tpts)
+            q_tail += float(np.sum(tq * np.exp(k * (radius - tpts))))
 
     q_acc = np.zeros(nnode)
     q_acc[-1] = q_tail

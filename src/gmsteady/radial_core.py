@@ -76,6 +76,8 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, radius: float, n: int) -> "RadialGrid":
+        if not 0.0 < radius < np.inf:
+            raise ValueError("grid radius must be positive and finite")
         return cls(np.linspace(0.0, radius, n), GridSpacing.UNIFORM, 1.0)
 
     @classmethod

@@ -220,6 +220,24 @@ def _field_envelope(psi: RadialField, profile: BarrierProfile):
     return float(np.min(ratios)), float(np.max(ratios))
 
 
+def _run_status(gap: float, allowance: float, sandwiched: bool, converged: bool) -> tuple:
+    """(status, notes) of a run whose doubled-ball re-run moved it by ``gap``.
+
+    A gap above ``allowance`` adds a ball-growth note and rules out
+    convergence; a sandwich violation outranks both.
+    """
+    notes = []
+    if gap > allowance:
+        notes.append(
+            f"ball-growth stability gap {gap:.3e} exceeds boundary barrier {allowance:.3e}"
+        )
+    if not sandwiched:
+        return SolveStatus.SANDWICH_VIOLATED, notes
+    if converged and not notes:
+        return SolveStatus.CONVERGED, notes
+    return SolveStatus.MAX_ITERATIONS, notes
+
+
 def _monotone_ball(
     dimension: int,
     mu: float,
@@ -351,26 +369,13 @@ def solve_singular_scalar(
     vals2, _, _res2, its2, _mono2 = run(big, psi_big)
     gap = float(np.max(np.abs(vals2[: grid.n] - vals)))
     allowance = c_high * float(eval_barrier(barrier, grid.radius)) + 1e-14
-    notes = []
-    if gap > allowance:
-        notes.append(
-            f"ball-growth stability gap {gap:.3e} exceeds boundary barrier {allowance:.3e}"
-        )
-
     margin_v, sandwiched = _sandwich_margins(vals, env, c_low, c_high)
-    margins = {"v": margin_v}
+    status, notes = _run_status(gap, allowance, sandwiched, res <= tol_residual and mono)
 
     radius = grid.radius
     window = _fit_window(barrier.family, radius)
     field_out = RadialField(grid, vals, barrier)
     rate, fit_res = decay_fit(field_out, barrier.family, window)
-
-    if not sandwiched:
-        status = SolveStatus.SANDWICH_VIOLATED
-    elif res <= tol_residual and mono and not notes:
-        status = SolveStatus.CONVERGED
-    else:
-        status = SolveStatus.MAX_ITERATIONS
 
     return SolveReport(
         status=status,
@@ -378,7 +383,7 @@ def solve_singular_scalar(
         v=field_out,
         residual_u=None,
         residual_v=res,
-        margins=margins,
+        margins={"v": margin_v},
         decay={"v": (rate, fit_res)},
         iterations=its + its2,
         ball_radius=radius,
@@ -402,7 +407,11 @@ def _picard_coupled(
     tol_residual: float,
     max_iter: int,
 ) -> tuple:
-    """Shared Picard loop; returns fields, residuals, margins, iteration count."""
+    """Shared Picard loop.
+
+    Returns (u, v, barrier profile of u, of v, final sandwich margins,
+    iteration count, last change, whether every iterate stayed inside).
+    """
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     exp_regime = ledger.regime is Regime.EXPONENTIAL
@@ -418,6 +427,13 @@ def _picard_coupled(
     if not np.all(v > 0):
         raise HypothesisError(f"M2_lower * B_v underflows to 0 within radius {grid.radius:g}")
     v_low_guard = ledger.m2_lower * env_v
+
+    def sandwich(u, v):
+        margin_u, inside_u = _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)
+        margin_v, inside_v = _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)
+        return {"u": margin_u, "v": margin_v}, inside_u and inside_v
+
+    margins, _ = sandwich(u, v)
     # the resolvent of -Delta + lam is the same on every iteration of this ball
     resolvent = RadialOperator(grid, n, problem.lam) if exp_regime else None
 
@@ -461,14 +477,13 @@ def _picard_coupled(
         else:
             u, v = u_new, v_new
 
-        _, inside_u = _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)
-        _, inside_v = _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)
-        if not (inside_u and inside_v):
-            return u, v, env_u, env_v, it, change, False
+        margins, inside = sandwich(u, v)
+        if not inside:
+            return u, v, b_u, b_v, margins, it, change, False
         if change <= tol_change:
             break
 
-    return u, v, env_u, env_v, its_used, last_change, True
+    return u, v, b_u, b_v, margins, its_used, last_change, True
 
 
 def _coupled_report(
@@ -483,7 +498,7 @@ def _coupled_report(
     exp_regime = ledger.regime is Regime.EXPONENTIAL
     fam = BarrierFamily.W if exp_regime else BarrierFamily.Z
 
-    u, v, env_u, env_v, its, change, sandwiched = _picard_coupled(
+    u, v, b_u, b_v, margins, its, change, sandwiched = _picard_coupled(
         problem, exponents, ledger, grid, tol_change, tol_residual, max_iter
     )
 
@@ -496,27 +511,18 @@ def _coupled_report(
         float(np.max(np.abs(u2[: grid.n] - u))),
         float(np.max(np.abs(v2[: grid.n] - v))),
     )
-    b_u = BarrierProfile(fam, ledger.rate_u)
-    b_v = BarrierProfile(fam, ledger.rate_v)
     allowance = (
         ledger.m1_upper * float(eval_barrier(b_u, grid.radius))
         + ledger.m2_upper * float(eval_barrier(b_v, grid.radius))
         + 1e-14
     )
-    notes = []
-    if gap > allowance:
-        notes.append(
-            f"ball-growth stability gap {gap:.3e} exceeds boundary barrier {allowance:.3e}"
-        )
 
     u_field = RadialField(grid, u, b_u)
     v_field = RadialField(grid, v, b_v)
     res_u, res_v = _pde_residuals(problem, exponents, u_field, v_field)
+    converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
+    status, notes = _run_status(gap, allowance, sandwiched and sandwiched2, converged)
 
-    margins = {
-        "u": _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)[0],
-        "v": _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)[0],
-    }
     window = _fit_window(fam, grid.radius)
     # u in the algebraic regime comes from a tail-closed potential, so it
     # carries no truncation error and fits best in the far field
@@ -525,13 +531,6 @@ def _coupled_report(
         "u": decay_fit(u_field, fam, window_u),
         "v": decay_fit(v_field, fam, window),
     }
-
-    if not (sandwiched and sandwiched2):
-        status = SolveStatus.SANDWICH_VIOLATED
-    elif change <= tol_change and res_u <= tol_residual and res_v <= tol_residual and not notes:
-        status = SolveStatus.CONVERGED
-    else:
-        status = SolveStatus.MAX_ITERATIONS
 
     return SolveReport(
         status=status,

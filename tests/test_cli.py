@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gmsteady.barriers import Exponents, Problem, SourceModel, classify
@@ -116,14 +117,16 @@ def test_solve_refusal_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_solve_force_still_checks_hypotheses(tmp_path):
-    # --force bypasses the classification gate but not the solver's own
-    # feasibility requirements
+def test_solve_force_flag_is_gone(tmp_path, capsys):
+    # every point the classifier refuses also fails the solver's own
+    # checks, so there is no gate to force
     rc = run(["solve", "-N", "3", "--lam", "16", "--mu", "16",
               "--p", "2", "--q", "1", "--m", "1", "--s", "0",
               "--rho", "exp", "--alpha", "1", "--beta", "2", "--rate", "1",
               "--force", "--report", str(tmp_path / "s.json")])
-    assert rc == 2
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: unrecognized arguments: --force")
 
 
 def test_verify_cor3_exit_codes(tmp_path):
@@ -262,6 +265,21 @@ def test_solve_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("args", [
+    ["region", "--sweep", "p=-1:inf:3"],
+    ["region", "--sweep", "p=-1e308:1e308:3"],
+    ["kernel", "--r-max", "-1"],
+    ["kernel", "--r-min", "nan"],
+    ["verify", "--cor3", "--radius", "inf"],
+    ["verify", "--cor3", "--radius", "nan"],
+    ["verify", "--cor3", "-N", "2"],
+    ["verify", "--cor3", "--amplitude", "1e300"],
+])
+def test_out_of_range_input_exit_code(tmp_path, capsys, args):
+    assert run([*args, "--report", str(tmp_path / "r.json")]) == 1
+    _assert_one_line_error(capsys)
+
+
 def _assert_one_line_refusal(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -331,3 +349,73 @@ def test_kernel_bad_shift_exit_code(tmp_path, capsys, lam):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert not (tmp_path / "k.json").exists()
+
+
+def _config(tmp_path, text):
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    return ["--config", str(conf)]
+
+
+def test_config_explicit_flag_wins_at_its_default(tmp_path):
+    # -N 3 and --lam 1 are the kernel defaults; the file must not beat them
+    report = tmp_path / "k.json"
+    conf = _config(tmp_path, "dimension = 5\nlam = 4\n")
+    assert run(["kernel", "-N", "3", "--lam", "1", *conf, "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    assert (payload["dimension"], payload["lam"]) == (3, 1.0)
+
+
+def test_config_sweeps_add_to_flag_sweeps(tmp_path):
+    table = tmp_path / "t.csv"
+    conf = _config(tmp_path, "sweep = p=1.1:6:5\n")
+    rc = run(["region", "--m", "5", *conf, "--report", str(tmp_path / "r.json"),
+              "--out-table", str(table)])
+    assert rc == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "p", "status", "tag"]
+    assert [row[1] for row in rows[1:]] == [str(v) for v in np.linspace(1.1, 6.0, 5)]
+
+    rc = run(["region", *conf, "--sweep", "m=1,5", "--report", str(tmp_path / "r.json"),
+              "--out-table", str(table)])
+    assert rc == 0
+    with open(table, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "p", "m", "status", "tag"] and len(rows) == 11
+
+
+def test_config_paths_are_text(tmp_path, monkeypatch):
+    # "1" and "2" are file names, not file descriptors
+    monkeypatch.chdir(tmp_path)
+    conf = _config(tmp_path, "report = 1\nout_table = 2\n")
+    assert run(["kernel", "--r-count", "5", *conf]) == 0
+    assert json.loads((tmp_path / "1").read_text())["rows"] == 5
+    assert (tmp_path / "2").read_text().startswith("r,value,mass_identity")
+
+
+@pytest.mark.parametrize("line", ["func = x", "command = solve", "force = maybe",
+                                  "force = true", "help = 1", "config = other.conf",
+                                  "n = 3"])
+def test_config_key_that_is_no_flag_exit_code(tmp_path, capsys, line):
+    rc = run(["solve", *_EXP_POINT, *_config(tmp_path, f"# comment\n{line}\n"),
+              "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_config_switch_values(tmp_path, capsys):
+    report = tmp_path / "c.json"
+    base = ["verify", "-N", "3", "--p", "6", "--s", "1", "--nodes", "2001", "--tol", "1",
+            "--report", str(report)]
+    for value in ("true", "Yes", "1"):
+        assert run([*base, *_config(tmp_path, f"cor3 = {value}\n")]) == 0
+        assert json.loads(report.read_text())["mode"] == "cor3"
+    for value in ("false", "NO", "0"):
+        # without --cor3, verify needs field dumps
+        assert run([*base, *_config(tmp_path, f"cor3 = {value}\n")]) == 1
+        assert "--u-field" in capsys.readouterr().err
+    assert run([*base, *_config(tmp_path, "cor3 = maybe\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cor3" in err and "'maybe'" in err

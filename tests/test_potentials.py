@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 
 from gmsteady.barriers import Exponents, Problem, SourceModel, barrier_operator_value
 from gmsteady.errors import NonIntegrableTailError
+from gmsteady import potentials
 from gmsteady.kernels import GreenParams, green_lambda
 from gmsteady.potentials import (
     DivergenceVerdict,
@@ -370,3 +371,17 @@ def test_bessel_matches_loop_reference(n, shift, tag):
     u = bessel_potential_radial(n, shift, src).values
     ref = _bessel_loop_reference(n, shift, src)
     assert np.max(np.abs(u / ref - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, shift, tag", [
+    (3, 4096.0, BarrierProfile(BarrierFamily.W, 0.7)),
+    (5, 64.0, BarrierProfile(BarrierFamily.Z, 3.0)),
+])
+def test_bessel_piece_runs_match_one_run(monkeypatch, n, shift, tag):
+    # runs of 3 pieces split intervals and the tail between runs
+    g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
+    src = RadialField(g, np.asarray(eval_barrier(tag, g.nodes)), tag)
+    whole = bessel_potential_radial(n, shift, src).values
+    monkeypatch.setattr(potentials, "_PIECE_BLOCK", 3)
+    runs = bessel_potential_radial(n, shift, src).values
+    assert np.max(np.abs(runs / whole - 1.0)) <= 1e-14

@@ -359,3 +359,13 @@ class TestDecayFit:
         field = RadialField(grid, np.zeros(grid.n))
         with pytest.raises(ValueError):
             decay_fit(field, BarrierFamily.W, (1.0, 5.0))
+
+
+def test_run_status_ranks_sandwich_then_ball_growth():
+    converged = solvers._run_status(1.0, 2.0, sandwiched=True, converged=True)
+    assert converged == (SolveStatus.CONVERGED, [])
+    assert solvers._run_status(1.0, 2.0, True, False) == (SolveStatus.MAX_ITERATIONS, [])
+    status, notes = solvers._run_status(3.0, 2.0, True, True)
+    assert status is SolveStatus.MAX_ITERATIONS
+    assert notes == ["ball-growth stability gap 3.000e+00 exceeds boundary barrier 2.000e+00"]
+    assert solvers._run_status(3.0, 2.0, False, True) == (SolveStatus.SANDWICH_VIOLATED, notes)
