@@ -44,7 +44,6 @@ from .radial_core import (
     RadialField,
     RadialGrid,
     apply_radial_laplacian,
-    solve_linear_radial,
 )
 from .solvers import (
     ScalarRegime,
@@ -95,7 +94,6 @@ __all__ = [
     "sigma_index",
     "solve_coupled_alg",
     "solve_coupled_exp",
-    "solve_linear_radial",
     "solve_singular_scalar",
     "verify_cor3",
     "verify_kernel_bounds",

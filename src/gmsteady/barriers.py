@@ -224,6 +224,11 @@ class Problem:
         if (self.lam > 0) != (self.mu > 0):
             raise ValueError("shifts must be both zero or both positive")
 
+    @property
+    def family(self) -> BarrierFamily:
+        """Barrier family of the regime: W for positive shifts, Z for zero shifts."""
+        return BarrierFamily.W if self.lam > 0 else BarrierFamily.Z
+
 
 # ---------------------------------------------------------------------------
 # barrier operator calculus

@@ -56,9 +56,12 @@ def aubin_talenti(dimension: int, amplitude: float, r):
     n = dimension
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    if not (amplitude > 0 and math.isfinite(amplitude * amplitude)):
-        raise ValueError("amplitude must be positive with a finite square")
+    if not (amplitude > 0 and 0.0 < amplitude * amplitude < math.inf):
+        raise ValueError("amplitude must be positive with a finite, nonzero square")
     rr = np.asarray(r, dtype=float)
+    r_max = float(np.max(np.abs(rr)))
+    if not math.isfinite(amplitude * amplitude + r_max * r_max):
+        raise ValueError("A^2 + r^2 overflows float64 at the largest radius")
     base = amplitude * math.sqrt(n * (n - 2.0)) / (amplitude**2 + rr * rr)
     out = base ** ((n - 2.0) / 2.0)
     if np.isscalar(r) or np.ndim(r) == 0:
@@ -136,16 +139,21 @@ def verify_cor3(
 
     The last node has no right neighbour and is left out of the sup.  The
     residuals are O(h^2): halving the grid spacing shrinks them by
-    about four.
+    about four.  Raises ValueError where a residual is not finite.
     """
-    # the bubble checks N >= 3 before the induced exponents divide by N - 2
-    w = aubin_talenti(dimension, amplitude, grid.nodes)
-    ex = closed_form_ground_state(dimension, p, s, amplitude).induced_exponents
-    lap = RadialOperator(grid, dimension).laplacian(w)
-    rhs_u = w**ex.p / w**ex.q
-    rhs_v = w**ex.m / w**ex.s
-    res_u = float(np.max(np.abs(lap - rhs_u[:-1])))
-    res_v = float(np.max(np.abs(lap - rhs_v[:-1])))
+    # at extreme N, radii, amplitudes or exponents w, its powers and the
+    # stencil leave float64 range; the finiteness check below refuses those
+    with np.errstate(all="ignore"):
+        # the bubble checks N >= 3 before the induced exponents divide by N - 2
+        w = aubin_talenti(dimension, amplitude, grid.nodes)
+        ex = closed_form_ground_state(dimension, p, s, amplitude).induced_exponents
+        lap = RadialOperator(grid, dimension).laplacian(w)
+        rhs_u = w**ex.p / w**ex.q
+        rhs_v = w**ex.m / w**ex.s
+        res_u = float(np.max(np.abs(lap - rhs_u[:-1])))
+        res_v = float(np.max(np.abs(lap - rhs_v[:-1])))
+    if not (math.isfinite(res_u) and math.isfinite(res_v)):
+        raise ValueError("cor3 residuals leave float64 range on this grid")
     return Cor3Certificate(dimension, ex, amplitude, res_u, res_v, grid)
 
 
@@ -212,7 +220,7 @@ def verify_solution(
     if representation:
         rep_u, rep_v = representation_residual(problem, exponents, u, v)
 
-    family = BarrierFamily.W if problem.lam > 0 else BarrierFamily.Z
+    family = problem.family
     window = _fit_window(family, u.grid.radius)
     fit_u = decay_fit(u, family, window)
     fit_v = decay_fit(v, family, window)

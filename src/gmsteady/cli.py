@@ -39,8 +39,9 @@ from .barriers import (
 )
 from .certificates import verify_cor3, verify_solution
 from .errors import FieldParseError, HypothesisError, NonexistenceError, RegimeError
-from .kernels import GreenParams, green_lambda, green_lambda_mass, green_zero, verify_kernel_bounds
+from .kernels import GreenParams, green_lambda, green_lambda_mass, verify_kernel_bounds
 from .potentials import divergence_probe_rho
+from .profiles import BarrierProfile
 from .radial_core import RadialGrid, read_field, write_field
 from .solvers import SolveStatus, solve_coupled_alg, solve_coupled_exp
 
@@ -56,6 +57,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise SystemExit(_fail(f"error: {message}"))
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse before Python 3.12 drops the value of --flag=-- and
+        # stores an empty list, which no subcommand can use
+        for token in args or ():
+            flag, eq, value = token.partition("=")
+            if flag.startswith("--") and eq and value == "--":
+                self.error(f"argument {flag}: expected one argument")
+        return super().parse_known_args(args, namespace)
 
 
 def _fail(message: str) -> int:
@@ -276,14 +286,11 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs --cor3 or both --u-field and --v-field")
     u = read_field(args.u_field)
     v = read_field(args.v_field)
-    from .profiles import BarrierFamily, BarrierProfile
-
-    family = BarrierFamily.W if args.lam > 0 else BarrierFamily.Z
-    if args.u_rate:
-        u.decay_tag = BarrierProfile(family, args.u_rate)
-    if args.v_rate:
-        v.decay_tag = BarrierProfile(family, args.v_rate)
     problem, exponents = _problem_from_args(args)
+    if args.u_rate:
+        u.decay_tag = BarrierProfile(problem.family, args.u_rate)
+    if args.v_rate:
+        v.decay_tag = BarrierProfile(problem.family, args.v_rate)
     cert = verify_solution(
         problem, exponents, u, v, representation=not args.no_representation
     )
@@ -302,19 +309,21 @@ def cmd_kernel(args) -> int:
     if not (0.0 < args.r_min < math.inf and 0.0 < args.r_max < math.inf):
         raise ValueError("kernel needs finite positive --r-min and --r-max")
     r_values = np.geomspace(args.r_min, args.r_max, args.r_count)
-    if args.lam == 0:
-        values = [green_zero(args.dimension, float(r)) for r in r_values]
-        mass = None  # the unshifted kernel is not integrable
-        bounds = None
-    else:
-        params = GreenParams(args.dimension, args.lam)
+    params = GreenParams(args.dimension, args.lam)
+    mass = bounds = None  # stay None for the unshifted kernel, which is not integrable
+    # at extreme radii and shifts the closed forms overflow or meet 0 * inf;
+    # such runs are refused by the finiteness checks, without warnings
+    with np.errstate(all="ignore"):
         values = [green_lambda(params, float(r)) for r in r_values]
-        # the bounds go first: they reject an underflowing kernel before quad
-        if args.r_min < 1.0 < args.r_max:
-            bounds = verify_kernel_bounds(params, r_values)
-        else:
-            bounds = None
-        mass = green_lambda_mass(params)
+        if not all(map(math.isfinite, values)):
+            raise ValueError("kernel values leave float64 range on the requested radii")
+        if args.lam > 0:
+            # the bounds go first: they reject an underflowing kernel before quad
+            if args.r_min < 1.0 < args.r_max:
+                bounds = verify_kernel_bounds(params, r_values)
+            mass = green_lambda_mass(params)
+            if not math.isfinite(mass):
+                raise ValueError("kernel mass quadrature is not finite")
 
     header = ["r", "value", "mass_identity"]
     mass_cell = mass if mass is not None else ""
@@ -433,6 +442,9 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except (ValueError, OSError) as exc:
         return _fail(f"error: {exc}")
+    except OverflowError as exc:
+        # Python float arithmetic raises where numpy would give inf
+        return _fail(f"error: float64 overflow: {exc}")
 
 
 if __name__ == "__main__":

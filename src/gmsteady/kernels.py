@@ -178,7 +178,9 @@ def green_lambda(params: GreenParams, r):
 def green_lambda_mass(params: GreenParams, epsabs: float = 1e-13) -> float:
     """omega_N * integral_0^inf s^(N-1) G_lambda(s) ds by adaptive quadrature.
 
-    Equals 1/lambda for the delta-calibrated kernel.
+    Equals 1/lambda for the delta-calibrated kernel.  Raises ValueError
+    where the quadrature reports that it failed (a kernel spread over
+    1/sqrt(lambda) >> 1, for one).
     """
     if params.shift <= 0:
         raise ValueError("mass identity requires shift > 0")
@@ -189,9 +191,15 @@ def green_lambda_mass(params: GreenParams, epsabs: float = 1e-13) -> float:
         return s ** (n - 1) * green_lambda(params, s)
 
     # split at 1: integrable r^(2-N)-type behaviour near 0, exponential tail
-    head, _ = quad(integrand, 0.0, 1.0, epsabs=epsabs, epsrel=1e-13, limit=200)
-    tail, _ = quad(integrand, 1.0, np.inf, epsabs=epsabs, epsrel=1e-13, limit=200)
-    return w * (head + tail)
+    total = 0.0
+    for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
+        val, _, _, *trouble = quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-13, limit=200,
+                                   full_output=1)
+        if trouble:
+            reason = trouble[0].splitlines()[0]
+            raise ValueError(f"kernel mass quadrature on [{lo:g}, {hi:g}] failed: {reason}")
+        total += val
+    return w * total
 
 
 def _log_green_lambda(params: GreenParams, rr: np.ndarray) -> np.ndarray:

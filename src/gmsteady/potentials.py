@@ -49,7 +49,7 @@ from scipy import special
 from .barriers import SourceKind, SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import GreenParams, green_lambda, sphere_area
-from .profiles import BarrierFamily, BarrierProfile, eval_barrier
+from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
 from .radial_core import RadialField, RadialGrid
 
 __all__ = [
@@ -108,44 +108,6 @@ def _cumulative_weighted(pts, half, g_pts, power: float) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(contrib)))
 
 
-def _tail_weighted_integral(profile: BarrierProfile, radius: float) -> float:
-    """int_R^inf s * profile(s) ds in closed form.
-
-    W(a): substitute t = sqrt(1+s^2):  e^(-aT) (T/a + 1/a^2), T = sqrt(1+R^2).
-    Z(a): (1+R^2)^((2-a)/2) / (a-2), requires a > 2.
-    """
-    t0 = math.sqrt(1.0 + radius * radius)
-    a = profile.rate
-    if profile.family is BarrierFamily.W:
-        return math.exp(-a * t0) * (t0 / a + 1.0 / (a * a))
-    if a <= 2.0:
-        raise NonIntegrableTailError(
-            f"algebraic tail rate {a} <= 2 makes int s * Z_a ds diverge"
-        )
-    return (1.0 + radius * radius) ** ((2.0 - a) / 2.0) / (a - 2.0)
-
-
-def _tail_model(source: RadialField) -> tuple[Optional[Callable], float]:
-    """(tail evaluator, amplitude) from the declared decay model.
-
-    A missing tag is accepted only for compactly supported data (last
-    node exactly zero), in which case the tail is zero.
-    """
-    if source.decay_tag is not None:
-        amp = source.tail_amplitude()
-        tag = source.decay_tag
-
-        def tail(s):
-            return amp * np.asarray(eval_barrier(tag, s), dtype=float)
-
-        return tail, amp
-    if source.values[-1] == 0.0:
-        return None, 0.0
-    raise ValueError(
-        "source needs a decay_tag for tail closure (or must vanish at the last node)"
-    )
-
-
 def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     """Decaying solution of -Delta u = source for a nonnegative radial source.
 
@@ -160,12 +122,13 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     if np.any(g < 0):
         raise ValueError("source must be nonnegative")
     r = source.grid.nodes
-
-    tail, amp = _tail_model(source)
-    tail_j = 0.0
-    if tail is not None:
-        assert source.decay_tag is not None
-        tail_j = amp * _tail_weighted_integral(source.decay_tag, source.grid.radius)
+    tag = source.decay_tag
+    if tag is not None and tag.family is BarrierFamily.Z and tag.rate <= 2.0:
+        raise NonIntegrableTailError(
+            f"algebraic tail rate {tag.rate} <= 2 makes int s * Z_a ds diverge"
+        )
+    # int_R^inf s g(s) ds = -c F(R), where F(inf) = 0
+    tail_j = -source.tail(source.grid.radius, weighted_antiderivative)
 
     pts, half, _ = next(_gauss_pieces(r, 8))
     g_pts = CubicSpline(r, g)(pts)
@@ -178,8 +141,8 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     u[1:] = (r[1:] ** (2.0 - n) * inner[1:] + outer[1:]) / (n - 2.0)
 
     out_rate = float(n - 2)
-    if source.decay_tag is not None and source.decay_tag.family is BarrierFamily.Z:
-        out_rate = min(source.decay_tag.rate - 2.0, float(n - 2))
+    if tag is not None and tag.family is BarrierFamily.Z:
+        out_rate = min(tag.rate - 2.0, float(n - 2))
     return RadialField(source.grid, u, BarrierProfile(BarrierFamily.Z, out_rate))
 
 
@@ -209,7 +172,6 @@ def bessel_potential_radial(
     r = source.grid.nodes
     nu = n / 2.0 - 1.0
     k = math.sqrt(shift)
-    tail, _ = _tail_model(source)
     wg = _gauss(12)[1]
 
     def weighted(pts, half, vals):
@@ -235,14 +197,13 @@ def bessel_potential_radial(
 
     # tail contribution to Q at r = R: geometric intervals until 46 e-folds
     q_tail = 0.0
-    if tail is not None:
-        radius = source.grid.radius
-        h = max(r[-1] - r[-2], 1e-3)
-        ends = radius + np.concatenate(([0.0], np.cumsum(h * 1.25 ** np.arange(400))))
-        ends = ends[: np.searchsorted(k * (ends - radius), 46.0, side="right") + 1]
-        for tpts, thalf, _ in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
-            tq = weighted(tpts, thalf, tail(tpts)) * special.kve(nu, k * tpts)
-            q_tail += float(np.sum(tq * np.exp(k * (radius - tpts))))
+    radius = source.grid.radius
+    h = max(r[-1] - r[-2], 1e-3)
+    ends = radius + np.concatenate(([0.0], np.cumsum(h * 1.25 ** np.arange(400))))
+    ends = ends[: np.searchsorted(k * (ends - radius), 46.0, side="right") + 1]
+    for tpts, thalf, _ in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
+        tq = weighted(tpts, thalf, source.tail(tpts)) * special.kve(nu, k * tpts)
+        q_tail += float(np.sum(tq * np.exp(k * (radius - tpts))))
 
     q_acc = np.zeros(nnode)
     q_acc[-1] = q_tail
@@ -331,7 +292,7 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     if u.grid.nodes.shape != v.grid.nodes.shape or np.any(u.grid.nodes != v.grid.nodes):
         raise ValueError("u and v must share a grid")
 
-    family = BarrierFamily.W if problem.lam > 0 else BarrierFamily.Z
+    family = problem.family
     rate_u_rhs = _combined_tail_rate(u, exponents.p, v, exponents.q)
     rate_v_rhs = _combined_tail_rate(u, exponents.m, v, exponents.s)
     rho_vals = problem.rho.evaluate(r)
@@ -403,27 +364,9 @@ class DivergenceReport:
         }
 
 
-def _z_weighted_antiderivative(a: float, r: float) -> float:
-    # int r (1+r^2)^(-a/2) dr
-    if a == 2.0:
-        return 0.5 * math.log1p(r * r)
-    return -((1.0 + r * r) ** (1.0 - a / 2.0)) / (a - 2.0)
-
-
-def _w_weighted_antiderivative(a: float, r: float) -> float:
-    # int r e^(-a sqrt(1+r^2)) dr = -e^(-a t)(t/a + 1/a^2), t = sqrt(1+r^2)
-    t = math.sqrt(1.0 + r * r)
-    return -math.exp(-a * t) * (t / a + 1.0 / (a * a))
-
-
-def _envelope_shells(kind: SourceKind, a: float, amp: float, dimension: int, kmax: int = 12):
-    anti = _z_weighted_antiderivative if kind is SourceKind.ALG_ENVELOPE else _w_weighted_antiderivative
-    w = sphere_area(dimension)
-    sums = []
-    for j in range(kmax):
-        lo, hi = 2.0**j, 2.0 ** (j + 1)
-        sums.append((hi, amp * w * (anti(a, hi) - anti(a, lo))))
-    return sums
+def _dyadic_shells(shell: Callable[[float, float], float]) -> list:
+    """[(2^(j+1), shell(2^j, 2^(j+1))) for j < 12]: the envelope probes' shells."""
+    return [(2.0 ** (j + 1), shell(2.0**j, 2.0 ** (j + 1))) for j in range(12)]
 
 
 def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
@@ -439,17 +382,17 @@ def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
     w = sphere_area(n)
     if rho.kind is SourceKind.ZERO:
         return DivergenceReport(DivergenceVerdict.CONVERGENT, value=0.0)
-    if rho.kind is SourceKind.ALG_ENVELOPE:
-        shells = _envelope_shells(rho.kind, rho.rate, rho.beta, n)
-        if rho.rate <= 2.0:
+    env = rho.envelope_profile
+    if env is not None:
+        # the integrand is |S^(N-1)| s rho(s) <= beta |S^(N-1)| s E(s)
+        def anti(r):
+            return weighted_antiderivative(env, r)
+
+        shells = _dyadic_shells(lambda lo, hi: rho.beta * w * (anti(hi) - anti(lo)))
+        if rho.kind is SourceKind.ALG_ENVELOPE and rho.rate <= 2.0:
             law = f"shell integrand ~ r^({1.0 - rho.rate}); rate a = {rho.rate} <= 2"
             return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)
-        total = rho.beta * w / (rho.rate - 2.0)
-        return DivergenceReport(DivergenceVerdict.CONVERGENT, value=total, shell_sums=shells)
-    if rho.kind is SourceKind.EXP_ENVELOPE:
-        shells = _envelope_shells(rho.kind, rho.rate, rho.beta, n)
-        a = rho.rate
-        total = rho.beta * w * math.exp(-a) * (1.0 / a + 1.0 / (a * a))
+        total = rho.beta * w * -anti(0.0)  # F(inf) - F(0), F(inf) = 0
         return DivergenceReport(DivergenceVerdict.CONVERGENT, value=total, shell_sums=shells)
 
     assert isinstance(rho.profile, RadialField)
@@ -533,15 +476,13 @@ def divergence_probe_nested(dimension: int, rho: SourceModel, m: float) -> Diver
         else:
             a_eff = float(n)  # integrable source: inner ~ r^(2-N)
         outer_exp = 1.0 - m * (a_eff - 2.0)
-        shells = []
-        for j in range(12):
-            lo, hi = 2.0**j, 2.0 ** (j + 1)
+
+        def shell(lo, hi):  # int_lo^hi r^outer_exp dr
             if outer_exp == -1.0:
-                shells.append((hi, math.log(2.0)))
-            else:
-                shells.append(
-                    (hi, (hi ** (outer_exp + 1.0) - lo ** (outer_exp + 1.0)) / (outer_exp + 1.0))
-                )
+                return math.log(2.0)
+            return (hi ** (outer_exp + 1.0) - lo ** (outer_exp + 1.0)) / (outer_exp + 1.0)
+
+        shells = _dyadic_shells(shell)
         if m * (a_eff - 2.0) <= 2.0:
             law = f"outer integrand ~ r^({outer_exp}), m(a-2) = {m * (a_eff - 2.0)} <= 2"
             return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)

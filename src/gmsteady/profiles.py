@@ -9,17 +9,26 @@ Two families are used everywhere in this package:
 
 Both are C^infinity on all of R^N, radial, and admit closed-form
 Laplacians, which is what makes them usable as sub/super-solution
-barriers.
+barriers.  Their other closed forms live here too: the log coordinate
+that decay fits regress on, and the antiderivative of s * B(s) that
+closes potential tails and sums dyadic shells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-__all__ = ["BarrierFamily", "BarrierProfile", "eval_barrier"]
+__all__ = [
+    "BarrierFamily",
+    "BarrierProfile",
+    "eval_barrier",
+    "log_coordinate",
+    "weighted_antiderivative",
+]
 
 
 class BarrierFamily(Enum):
@@ -62,3 +71,25 @@ def eval_barrier(profile: BarrierProfile, x_norm):
     if np.isscalar(x_norm) or np.ndim(x_norm) == 0:
         return float(out)
     return out
+
+
+def log_coordinate(family: BarrierFamily, r):
+    """x(r) with log B_a(r) = a * x(r): -sqrt(1+r^2) for W, -(1/2) log(1+r^2) for Z."""
+    if family is BarrierFamily.W:
+        return -np.sqrt(1.0 + r * r)
+    return -0.5 * np.log1p(r * r)
+
+
+def weighted_antiderivative(profile: BarrierProfile, r: float) -> float:
+    """F(r) with F' = r * profile(r), chosen so that F(inf) = 0 where it is finite.
+
+    W(a): -e^(-a t) (t/a + 1/a^2), t = sqrt(1+r^2).
+    Z(a): -(1+r^2)^(1-a/2) / (a-2), or (1/2) log(1+r^2) at a = 2.
+    """
+    a = profile.rate
+    if profile.family is BarrierFamily.W:
+        t = math.sqrt(1.0 + r * r)
+        return -math.exp(-a * t) * (t / a + 1.0 / (a * a))
+    if a == 2.0:
+        return 0.5 * math.log1p(r * r)
+    return -((1.0 + r * r) ** (1.0 - a / 2.0)) / (a - 2.0)

@@ -13,47 +13,53 @@ shift >= 0, so the discrete maximum principle holds on every grid.
 At r = 0 symmetry gives a zero flux through the origin.  ``RadialOperator``
 assembles -Delta + shift once per grid and shift; the one-shot wrappers
 call it, and ``apply_radial_laplacian`` fills the last node, which has
-no right neighbour, by a one-sided cubic fit.
+no right neighbour, by a one-sided cubic fit.  Grid builders refuse more
+than ``MAX_GRID_NODES`` nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import TYPE_CHECKING, Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import FieldParseError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .profiles import BarrierProfile
+from .profiles import BarrierProfile, eval_barrier
 
 __all__ = [
-    "GridSpacing",
+    "MAX_GRID_NODES",
     "RadialGrid",
     "RadialField",
     "RadialOperator",
     "apply_radial_laplacian",
-    "solve_linear_radial",
     "solve_linear_radial_variable",
     "write_field",
     "read_field",
 ]
 
 
-class GridSpacing(Enum):
-    UNIFORM = "uniform"
-    GRADED = "graded"
+#: Most nodes a grid builder makes (a million nodes hold 8 MB per field).
+MAX_GRID_NODES = 1_000_000
+
+
+def _node_count(count) -> int:
+    """``count`` as an int; a count above MAX_GRID_NODES, or inf, is refused."""
+    if not count <= MAX_GRID_NODES:
+        raise ValueError(f"grid needs {count:.4g} nodes, more than the cap of {MAX_GRID_NODES}")
+    return int(count)
 
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes r_0 = 0 < ... < r_{n-1} = R, n >= 16."""
+    """Strictly increasing nodes r_0 = 0 < ... < r_{n-1} = R, n >= 16.
+
+    ``stretch`` is the ratio of neighbouring intervals of a graded grid,
+    and 1 for a uniform one.
+    """
 
     nodes: np.ndarray
-    spacing: GridSpacing = GridSpacing.UNIFORM
     stretch: float = 1.0
 
     def __post_init__(self) -> None:
@@ -78,19 +84,19 @@ class RadialGrid:
     def uniform(cls, radius: float, n: int) -> "RadialGrid":
         if not 0.0 < radius < np.inf:
             raise ValueError("grid radius must be positive and finite")
-        return cls(np.linspace(0.0, radius, n), GridSpacing.UNIFORM, 1.0)
+        return cls(np.linspace(0.0, radius, _node_count(n)))
 
     @classmethod
     def graded(cls, radius: float, n: int, stretch: float = 1.02) -> "RadialGrid":
         """Geometrically graded grid: each interval is ``stretch`` times the last."""
         if stretch <= 1.0:
             return cls.uniform(radius, n)
-        k = n - 1
+        k = _node_count(n) - 1
         h0 = radius * (stretch - 1.0) / (stretch**k - 1.0)
         steps = h0 * stretch ** np.arange(k)
         nodes = np.concatenate(([0.0], np.cumsum(steps)))
         nodes[-1] = radius  # kill cumulative roundoff
-        return cls(nodes, GridSpacing.GRADED, stretch)
+        return cls(nodes, stretch)
 
     @classmethod
     def auto(cls, radius: float, h0: float = 0.02, stretch: float = 1.02) -> "RadialGrid":
@@ -100,18 +106,16 @@ class RadialGrid:
         if not (radius > 0 and h0 > 0):
             raise ValueError("grid radius and h0 must be positive")
         if stretch <= 1.0:
-            n = max(16, int(np.ceil(radius / h0)) + 1)
-            return cls.uniform(radius, n)
+            return cls.uniform(radius, max(16, _node_count(np.ceil(radius / h0) + 1)))
         # number of intervals k with h0 (stretch^k - 1)/(stretch - 1) >= radius
-        k = int(np.ceil(np.log1p(radius * (stretch - 1.0) / h0) / np.log(stretch)))
-        k = max(k, 15)
-        return cls.graded(radius, k + 1, stretch)
+        k = np.ceil(np.log1p(radius * (stretch - 1.0) / h0) / np.log(stretch))
+        return cls.graded(radius, max(16, _node_count(k + 1)), stretch)
 
     def refined(self) -> "RadialGrid":
         """Insert interval midpoints; original nodes are preserved."""
         mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
         nodes = np.sort(np.concatenate([self.nodes, mids]))
-        return RadialGrid(nodes, self.spacing, self.stretch)
+        return RadialGrid(nodes, self.stretch)
 
     def extended(self, factor: float = 2.0) -> "RadialGrid":
         """Continue the grading beyond R until ``factor * R``; keeps old nodes."""
@@ -123,7 +127,7 @@ class RadialGrid:
             h = h * g
             nodes.append(nodes[-1] + h)
         nodes[-1] = max(nodes[-1], target)
-        return RadialGrid(np.asarray(nodes), self.spacing, self.stretch)
+        return RadialGrid(np.asarray(nodes), self.stretch)
 
 
 @dataclass
@@ -131,12 +135,12 @@ class RadialField:
     """Values of a radial function on a grid, with an optional far-field model.
 
     ``decay_tag`` declares how the function continues beyond the last
-    node; consumers match the tail amplitude at r = R.
+    node; ``tail`` evaluates that continuation.
     """
 
     grid: RadialGrid
     values: np.ndarray
-    decay_tag: Optional["BarrierProfile"] = None
+    decay_tag: Optional[BarrierProfile] = None
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -151,20 +155,28 @@ class RadialField:
         cls,
         grid: RadialGrid,
         fn: Callable[[np.ndarray], np.ndarray],
-        decay_tag: Optional["BarrierProfile"] = None,
+        decay_tag: Optional[BarrierProfile] = None,
     ) -> "RadialField":
         return cls(grid, np.asarray(fn(grid.nodes), dtype=float), decay_tag)
 
-    def tail_amplitude(self) -> float:
-        """Multiplier c such that the tail model is c * profile(r) at r = R."""
-        if self.decay_tag is None:
-            raise ValueError("field has no decay tag")
-        from .profiles import eval_barrier
+    def tail(self, r, form=None):
+        """The far-field model c * B(r), with B the decay tag and c matched at R.
 
-        ref = eval_barrier(self.decay_tag, self.grid.radius)
-        if ref <= 0:
-            raise ValueError("decay tag underflows at the boundary")
-        return float(self.values[-1] / ref)
+        ``form(tag, r)`` stands in for B(r) when given: with
+        ``profiles.weighted_antiderivative`` the result is c times the
+        antiderivative of s * B(s).  An untagged field that vanishes at
+        R has a zero tail, and so does a tag that underflows at R.
+        """
+        tag = self.decay_tag
+        if tag is None:
+            if self.values[-1] != 0.0:
+                raise ValueError(
+                    "source needs a decay_tag for tail closure (or must vanish at the last node)"
+                )
+            return np.zeros(np.shape(r))
+        ref = eval_barrier(tag, self.grid.radius)
+        amp = self.values[-1] / ref if ref > 0 else 0.0
+        return amp * np.asarray((form or eval_barrier)(tag, r), dtype=float)
 
 
 class RadialOperator:
@@ -249,17 +261,6 @@ def solve_linear_radial_variable(
     if np.shape(shift_values) != rhs.grid.nodes.shape:
         raise ValueError("shift values must match the grid")
     op = RadialOperator(rhs.grid, dimension, shift_values)
-    return RadialField(rhs.grid, op.solve(rhs.values, boundary_value))
-
-
-def solve_linear_radial(
-    dimension: int,
-    shift: float,
-    rhs: RadialField,
-    boundary_value: float,
-) -> RadialField:
-    """Dirichlet solve of -Delta u + shift * u = rhs with symmetry at r = 0."""
-    op = RadialOperator(rhs.grid, dimension, shift)
     return RadialField(rhs.grid, op.solve(rhs.values, boundary_value))
 
 

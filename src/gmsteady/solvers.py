@@ -23,9 +23,8 @@ Newtonian potential applied to u^p/v^q + rho and v by the scalar solve
 with weight u^m.  When the feasibility ledger holds, every iterate
 stays inside its barrier sandwich; this is checked on each iterate and
 violations abort with an explicit status.  Plain Picard iteration is
-used (existence comes from compactness, not contraction), with 0.5
-damping engaged only if the update size oscillates; non-convergence
-after the iteration cap is reported honestly.
+used (existence comes from compactness, not contraction);
+non-convergence after the iteration cap is reported honestly.
 
 Truncation.  Exponential-family runs pick the smallest radius where
 the barrier has dropped by 1e12 relative to the origin; algebraic
@@ -47,7 +46,7 @@ import numpy as np
 from .barriers import ConstantsLedger, Exponents, Problem, Regime, SourceKind
 from .errors import HypothesisError, NonexistenceError, RegimeError
 from .potentials import newton_potential_radial
-from .profiles import BarrierFamily, BarrierProfile, eval_barrier
+from .profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
 from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
@@ -147,8 +146,8 @@ class ScalarRegime:
 def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     """Least-squares decay rate of a positive field over a radius window.
 
-    Regresses log(field) on -sqrt(1+r^2) for the W family and on
-    -(1/2) log(1+r^2) for the Z family.  Returns (rate, rms residual).
+    Regresses log(field) on the family's ``log_coordinate``.  Returns
+    (rate, rms residual).
     """
     r = field.grid.nodes
     lo, hi = window
@@ -159,11 +158,7 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     if np.any(vals <= 0):
         raise ValueError("field must be positive on the window")
     y = np.log(vals)
-    rr = r[mask]
-    if family is BarrierFamily.W:
-        x = -np.sqrt(1.0 + rr * rr)
-    else:
-        x = -0.5 * np.log1p(rr * rr)
+    x = log_coordinate(family, r[mask])
     design = np.column_stack([x, np.ones_like(x)])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     fit = design @ coef
@@ -279,16 +274,6 @@ def _monotone_ball(
     return v, residual, max_iter, monotone_ok
 
 
-def _extend_by_tag(field_vals: np.ndarray, grid: RadialGrid, big: RadialGrid, tag: BarrierProfile):
-    """Values on the extended grid: original nodes kept, tail from the tag."""
-    out = np.empty(big.n)
-    out[: grid.n] = field_vals
-    env_r = eval_barrier(tag, grid.radius)
-    amp = field_vals[-1] / env_r if env_r > 0 else 0.0
-    out[grid.n :] = amp * np.asarray(eval_barrier(tag, big.nodes[grid.n :]), dtype=float)
-    return out
-
-
 def solve_singular_scalar(
     dimension: int,
     shift: float,
@@ -365,7 +350,8 @@ def solve_singular_scalar(
     vals, env, res, its, mono = run(grid, psi.values)
 
     big = grid.extended(2.0)
-    psi_big = _extend_by_tag(psi.values, grid, big, env_profile)
+    psi_tail = RadialField(grid, psi.values, env_profile).tail(big.nodes[grid.n :])
+    psi_big = np.concatenate((psi.values, psi_tail))
     vals2, _, _res2, its2, _mono2 = run(big, psi_big)
     gap = float(np.max(np.abs(vals2[: grid.n] - vals)))
     allowance = c_high * float(eval_barrier(barrier, grid.radius)) + 1e-14
@@ -437,17 +423,13 @@ def _picard_coupled(
     # the resolvent of -Delta + lam is the same on every iteration of this ball
     resolvent = RadialOperator(grid, n, problem.lam) if exp_regime else None
 
-    damping = False
-    last_change = math.inf
-    increases = 0
-    its_used = 0
+    it, change = 0, math.inf
     for it in range(1, max_iter + 1):
-        its_used = it
         rhs_u_vals = u**p / v**q + rho_vals
         if exp_regime:
             u_new = resolvent.solve(rhs_u_vals, ledger.m1_lower * env_u[-1])
         else:
-            rhs_u = RadialField(grid, rhs_u_vals, BarrierProfile(fam, problem.rho.rate))
+            rhs_u = RadialField(grid, rhs_u_vals, problem.rho.envelope_profile)
             u_new = newton_potential_radial(n, rhs_u).values
 
         psi_vals = u_new**m
@@ -466,16 +448,7 @@ def _picard_coupled(
             float(np.max(np.abs(u_new - u))) / max(float(np.max(u_new)), 1e-300),
             float(np.max(np.abs(v_new - v))) / max(float(np.max(v_new)), 1e-300),
         )
-        if change > last_change:
-            increases += 1
-            if increases >= 2:
-                damping = True
-        last_change = change
-        if damping:
-            u = 0.5 * (u + u_new)
-            v = 0.5 * (v + v_new)
-        else:
-            u, v = u_new, v_new
+        u, v = u_new, v_new
 
         margins, inside = sandwich(u, v)
         if not inside:
@@ -483,7 +456,7 @@ def _picard_coupled(
         if change <= tol_change:
             break
 
-    return u, v, b_u, b_v, margins, its_used, last_change, True
+    return u, v, b_u, b_v, margins, it, change, True
 
 
 def _coupled_report(
@@ -496,11 +469,10 @@ def _coupled_report(
     max_iter: int,
 ) -> SolveReport:
     exp_regime = ledger.regime is Regime.EXPONENTIAL
-    fam = BarrierFamily.W if exp_regime else BarrierFamily.Z
-
     u, v, b_u, b_v, margins, its, change, sandwiched = _picard_coupled(
         problem, exponents, ledger, grid, tol_change, tol_residual, max_iter
     )
+    fam = b_u.family
 
     # re-run on the doubled ball and compare on the original one
     big = grid.extended(2.0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -278,6 +279,36 @@ def test_solve_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
 def test_out_of_range_input_exit_code(tmp_path, capsys, args):
     assert run([*args, "--report", str(tmp_path / "r.json")]) == 1
     _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("args", [
+    # the kernel overflows float64 below r ~ 1e-154 in N = 4
+    ["kernel", "-N", "4", "--r-max", "1e-176"],
+    # the mass quadrature cannot follow a kernel spread over 1e150
+    ["kernel", "--lam", "1e-300"],
+    # r^2 overflows in the bubble
+    ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "1e200",
+     "--nodes", "100"],
+    # argparse before Python 3.12 stores [] for a "--" value
+    ["kernel", "--lam=--"],
+    # (2 pi)^(N/2) overflows as a Python float, w^(N-2)/2 as an array
+    ["kernel", "-N", "4096"],
+    ["verify", "--cor3", "-N", "4096", "--p", "2000", "--s", "1", "--nodes", "20"],
+    # grids asking for inf and 1e10 nodes
+    ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "1e10", "--h0", "1e-300",
+     "--stretch", "1"],
+    ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "1e4", "--h0", "1e-6",
+     "--stretch", "1"],
+])
+def test_extreme_input_exit_code_without_warning(tmp_path, capsys, args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run([*args, "--report", str(tmp_path / "r.json")])
+    assert rc == 1 and caught == []
+    err = capsys.readouterr().err
+    lines = [line for line in err.strip().splitlines() if not line.startswith("usage:")]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert not (tmp_path / "r.json").exists()
 
 
 def _assert_one_line_refusal(capsys):

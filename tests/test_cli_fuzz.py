@@ -3,9 +3,10 @@
 Every input must end in a documented exit code with no traceback, and a
 failing run must end its stderr with one reason line.  Only cheap runs
 are drawn: region sweeps of at most 27 points, kernel tables of at most
-12 rows, verify --cor3 on at most 40 nodes, and solve at points the
-classifier refuses (a point it certifies is discarded before any grid
-or solver work).
+12 rows, verify --cor3 on at most 40 nodes, and solve runs that end at
+the solver call: ``solve`` starts from the README's certified point,
+builds the grid its --radius/--h0/--stretch ask for (the builder caps
+the node count), and a stand-in solver ends the run there.
 """
 
 import contextlib
@@ -17,7 +18,7 @@ from unittest import mock
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from gmsteady import cli
-from gmsteady.barriers import VerdictStatus, classify
+from gmsteady.radial_core import MAX_GRID_NODES
 
 _NUMBER = (
     st.sampled_from(["0", "1", "-1", "2", "3", "5", "0.5", "1.5", "16", "4096", "1e-300",
@@ -27,6 +28,10 @@ _NUMBER = (
 )
 _COUNT = st.integers(-2, 12).map(str)
 _PATH = st.sampled_from(["out.json", "1", "2", "-", "", "sub/out.json", "fuzz.conf"])
+# grid flags: a large radius over a small h0 asks for more nodes than the cap
+_RADIUS = st.sampled_from(["1e10", "1e4", "30", "1e300", "0", "-1", "inf", "nan"])
+_H0 = st.sampled_from(["1e-300", "1e-6", "0.02", "5e-324", "1", "0", "nan"])
+_STRETCH = st.sampled_from(["1", "1.02", "1.0000001", "0.5", "inf"])
 _SWEEP = st.builds(
     lambda name, a, b, count: f"{name}={a}:{b}:{count}",
     st.sampled_from(["p", "q", "m", "s", "lam", "mu", "alpha", "beta", "rate", "bogus"]),
@@ -45,6 +50,7 @@ _KIND = {
     "--r-count": _COUNT, "--dimension": _COUNT, "--nodes": st.integers(14, 40).map(str),
     "--report": _PATH, "--out-table": _PATH, "--out-u": _PATH, "--out-v": _PATH,
     "--u-field": _PATH, "--v-field": _PATH, "--config": _PATH,
+    "--radius": _RADIUS, "--h0": _H0, "--stretch": _STRETCH,
 }
 # long flags of each subcommand, mapped to whether the flag is a switch
 _COMMAND_FLAGS = {
@@ -53,7 +59,9 @@ _COMMAND_FLAGS = {
     for name, parser in cli.build_parser().commands.items()
 }
 _BASES = {"region": [], "kernel": ["--r-count", "8"], "verify": ["--cor3", "--nodes", "17"],
-          "solve": []}
+          "solve": ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1", "--m", "1",
+                    "--s", "0", "--rho", "exp", "--alpha", "1", "--beta", "2", "--rate", "1",
+                    "--rho-amplitude", "1.5"]}
 _EXTRA_SWITCHES = ["--force", "-h", "--version"]
 _EXTRA_FLAGS = ["--bogus", "-N"]
 
@@ -76,7 +84,12 @@ def _runs(draw):
             out.append((flag, None if switch else draw(_value(flag))))
         return out
 
-    explicit = pairs(6)
+    # fewer random solve flags keep more runs certified; grid flags on half of them
+    explicit = pairs(3 if command == "solve" else 6)
+    if command == "solve":
+        for flag in ("--radius", "--h0", "--stretch"):
+            if draw(st.booleans()):
+                explicit.append((flag, draw(_KIND[flag])))
     config = None
     if draw(st.booleans()):
         lines = []
@@ -103,15 +116,13 @@ def _sweep_points(specs):
     return points
 
 
-class _Certified(Exception):
+class _ReachedSolver(Exception):
     pass
 
 
-def _refusing_classify(*args):
-    verdict = classify(*args)
-    if verdict.status is VerdictStatus.EXISTENCE_GUARANTEED:
-        raise _Certified
-    return verdict
+def _stand_in_solver(problem, exponents, ledger, grid=None):
+    assert grid is None or grid.n <= MAX_GRID_NODES
+    raise _ReachedSolver
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None,
@@ -128,7 +139,6 @@ def test_cli_exit_codes_and_reasons(run):
         reject()
 
     out, err = io.StringIO(), io.StringIO()
-    gate = _refusing_classify if command == "solve" else classify
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         if config is not None:
@@ -137,11 +147,12 @@ def test_cli_exit_codes_and_reasons(run):
             args += ["--config", "fuzz.conf"]
         os.chdir(tmp)
         try:
-            with mock.patch.object(cli, "classify", gate), \
+            with mock.patch.object(cli, "solve_coupled_exp", _stand_in_solver), \
+                    mock.patch.object(cli, "solve_coupled_alg", _stand_in_solver), \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(args)
-        except _Certified:
-            reject()
+        except _ReachedSolver:
+            return  # certified, and its grid was built within the cap
         finally:
             os.chdir(cwd)
 

@@ -317,7 +317,7 @@ def _bessel_loop_reference(n, shift, source):
     radius = source.grid.radius
     nu, k = n / 2.0 - 1.0, math.sqrt(shift)
     spline = CubicSpline(r, source.values)
-    amp = source.tail_amplitude()
+    amp = source.values[-1] / eval_barrier(source.decay_tag, radius)
     xg, wg = np.polynomial.legendre.leggauss(12)
 
     def pieces(a, b):

@@ -4,13 +4,12 @@ from scipy.linalg import solve_banded
 
 from gmsteady.errors import FieldParseError
 from gmsteady.radial_core import (
-    GridSpacing,
+    MAX_GRID_NODES,
     RadialField,
     RadialGrid,
     RadialOperator,
     apply_radial_laplacian,
     read_field,
-    solve_linear_radial,
     solve_linear_radial_variable,
     write_field,
 )
@@ -29,7 +28,7 @@ def test_grid_validation():
 
 def test_graded_grid_and_refinement():
     g = RadialGrid.graded(10.0, 50, stretch=1.05)
-    assert g.spacing is GridSpacing.GRADED
+    assert g.stretch == 1.05 and RadialGrid.uniform(10.0, 50).stretch == 1.0
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 10.0
     h = np.diff(g.nodes)
     assert np.allclose(h[1:] / h[:-1], 1.05, rtol=1e-9)
@@ -39,6 +38,7 @@ def test_graded_grid_and_refinement():
     big = g.extended(2.0)
     assert big.radius >= 20.0
     assert np.allclose(big.nodes[: g.n], g.nodes)
+    assert fine.stretch == big.stretch == 1.05
 
 
 def test_constants_are_harmonic():
@@ -77,15 +77,14 @@ def test_laplacian_matches_algebraic_profile_closed_form():
 
 def test_exact_ball_solution():
     g = RadialGrid.uniform(1.0, 41)
-    rhs = RadialField(g, np.ones(g.n))
-    u = solve_linear_radial(3, 0.0, rhs, 0.0)
-    assert np.max(np.abs(u.values - (1.0 - g.nodes**2) / 6.0)) <= 1e-13
+    u = RadialOperator(g, 3).solve(np.ones(g.n), 0.0)
+    assert np.max(np.abs(u - (1.0 - g.nodes**2) / 6.0)) <= 1e-13
 
 
 def test_zero_rhs_zero_boundary():
     g = RadialGrid.graded(5.0, 80, 1.03)
-    u = solve_linear_radial(4, 2.0, RadialField(g, np.zeros(g.n)), 0.0)
-    assert np.max(np.abs(u.values)) == 0.0
+    u = RadialOperator(g, 4, 2.0).solve(np.zeros(g.n), 0.0)
+    assert np.max(np.abs(u)) == 0.0
 
 
 def manufactured_error(grid, n=3, lam=1.0):
@@ -93,9 +92,8 @@ def manufactured_error(grid, n=3, lam=1.0):
     ustar = np.exp(-(r**2))
     # Delta u* = u*'' + (N-1)/r u*' = (4r^2 - 2) u* - 2 (N-1) u*
     lap = (4.0 * r**2 - 2.0) * ustar - 2.0 * (n - 1) * ustar
-    rhs = RadialField(grid, -lap + lam * ustar)
-    u = solve_linear_radial(n, lam, rhs, ustar[-1])
-    return np.max(np.abs(u.values - ustar))
+    u = RadialOperator(grid, n, lam).solve(-lap + lam * ustar, ustar[-1])
+    return np.max(np.abs(u - ustar))
 
 
 def test_manufactured_solution_second_order():
@@ -115,11 +113,9 @@ def test_manufactured_solution_second_order_graded():
 def test_discrete_maximum_principle(rng):
     for _ in range(40):
         g = RadialGrid.graded(5.0, 48, 1.0 + 0.06 * rng.random())
-        rhs = RadialField(g, rng.random(g.n))
-        u = solve_linear_radial(
-            3 + int(rng.integers(0, 3)), 3.0 * rng.random(), rhs, rng.random()
-        )
-        assert np.min(u.values) >= -1e-14
+        op = RadialOperator(g, 3 + int(rng.integers(0, 3)), 3.0 * rng.random())
+        u = op.solve(rng.random(g.n), rng.random())
+        assert np.min(u) >= -1e-14
 
 
 def test_linearity():
@@ -127,7 +123,7 @@ def test_linearity():
     rng = np.random.default_rng(7)
     f1, f2 = rng.random(g.n), rng.random(g.n)
     a, b = 1.7, -0.4
-    s = lambda f: solve_linear_radial(4, 1.5, RadialField(g, f), 0.0).values
+    s = lambda f: RadialOperator(g, 4, 1.5).solve(f, 0.0)
     combined = s(a * f1 + b * f2)
     assert np.max(np.abs(combined - (a * s(f1) + b * s(f2)))) <= 1e-12 * np.max(np.abs(combined))
 
@@ -138,9 +134,9 @@ def test_variable_shift_solver_rejects_bad_input():
     with pytest.raises(ValueError):
         solve_linear_radial_variable(3, -np.ones(g.n), rhs, 0.0)
     with pytest.raises(ValueError):
-        solve_linear_radial(3, -1.0, rhs, 0.0)
-    with pytest.raises(ValueError):
-        solve_linear_radial(3, 0.0, rhs, float("nan"))
+        solve_linear_radial_variable(3, np.ones(g.n - 1), rhs, 0.0)
+    with pytest.raises(ValueError, match="boundary"):
+        RadialOperator(g, 3).solve(rhs.values, float("nan"))
     with pytest.raises(ValueError, match="dimension"):
         RadialOperator(g, 2)
     with pytest.raises(ValueError, match="shift"):
@@ -262,3 +258,20 @@ def test_field_validation():
 def test_auto_grid_rejects_bad_input(radius, h0, stretch):
     with pytest.raises(ValueError, match="grid"):
         RadialGrid.auto(radius, h0=h0, stretch=stretch)
+
+
+@pytest.mark.parametrize(
+    "radius, h0, stretch",
+    [(1e10, 1e-300, 1.0), (1e4, 1e-6, 1.0), (1e10, 1e-300, 1.02), (1e6, 1e-3, 1.0 + 1e-12)],
+)
+def test_auto_grid_refuses_more_nodes_than_the_cap(radius, h0, stretch):
+    with pytest.raises(ValueError, match="cap"):
+        RadialGrid.auto(radius, h0=h0, stretch=stretch)
+
+
+def test_node_cap_is_inclusive():
+    assert RadialGrid.uniform(1.0, MAX_GRID_NODES).n == MAX_GRID_NODES
+    with pytest.raises(ValueError, match="cap"):
+        RadialGrid.uniform(1.0, MAX_GRID_NODES + 1)
+    with pytest.raises(ValueError, match="cap"):
+        RadialGrid.graded(1.0, MAX_GRID_NODES + 1, 1.02)

@@ -159,6 +159,27 @@ class TestScalarAlgebraic:
             # (N-2)s + N = 8 for N = 5, s = 1
             solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 9.0))
 
+    def test_doubled_ball_extends_the_weight_by_its_envelope(self, monkeypatch):
+        # beyond R the doubled ball sees c Z_gamma, with c matched to psi at R
+        grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
+        tag = BarrierProfile(BarrierFamily.Z, 4.0)
+        psi = RadialField(grid, 0.7 * (1.0 + 0.2 * np.cos(grid.nodes)) / (1.0 + grid.nodes**2) ** 2)
+        weights = []
+        real_ball = solvers._monotone_ball
+
+        def spy(dimension, mu, s, psi_vals, *rest):
+            weights.append(psi_vals)
+            return real_ball(dimension, mu, s, psi_vals, *rest)
+
+        monkeypatch.setattr(solvers, "_monotone_ball", spy)
+        solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 4.0))
+        ball, doubled = weights
+        assert np.array_equal(ball, psi.values)
+        assert np.array_equal(doubled[: grid.n], psi.values)
+        beyond = grid.extended(2.0).nodes[grid.n :]
+        c = psi.values[-1] / eval_barrier(tag, grid.radius)
+        assert np.allclose(doubled[grid.n :], c * eval_barrier(tag, beyond), rtol=1e-14, atol=0)
+
     def test_admissibility_predicate(self):
         assert not algebraic_scalar_admissible(5, 1.0, 2.0)
         assert algebraic_scalar_admissible(5, 1.0, 2.0 + 1e-9)
