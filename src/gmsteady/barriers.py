@@ -357,20 +357,6 @@ class ConstantsLedger:
     feasible: bool = False
     violated: list = dfield(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "m1_lower": self.m1_lower,
-            "m1_upper": self.m1_upper,
-            "m2_lower": self.m2_lower,
-            "m2_upper": self.m2_upper,
-            "rate_u": self.rate_u,
-            "rate_v": self.rate_v,
-            "aux": dict(self.aux),
-            "feasible": self.feasible,
-            "violated": list(self.violated),
-        }
-
 
 def _strict(lhs: float, rhs: float, name: str, violated: list) -> None:
     """Record ``name`` unless lhs > rhs strictly, with ties flagged."""
@@ -596,15 +582,6 @@ class Verdict:
         if self.status is VerdictStatus.EXISTENCE_GUARANTEED:
             if self.ledger is None or not self.ledger.feasible:
                 raise ValueError("existence verdict requires a feasible ledger")
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "tag": self.tag,
-            "reason": self.reason,
-            "advisories": list(self.advisories),
-            "ledger": self.ledger.as_dict() if self.ledger else None,
-        }
 
 
 def classify(problem: Problem, exponents: Exponents) -> Verdict:

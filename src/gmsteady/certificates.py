@@ -73,7 +73,6 @@ def aubin_talenti(dimension: int, amplitude: float, r):
 class ClosedFormSolution:
     """The explicit ground-state pair u = v = w and its induced exponents."""
 
-    kind: str
     dimension: int
     amplitude: float
     induced_exponents: Exponents
@@ -103,7 +102,7 @@ def closed_form_ground_state(
     if s <= 0:
         raise HypothesisError("need s > 0")
     ex = Exponents(p, p - crit, crit + s, s)
-    return ClosedFormSolution("aubin-talenti", n, amplitude, ex)
+    return ClosedFormSolution(n, amplitude, ex)
 
 
 @dataclass
@@ -111,25 +110,18 @@ class Cor3Certificate:
     """Discrete residuals of the closed-form pair on one grid."""
 
     dimension: int
-    exponents: Exponents
+    p: float
+    q: float
+    m: float
+    s: float
     amplitude: float
     residual_u: float
     residual_v: float
-    grid: RadialGrid
+    grid_nodes: int
+    grid_radius: float
 
-    def as_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "p": self.exponents.p,
-            "q": self.exponents.q,
-            "m": self.exponents.m,
-            "s": self.exponents.s,
-            "amplitude": self.amplitude,
-            "residual_u": self.residual_u,
-            "residual_v": self.residual_v,
-            "grid_nodes": self.grid.n,
-            "grid_radius": self.grid.radius,
-        }
+    def residuals(self) -> dict:
+        return {"residual_u": self.residual_u, "residual_v": self.residual_v}
 
 
 def verify_cor3(
@@ -154,7 +146,8 @@ def verify_cor3(
         res_v = float(np.max(np.abs(lap - rhs_v[:-1])))
     if not (math.isfinite(res_u) and math.isfinite(res_v)):
         raise ValueError("cor3 residuals leave float64 range on this grid")
-    return Cor3Certificate(dimension, ex, amplitude, res_u, res_v, grid)
+    return Cor3Certificate(dimension, ex.p, ex.q, ex.m, ex.s, amplitude, res_u, res_v,
+                           grid.n, grid.radius)
 
 
 @dataclass
@@ -171,24 +164,15 @@ class SolutionCertificate:
     convr_holds: bool
     flags: list = dfield(default_factory=list)
 
-    def max_residual(self) -> float:
-        vals = [self.pde_residual_u, self.pde_residual_v]
+    def residuals(self) -> dict:
+        """Name -> value of each residual measured (the representation ones are optional)."""
+        names = ["pde_residual_u", "pde_residual_v"]
         if self.rep_residual_u is not None:
-            vals += [self.rep_residual_u, self.rep_residual_v]
-        return max(vals)
+            names += ["rep_residual_u", "rep_residual_v"]
+        return {name: getattr(self, name) for name in names}
 
-    def as_dict(self) -> dict:
-        return {
-            "pde_residual_u": self.pde_residual_u,
-            "pde_residual_v": self.pde_residual_v,
-            "rep_residual_u": self.rep_residual_u,
-            "rep_residual_v": self.rep_residual_v,
-            "decay_u": [float(x) for x in self.decay_u],
-            "decay_v": [float(x) for x in self.decay_v],
-            "convr_bound": self.convr_bound,
-            "convr_holds": self.convr_holds,
-            "flags": list(self.flags),
-        }
+    def max_residual(self) -> float:
+        return max(self.residuals().values())
 
 
 def verify_solution(

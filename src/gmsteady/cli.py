@@ -12,20 +12,24 @@ names with dashes or underscores).  Each pair becomes a flag placed before
 the explicit ones, so argparse converts and checks file values like flag
 values and an explicit flag wins over the file.
 
-Outputs: a JSON report per run (stable key order, explicit timestamp),
-CSV tables with a header row, and two-column whitespace-separated field
-dumps headed by "# r value".  Exit codes: 0 success, 1 usage or parse
-error, 2 hypothesis refusal, 3 non-convergence.
+Outputs: a JSON report per run (stable key order, explicit timestamp;
+result dataclasses appear as their fields), CSV tables with a header
+row, and two-column whitespace-separated field dumps headed by
+"# r value".  Exit codes: 0 success, 1 usage or parse error, 2
+hypothesis refusal, 3 non-convergence; each non-zero exit ends with a
+one-line reason on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
 from datetime import datetime, timezone
+from enum import Enum
 
 import numpy as np
 
@@ -73,29 +77,50 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _jsonable(obj):
+    """``obj`` as strict JSON data: the one report format of every command.
 
-
-def _finite_or_text(obj):
-    """``obj`` with each non-finite float spelled "inf", "-inf" or "nan" (strict JSON)."""
+    A dataclass becomes a dict of its fields, less those marked
+    ``field(metadata={"report": False})``; an Enum becomes its value, a
+    tuple or list a list, and a dict keeps its keys; a non-finite float
+    is spelled "inf", "-inf" or "nan".
+    """
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj) if f.metadata.get("report", True)}
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, dict):
-        return {key: _finite_or_text(val) for key, val in obj.items()}
+        return {key: _jsonable(val) for key, val in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_finite_or_text(val) for val in obj]
+        return [_jsonable(val) for val in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return str(float(obj))
     return obj
 
 
-def _write_report(path, payload: dict) -> None:
-    payload = _finite_or_text(payload)
-    text = json.dumps(payload, indent=2, sort_keys=True, default=float, allow_nan=False)
+def _write_report(path, command: str, **fields) -> None:
+    report = {"command": command, "version": __version__,
+              "timestamp": datetime.now(timezone.utc).isoformat(), **fields}
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, default=float, allow_nan=False)
     if path is None or path == "-":
         print(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
+
+
+def _unconverged(reason: str) -> int:
+    print(f"unconverged: {reason}", file=sys.stderr)
+    return EXIT_NO_CONVERGENCE
+
+
+def _verify_exit(residuals: dict, tol: float) -> int:
+    """Exit 0 if no residual exceeds ``tol``, else 3 naming the worst one."""
+    worst = max(residuals, key=residuals.get)
+    if residuals[worst] <= tol:
+        return EXIT_OK
+    return _unconverged(f"{worst} {residuals[worst]:.3e} > --tol {tol:g}")
 
 
 def _write_csv(path, header, rows) -> None:
@@ -211,17 +236,9 @@ def cmd_region(args) -> int:
 
     if args.out_table:
         _write_csv(args.out_table, header, rows)
-    report = {
-        "command": "region",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "dimension": args.dimension,
-        "rho": args.rho,
-        "sweeps": {name: [float(v) for v in vals] for name, vals in sweeps},
-        "counts": counts,
-        "points": len(rows),
-    }
-    _write_report(args.report, report)
+    _write_report(args.report, "region", dimension=args.dimension, rho=args.rho,
+                  sweeps={name: vals.tolist() for name, vals in sweeps},
+                  counts=counts, points=len(rows))
     for key in sorted(counts):
         print(f"{key}: {counts[key]}", file=sys.stderr)
     return EXIT_OK
@@ -243,44 +260,25 @@ def cmd_solve(args) -> int:
     solve = solve_coupled_exp if problem.lam > 0 else solve_coupled_alg
     report = solve(problem, exponents, verdict.ledger, grid=grid)
 
-    payload = {
-        "command": "solve",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "parameters": {
-            "dimension": args.dimension, "lam": args.lam, "mu": args.mu,
-            "p": args.p, "q": args.q, "m": args.m, "s": args.s,
-            "rho": args.rho, "alpha": args.alpha, "beta": args.beta,
-            "rate": args.rate,
-        },
-        "verdict": verdict.as_dict(),
-        "rho_divergence": divergence_probe_rho(args.dimension, problem.rho).as_dict(),
-        "solve": report.as_dict(),
-    }
-    _write_report(args.report, payload)
+    parameters = {name: getattr(args, name) for name in ("dimension", "rho", *_SWEEPABLE)}
+    _write_report(args.report, "solve", parameters=parameters, verdict=verdict,
+                  rho_divergence=divergence_probe_rho(args.dimension, problem.rho),
+                  solve=report)
     if report.u is not None and args.out_u:
         write_field(report.u, args.out_u)
     if args.out_v:
         write_field(report.v, args.out_v)
     if report.status is SolveStatus.CONVERGED:
         return EXIT_OK
-    return EXIT_NO_CONVERGENCE
+    return _unconverged("; ".join([report.status.value, *report.notes]))
 
 
 def cmd_verify(args) -> int:
     if args.cor3:
         grid = RadialGrid.uniform(args.radius or 20.0, args.nodes)
         cert = verify_cor3(args.dimension, args.p, args.s, args.amplitude, grid)
-        payload = {
-            "command": "verify",
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "mode": "cor3",
-            "certificate": cert.as_dict(),
-        }
-        _write_report(args.report, payload)
-        ok = max(cert.residual_u, cert.residual_v) <= args.tol
-        return EXIT_OK if ok else EXIT_NO_CONVERGENCE
+        _write_report(args.report, "verify", mode="cor3", certificate=cert)
+        return _verify_exit(cert.residuals(), args.tol)
 
     if not (args.u_field and args.v_field):
         raise ValueError("verify needs --cor3 or both --u-field and --v-field")
@@ -294,15 +292,8 @@ def cmd_verify(args) -> int:
     cert = verify_solution(
         problem, exponents, u, v, representation=not args.no_representation
     )
-    payload = {
-        "command": "verify",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "mode": "fields",
-        "certificate": cert.as_dict(),
-    }
-    _write_report(args.report, payload)
-    return EXIT_OK if cert.max_residual() <= args.tol else EXIT_NO_CONVERGENCE
+    _write_report(args.report, "verify", mode="fields", certificate=cert)
+    return _verify_exit(cert.residuals(), args.tol)
 
 
 def cmd_kernel(args) -> int:
@@ -330,19 +321,10 @@ def cmd_kernel(args) -> int:
     rows = [[float(r), float(v), mass_cell] for r, v in zip(r_values, values)]
     if args.out_table:
         _write_csv(args.out_table, header, rows)
-    payload = {
-        "command": "kernel",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "dimension": args.dimension,
-        "lam": args.lam,
-        "mass_integral": mass,
-        "expected_mass": (1.0 / args.lam) if args.lam > 0 else None,
-        "c1": bounds.c1 if bounds else None,
-        "c2": bounds.c2 if bounds else None,
-        "rows": len(rows),
-    }
-    _write_report(args.report, payload)
+    _write_report(args.report, "kernel", dimension=args.dimension, lam=args.lam,
+                  mass_integral=mass, expected_mass=(1.0 / args.lam) if args.lam > 0 else None,
+                  c1=bounds.c1 if bounds else None, c2=bounds.c2 if bounds else None,
+                  rows=len(rows))
     return EXIT_OK
 
 

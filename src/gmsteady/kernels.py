@@ -43,7 +43,6 @@ __all__ = [
     "KernelBoundsReport",
     "bessel_k",
     "bessel_k_flagged",
-    "gamma",
     "green_lambda",
     "green_zero",
     "green_lambda_mass",
@@ -55,8 +54,6 @@ __all__ = [
 def sphere_area(dimension: int) -> float:
     return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
 
-
-gamma = special.gamma
 
 _TINY = np.finfo(float).tiny
 

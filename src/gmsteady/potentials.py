@@ -355,14 +355,6 @@ class DivergenceReport:
     growth_law: Optional[str] = None
     shell_sums: list = dfield(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "value": self.value,
-            "growth_law": self.growth_law,
-            "shell_sums": [[float(a), float(b)] for a, b in self.shell_sums],
-        }
-
 
 def _dyadic_shells(shell: Callable[[float, float], float]) -> list:
     """[(2^(j+1), shell(2^j, 2^(j+1))) for j < 12]: the envelope probes' shells."""

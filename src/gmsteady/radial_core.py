@@ -19,6 +19,7 @@ than ``MAX_GRID_NODES`` nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -120,14 +121,25 @@ class RadialGrid:
     def extended(self, factor: float = 2.0) -> "RadialGrid":
         """Continue the grading beyond R until ``factor * R``; keeps old nodes."""
         target = self.radius * factor
-        nodes = list(self.nodes)
-        h = nodes[-1] - nodes[-2]
+        r = self.nodes
+        h = r[-1] - r[-2]
         g = self.stretch if self.stretch > 1.0 else 1.0
-        while nodes[-1] < target:
-            h = h * g
-            nodes.append(nodes[-1] + h)
-        nodes[-1] = max(nodes[-1], target)
-        return RadialGrid(np.asarray(nodes), self.stretch)
+        if r[-1] >= target:
+            return RadialGrid(r.copy(), self.stretch)
+        # step k is h g^k and node k is r[-1] + step 1 + ... + step k; both
+        # accumulate left to right, so the nodes are bit for bit those of
+        # the step-by-step loop.  count estimates the steps, doubled if short
+        gap = target - r[-1]
+        count = gap / h if g == 1.0 else math.log1p(gap * (g - 1.0) / h) / math.log(g)
+        count = int(count) + 2
+        while True:
+            steps = np.multiply.accumulate(np.concatenate(([h], np.full(count, g))))
+            new = np.add.accumulate(np.concatenate(([r[-1]], steps[1:])))[1:]
+            if new[-1] >= target:
+                break
+            count *= 2
+        new = new[: np.searchsorted(new, target) + 1]
+        return RadialGrid(np.concatenate((r, new)), self.stretch)
 
 
 @dataclass

@@ -96,7 +96,7 @@ class IterationState:
 
 @dataclass
 class SolveReport:
-    """Outcome of a solver run.
+    """Outcome of a solver run; its report holds every field but u, v and trace.
 
     ``margins`` maps field name to (min, max) of field/(lower constant
     times barrier); converged runs keep these inside [1, upper/lower]
@@ -105,8 +105,8 @@ class SolveReport:
     """
 
     status: SolveStatus
-    u: Optional[RadialField]
-    v: RadialField
+    u: Optional[RadialField] = dfield(metadata={"report": False})
+    v: RadialField = dfield(metadata={"report": False})
     residual_u: Optional[float]
     residual_v: float
     margins: dict
@@ -115,20 +115,7 @@ class SolveReport:
     ball_radius: float
     stability_gap: float
     notes: list = dfield(default_factory=list)
-    trace: list = dfield(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "residual_u": self.residual_u,
-            "residual_v": self.residual_v,
-            "margins": {k: [float(a), float(b)] for k, (a, b) in self.margins.items()},
-            "decay": {k: [float(a), float(b)] for k, (a, b) in self.decay.items()},
-            "iterations": self.iterations,
-            "ball_radius": self.ball_radius,
-            "stability_gap": self.stability_gap,
-            "notes": list(self.notes),
-        }
+    trace: list = dfield(default_factory=list, metadata={"report": False})
 
 
 @dataclass(frozen=True)
@@ -400,8 +387,8 @@ def _picard_coupled(
     """
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
-    exp_regime = ledger.regime is Regime.EXPONENTIAL
-    fam = BarrierFamily.W if exp_regime else BarrierFamily.Z
+    fam = problem.family
+    exp_regime = fam is BarrierFamily.W
     b_u = BarrierProfile(fam, ledger.rate_u)
     b_v = BarrierProfile(fam, ledger.rate_v)
     env_u = np.asarray(eval_barrier(b_u, grid.nodes), dtype=float)
@@ -468,11 +455,10 @@ def _coupled_report(
     tol_residual: float,
     max_iter: int,
 ) -> SolveReport:
-    exp_regime = ledger.regime is Regime.EXPONENTIAL
     u, v, b_u, b_v, margins, its, change, sandwiched = _picard_coupled(
         problem, exponents, ledger, grid, tol_change, tol_residual, max_iter
     )
-    fam = b_u.family
+    fam = problem.family
 
     # re-run on the doubled ball and compare on the original one
     big = grid.extended(2.0)
@@ -498,7 +484,7 @@ def _coupled_report(
     window = _fit_window(fam, grid.radius)
     # u in the algebraic regime comes from a tail-closed potential, so it
     # carries no truncation error and fits best in the far field
-    window_u = window if exp_regime else (0.3 * grid.radius, 0.7 * grid.radius)
+    window_u = window if fam is BarrierFamily.W else (0.3 * grid.radius, 0.7 * grid.radius)
     decay = {
         "u": decay_fit(u_field, fam, window_u),
         "v": decay_fit(v_field, fam, window),
@@ -519,6 +505,26 @@ def _coupled_report(
     )
 
 
+#: regime -> (its name, its shifts, barrier family, source envelope kind)
+_REGIME_INPUTS = {
+    Regime.EXPONENTIAL: ("exponential", "positive", BarrierFamily.W, SourceKind.EXP_ENVELOPE),
+    Regime.ALGEBRAIC: ("algebraic", "zero", BarrierFamily.Z, SourceKind.ALG_ENVELOPE),
+}
+
+
+def _check_regime(problem: Problem, ledger: ConstantsLedger, regime: Regime) -> None:
+    """Raise RegimeError unless the ledger, the shifts and the source all fit ``regime``."""
+    name, shifts, family, source = _REGIME_INPUTS[regime]
+    if ledger.regime is not regime:
+        raise RegimeError(f"expected an {name}-regime ledger")
+    if not ledger.feasible:
+        raise RegimeError(f"ledger infeasible: {ledger.violated}")
+    if problem.family is not family:
+        raise RegimeError(f"{name} regime needs {shifts} shifts, got lam = {problem.lam}")
+    if problem.rho.kind is not source:
+        raise RegimeError(f"{name} regime expects an {name} source envelope")
+
+
 def solve_coupled_exp(
     problem: Problem,
     exponents: Exponents,
@@ -535,12 +541,7 @@ def solve_coupled_exp(
     Starts from the lower barriers (M1_lower W_a, M2_lower W_b); every
     iterate must stay inside the ledger sandwich.
     """
-    if ledger.regime is not Regime.EXPONENTIAL:
-        raise RegimeError("expected an exponential-regime ledger")
-    if not ledger.feasible:
-        raise RegimeError(f"ledger infeasible: {ledger.violated}")
-    if problem.rho.kind is not SourceKind.EXP_ENVELOPE:
-        raise RegimeError("exponential regime expects an exponential source envelope")
+    _check_regime(problem, ledger, Regime.EXPONENTIAL)
     if grid is None:
         radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
         grid = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
@@ -567,12 +568,7 @@ def solve_coupled_alg(
     route with the finite-difference residual operator, leaving an
     O(h^2) mismatch floor.
     """
-    if ledger.regime is not Regime.ALGEBRAIC:
-        raise RegimeError("expected an algebraic-regime ledger")
-    if not ledger.feasible:
-        raise RegimeError(f"ledger infeasible: {ledger.violated}")
-    if problem.rho.kind is not SourceKind.ALG_ENVELOPE:
-        raise RegimeError("algebraic regime expects an algebraic source envelope")
+    _check_regime(problem, ledger, Regime.ALGEBRAIC)
     if grid is None:
         grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02)
     return _coupled_report(

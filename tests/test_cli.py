@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import enum
 import json
 import math
 import warnings
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from gmsteady.barriers import Exponents, Problem, SourceModel, classify
-from gmsteady.cli import main
+from gmsteady.cli import _jsonable, main
 
 
 def run(args):
@@ -450,3 +452,127 @@ def test_config_switch_values(tmp_path, capsys):
     assert run([*base, *_config(tmp_path, "cor3 = maybe\n")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cor3" in err and "'maybe'" in err
+
+
+_ALG_POINT = ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho", "alg",
+              "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125"]
+
+
+def _assert_one_line_unconverged(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("unconverged: ")
+    return lines[0]
+
+
+def test_verify_cor3_unconverged_reason(tmp_path, capsys):
+    # 17 nodes leave the O(h^2) residuals far above the default --tol
+    rc = run(["verify", "--cor3", "--nodes", "17", "--p", "6", "--s", "1",
+              "--report", str(tmp_path / "c.json")])
+    assert rc == 3
+    line = _assert_one_line_unconverged(capsys)
+    assert line.startswith("unconverged: residual_u ") and line.endswith("> --tol 1e-05")
+
+
+def test_verify_fields_unconverged_reason(tmp_path, capsys):
+    u, v = str(tmp_path / "u.txt"), str(tmp_path / "v.txt")
+    assert run(["solve", *_EXP_POINT, "--report", str(tmp_path / "s.json"),
+                "--out-u", u, "--out-v", v]) == 0
+    rc = run(["verify", *_EXP_POINT, "--u-field", u, "--v-field", v, "--u-rate", "1",
+              "--v-rate", "1", "--tol", "1e-12", "--report", str(tmp_path / "v.json")])
+    assert rc == 3
+    line = _assert_one_line_unconverged(capsys)
+    assert line.startswith("unconverged: rep_residual_v ") and line.endswith("> --tol 1e-12")
+
+
+def test_solve_unconverged_reason(tmp_path, capsys):
+    # the zero-shift worked case on a ball of radius 20 stops at max-iterations
+    report = tmp_path / "s.json"
+    rc = run(["solve", *_ALG_POINT, "--radius", "20", "--h0", "0.05", "--report", str(report)])
+    assert rc == 3
+    status = json.loads(report.read_text())["solve"]["status"]
+    assert status == "max-iterations"
+    assert _assert_one_line_unconverged(capsys) == f"unconverged: {status}"
+
+
+def _key_paths(report, prefix=""):
+    paths = []
+    for key, value in report.items():
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{prefix}{key}.")
+        else:
+            paths.append(prefix + key)
+    return sorted(paths)
+
+
+_HEADER = ["command", "timestamp", "version"]
+_CERTIFICATE_KEYS = ["convr_bound", "convr_holds", "decay_u", "decay_v", "flags",
+                     "pde_residual_u", "pde_residual_v", "rep_residual_u", "rep_residual_v"]
+_COR3_KEYS = ["amplitude", "dimension", "grid_nodes", "grid_radius", "m", "p", "q",
+              "residual_u", "residual_v", "s"]
+_SOLVE_KEYS = (
+    [f"parameters.{k}" for k in ("alpha", "beta", "dimension", "lam", "m", "mu", "p", "q",
+                                 "rate", "rho", "s")]
+    + [f"rho_divergence.{k}" for k in ("growth_law", "shell_sums", "value", "verdict")]
+    + [f"solve.{k}" for k in ("ball_radius", "decay.u", "decay.v", "iterations", "margins.u",
+                              "margins.v", "notes", "residual_u", "residual_v",
+                              "stability_gap", "status")]
+    + ["verdict.advisories"]
+    + [f"verdict.ledger.aux.{k}" for k in ("alpha", "beta", "c0", "lambda", "mu", "sigma")]
+    + [f"verdict.ledger.{k}" for k in ("feasible", "m1_lower", "m1_upper", "m2_lower",
+                                       "m2_upper", "rate_u", "rate_v", "regime", "violated")]
+    + ["verdict.reason", "verdict.status", "verdict.tag"]
+)
+
+
+def test_report_key_paths(tmp_path):
+    def report(name, args):
+        path = tmp_path / f"{name}.json"
+        assert run([*args, "--report", str(path)]) == 0
+        return _key_paths(json.loads(path.read_text()))
+
+    u, v = str(tmp_path / "u.txt"), str(tmp_path / "v.txt")
+    assert report("kernel", ["kernel", "-N", "3", "--lam", "4"]) == sorted(
+        _HEADER + ["c1", "c2", "dimension", "expected_mass", "lam", "mass_integral", "rows"])
+    assert report("region", ["region", "-N", "3", "--m", "5", "--sweep", "p=1.1:6.0:50"]) == sorted(
+        _HEADER + ["counts.nonexistence:Theorem 1.2(i)", "counts.unknown", "dimension",
+                   "points", "rho", "sweeps.p"])
+    assert report("solve", ["solve", *_EXP_POINT, "--rho-amplitude", "1.5",
+                            "--out-u", u, "--out-v", v]) == sorted(_HEADER + _SOLVE_KEYS)
+    assert report("verify", ["verify", *_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", u,
+                             "--v-field", v, "--u-rate", "1", "--v-rate", "1",
+                             "--tol", "1e-4"]) == sorted(
+        _HEADER + ["mode"] + [f"certificate.{k}" for k in _CERTIFICATE_KEYS])
+    assert report("cor3", ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1"]) == sorted(
+        _HEADER + ["mode"] + [f"certificate.{k}" for k in _COR3_KEYS])
+
+
+class _Colour(enum.Enum):
+    RED = "red"
+
+
+@dataclasses.dataclass
+class _Inner:
+    colour: _Colour
+    pair: tuple
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    values: list
+    table: dict
+    hidden: object = dataclasses.field(default=None, metadata={"report": False})
+
+
+def test_jsonable_converts_each_kind():
+    obj = _Outer(_Inner(_Colour.RED, (1.0, np.float64(-math.inf))),
+                 [math.nan, 2, "x", None, True], {"k": (math.inf, 0.5)}, hidden=object())
+    assert _jsonable(obj) == {
+        "inner": {"colour": "red", "pair": [1.0, "-inf"]},
+        "values": ["nan", 2, "x", None, True],
+        "table": {"k": ["inf", 0.5]},
+    }
+    assert _jsonable(_Colour.RED) == "red"
+    json.dumps(_jsonable(obj), allow_nan=False)

@@ -160,5 +160,6 @@ def test_cli_exit_codes_and_reasons(run):
     assert rc in (0, 1, 2, 3), (args, config, rc, text)
     assert "Traceback" not in text, (args, config, text)
     if rc != 0:
-        last = text.strip().splitlines()[-1]
-        assert last.startswith(("error:", "refused:", "parse error:")), (args, config, text)
+        last = (text.strip().splitlines() or [""])[-1]
+        reasons = ("error:", "refused:", "parse error:") + (("unconverged:",) if rc == 3 else ())
+        assert last.startswith(reasons), (args, config, text)

@@ -13,6 +13,7 @@ from gmsteady.radial_core import (
     solve_linear_radial_variable,
     write_field,
 )
+from gmsteady.solvers import DEFAULT_ALG_RADIUS, default_exp_radius
 
 
 def test_grid_validation():
@@ -41,7 +42,36 @@ def test_graded_grid_and_refinement():
     assert fine.stretch == big.stretch == 1.05
 
 
-def test_constants_are_harmonic():
+
+def _extended_by_loop(grid, factor):
+    """The node-by-node continuation ``RadialGrid.extended`` must reproduce bit for bit."""
+    target = grid.radius * factor
+    nodes = list(grid.nodes)
+    h = nodes[-1] - nodes[-2]
+    g = grid.stretch if grid.stretch > 1.0 else 1.0
+    while nodes[-1] < target:
+        h = h * g
+        nodes.append(nodes[-1] + h)
+    nodes[-1] = max(nodes[-1], target)
+    return np.asarray(nodes)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RadialGrid.uniform(1.0, 50),
+    lambda: RadialGrid.uniform(1.0, MAX_GRID_NODES),
+    lambda: RadialGrid.graded(10.0, 200, 1.05),
+    lambda: RadialGrid.graded(10.0, 200, 1.05).refined(),
+    lambda: RadialGrid.auto(default_exp_radius(1.0)),  # the exponential solver's default
+    lambda: RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02),  # the algebraic one
+    lambda: RadialGrid.auto(20.0, h0=0.05, stretch=1.0),
+])
+@pytest.mark.parametrize("factor", [2.0, 1.5, 1.0])
+def test_extended_matches_the_loop(build, factor):
+    grid = build()
+    big = grid.extended(factor)
+    assert np.array_equal(big.nodes, _extended_by_loop(grid, factor))
+    assert big.stretch == grid.stretch
+
     g = RadialGrid.uniform(3.0, 64)
     out = apply_radial_laplacian(RadialField(g, np.ones(g.n)), 3)
     # interior stencils are exact; the last node's cubic fit leaves

@@ -222,6 +222,12 @@ class TestCoupledExponential:
         with pytest.raises(RegimeError):
             solve_coupled_exp(problem, Exponents(2, 1, 1, 0), alg_ledger)
 
+    def test_refuses_zero_shifts(self, exp_worked_case):
+        _, exponents, ledger, _ = exp_worked_case
+        problem = Problem(3, 0.0, 0.0, SourceModel.exp_envelope(1.0, 2.0, 1.0))
+        with pytest.raises(RegimeError, match="positive shifts"):
+            solve_coupled_exp(problem, exponents, ledger)
+
     def test_singular_inner_equation(self):
         # s > 0 exercises the singular v-update inside the coupled loop
         exponents = Exponents(2.0, 1.0, 1.0, 1.0)  # sigma = 1/2, b = 1/2
@@ -279,6 +285,13 @@ class TestCoupledAlgebraic:
         assert not ledger.feasible and "alpha-upper" in ledger.violated
         problem = Problem(5, 0.0, 0.0, SourceModel.alg_envelope(0.05, 0.06, 4.0))
         with pytest.raises(RegimeError):
+            solve_coupled_alg(problem, exponents, ledger)
+
+
+    def test_refuses_positive_shifts(self, alg_worked_case):
+        _, exponents, ledger, _ = alg_worked_case
+        problem = Problem(5, 1.0, 1.0, SourceModel.alg_envelope(0.01, 0.015, 4.0))
+        with pytest.raises(RegimeError, match="zero shifts"):
             solve_coupled_alg(problem, exponents, ledger)
 
 
