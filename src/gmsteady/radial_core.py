@@ -128,16 +128,13 @@ class RadialGrid:
             return RadialGrid(r.copy(), self.stretch)
         # step k is h g^k and node k is r[-1] + step 1 + ... + step k; both
         # accumulate left to right, so the nodes are bit for bit those of
-        # the step-by-step loop.  count estimates the steps, doubled if short
+        # the step-by-step loop.  Two steps past the exact count absorb the
+        # roundoff of the estimate and of the sums
         gap = target - r[-1]
         count = gap / h if g == 1.0 else math.log1p(gap * (g - 1.0) / h) / math.log(g)
-        count = int(count) + 2
-        while True:
-            steps = np.multiply.accumulate(np.concatenate(([h], np.full(count, g))))
-            new = np.add.accumulate(np.concatenate(([r[-1]], steps[1:])))[1:]
-            if new[-1] >= target:
-                break
-            count *= 2
+        steps = np.multiply.accumulate(np.concatenate(([h], np.full(int(count) + 2, g))))
+        new = np.add.accumulate(np.concatenate(([r[-1]], steps[1:])))[1:]
+        assert new[-1] >= target, "extension fell short of factor * R"
         new = new[: np.searchsorted(new, target) + 1]
         return RadialGrid(np.concatenate((r, new)), self.stretch)
 

@@ -505,26 +505,6 @@ def _coupled_report(
     )
 
 
-#: regime -> (its name, its shifts, barrier family, source envelope kind)
-_REGIME_INPUTS = {
-    Regime.EXPONENTIAL: ("exponential", "positive", BarrierFamily.W, SourceKind.EXP_ENVELOPE),
-    Regime.ALGEBRAIC: ("algebraic", "zero", BarrierFamily.Z, SourceKind.ALG_ENVELOPE),
-}
-
-
-def _check_regime(problem: Problem, ledger: ConstantsLedger, regime: Regime) -> None:
-    """Raise RegimeError unless the ledger, the shifts and the source all fit ``regime``."""
-    name, shifts, family, source = _REGIME_INPUTS[regime]
-    if ledger.regime is not regime:
-        raise RegimeError(f"expected an {name}-regime ledger")
-    if not ledger.feasible:
-        raise RegimeError(f"ledger infeasible: {ledger.violated}")
-    if problem.family is not family:
-        raise RegimeError(f"{name} regime needs {shifts} shifts, got lam = {problem.lam}")
-    if problem.rho.kind is not source:
-        raise RegimeError(f"{name} regime expects an {name} source envelope")
-
-
 def solve_coupled_exp(
     problem: Problem,
     exponents: Exponents,
@@ -541,7 +521,14 @@ def solve_coupled_exp(
     Starts from the lower barriers (M1_lower W_a, M2_lower W_b); every
     iterate must stay inside the ledger sandwich.
     """
-    _check_regime(problem, ledger, Regime.EXPONENTIAL)
+    if ledger.regime is not Regime.EXPONENTIAL:
+        raise RegimeError("expected an exponential-regime ledger")
+    if not ledger.feasible:
+        raise RegimeError(f"ledger infeasible: {ledger.violated}")
+    if problem.family is not BarrierFamily.W:
+        raise RegimeError(f"exponential regime needs positive shifts, got lam = {problem.lam}")
+    if problem.rho.kind is not SourceKind.EXP_ENVELOPE:
+        raise RegimeError("exponential regime expects an exponential source envelope")
     if grid is None:
         radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
         grid = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
@@ -568,7 +555,14 @@ def solve_coupled_alg(
     route with the finite-difference residual operator, leaving an
     O(h^2) mismatch floor.
     """
-    _check_regime(problem, ledger, Regime.ALGEBRAIC)
+    if ledger.regime is not Regime.ALGEBRAIC:
+        raise RegimeError("expected an algebraic-regime ledger")
+    if not ledger.feasible:
+        raise RegimeError(f"ledger infeasible: {ledger.violated}")
+    if problem.family is not BarrierFamily.Z:
+        raise RegimeError(f"algebraic regime needs zero shifts, got lam = {problem.lam}")
+    if problem.rho.kind is not SourceKind.ALG_ENVELOPE:
+        raise RegimeError("algebraic regime expects an algebraic source envelope")
     if grid is None:
         grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02)
     return _coupled_report(

@@ -287,7 +287,6 @@ class TestCoupledAlgebraic:
         with pytest.raises(RegimeError):
             solve_coupled_alg(problem, exponents, ledger)
 
-
     def test_refuses_positive_shifts(self, alg_worked_case):
         _, exponents, ledger, _ = alg_worked_case
         problem = Problem(5, 1.0, 1.0, SourceModel.alg_envelope(0.01, 0.015, 4.0))
