@@ -28,7 +28,7 @@ from .barriers import (
     exp_regime_ledger,
     sigma_index,
 )
-from .certificates import aubin_talenti, closed_form_ground_state, verify_cor3, verify_solution
+from .certificates import aubin_talenti, closed_form_exponents, verify_cor3, verify_solution
 from .kernels import GreenParams, bessel_k, green_lambda, green_zero, verify_kernel_bounds
 from .potentials import (
     DivergenceReport,
@@ -46,7 +46,6 @@ from .radial_core import (
     apply_radial_laplacian,
 )
 from .solvers import (
-    ScalarRegime,
     SolveReport,
     SolveStatus,
     decay_fit,
@@ -67,7 +66,6 @@ __all__ = [
     "Problem",
     "RadialField",
     "RadialGrid",
-    "ScalarRegime",
     "SolveReport",
     "SolveStatus",
     "SourceKind",
@@ -80,7 +78,7 @@ __all__ = [
     "bessel_k",
     "bessel_potential_radial",
     "classify",
-    "closed_form_ground_state",
+    "closed_form_exponents",
     "convr_check",
     "decay_fit",
     "divergence_probe_nested",

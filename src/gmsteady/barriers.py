@@ -57,9 +57,9 @@ __all__ = [
     "classify",
     "eval_barrier",
     "exp_regime_ledger",
+    "operator_bounds",
     "sigma_index",
     "NONEXISTENCE_TAGS",
-    "EXISTENCE_TAGS",
 ]
 
 # Verdict tags are stable vocabulary for reports; downstream tooling
@@ -76,7 +76,6 @@ NONEXISTENCE_TAGS = frozenset(
         "Corollary 1.3(ii)",
     }
 )
-EXISTENCE_TAGS = frozenset({"Theorem 1.1(iii)", "Theorem 1.4(ii)"})
 
 # relative tie tolerance: strict inequalities decided closer than this
 # are reported as infeasible boundary cases
@@ -99,10 +98,6 @@ class Exponents:
             raise ValueError("p, q, m must be positive")
         if self.s < 0:
             raise ValueError("s must be >= 0")
-
-    @property
-    def sigma(self) -> float:
-        return sigma_index(self)
 
 
 def sigma_index(exponents: Exponents) -> float:
@@ -283,17 +278,25 @@ class SandwichCheck:
     equality_at_zero: Optional[float] = None  # relative gap at r = 0 if on grid
 
 
+def operator_bounds(profile: BarrierProfile, shift: float, dimension: int) -> tuple:
+    """Constants (lo, hi) of the two-sided operator bounds of a barrier profile.
+
+        W(a):  (shift - a^2) W_a <= (-Delta + shift) W_a <= (shift + N a) W_a
+        Z(a):  a (N - a - 2) Z_{a+2} <= -Delta Z_a <= a N Z_{a+2}
+    """
+    a = profile.rate
+    if profile.family is BarrierFamily.W:
+        return shift - a * a, shift + dimension * a
+    return a * (dimension - a - 2.0), a * dimension
+
+
 def check_sandwich(
     profile: BarrierProfile,
     shift: float,
     dimension: int,
     r_grid,
-    rel_slack: float = 1e-12,
 ) -> SandwichCheck:
-    """Verify the two-sided operator bounds at every grid point.
-
-        W(a):  (shift - a^2) W_a <= (-Delta + shift) W_a <= (shift + N a) W_a
-        Z(a):  a (N - a - 2) Z_{a+2} <= -Delta Z_a <= a N Z_{a+2}
+    """Verify the two-sided ``operator_bounds`` at every grid point, to 1e-12 relative.
 
     Comparisons are done on the operator factors, so tail underflow of
     the profile itself cannot produce 0/0.  For the Z family with
@@ -303,22 +306,19 @@ def check_sandwich(
     r = np.asarray(r_grid, dtype=float)
     n = dimension
     a = profile.rate
+    lo, hi = operator_bounds(profile, shift, n)
     if profile.family is BarrierFamily.W:
         fac = barrier_operator_factor(profile, shift, r, n)
-        lo = shift - a * a
-        hi = shift + n * a
         vacuous = False
     else:
         # compare -Delta Z_a against bounds times Z_{a+2}: divide out Z_{a+4} scale
         u = 1.0 + r * r
         fac = a * (n + (n - a - 2.0) * r * r) / u
-        lo = a * (n - a - 2.0)
-        hi = a * n
         vacuous = lo <= 0.0
     scale = max(abs(lo), abs(hi), 1e-300)
     lower_margin = float(np.min(fac - lo) / scale)
     upper_margin = float(np.min(hi - fac) / scale)
-    ok = lower_margin >= -rel_slack and upper_margin >= -rel_slack
+    ok = lower_margin >= -1e-12 and upper_margin >= -1e-12
     eq0 = None
     if np.any(r == 0.0):
         f0 = fac[r == 0.0][0] if fac.ndim else float(fac)

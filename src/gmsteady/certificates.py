@@ -37,11 +37,10 @@ from .radial_core import RadialField, RadialGrid, RadialOperator
 from .solvers import _fit_window, _pde_residuals, decay_fit
 
 __all__ = [
-    "ClosedFormSolution",
     "Cor3Certificate",
     "SolutionCertificate",
     "aubin_talenti",
-    "closed_form_ground_state",
+    "closed_form_exponents",
     "verify_cor3",
     "verify_solution",
 ]
@@ -69,30 +68,8 @@ def aubin_talenti(dimension: int, amplitude: float, r):
     return out
 
 
-@dataclass(frozen=True)
-class ClosedFormSolution:
-    """The explicit ground-state pair u = v = w and its induced exponents."""
-
-    dimension: int
-    amplitude: float
-    induced_exponents: Exponents
-
-    def __post_init__(self) -> None:
-        n = self.dimension
-        crit = (n + 2.0) / (n - 2.0)
-        ex = self.induced_exponents
-        if not ex.q > 0:
-            raise ValueError("induced q must be positive")
-        if abs(ex.q - (ex.p - crit)) > 1e-12 * max(1.0, ex.p):
-            raise ValueError("induced exponents must satisfy q = p - (N+2)/(N-2)")
-        if abs(ex.m - (crit + ex.s)) > 1e-12 * max(1.0, ex.m):
-            raise ValueError("induced exponents must satisfy m = (N+2)/(N-2) + s")
-
-
-def closed_form_ground_state(
-    dimension: int, p: float, s: float, amplitude: float
-) -> ClosedFormSolution:
-    """Pick q and m so that u = v = w solves the zero-shift system."""
+def closed_form_exponents(dimension: int, p: float, s: float) -> Exponents:
+    """The q and m that make u = v = w solve the zero-shift system."""
     n = dimension
     crit = (n + 2.0) / (n - 2.0)
     if not p > crit:
@@ -101,8 +78,7 @@ def closed_form_ground_state(
         )
     if s <= 0:
         raise HypothesisError("need s > 0")
-    ex = Exponents(p, p - crit, crit + s, s)
-    return ClosedFormSolution(n, amplitude, ex)
+    return Exponents(p, p - crit, crit + s, s)
 
 
 @dataclass
@@ -138,7 +114,7 @@ def verify_cor3(
     with np.errstate(all="ignore"):
         # the bubble checks N >= 3 before the induced exponents divide by N - 2
         w = aubin_talenti(dimension, amplitude, grid.nodes)
-        ex = closed_form_ground_state(dimension, p, s, amplitude).induced_exponents
+        ex = closed_form_exponents(dimension, p, s)
         lap = RadialOperator(grid, dimension).laplacian(w)
         rhs_u = w**ex.p / w**ex.q
         rhs_v = w**ex.m / w**ex.s

@@ -245,6 +245,8 @@ def cmd_region(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.radius is None and (args.h0 is not None or args.stretch is not None):
+        raise ValueError("--h0 and --stretch shape the --radius grid; they need --radius")
     problem, exponents = _problem_from_args(args)
     verdict = classify(problem, exponents)
     if verdict.status is not VerdictStatus.EXISTENCE_GUARANTEED:
@@ -256,7 +258,9 @@ def cmd_solve(args) -> int:
 
     grid = None
     if args.radius is not None:
-        grid = RadialGrid.auto(args.radius, h0=args.h0, stretch=args.stretch)
+        h0 = 0.02 if args.h0 is None else args.h0
+        stretch = 1.02 if args.stretch is None else args.stretch
+        grid = RadialGrid.auto(args.radius, h0=h0, stretch=stretch)
     solve = solve_coupled_exp if problem.lam > 0 else solve_coupled_alg
     report = solve(problem, exponents, verdict.ledger, grid=grid)
 
@@ -367,8 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--rho-amplitude", type=float, default=None,
                          help="evaluable amplitude in [alpha, beta] (default midpoint)")
     p_solve.add_argument("--radius", type=float, default=None, help="truncation radius")
-    p_solve.add_argument("--h0", type=float, default=0.02, help="initial grid spacing")
-    p_solve.add_argument("--stretch", type=float, default=1.02, help="grid stretch factor")
+    p_solve.add_argument("--h0", type=float, default=None,
+                         help="initial grid spacing (needs --radius; default 0.02)")
+    p_solve.add_argument("--stretch", type=float, default=None,
+                         help="grid stretch factor (needs --radius; default 1.02)")
     p_solve.add_argument("--out-u", help="u field dump path")
     p_solve.add_argument("--out-v", help="v field dump path")
     p_solve.set_defaults(func=cmd_solve)

@@ -23,9 +23,9 @@ the sandwich constants on a grid.
 
 Bessel evaluation is delegated to scipy.special (kv/kve); the scaled
 variant kve avoids premature underflow.  Values that would fall below
-the smallest normal double are reported as exact 0 with an underflow
-flag rather than subnormal noise, since every consumer dominates such
-tails by a barrier anyway.
+the smallest normal double are returned as exact 0 rather than
+subnormal noise, so an exact 0 is the underflow indicator; every
+consumer dominates such tails by a barrier anyway.
 """
 
 from __future__ import annotations
@@ -38,11 +38,9 @@ from scipy import special
 from scipy.integrate import quad
 
 __all__ = [
-    "BesselOrder",
     "GreenParams",
     "KernelBoundsReport",
     "bessel_k",
-    "bessel_k_flagged",
     "green_lambda",
     "green_zero",
     "green_lambda_mass",
@@ -56,17 +54,6 @@ def sphere_area(dimension: int) -> float:
 
 
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class BesselOrder:
-    """Order nu >= 0 of K_nu; in practice nu = N/2 - 1."""
-
-    nu: float
-
-    def __post_init__(self) -> None:
-        if self.nu < 0:
-            raise ValueError(f"order must be >= 0, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -100,20 +87,13 @@ class KernelBoundsReport:
     samples: list = field(default_factory=list)
 
 
-def _order_value(order) -> float:
-    if isinstance(order, BesselOrder):
-        return order.nu
-    return float(order)
+def bessel_k(nu: float, z):
+    """Modified Bessel function K_nu(z), nu >= 0, z > 0.
 
-
-def bessel_k_flagged(order, z):
-    """K_nu(z) together with an underflow indicator.
-
-    Returns ``(value, underflowed)``.  Where the true value falls below
-    the smallest normal double, value is exactly 0.0 and the flag is
-    True.  Scalar in, scalar out; array in, array out.
+    Monotone decreasing in z.  Where the true value falls below the
+    smallest normal double the result is exactly 0.0.  Scalar in,
+    scalar out; array in, array out.
     """
-    nu = _order_value(order)
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     zz = np.asarray(z, dtype=float)
@@ -121,19 +101,9 @@ def bessel_k_flagged(order, z):
         raise ValueError("argument of K_nu must be positive")
     # kve = K_nu(z) * e^z is well scaled for all z > 0
     vals = special.kve(nu, zz) * np.exp(-zz)
-    under = ~(vals >= _TINY)
-    vals = np.where(under, 0.0, vals)
+    vals = np.where(vals >= _TINY, vals, 0.0)
     if np.isscalar(z) or np.ndim(z) == 0:
-        return float(vals), bool(under)
-    return vals, under
-
-
-def bessel_k(order, z):
-    """Modified Bessel function K_nu(z), nu >= 0, z > 0.
-
-    Monotone decreasing in z; deep-underflow arguments return exact 0.
-    """
-    vals, _ = bessel_k_flagged(order, z)
+        return float(vals)
     return vals
 
 
@@ -172,7 +142,7 @@ def green_lambda(params: GreenParams, r):
     return vals
 
 
-def green_lambda_mass(params: GreenParams, epsabs: float = 1e-13) -> float:
+def green_lambda_mass(params: GreenParams) -> float:
     """omega_N * integral_0^inf s^(N-1) G_lambda(s) ds by adaptive quadrature.
 
     Equals 1/lambda for the delta-calibrated kernel.  Raises ValueError
@@ -190,7 +160,7 @@ def green_lambda_mass(params: GreenParams, epsabs: float = 1e-13) -> float:
     # split at 1: integrable r^(2-N)-type behaviour near 0, exponential tail
     total = 0.0
     for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
-        val, _, _, *trouble = quad(integrand, lo, hi, epsabs=epsabs, epsrel=1e-13, limit=200,
+        val, _, _, *trouble = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200,
                                    full_output=1)
         if trouble:
             reason = trouble[0].splitlines()[0]

@@ -135,8 +135,8 @@ class RadialGrid:
         steps = np.multiply.accumulate(np.concatenate(([h], np.full(int(count) + 2, g))))
         new = np.add.accumulate(np.concatenate(([r[-1]], steps[1:])))[1:]
         assert new[-1] >= target, "extension fell short of factor * R"
-        new = new[: np.searchsorted(new, target) + 1]
-        return RadialGrid(np.concatenate((r, new)), self.stretch)
+        size = _node_count(r.size + np.searchsorted(new, target) + 1)
+        return RadialGrid(np.concatenate((r, new[: size - r.size])), self.stretch)
 
 
 @dataclass

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import ConstantsLedger, Exponents, Problem, Regime, SourceKind
+from .barriers import ConstantsLedger, Exponents, Problem, Regime, SourceKind, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
 from .potentials import newton_potential_radial
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
@@ -51,7 +51,6 @@ from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
     "IterationState",
-    "ScalarRegime",
     "SolveReport",
     "SolveStatus",
     "decay_fit",
@@ -68,6 +67,8 @@ _EXP_DROP = 1e12
 #: Starting radius for algebraic-family runs (the 1e12 drop rule would
 #: demand astronomically large balls for power-law decay).
 DEFAULT_ALG_RADIUS = 480.0
+#: Iteration cap of the scalar monotone loop and of the coupled Picard loop.
+MAX_ITER = 500
 
 
 def default_exp_radius(rate: float) -> float:
@@ -88,9 +89,8 @@ class IterationState:
 
     ball_radius: float
     iterate_index: int
-    u: Optional[RadialField]
     v: RadialField
-    residuals: tuple
+    residual: float
     monotone_flag: bool
 
 
@@ -116,18 +116,6 @@ class SolveReport:
     stability_gap: float
     notes: list = dfield(default_factory=list)
     trace: list = dfield(default_factory=list, metadata={"report": False})
-
-
-@dataclass(frozen=True)
-class ScalarRegime:
-    """Decay regime of the scalar weight: W family (exp) or Z family (alg)."""
-
-    family: BarrierFamily
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("decay rate gamma must be positive")
 
 
 def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
@@ -228,7 +216,6 @@ def _monotone_ball(
     grid: RadialGrid,
     v_low: np.ndarray,
     tol_residual: float,
-    max_iter: int,
     trace: Optional[list] = None,
 ) -> tuple:
     """Shifted monotone iteration from the sub-solution on a fixed ball.
@@ -243,7 +230,7 @@ def _monotone_ball(
     v = v_low.copy()
     monotone_ok = True
     residual = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rhs_vals = psi_vals * np.maximum(v, v_low) ** (-s) + shift_l * v
         v_new = op.solve(rhs_vals, v_low[-1])
         drop = float(np.min(v_new - v))
@@ -254,11 +241,11 @@ def _monotone_ball(
         res = op.laplacian(v) + mu * inner - psi_vals[:-1] * np.maximum(inner, v_low[:-1]) ** (-s)
         residual = float(np.max(np.abs(res)))
         if trace is not None:
-            trace.append(IterationState(grid.radius, it, None, RadialField(grid, v.copy()),
-                                        (residual,), monotone_ok))
+            trace.append(IterationState(grid.radius, it, RadialField(grid, v.copy()),
+                                        residual, monotone_ok))
         if residual <= tol_residual:
             return v, residual, it, monotone_ok
-    return v, residual, max_iter, monotone_ok
+    return v, residual, MAX_ITER, monotone_ok
 
 
 def solve_singular_scalar(
@@ -266,44 +253,35 @@ def solve_singular_scalar(
     shift: float,
     s: float,
     psi: RadialField,
-    regime: ScalarRegime,
+    *,
     tol_residual: float = 1e-9,
-    max_iter: int = 500,
     record_trace: bool = False,
 ) -> SolveReport:
     """Solve -Delta v + shift v = psi v^(-s) between explicit barriers.
 
-    Exponential regime (W family, decay rate gamma): requires
-    shift > (gamma/(s+1))^2; with envelope m W_gamma <= psi <= M W_gamma
-    the sandwich is
+    The weight's decay tag B_gamma is its envelope, m B_gamma <= psi <=
+    M B_gamma on the grid; an untagged weight is refused.  The barrier
+    B_a has the tag's family, and with (lo, hi) its ``operator_bounds``
+    the sandwich, which needs lo > 0, is
 
-        a = gamma/(s+1),
-        c = (m / (shift + N a))^(1/(s+1)),  C = (M / (shift - a^2))^(1/(s+1)).
+        c = (m / hi)^(1/(s+1)),  C = (M / lo)^(1/(s+1)).
 
-    Algebraic regime (Z family): requires shift = 0 and
-    2 < gamma < (N-2)s + N (rates gamma <= 2 provably admit no positive
-    solution); the sandwich is
-
-        a = (gamma-2)/(s+1),
-        c = (m / (a N))^(1/(s+1)),  C = (M / (a (N - a - 2)))^(1/(s+1)).
+    Exponential regime (W tag): a = gamma/(s+1), lo = shift - a^2, so
+    shift > (gamma/(s+1))^2.  Algebraic regime (Z tag): shift = 0 and
+    a = (gamma-2)/(s+1), lo = a (N - a - 2), so 2 < gamma < (N-2)s + N
+    (rates gamma <= 2 provably admit no positive solution).
 
     The run solves on the weight's grid, then re-solves on the doubled
-    ball (weight extended by its envelope) and accepts only if the
+    ball (weight continued by its tail) and accepts only if the
     solution moves by at most the upper-barrier boundary value.
     """
     n = dimension
-    gamma = regime.gamma
-    if regime.family is BarrierFamily.W:
+    env_profile = psi.decay_tag
+    if env_profile is None:
+        raise ValueError("weight psi needs a decay_tag: it declares the envelope")
+    family, gamma = env_profile.family, env_profile.rate
+    if family is BarrierFamily.W:
         a = gamma / (s + 1.0)
-        if shift <= a * a:
-            raise HypothesisError(
-                f"exponential regime needs shift > (gamma/(s+1))^2 = {a * a}, got {shift}"
-            )
-        env_profile = BarrierProfile(BarrierFamily.W, gamma)
-        m_env, big_m = _field_envelope(psi, env_profile)
-        c_low = (m_env / (shift + n * a)) ** (1.0 / (s + 1.0))
-        c_high = (big_m / (shift - a * a)) ** (1.0 / (s + 1.0))
-        barrier = BarrierProfile(BarrierFamily.W, a)
     else:
         if shift != 0.0:
             raise HypothesisError("algebraic regime requires shift = 0")
@@ -312,33 +290,33 @@ def solve_singular_scalar(
                 f"weight decay gamma = {gamma} <= 2: the zero-shift singular problem "
                 "has no positive solution (divergent representation)"
             )
-        if not gamma < (n - 2.0) * s + n:
-            raise HypothesisError(
-                f"algebraic regime needs gamma < (N-2)s + N = {(n - 2.0) * s + n}"
-            )
         a = (gamma - 2.0) / (s + 1.0)
-        env_profile = BarrierProfile(BarrierFamily.Z, gamma)
-        m_env, big_m = _field_envelope(psi, env_profile)
-        c_low = (m_env / (a * n)) ** (1.0 / (s + 1.0))
-        c_high = (big_m / (a * (n - a - 2.0))) ** (1.0 / (s + 1.0))
-        barrier = BarrierProfile(BarrierFamily.Z, a)
+    barrier = BarrierProfile(family, a)
+    lo, hi = operator_bounds(barrier, shift, n)
+    if not lo > 0:
+        raise HypothesisError(
+            f"{family.value} barrier of rate {a} has lower operator bound {lo} <= 0: "
+            "needs shift > (gamma/(s+1))^2 (W) or gamma < (N-2)s + N (Z)"
+        )
+    m_env, big_m = _field_envelope(psi, env_profile)
+    c_low = (m_env / hi) ** (1.0 / (s + 1.0))
+    c_high = (big_m / lo) ** (1.0 / (s + 1.0))
 
     grid = psi.grid
+    big = grid.extended(2.0)
     trace: Optional[list] = [] if record_trace else None
 
     def run(g: RadialGrid, psi_vals: np.ndarray):
         env = np.asarray(eval_barrier(barrier, g.nodes), dtype=float)
         v_low = c_low * env
         vals, res, its, mono = _monotone_ball(
-            n, shift, s, psi_vals, g, v_low, tol_residual, max_iter, trace
+            n, shift, s, psi_vals, g, v_low, tol_residual, trace
         )
         return vals, env, res, its, mono
 
     vals, env, res, its, mono = run(grid, psi.values)
 
-    big = grid.extended(2.0)
-    psi_tail = RadialField(grid, psi.values, env_profile).tail(big.nodes[grid.n :])
-    psi_big = np.concatenate((psi.values, psi_tail))
+    psi_big = np.concatenate((psi.values, psi.tail(big.nodes[grid.n :])))
     vals2, _, _res2, its2, _mono2 = run(big, psi_big)
     gap = float(np.max(np.abs(vals2[: grid.n] - vals)))
     allowance = c_high * float(eval_barrier(barrier, grid.radius)) + 1e-14
@@ -378,7 +356,6 @@ def _picard_coupled(
     grid: RadialGrid,
     tol_change: float,
     tol_residual: float,
-    max_iter: int,
 ) -> tuple:
     """Shared Picard loop.
 
@@ -411,7 +388,7 @@ def _picard_coupled(
     resolvent = RadialOperator(grid, n, problem.lam) if exp_regime else None
 
     it, change = 0, math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         rhs_u_vals = u**p / v**q + rho_vals
         if exp_regime:
             u_new = resolvent.solve(rhs_u_vals, ledger.m1_lower * env_u[-1])
@@ -428,7 +405,6 @@ def _picard_coupled(
             grid,
             v_low_guard,
             tol_residual * max(ledger.m2_lower, 1e-300),
-            max_iter,
         )
 
         change = max(
@@ -453,17 +429,17 @@ def _coupled_report(
     grid: RadialGrid,
     tol_change: float,
     tol_residual: float,
-    max_iter: int,
 ) -> SolveReport:
+    # the doubled ball is built first, so a grid over the node cap costs no solve
+    big = grid.extended(2.0)
     u, v, b_u, b_v, margins, its, change, sandwiched = _picard_coupled(
-        problem, exponents, ledger, grid, tol_change, tol_residual, max_iter
+        problem, exponents, ledger, grid, tol_change, tol_residual
     )
     fam = problem.family
 
     # re-run on the doubled ball and compare on the original one
-    big = grid.extended(2.0)
     u2, v2, *_rest, sandwiched2 = _picard_coupled(
-        problem, exponents, ledger, big, tol_change, tol_residual, max_iter
+        problem, exponents, ledger, big, tol_change, tol_residual
     )
     gap = max(
         float(np.max(np.abs(u2[: grid.n] - u))),
@@ -512,7 +488,6 @@ def solve_coupled_exp(
     grid: Optional[RadialGrid] = None,
     tol_change: float = 1e-9,
     tol_residual: float = 1e-6,
-    max_iter: int = 500,
 ) -> SolveReport:
     """Coupled solve in the exponential regime (positive shifts).
 
@@ -532,9 +507,7 @@ def solve_coupled_exp(
     if grid is None:
         radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
         grid = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
-    return _coupled_report(
-        problem, exponents, ledger, grid, tol_change, tol_residual, max_iter
-    )
+    return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)
 
 
 def solve_coupled_alg(
@@ -544,7 +517,6 @@ def solve_coupled_alg(
     grid: Optional[RadialGrid] = None,
     tol_change: float = 1e-9,
     tol_residual: float = 1e-5,
-    max_iter: int = 500,
 ) -> SolveReport:
     """Coupled solve in the algebraic regime (zero shifts).
 
@@ -565,6 +537,4 @@ def solve_coupled_alg(
         raise RegimeError("algebraic regime expects an algebraic source envelope")
     if grid is None:
         grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02)
-    return _coupled_report(
-        problem, exponents, ledger, grid, tol_change, tol_residual, max_iter
-    )
+    return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)

@@ -29,7 +29,6 @@ from gmsteady.kernels import GreenParams, green_lambda, green_lambda_mass
 from gmsteady.potentials import newton_potential_radial
 from gmsteady.radial_core import RadialField, RadialGrid
 from gmsteady.solvers import (
-    ScalarRegime,
     SolveStatus,
     algebraic_scalar_admissible,
     default_exp_radius,
@@ -186,8 +185,7 @@ def test_04_scalar_solver_exponential():
         profile = BarrierProfile(BarrierFamily.W, 2.0)
         psi = RadialField.from_function(
             grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)
-        rep = solve_singular_scalar(
-            3, 4.0, 1.0, psi, ScalarRegime(BarrierFamily.W, 2.0), record_trace=True)
+        rep = solve_singular_scalar(3, 4.0, 1.0, psi, record_trace=True)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.residual_v <= 1e-8
         assert all(state.monotone_flag for state in rep.trace)
@@ -204,7 +202,7 @@ def test_05_scalar_solver_algebraic():
         profile = BarrierProfile(BarrierFamily.Z, 4.0)
         psi = RadialField.from_function(
             grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)
-        rep = solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 4.0))
+        rep = solve_singular_scalar(5, 0.0, 1.0, psi)
         assert rep.status is SolveStatus.CONVERGED
         env = np.asarray(eval_barrier(BarrierProfile(BarrierFamily.Z, 1.0), grid.nodes))
         ratios = rep.v.values / env
@@ -288,8 +286,7 @@ def test_09_nonexistence_boundaries():
                 psi = RadialField.from_function(
                     grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)
                 with pytest.raises(NonexistenceError):
-                    solve_singular_scalar(
-                        5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, float(gamma)))
+                    solve_singular_scalar(5, 0.0, 1.0, psi)
 
 
 def test_10_radial_gradient_criterion(rng):

@@ -5,7 +5,7 @@ import pytest
 from gmsteady.barriers import Exponents, Problem, SourceModel
 from gmsteady.certificates import (
     aubin_talenti,
-    closed_form_ground_state,
+    closed_form_exponents,
     verify_cor3,
     verify_solution,
 )
@@ -31,17 +31,15 @@ def test_tail_decay_rate():
 
 
 def test_induced_exponents():
-    sol = closed_form_ground_state(3, 6.0, 1.0, 1.0)
-    ex = sol.induced_exponents
+    ex = closed_form_exponents(3, 6.0, 1.0)
     assert ex.q == pytest.approx(1.0) and ex.m == pytest.approx(6.0)
-    sol = closed_form_ground_state(4, 4.0, 2.0, 2.0 * math.sqrt(2.0))
-    ex = sol.induced_exponents
+    ex = closed_form_exponents(4, 4.0, 2.0)
     assert ex.q == pytest.approx(1.0) and ex.m == pytest.approx(5.0)
 
 
 def test_subcritical_p_rejected():
     with pytest.raises(HypothesisError):
-        closed_form_ground_state(5, 2.0, 0.5, 3.0)  # q = 2 - 7/3 < 0
+        closed_form_exponents(5, 2.0, 0.5)  # q = 2 - 7/3 < 0
 
 
 def test_residuals_second_order():
@@ -63,17 +61,17 @@ def test_residual_magnitude_fine_grid():
 
 
 def closed_form_pair(n=3, p=6.0, s=1.0, amp=1.0, radius=60.0):
-    sol = closed_form_ground_state(n, p, s, amp)
+    exponents = closed_form_exponents(n, p, s)
     grid = RadialGrid.auto(radius, h0=0.01, stretch=1.02)
     w = aubin_talenti(n, amp, grid.nodes)
     tag = BarrierProfile(BarrierFamily.Z, float(n - 2))
-    return sol, RadialField(grid, w, tag), RadialField(grid, w, tag)
+    return exponents, RadialField(grid, w, tag), RadialField(grid, w, tag)
 
 
 def test_verify_solution_on_closed_form():
-    sol, u, v = closed_form_pair()
+    exponents, u, v = closed_form_pair()
     problem = Problem(3, 0.0, 0.0, SourceModel.zero())
-    cert = verify_solution(problem, sol.induced_exponents, u, v)
+    cert = verify_solution(problem, exponents, u, v)
     assert cert.rep_residual_u <= 1e-5 and cert.rep_residual_v <= 1e-5
     assert cert.pde_residual_u <= 5e-3
     # p = 6 > (N+2)/(N-2) = 5: outside the contradiction window, no flags

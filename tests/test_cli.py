@@ -301,6 +301,9 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, args):
      "--stretch", "1"],
     ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "1e4", "--h0", "1e-6",
      "--stretch", "1"],
+    # 600,001 nodes fit the cap, but the doubled ball's 1,200,001 do not
+    ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "30", "--h0", "5e-5",
+     "--stretch", "1"],
 ])
 def test_extreme_input_exit_code_without_warning(tmp_path, capsys, args):
     with warnings.catch_warnings(record=True) as caught:
@@ -436,6 +439,22 @@ def test_config_key_that_is_no_flag_exit_code(tmp_path, capsys, line):
     assert rc == 1
     _assert_one_line_error(capsys)
     assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("grid_flags", [["--h0", "0.5"], ["--stretch", "1.3"]])
+def test_solve_grid_flags_need_radius(tmp_path, capsys, grid_flags):
+    rc = run(["solve", *_EXP_POINT, *grid_flags, "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
+@pytest.mark.parametrize("line", ["h0 = 0.5", "stretch = 1.3"])
+def test_solve_grid_keys_need_radius(tmp_path, capsys, line):
+    rc = run(["solve", *_EXP_POINT, *_config(tmp_path, line + "\n"),
+              "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys)
 
 
 def test_config_switch_values(tmp_path, capsys):

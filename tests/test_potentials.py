@@ -155,23 +155,23 @@ def test_spherical_mean_closed_form_matches_quadrature():
 
 
 def test_representation_residual_closed_form_pair():
-    from gmsteady.certificates import aubin_talenti, closed_form_ground_state
+    from gmsteady.certificates import aubin_talenti, closed_form_exponents
 
     n, p, s, amp = 3, 6.0, 1.0, 1.0
-    sol = closed_form_ground_state(n, p, s, amp)
+    exponents = closed_form_exponents(n, p, s)
     grid = RadialGrid.auto(60.0, h0=0.01, stretch=1.02)
     w = aubin_talenti(n, amp, grid.nodes)
     tag = BarrierProfile(BarrierFamily.Z, float(n - 2))
     u = RadialField(grid, w, tag)
     v = RadialField(grid, w, tag)
     problem = Problem(n, 0.0, 0.0, SourceModel.zero())
-    res_u, res_v = representation_residual(problem, sol.induced_exponents, u, v)
+    res_u, res_v = representation_residual(problem, exponents, u, v)
     assert res_u <= 1e-5 and res_v <= 1e-5
 
     # a 10 percent perturbation is detected at O(1) scale
     u10 = RadialField(grid, 1.1 * w, tag)
     v10 = RadialField(grid, 1.1 * w, tag)
-    res_u, res_v = representation_residual(problem, sol.induced_exponents, u10, v10)
+    res_u, res_v = representation_residual(problem, exponents, u10, v10)
     assert res_u >= 1e-2 and res_v >= 1e-2
 
 

@@ -72,8 +72,12 @@ def test_extended_matches_the_loop(build, factor):
 
 
 def test_extended_matches_the_loop_at_the_node_cap():
-    grid = RadialGrid.uniform(1.0, MAX_GRID_NODES)
-    assert np.array_equal(grid.extended(2.0).nodes, _extended_by_loop(grid, 2.0))
+    with pytest.raises(ValueError, match="cap"):
+        RadialGrid.uniform(1.0, MAX_GRID_NODES).extended(2.0)
+    grid = RadialGrid.uniform(1.0, MAX_GRID_NODES // 2)
+    big = grid.extended(2.0)
+    assert big.n == MAX_GRID_NODES - 1
+    assert np.array_equal(big.nodes, _extended_by_loop(grid, 2.0))
 
 
 def test_constants_are_harmonic():

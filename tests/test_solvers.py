@@ -20,7 +20,6 @@ from gmsteady.radial_core import (
     solve_linear_radial_variable,
 )
 from gmsteady.solvers import (
-    ScalarRegime,
     SolveStatus,
     algebraic_scalar_admissible,
     decay_fit,
@@ -49,9 +48,7 @@ class TestScalarExponential:
     def run(self, record_trace=False):
         grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
         psi = w_field(grid, 2.0)
-        return solve_singular_scalar(
-            3, 4.0, 1.0, psi, ScalarRegime(BarrierFamily.W, 2.0), record_trace=record_trace
-        )
+        return solve_singular_scalar(3, 4.0, 1.0, psi, record_trace=record_trace)
 
     def test_converges_inside_sandwich(self):
         rep = self.run()
@@ -79,13 +76,13 @@ class TestScalarExponential:
         # band and applied the full -Delta; the shared operator must
         # leave every traced iterate unchanged
         def per_iteration_ball(dimension, mu, s, psi_vals, grid, v_low, tol_residual,
-                               max_iter, trace=None, ball_radius=None):
+                               trace=None, ball_radius=None):
             shift_l = s * psi_vals * v_low ** (-s - 1.0)
             shift_total = shift_l + mu
             v = v_low.copy()
             monotone_ok = True
             residual = math.inf
-            for it in range(1, max_iter + 1):
+            for it in range(1, solvers.MAX_ITER + 1):
                 rhs = RadialField(grid, psi_vals * np.maximum(v, v_low) ** (-s) + shift_l * v)
                 v_new = solve_linear_radial_variable(dimension, shift_total, rhs, v_low[-1]).values
                 if float(np.min(v_new - v)) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
@@ -96,21 +93,20 @@ class TestScalarExponential:
                 residual = float(np.max(np.abs(res[:-1])))
                 trace.append(solvers.IterationState(
                     ball_radius if ball_radius is not None else grid.radius,
-                    it, None, RadialField(grid, v.copy()), (residual,), monotone_ok))
+                    it, RadialField(grid, v.copy()), residual, monotone_ok))
                 if residual <= tol_residual:
                     return v, residual, it, monotone_ok
-            return v, residual, max_iter, monotone_ok
+            return v, residual, solvers.MAX_ITER, monotone_ok
 
         rep = self.run(record_trace=True)
         monkeypatch.setattr(solvers, "_monotone_ball", per_iteration_ball)
         ref = self.run(record_trace=True)
         assert len(rep.trace) == len(ref.trace) > 1
         for got, want in zip(rep.trace, ref.trace):
-            assert (got.ball_radius, got.iterate_index, got.u) == (
-                want.ball_radius, want.iterate_index, want.u)
+            assert (got.ball_radius, got.iterate_index) == (want.ball_radius, want.iterate_index)
             assert np.array_equal(got.v.grid.nodes, want.v.grid.nodes)
             assert np.array_equal(got.v.values, want.v.values)
-            assert got.residuals == want.residuals
+            assert got.residual == want.residual
             assert got.monotone_flag == want.monotone_flag
         assert np.array_equal(rep.v.values, ref.v.values)
 
@@ -123,14 +119,14 @@ class TestScalarExponential:
         grid = RadialGrid.auto(10.0, h0=0.05, stretch=1.02)
         psi = w_field(grid, 2.0)
         with pytest.raises(HypothesisError):
-            solve_singular_scalar(3, 0.2, 1.0, psi, ScalarRegime(BarrierFamily.W, 2.0))
+            solve_singular_scalar(3, 0.2, 1.0, psi)
 
 
 class TestScalarAlgebraic:
     def run(self):
         grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
         psi = z_field(grid, 4.0)
-        return solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 4.0))
+        return solve_singular_scalar(5, 0.0, 1.0, psi)
 
     def test_converges_inside_sandwich(self):
         rep = self.run()
@@ -150,20 +146,21 @@ class TestScalarAlgebraic:
         grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
         psi = z_field(grid, 2.0)
         with pytest.raises(NonexistenceError):
-            solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 2.0))
+            solve_singular_scalar(5, 0.0, 1.0, psi)
 
     def test_upper_gamma_hypothesis(self):
         grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
         psi = z_field(grid, 9.0)
         with pytest.raises(HypothesisError):
             # (N-2)s + N = 8 for N = 5, s = 1
-            solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 9.0))
+            solve_singular_scalar(5, 0.0, 1.0, psi)
 
     def test_doubled_ball_extends_the_weight_by_its_envelope(self, monkeypatch):
         # beyond R the doubled ball sees c Z_gamma, with c matched to psi at R
         grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
         tag = BarrierProfile(BarrierFamily.Z, 4.0)
-        psi = RadialField(grid, 0.7 * (1.0 + 0.2 * np.cos(grid.nodes)) / (1.0 + grid.nodes**2) ** 2)
+        psi = RadialField(
+            grid, 0.7 * (1.0 + 0.2 * np.cos(grid.nodes)) / (1.0 + grid.nodes**2) ** 2, tag)
         weights = []
         real_ball = solvers._monotone_ball
 
@@ -172,13 +169,24 @@ class TestScalarAlgebraic:
             return real_ball(dimension, mu, s, psi_vals, *rest)
 
         monkeypatch.setattr(solvers, "_monotone_ball", spy)
-        solve_singular_scalar(5, 0.0, 1.0, psi, ScalarRegime(BarrierFamily.Z, 4.0))
+        solve_singular_scalar(5, 0.0, 1.0, psi)
         ball, doubled = weights
         assert np.array_equal(ball, psi.values)
         assert np.array_equal(doubled[: grid.n], psi.values)
         beyond = grid.extended(2.0).nodes[grid.n :]
         c = psi.values[-1] / eval_barrier(tag, grid.radius)
         assert np.allclose(doubled[grid.n :], c * eval_barrier(tag, beyond), rtol=1e-14, atol=0)
+
+    def test_untagged_weight_is_refused(self):
+        grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
+        psi = RadialField(grid, z_field(grid, 4.0).values)
+        with pytest.raises(ValueError, match="decay_tag"):
+            solve_singular_scalar(5, 0.0, 1.0, psi)
+
+    def test_options_are_keyword_only(self):
+        grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
+        with pytest.raises(TypeError):
+            solve_singular_scalar(5, 0.0, 1.0, z_field(grid, 4.0), 1e-9)
 
     def test_admissibility_predicate(self):
         assert not algebraic_scalar_admissible(5, 1.0, 2.0)
