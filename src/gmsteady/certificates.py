@@ -181,7 +181,7 @@ def verify_solution(
         rep_u, rep_v = representation_residual(problem, exponents, u, v)
 
     family = problem.family
-    window = _fit_window(family, u.grid.radius)
+    window = _fit_window(family, u.grid)
     fit_u = decay_fit(u, family, window)
     fit_v = decay_fit(v, family, window)
     bound, holds = convr_check(v)

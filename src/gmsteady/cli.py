@@ -313,12 +313,11 @@ def cmd_kernel(args) -> int:
         if not all(map(math.isfinite, values)):
             raise ValueError("kernel values leave float64 range on the requested radii")
         if args.lam > 0:
-            # the bounds go first: they reject an underflowing kernel before quad
             if args.r_min < 1.0 < args.r_max:
                 bounds = verify_kernel_bounds(params, r_values)
             mass = green_lambda_mass(params)
             if not math.isfinite(mass):
-                raise ValueError("kernel mass quadrature is not finite")
+                raise ValueError("kernel mass 1/lam leaves float64 range")
 
     header = ["r", "value", "mass_identity"]
     mass_cell = mass if mass is not None else ""

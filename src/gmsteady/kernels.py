@@ -145,17 +145,20 @@ def green_lambda(params: GreenParams, r):
 def green_lambda_mass(params: GreenParams) -> float:
     """omega_N * integral_0^inf s^(N-1) G_lambda(s) ds by adaptive quadrature.
 
-    Equals 1/lambda for the delta-calibrated kernel.  Raises ValueError
-    where the quadrature reports that it failed (a kernel spread over
-    1/sqrt(lambda) >> 1, for one).
+    Equals 1/lambda for the delta-calibrated kernel.  Since
+    G_lambda(s) = lambda^((N-2)/2) G_1(sqrt(lambda) s), the substitution
+    x = sqrt(lambda) s gives omega_N / lambda * integral x^(N-1) G_1(x) dx,
+    so the quadrature does not depend on lambda.  Raises ValueError
+    where the quadrature reports that it failed.
     """
     if params.shift <= 0:
         raise ValueError("mass identity requires shift > 0")
     n = params.dimension
     w = sphere_area(n)
+    unit = GreenParams(n, 1.0)
 
-    def integrand(s: float) -> float:
-        return s ** (n - 1) * green_lambda(params, s)
+    def integrand(x: float) -> float:
+        return x ** (n - 1) * green_lambda(unit, x)
 
     # split at 1: integrable r^(2-N)-type behaviour near 0, exponential tail
     total = 0.0
@@ -166,7 +169,7 @@ def green_lambda_mass(params: GreenParams) -> float:
             reason = trouble[0].splitlines()[0]
             raise ValueError(f"kernel mass quadrature on [{lo:g}, {hi:g}] failed: {reason}")
         total += val
-    return w * total
+    return w * total / params.shift
 
 
 def _log_green_lambda(params: GreenParams, rr: np.ndarray) -> np.ndarray:

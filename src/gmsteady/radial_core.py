@@ -11,10 +11,10 @@ second-order accurate for smooth fields, and yields an M-matrix for any
 shift >= 0, so the discrete maximum principle holds on every grid.
 
 At r = 0 symmetry gives a zero flux through the origin.  ``RadialOperator``
-assembles -Delta + shift once per grid and shift; the one-shot wrappers
-call it, and ``apply_radial_laplacian`` fills the last node, which has
-no right neighbour, by a one-sided cubic fit.  Grid builders refuse more
-than ``MAX_GRID_NODES`` nodes.
+assembles -Delta + shift once per grid (a new shift rewrites only its
+diagonal); the one-shot wrappers call it, and ``apply_radial_laplacian``
+fills the last node, which has no right neighbour, by a one-sided cubic
+fit.  Grid builders refuse more than ``MAX_GRID_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -193,29 +193,35 @@ class RadialOperator:
 
     ``shift`` is a nonnegative scalar or one value per node.  Only the
     constructor computes the flux weights g_i = r_{i+1/2}^(N-1)/h_i, the
-    cell volumes and the banded matrix (Dirichlet row at R).
+    cell volumes and the banded matrix (Dirichlet row at R);
+    ``set_shift`` rewrites the band's diagonal and nothing else.
     """
 
     def __init__(self, grid: RadialGrid, dimension: int, shift=0.0) -> None:
         if dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {dimension}")
-        shift = np.asarray(shift, dtype=float)
-        if shift.ndim and shift.shape != grid.nodes.shape:
-            raise ValueError("shift values must match the grid")
-        if not np.all(shift >= 0):
-            raise ValueError("shift must be >= 0")
         nodes = grid.nodes
-        shift = np.broadcast_to(shift, nodes.shape)
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         g = self._g = mid ** (dimension - 1) / np.diff(nodes)
         # control cell around node i: exact shell integral of r^(N-1)
         vol = self._vol = np.diff(mid**dimension / dimension, prepend=0.0)
-        # ab form; no flux through r = 0, and the last row is Dirichlet
+        # -Delta's diagonal; no flux through r = 0
+        self._diag = (np.concatenate(([0.0], g[:-1])) + g) / vol
+        # ab form; the last row is Dirichlet
         ab = self._band = np.zeros((3, nodes.size))
         ab[0, 1:] = -g / vol
-        ab[1, :-1] = (np.concatenate(([0.0], g[:-1])) + g) / vol + shift[:-1]
         ab[1, -1] = 1.0
         ab[2, :-2] = -g[:-1] / vol[1:]
+        self.set_shift(shift)
+
+    def set_shift(self, shift) -> None:
+        """Make the operator -Delta + ``shift`` (scalar or one value per node)."""
+        shift = np.asarray(shift, dtype=float)
+        if shift.ndim and shift.shape != self._band[1].shape:
+            raise ValueError("shift values must match the grid")
+        if not np.all(shift >= 0):
+            raise ValueError("shift must be >= 0")
+        self._band[1, :-1] = self._diag + np.broadcast_to(shift, self._band[1].shape)[:-1]
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""

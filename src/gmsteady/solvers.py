@@ -1,4 +1,4 @@
-"""Monotone iteration for the singular scalar problem and coupled fixed points.
+"""Newton's method for the singular scalar problem and coupled fixed points.
 
 Scalar problem.  Given a positive weight psi with declared decay and
 s > 0, the equation
@@ -6,17 +6,20 @@ s > 0, the equation
     -Delta v + mu v = psi(x) v^(-s),   v -> 0 at infinity,
 
 is solved between explicit sub/super-solutions c*B <= v <= C*B built
-from a barrier profile B.  The constructive scheme is a shifted
-monotone iteration: with a pointwise shift L(r) >= s*psi(r)*vlow(r)^(-s-1)
-the map
+from a barrier profile B.  The discrete residual
+F(v) = (-Delta + mu) v - psi v^(-s) is concave in v, and its Jacobian
+-Delta + mu + L(v), with the pointwise shift L(v) = s*psi*v^(-s-1), is
+a tridiagonal M-matrix.  So Newton's method
 
-    v  |->  (-Delta + mu + L)^(-1) (psi v^(-s) + L v)
+    v  |->  (-Delta + mu + L(v))^(-1) (psi v^(-s) + L(v) v),
 
-is order preserving on [vlow, vhigh], the iterates starting from vlow
-increase pointwise, and the limit is the minimal solution on the ball.
-The pointwise shift (rather than its supremum) keeps the contraction
-rate domain-independent, which matters for slowly decaying algebraic
-barriers on large balls.
+started from vlow, increases pointwise, stays below every solution
+above vlow and converges quadratically to the minimal solution on the
+ball (Ortega & Rheinboldt, Iterative Solution of Nonlinear Equations
+in Several Variables, 1970, section 13.3).  It is the shifted monotone
+iteration of Pao (1992) with the shift re-evaluated at each iterate:
+L(v) <= L(vlow) for v >= vlow, so each step is order preserving on
+[v, infinity).
 
 Coupled problems.  The fixed-point map updates u by a resolvent or
 Newtonian potential applied to u^p/v^q + rho and v by the scalar solve
@@ -67,7 +70,7 @@ _EXP_DROP = 1e12
 #: Starting radius for algebraic-family runs (the 1e12 drop rule would
 #: demand astronomically large balls for power-law decay).
 DEFAULT_ALG_RADIUS = 480.0
-#: Iteration cap of the scalar monotone loop and of the coupled Picard loop.
+#: Iteration cap of the scalar Newton loop and of the coupled Picard loop.
 MAX_ITER = 500
 
 
@@ -125,10 +128,7 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     (rate, rms residual).
     """
     r = field.grid.nodes
-    lo, hi = window
-    mask = (r >= lo) & (r <= hi)
-    if np.count_nonzero(mask) < 4:
-        raise ValueError("window contains fewer than 4 grid nodes")
+    mask = _window_mask(r, window)
     vals = field.values[mask]
     if np.any(vals <= 0):
         raise ValueError("field must be positive on the window")
@@ -146,12 +146,32 @@ def algebraic_scalar_admissible(dimension: int, s: float, gamma: float) -> bool:
     return 2.0 < gamma < (dimension - 2.0) * s + dimension
 
 
-def _fit_window(family: BarrierFamily, radius: float) -> tuple:
-    # Dirichlet truncation error decays exponentially inward for W runs
-    # but only algebraically for Z runs, so Z fits sit deeper inside.
+def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
+    """Nodes of ``r`` inside ``window``; a window with fewer than 4 is refused."""
+    lo, hi = window
+    mask = (r >= lo) & (r <= hi)
+    if np.count_nonzero(mask) < 4:
+        raise ValueError(f"decay-fit window [{lo:.6g}, {hi:.6g}] contains fewer than 4 grid nodes")
+    return mask
+
+
+def _fit_window(family: BarrierFamily, grid: RadialGrid, far: bool = False) -> tuple:
+    """Decay-fit window on ``grid``, refused (ValueError) if it holds fewer than 4 nodes.
+
+    Dirichlet truncation error decays exponentially inward for W runs
+    but only algebraically for Z runs, so Z fits sit deeper inside;
+    ``far`` moves a Z fit to the far field, for a field that carries no
+    truncation error.
+    """
+    radius = grid.radius
     if family is BarrierFamily.W:
-        return (0.35 * radius, 0.75 * radius)
-    return (0.04 * radius, 0.16 * radius)
+        window = (0.35 * radius, 0.75 * radius)
+    elif far:
+        window = (0.3 * radius, 0.7 * radius)
+    else:
+        window = (0.04 * radius, 0.16 * radius)
+    _window_mask(grid.nodes, window)
+    return window
 
 
 def _pde_residuals(
@@ -218,20 +238,25 @@ def _monotone_ball(
     tol_residual: float,
     trace: Optional[list] = None,
 ) -> tuple:
-    """Shifted monotone iteration from the sub-solution on a fixed ball.
+    """Newton's method from the sub-solution on a fixed ball.
 
     Returns (values, residual, iterations, monotone_ok).  The boundary
-    value is pinned to the sub-solution at R throughout.  The shift
-    mu + L is fixed, so one operator, assembled here, serves every
-    solve and every residual (which skips the Dirichlet node at R).
+    value is pinned to the sub-solution at R throughout.  One operator,
+    assembled here, serves every step and every residual (which skips
+    the Dirichlet node at R); a step rewrites only its diagonal
+    mu + L(v), and for s = 0, where L = 0, not even that.
     """
-    shift_l = s * psi_vals * v_low ** (-s - 1.0) if s > 0 else np.zeros_like(psi_vals)
-    op = RadialOperator(grid, dimension, shift_l + mu)
+    op = RadialOperator(grid, dimension, mu)
     v = v_low.copy()
     monotone_ok = True
     residual = math.inf
     for it in range(1, MAX_ITER + 1):
-        rhs_vals = psi_vals * np.maximum(v, v_low) ** (-s) + shift_l * v
+        w = np.maximum(v, v_low)
+        rhs_vals = psi_vals * w ** (-s)
+        if s > 0:
+            shift_l = s * psi_vals * w ** (-s - 1.0)
+            op.set_shift(shift_l + mu)
+            rhs_vals += shift_l * w
         v_new = op.solve(rhs_vals, v_low[-1])
         drop = float(np.min(v_new - v))
         if drop < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
@@ -303,6 +328,9 @@ def solve_singular_scalar(
     c_high = (big_m / lo) ** (1.0 / (s + 1.0))
 
     grid = psi.grid
+    # the fit window and the doubled ball come first, so a grid too coarse
+    # for the decay fit or over the node cap costs no solve
+    window = _fit_window(family, grid)
     big = grid.extended(2.0)
     trace: Optional[list] = [] if record_trace else None
 
@@ -324,7 +352,6 @@ def solve_singular_scalar(
     status, notes = _run_status(gap, allowance, sandwiched, res <= tol_residual and mono)
 
     radius = grid.radius
-    window = _fit_window(barrier.family, radius)
     field_out = RadialField(grid, vals, barrier)
     rate, fit_res = decay_fit(field_out, barrier.family, window)
 
@@ -430,12 +457,17 @@ def _coupled_report(
     tol_change: float,
     tol_residual: float,
 ) -> SolveReport:
-    # the doubled ball is built first, so a grid over the node cap costs no solve
+    fam = problem.family
+    # the fit windows and the doubled ball come first, so a grid too coarse
+    # for a decay fit or over the node cap costs no solve; u in the
+    # algebraic regime comes from a tail-closed potential, so it carries
+    # no truncation error and fits best in the far field
+    window_u = _fit_window(fam, grid, far=True)
+    window = _fit_window(fam, grid)
     big = grid.extended(2.0)
     u, v, b_u, b_v, margins, its, change, sandwiched = _picard_coupled(
         problem, exponents, ledger, grid, tol_change, tol_residual
     )
-    fam = problem.family
 
     # re-run on the doubled ball and compare on the original one
     u2, v2, *_rest, sandwiched2 = _picard_coupled(
@@ -457,10 +489,6 @@ def _coupled_report(
     converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
     status, notes = _run_status(gap, allowance, sandwiched and sandwiched2, converged)
 
-    window = _fit_window(fam, grid.radius)
-    # u in the algebraic regime comes from a tail-closed potential, so it
-    # carries no truncation error and fits best in the far field
-    window_u = window if fam is BarrierFamily.W else (0.3 * grid.radius, 0.7 * grid.radius)
     decay = {
         "u": decay_fit(u_field, fam, window_u),
         "v": decay_fit(v_field, fam, window),

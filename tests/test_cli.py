@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gmsteady import solvers
 from gmsteady.barriers import Exponents, Problem, SourceModel, classify
 from gmsteady.cli import _jsonable, main
 
@@ -258,6 +259,19 @@ def test_solve_bad_grid_exit_code(tmp_path, capsys, flag, value):
     _assert_one_line_error(capsys)
 
 
+def test_solve_coarse_fit_window_exits_before_any_solve(tmp_path, capsys, monkeypatch):
+    # R = 30 with h0 = 0.5 and stretch 1.3 puts 2 nodes in the W fit window
+    def no_solve(*args):
+        raise AssertionError("the coupled solve ran")
+
+    monkeypatch.setattr(solvers, "_picard_coupled", no_solve)
+    rc = run(["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "30", "--h0", "0.5",
+              "--stretch", "1.3", "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 @pytest.mark.parametrize("flag", ["--p", "--q", "--m", "--s", "--lam", "--mu",
                                   "--alpha", "--beta", "--rate", "--rho-amplitude",
@@ -286,8 +300,8 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, args):
 @pytest.mark.parametrize("args", [
     # the kernel overflows float64 below r ~ 1e-154 in N = 4
     ["kernel", "-N", "4", "--r-max", "1e-176"],
-    # the mass quadrature cannot follow a kernel spread over 1e150
-    ["kernel", "--lam", "1e-300"],
+    # the mass 1/lam of a subnormal shift overflows
+    ["kernel", "--lam", "1e-320"],
     # r^2 overflows in the bubble
     ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "1e200",
      "--nodes", "100"],
@@ -371,6 +385,18 @@ def test_solve_report_is_strict_json(tmp_path):
     assert rc == 0
     payload = json.loads(report.read_text(), parse_constant=_reject_constant)
     assert payload["verdict"]["ledger"]["aux"]["epsilon"] == "inf"
+
+
+@pytest.mark.parametrize("args", [["-N", "4", "--lam", "1e-8"],
+                                  *(["-N", str(n), "--lam", "1e-20"] for n in range(3, 8))])
+def test_kernel_small_shift_mass(tmp_path, args):
+    # the mass quadrature runs in x = sqrt(lam) r, so a kernel spread far
+    # beyond r = 1 costs it nothing
+    report = tmp_path / "k.json"
+    assert run(["kernel", *args, "--report", str(report)]) == 0
+    payload = json.loads(report.read_text())
+    lam = payload["lam"]
+    assert abs(payload["mass_integral"] - 1.0 / lam) <= 1e-8 / lam
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf", "5.5e5", "1e6"])

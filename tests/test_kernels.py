@@ -135,6 +135,13 @@ def test_delta_calibration_mass_identity(n, lam):
     assert abs(mass - 1.0 / lam) <= 1e-8 / lam
 
 
+@pytest.mark.parametrize("n, lam", [(3, 1e-300), (7, 1e-20), (5, 1e300)])
+def test_mass_identity_at_extreme_shifts(n, lam):
+    # the quadrature runs in x = sqrt(lam) s, so it does not see lam
+    mass = green_lambda_mass(GreenParams(n, lam))
+    assert abs(mass - 1.0 / lam) <= 1e-8 / lam
+
+
 def test_near_field_bound_small_radius():
     # near the origin the kernel behaves like the unshifted one
     params = GreenParams(3, 1.0)

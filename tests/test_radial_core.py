@@ -255,6 +255,26 @@ def test_operator_matches_reference_stencil_and_band(dimension, array_shift):
     )
 
 
+def test_set_shift_matches_a_fresh_assembly():
+    rng = np.random.default_rng(7)
+    grid = RadialGrid.graded(12.0, 70, 1.04)
+    f = rng.random(grid.n)
+    op = RadialOperator(grid, 4, 1.0)
+    for shift in (2.5 * rng.random(grid.n), 0.5, 3.0 * rng.random(grid.n)):
+        op.set_shift(shift)
+        ab = _reference_band(grid.nodes, 4, np.broadcast_to(shift, grid.nodes.shape))
+        b = f.copy()
+        b[-1] = 0.25
+        assert np.array_equal(op.solve(f, 0.25), solve_banded((1, 1), ab, b))
+        assert np.array_equal(op.solve(f, 0.25), RadialOperator(grid, 4, shift).solve(f, 0.25))
+    # a refused shift leaves the operator as it was
+    before = op.solve(f, 0.25)
+    for bad in (-1.0, np.full(grid.n, -1.0), np.ones(grid.n - 1)):
+        with pytest.raises(ValueError, match="shift"):
+            op.set_shift(bad)
+        assert np.array_equal(op.solve(f, 0.25), before)
+
+
 def test_field_roundtrip(tmp_path):
     g = RadialGrid.graded(3.0, 33, 1.04)
     field = RadialField(g, np.sin(g.nodes) + 2.0)

@@ -44,6 +44,56 @@ def z_field(grid, rate):
     )
 
 
+def reference_ball(newton):
+    """``_monotone_ball`` with a band assembled per step and the full -Delta applied.
+
+    With ``newton`` the shift L = s psi v^(-s-1) is re-evaluated at each
+    iterate (Newton's method); otherwise it stays at its value at v_low,
+    the fixed-shift monotone iteration of Pao.
+    """
+    def ball(dimension, mu, s, psi_vals, grid, v_low, tol_residual, trace=None):
+        v = v_low.copy()
+        monotone_ok = True
+        residual = math.inf
+        for it in range(1, solvers.MAX_ITER + 1):
+            w = np.maximum(v, v_low)
+            shift_l = s * psi_vals * (w if newton else v_low) ** (-s - 1.0)
+            rhs = RadialField(grid, psi_vals * w ** (-s) + shift_l * (w if newton else v))
+            v_new = solve_linear_radial_variable(dimension, shift_l + mu, rhs, v_low[-1]).values
+            if float(np.min(v_new - v)) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
+                monotone_ok = False
+            v = v_new
+            lap = apply_radial_laplacian(RadialField(grid, v), dimension)
+            res = lap.values + mu * v - psi_vals * np.maximum(v, v_low) ** (-s)
+            residual = float(np.max(np.abs(res[:-1])))
+            if trace is not None:
+                trace.append(solvers.IterationState(
+                    grid.radius, it, RadialField(grid, v.copy()), residual, monotone_ok))
+            if residual <= tol_residual:
+                return v, residual, it, monotone_ok
+        return v, residual, solvers.MAX_ITER, monotone_ok
+
+    return ball
+
+
+def assert_matches_fixed_shift(run, monkeypatch):
+    # Newton stops near the discrete solution; the fixed-shift iteration
+    # gets there only at a 1000 times tighter residual
+    rep = run()
+    fixed_shift = reference_ball(newton=False)
+    counts = []
+
+    def tight(dimension, mu, s, psi_vals, grid, v_low, tol_residual, trace=None):
+        out = fixed_shift(dimension, mu, s, psi_vals, grid, v_low, tol_residual / 1000.0)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_monotone_ball", tight)
+    ref = run()
+    assert max(counts) < solvers.MAX_ITER
+    assert np.max(np.abs(rep.v.values - ref.v.values)) <= 1e-8 * np.max(ref.v.values)
+
+
 class TestScalarExponential:
     def run(self, record_trace=False):
         grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
@@ -72,43 +122,24 @@ class TestScalarExponential:
             prev = state
 
     def test_trace_matches_per_iteration_assembly(self, monkeypatch):
-        # the monotone loop as it stood when every pass assembled its own
-        # band and applied the full -Delta; the shared operator must
-        # leave every traced iterate unchanged
-        def per_iteration_ball(dimension, mu, s, psi_vals, grid, v_low, tol_residual,
-                               trace=None, ball_radius=None):
-            shift_l = s * psi_vals * v_low ** (-s - 1.0)
-            shift_total = shift_l + mu
-            v = v_low.copy()
-            monotone_ok = True
-            residual = math.inf
-            for it in range(1, solvers.MAX_ITER + 1):
-                rhs = RadialField(grid, psi_vals * np.maximum(v, v_low) ** (-s) + shift_l * v)
-                v_new = solve_linear_radial_variable(dimension, shift_total, rhs, v_low[-1]).values
-                if float(np.min(v_new - v)) < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
-                    monotone_ok = False
-                v = v_new
-                lap = apply_radial_laplacian(RadialField(grid, v), dimension)
-                res = lap.values + mu * v - psi_vals * np.maximum(v, v_low) ** (-s)
-                residual = float(np.max(np.abs(res[:-1])))
-                trace.append(solvers.IterationState(
-                    ball_radius if ball_radius is not None else grid.radius,
-                    it, RadialField(grid, v.copy()), residual, monotone_ok))
-                if residual <= tol_residual:
-                    return v, residual, it, monotone_ok
-            return v, residual, solvers.MAX_ITER, monotone_ok
-
+        # the shared operator, whose diagonal each Newton step rewrites,
+        # must trace the iterates of Newton with a band assembled per step
         rep = self.run(record_trace=True)
-        monkeypatch.setattr(solvers, "_monotone_ball", per_iteration_ball)
+        monkeypatch.setattr(solvers, "_monotone_ball", reference_ball(newton=True))
         ref = self.run(record_trace=True)
         assert len(rep.trace) == len(ref.trace) > 1
         for got, want in zip(rep.trace, ref.trace):
             assert (got.ball_radius, got.iterate_index) == (want.ball_radius, want.iterate_index)
             assert np.array_equal(got.v.grid.nodes, want.v.grid.nodes)
-            assert np.array_equal(got.v.values, want.v.values)
-            assert got.residual == want.residual
+            np.testing.assert_allclose(got.v.values, want.v.values, rtol=1e-13, atol=0)
             assert got.monotone_flag == want.monotone_flag
-        assert np.array_equal(rep.v.values, ref.v.values)
+        np.testing.assert_allclose(rep.v.values, ref.v.values, rtol=1e-13, atol=0)
+
+    def test_agrees_with_tight_fixed_shift_iteration(self, monkeypatch):
+        assert_matches_fixed_shift(self.run, monkeypatch)
+
+    def test_newton_iteration_count(self):
+        assert self.run().iterations <= 16
 
     def test_exponential_rate(self):
         rep = self.run()
@@ -141,6 +172,12 @@ class TestScalarAlgebraic:
         rep = self.run()
         rate, _ = rep.decay["v"]
         assert rate == pytest.approx(1.0, rel=0.03)
+
+    def test_agrees_with_tight_fixed_shift_iteration(self, monkeypatch):
+        assert_matches_fixed_shift(self.run, monkeypatch)
+
+    def test_newton_iteration_count(self):
+        assert self.run().iterations <= 16
 
     def test_nonexistence_below_gamma_two(self):
         grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
@@ -281,6 +318,21 @@ class TestCoupledAlgebraic:
         assert lo_v >= 1.0 - 1e-9 and hi_v <= cap_v * (1.0 + 1e-9)
         assert rep.decay["u"][0] == pytest.approx(2.0, rel=0.03)
         assert rep.decay["v"][0] == pytest.approx(1.0, rel=0.03)
+
+    def test_inner_newton_iteration_counts(self, alg_worked_case, monkeypatch):
+        problem, exponents, ledger, _ = alg_worked_case
+        counts = []
+        real_ball = solvers._monotone_ball
+
+        def spy(*args):
+            out = real_ball(*args)
+            counts.append(out[2])
+            return out
+
+        monkeypatch.setattr(solvers, "_monotone_ball", spy)
+        rep = solve_coupled_alg(problem, exponents, ledger)
+        assert rep.status is SolveStatus.CONVERGED
+        assert counts and max(counts) <= 10, counts
 
     def test_refuses_boundary_rate(self):
         exponents = Exponents(5.0, 2.0, 2.0, 1.0)
