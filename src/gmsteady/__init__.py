@@ -18,7 +18,6 @@ from .barriers import (
     ConstantsLedger,
     Exponents,
     Problem,
-    SourceKind,
     SourceModel,
     Verdict,
     VerdictStatus,
@@ -68,7 +67,6 @@ __all__ = [
     "RadialGrid",
     "SolveReport",
     "SolveStatus",
-    "SourceKind",
     "SourceModel",
     "Verdict",
     "VerdictStatus",

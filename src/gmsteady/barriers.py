@@ -46,7 +46,6 @@ __all__ = [
     "Problem",
     "Regime",
     "SandwichCheck",
-    "SourceKind",
     "SourceModel",
     "Verdict",
     "VerdictStatus",
@@ -107,25 +106,19 @@ def sigma_index(exponents: Exponents) -> float:
     return exponents.m * exponents.q / ((exponents.p - 1.0) * (exponents.s + 1.0))
 
 
-class SourceKind(Enum):
-    ZERO = "zero"
-    EXP_ENVELOPE = "exp-envelope"
-    ALG_ENVELOPE = "alg-envelope"
-    TABULATED = "tabulated"
-
-
 @dataclass(frozen=True)
 class SourceModel:
     """Source term rho with a declared envelope.
 
-    Envelope kinds assert alpha * E(r) <= rho <= beta * E(r) where E is
-    the W (exp) or Z (alg) profile with the given rate.  ``profile``
-    makes the model evaluable: a float c means rho = c * E with
-    alpha <= c <= beta (midpoint by default), a RadialField is used as
-    tabulated data.
+    ``family`` W (exp) or Z (alg) asserts alpha * E(r) <= rho <= beta * E(r),
+    E that family's profile with the given rate; the existence results
+    need it to equal ``Problem.family``.  It is None for the zero source
+    and for tabulated data, a RadialField ``profile``.  A float profile c
+    makes an envelope evaluable as rho = c * E, alpha <= c <= beta
+    (midpoint by default).
     """
 
-    kind: SourceKind
+    family: Optional[BarrierFamily] = None
     alpha: float = 0.0
     beta: float = 0.0
     rate: float = 1.0
@@ -137,52 +130,51 @@ class SourceModel:
             numbers.append(self.profile)
         if not all(map(math.isfinite, numbers)):
             raise ValueError("source alpha, beta, rate and amplitude must be finite")
-        if self.kind is SourceKind.ZERO:
-            if self.alpha != 0.0 or self.beta != 0.0:
+        if self.family is None:
+            if self.profile is None and (self.alpha != 0.0 or self.beta != 0.0):
                 raise ValueError("zero source forces alpha = beta = 0")
+            if self.profile is not None and not isinstance(self.profile, RadialField):
+                raise ValueError("tabulated source needs a RadialField profile")
             return
-        if self.kind in (SourceKind.EXP_ENVELOPE, SourceKind.ALG_ENVELOPE):
-            if not (0.0 < self.alpha <= self.beta):
-                raise ValueError("envelope requires 0 < alpha <= beta")
-            if not self.rate > 0:
-                raise ValueError("envelope rate must be positive")
-            if isinstance(self.profile, (int, float)):
-                c = float(self.profile)
-                if not (self.alpha <= c <= self.beta):
-                    raise ValueError("profile amplitude must lie in [alpha, beta]")
-        if self.kind is SourceKind.TABULATED and not isinstance(self.profile, RadialField):
-            raise ValueError("tabulated source needs a RadialField profile")
+        if not (0.0 < self.alpha <= self.beta):
+            raise ValueError("envelope requires 0 < alpha <= beta")
+        if not self.rate > 0:
+            raise ValueError("envelope rate must be positive")
+        if isinstance(self.profile, (int, float)):
+            c = float(self.profile)
+            if not (self.alpha <= c <= self.beta):
+                raise ValueError("profile amplitude must lie in [alpha, beta]")
 
     @classmethod
     def zero(cls) -> "SourceModel":
-        return cls(SourceKind.ZERO)
+        return cls()
 
     @classmethod
     def exp_envelope(
         cls, alpha: float, beta: float, rate: float, amplitude: Optional[float] = None
     ) -> "SourceModel":
-        return cls(SourceKind.EXP_ENVELOPE, alpha, beta, rate, amplitude)
+        return cls(BarrierFamily.W, alpha, beta, rate, amplitude)
 
     @classmethod
     def alg_envelope(
         cls, alpha: float, beta: float, rate: float, amplitude: Optional[float] = None
     ) -> "SourceModel":
-        return cls(SourceKind.ALG_ENVELOPE, alpha, beta, rate, amplitude)
+        return cls(BarrierFamily.Z, alpha, beta, rate, amplitude)
 
     @classmethod
     def tabulated(cls, profile: RadialField) -> "SourceModel":
-        return cls(SourceKind.TABULATED, profile=profile)
+        return cls(profile=profile)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.family is None and self.profile is None
 
     @property
     def envelope_profile(self) -> Optional[BarrierProfile]:
-        if self.kind is SourceKind.EXP_ENVELOPE:
-            return BarrierProfile(BarrierFamily.W, self.rate)
-        if self.kind is SourceKind.ALG_ENVELOPE:
-            return BarrierProfile(BarrierFamily.Z, self.rate)
-        return None
+        return None if self.family is None else BarrierProfile(self.family, self.rate)
 
     def amplitude(self) -> float:
-        """Evaluable amplitude for envelope kinds (midpoint unless pinned)."""
+        """Evaluable amplitude of an envelope (midpoint unless pinned)."""
         if isinstance(self.profile, (int, float)):
             return float(self.profile)
         return 0.5 * (self.alpha + self.beta)
@@ -190,14 +182,11 @@ class SourceModel:
     def evaluate(self, r) -> np.ndarray:
         """rho(r) on an array of radii."""
         rr = np.asarray(r, dtype=float)
-        if self.kind is SourceKind.ZERO:
-            return np.zeros_like(rr)
-        if self.kind is SourceKind.TABULATED:
-            assert isinstance(self.profile, RadialField)
+        if self.family is None:
+            if self.profile is None:
+                return np.zeros_like(rr)
             return np.interp(rr, self.profile.grid.nodes, self.profile.values)
-        env = self.envelope_profile
-        assert env is not None
-        return self.amplitude() * np.asarray(eval_barrier(env, rr), dtype=float)
+        return self.amplitude() * np.asarray(eval_barrier(self.envelope_profile, rr), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -601,6 +590,8 @@ def classify(problem: Problem, exponents: Exponents) -> Verdict:
     p, m = exponents.p, exponents.m
     shifted = problem.lam > 0
     rho = problem.rho
+    # the existence rules need a source envelope of the regime's family
+    matched = rho.family is problem.family
 
     if shifted and p <= 1.0:
         return Verdict(
@@ -615,9 +606,7 @@ def classify(problem: Problem, exponents: Exponents) -> Verdict:
             f"Theorem 1.2(i): zero shifts with p <= N/(N-2) = {n / (n - 2.0)} "
             f"or m <= 2/(N-2) = {2.0 / (n - 2.0)} admit no positive solutions.",
         )
-    if not shifted and rho.kind is SourceKind.ALG_ENVELOPE and rho.rate <= 2.0 * (
-        1.0 + 1.0 / m
-    ):
+    if not shifted and matched and rho.rate <= 2.0 * (1.0 + 1.0 / m):
         return Verdict(
             VerdictStatus.NONEXISTENCE,
             "Theorem 1.4(i)",
@@ -625,29 +614,24 @@ def classify(problem: Problem, exponents: Exponents) -> Verdict:
             f"2(1+1/m) = {2.0 * (1.0 + 1.0 / m)} forces a divergent representation.",
         )
 
-    if shifted and rho.kind is SourceKind.EXP_ENVELOPE and p > 1.0:
-        try:
-            sig = sigma_index(exponents)
-        except UndefinedIndexError:  # pragma: no cover - p > 1 checked above
-            sig = math.inf
-        if sig <= 1.0:
-            ledger = exp_regime_ledger(
-                exponents, n, problem.lam, problem.mu, rho.alpha, rho.beta, rho.rate
+    if shifted and matched and sigma_index(exponents) <= 1.0:
+        ledger = exp_regime_ledger(
+            exponents, n, problem.lam, problem.mu, rho.alpha, rho.beta, rho.rate
+        )
+        if ledger.feasible:
+            return Verdict(
+                VerdictStatus.EXISTENCE_GUARANTEED,
+                "Theorem 1.1(iii)",
+                "Theorem 1.1(iii): feasible exponential-regime ledger; "
+                "a solution with exponential decay exists inside the sandwich.",
+                ledger=ledger,
             )
-            if ledger.feasible:
-                return Verdict(
-                    VerdictStatus.EXISTENCE_GUARANTEED,
-                    "Theorem 1.1(iii)",
-                    "Theorem 1.1(iii): feasible exponential-regime ledger; "
-                    "a solution with exponential decay exists inside the sandwich.",
-                    ledger=ledger,
-                )
-            return _unknown(problem, exponents, f"exponential ledger infeasible: {ledger.violated}")
+        return _unknown(problem, exponents, f"exponential ledger infeasible: {ledger.violated}")
 
-    if not shifted and rho.kind is SourceKind.ALG_ENVELOPE:
+    if not shifted and matched:
         try:
             ledger = alg_regime_ledger(exponents, n, rho.alpha, rho.beta, rho.rate)
-        except (RegimeError, UndefinedIndexError) as exc:
+        except RegimeError as exc:
             return _unknown(problem, exponents, f"algebraic regime not applicable: {exc}")
         if ledger.feasible:
             return Verdict(
@@ -665,11 +649,8 @@ def classify(problem: Problem, exponents: Exponents) -> Verdict:
 def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
     advisories = []
     if problem.lam > 0 and exponents.p > 1:
-        try:
-            sig = sigma_index(exponents)
-        except UndefinedIndexError:
-            sig = None
-        if sig is not None and sig > 1.0:
+        sig = sigma_index(exponents)
+        if sig > 1.0:
             thresh = (exponents.m / (exponents.s + 1.0)) ** 2 * problem.lam
             if problem.mu > thresh:
                 advisories.append(

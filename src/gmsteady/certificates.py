@@ -29,10 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import Exponents, Problem, SourceKind
+from .barriers import Exponents, Problem
 from .errors import HypothesisError
 from .potentials import convr_check, representation_residual
-from .profiles import BarrierFamily
 from .radial_core import RadialField, RadialGrid, RadialOperator
 from .solvers import _fit_window, _pde_residuals, decay_fit
 
@@ -191,7 +190,7 @@ def verify_solution(
     crit_high = (n + 2.0) / (n - 2.0)
     in_window = (
         problem.lam == 0.0
-        and problem.rho.kind is SourceKind.ZERO
+        and problem.rho.is_zero
         and crit_low < exponents.p < crit_high
     )
     if in_window and holds:
@@ -199,7 +198,7 @@ def verify_solution(
             "Theorem 1.2(iv): bounded radial gradient ratio contradicts existence "
             f"for N/(N-2) < p = {exponents.p} < (N+2)/(N-2) with zero source"
         )
-    if in_window and family is BarrierFamily.Z:
+    if in_window:
         rate_cap = ((n - 2.0) * exponents.s + n) / exponents.m
         if fit_u[0] < rate_cap:
             flags.append(

@@ -203,12 +203,10 @@ def _problem_from_args(args, **overrides) -> tuple:
     exponents = Exponents(vals["p"], vals["q"], vals["m"], vals["s"])
     if args.rho == "zero":
         rho = SourceModel.zero()
-    elif args.rho in _ENVELOPES:
+    else:
         rho = _ENVELOPES[args.rho](
             vals["alpha"], vals["beta"], vals["rate"], getattr(args, "rho_amplitude", None)
         )
-    else:
-        raise ValueError(f"unknown source kind {args.rho!r}")
     return Problem(args.dimension, vals["lam"], vals["mu"], rho), exponents
 
 
@@ -218,6 +216,8 @@ def cmd_region(args) -> int:
         name, values = _parse_sweep(spec)
         if name not in _SWEEPABLE:
             raise ValueError(f"cannot sweep {name!r}; choose from {sorted(_SWEEPABLE)}")
+        if any(name == seen for seen, _ in sweeps):
+            raise ValueError(f"--sweep {name} is given more than once")
         sweeps.append((name, values))
     if not sweeps:
         raise ValueError("region needs at least one --sweep")
@@ -289,9 +289,9 @@ def cmd_verify(args) -> int:
     u = read_field(args.u_field)
     v = read_field(args.v_field)
     problem, exponents = _problem_from_args(args)
-    if args.u_rate:
+    if args.u_rate is not None:
         u.decay_tag = BarrierProfile(problem.family, args.u_rate)
-    if args.v_rate:
+    if args.v_rate is not None:
         v.decay_tag = BarrierProfile(problem.family, args.v_rate)
     cert = verify_solution(
         problem, exponents, u, v, representation=not args.no_representation

@@ -46,7 +46,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy import special
 
-from .barriers import SourceKind, SourceModel
+from .barriers import SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import GreenParams, green_lambda, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
@@ -296,7 +296,7 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     rate_u_rhs = _combined_tail_rate(u, exponents.p, v, exponents.q)
     rate_v_rhs = _combined_tail_rate(u, exponents.m, v, exponents.s)
     rho_vals = problem.rho.evaluate(r)
-    if problem.rho.kind in (SourceKind.EXP_ENVELOPE, SourceKind.ALG_ENVELOPE):
+    if problem.rho.family is not None:
         rate_u_rhs = min(rate_u_rhs, problem.rho.rate)
     if rate_u_rhs <= 0 or rate_v_rhs <= 0:
         raise ValueError("right-hand sides do not decay; representation undefined")
@@ -372,7 +372,7 @@ def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
     """
     n = dimension
     w = sphere_area(n)
-    if rho.kind is SourceKind.ZERO:
+    if rho.is_zero:
         return DivergenceReport(DivergenceVerdict.CONVERGENT, value=0.0)
     env = rho.envelope_profile
     if env is not None:
@@ -381,7 +381,7 @@ def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
             return weighted_antiderivative(env, r)
 
         shells = _dyadic_shells(lambda lo, hi: rho.beta * w * (anti(hi) - anti(lo)))
-        if rho.kind is SourceKind.ALG_ENVELOPE and rho.rate <= 2.0:
+        if rho.family is BarrierFamily.Z and rho.rate <= 2.0:
             law = f"shell integrand ~ r^({1.0 - rho.rate}); rate a = {rho.rate} <= 2"
             return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)
         total = rho.beta * w * -anti(0.0)  # F(inf) - F(0), F(inf) = 0
@@ -456,11 +456,11 @@ def divergence_probe_nested(dimension: int, rho: SourceModel, m: float) -> Diver
     n = dimension
     if m <= 0:
         raise ValueError("exponent m must be positive")
-    if rho.kind is SourceKind.ZERO:
+    if rho.is_zero:
         return DivergenceReport(DivergenceVerdict.CONVERGENT, value=0.0)
 
-    if rho.kind in (SourceKind.ALG_ENVELOPE, SourceKind.EXP_ENVELOPE):
-        if rho.kind is SourceKind.ALG_ENVELOPE:
+    if rho.family is not None:
+        if rho.family is BarrierFamily.Z:
             if rho.rate <= 2.0:
                 law = f"inner potential diverges (rate a = {rho.rate} <= 2)"
                 return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law)

@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import ConstantsLedger, Exponents, Problem, Regime, SourceKind, operator_bounds
+from .barriers import ConstantsLedger, Exponents, Problem, Regime, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
 from .potentials import newton_potential_radial
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
@@ -392,7 +392,6 @@ def _picard_coupled(
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     fam = problem.family
-    exp_regime = fam is BarrierFamily.W
     b_u = BarrierProfile(fam, ledger.rate_u)
     b_v = BarrierProfile(fam, ledger.rate_v)
     env_u = np.asarray(eval_barrier(b_u, grid.nodes), dtype=float)
@@ -411,13 +410,13 @@ def _picard_coupled(
         return {"u": margin_u, "v": margin_v}, inside_u and inside_v
 
     margins, _ = sandwich(u, v)
-    # the resolvent of -Delta + lam is the same on every iteration of this ball
-    resolvent = RadialOperator(grid, n, problem.lam) if exp_regime else None
+    # W runs: the resolvent of -Delta + lam is the same on every iteration of this ball
+    resolvent = RadialOperator(grid, n, problem.lam) if fam is BarrierFamily.W else None
 
     it, change = 0, math.inf
     for it in range(1, MAX_ITER + 1):
         rhs_u_vals = u**p / v**q + rho_vals
-        if exp_regime:
+        if resolvent is not None:
             u_new = resolvent.solve(rhs_u_vals, ledger.m1_lower * env_u[-1])
         else:
             rhs_u = RadialField(grid, rhs_u_vals, problem.rho.envelope_profile)
@@ -457,7 +456,13 @@ def _coupled_report(
     tol_change: float,
     tol_residual: float,
 ) -> SolveReport:
+    """Both regimes' solve and doubled-ball check; callers check ledger regime and shifts."""
+    if not ledger.feasible:
+        raise RegimeError(f"ledger infeasible: {ledger.violated}")
     fam = problem.family
+    if problem.rho.family is not fam:
+        regime = ledger.regime.name.lower()
+        raise RegimeError(f"{regime} regime expects an {regime} source envelope")
     # the fit windows and the doubled ball come first, so a grid too coarse
     # for a decay fit or over the node cap costs no solve; u in the
     # algebraic regime comes from a tail-closed potential, so it carries
@@ -526,12 +531,8 @@ def solve_coupled_exp(
     """
     if ledger.regime is not Regime.EXPONENTIAL:
         raise RegimeError("expected an exponential-regime ledger")
-    if not ledger.feasible:
-        raise RegimeError(f"ledger infeasible: {ledger.violated}")
     if problem.family is not BarrierFamily.W:
         raise RegimeError(f"exponential regime needs positive shifts, got lam = {problem.lam}")
-    if problem.rho.kind is not SourceKind.EXP_ENVELOPE:
-        raise RegimeError("exponential regime expects an exponential source envelope")
     if grid is None:
         radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
         grid = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
@@ -557,12 +558,8 @@ def solve_coupled_alg(
     """
     if ledger.regime is not Regime.ALGEBRAIC:
         raise RegimeError("expected an algebraic-regime ledger")
-    if not ledger.feasible:
-        raise RegimeError(f"ledger infeasible: {ledger.violated}")
     if problem.family is not BarrierFamily.Z:
         raise RegimeError(f"algebraic regime needs zero shifts, got lam = {problem.lam}")
-    if problem.rho.kind is not SourceKind.ALG_ENVELOPE:
-        raise RegimeError("algebraic regime expects an algebraic source envelope")
     if grid is None:
         grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02)
     return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)

@@ -242,6 +242,19 @@ def test_source_model_validation():
     assert np.all(zero.evaluate(np.array([0.0, 2.0])) == 0.0)
 
 
+def test_source_model_family():
+    assert SourceModel.exp_envelope(1.0, 2.0, 1.0).family is BarrierFamily.W
+    alg = SourceModel.alg_envelope(1.0, 2.0, 3.0)
+    assert alg.family is BarrierFamily.Z and not alg.is_zero
+    assert alg.envelope_profile == BarrierProfile(BarrierFamily.Z, 3.0)
+    zero = SourceModel.zero()
+    assert zero.family is None and zero.is_zero and zero.envelope_profile is None
+    grid = RadialGrid.uniform(2.0, 17)
+    table = SourceModel.tabulated(RadialField(grid, 1.0 - 0.5 * grid.nodes))
+    assert table.family is None and not table.is_zero
+    assert table.evaluate(np.array([0.1])) == pytest.approx([0.95])
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         Problem(3, 1.0, 0.0, SourceModel.zero())  # mixed shift signs
@@ -294,6 +307,18 @@ def test_classify_unknown_and_advisory():
         Exponents(5, 2, 0.5, 1),
     )
     assert v.status is VerdictStatus.NONEXISTENCE  # m <= 2/(N-2) fails first
+
+
+@pytest.mark.parametrize("problem, exponents", [
+    # the alg worked case with an exp envelope at zero shifts
+    (Problem(5, 0.0, 0.0, SourceModel.exp_envelope(0.01, 0.015, 4.0)), Exponents(5, 2, 2, 1)),
+    # the README exp point with an alg envelope
+    (Problem(3, 4096.0, 16.0, SourceModel.alg_envelope(1.0, 2.0, 1.0)), Exponents(2, 1, 1, 0)),
+])
+def test_classify_source_of_the_other_family_is_unknown(problem, exponents):
+    v = classify(problem, exponents)
+    assert v.status is VerdictStatus.UNKNOWN and v.reason == "unknown: no criterion applies"
+    assert v.ledger is None and v.advisories == []
 
 
 def test_classify_deterministic_and_total(rng):

@@ -447,6 +447,20 @@ def test_config_sweeps_add_to_flag_sweeps(tmp_path):
     assert rows[0] == ["index", "p", "m", "status", "tag"] and len(rows) == 11
 
 
+@pytest.mark.parametrize("conf_text, flags", [
+    (None, ["--sweep", "p=1.1,2", "--sweep", "p=3,4"]),
+    ("sweep = p=1.1,2\n", ["--sweep", "p=3,4"]),
+])
+def test_region_repeated_sweep_name_exit_code(tmp_path, capsys, conf_text, flags):
+    conf = _config(tmp_path, conf_text) if conf_text else []
+    report, table = tmp_path / "r.json", tmp_path / "r.csv"
+    rc = run(["region", "-N", "3", "--m", "5", *conf, *flags, "--report", str(report),
+              "--out-table", str(table)])
+    assert rc == 1
+    _assert_one_line_error(capsys)
+    assert not report.exists() and not table.exists()
+
+
 def test_config_paths_are_text(tmp_path, monkeypatch):
     # "1" and "2" are file names, not file descriptors
     monkeypatch.chdir(tmp_path)
@@ -509,6 +523,24 @@ def _assert_one_line_unconverged(capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("unconverged: ")
     return lines[0]
+
+
+@pytest.mark.parametrize("point, flag, reason", [
+    (_EXP_POINT, "--u-rate", "W profile requires rate > 0, got 0.0"),
+    (_EXP_POINT, "--v-rate", "W profile requires rate > 0, got 0.0"),
+    (_ALG_POINT, "--u-rate", "right-hand sides do not decay; representation undefined"),
+])
+def test_verify_rate_zero_is_used(tmp_path, capsys, point, flag, reason):
+    u, v = str(tmp_path / "u.txt"), str(tmp_path / "v.txt")
+    assert run(["solve", *point, "--report", str(tmp_path / "s.json"),
+                "--out-u", u, "--out-v", v]) == 0
+    capsys.readouterr()
+    rates = {"--u-rate": "1", "--v-rate": "1", flag: "0"}
+    rc = run(["verify", *point, "--u-field", u, "--v-field", v,
+              *[token for pair in rates.items() for token in pair],
+              "--report", str(tmp_path / "v.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {reason}"]
 
 
 def test_verify_cor3_unconverged_reason(tmp_path, capsys):

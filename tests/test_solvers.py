@@ -273,6 +273,14 @@ class TestCoupledExponential:
         with pytest.raises(RegimeError, match="positive shifts"):
             solve_coupled_exp(problem, exponents, ledger)
 
+    @pytest.mark.parametrize("rho", [SourceModel.alg_envelope(1.0, 2.0, 1.0, 1.5),
+                                     SourceModel.zero()])
+    def test_refuses_source_of_another_family(self, exp_worked_case, rho):
+        problem, exponents, ledger, _ = exp_worked_case
+        problem = Problem(3, problem.lam, problem.mu, rho)
+        with pytest.raises(RegimeError, match="expects an exponential source envelope"):
+            solve_coupled_exp(problem, exponents, ledger)
+
     def test_singular_inner_equation(self):
         # s > 0 exercises the singular v-update inside the coupled loop
         exponents = Exponents(2.0, 1.0, 1.0, 1.0)  # sigma = 1/2, b = 1/2
@@ -353,6 +361,12 @@ class TestCoupledAlgebraic:
         with pytest.raises(RegimeError, match="zero shifts"):
             solve_coupled_alg(problem, exponents, ledger)
 
+
+    def test_refuses_exponential_source(self, alg_worked_case):
+        _, exponents, ledger, _ = alg_worked_case
+        problem = Problem(5, 0.0, 0.0, SourceModel.exp_envelope(0.01, 0.015, 4.0, 0.0125))
+        with pytest.raises(RegimeError, match="expects an algebraic source envelope"):
+            solve_coupled_alg(problem, exponents, ledger)
 
 class TestRandomFeasiblePoints:
     """The machinery must hold up across the feasible region, not just at
