@@ -34,7 +34,6 @@ from .potentials import (
     DivergenceVerdict,
     bessel_potential_radial,
     convr_check,
-    divergence_probe_nested,
     divergence_probe_rho,
     newton_potential_radial,
     representation_residual,
@@ -79,7 +78,6 @@ __all__ = [
     "closed_form_exponents",
     "convr_check",
     "decay_fit",
-    "divergence_probe_nested",
     "divergence_probe_rho",
     "eval_barrier",
     "exp_regime_ledger",

@@ -22,9 +22,10 @@ r^(2-N) for 0 < r < 1 (near field).  ``verify_kernel_bounds`` measures
 the sandwich constants on a grid.
 
 Bessel evaluation is delegated to scipy.special (kv/kve); the scaled
-variant kve avoids premature underflow.  Values that would fall below
-the smallest normal double are returned as exact 0 rather than
-subnormal noise, so an exact 0 is the underflow indicator; every
+variant kve avoids premature underflow.  ``bessel_k`` returns values
+that would fall below the smallest normal double as exact 0 rather
+than subnormal noise, so there an exact 0 is the underflow indicator;
+``green_lambda`` does not flush, and may return a subnormal.  Every
 consumer dominates such tails by a barrier anyway.
 """
 

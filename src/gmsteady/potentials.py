@@ -15,11 +15,11 @@ for radial g, to a one-dimensional kernel:
             = (r s)^(1-N/2) I_nu(k * min(r,s)) K_nu(k * max(r,s)),
 
 with k = sqrt(lam) and nu = N/2 - 1.  The closed product form (the
-spherical mean evaluated analytically) is what production code uses;
-the angular-quadrature form is kept for cross-checks.  All Bessel
-factors are evaluated in exponentially scaled form so the scheme never
-overflows, and tails beyond the grid are closed using the declared
-decay model of the source.
+spherical mean evaluated analytically) is what the shifted potential
+uses; the angular-quadrature form is the tests' oracle for it.  All
+Bessel factors are evaluated in exponentially scaled form so the
+scheme never overflows, and tails beyond the grid are closed using the
+declared decay model of the source.
 
 Both potentials integrate the source's cubic-spline interpolant with
 one Gauss-piece rule: equal pieces of at most 8 e-folds of e^(k r) per
@@ -27,10 +27,11 @@ grid interval (one 8-point piece when k = 0, 12-point pieces otherwise),
 evaluated as whole arrays (the shifted potential in runs of at most
 _PIECE_BLOCK pieces, which bounds its memory at large k).
 
-Divergence probes classify improper integrals by exact exponent tests
-for envelope sources and by dyadic shell sums otherwise.  Numerics
-cannot prove divergence for tabulated data, so the shell heuristic
-(eight consecutive non-decaying shells) is reported honestly as such.
+The divergence probe classifies the source's improper integral by the
+exact exponent test for envelope sources and by dyadic shell sums
+otherwise.  Numerics cannot prove divergence for tabulated data, so
+the shell heuristic (eight consecutive non-decaying shells) is
+reported honestly as such.
 """
 
 from __future__ import annotations
@@ -39,16 +40,15 @@ import functools
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy import special
 
 from .barriers import SourceModel
 from .errors import NonIntegrableTailError
-from .kernels import GreenParams, green_lambda, sphere_area
+from .kernels import sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
 from .radial_core import RadialField, RadialGrid
 
@@ -57,10 +57,8 @@ __all__ = [
     "DivergenceReport",
     "newton_potential_radial",
     "bessel_potential_radial",
-    "spherical_mean_kernel",
     "representation_residual",
     "divergence_probe_rho",
-    "divergence_probe_nested",
     "convr_check",
 ]
 
@@ -226,48 +224,6 @@ def bessel_potential_radial(
     return RadialField(source.grid, u, out_tag)
 
 
-def spherical_mean_kernel(
-    params: GreenParams, r: float, s: float, method: str = "closed"
-) -> float:
-    """Angular surface integral of G_lambda over the sphere of radius s.
-
-        S(r, s) = |S^(N-2)| int_0^pi G_lambda(d(t)) sin(t)^(N-2) dt,
-        d(t) = sqrt(r^2 + s^2 - 2 r s cos t).
-
-    ``method="closed"`` evaluates the equivalent Bessel product
-    (r s)^(1-N/2) I_nu(k min) K_nu(k max); ``method="quad"`` performs
-    the angular quadrature (reference implementation, used to validate
-    the closed form).
-    """
-    if r <= 0 or s <= 0:
-        raise ValueError("radii must be positive")
-    n = params.dimension
-    if params.shift <= 0:
-        raise ValueError("spherical mean kernel requires shift > 0")
-    k = math.sqrt(params.shift)
-    nu = n / 2.0 - 1.0
-    if method == "closed":
-        lo, hi = (r, s) if r <= s else (s, r)
-        return float(
-            (r * s) ** (1.0 - n / 2.0)
-            * special.ive(nu, k * lo)
-            * special.kve(nu, k * hi)
-            * math.exp(k * (lo - hi))
-        )
-    if method != "quad":
-        raise ValueError(f"unknown method {method!r}")
-    area = sphere_area(n - 1)
-
-    def integrand(t: float) -> float:
-        d = math.sqrt(max(r * r + s * s - 2.0 * r * s * math.cos(t), 0.0))
-        if d == 0.0:
-            return 0.0
-        return green_lambda(params, d) * math.sin(t) ** (n - 2)
-
-    val, _ = quad(integrand, 0.0, math.pi, limit=200, epsabs=1e-13, epsrel=1e-11)
-    return area * val
-
-
 def _combined_tail_rate(
     base: RadialField, power: float, other: RadialField, other_power: float
 ) -> float:
@@ -331,7 +287,7 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
 
 
 # ---------------------------------------------------------------------------
-# divergence probes
+# divergence probe
 # ---------------------------------------------------------------------------
 
 
@@ -356,11 +312,6 @@ class DivergenceReport:
     shell_sums: list = dfield(default_factory=list)
 
 
-def _dyadic_shells(shell: Callable[[float, float], float]) -> list:
-    """[(2^(j+1), shell(2^j, 2^(j+1))) for j < 12]: the envelope probes' shells."""
-    return [(2.0 ** (j + 1), shell(2.0**j, 2.0 ** (j + 1))) for j in range(12)]
-
-
 def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
     """Classify integral of rho(x) |x|^(2-N) over R^N.
 
@@ -377,10 +328,9 @@ def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
     env = rho.envelope_profile
     if env is not None:
         # the integrand is |S^(N-1)| s rho(s) <= beta |S^(N-1)| s E(s)
-        def anti(r):
-            return weighted_antiderivative(env, r)
-
-        shells = _dyadic_shells(lambda lo, hi: rho.beta * w * (anti(hi) - anti(lo)))
+        anti = functools.partial(weighted_antiderivative, env)
+        shells = [(2.0 ** (j + 1), rho.beta * w * (anti(2.0 ** (j + 1)) - anti(2.0**j)))
+                  for j in range(12)]
         if rho.family is BarrierFamily.Z and rho.rate <= 2.0:
             law = f"shell integrand ~ r^({1.0 - rho.rate}); rate a = {rho.rate} <= 2"
             return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)
@@ -441,48 +391,6 @@ def _classify_shells(shells: list, head: float = 0.0) -> DivergenceReport:
             shell_sums=shells,
         )
     return DivergenceReport(DivergenceVerdict.INCONCLUSIVE, shell_sums=shells)
-
-
-def divergence_probe_nested(dimension: int, rho: SourceModel, m: float) -> DivergenceReport:
-    """Classify integral of |x|^(2-N) (G_0-potential of rho)^m over R^N.
-
-    For envelope sources the inner potential obeys the analytic lower
-    bound ~ r^(2-a_eff) with a_eff = min(a, N) (the potential of an
-    integrable source decays no slower than r^(2-N)), so the outer
-    integrand scales like r^(1 - m(a_eff - 2)) on dyadic shells; the
-    exact exponent test decides.  Tabulated sources use the numeric
-    inner potential and shell heuristics.
-    """
-    n = dimension
-    if m <= 0:
-        raise ValueError("exponent m must be positive")
-    if rho.is_zero:
-        return DivergenceReport(DivergenceVerdict.CONVERGENT, value=0.0)
-
-    if rho.family is not None:
-        if rho.family is BarrierFamily.Z:
-            if rho.rate <= 2.0:
-                law = f"inner potential diverges (rate a = {rho.rate} <= 2)"
-                return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law)
-            a_eff = min(rho.rate, float(n))
-        else:
-            a_eff = float(n)  # integrable source: inner ~ r^(2-N)
-        outer_exp = 1.0 - m * (a_eff - 2.0)
-
-        def shell(lo, hi):  # int_lo^hi r^outer_exp dr
-            if outer_exp == -1.0:
-                return math.log(2.0)
-            return (hi ** (outer_exp + 1.0) - lo ** (outer_exp + 1.0)) / (outer_exp + 1.0)
-
-        shells = _dyadic_shells(shell)
-        if m * (a_eff - 2.0) <= 2.0:
-            law = f"outer integrand ~ r^({outer_exp}), m(a-2) = {m * (a_eff - 2.0)} <= 2"
-            return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)
-        return DivergenceReport(DivergenceVerdict.CONVERGENT, shell_sums=shells)
-
-    assert isinstance(rho.profile, RadialField)
-    inner = newton_potential_radial(n, rho.profile)
-    return _tabulated_probe(n, inner.grid, inner.values**m)
 
 
 def convr_check(v: RadialField):

@@ -400,8 +400,16 @@ def _picard_coupled(
 
     u = ledger.m1_lower * env_u
     v = ledger.m2_lower * env_v
-    if not np.all(v > 0):
-        raise HypothesisError(f"M2_lower * B_v underflows to 0 within radius {grid.radius:g}")
+    # the margins divide by both lower barriers, and the loop raises v to -q
+    # and -s-1: refuse the ball before either power or margin leaves float64
+    for name, low in (("M1_lower * B_u", u), ("M2_lower * B_v", v)):
+        if not np.min(low) >= np.finfo(float).tiny:
+            raise HypothesisError(f"{name} underflows below the smallest normal double "
+                                  f"within radius {grid.radius:g}")
+    power = max(q, s + 1.0)
+    if -power * math.log(np.min(v)) > math.log(np.finfo(float).max):
+        raise HypothesisError(f"(M2_lower * B_v)^(-{power:g}) overflows "
+                              f"within radius {grid.radius:g}")
     v_low_guard = ledger.m2_lower * env_v
 
     def sandwich(u, v):

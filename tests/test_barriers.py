@@ -276,6 +276,28 @@ def test_classify_nonexistence_rules():
     assert v.status is VerdictStatus.NONEXISTENCE and v.tag == "Theorem 1.4(i)"
 
 
+# Zero shifts: the potential of a source of rate a decays like
+# r^(2 - min(a, N)), so the representation of v diverges iff
+# m (min(a, N) - 2) <= 2; rule 3 decides a < N, rule 2's m <= 2/(N-2)
+# decides a >= N and every exponential source
+@pytest.mark.parametrize("n, rho, exponents, tag", [
+    # m(a-2) = 2: the tie a = 2(1+1/m) is nonexistence
+    (3, SourceModel.alg_envelope(1.0, 1.0, 8.0 / 3.0), Exponents(4, 1, 3, 1), "Theorem 1.4(i)"),
+    # a = 5 > N: m = 1 <= 2/(N-2)
+    (3, SourceModel.alg_envelope(1.0, 1.0, 5.0), Exponents(4, 1, 1, 1), "Theorem 1.2(i)"),
+    # the alg worked case: m(a-2) = 4
+    (5, SourceModel.alg_envelope(0.01, 0.015, 4.0), Exponents(5, 2, 2, 1), None),
+    (3, SourceModel.exp_envelope(1.0, 1.0, 1.0), Exponents(4, 1, 2, 1), "Theorem 1.2(i)"),
+    (3, SourceModel.exp_envelope(1.0, 1.0, 1.0), Exponents(4, 1, 3, 1), None),
+])
+def test_classify_divergent_representation_rules(n, rho, exponents, tag):
+    v = classify(Problem(n, 0.0, 0.0, rho), exponents)
+    if tag is None:
+        assert v.status is not VerdictStatus.NONEXISTENCE
+    else:
+        assert v.status is VerdictStatus.NONEXISTENCE and v.tag == tag
+
+
 def test_classify_existence_rules():
     v = classify(
         Problem(3, 4096.0, 16.0, SourceModel.exp_envelope(1.0, 2.0, 1.0)),

@@ -363,12 +363,22 @@ def test_solve_ledger_overflow_point_refused(tmp_path, capsys):
 
 def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys):
     # lam = 1e300 certifies M2_lower ~ 1.6e-302, and M2_lower * B_v
-    # underflows to 0 on the doubled ball
-    args = ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--report", str(tmp_path / "s.json")]
-    args[args.index("--lam") + 1] = "1e300"
-    rc = run(args)
-    assert rc == 2
-    assert "underflows" in _assert_one_line_refusal(capsys)
+    # underflows to 0 on the doubled ball; at s = 12 and 30 M1_lower * B_u
+    # leaves the normal range, and at m = 2, s = 12 (M2_lower * B_v)^(-13)
+    # overflows while u stays normal
+    for changes, reason in [({"--lam": "1e300"}, "underflows"),
+                            ({"--s": "12"}, "underflows"),
+                            ({"--s": "30"}, "underflows"),
+                            ({"--m": "2", "--s": "12"}, "^(-13) overflows")]:
+        args = ["solve", *_EXP_POINT, "--rho-amplitude", "1.5",
+                "--report", str(tmp_path / "s.json")]
+        for name, value in changes.items():
+            args[args.index(name) + 1] = value
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(args)
+        assert rc == 2 and caught == []
+        assert reason in _assert_one_line_refusal(capsys)
 
 
 def _reject_constant(name):

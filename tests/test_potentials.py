@@ -3,21 +3,20 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from gmsteady.barriers import Exponents, Problem, SourceModel, barrier_operator_value
 from gmsteady.errors import NonIntegrableTailError
 from gmsteady import potentials
-from gmsteady.kernels import GreenParams, green_lambda
+from gmsteady.kernels import GreenParams, green_lambda, sphere_area
 from gmsteady.potentials import (
     DivergenceVerdict,
     bessel_potential_radial,
     convr_check,
-    divergence_probe_nested,
     divergence_probe_rho,
     newton_potential_radial,
     representation_residual,
-    spherical_mean_kernel,
 )
 from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier
 from gmsteady.radial_core import RadialField, RadialGrid, apply_radial_laplacian
@@ -144,14 +143,36 @@ def test_bessel_requires_positive_shift():
         bessel_potential_radial(3, 0.0, RadialField(g, np.zeros(g.n)))
 
 
+def _spherical_mean_quad(params, r, s):
+    """Angular surface integral of G_lambda over the sphere of radius s:
+
+        S(r, s) = |S^(N-2)| int_0^pi G_lambda(d(t)) sin(t)^(N-2) dt,
+        d(t) = sqrt(r^2 + s^2 - 2 r s cos t).
+    """
+    n = params.dimension
+
+    def integrand(t):
+        d = math.sqrt(max(r * r + s * s - 2.0 * r * s * math.cos(t), 0.0))
+        if d == 0.0:
+            return 0.0
+        return green_lambda(params, d) * math.sin(t) ** (n - 2)
+
+    val, _ = quad(integrand, 0.0, math.pi, limit=200, epsabs=1e-13, epsrel=1e-11)
+    return sphere_area(n - 1) * val
+
+
 def test_spherical_mean_closed_form_matches_quadrature():
-    # the factored Bessel product equals the angular surface integral
+    # the factored Bessel product that bessel_potential_radial evaluates,
+    # (r s)^(1-N/2) I_nu(k min) K_nu(k max) in scaled form, equals the
+    # angular surface integral
     for n, lam in [(3, 2.0), (4, 1.0), (5, 3.0)]:
         params = GreenParams(n, lam)
+        k, nu = math.sqrt(lam), n / 2.0 - 1.0
         for r, s in [(0.5, 1.5), (2.0, 2.0), (3.0, 0.2), (1.0, 4.0)]:
-            closed = spherical_mean_kernel(params, r, s, "closed")
-            quad = spherical_mean_kernel(params, r, s, "quad")
-            assert closed == pytest.approx(quad, rel=1e-9)
+            lo, hi = min(r, s), max(r, s)
+            closed = ((r * s) ** (1.0 - n / 2.0) * special.ive(nu, k * lo)
+                      * special.kve(nu, k * hi) * math.exp(k * (lo - hi)))
+            assert closed == pytest.approx(_spherical_mean_quad(params, r, s), rel=1e-9)
 
 
 def test_representation_residual_closed_form_pair():
@@ -231,32 +252,6 @@ def test_divergence_probe_rho_tabulated():
     assert rep.value == pytest.approx(4.0 * math.pi * 1.5**2 / 2.0, rel=0.2)
 
 
-def test_divergence_probe_nested_exact_tests():
-    rep = divergence_probe_nested(3, SourceModel.alg_envelope(1.0, 1.0, 8.0 / 3.0), 3.0)
-    assert rep.verdict is DivergenceVerdict.DIVERGENT  # m(a-2) = 2 boundary
-
-    # a = 5 > N = 3: the potential of an integrable source decays no faster
-    # than r^(2-N), so the effective inner rate is min(a, N) = 3 and the
-    # nested integral diverges for m = 1 (consistent with m <= 2/(N-2))
-    rep = divergence_probe_nested(3, SourceModel.alg_envelope(1.0, 1.0, 5.0), 1.0)
-    assert rep.verdict is DivergenceVerdict.DIVERGENT
-
-    # a = 4 < N = 5, m = 2: outer integrand ~ r^(1-4), convergent (this is
-    # the feasible existence configuration, so it must converge)
-    rep = divergence_probe_nested(5, SourceModel.alg_envelope(1.0, 1.0, 4.0), 2.0)
-    assert rep.verdict is DivergenceVerdict.CONVERGENT
-
-    rep = divergence_probe_nested(3, SourceModel.zero(), 2.0)
-    assert rep.verdict is DivergenceVerdict.CONVERGENT and rep.value == 0.0
-
-    # inner potential of an integrable source decays like r^(2-N):
-    # divergent iff m (N-2) <= 2
-    rep = divergence_probe_nested(3, SourceModel.exp_envelope(1.0, 1.0, 1.0), 2.0)
-    assert rep.verdict is DivergenceVerdict.DIVERGENT
-    rep = divergence_probe_nested(3, SourceModel.exp_envelope(1.0, 1.0, 1.0), 3.0)
-    assert rep.verdict is DivergenceVerdict.CONVERGENT
-
-
 def test_convr_check_profiles():
     g = RadialGrid.auto(100.0, h0=0.01, stretch=1.02)
     v_alg = RadialField(g, np.asarray(eval_barrier(BarrierProfile(BarrierFamily.Z, 3.0), g.nodes)))
@@ -273,20 +268,6 @@ def test_convr_check_profiles():
 
     with pytest.raises(ValueError):
         convr_check(RadialField(g, np.zeros(g.n)))
-
-
-@pytest.mark.parametrize("rate, m", [(3.0, 1.0), (4.0, 2.0), (2.5, 3.0)])
-def test_divergence_probe_nested_tabulated_matches_rho_probe(rate, m):
-    g = RadialGrid.auto(3000.0, h0=0.1, stretch=1.05)
-    prof = RadialField(g, (1.0 + g.nodes**2) ** (-rate / 2.0),
-                       BarrierProfile(BarrierFamily.Z, rate))
-    nested = divergence_probe_nested(3, SourceModel.tabulated(prof), m)
-    inner = newton_potential_radial(3, prof)
-    direct = divergence_probe_rho(3, SourceModel.tabulated(RadialField(g, inner.values**m)))
-    assert len(nested.shell_sums) >= 8
-    assert nested.shell_sums == direct.shell_sums
-    assert nested.verdict is direct.verdict
-    assert nested.value == direct.value
 
 
 @pytest.mark.parametrize("n, shift, a, radius", [
