@@ -21,11 +21,15 @@ Bessel factors are evaluated in exponentially scaled form so the
 scheme never overflows, and tails beyond the grid are closed using the
 declared decay model of the source.
 
-Both potentials integrate the source's cubic-spline interpolant with
-one Gauss-piece rule: equal pieces of at most 8 e-folds of e^(k r) per
-grid interval (one 8-point piece when k = 0, 12-point pieces otherwise),
-evaluated as whole arrays (the shifted potential in runs of at most
-_PIECE_BLOCK pieces, which bounds its memory at large k).
+Both potentials integrate the source's not-a-knot cubic-spline
+interpolant with one Gauss-piece rule: equal pieces of at most 8
+e-folds of e^(k r) per grid interval (one 8-point piece when k = 0,
+12-point pieces otherwise), evaluated as whole arrays (the shifted
+potential in runs of at most _PIECE_BLOCK pieces, which bounds its
+memory at large k).  The spline is built in house: its slopes come from
+one LAPACK ``dgtsv`` call with ``scipy.interpolate.CubicSpline``'s own
+arithmetic, and it is evaluated in ``PPoly``'s order, so its values are
+scipy's bit for bit without importing ``scipy.interpolate``.
 
 The divergence probe classifies the source's improper integral by the
 exact exponent test for envelope sources and by dyadic shell sums
@@ -43,14 +47,13 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy import special
 
 from .barriers import SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
-from .radial_core import RadialField, RadialGrid
+from .radial_core import RadialField, RadialGrid, _gtsv
 
 __all__ = [
     "DivergenceVerdict",
@@ -96,6 +99,46 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
         yield mid[:, None] + half[:, None] * _gauss(npts)[0], half, owner
 
 
+def _not_a_knot(r: np.ndarray, g: np.ndarray):
+    """The not-a-knot cubic spline through (r, g) as ``spline(pts, owner)``.
+
+    ``spline(pts, owner)`` evaluates it at ``pts`` (one row per piece)
+    with row i inside interval [r[owner[i]], r[owner[i]+1]].  The slopes
+    solve CubicSpline's tridiagonal system, the coefficients are
+    CubicHermiteSpline's and each value is PPoly's sum
+    c0 + c1 x + c2 x^2 + c3 x^3 with the powers accumulated, all in
+    scipy's operation order, and so are its refusals (ValueError) of
+    non-finite nodes, values or slopes.  Needs at least 4 nodes.
+    """
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g))):
+        raise ValueError("spline nodes and values must be finite")
+    dx = np.diff(r)
+    slope = np.diff(g) / dx
+    # system for the slopes: rows 1..n-2 match second derivatives, the end
+    # rows make the third derivative continuous at r[1] and r[-2]
+    d0, d1 = r[2] - r[0], r[-1] - r[-3]
+    lower = np.concatenate((dx[1:], [d1]))
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    upper = np.concatenate(([d0], dx[:-1]))
+    b = np.empty(r.size)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    dydx = _gtsv(lower, diag, upper, b)
+    if not np.all(np.isfinite(dydx)):
+        raise ValueError("spline slopes must be finite")
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
+    coef = (g[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx)
+
+    def spline(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        c0, c1, c2, c3 = (c[owner, None] for c in coef)
+        x = pts - r[owner, None]
+        z = x * x
+        return c0 + c1 * x + c2 * z + c3 * (z * x)
+
+    return spline
+
+
 def _cumulative_weighted(pts, half, g_pts, power: float) -> np.ndarray:
     """int_0^{r_i} s^power g(s) ds from one Gauss piece per grid interval.
 
@@ -128,8 +171,8 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     # int_R^inf s g(s) ds = -c F(R), where F(inf) = 0
     tail_j = -source.tail(source.grid.radius, weighted_antiderivative)
 
-    pts, half, _ = next(_gauss_pieces(r, 8))
-    g_pts = CubicSpline(r, g)(pts)
+    pts, half, owner = next(_gauss_pieces(r, 8))
+    g_pts = _not_a_knot(r, g)(pts, owner)
     inner = _cumulative_weighted(pts, half, g_pts, n - 1)  # int_0^r s^(N-1) g
     j_cum = _cumulative_weighted(pts, half, g_pts, 1)  # int_0^r s g
     outer = (j_cum[-1] - j_cum) + tail_j  # int_r^inf s g
@@ -177,12 +220,12 @@ def bessel_potential_radial(
         return half[:, None] * wg * vals * pts ** (n / 2.0)
 
     nnode = r.size
-    spline = CubicSpline(r, g)
+    spline = _not_a_knot(r, g)
     ip_int, iq_int = np.zeros((2, nnode - 1))
     # the piece count grows like sqrt(shift) * R; summing run by run
     # bounds the memory
     for pts, half, owner in _gauss_pieces(r, 12, k, _PIECE_BLOCK):
-        core = weighted(pts, half, spline(pts))
+        core = weighted(pts, half, spline(pts, owner))
         ip = core * special.ive(nu, k * pts) * np.exp(k * (pts - r[1:][owner, None]))
         iq = core * special.kve(nu, k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
         ip_int += np.bincount(owner, np.sum(ip, axis=1), minlength=nnode - 1)

@@ -12,7 +12,10 @@ shift >= 0, so the discrete maximum principle holds on every grid.
 
 At r = 0 symmetry gives a zero flux through the origin.  ``RadialOperator``
 assembles -Delta + shift once per grid (a new shift rewrites only its
-diagonal); the one-shot wrappers call it, and ``apply_radial_laplacian``
+diagonal) and solves by calling LAPACK's tridiagonal ``dgtsv`` on the
+band's three diagonals directly, the routine ``solve_banded`` would
+dispatch to, with its finiteness and singularity checks kept in the
+operator.  The one-shot wrappers call it, and ``apply_radial_laplacian``
 fills the last node, which has no right neighbour, by a one-sided cubic
 fit.  Grid builders refuse more than ``MAX_GRID_NODES`` nodes.
 """
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import FieldParseError
 from .profiles import BarrierProfile, eval_barrier
@@ -188,18 +191,34 @@ class RadialField:
         return amp * np.asarray((form or eval_barrier)(tag, r), dtype=float)
 
 
+def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the tridiagonal system with these three diagonals for the right side b.
+
+    One LAPACK ``dgtsv`` call, the routine ``solve_banded((1, 1), ...)``
+    dispatches to, with its arithmetic and its errors but none of its
+    wrapper; the diagonals are copied, and b is overwritten by the solution.
+    """
+    *_, x, info = dgtsv(lower, diag, upper, b, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dgtsv")
+    return x
+
+
 class RadialOperator:
     """-Delta + shift in flux form on one grid, assembled once and reused.
 
-    ``shift`` is a nonnegative scalar or one value per node.  Only the
-    constructor computes the flux weights g_i = r_{i+1/2}^(N-1)/h_i, the
-    cell volumes and the banded matrix (Dirichlet row at R);
+    ``shift`` is a finite nonnegative scalar or one value per node.  Only
+    the constructor computes the flux weights g_i = r_{i+1/2}^(N-1)/h_i,
+    the cell volumes and the banded matrix (Dirichlet row at R);
     ``set_shift`` rewrites the band's diagonal and nothing else.
     """
 
     def __init__(self, grid: RadialGrid, dimension: int, shift=0.0) -> None:
         if dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {dimension}")
+        self.grid, self.dimension = grid, dimension
         nodes = grid.nodes
         mid = 0.5 * (nodes[:-1] + nodes[1:])
         g = self._g = mid ** (dimension - 1) / np.diff(nodes)
@@ -219,9 +238,11 @@ class RadialOperator:
         shift = np.asarray(shift, dtype=float)
         if shift.ndim and shift.shape != self._band[1].shape:
             raise ValueError("shift values must match the grid")
-        if not np.all(shift >= 0):
-            raise ValueError("shift must be >= 0")
-        self._band[1, :-1] = self._diag + np.broadcast_to(shift, self._band[1].shape)[:-1]
+        if not np.all((shift >= 0) & (shift < np.inf)):
+            raise ValueError("shift must be finite and >= 0")
+        self._band[1, :-1] = self._diag + (shift[:-1] if shift.ndim else shift)
+        # a grid too wide for float64 flux weights makes a band that solve refuses
+        self._finite = bool(np.isfinite(self._band).all())
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""
@@ -234,7 +255,12 @@ class RadialOperator:
             raise ValueError("boundary value must be finite")
         b = np.array(rhs_values, dtype=float)
         b[-1] = boundary_value
-        u = solve_banded((1, 1), self._band, b)
+        if not self._finite:
+            raise ValueError("operator band must be finite")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("right side must be finite")
+        ab = self._band
+        u = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
         if not np.all(np.isfinite(u)):
             raise RuntimeError("radial solve produced non-finite values")
         return u

@@ -229,24 +229,26 @@ def _run_status(gap: float, allowance: float, sandwiched: bool, converged: bool)
 
 
 def _monotone_ball(
-    dimension: int,
+    op: RadialOperator,
     mu: float,
     s: float,
     psi_vals: np.ndarray,
-    grid: RadialGrid,
     v_low: np.ndarray,
     tol_residual: float,
     trace: Optional[list] = None,
 ) -> tuple:
-    """Newton's method from the sub-solution on a fixed ball.
+    """Newton's method from the sub-solution on the ball of ``op``.
 
     Returns (values, residual, iterations, monotone_ok).  The boundary
-    value is pinned to the sub-solution at R throughout.  One operator,
-    assembled here, serves every step and every residual (which skips
-    the Dirichlet node at R); a step rewrites only its diagonal
-    mu + L(v), and for s = 0, where L = 0, not even that.
+    value is pinned to the sub-solution at R throughout.  The caller's
+    operator on the ball serves every step and every residual (which
+    skips the Dirichlet node at R); a step rewrites only its diagonal
+    mu + L(v), and for s = 0, where L = 0, the diagonal is set to mu
+    once.
     """
-    op = RadialOperator(grid, dimension, mu)
+    grid = op.grid
+    if s == 0:
+        op.set_shift(mu)
     v = v_low.copy()
     monotone_ok = True
     residual = math.inf
@@ -338,7 +340,7 @@ def solve_singular_scalar(
         env = np.asarray(eval_barrier(barrier, g.nodes), dtype=float)
         v_low = c_low * env
         vals, res, its, mono = _monotone_ball(
-            n, shift, s, psi_vals, g, v_low, tol_residual, trace
+            RadialOperator(g, n), shift, s, psi_vals, v_low, tol_residual, trace
         )
         return vals, env, res, its, mono
 
@@ -376,40 +378,55 @@ def solve_singular_scalar(
 # ---------------------------------------------------------------------------
 
 
+def _ball_envelopes(
+    ledger: ConstantsLedger,
+    exponents: Exponents,
+    b_u: BarrierProfile,
+    b_v: BarrierProfile,
+    grid: RadialGrid,
+) -> tuple:
+    """(B_u, B_v) on ``grid``; a ball on which the Picard loop leaves float64 is refused.
+
+    The margins divide by both lower barriers, and the loop raises v to
+    -q and -s-1: M1_lower B_u and M2_lower B_v must stay normal doubles
+    on ``grid``, and neither power of M2_lower B_v may overflow
+    (HypothesisError otherwise).
+    """
+    env_u = np.asarray(eval_barrier(b_u, grid.nodes), dtype=float)
+    env_v = np.asarray(eval_barrier(b_v, grid.nodes), dtype=float)
+    low_v = ledger.m2_lower * env_v
+    for name, low in (("M1_lower * B_u", ledger.m1_lower * env_u), ("M2_lower * B_v", low_v)):
+        if not np.min(low) >= np.finfo(float).tiny:
+            raise HypothesisError(f"{name} underflows below the smallest normal double "
+                                  f"within radius {grid.radius:g}")
+    power = max(exponents.q, exponents.s + 1.0)
+    if -power * math.log(np.min(low_v)) > math.log(np.finfo(float).max):
+        raise HypothesisError(f"(M2_lower * B_v)^(-{power:g}) overflows "
+                              f"within radius {grid.radius:g}")
+    return env_u, env_v
+
+
 def _picard_coupled(
     problem: Problem,
     exponents: Exponents,
     ledger: ConstantsLedger,
     grid: RadialGrid,
+    envelopes: tuple,
     tol_change: float,
     tol_residual: float,
 ) -> tuple:
-    """Shared Picard loop.
+    """Shared Picard loop on a ball whose ``_ball_envelopes`` are given.
 
-    Returns (u, v, barrier profile of u, of v, final sandwich margins,
-    iteration count, last change, whether every iterate stayed inside).
+    Returns (u, v, final sandwich margins, iteration count, last change,
+    whether every iterate stayed inside).
     """
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
-    fam = problem.family
-    b_u = BarrierProfile(fam, ledger.rate_u)
-    b_v = BarrierProfile(fam, ledger.rate_v)
-    env_u = np.asarray(eval_barrier(b_u, grid.nodes), dtype=float)
-    env_v = np.asarray(eval_barrier(b_v, grid.nodes), dtype=float)
+    env_u, env_v = envelopes
     rho_vals = problem.rho.evaluate(grid.nodes)
 
     u = ledger.m1_lower * env_u
     v = ledger.m2_lower * env_v
-    # the margins divide by both lower barriers, and the loop raises v to -q
-    # and -s-1: refuse the ball before either power or margin leaves float64
-    for name, low in (("M1_lower * B_u", u), ("M2_lower * B_v", v)):
-        if not np.min(low) >= np.finfo(float).tiny:
-            raise HypothesisError(f"{name} underflows below the smallest normal double "
-                                  f"within radius {grid.radius:g}")
-    power = max(q, s + 1.0)
-    if -power * math.log(np.min(v)) > math.log(np.finfo(float).max):
-        raise HypothesisError(f"(M2_lower * B_v)^(-{power:g}) overflows "
-                              f"within radius {grid.radius:g}")
     v_low_guard = ledger.m2_lower * env_v
 
     def sandwich(u, v):
@@ -418,8 +435,10 @@ def _picard_coupled(
         return {"u": margin_u, "v": margin_v}, inside_u and inside_v
 
     margins, _ = sandwich(u, v)
-    # W runs: the resolvent of -Delta + lam is the same on every iteration of this ball
-    resolvent = RadialOperator(grid, n, problem.lam) if fam is BarrierFamily.W else None
+    # one operator per ball for each field: the resolvent of -Delta + lam
+    # (W runs) and the scalar solve's -Delta + mu + L(v)
+    resolvent = RadialOperator(grid, n, problem.lam) if problem.family is BarrierFamily.W else None
+    v_op = RadialOperator(grid, n)
 
     it, change = 0, math.inf
     for it in range(1, MAX_ITER + 1):
@@ -432,11 +451,10 @@ def _picard_coupled(
 
         psi_vals = u_new**m
         v_new, _, _, _ = _monotone_ball(
-            n,
+            v_op,
             problem.mu,
             s,
             psi_vals,
-            grid,
             v_low_guard,
             tol_residual * max(ledger.m2_lower, 1e-300),
         )
@@ -449,11 +467,11 @@ def _picard_coupled(
 
         margins, inside = sandwich(u, v)
         if not inside:
-            return u, v, b_u, b_v, margins, it, change, False
+            return u, v, margins, it, change, False
         if change <= tol_change:
             break
 
-    return u, v, b_u, b_v, margins, it, change, True
+    return u, v, margins, it, change, True
 
 
 def _coupled_report(
@@ -478,13 +496,18 @@ def _coupled_report(
     window_u = _fit_window(fam, grid, far=True)
     window = _fit_window(fam, grid)
     big = grid.extended(2.0)
-    u, v, b_u, b_v, margins, its, change, sandwiched = _picard_coupled(
-        problem, exponents, ledger, grid, tol_change, tol_residual
+    b_u = BarrierProfile(fam, ledger.rate_u)
+    b_v = BarrierProfile(fam, ledger.rate_v)
+    # a doubled ball that leaves float64 is refused before the first solve
+    envelopes = _ball_envelopes(ledger, exponents, b_u, b_v, grid)
+    big_envelopes = _ball_envelopes(ledger, exponents, b_u, b_v, big)
+    u, v, margins, its, change, sandwiched = _picard_coupled(
+        problem, exponents, ledger, grid, envelopes, tol_change, tol_residual
     )
 
     # re-run on the doubled ball and compare on the original one
     u2, v2, *_rest, sandwiched2 = _picard_coupled(
-        problem, exponents, ledger, big, tol_change, tol_residual
+        problem, exponents, ledger, big, big_envelopes, tol_change, tol_residual
     )
     gap = max(
         float(np.max(np.abs(u2[: grid.n] - u))),

@@ -3,6 +3,10 @@ import dataclasses
 import enum
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -379,6 +383,29 @@ def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys):
             rc = run(args)
         assert rc == 2 and caught == []
         assert reason in _assert_one_line_refusal(capsys)
+
+
+def test_solve_refuses_a_doubled_ball_out_of_float_range_before_any_solve(tmp_path, capsys,
+                                                                          monkeypatch):
+    # at s = 12 only the doubled ball leaves the normal float64 range
+    calls = []
+    monkeypatch.setattr(solvers, "_monotone_ball", lambda *args: calls.append(args))
+    args = ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--report", str(tmp_path / "s.json")]
+    args[args.index("--s") + 1] = "12"
+    assert run(args) == 2
+    assert _assert_one_line_refusal(capsys) == (
+        "refused: M1_lower * B_u underflows below the smallest normal double "
+        "within radius 721.352")
+    assert calls == []
+
+
+def test_cli_import_leaves_scipy_interpolate_out(tmp_path):
+    code = "import sys, gmsteady.cli; assert 'scipy.interpolate' not in sys.modules"
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                   timeout=120)
 
 
 def _reject_constant(name):

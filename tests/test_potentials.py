@@ -366,3 +366,33 @@ def test_bessel_piece_runs_match_one_run(monkeypatch, n, shift, tag):
     monkeypatch.setattr(potentials, "_PIECE_BLOCK", 3)
     runs = bessel_potential_radial(n, shift, src).values
     assert np.max(np.abs(runs / whole - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("grid", [
+    RadialGrid.uniform(3.0, 16),
+    RadialGrid.graded(20.0, 16, 1.2),
+    RadialGrid.uniform(480.0, 401),
+    RadialGrid.auto(50.0, h0=0.01, stretch=1.03),
+], ids=["uniform-16", "graded-16", "uniform-401", "graded-auto"])
+@pytest.mark.parametrize("npts, rate", [(8, 0.0), (12, 64.0)])
+def test_spline_matches_cubic_spline_bit_for_bit(grid, npts, rate):
+    # the in-house not-a-knot spline, at the Gauss points of both
+    # potentials, against scipy's own
+    rng = np.random.default_rng(grid.n)
+    r = grid.nodes
+    for scale in (1.0, 1e-30, 1e30):
+        g = scale * rng.random(r.size)
+        g[rng.integers(r.size)] = 0.0
+        spline, reference = potentials._not_a_knot(r, g), CubicSpline(r, g)
+        for pts, _, owner in potentials._gauss_pieces(r, npts, rate, 500):
+            assert np.array_equal(spline(pts, owner), reference(pts))
+
+
+def test_spline_refuses_non_finite_data_like_cubic_spline():
+    r = np.append(np.linspace(0.0, 1.0, 16), np.inf)
+    g = np.ones(17)
+    for nodes, vals in ((r, g), (r[:-1], np.append(g[:-2], np.nan))):
+        with pytest.raises(ValueError):
+            CubicSpline(nodes, vals)
+        with pytest.raises(ValueError, match="finite"):
+            potentials._not_a_knot(nodes, vals)

@@ -8,6 +8,7 @@ from gmsteady.radial_core import (
     RadialField,
     RadialGrid,
     RadialOperator,
+    _gtsv,
     apply_radial_laplacian,
     read_field,
     solve_linear_radial_variable,
@@ -269,10 +270,40 @@ def test_set_shift_matches_a_fresh_assembly():
         assert np.array_equal(op.solve(f, 0.25), RadialOperator(grid, 4, shift).solve(f, 0.25))
     # a refused shift leaves the operator as it was
     before = op.solve(f, 0.25)
-    for bad in (-1.0, np.full(grid.n, -1.0), np.ones(grid.n - 1)):
+    one_inf = np.ones(grid.n)
+    one_inf[5] = np.inf
+    for bad in (-1.0, np.full(grid.n, -1.0), np.ones(grid.n - 1), np.inf, np.nan, one_inf):
         with pytest.raises(ValueError, match="shift"):
             op.set_shift(bad)
         assert np.array_equal(op.solve(f, 0.25), before)
+    # so is a non-finite right side, before it reaches LAPACK
+    f_nan = f.copy()
+    f_nan[3] = np.nan
+    with pytest.raises(ValueError, match="right side"):
+        op.solve(f_nan, 0.25)
+    assert np.array_equal(op.solve(f, 0.25), before)
+
+
+def test_band_too_wide_for_float64_is_refused_by_solve():
+    # r^(N-1) overflows, so the flux weights and the band are not finite:
+    # solve refuses the band as solve_banded's finiteness check did
+    grid = RadialGrid.uniform(1e200, 20)
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = RadialOperator(grid, 3)
+    with pytest.raises(ValueError, match="band"):
+        op.solve(np.ones(grid.n), 0.0)
+
+
+def test_tridiagonal_kernel_matches_solve_banded_and_refuses_singular():
+    rng = np.random.default_rng(11)
+    ab = rng.random((3, 40))
+    ab[1] += 2.0
+    b = rng.random(40)
+    x = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b.copy())
+    assert np.array_equal(x, solve_banded((1, 1), ab, b))
+    zeros = np.zeros(40)
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _gtsv(zeros[:-1], zeros, zeros[:-1], b.copy())
 
 
 def test_field_roundtrip(tmp_path):

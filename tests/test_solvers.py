@@ -49,9 +49,11 @@ def reference_ball(newton):
 
     With ``newton`` the shift L = s psi v^(-s-1) is re-evaluated at each
     iterate (Newton's method); otherwise it stays at its value at v_low,
-    the fixed-shift monotone iteration of Pao.
+    the fixed-shift monotone iteration of Pao.  Of the caller's operator
+    it reads only the grid and the dimension.
     """
-    def ball(dimension, mu, s, psi_vals, grid, v_low, tol_residual, trace=None):
+    def ball(op, mu, s, psi_vals, v_low, tol_residual, trace=None):
+        grid, dimension = op.grid, op.dimension
         v = v_low.copy()
         monotone_ok = True
         residual = math.inf
@@ -83,8 +85,8 @@ def assert_matches_fixed_shift(run, monkeypatch):
     fixed_shift = reference_ball(newton=False)
     counts = []
 
-    def tight(dimension, mu, s, psi_vals, grid, v_low, tol_residual, trace=None):
-        out = fixed_shift(dimension, mu, s, psi_vals, grid, v_low, tol_residual / 1000.0)
+    def tight(op, mu, s, psi_vals, v_low, tol_residual, trace=None):
+        out = fixed_shift(op, mu, s, psi_vals, v_low, tol_residual / 1000.0)
         counts.append(out[2])
         return out
 
@@ -201,9 +203,9 @@ class TestScalarAlgebraic:
         weights = []
         real_ball = solvers._monotone_ball
 
-        def spy(dimension, mu, s, psi_vals, *rest):
+        def spy(op, mu, s, psi_vals, *rest):
             weights.append(psi_vals)
-            return real_ball(dimension, mu, s, psi_vals, *rest)
+            return real_ball(op, mu, s, psi_vals, *rest)
 
         monkeypatch.setattr(solvers, "_monotone_ball", spy)
         solve_singular_scalar(5, 0.0, 1.0, psi)
@@ -367,6 +369,31 @@ class TestCoupledAlgebraic:
         problem = Problem(5, 0.0, 0.0, SourceModel.exp_envelope(0.01, 0.015, 4.0, 0.0125))
         with pytest.raises(RegimeError, match="expects an algebraic source envelope"):
             solve_coupled_alg(problem, exponents, ledger)
+
+
+@pytest.mark.parametrize("case, solve, per_report", [
+    ("exp_worked_case", solve_coupled_exp, 5),
+    ("alg_worked_case", solve_coupled_alg, 3),
+])
+def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, monkeypatch):
+    # each ball assembles the scalar solve's operator and, in W runs, the
+    # resolvent once; the residual check assembles one more
+    problem, exponents, ledger, _ = request.getfixturevalue(case)
+    built = []
+
+    class Counting(solvers.RadialOperator):
+        def __init__(self, grid, *args):
+            built.append(grid.n)
+            super().__init__(grid, *args)
+
+    monkeypatch.setattr(solvers, "RadialOperator", Counting)
+    iterations = []
+    for tol_change in (1e-3, 1e-9):
+        built.clear()
+        iterations.append(solve(problem, exponents, ledger, tol_change=tol_change).iterations)
+        assert len(built) == per_report, built
+    assert iterations[0] < iterations[1]
+
 
 class TestRandomFeasiblePoints:
     """The machinery must hold up across the feasible region, not just at
