@@ -30,13 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import RegimeError, UndefinedIndexError
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
-from .radial_core import RadialField
 
 __all__ = [
     "BarrierFamily",
@@ -108,42 +107,37 @@ def sigma_index(exponents: Exponents) -> float:
 
 @dataclass(frozen=True)
 class SourceModel:
-    """Source term rho with a declared envelope.
+    """Source term rho: zero, or bounded by an envelope.
 
     ``family`` W (exp) or Z (alg) asserts alpha * E(r) <= rho <= beta * E(r),
     E that family's profile with the given rate; the existence results
-    need it to equal ``Problem.family``.  It is None for the zero source
-    and for tabulated data, a RadialField ``profile``.  A float profile c
-    makes an envelope evaluable as rho = c * E, alpha <= c <= beta
-    (midpoint by default).
+    need it to equal ``Problem.family``.  It is None for the zero source.
+    An envelope is evaluated as rho = c * E with the amplitude
+    ``profile`` = c, alpha <= c <= beta (midpoint when None).
     """
 
     family: Optional[BarrierFamily] = None
     alpha: float = 0.0
     beta: float = 0.0
     rate: float = 1.0
-    profile: Union[RadialField, float, None] = None
+    profile: Optional[float] = None
 
     def __post_init__(self) -> None:
-        numbers = [self.alpha, self.beta, self.rate]
-        if isinstance(self.profile, (int, float)):
-            numbers.append(self.profile)
-        if not all(map(math.isfinite, numbers)):
+        if self.profile is not None and not isinstance(self.profile, (int, float)):
+            raise ValueError("source amplitude must be a float")
+        amp = () if self.profile is None else (self.profile,)
+        if not all(map(math.isfinite, (self.alpha, self.beta, self.rate, *amp))):
             raise ValueError("source alpha, beta, rate and amplitude must be finite")
         if self.family is None:
-            if self.profile is None and (self.alpha != 0.0 or self.beta != 0.0):
-                raise ValueError("zero source forces alpha = beta = 0")
-            if self.profile is not None and not isinstance(self.profile, RadialField):
-                raise ValueError("tabulated source needs a RadialField profile")
+            if self.alpha != 0.0 or self.beta != 0.0 or self.profile is not None:
+                raise ValueError("zero source forces alpha = beta = 0 and no amplitude")
             return
         if not (0.0 < self.alpha <= self.beta):
             raise ValueError("envelope requires 0 < alpha <= beta")
         if not self.rate > 0:
             raise ValueError("envelope rate must be positive")
-        if isinstance(self.profile, (int, float)):
-            c = float(self.profile)
-            if not (self.alpha <= c <= self.beta):
-                raise ValueError("profile amplitude must lie in [alpha, beta]")
+        if amp and not (self.alpha <= self.profile <= self.beta):
+            raise ValueError("profile amplitude must lie in [alpha, beta]")
 
     @classmethod
     def zero(cls) -> "SourceModel":
@@ -161,13 +155,9 @@ class SourceModel:
     ) -> "SourceModel":
         return cls(BarrierFamily.Z, alpha, beta, rate, amplitude)
 
-    @classmethod
-    def tabulated(cls, profile: RadialField) -> "SourceModel":
-        return cls(profile=profile)
-
     @property
     def is_zero(self) -> bool:
-        return self.family is None and self.profile is None
+        return self.family is None
 
     @property
     def envelope_profile(self) -> Optional[BarrierProfile]:
@@ -175,7 +165,7 @@ class SourceModel:
 
     def amplitude(self) -> float:
         """Evaluable amplitude of an envelope (midpoint unless pinned)."""
-        if isinstance(self.profile, (int, float)):
+        if self.profile is not None:
             return float(self.profile)
         return 0.5 * (self.alpha + self.beta)
 
@@ -183,9 +173,7 @@ class SourceModel:
         """rho(r) on an array of radii."""
         rr = np.asarray(r, dtype=float)
         if self.family is None:
-            if self.profile is None:
-                return np.zeros_like(rr)
-            return np.interp(rr, self.profile.grid.nodes, self.profile.values)
+            return np.zeros_like(rr)
         return self.amplitude() * np.asarray(eval_barrier(self.envelope_profile, rr), dtype=float)
 
 

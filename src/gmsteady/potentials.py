@@ -31,11 +31,8 @@ one LAPACK ``dgtsv`` call with ``scipy.interpolate.CubicSpline``'s own
 arithmetic, and it is evaluated in ``PPoly``'s order, so its values are
 scipy's bit for bit without importing ``scipy.interpolate``.
 
-The divergence probe classifies the source's improper integral by the
-exact exponent test for envelope sources and by dyadic shell sums
-otherwise.  Numerics cannot prove divergence for tabulated data, so
-the shell heuristic (eight consecutive non-decaying shells) is
-reported honestly as such.
+The divergence probe decides the source's improper integral by the
+exact exponent test and reports the dyadic shell sums of its envelope.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ from .barriers import SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
-from .radial_core import RadialField, RadialGrid, _gtsv
+from .radial_core import RadialField, _gtsv
 
 __all__ = [
     "DivergenceVerdict",
@@ -337,7 +334,6 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
 class DivergenceVerdict(Enum):
     CONVERGENT = "convergent"
     DIVERGENT = "divergent"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
@@ -356,84 +352,24 @@ class DivergenceReport:
 
 
 def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
-    """Classify integral of rho(x) |x|^(2-N) over R^N.
+    """Classify integral of rho(x) |x|^(2-N) over R^N by the exact exponent test.
 
-    Envelope sources are decided by the exact exponent test (algebraic
-    rate a <= 2 diverges, a > 2 converges; exponential envelopes always
-    converge).  Tabulated sources fall back to the dyadic shell
-    heuristic: at least eight consecutive non-decaying shells are
-    required before divergence is reported.
+    An algebraic rate a <= 2 diverges, a > 2 converges, and exponential
+    envelopes always converge.  The shell sums are the upper envelope's
+    integrals over the dyadic shells [2^j, 2^(j+1)], j = 0..11.
     """
-    n = dimension
-    w = sphere_area(n)
     if rho.is_zero:
         return DivergenceReport(DivergenceVerdict.CONVERGENT, value=0.0)
-    env = rho.envelope_profile
-    if env is not None:
-        # the integrand is |S^(N-1)| s rho(s) <= beta |S^(N-1)| s E(s)
-        anti = functools.partial(weighted_antiderivative, env)
-        shells = [(2.0 ** (j + 1), rho.beta * w * (anti(2.0 ** (j + 1)) - anti(2.0**j)))
-                  for j in range(12)]
-        if rho.family is BarrierFamily.Z and rho.rate <= 2.0:
-            law = f"shell integrand ~ r^({1.0 - rho.rate}); rate a = {rho.rate} <= 2"
-            return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)
-        total = rho.beta * w * -anti(0.0)  # F(inf) - F(0), F(inf) = 0
-        return DivergenceReport(DivergenceVerdict.CONVERGENT, value=total, shell_sums=shells)
-
-    assert isinstance(rho.profile, RadialField)
-    return _tabulated_probe(n, rho.profile.grid, rho.profile.values)
-
-
-def _tabulated_probe(dimension: int, grid: RadialGrid, vals: np.ndarray) -> DivergenceReport:
-    """Shell heuristic for the integral of |x|^(2-N) g over R^N, g tabulated.
-
-    The r <= 1 head and the dyadic shells [2^j, 2^(j+1)] inside the grid
-    are trapezoid sums of |S^(N-1)| r g(r); a shell with fewer than four
-    nodes ends the list.
-    """
-    r = grid.nodes
     w = sphere_area(dimension)
-    head_mask = r <= 1.0
-    head = float(w * np.trapezoid(r[head_mask] * vals[head_mask], r[head_mask]))
-    shells = []
-    j = 0
-    while 2.0 ** (j + 1) <= grid.radius:
-        lo, hi = 2.0**j, 2.0 ** (j + 1)
-        mask = (r >= lo) & (r <= hi)
-        if np.count_nonzero(mask) < 4:
-            break
-        contrib = w * np.trapezoid(r[mask] * vals[mask], r[mask])
-        shells.append((hi, float(contrib)))
-        j += 1
-    return _classify_shells(shells, head)
-
-
-def _classify_shells(shells: list, head: float = 0.0) -> DivergenceReport:
-    """Dyadic shell heuristic; ``head`` is the (always finite) r < 1 part."""
-    if len(shells) < 8:
-        return DivergenceReport(DivergenceVerdict.INCONCLUSIVE, shell_sums=shells)
-    vals = np.array([s for _, s in shells])
-    tail = vals[-8:]
-    if np.max(np.abs(tail)) <= 1e-300:  # vanished: compact support
-        return DivergenceReport(
-            DivergenceVerdict.CONVERGENT, value=head + float(np.sum(vals)),
-            shell_sums=shells,
-        )
-    if np.all(np.diff(tail) >= -1e-15 * np.abs(tail[:-1])):
-        return DivergenceReport(
-            DivergenceVerdict.DIVERGENT,
-            growth_law="non-decaying dyadic shells (heuristic)",
-            shell_sums=shells,
-        )
-    ratios = tail[1:] / np.where(tail[:-1] == 0.0, 1.0, tail[:-1])
-    if np.all(ratios <= 0.75):
-        geo_tail = float(tail[-1] * ratios[-1] / (1.0 - ratios[-1])) if ratios[-1] < 1 else 0.0
-        return DivergenceReport(
-            DivergenceVerdict.CONVERGENT,
-            value=head + float(np.sum(vals)) + geo_tail,
-            shell_sums=shells,
-        )
-    return DivergenceReport(DivergenceVerdict.INCONCLUSIVE, shell_sums=shells)
+    # the integrand is |S^(N-1)| s rho(s) <= beta |S^(N-1)| s E(s)
+    anti = functools.partial(weighted_antiderivative, rho.envelope_profile)
+    shells = [(2.0 ** (j + 1), rho.beta * w * (anti(2.0 ** (j + 1)) - anti(2.0**j)))
+              for j in range(12)]
+    if rho.family is BarrierFamily.Z and rho.rate <= 2.0:
+        law = f"shell integrand ~ r^({1.0 - rho.rate}); rate a = {rho.rate} <= 2"
+        return DivergenceReport(DivergenceVerdict.DIVERGENT, growth_law=law, shell_sums=shells)
+    total = rho.beta * w * -anti(0.0)  # F(inf) - F(0), F(inf) = 0
+    return DivergenceReport(DivergenceVerdict.CONVERGENT, value=total, shell_sums=shells)
 
 
 def convr_check(v: RadialField):

@@ -57,7 +57,7 @@ def _node_count(count) -> int:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing nodes r_0 = 0 < ... < r_{n-1} = R, n >= 16.
+    """Strictly increasing finite nodes r_0 = 0 < ... < r_{n-1} = R, n >= 16.
 
     ``stretch`` is the ratio of neighbouring intervals of a graded grid,
     and 1 for a uniform one.
@@ -71,6 +71,8 @@ class RadialGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 16:
             raise ValueError("grid needs at least 16 nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("grid nodes must be finite")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at r = 0")
         if np.any(np.diff(nodes) <= 0):

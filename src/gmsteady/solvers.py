@@ -317,9 +317,16 @@ def solve_singular_scalar(
                 f"weight decay gamma = {gamma} <= 2: the zero-shift singular problem "
                 "has no positive solution (divergent representation)"
             )
+        if not algebraic_scalar_admissible(n, s, gamma):
+            raise HypothesisError(
+                f"weight decay gamma = {gamma} lies outside the zero-shift window "
+                f"2 < gamma < (N-2)s + N = {(n - 2.0) * s + n}"
+            )
         a = (gamma - 2.0) / (s + 1.0)
     barrier = BarrierProfile(family, a)
     lo, hi = operator_bounds(barrier, shift, n)
+    # for Z this is the window's upper end again, hit only where a rounds
+    # to N - 2 for a gamma just inside the window
     if not lo > 0:
         raise HypothesisError(
             f"{family.value} barrier of rate {a} has lower operator bound {lo} <= 0: "

@@ -240,6 +240,14 @@ def test_source_model_validation():
     assert vals[0] == pytest.approx(1.5 * math.exp(-1.0))
     zero = SourceModel.zero()
     assert np.all(zero.evaluate(np.array([0.0, 2.0])) == 0.0)
+    # a source is zero or an envelope with a float amplitude
+    with pytest.raises(ValueError, match="no amplitude"):
+        SourceModel(profile=1.5)
+    with pytest.raises(ValueError, match="alpha = beta = 0"):
+        SourceModel(alpha=1.0, beta=2.0)
+    grid = RadialGrid.uniform(2.0, 17)
+    with pytest.raises(ValueError, match="amplitude must be a float"):
+        SourceModel.exp_envelope(1.0, 2.0, 1.0, RadialField(grid, np.ones(grid.n)))
 
 
 def test_source_model_family():
@@ -249,10 +257,6 @@ def test_source_model_family():
     assert alg.envelope_profile == BarrierProfile(BarrierFamily.Z, 3.0)
     zero = SourceModel.zero()
     assert zero.family is None and zero.is_zero and zero.envelope_profile is None
-    grid = RadialGrid.uniform(2.0, 17)
-    table = SourceModel.tabulated(RadialField(grid, 1.0 - 0.5 * grid.nodes))
-    assert table.family is None and not table.is_zero
-    assert table.evaluate(np.array([0.1])) == pytest.approx([0.95])
 
 
 def test_problem_validation():

@@ -301,6 +301,18 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, args):
     _assert_one_line_error(capsys)
 
 
+@pytest.fixture(scope="module")
+def exp_dumps(tmp_path_factory):
+    """The README solve's u and v dumps, and u dumps whose last row reads inf or nan."""
+    path = tmp_path_factory.mktemp("dumps")
+    assert run(["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--report", str(path / "s.json"),
+                "--out-u", str(path / "u.txt"), "--out-v", str(path / "v.txt")]) == 0
+    rows = (path / "u.txt").read_text().splitlines()[:-1]
+    for bad in ("inf", "nan"):
+        (path / f"u_{bad}.txt").write_text("\n".join([*rows, f"{bad} 1.0"]) + "\n")
+    return path
+
+
 @pytest.mark.parametrize("args", [
     # the kernel overflows float64 below r ~ 1e-154 in N = 4
     ["kernel", "-N", "4", "--r-max", "1e-176"],
@@ -322,8 +334,13 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, args):
     # 600,001 nodes fit the cap, but the doubled ball's 1,200,001 do not
     ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "30", "--h0", "5e-5",
      "--stretch", "1"],
+    # the README verify given a u dump whose last node is inf or nan
+    *(["verify", *_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", f"{{dumps}}/u_{bad}.txt",
+       "--v-field", "{dumps}/v.txt", "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4"]
+      for bad in ("inf", "nan")),
 ])
-def test_extreme_input_exit_code_without_warning(tmp_path, capsys, args):
+def test_extreme_input_exit_code_without_warning(tmp_path, capsys, args, exp_dumps):
+    args = [arg.format(dumps=exp_dumps) for arg in args]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run([*args, "--report", str(tmp_path / "r.json")])
@@ -331,6 +348,8 @@ def test_extreme_input_exit_code_without_warning(tmp_path, capsys, args):
     err = capsys.readouterr().err
     lines = [line for line in err.strip().splitlines() if not line.startswith("usage:")]
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    if "--u-field" in args:  # the dump's grid is refused for its non-finite node
+        assert lines[0] == "error: grid nodes must be finite"
     assert not (tmp_path / "r.json").exists()
 
 

@@ -26,6 +26,11 @@ def test_grid_validation():
     nodes[5] = nodes[4]
     with pytest.raises(ValueError):
         RadialGrid(nodes)
+    for bad in (np.inf, np.nan):  # both pass the r_0 = 0 and increasing checks
+        nodes = np.linspace(0.0, 1.0, 20)
+        nodes[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RadialGrid(nodes)
 
 
 def test_graded_grid_and_refinement():

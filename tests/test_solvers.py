@@ -189,10 +189,15 @@ class TestScalarAlgebraic:
 
     def test_upper_gamma_hypothesis(self):
         grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
-        psi = z_field(grid, 9.0)
-        with pytest.raises(HypothesisError):
-            # (N-2)s + N = 8 for N = 5, s = 1
-            solve_singular_scalar(5, 0.0, 1.0, psi)
+        for n, s, gamma, match in [
+            # (N-2)s + N = 8 for N = 5, s = 1: above the window and on its end
+            (5, 1.0, 9.0, "window"),
+            (5, 1.0, 8.0, "window"),
+            # inside the window by one ulp, but (gamma-2)/(s+1) rounds to N - 2
+            (3, 3.1848084366072715, 6.184808436607271, "lower operator bound"),
+        ]:
+            with pytest.raises(HypothesisError, match=match):
+                solve_singular_scalar(n, 0.0, s, z_field(grid, gamma))
 
     def test_doubled_ball_extends_the_weight_by_its_envelope(self, monkeypatch):
         # beyond R the doubled ball sees c Z_gamma, with c matched to psi at R
