@@ -38,6 +38,8 @@ from .errors import RegimeError, UndefinedIndexError
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
 
 __all__ = [
+    "DEFERRED",
+    "VERDICT_CODES",
     "BarrierFamily",
     "BarrierProfile",
     "ConstantsLedger",
@@ -53,6 +55,7 @@ __all__ = [
     "barrier_operator_factor",
     "check_sandwich",
     "classify",
+    "classify_many",
     "eval_barrier",
     "exp_regime_ledger",
     "operator_bounds",
@@ -651,3 +654,198 @@ def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
         f"unknown: {detail}",
         advisories=advisories,
     )
+
+
+# ---------------------------------------------------------------------------
+# classification of whole arrays of points
+# ---------------------------------------------------------------------------
+
+#: (status value, tag or "") that each code of ``classify_many`` stands for.
+VERDICT_CODES = (
+    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.1(i)"),
+    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.2(i)"),
+    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.4(i)"),
+    (VerdictStatus.EXISTENCE_GUARANTEED.value, "Theorem 1.1(iii)"),
+    (VerdictStatus.EXISTENCE_GUARANTEED.value, "Theorem 1.4(ii)"),
+    (VerdictStatus.UNKNOWN.value, ""),
+)
+#: ``classify_many``'s code for a point it leaves to ``classify``.
+DEFERRED = -1
+
+# how each element of a ``_pow`` ended
+_OVERFLOWED, _RAISED = 1, 2
+
+
+def _pow(base, exponent):
+    """Python's float ``base ** exponent`` elementwise, and how each one ended.
+
+    numpy's power can differ from Python's in the last bit, so every
+    element goes through float ``**``.  The flags are _OVERFLOWED where
+    it raised OverflowError (the value is inf) and _RAISED where it
+    raised anything else or gave a complex number (the value is nan).
+    """
+    bases, exponents = (x.tolist() for x in np.broadcast_arrays(base, exponent))
+    flags = np.zeros(len(bases), dtype=np.int8)
+    try:  # on almost every call, no element raises or turns complex
+        return np.array(list(map(pow, bases, exponents)), dtype=float), flags
+    except (ArithmeticError, TypeError):
+        pass
+    out = np.empty(len(bases))
+    for i, (x, y) in enumerate(zip(bases, exponents)):
+        try:
+            value = x**y
+        except OverflowError:
+            out[i], flags[i] = math.inf, _OVERFLOWED
+            continue
+        except ArithmeticError:
+            value = None
+        if isinstance(value, float):
+            out[i] = value
+        else:
+            out[i], flags[i] = math.nan, _RAISED
+    return out, flags
+
+
+def _max(x, y):
+    """Python's ``max(x, y)`` elementwise: x unless y > x (a nan y never wins)."""
+    return np.where(y > x, y, x)
+
+
+def _strict_holds(lhs, rhs):
+    """Where ``_strict`` records no violation: lhs > rhs, and not within _TIE_REL."""
+    scale = _max(_max(np.abs(lhs), np.abs(rhs)), 1e-300)
+    tie = np.isfinite(scale) & (np.abs(lhs - rhs) <= _TIE_REL * scale)
+    return ~tie & (lhs > rhs)
+
+
+def _exp_ledger_many(n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
+    """``exp_regime_ledger(...).feasible`` at each point, and where it raises.
+
+    The try block's first exception decides a point: OverflowError means
+    float-range, anything else escapes the ledger.
+    """
+    b = a * m / (s + 1.0)
+    holds = (_strict_holds(lam, _max(2.0 * a * a, n_sq))
+             & _strict_holds(mu, _max(2.0 * b * b, n_sq)))
+    first = np.zeros(p.size, dtype=np.int8)  # first exception of each point, in order
+
+    def power(base, exponent):
+        nonlocal first
+        value, flags = _pow(base, exponent)
+        first = np.where(first == 0, flags, first)
+        return value
+
+    m1_lo = alpha / (2.0 * lam)
+    t = power(alpha, m) / power(2.0, m + 1.0)
+    m2_lo = power(t, 1.0 / (s + 1.0)) * power(mu, -1.0 / (s + 1.0)) * power(lam, -m / (s + 1.0))
+    m1_hi = power((lam / 4.0) * power(m2_lo, q), 1.0 / (p - 1.0))
+    m2_hi = power(2.0 * power(m1_hi, m) / mu, 1.0 / (s + 1.0))
+    kconst = power(0.25 * power(t, q / (s + 1.0)), 1.0 / (p - 1.0))
+    first = np.where((first == 0) & (sig == 0.0), _RAISED, first)  # m / sig
+    power(kconst / (4.0 * beta), m / sig)  # c0: only its overflow counts
+    in_range = np.ones(p.size, dtype=bool)
+    for c in (m1_lo, m2_lo, m1_hi, m2_hi):
+        in_range &= (0.0 < c) & (c < math.inf)
+    holds &= (first == 0) & in_range
+    holds &= _strict_holds(m1_hi, m1_lo) & _strict_holds(m2_hi, m2_lo)
+    holds &= (lam / 4.0) * m1_hi >= beta
+    return holds, first == _RAISED
+
+
+def _alg_ledger_many(n, p, q, m, s, alpha, beta, a, sig):
+    """``alg_regime_ledger(...).feasible`` at points inside its regime, and
+    where it raises: any exception there escapes, except the overflows
+    ``_pow_or_inf`` turns into inf."""
+    raised = np.zeros(p.size, dtype=bool)
+
+    def power(base, exponent, overflow_is_inf=False):
+        nonlocal raised
+        value, flags = _pow(base, exponent)
+        raised |= flags == _RAISED if overflow_is_inf else flags != 0
+        return value
+
+    def divide(x, y):
+        nonlocal raised
+        raised |= y == 0.0
+        return x / y
+
+    b = (m * (a - 2.0) - 2.0) / (s + 1.0)
+    big_a = divide(1.0, (a - 2.0) * n)
+    big_b = power(divide(power(big_a, m), b * n), 1.0 / (s + 1.0))
+    big_c = power((a - 2.0) * (n - a) * power(big_b, q) / 2.0, 1.0 / (p - 1.0))
+    big_d = power(divide(power(big_c, m), b * (n - b - 2.0)), 1.0 / (s + 1.0))
+    delta = (a - 2.0) * (n - a) / 2.0 * big_c
+    eps = power(divide(big_c, big_a), divide(1.0, 1.0 - sig), overflow_is_inf=True)
+    # Python's min(x, y) keeps x unless y < x, so a nan y never wins
+    for y in (power(divide(big_d, big_b), divide(s + 1.0, m * (1.0 - sig)), overflow_is_inf=True),
+              power(delta, divide(1.0, 1.0 - sig), overflow_is_inf=True)):
+        eps = np.where(y < eps, y, eps)
+    alpha_sig = power(alpha, sig)
+    power(alpha, m / (s + 1.0))  # M2_lower and M2_upper: only their overflow counts
+    power(alpha, sig * m / (s + 1.0))
+    holds = (_strict_holds(eps, alpha) & _strict_holds(beta, alpha)
+             & _strict_holds(delta * alpha_sig, beta))
+    return holds & ~raised, raised
+
+
+def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> np.ndarray:
+    """``classify`` at every point of broadcast arrays, as one code per point.
+
+    ``family`` is the source's envelope family, None for the zero source;
+    ``alpha``, ``beta`` and ``rate`` are ignored for the zero source.
+    Code k >= 0 stands for ``VERDICT_CODES[k]``, the status and tag that
+    ``classify`` gives the same point, bit for bit: numpy does the
+    correctly rounded + - * / and comparisons in the scalar order, and
+    every ``**`` is Python's (``_pow``).  ``DEFERRED`` marks a point left
+    to the scalar path, because ``Exponents``, ``SourceModel`` or
+    ``Problem`` refuses it or ``classify`` raises there; every point is
+    deferred when float64 cannot hold the dimension exactly.
+    """
+    values = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (p, q, m, s, lam, mu, alpha, beta, rate)))
+    shape = values[0].shape
+    p, q, m, s, lam, mu, alpha, beta, rate = (x.ravel() for x in values)
+    try:
+        n, n_sq = float(dimension), float(dimension * dimension)
+    except OverflowError:
+        n = n_sq = math.nan
+    if not (dimension >= 3 and n == dimension and n_sq < math.inf):
+        # Problem refuses the dimension, or float64 cannot carry it exactly
+        return np.full(shape, DEFERRED, dtype=np.int8)
+
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        valid = (np.isfinite(p) & np.isfinite(q) & np.isfinite(m) & np.isfinite(s)
+                 & (p > 0) & (q > 0) & (m > 0) & (s >= 0)
+                 & np.isfinite(lam) & np.isfinite(mu) & (lam >= 0) & (mu >= 0)
+                 & ((lam > 0) == (mu > 0)))
+        if family is not None:
+            valid &= (np.isfinite(alpha) & np.isfinite(beta) & np.isfinite(rate)
+                      & (0.0 < alpha) & (alpha <= beta) & (rate > 0))
+        shifted = lam > 0
+        matched = shifted == (family is BarrierFamily.W) if family is not None else False
+        sig = m * q / ((p - 1.0) * (s + 1.0))
+        a_low = 2.0 * (1.0 + 1.0 / m)
+        rule1 = shifted & (p <= 1.0)
+        rule2 = ~shifted & ((p <= n / (n - 2.0)) | (m <= 2.0 / (n - 2.0)))
+        rule3 = ~shifted & matched & (rate <= a_low)
+        deferred = ~valid
+        feasible = np.zeros(p.size, dtype=bool)
+
+        at = np.flatnonzero(valid & shifted & matched & ~rule1 & (sig <= 1.0))
+        feasible[at], deferred[at] = _exp_ledger_many(
+            n_sq, *(x[at] for x in (p, q, m, s, lam, mu, alpha, beta, rate, sig)))
+        # inside alg_regime_ledger's regime; outside it classify reads unknown
+        at = np.flatnonzero(
+            valid & ~shifted & matched & ~rule2 & ~rule3 & (p > 1.0) & (0.0 < sig) & (sig < 1.0)
+            & (a_low < rate) & (rate < n) & (m * (rate - 2.0) < (n - 2.0) * s + n)
+            & (2.0 * p / (p - 1.0) <= rate + sig * (a_low - rate)))
+        feasible[at], deferred[at] = _alg_ledger_many(
+            n, *(x[at] for x in (p, q, m, s, alpha, beta, rate, sig)))
+        # _unknown's advisory squares m/(s+1), which can overflow
+        at = np.flatnonzero(valid & shifted & (p > 1.0) & (sig > 1.0))
+        deferred[at] = _pow(m[at] / (s[at] + 1.0), 2.0)[1] != 0
+
+        codes = np.select(
+            [deferred, rule1, rule2, rule3, feasible & shifted, feasible],
+            [DEFERRED, 0, 1, 2, 3, 4], default=5)
+    return codes.astype(np.int8).reshape(shape)

@@ -35,17 +35,20 @@ import numpy as np
 
 from . import __version__
 from .barriers import (
+    DEFERRED,
+    VERDICT_CODES,
     Exponents,
     Problem,
     SourceModel,
     VerdictStatus,
     classify,
+    classify_many,
 )
 from .certificates import verify_cor3, verify_solution
 from .errors import FieldParseError, HypothesisError, NonexistenceError, RegimeError
 from .kernels import GreenParams, green_lambda, green_lambda_mass, verify_kernel_bounds
 from .potentials import divergence_probe_rho
-from .profiles import BarrierProfile
+from .profiles import BarrierFamily, BarrierProfile
 from .radial_core import RadialGrid, read_field, write_field
 from .solvers import SolveStatus, solve_coupled_alg, solve_coupled_exp
 
@@ -190,7 +193,8 @@ def _parse_sweep(spec: str):
 _SWEEPABLE = {"p", "q", "m", "s", "lam", "mu", "alpha", "beta", "rate"}
 
 
-_ENVELOPES = {"exp": SourceModel.exp_envelope, "alg": SourceModel.alg_envelope}
+# --rho kind -> envelope family (None for the zero source)
+_FAMILIES = {"zero": None, "exp": BarrierFamily.W, "alg": BarrierFamily.Z}
 
 
 def _problem_from_args(args, **overrides) -> tuple:
@@ -201,12 +205,12 @@ def _problem_from_args(args, **overrides) -> tuple:
     vals = {name: getattr(args, name) for name in _SWEEPABLE}
     vals.update(overrides)
     exponents = Exponents(vals["p"], vals["q"], vals["m"], vals["s"])
-    if args.rho == "zero":
+    family = _FAMILIES[args.rho]
+    if family is None:
         rho = SourceModel.zero()
     else:
-        rho = _ENVELOPES[args.rho](
-            vals["alpha"], vals["beta"], vals["rate"], getattr(args, "rho_amplitude", None)
-        )
+        rho = SourceModel(family, vals["alpha"], vals["beta"], vals["rate"],
+                          getattr(args, "rho_amplitude", None))
     return Problem(args.dimension, vals["lam"], vals["mu"], rho), exponents
 
 
@@ -222,23 +226,33 @@ def cmd_region(args) -> int:
     if not sweeps:
         raise ValueError("region needs at least one --sweep")
 
-    grids = np.meshgrid(*[v for _, v in sweeps], indexing="ij")
-    header = ["index"] + [name for name, _ in sweeps] + ["status", "tag"]
-    rows = []
-    counts: dict = {}
-    for i in range(grids[0].size):
-        pt = {name: float(g.flat[i]) for (name, _), g in zip(sweeps, grids)}
-        verdict = classify(*_problem_from_args(args, **pt))
-        tag = verdict.tag or ""
-        rows.append([i] + [pt[name] for name, _ in sweeps] + [verdict.status.value, tag])
-        key = f"{verdict.status.value}:{tag}" if tag else verdict.status.value
-        counts[key] = counts.get(key, 0) + 1
+    names = [name for name, _ in sweeps]
+    # lattice point i takes sweep k's value at lattice[k, i], in C order
+    lattice = np.indices([values.size for _, values in sweeps]).reshape(len(sweeps), -1)
+    params = {name: getattr(args, name) for name in _SWEEPABLE}
+    params.update((name, values[at]) for (name, values), at in zip(sweeps, lattice))
+    codes = classify_many(args.dimension, _FAMILIES[args.rho], **params)
+    # in lattice order, so the first point that fails fails as it does in classify
+    for i in np.flatnonzero(codes == DEFERRED):
+        verdict = classify(*_problem_from_args(
+            args, **{name: float(params[name][i]) for name in names}))
+        codes[i] = VERDICT_CODES.index((verdict.status.value, verdict.tag or ""))
 
+    counts = {}
+    for code, count in enumerate(np.bincount(codes, minlength=len(VERDICT_CODES)).tolist()):
+        status, tag = VERDICT_CODES[code]
+        if count:
+            counts[f"{status}:{tag}" if tag else status] = count
     if args.out_table:
-        _write_csv(args.out_table, header, rows)
+        # csv writes a float as its repr, so each swept value is formatted once
+        cells = [np.array(list(map(repr, values.tolist())), dtype=object)[at].tolist()
+                 for (_, values), at in zip(sweeps, lattice)]
+        labels = np.array(VERDICT_CODES, dtype=object)[codes].T.tolist()
+        _write_csv(args.out_table, ["index", *names, "status", "tag"],
+                   zip(range(codes.size), *cells, *labels))
     _write_report(args.report, "region", dimension=args.dimension, rho=args.rho,
                   sweeps={name: vals.tolist() for name, vals in sweeps},
-                  counts=counts, points=len(rows))
+                  counts=counts, points=codes.size)
     for key in sorted(counts):
         print(f"{key}: {counts[key]}", file=sys.stderr)
     return EXIT_OK

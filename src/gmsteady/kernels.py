@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.integrate import quad
 
 __all__ = [
     "GreenParams",
@@ -95,6 +93,8 @@ def bessel_k(nu: float, z):
     smallest normal double the result is exactly 0.0.  Scalar in,
     scalar out; array in, array out.
     """
+    from scipy import special  # here, so importing the CLI loads no scipy
+
     if nu < 0:
         raise ValueError(f"order must be >= 0, got {nu}")
     zz = np.asarray(z, dtype=float)
@@ -130,6 +130,7 @@ def green_lambda(params: GreenParams, r):
     """
     if params.shift == 0.0:
         return green_zero(params.dimension, r)
+    from scipy import special
     rr = np.asarray(r, dtype=float)
     if np.any(rr <= 0):
         raise ValueError("radius must be positive")
@@ -152,6 +153,8 @@ def green_lambda_mass(params: GreenParams) -> float:
     so the quadrature does not depend on lambda.  Raises ValueError
     where the quadrature reports that it failed.
     """
+    from scipy.integrate import quad
+
     if params.shift <= 0:
         raise ValueError("mass identity requires shift > 0")
     n = params.dimension
@@ -175,6 +178,8 @@ def green_lambda_mass(params: GreenParams) -> float:
 
 def _log_green_lambda(params: GreenParams, rr: np.ndarray) -> np.ndarray:
     # log G_lambda with the exponential factor kept symbolic, for ratio tests
+    from scipy import special
+
     n = params.dimension
     nu = n / 2.0 - 1.0
     k = math.sqrt(params.shift)

@@ -44,7 +44,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .barriers import SourceModel
 from .errors import NonIntegrableTailError
@@ -198,6 +197,8 @@ def bessel_potential_radial(
     ever overflows.  Applying -Delta + shift discretely to the output
     reproduces the source to quadrature accuracy.
     """
+    from scipy import special  # here, so importing the CLI loads no scipy
+
     n = dimension
     if n < 3:
         raise ValueError("dimension must be >= 3")

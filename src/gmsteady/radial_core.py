@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import FieldParseError
 from .profiles import BarrierProfile, eval_barrier
@@ -193,14 +192,21 @@ class RadialField:
         return amp * np.asarray((form or eval_barrier)(tag, r), dtype=float)
 
 
+_dgtsv = None  # scipy's LAPACK dgtsv, bound by the first _gtsv call
+
+
 def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve the tridiagonal system with these three diagonals for the right side b.
 
     One LAPACK ``dgtsv`` call, the routine ``solve_banded((1, 1), ...)``
     dispatches to, with its arithmetic and its errors but none of its
     wrapper; the diagonals are copied, and b is overwritten by the solution.
+    scipy is imported on the first call, not with the package.
     """
-    *_, x, info = dgtsv(lower, diag, upper, b, overwrite_b=1)
+    global _dgtsv
+    if _dgtsv is None:
+        from scipy.linalg.lapack import dgtsv as _dgtsv
+    *_, x, info = _dgtsv(lower, diag, upper, b, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -249,7 +255,10 @@ class RadialOperator:
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""
         flux = self._g * (values[1:] - values[:-1])  # flux through r_{i+1/2}
-        return -np.diff(flux, prepend=0.0) / self._vol
+        net = np.empty_like(flux)  # net outflow of each cell; none enters at r = 0
+        net[0] = flux[0]
+        np.subtract(flux[1:], flux[:-1], out=net[1:])
+        return -net / self._vol
 
     def solve(self, rhs_values: np.ndarray, boundary_value: float) -> np.ndarray:
         """Solve (-Delta + shift) u = rhs with u'(0) = 0 and u(R) = boundary_value."""

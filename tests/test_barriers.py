@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmsteady.barriers import (
+    DEFERRED,
+    VERDICT_CODES,
     BarrierFamily,
     BarrierProfile,
     Exponents,
@@ -15,6 +18,7 @@ from gmsteady.barriers import (
     barrier_operator_value,
     check_sandwich,
     classify,
+    classify_many,
     eval_barrier,
     exp_regime_ledger,
     sigma_index,
@@ -414,3 +418,162 @@ def test_alg_ledger_near_sigma_one_does_not_overflow():
     ledger = alg_regime_ledger(ex, 8, 0.01, 0.015, 7.879799343259501)
     assert ledger.aux["epsilon"] == math.inf
     assert ledger.feasible and ledger.violated == []
+
+
+# ---------------------------------------------------------------------------
+# classify_many against classify, point for point
+# ---------------------------------------------------------------------------
+
+_NAMES = ("p", "q", "m", "s", "lam", "mu", "alpha", "beta", "rate")
+
+
+def _scalar_label(n, family, point):
+    """classify's (status value, tag or "") at one point, or None where
+    building the point or classifying it raises."""
+    p, q, m, s, lam, mu, alpha, beta, rate = point
+    try:
+        rho = SourceModel.zero() if family is None else SourceModel(family, alpha, beta, rate)
+        verdict = classify(Problem(n, lam, mu, rho), Exponents(p, q, m, s))
+    except (ValueError, ArithmeticError, TypeError):
+        return None
+    return verdict.status.value, verdict.tag or ""
+
+
+def _assert_matches_classify(n, family, points):
+    """classify_many's code at every point names classify's label, and it
+    defers exactly the points where the scalar path raises."""
+    codes = classify_many(n, family, *np.array(points, dtype=float).T)
+    assert codes.shape == (len(points),)
+    for point, code in zip(points, codes.tolist()):
+        got = None if code == DEFERRED else VERDICT_CODES[code]
+        assert got == _scalar_label(n, family, point), (n, family, dict(zip(_NAMES, point)))
+    return codes
+
+
+@st.composite
+def _points(draw, n, shifted):
+    """One point, often on a boundary of classify's rules or ledgers."""
+    p = draw(st.floats(0.2, 12.0) | st.sampled_from([1.0, 1.037, n / (n - 2.0), 5.0, 1e5]))
+    q = draw(st.floats(1e-3, 8.0) | st.sampled_from([0.0178, 1.0, 1e-200, 1e200]))
+    m = draw(st.floats(1e-2, 20.0) | st.sampled_from([1.0, 2.463, 1000.0, 1e-200, 1e200]))
+    s = draw(st.floats(0.0, 40.0) | st.sampled_from([0.0, 0.8182]))
+    if p > 1.0 and draw(st.booleans()):
+        q = (p - 1.0) * (s + 1.0) / m  # sigma = 1, to rounding
+    a_low = 2.0 * (1.0 + 1.0 / m)
+    rate = draw(st.floats(0.1, 9.0) | st.sampled_from(
+        [a_low, math.nextafter(a_low, math.inf), 2.758, 4.0, float(n), 2.0021]))
+    alpha = draw(st.floats(1e-300, 1e300) | st.sampled_from([1.0, 0.01, -1.0, math.nan]))
+    beta = alpha if draw(st.booleans()) else alpha * draw(st.floats(1.0, 4.0))
+    lam = mu = 0.0
+    if shifted:
+        b = rate * m / (s + 1.0)
+        lam = draw(st.floats(1e-3, 1e300) | st.sampled_from(
+            [max(2.0 * rate * rate, float(n * n)), 4096.0, 5.851e7, 1e300]))
+        mu = draw(st.floats(1e-3, 1e300) | st.sampled_from(
+            [max(2.0 * b * b, float(n * n)), 16.0, 0.001139, 0.0]))
+    return p, q, m, s, lam, mu, alpha, beta, rate
+
+
+@st.composite
+def _lattices(draw):
+    n = draw(st.integers(3, 7))
+    family = draw(st.sampled_from([None, BarrierFamily.W, BarrierFamily.Z]))
+    points = draw(st.lists(_points(n, draw(st.booleans())), min_size=1, max_size=12))
+    return n, family, points
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(_lattices())
+def test_classify_many_matches_classify(lattice):
+    _assert_matches_classify(*lattice)
+
+
+# (N, family, point): ties, sigma = 1, p = N/(N-2), a = 2(1+1/m), float-range
+_EDGE_POINTS = [
+    (3, BarrierFamily.W, (2.0, 1.0, 1.0, 0.0, 9.0, 16.0, 1.0, 2.0, 1.0)),  # lam = N^2
+    (3, BarrierFamily.W, (2.0, 1.0, 1.0, 0.0, 4096.0, 18.0, 1.0, 2.0, 3.0)),  # mu = 2 b^2
+    (3, BarrierFamily.W, (3.0, 1.0, 2.0, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0)),  # sigma = 1
+    (3, BarrierFamily.W, (1.037, 0.0178, 2.463, 0.8182, 5.851e7, 0.001139, 1.0, 2.0, 2.758)),
+    (3, BarrierFamily.W, (2.0, 1.0, 1.0, 0.0, 1e300, 16.0, 1.0, 2.0, 1.0)),
+    (3, BarrierFamily.W, (2.0, 1e-200, 1e-200, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0)),  # sigma = 0
+    (3, None, (2.0, 1e200, 1e200, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0)),  # advisory overflows
+    (5, BarrierFamily.Z, (5.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.01, 0.01, 4.0)),  # beta = alpha
+    (5, BarrierFamily.Z, (5.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.01, 0.015, 3.0)),  # a = 2(1+1/m)
+    (5, BarrierFamily.Z, (5.0 / 3.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.01, 0.015, 4.0)),  # p = N/(N-2)
+    (5, BarrierFamily.Z, (3.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.01, 0.015, 4.0)),  # sigma = 1
+    (3, BarrierFamily.Z, (1e5, 1.0, 1000.0, 0.0, 0.0, 0.0, 0.01, 0.015, 2.0021)),  # A^m overflows
+    (5, BarrierFamily.Z, (5.0, 1.0, 4.0, 1.0, 0.0, 0.0, 1e300, 1e300, 3.5)),  # alpha^(m/(s+1))
+    # beta within _TIE_REL of alpha
+    (5, BarrierFamily.Z, (1072.9244708689594, 0.0037059321495103072, 3.54203918791952,
+                          2.0014015105263687, 0.0, 0.0, 1.4018945859946596e-21,
+                          1.4018945859946624e-21, 2.564646492874627)),
+    # M1_lower underflows to 0: float-range
+    (3, BarrierFamily.W, (1.4731662114153883, 1.3605367062881348, 0.04183483765025946, 0.0,
+                          2.534724391353854e+275, 3.333167135814419e+78, 1.731906505677018e-276,
+                          1.736189707425111e-276, 0.07347511881210227)),
+    # the second alpha bound is nan, which Python's min passes over
+    (7, BarrierFamily.Z, (46122.60138888013, 0.04153003005641884, 245.47819600575173,
+                          1.699622746492167, 0.0, 0.0, 9.915038663848e-155,
+                          2.2002615190695535e-154, 2.008147366978817)),
+]
+
+
+@pytest.mark.parametrize("n, family, point", _EDGE_POINTS)
+def test_classify_many_edge_points(n, family, point):
+    _assert_matches_classify(n, family, [point])
+
+
+def _broad_points(rng, k, shifted):
+    """k points spread over both regimes, shifts up to 1e300 and s up to 40."""
+    alpha = 10.0 ** rng.uniform(-6.0, 2.0, k)
+    return np.column_stack([
+        np.exp(rng.uniform(-1.0, 3.0, k)), np.exp(rng.uniform(-4.0, 3.0, k)),
+        np.exp(rng.uniform(-3.0, 3.0, k)), rng.uniform(0.0, 40.0, k) * (rng.random(k) < 0.7),
+        10.0 ** rng.uniform(-2.0, 300.0, k) * shifted,
+        10.0 ** rng.uniform(-5.0, 300.0, k) * shifted,
+        alpha, alpha * (1.0 + rng.uniform(0.0, 3.0, k) * (rng.random(k) < 0.9)),
+        rng.uniform(0.1, 9.0, k)])
+
+
+def _near_tie(rng, x):
+    """x, or x moved up by 0 to 60 units of 1e-16, inside _TIE_REL, at random."""
+    return x * (1.0 + rng.integers(0, 60, x.size) * 1e-16)
+
+
+def _hostile_points(rng, k, n, shifted):
+    """k points in one ledger's regime near its ties and its float range:
+    thresholds and beta within _TIE_REL, alpha from 1e-300 to 1e300, and
+    zero-shift rates just above 2(1+1/m)."""
+    alpha = 10.0 ** rng.uniform(-300.0, 300.0, k)
+    beta = np.where(rng.random(k) < 0.3, _near_tie(rng, alpha), alpha * rng.uniform(1.0, 4.0, k))
+    if shifted:
+        p = 1.0 + 10.0 ** rng.uniform(-3.0, 1.0, k)
+        m, s = 10.0 ** rng.uniform(-2.0, 1.5, k), rng.uniform(0.0, 40.0, k) * (rng.random(k) < 0.5)
+        rate = 10.0 ** rng.uniform(-2.0, 1.5, k)
+        b = rate * m / (s + 1.0)
+        lam = np.where(rng.random(k) < 0.3, _near_tie(rng, np.maximum(2.0 * rate * rate, n * n)),
+                       10.0 ** rng.uniform(-2.0, 300.0, k))
+        mu = np.where(rng.random(k) < 0.3, _near_tie(rng, np.maximum(2.0 * b * b, n * n)),
+                      10.0 ** rng.uniform(-5.0, 300.0, k))
+        q = 10.0 ** rng.uniform(-3.0, 1.0, k)
+    else:
+        m = 10.0 ** rng.uniform(-0.5, 3.5, k)
+        rate = 2.0 * (1.0 + 1.0 / m) * (1.0 + 10.0 ** rng.uniform(-17.0, 0.0, k))
+        p, q = 10.0 ** rng.uniform(0.1, 9.0, k), 10.0 ** rng.uniform(-3.0, 1.0, k)
+        s, lam = rng.uniform(0.0, 5.0, k), np.zeros(k)
+        mu = lam
+    return np.column_stack([p, q, m, s, lam, mu, alpha, beta, rate])
+
+
+def test_classify_many_bulk_matches_classify():
+    # 20k seeded points: 10k broad ones in both regimes and for the zero
+    # source, which are all valid and where classify never raises, and
+    # 10k near the ledgers' ties and float range
+    rng = np.random.default_rng(20261018)
+    for n, family, shifted in [(3, BarrierFamily.W, True), (7, None, True),
+                               (5, BarrierFamily.Z, False), (4, BarrierFamily.W, False)]:
+        codes = _assert_matches_classify(n, family, _broad_points(rng, 2500, shifted).tolist())
+        assert not np.any(codes == DEFERRED)
+    for n, family, shifted in [(3, BarrierFamily.W, True), (6, BarrierFamily.W, True),
+                               (5, BarrierFamily.Z, False), (7, BarrierFamily.Z, False)]:
+        _assert_matches_classify(n, family, _hostile_points(rng, 2500, n, shifted).tolist())

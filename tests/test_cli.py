@@ -232,6 +232,24 @@ def test_region_rows_match_scalar_classify(tmp_path, fixed, sweeps, build):
         assert row[3:] == [verdict.status.value, verdict.tag or ""]
 
 
+# an invalid lattice point fails as classify's own checks fail, at the
+# first such point in lattice order, and no table or report is written
+@pytest.mark.parametrize("flags, line", [
+    (["--sweep", "p=2,-1"], "error: p, q, m must be positive"),
+    (["--rho", "exp", "--beta", "2", "--sweep", "alpha=1,3"],
+     "error: envelope requires 0 < alpha <= beta"),
+    (["--mu", "16", "--sweep", "lam=0,4"], "error: shifts must be both zero or both positive"),
+    (["--sweep", "p=2,nan,-1"], "error: p, q, m, s must be finite"),
+    (["--sweep", "p=2,3", "--sweep", "q=1,-1,nan"], "error: p, q, m must be positive"),
+])
+def test_region_invalid_point_error_line(tmp_path, capsys, flags, line):
+    table, report = tmp_path / "t.csv", tmp_path / "r.json"
+    rc = run(["region", *flags, "--out-table", str(table), "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not table.exists() and not report.exists()
+
+
 def test_region_sweep_across_sigma_one(tmp_path):
     # sigma = 4 / (2 (p - 1)) crosses 1 at p = 3, where the algebraic
     # ledger's alpha bounds leave the float range
@@ -418,8 +436,10 @@ def test_solve_refuses_a_doubled_ball_out_of_float_range_before_any_solve(tmp_pa
     assert calls == []
 
 
-def test_cli_import_leaves_scipy_interpolate_out(tmp_path):
-    code = "import sys, gmsteady.cli; assert 'scipy.interpolate' not in sys.modules"
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is imported where a kernel, potential or solve first needs it
+    code = ("import sys, gmsteady.cli; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
