@@ -383,7 +383,8 @@ def exp_regime_ledger(
     M1_upper > M1_lower, M2_upper > M2_lower, and the source budget
     (lam/4) M1_upper >= beta.  The budget is equivalent to
     mu <= c0 * lam^(p(s+1)/q - m) with the reported c0.  Constants that
-    float64 cannot hold make the ledger infeasible ("float-range", NaN).
+    float64 cannot hold make the ledger infeasible ("float-range", NaN),
+    and so does a sigma that underflows to 0, where c0 is undefined.
     """
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     if p <= 1:
@@ -417,7 +418,7 @@ def exp_regime_ledger(
         c0 = (kconst / (4.0 * beta)) ** (m / sig)
         if not all(0.0 < c < math.inf for c in (m1_lo, m2_lo, m1_hi, m2_hi)):
             raise OverflowError
-    except OverflowError:  # such constants cannot certify a sandwich
+    except (OverflowError, ZeroDivisionError):  # such constants cannot certify a sandwich
         m1_lo = m2_lo = m1_hi = m2_hi = c0 = math.nan
         violated.append("float-range")
     else:
@@ -461,6 +462,9 @@ def alg_regime_ledger(
     Feasible iff 0 < alpha < eps and alpha < beta < delta * alpha^sigma,
     where delta = ((a-2)(N-a)/2) C and eps is the minimum of
     (C/A)^(1/(1-sigma)), (D/B)^((s+1)/(m(1-sigma))) and delta^(1/(1-sigma)).
+    A constant that overflows float64, or a zero divisor, makes it
+    infeasible ("float-range", NaN); a lower barrier that underflows to 0
+    keeps its verdict, and the solvers refuse it.
     """
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     n = dimension
@@ -489,26 +493,34 @@ def alg_regime_ledger(
         raise ValueError("need 0 < alpha <= beta")
 
     b = (m * (a - 2.0) - 2.0) / (s + 1.0)
-    big_a = 1.0 / ((a - 2.0) * n)
-    big_b = (big_a**m / (b * n)) ** (1.0 / (s + 1.0))
-    big_c = ((a - 2.0) * (n - a) * big_b**q / 2.0) ** (1.0 / (p - 1.0))
-    big_d = (big_c**m / (b * (n - b - 2.0))) ** (1.0 / (s + 1.0))
-    delta = (a - 2.0) * (n - a) / 2.0 * big_c
-    eps = min(
-        _pow_or_inf(big_c / big_a, 1.0 / (1.0 - sig)),
-        _pow_or_inf(big_d / big_b, (s + 1.0) / (m * (1.0 - sig))),
-        _pow_or_inf(delta, 1.0 / (1.0 - sig)),
-    )
-
-    m1_lo = big_a * alpha
-    m1_hi = big_c * alpha**sig
-    m2_lo = big_b * alpha ** (m / (s + 1.0))
-    m2_hi = big_d * alpha ** (sig * m / (s + 1.0))
-
     violated: list = []
-    _strict(eps, alpha, "alpha-upper", violated)
-    _strict(beta, alpha, "alpha-beta-order", violated)
-    _strict(delta * alpha**sig, beta, "beta-window", violated)
+    try:
+        big_a = 1.0 / ((a - 2.0) * n)
+        big_b = (big_a**m / (b * n)) ** (1.0 / (s + 1.0))
+        big_c = ((a - 2.0) * (n - a) * big_b**q / 2.0) ** (1.0 / (p - 1.0))
+        big_d = (big_c**m / (b * (n - b - 2.0))) ** (1.0 / (s + 1.0))
+        delta = (a - 2.0) * (n - a) / 2.0 * big_c
+        eps = min(
+            _pow_or_inf(big_c / big_a, 1.0 / (1.0 - sig)),
+            _pow_or_inf(big_d / big_b, (s + 1.0) / (m * (1.0 - sig))),
+            _pow_or_inf(delta, 1.0 / (1.0 - sig)),
+        )
+        alpha_sig = alpha**sig
+        m1_lo = big_a * alpha
+        m1_hi = big_c * alpha_sig
+        m2_lo = big_b * alpha ** (m / (s + 1.0))
+        m2_hi = big_d * alpha ** (sig * m / (s + 1.0))
+        if not all(c < math.inf for c in (m1_lo, m2_lo, m1_hi, m2_hi)):
+            raise OverflowError
+    except (OverflowError, ZeroDivisionError):  # such constants cannot certify a sandwich
+        big_a = big_b = big_c = big_d = delta = eps = math.nan
+        m1_lo = m2_lo = m1_hi = m2_hi = math.nan
+        violated.append("float-range")
+        _strict(beta, alpha, "alpha-beta-order", violated)
+    else:
+        _strict(eps, alpha, "alpha-upper", violated)
+        _strict(beta, alpha, "alpha-beta-order", violated)
+        _strict(delta * alpha_sig, beta, "beta-window", violated)
 
     return ConstantsLedger(
         regime=Regime.ALGEBRAIC,
@@ -642,7 +654,7 @@ def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
     if problem.lam > 0 and exponents.p > 1:
         sig = sigma_index(exponents)
         if sig > 1.0:
-            thresh = (exponents.m / (exponents.s + 1.0)) ** 2 * problem.lam
+            thresh = _pow_or_inf(exponents.m / (exponents.s + 1.0), 2.0) * problem.lam
             if problem.mu > thresh:
                 advisories.append(
                     "Theorem 1.1(ii): no solution with exponentially decaying u "
@@ -719,20 +731,20 @@ def _strict_holds(lhs, rhs):
 
 
 def _exp_ledger_many(n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
-    """``exp_regime_ledger(...).feasible`` at each point, and where it raises.
+    """``exp_regime_ledger(...).feasible`` at each point.
 
-    The try block's first exception decides a point: OverflowError means
-    float-range, anything else escapes the ledger.
+    Every base is nonnegative, so a power can only overflow or divide
+    by zero, and either reads float-range.
     """
     b = a * m / (s + 1.0)
     holds = (_strict_holds(lam, _max(2.0 * a * a, n_sq))
              & _strict_holds(mu, _max(2.0 * b * b, n_sq)))
-    first = np.zeros(p.size, dtype=np.int8)  # first exception of each point, in order
+    in_range = sig != 0.0  # c0's m / sig
 
     def power(base, exponent):
-        nonlocal first
+        nonlocal in_range
         value, flags = _pow(base, exponent)
-        first = np.where(first == 0, flags, first)
+        in_range &= flags == 0
         return value
 
     m1_lo = alpha / (2.0 * lam)
@@ -741,32 +753,34 @@ def _exp_ledger_many(n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
     m1_hi = power((lam / 4.0) * power(m2_lo, q), 1.0 / (p - 1.0))
     m2_hi = power(2.0 * power(m1_hi, m) / mu, 1.0 / (s + 1.0))
     kconst = power(0.25 * power(t, q / (s + 1.0)), 1.0 / (p - 1.0))
-    first = np.where((first == 0) & (sig == 0.0), _RAISED, first)  # m / sig
     power(kconst / (4.0 * beta), m / sig)  # c0: only its overflow counts
-    in_range = np.ones(p.size, dtype=bool)
     for c in (m1_lo, m2_lo, m1_hi, m2_hi):
         in_range &= (0.0 < c) & (c < math.inf)
-    holds &= (first == 0) & in_range
+    holds &= in_range
     holds &= _strict_holds(m1_hi, m1_lo) & _strict_holds(m2_hi, m2_lo)
     holds &= (lam / 4.0) * m1_hi >= beta
-    return holds, first == _RAISED
+    return holds
 
 
 def _alg_ledger_many(n, p, q, m, s, alpha, beta, a, sig):
     """``alg_regime_ledger(...).feasible`` at points inside its regime, and
-    where it raises: any exception there escapes, except the overflows
-    ``_pow_or_inf`` turns into inf."""
+    where it may raise: a power that turns complex (a base that rounds
+    negative) escapes the ledger.  An overflow or a zero divisor reads
+    float-range, except the overflows ``_pow_or_inf`` turns into inf."""
     raised = np.zeros(p.size, dtype=bool)
+    in_range = np.ones(p.size, dtype=bool)
 
     def power(base, exponent, overflow_is_inf=False):
-        nonlocal raised
+        nonlocal raised, in_range
         value, flags = _pow(base, exponent)
-        raised |= flags == _RAISED if overflow_is_inf else flags != 0
+        raised |= flags == _RAISED
+        if not overflow_is_inf:
+            in_range &= flags != _OVERFLOWED
         return value
 
     def divide(x, y):
-        nonlocal raised
-        raised |= y == 0.0
+        nonlocal in_range
+        in_range &= y != 0.0
         return x / y
 
     b = (m * (a - 2.0) - 2.0) / (s + 1.0)
@@ -781,9 +795,10 @@ def _alg_ledger_many(n, p, q, m, s, alpha, beta, a, sig):
               power(delta, divide(1.0, 1.0 - sig), overflow_is_inf=True)):
         eps = np.where(y < eps, y, eps)
     alpha_sig = power(alpha, sig)
-    power(alpha, m / (s + 1.0))  # M2_lower and M2_upper: only their overflow counts
-    power(alpha, sig * m / (s + 1.0))
-    holds = (_strict_holds(eps, alpha) & _strict_holds(beta, alpha)
+    for c in (big_a * alpha, big_b * power(alpha, m / (s + 1.0)), big_c * alpha_sig,
+              big_d * power(alpha, sig * m / (s + 1.0))):
+        in_range &= c < math.inf
+    holds = (in_range & _strict_holds(eps, alpha) & _strict_holds(beta, alpha)
              & _strict_holds(delta * alpha_sig, beta))
     return holds & ~raised, raised
 
@@ -832,7 +847,7 @@ def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> 
         feasible = np.zeros(p.size, dtype=bool)
 
         at = np.flatnonzero(valid & shifted & matched & ~rule1 & (sig <= 1.0))
-        feasible[at], deferred[at] = _exp_ledger_many(
+        feasible[at] = _exp_ledger_many(
             n_sq, *(x[at] for x in (p, q, m, s, lam, mu, alpha, beta, rate, sig)))
         # inside alg_regime_ledger's regime; outside it classify reads unknown
         at = np.flatnonzero(
@@ -841,9 +856,6 @@ def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> 
             & (2.0 * p / (p - 1.0) <= rate + sig * (a_low - rate)))
         feasible[at], deferred[at] = _alg_ledger_many(
             n, *(x[at] for x in (p, q, m, s, alpha, beta, rate, sig)))
-        # _unknown's advisory squares m/(s+1), which can overflow
-        at = np.flatnonzero(valid & shifted & (p > 1.0) & (sig > 1.0))
-        deferred[at] = _pow(m[at] / (s[at] + 1.0), 2.0)[1] != 0
 
         codes = np.select(
             [deferred, rule1, rule2, rule3, feasible & shifted, feasible],

@@ -117,10 +117,18 @@ class RadialGrid:
         return cls.graded(radius, max(16, _node_count(k + 1)), stretch)
 
     def refined(self) -> "RadialGrid":
-        """Insert interval midpoints; original nodes are preserved."""
-        mids = 0.5 * (self.nodes[:-1] + self.nodes[1:])
-        nodes = np.sort(np.concatenate([self.nodes, mids]))
-        return RadialGrid(nodes, self.stretch)
+        """Split every interval in two; original nodes are preserved.
+
+        Each [a, b] is cut at a + (b - a)/(1 + sqrt(stretch)), so every pair
+        of neighbouring intervals has the ratio sqrt(stretch), which the
+        refined grid records; on a uniform grid that is the midpoint.
+        """
+        r = self.nodes
+        ratio = math.sqrt(self.stretch) if self.stretch > 1.0 else 1.0
+        nodes = np.empty(2 * r.size - 1)
+        nodes[::2] = r
+        nodes[1::2] = r[:-1] + (r[1:] - r[:-1]) / (1.0 + ratio)
+        return RadialGrid(nodes, ratio if self.stretch > 1.0 else self.stretch)
 
     def extended(self, factor: float = 2.0) -> "RadialGrid":
         """Continue the grading beyond R until ``factor * R``; keeps old nodes."""

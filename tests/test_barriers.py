@@ -159,6 +159,58 @@ def test_exp_ledger_float_range_is_infeasible():
     assert verdict.status is VerdictStatus.UNKNOWN
 
 
+# (N, family, point, ledger): points whose ledger or advisory float64 cannot
+# evaluate; each reads unknown, with float-range where a ledger applies
+_FLOAT_RANGE_POINTS = [
+    # m q underflows, so sigma = 0 and c0's m / sigma divides by zero
+    (3, BarrierFamily.W, (2.0, 1e-200, 1e-200, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0), True),
+    # A^m overflows
+    (3, BarrierFamily.Z, (1e5, 1.0, 1000.0, 0.0, 0.0, 0.0, 0.01, 0.015, 2.0021), True),
+    # alpha^(m/(s+1)) overflows
+    (5, BarrierFamily.Z, (5.0, 1.0, 4.0, 1.0, 0.0, 0.0, 1e300, 1e300, 3.5), True),
+    # sigma > 1: the Theorem 1.1(ii) advisory squares m/(s+1) = 1e200
+    (3, None, (2.0, 1e200, 1e200, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0), False),
+]
+
+
+@pytest.mark.parametrize("n, family, point, ledger", _FLOAT_RANGE_POINTS)
+def test_float_range_points_read_unknown(n, family, point, ledger):
+    p, q, m, s, lam, mu, alpha, beta, rate = point
+    rho = SourceModel.zero() if family is None else SourceModel(family, alpha, beta, rate)
+    verdict = classify(Problem(n, lam, mu, rho), Exponents(p, q, m, s))
+    assert verdict.status is VerdictStatus.UNKNOWN
+    if ledger:
+        assert verdict.ledger is None or not verdict.ledger.feasible
+        assert "float-range" in verdict.reason
+    assert verdict.advisories == []
+    # the array classifier reads the same verdict without the scalar path
+    codes = classify_many(n, family, *np.array([point]).T)
+    assert VERDICT_CODES[codes[0]] == ("unknown", "")
+
+
+def test_alg_ledger_underflowing_lower_barrier_keeps_its_verdict():
+    # alpha^(m/(s+1)) underflows, so M2_lower = 0 while the theorem's
+    # conditions hold: only an overflow reads float-range, and solve
+    # refuses the underflowing barrier itself
+    point = (1e5, 3.7942141000975074, 11.78086015945043, 3.419350855590295,
+             0.0, 0.0, 1.4955270482839752e-250, 5.832253967854931e-250, 2.169766890781369)
+    p, q, m, s, lam, mu, alpha, beta, rate = point
+    rho = SourceModel(BarrierFamily.Z, alpha, beta, rate)
+    verdict = classify(Problem(3, lam, mu, rho), Exponents(p, q, m, s))
+    assert verdict.status is VerdictStatus.EXISTENCE_GUARANTEED
+    assert verdict.ledger.m2_lower == 0.0 and verdict.ledger.m1_lower > 0.0
+    codes = classify_many(3, BarrierFamily.Z, *np.array([point]).T)
+    assert VERDICT_CODES[codes[0]] == ("existence-guaranteed", "Theorem 1.4(ii)")
+
+
+def test_alg_ledger_lists_alpha_upper_first():
+    # beta ties alpha where alpha-upper and the beta window also fail
+    ledger = alg_regime_ledger(Exponents(7.235471241191534, 1e-200, 11.771593718698877,
+                                         10.376665540536226), 7, 1960142513057990.0,
+                               1960142513057990.0, 4.0)
+    assert ledger.violated == ["alpha-upper", "alpha-beta-order (boundary)", "beta-window"]
+
+
 def test_exp_ledger_regime_errors():
     with pytest.raises(RegimeError):
         exp_regime_ledger(Exponents(2, 1, 2, 0), 3, 4096.0, 16.0, 1.0, 2.0, 1.0)  # sigma 2

@@ -402,6 +402,38 @@ def test_solve_ledger_overflow_point_refused(tmp_path, capsys):
     assert "float-range" in _assert_one_line_refusal(capsys)
 
 
+# sigma = m q / ((p-1)(s+1)) underflows to 0 at m = q = 1e-200
+_SIGMA_ZERO_POINT = ["-N", "3", "--rho", "exp", "--lam", "4096", "--mu", "16",
+                     "--q", "1e-200", "--m", "1e-200"]
+# alpha^(m/(s+1)) = 1e600 overflows in the algebraic ledger
+_ALG_OVERFLOW_POINT = ["-N", "5", "--p", "5", "--q", "1", "--m", "4", "--s", "1",
+                       "--rho", "alg", "--alpha", "1e300", "--beta", "1e300"]
+
+
+@pytest.mark.parametrize("flags", [[*_SIGMA_ZERO_POINT, "--p", "2"],
+                                   [*_ALG_OVERFLOW_POINT, "--rate", "3.5"]])
+def test_solve_float_range_ledger_refused(tmp_path, capsys, flags):
+    rc = run(["solve", *flags, "--report", str(tmp_path / "s.json")])
+    assert rc == 2
+    assert "float-range" in _assert_one_line_refusal(capsys)
+
+
+@pytest.mark.parametrize("flags, sweep, rows", [
+    (_SIGMA_ZERO_POINT, "p=0.5,2",
+     [["0", "0.5", "nonexistence", "Theorem 1.1(i)"], ["1", "2.0", "unknown", ""]]),
+    (_ALG_OVERFLOW_POINT, "rate=3.5,3.6",
+     [["0", "3.5", "unknown", ""], ["1", "3.6", "unknown", ""]]),
+])
+def test_region_float_range_ledger_is_unknown(tmp_path, capsys, flags, sweep, rows):
+    table = tmp_path / "region.csv"
+    rc = run(["region", *flags, "--sweep", sweep,
+              "--report", str(tmp_path / "r.json"), "--out-table", str(table)])
+    assert rc == 0
+    with open(table, newline="") as fh:
+        assert list(csv.reader(fh))[1:] == rows
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys):
     # lam = 1e300 certifies M2_lower ~ 1.6e-302, and M2_lower * B_v
     # underflows to 0 on the doubled ball; at s = 12 and 30 M1_lower * B_u
@@ -436,15 +468,32 @@ def test_solve_refuses_a_doubled_ball_out_of_float_range_before_any_solve(tmp_pa
     assert calls == []
 
 
-def test_cli_import_leaves_scipy_out(tmp_path):
-    # scipy is imported where a kernel, potential or solve first needs it
-    code = ("import sys, gmsteady.cli; "
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+def _run_fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter on this checkout, warnings as errors."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONWARNINGS": "error", "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
-                   timeout=120)
+    subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True, timeout=120)
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # scipy is imported where a kernel, potential or solve first needs it
+    _run_fresh("import sys, gmsteady.cli; "
+               "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']", tmp_path)
+
+
+@pytest.mark.parametrize("dimension, mu", [("3", "16"), ("5", "32")])
+def test_exp_solve_and_verify_leave_scipy_special_out(tmp_path, dimension, mu):
+    # orders 1/2 and 3/2: the shifted potential's Bessel factors are closed forms
+    flags = [*_EXP_POINT, "--rho-amplitude", "1.5"]
+    flags[flags.index("-N") + 1], flags[flags.index("--mu") + 1] = dimension, mu
+    _run_fresh(
+        f"import sys; from gmsteady.cli import main; flags = {flags!r}; "
+        "assert main(['solve', *flags, '--report', 's.json', '--out-u', 'u.txt', "
+        "'--out-v', 'v.txt']) == 0; "
+        "assert main(['verify', *flags, '--u-field', 'u.txt', '--v-field', 'v.txt', "
+        "'--u-rate', '1', '--v-rate', '1', '--tol', '1e-4', '--report', 'v.json']) == 0; "
+        "assert 'scipy.special' not in sys.modules", tmp_path)
 
 
 def _reject_constant(name):

@@ -3,9 +3,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
 
 from gmsteady.kernels import (
     GreenParams,
+    _scaled_bessel,
     bessel_k,
     green_lambda,
     green_lambda_mass,
@@ -61,6 +63,29 @@ def test_half_integer_closed_forms_over_range():
         vals = bessel_k(nu, z)
         ref = k_half_integer_closed(nu, z)
         assert np.max(np.abs(vals - ref) / ref) <= 1e-12
+
+
+#: z from 1e-8 to 1e4, with both sides of the nu = 3/2 branch switch at 1
+_SCALED_Z = np.concatenate((np.geomspace(1e-8, 1e4, 97),
+                            [0.999, math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0), 1.001]))
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])
+def test_scaled_bessel_matches_mpmath(nu):
+    # I_nu(z) e^-z and K_nu(z) e^z at 40 digits: the closed forms and
+    # Cephes stay within a few units of the last place
+    ive, kve = _scaled_bessel(nu)
+    with mp.workdps(40):
+        exact_i = [float(mp.besseli(nu, mp.mpf(z)) * mp.exp(-mp.mpf(z))) for z in _SCALED_Z]
+        exact_k = [float(mp.besselk(nu, mp.mpf(z)) * mp.exp(mp.mpf(z))) for z in _SCALED_Z]
+    assert np.max(np.abs(ive(_SCALED_Z) / exact_i - 1.0)) <= 2e-15
+    assert np.max(np.abs(kve(_SCALED_Z) / exact_k - 1.0)) <= 2e-15
+
+
+def test_scaled_bessel_other_orders_are_scipy():
+    ive, kve = _scaled_bessel(2.0)
+    assert np.array_equal(ive(_SCALED_Z), special.ive(2.0, _SCALED_Z))
+    assert np.array_equal(kve(_SCALED_Z), special.kve(2.0, _SCALED_Z))
 
 
 def test_large_argument_asymptotics():

@@ -333,6 +333,22 @@ def test_bessel_matches_loop_reference(n, shift, tag):
     assert np.max(np.abs(u / ref - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("shift", [1.0, 64.0, 4096.0])
+@pytest.mark.parametrize("tag", [BarrierProfile(BarrierFamily.W, 0.7),
+                                 BarrierProfile(BarrierFamily.Z, 3.5)], ids=["W", "Z"])
+def test_bessel_matches_amos_factors(monkeypatch, n, shift, tag):
+    # the closed-form and Cephes factors against scipy's AMOS ive/kve at
+    # every order, through the same potential
+    g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
+    src = RadialField(g, np.asarray(eval_barrier(tag, g.nodes)), tag)
+    u = bessel_potential_radial(n, shift, src).values
+    monkeypatch.setattr(potentials, "_scaled_bessel", lambda nu: (
+        lambda z: special.ive(nu, z), lambda z: special.kve(nu, z)))
+    amos = bessel_potential_radial(n, shift, src).values
+    assert np.max(np.abs(u / amos - 1.0)) <= 1e-13
+
+
 @pytest.mark.parametrize("n, shift, tag", [
     (3, 4096.0, BarrierProfile(BarrierFamily.W, 0.7)),
     (5, 64.0, BarrierProfile(BarrierFamily.Z, 3.0)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -41,11 +43,22 @@ def test_graded_grid_and_refinement():
     assert np.allclose(h[1:] / h[:-1], 1.05, rtol=1e-9)
     fine = g.refined()
     assert fine.n == 2 * g.n - 1
-    assert np.allclose(fine.nodes[::2], g.nodes)
+    assert np.array_equal(fine.nodes[::2], g.nodes)
     big = g.extended(2.0)
     assert big.radius >= 20.0
     assert np.allclose(big.nodes[: g.n], g.nodes)
-    assert fine.stretch == big.stretch == 1.05
+    assert big.stretch == 1.05
+    # every neighbouring pair of the refined grid, and of its extension,
+    # has the ratio sqrt(1.05) that the refined grid records
+    assert fine.stretch == math.sqrt(1.05)
+    for grid in (fine, fine.extended(2.0)):
+        h = np.diff(grid.nodes)
+        assert np.allclose(h[1:] / h[:-1], math.sqrt(1.05), rtol=1e-9)
+    # a uniform grid is cut at its midpoints
+    u = RadialGrid.uniform(10.0, 50)
+    assert u.refined().stretch == 1.0
+    assert np.allclose(u.refined().nodes[1::2], 0.5 * (u.nodes[:-1] + u.nodes[1:]),
+                       rtol=1e-15, atol=0.0)
 
 
 def _extended_by_loop(grid, factor):
