@@ -22,8 +22,12 @@ fit.  Grid builders refuse more than ``MAX_GRID_NODES`` nodes.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Callable, Optional
 
 import numpy as np
@@ -200,7 +204,43 @@ class RadialField:
         return amp * np.asarray((form or eval_barrier)(tag, r), dtype=float)
 
 
+_FLAPACK = "scipy.linalg._flapack"
 _dgtsv = None  # scipy's LAPACK dgtsv, bound by the first _gtsv call
+
+
+def _flapack_file() -> Optional[str]:
+    """Path of scipy's compiled ``_flapack`` extension, found without importing scipy."""
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy and scipy.submodule_search_locations) or ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_dgtsv():
+    """scipy's f2py-wrapped ``dgtsv``, without importing ``scipy.linalg`` if it can.
+
+    Until ``_flapack`` is imported, the extension is loaded straight from
+    its file, which skips the ``__init__`` of the ``scipy.linalg`` package.
+    Otherwise, or if the file is missing or fails to load, it comes from
+    ``scipy.linalg.lapack``: the same function either way.
+    """
+    path = None if _FLAPACK in sys.modules else _flapack_file()
+    if path is not None:
+        try:
+            spec = importlib.util.spec_from_loader(_FLAPACK, ExtensionFileLoader(_FLAPACK, path))
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            # CPython registers the module without its parent package; drop the
+            # entry, so that a later ``import scipy.linalg`` runs as usual
+            sys.modules.pop(_FLAPACK, None)
+            return module.dgtsv
+        except (ImportError, AttributeError):  # not loadable here, or no dgtsv in it
+            pass
+    from scipy.linalg.lapack import dgtsv
+    return dgtsv
 
 
 def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,11 +249,13 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
     One LAPACK ``dgtsv`` call, the routine ``solve_banded((1, 1), ...)``
     dispatches to, with its arithmetic and its errors but none of its
     wrapper; the diagonals are copied, and b is overwritten by the solution.
-    scipy is imported on the first call, not with the package.
+    ``dgtsv`` is bound on the first call by ``_load_dgtsv``, which loads
+    scipy's ``_flapack`` extension file in about 4 ms and imports no scipy
+    package (importing ``scipy.linalg`` takes about 0.27 s).
     """
     global _dgtsv
     if _dgtsv is None:
-        from scipy.linalg.lapack import dgtsv as _dgtsv
+        _dgtsv = _load_dgtsv()
     *_, x, info = _dgtsv(lower, diag, upper, b, overwrite_b=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -263,6 +264,8 @@ def test_region_sweep_across_sigma_one(tmp_path):
 _EXP_POINT = ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1",
               "--m", "1", "--s", "0", "--rho", "exp", "--alpha", "1", "--beta", "2",
               "--rate", "1"]
+_ALG_POINT = ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho", "alg",
+              "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125"]
 
 
 def _assert_one_line_error(capsys):
@@ -482,18 +485,45 @@ def test_cli_import_leaves_scipy_out(tmp_path):
                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']", tmp_path)
 
 
-@pytest.mark.parametrize("dimension, mu", [("3", "16"), ("5", "32")])
-def test_exp_solve_and_verify_leave_scipy_special_out(tmp_path, dimension, mu):
-    # orders 1/2 and 3/2: the shifted potential's Bessel factors are closed forms
-    flags = [*_EXP_POINT, "--rho-amplitude", "1.5"]
-    flags[flags.index("-N") + 1], flags[flags.index("--mu") + 1] = dimension, mu
-    _run_fresh(
-        f"import sys; from gmsteady.cli import main; flags = {flags!r}; "
-        "assert main(['solve', *flags, '--report', 's.json', '--out-u', 'u.txt', "
-        "'--out-v', 'v.txt']) == 0; "
-        "assert main(['verify', *flags, '--u-field', 'u.txt', '--v-field', 'v.txt', "
-        "'--u-rate', '1', '--v-rate', '1', '--tol', '1e-4', '--report', 'v.json']) == 0; "
-        "assert 'scipy.special' not in sys.modules", tmp_path)
+@pytest.mark.parametrize("point, changes, u_rate", [
+    ([*_EXP_POINT, "--rho-amplitude", "1.5"], {}, "1"),
+    ([*_EXP_POINT, "--rho-amplitude", "1.5"], {"-N": "5", "--mu": "32"}, "1"),
+    (_ALG_POINT, {}, "2"),
+], ids=["exp-N3", "exp-N5", "alg-N5"])
+def test_solve_and_verify_load_no_scipy_package(tmp_path, point, changes, u_rate):
+    # at N = 3 and 5 the shifted potential's Bessel factors are closed forms, and
+    # dgtsv comes from scipy's _flapack extension file, so no scipy package is
+    # imported; scipy.linalg, imported afterwards, agrees with it bit for bit
+    flags = list(point)
+    for name, value in changes.items():
+        flags[flags.index(name) + 1] = value
+    _run_fresh(textwrap.dedent(f"""
+        import sys
+        import numpy as np
+        from gmsteady.cli import main
+        from gmsteady.radial_core import _gtsv
+        flags = {flags!r}
+        assert main(['solve', *flags, '--report', 's.json', '--out-u', 'u.txt',
+                     '--out-v', 'v.txt']) == 0
+        assert main(['verify', *flags, '--u-field', 'u.txt', '--v-field', 'v.txt',
+                     '--u-rate', {u_rate!r}, '--v-rate', '1', '--tol', '1e-4',
+                     '--report', 'v.json']) == 0
+        assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']
+        import scipy.linalg
+        rng = np.random.default_rng(5)
+        for n in (2, 17, 400):
+            ab = rng.random((3, n))
+            ab[1] += 2.0
+            b = rng.random(n)
+            x = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b.copy())
+            assert np.array_equal(x, scipy.linalg.solve_banded((1, 1), ab, b))
+        zeros = np.zeros(5)
+        try:
+            _gtsv(zeros[:-1], zeros, zeros[:-1], np.ones(5))
+            raise AssertionError('a singular system was solved')
+        except np.linalg.LinAlgError as exc:
+            assert str(exc) == 'singular matrix'
+        """), tmp_path)
 
 
 def _reject_constant(name):
@@ -636,10 +666,6 @@ def test_config_switch_values(tmp_path, capsys):
     assert run([*base, *_config(tmp_path, "cor3 = maybe\n")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cor3" in err and "'maybe'" in err
-
-
-_ALG_POINT = ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho", "alg",
-              "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125"]
 
 
 def _assert_one_line_unconverged(capsys):

@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack, solve_banded
 
+from gmsteady import radial_core
 from gmsteady.errors import FieldParseError
 from gmsteady.radial_core import (
     MAX_GRID_NODES,
@@ -325,6 +327,32 @@ def test_tridiagonal_kernel_matches_solve_banded_and_refuses_singular():
     zeros = np.zeros(40)
     with pytest.raises(np.linalg.LinAlgError, match="singular"):
         _gtsv(zeros[:-1], zeros, zeros[:-1], b.copy())
+
+
+def test_tridiagonal_kernel_falls_back_to_scipy_linalg_lapack(monkeypatch):
+    # this module imported scipy.linalg, so forget its _flapack for the file
+    # loader to run; with no extension suffix it finds no file and falls back
+    rng = np.random.default_rng(12)
+    systems = []
+    for n in (2, 17, 400):
+        ab = rng.random((3, n))
+        ab[1] += 2.0
+        systems.append((ab, rng.random(n)))
+
+    def solve_all():
+        radial_core._dgtsv = None
+        return [_gtsv(ab[2, :-1], ab[1], ab[0, 1:], b.copy()) for ab, b in systems]
+
+    monkeypatch.delitem(sys.modules, radial_core._FLAPACK)
+    monkeypatch.setattr(radial_core, "_dgtsv", None)
+    loaded = solve_all()
+    monkeypatch.setattr(radial_core, "EXTENSION_SUFFIXES", [])
+    fallback = solve_all()
+    assert radial_core._dgtsv is lapack.dgtsv
+    assert all(np.array_equal(x, y) for x, y in zip(loaded, fallback))
+    zeros = np.zeros(5)
+    with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        _gtsv(zeros[:-1], zeros, zeros[:-1], np.ones(5))
 
 
 def test_field_roundtrip(tmp_path):
