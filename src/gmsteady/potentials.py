@@ -34,6 +34,11 @@ one LAPACK ``dgtsv`` call with ``scipy.interpolate.CubicSpline``'s own
 arithmetic, and it is evaluated in ``PPoly``'s order, so its values are
 scipy's bit for bit without importing ``scipy.interpolate``.
 
+What depends only on the grid is built once per grid and kept on it
+(``RadialGrid.plan``): the spline's tridiagonal system, which both
+potentials share, and per N the Newtonian potential's quadrature.  The
+arithmetic and its order are those of a fresh grid, bit for bit.
+
 The divergence probe decides the source's improper integral by the
 exact exponent test and reports the dyadic shell sums of its envelope.
 """
@@ -98,54 +103,78 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
         yield mid[:, None] + half[:, None] * _gauss(npts)[0], half, owner
 
 
-def _not_a_knot(r: np.ndarray, g: np.ndarray):
-    """The not-a-knot cubic spline through (r, g) as ``spline(pts, owner)``.
+def _spline_system(r: np.ndarray):
+    """The grid part of the not-a-knot spline through nodes r (at least 4).
 
-    ``spline(pts, owner)`` evaluates it at ``pts`` (one row per piece)
-    with row i inside interval [r[owner[i]], r[owner[i]+1]].  The slopes
-    solve CubicSpline's tridiagonal system, the coefficients are
-    CubicHermiteSpline's and each value is PPoly's sum
-    c0 + c1 x + c2 x^2 + c3 x^3 with the powers accumulated, all in
-    scipy's operation order, and so are its refusals (ValueError) of
-    non-finite nodes, values or slopes.  Needs at least 4 nodes.
+    Returns (dx, d0, d1, lower, diag, upper): the intervals, the two end
+    spans and the three diagonals of CubicSpline's tridiagonal system for
+    the slopes.  Rows 1..n-2 match second derivatives, the end rows make
+    the third derivative continuous at r[1] and r[-2].  Non-finite nodes
+    are refused with scipy's ValueError.
     """
-    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(g))):
+    if not np.isfinite(r).all():
         raise ValueError("spline nodes and values must be finite")
     dx = np.diff(r)
-    slope = np.diff(g) / dx
-    # system for the slopes: rows 1..n-2 match second derivatives, the end
-    # rows make the third derivative continuous at r[1] and r[-2]
     d0, d1 = r[2] - r[0], r[-1] - r[-3]
     lower = np.concatenate((dx[1:], [d1]))
     diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
     upper = np.concatenate(([d0], dx[:-1]))
-    b = np.empty(r.size)
+    return dx, d0, d1, lower, diag, upper
+
+
+def _local_powers(r: np.ndarray, pts: np.ndarray, owner: np.ndarray):
+    """(x, x^2, x^3) with x = pts - r[owner]: each point's offset in its interval."""
+    x = pts - r[owner, None]
+    z = x * x
+    return x, z, z * x
+
+
+def _not_a_knot(g: np.ndarray, system):
+    """The not-a-knot cubic spline through (r, g) as ``spline(owner, powers)``.
+
+    ``system`` is the nodes' ``_spline_system(r)``.  ``spline(owner,
+    powers)`` evaluates it at points (one row per piece) with row i
+    inside interval [r[owner[i]], r[owner[i]+1]], from the points'
+    ``_local_powers``.  The slopes solve CubicSpline's
+    tridiagonal system, the coefficients are CubicHermiteSpline's and
+    each value is PPoly's sum c0 + c1 x + c2 x^2 + c3 x^3 with the
+    powers accumulated, all in scipy's operation order, and so are its
+    refusals (ValueError) of non-finite nodes, values or slopes.
+    """
+    dx, d0, d1, lower, diag, upper = system
+    if not np.isfinite(g).all():
+        raise ValueError("spline nodes and values must be finite")
+    slope = np.diff(g) / dx
+    b = np.empty(g.size)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
     dydx = _gtsv(lower, diag, upper, b)
-    if not np.all(np.isfinite(dydx)):
+    if not np.isfinite(dydx).all():
         raise ValueError("spline slopes must be finite")
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     coef = (g[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx)
 
-    def spline(pts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def spline(owner: np.ndarray, powers) -> np.ndarray:
         c0, c1, c2, c3 = (c[owner, None] for c in coef)
-        x = pts - r[owner, None]
-        z = x * x
-        return c0 + c1 * x + c2 * z + c3 * (z * x)
+        x, z, zx = powers
+        return c0 + c1 * x + c2 * z + c3 * zx
 
     return spline
 
 
-def _cumulative_weighted(pts, half, g_pts, power: float) -> np.ndarray:
-    """int_0^{r_i} s^power g(s) ds from one Gauss piece per grid interval.
+def _newton_plan(r: np.ndarray, dimension: int):
+    """What ``newton_potential_radial`` needs of nodes r in dimension N.
 
-    Gauss quadrature of the monomial weight keeps the near-origin
-    contributions accurate where s^power vanishes fast.
+    One 8-point Gauss piece per interval: (owner, half, powers, w_inner,
+    w_outer, r_pow) holds each piece's interval and half-width, the
+    points' ``_local_powers``, the Gauss weights times s^(N-1) and times
+    s at the points, and r[1:]^(2-N).
     """
-    contrib = half * np.sum(_gauss(pts.shape[1])[1] * pts**power * g_pts, axis=1)
-    return np.concatenate(([0.0], np.cumsum(contrib)))
+    pts, half, owner = next(_gauss_pieces(r, 8))
+    w = _gauss(8)[1]
+    return (owner, half, _local_powers(r, pts, owner), w * pts ** (dimension - 1), w * pts,
+            r[1:] ** (2.0 - dimension))
 
 
 def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
@@ -153,37 +182,40 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
 
     The tail beyond the grid is integrated in closed form from the
     declared decay model; an algebraic tail with rate <= 2 is rejected
-    as non-integrable.
+    as non-integrable.  The quadrature and the spline system come from
+    the grid's plans, built on its first call for N.
     """
     n = dimension
     if n < 3:
         raise ValueError("dimension must be >= 3")
     g = source.values
-    if np.any(g < 0):
+    if (g < 0).any():
         raise ValueError("source must be nonnegative")
-    r = source.grid.nodes
+    grid = source.grid
     tag = source.decay_tag
     if tag is not None and tag.family is BarrierFamily.Z and tag.rate <= 2.0:
         raise NonIntegrableTailError(
             f"algebraic tail rate {tag.rate} <= 2 makes int s * Z_a ds diverge"
         )
     # int_R^inf s g(s) ds = -c F(R), where F(inf) = 0
-    tail_j = -source.tail(source.grid.radius, weighted_antiderivative)
+    tail_j = -source.tail(grid.radius, weighted_antiderivative)
 
-    pts, half, owner = next(_gauss_pieces(r, 8))
-    g_pts = _not_a_knot(r, g)(pts, owner)
-    inner = _cumulative_weighted(pts, half, g_pts, n - 1)  # int_0^r s^(N-1) g
-    j_cum = _cumulative_weighted(pts, half, g_pts, 1)  # int_0^r s g
+    owner, half, powers, w_inner, w_outer, r_pow = grid.plan(_newton_plan, n)
+    g_pts = _not_a_knot(g, grid.plan(_spline_system))(owner, powers)
+    # int_0^r s^(N-1) g and int_0^r s g, one Gauss piece per interval
+    inner, j_cum = np.zeros((2, g.size))
+    np.cumsum(half * np.sum(w_inner * g_pts, axis=1), out=inner[1:])
+    np.cumsum(half * np.sum(w_outer * g_pts, axis=1), out=j_cum[1:])
     outer = (j_cum[-1] - j_cum) + tail_j  # int_r^inf s g
 
     u = np.empty_like(g)
     u[0] = outer[0] / (n - 2.0)
-    u[1:] = (r[1:] ** (2.0 - n) * inner[1:] + outer[1:]) / (n - 2.0)
+    u[1:] = (r_pow * inner[1:] + outer[1:]) / (n - 2.0)
 
     out_rate = float(n - 2)
     if tag is not None and tag.family is BarrierFamily.Z:
         out_rate = min(tag.rate - 2.0, float(n - 2))
-    return RadialField(source.grid, u, BarrierProfile(BarrierFamily.Z, out_rate))
+    return RadialField(grid, u, BarrierProfile(BarrierFamily.Z, out_rate))
 
 
 def bessel_potential_radial(
@@ -220,21 +252,23 @@ def bessel_potential_radial(
         return half[:, None] * wg * vals * pts ** (n / 2.0)
 
     nnode = r.size
-    spline = _not_a_knot(r, g)
+    spline = _not_a_knot(g, source.grid.plan(_spline_system))
     ip_int, iq_int = np.zeros((2, nnode - 1))
     # the piece count grows like sqrt(shift) * R; summing run by run
     # bounds the memory
     for pts, half, owner in _gauss_pieces(r, 12, k, _PIECE_BLOCK):
-        core = weighted(pts, half, spline(pts, owner))
+        core = weighted(pts, half, spline(owner, _local_powers(r, pts, owner)))
         ip = core * ive(k * pts) * np.exp(k * (pts - r[1:][owner, None]))
         iq = core * kve(k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
         ip_int += np.bincount(owner, np.sum(ip, axis=1), minlength=nnode - 1)
         iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=nnode - 1)
 
-    decay = np.exp(-k * np.diff(r))
-    p_acc = np.zeros(nnode)
-    for i in range(nnode - 1):
-        p_acc[i + 1] = p_acc[i] * decay[i] + ip_int[i]
+    # both recurrences run on Python floats: numpy scalar indexing costs
+    # about three times as much per step, for the same IEEE arithmetic
+    decay = np.exp(-k * np.diff(r)).tolist()
+    p_acc = [0.0]
+    for d, ip in zip(decay, ip_int.tolist()):
+        p_acc.append(p_acc[-1] * d + ip)
 
     # tail contribution to Q at r = R: geometric intervals until 46 e-folds
     q_tail = 0.0
@@ -246,10 +280,10 @@ def bessel_potential_radial(
         tq = weighted(tpts, thalf, source.tail(tpts)) * kve(k * tpts)
         q_tail += float(np.sum(tq * np.exp(k * (radius - tpts))))
 
-    q_acc = np.zeros(nnode)
-    q_acc[-1] = q_tail
-    for i in range(nnode - 2, -1, -1):
-        q_acc[i] = q_acc[i + 1] * decay[i] + iq_int[i]
+    q_acc = [q_tail]
+    for d, iq in zip(reversed(decay), reversed(iq_int.tolist())):
+        q_acc.append(q_acc[-1] * d + iq)
+    p_acc, q_acc = np.array(p_acc), np.array(q_acc[::-1])
 
     u = np.empty(nnode)
     zr = k * r[1:]

@@ -10,14 +10,17 @@ evaluated at interval midpoints and divided by exact shell volumes
 second-order accurate for smooth fields, and yields an M-matrix for any
 shift >= 0, so the discrete maximum principle holds on every grid.
 
-At r = 0 symmetry gives a zero flux through the origin.  ``RadialOperator``
-assembles -Delta + shift once per grid (a new shift rewrites only its
-diagonal) and solves by calling LAPACK's tridiagonal ``dgtsv`` on the
-band's three diagonals directly, the routine ``solve_banded`` would
-dispatch to, with its finiteness and singularity checks kept in the
-operator.  The one-shot wrappers call it, and ``apply_radial_laplacian``
-fills the last node, which has no right neighbour, by a one-sided cubic
-fit.  Grid builders refuse more than ``MAX_GRID_NODES`` nodes.
+At r = 0 symmetry gives a zero flux through the origin.  The flux
+weights, cell volumes and -Delta's band depend only on the grid and N:
+a grid computes them on first use and keeps them (``RadialGrid.plan``),
+so every ``RadialOperator`` on it copies one band template, and a new
+shift rewrites only that copy's diagonal.  The operator solves by
+calling LAPACK's tridiagonal ``dgtsv`` on the band's three diagonals
+directly, the routine ``solve_banded`` would dispatch to, with its
+finiteness and singularity checks kept in the operator.  The one-shot
+wrappers call it, and ``apply_radial_laplacian`` fills the last node,
+which has no right neighbour, by a one-sided cubic fit.  Grid builders
+refuse more than ``MAX_GRID_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -63,15 +66,18 @@ class RadialGrid:
     """Strictly increasing finite nodes r_0 = 0 < ... < r_{n-1} = R, n >= 16.
 
     ``stretch`` is the ratio of neighbouring intervals of a graded grid,
-    and 1 for a uniform one.
+    and 1 for a uniform one.  The grid keeps a read-only copy of the
+    nodes, so what ``plan`` derives from them cannot go stale.
     """
 
     nodes: np.ndarray
     stretch: float = 1.0
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        nodes.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_plans", {})
         if nodes.ndim != 1 or nodes.size < 16:
             raise ValueError("grid needs at least 16 nodes")
         if not np.all(np.isfinite(nodes)):
@@ -88,6 +94,14 @@ class RadialGrid:
     @property
     def radius(self) -> float:
         return float(self.nodes[-1])
+
+    def plan(self, build, *args):
+        """``build(nodes, *args)``, computed on the first call and kept with the grid."""
+        key = (build, *args)
+        plans = self._plans
+        if key not in plans:
+            plans[key] = build(self.nodes, *args)
+        return plans[key]
 
     @classmethod
     def uniform(cls, radius: float, n: int) -> "RadialGrid":
@@ -141,7 +155,7 @@ class RadialGrid:
         h = r[-1] - r[-2]
         g = self.stretch if self.stretch > 1.0 else 1.0
         if r[-1] >= target:
-            return RadialGrid(r.copy(), self.stretch)
+            return RadialGrid(r, self.stretch)
         # step k is h g^k and node k is r[-1] + step 1 + ... + step k; both
         # accumulate left to right, so the nodes are bit for bit those of
         # the step-by-step loop.  Two steps past the exact count absorb the
@@ -264,43 +278,56 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
     return x
 
 
-class RadialOperator:
-    """-Delta + shift in flux form on one grid, assembled once and reused.
+def _flux_plan(nodes: np.ndarray, dimension: int):
+    """-Delta's flux form on these nodes: (g, vol, diag, band, off_finite).
 
-    ``shift`` is a finite nonnegative scalar or one value per node.  Only
-    the constructor computes the flux weights g_i = r_{i+1/2}^(N-1)/h_i,
-    the cell volumes and the banded matrix (Dirichlet row at R);
-    ``set_shift`` rewrites the band's diagonal and nothing else.
+    g_i = r_{i+1/2}^(N-1)/h_i are the flux weights, vol the cell volumes,
+    diag -Delta's diagonal and band its ab form with a Dirichlet last row
+    and a zero diagonal otherwise; off_finite tells whether both
+    off-diagonals are finite.
+    """
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    g = mid ** (dimension - 1) / np.diff(nodes)
+    # control cell around node i: exact shell integral of r^(N-1)
+    vol = np.diff(mid**dimension / dimension, prepend=0.0)
+    # no flux through r = 0
+    diag = (np.concatenate(([0.0], g[:-1])) + g) / vol
+    ab = np.zeros((3, nodes.size))
+    ab[0, 1:] = -g / vol
+    ab[1, -1] = 1.0
+    ab[2, :-2] = -g[:-1] / vol[1:]
+    return g, vol, diag, ab, bool(np.isfinite(ab[::2]).all())
+
+
+class RadialOperator:
+    """-Delta + shift in flux form on one grid, its band copied from the grid's.
+
+    ``shift`` is a finite nonnegative scalar or one value per node.  The
+    flux weights g_i = r_{i+1/2}^(N-1)/h_i, the cell volumes and the band
+    (Dirichlet row at R) come from the grid's plan for N, computed once
+    per grid; each operator copies the band, and ``set_shift`` rewrites
+    that copy's diagonal and nothing else.
     """
 
     def __init__(self, grid: RadialGrid, dimension: int, shift=0.0) -> None:
         if dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {dimension}")
         self.grid, self.dimension = grid, dimension
-        nodes = grid.nodes
-        mid = 0.5 * (nodes[:-1] + nodes[1:])
-        g = self._g = mid ** (dimension - 1) / np.diff(nodes)
-        # control cell around node i: exact shell integral of r^(N-1)
-        vol = self._vol = np.diff(mid**dimension / dimension, prepend=0.0)
-        # -Delta's diagonal; no flux through r = 0
-        self._diag = (np.concatenate(([0.0], g[:-1])) + g) / vol
-        # ab form; the last row is Dirichlet
-        ab = self._band = np.zeros((3, nodes.size))
-        ab[0, 1:] = -g / vol
-        ab[1, -1] = 1.0
-        ab[2, :-2] = -g[:-1] / vol[1:]
+        self._g, self._vol, self._diag, band, self._off_finite = grid.plan(_flux_plan, dimension)
+        self._band = band.copy()
         self.set_shift(shift)
 
     def set_shift(self, shift) -> None:
         """Make the operator -Delta + ``shift`` (scalar or one value per node)."""
         shift = np.asarray(shift, dtype=float)
-        if shift.ndim and shift.shape != self._band[1].shape:
+        diag = self._band[1]
+        if shift.ndim and shift.shape != diag.shape:
             raise ValueError("shift values must match the grid")
-        if not np.all((shift >= 0) & (shift < np.inf)):
+        if not ((shift >= 0) & (shift < np.inf)).all():
             raise ValueError("shift must be finite and >= 0")
-        self._band[1, :-1] = self._diag + (shift[:-1] if shift.ndim else shift)
+        diag[:-1] = self._diag + (shift[:-1] if shift.ndim else shift)
         # a grid too wide for float64 flux weights makes a band that solve refuses
-        self._finite = bool(np.isfinite(self._band).all())
+        self._finite = self._off_finite and bool(np.isfinite(diag).all())
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""
@@ -318,11 +345,11 @@ class RadialOperator:
         b[-1] = boundary_value
         if not self._finite:
             raise ValueError("operator band must be finite")
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise ValueError("right side must be finite")
         ab = self._band
         u = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise RuntimeError("radial solve produced non-finite values")
         return u
 

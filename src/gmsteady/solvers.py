@@ -244,29 +244,31 @@ def _monotone_ball(
     operator on the ball serves every step and every residual (which
     skips the Dirichlet node at R); a step rewrites only its diagonal
     mu + L(v), and for s = 0, where L = 0, the diagonal is set to mu
-    once.
+    once.  w = max(v, v_low) and w^(-s) are taken once per iterate: they
+    serve its residual and the next step's right side.
     """
     grid = op.grid
     if s == 0:
         op.set_shift(mu)
     v = v_low.copy()
+    w = np.maximum(v, v_low)
+    w_s = w ** (-s)
     monotone_ok = True
     residual = math.inf
     for it in range(1, MAX_ITER + 1):
-        w = np.maximum(v, v_low)
-        rhs_vals = psi_vals * w ** (-s)
+        rhs_vals = psi_vals * w_s
         if s > 0:
             shift_l = s * psi_vals * w ** (-s - 1.0)
             op.set_shift(shift_l + mu)
             rhs_vals += shift_l * w
         v_new = op.solve(rhs_vals, v_low[-1])
-        drop = float(np.min(v_new - v))
-        if drop < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
+        if (v_new - v).min() < -1e-12 * max(1.0, float(np.abs(v).max())):
             monotone_ok = False
         v = v_new
-        inner = v[:-1]
-        res = op.laplacian(v) + mu * inner - psi_vals[:-1] * np.maximum(inner, v_low[:-1]) ** (-s)
-        residual = float(np.max(np.abs(res)))
+        w = np.maximum(v, v_low)
+        w_s = w ** (-s)
+        res = op.laplacian(v) + mu * v[:-1] - psi_vals[:-1] * w_s[:-1]
+        residual = float(np.abs(res).max())
         if trace is not None:
             trace.append(IterationState(grid.radius, it, RadialField(grid, v.copy()),
                                         residual, monotone_ok))

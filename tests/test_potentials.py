@@ -61,6 +61,50 @@ def test_newton_rejects_fat_tail():
         newton_potential_radial(3, RadialField(g, np.ones(g.n)))
 
 
+def _alg_source(grid, rate=4.0):
+    tag = BarrierProfile(BarrierFamily.Z, rate)
+    return RadialField(grid, np.asarray(eval_barrier(tag, grid.nodes)), tag)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_newton_on_a_warm_grid_matches_a_fresh_grid(n):
+    # the grid's plans hold what earlier calls computed; a later call must
+    # give the bits a call on a grid of the same nodes without plans gives
+    grid = RadialGrid.auto(40.0, h0=0.02, stretch=1.02)
+    for m in (3, 4, 5):
+        for rate in (3.5, 6.0):
+            newton_potential_radial(m, _alg_source(grid, rate))
+            bessel_potential_radial(m, 16.0, _alg_source(grid, rate))
+    for rate in (4.0, 2.5 + n):
+        warm = newton_potential_radial(n, _alg_source(grid, rate))
+        fresh = newton_potential_radial(
+            n, _alg_source(RadialGrid(grid.nodes.copy(), grid.stretch), rate))
+        assert np.array_equal(warm.values, fresh.values)
+        assert warm.decay_tag == fresh.decay_tag
+
+
+def test_newton_plan_is_built_once_per_grid_and_dimension(monkeypatch):
+    built = []
+
+    def counted(build):
+        def wrapper(nodes, *args):
+            built.append((build.__name__, nodes.size, *args))
+            return build(nodes, *args)
+        return wrapper
+
+    for name in ("_newton_plan", "_spline_system"):
+        monkeypatch.setattr(potentials, name, counted(getattr(potentials, name)))
+    small, large = RadialGrid.uniform(5.0, 64), RadialGrid.uniform(5.0, 65)
+    for _ in range(3):
+        for n in (3, 5):
+            newton_potential_radial(n, _alg_source(small))
+        newton_potential_radial(3, _alg_source(large))
+        bessel_potential_radial(3, 4.0, _alg_source(large))
+    assert sorted(built) == [("_newton_plan", 64, 3), ("_newton_plan", 64, 5),
+                             ("_newton_plan", 65, 3),
+                             ("_spline_system", 64), ("_spline_system", 65)]
+
+
 def test_newton_consistency_second_order():
     def resid(g):
         src = np.asarray(eval_barrier(BarrierProfile(BarrierFamily.Z, 5.0), g.nodes))
@@ -378,9 +422,11 @@ def test_spline_matches_cubic_spline_bit_for_bit(grid, npts, rate):
     for scale in (1.0, 1e-30, 1e30):
         g = scale * rng.random(r.size)
         g[rng.integers(r.size)] = 0.0
-        spline, reference = potentials._not_a_knot(r, g), CubicSpline(r, g)
+        spline = potentials._not_a_knot(g, potentials._spline_system(r))
+        reference = CubicSpline(r, g)
         for pts, _, owner in potentials._gauss_pieces(r, npts, rate, 500):
-            assert np.array_equal(spline(pts, owner), reference(pts))
+            powers = potentials._local_powers(r, pts, owner)
+            assert np.array_equal(spline(owner, powers), reference(pts))
 
 
 def test_spline_refuses_non_finite_data_like_cubic_spline():
@@ -390,4 +436,4 @@ def test_spline_refuses_non_finite_data_like_cubic_spline():
         with pytest.raises(ValueError):
             CubicSpline(nodes, vals)
         with pytest.raises(ValueError, match="finite"):
-            potentials._not_a_knot(nodes, vals)
+            potentials._not_a_knot(vals, potentials._spline_system(nodes))

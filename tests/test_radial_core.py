@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -35,6 +36,17 @@ def test_grid_validation():
         nodes[-1] = bad
         with pytest.raises(ValueError, match="finite"):
             RadialGrid(nodes)
+
+
+def test_grid_keeps_a_read_only_copy_of_its_nodes():
+    nodes = np.linspace(0.0, 1.0, 20)
+    grid = RadialGrid(nodes)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.nodes[3] = 0.5
+    # the caller's array is neither shared nor frozen
+    nodes[3] = 0.5
+    assert grid.nodes[3] == 3.0 / 19.0
+    assert not np.shares_memory(nodes, grid.nodes)
 
 
 def test_graded_grid_and_refinement():
@@ -307,6 +319,44 @@ def test_set_shift_matches_a_fresh_assembly():
     assert np.array_equal(op.solve(f, 0.25), before)
 
 
+def test_operators_on_one_grid_share_its_plan_and_keep_their_own_bands(monkeypatch):
+    built = []
+
+    def counted(nodes, dimension):
+        built.append(dimension)
+        return flux_plan(nodes, dimension)
+
+    flux_plan = radial_core._flux_plan
+    monkeypatch.setattr(radial_core, "_flux_plan", counted)
+    rng = np.random.default_rng(5)
+    grid = RadialGrid.graded(12.0, 70, 1.04)
+    f = rng.random(grid.n)
+
+    def check(op, shift):
+        ab = _reference_band(grid.nodes, 4, np.broadcast_to(shift, grid.nodes.shape))
+        assert np.array_equal(op._band, ab)
+        b = f.copy()
+        b[-1] = 0.5
+        assert np.array_equal(op.solve(f, 0.5), solve_banded((1, 1), ab, b))
+
+    shift_a, shift_b = 1.5, 2.5 * rng.random(grid.n)
+    a, b = RadialOperator(grid, 4, shift_a), RadialOperator(grid, 4, shift_b)
+    RadialOperator(grid, 3)
+    RadialOperator(RadialGrid(grid.nodes, grid.stretch), 4)
+    assert built == [4, 3, 4]  # once per (grid, N)
+    assert a._g is b._g and not np.shares_memory(a._band, b._band)
+    check(a, shift_a)
+    check(b, shift_b)
+    # a new shift on one operator leaves the other's band alone
+    shift_a = 3.0 * rng.random(grid.n)
+    a.set_shift(shift_a)
+    check(a, shift_a)
+    check(b, shift_b)
+    b.set_shift(0.25)
+    check(a, shift_a)
+    check(b, 0.25)
+
+
 def test_band_too_wide_for_float64_is_refused_by_solve():
     # r^(N-1) overflows, so the flux weights and the band are not finite:
     # solve refuses the band as solve_banded's finiteness check did
@@ -315,6 +365,56 @@ def test_band_too_wide_for_float64_is_refused_by_solve():
         op = RadialOperator(grid, 3)
     with pytest.raises(ValueError, match="band"):
         op.solve(np.ones(grid.n), 0.0)
+
+
+def _op():
+    return RadialOperator(RadialGrid.uniform(10.0, 20), 3)
+
+
+def _overflowing_diagonal():
+    # no grid has a finite diagonal within a half ulp of the float64 limit
+    # (about 1e292), so the operator is given one: a finite shift then sums
+    # to inf on the diagonal, which is rechecked on every set_shift
+    op = _op()
+    op._diag = np.full(19, 1e300)
+    with np.errstate(over="ignore"):
+        op.set_shift(np.finfo(float).max)
+    return op
+
+
+def _wide_band():
+    with np.errstate(over="ignore", invalid="ignore"):
+        return RadialOperator(RadialGrid.uniform(1e200, 20), 3)
+
+
+_NAN_AT_3 = np.where(np.arange(20) == 3, np.nan, 1.0)
+
+
+@pytest.mark.parametrize("refused, error, message", [
+    (lambda: RadialOperator(RadialGrid.uniform(10.0, 20), 2), ValueError,
+     "dimension must be >= 3, got 2"),
+    (lambda: _op().set_shift(np.ones(19)), ValueError, "shift values must match the grid"),
+    (lambda: _op().set_shift(-1.0), ValueError, "shift must be finite and >= 0"),
+    (lambda: _op().set_shift(np.inf), ValueError, "shift must be finite and >= 0"),
+    (lambda: _op().set_shift(_NAN_AT_3), ValueError, "shift must be finite and >= 0"),
+    (lambda: _op().solve(np.ones(20), np.nan), ValueError, "boundary value must be finite"),
+    (lambda: _op().solve(_NAN_AT_3, 0.0), ValueError, "right side must be finite"),
+    (lambda: _wide_band().solve(np.ones(20), 0.0), ValueError, "operator band must be finite"),
+    (lambda: _overflowing_diagonal().solve(np.ones(20), 0.0), ValueError,
+     "operator band must be finite"),
+    (lambda: _op().solve(np.full(20, np.finfo(float).max), 0.0), RuntimeError,
+     "radial solve produced non-finite values"),
+], ids=["dimension", "shift-shape", "negative-shift", "inf-shift", "nan-shift", "boundary",
+        "right-side", "wide-band", "overflowing-diagonal", "non-finite-solution"])
+def test_operator_refusals_keep_their_type_and_message(refused, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        refused()
+
+
+def test_overflowing_diagonal_is_cleared_by_the_next_shift():
+    op = _overflowing_diagonal()
+    op.set_shift(1.0)
+    assert np.isfinite(op.solve(np.ones(20), 0.0)).all()
 
 
 def test_tridiagonal_kernel_matches_solve_banded_and_refuses_singular():

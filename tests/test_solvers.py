@@ -78,6 +78,58 @@ def reference_ball(newton):
     return ball
 
 
+def three_power_ball(op, mu, s, psi_vals, v_low, tol_residual, trace=None):
+    """``_monotone_ball`` as it stood with three powers per Newton step:
+    w^(-s) and w^(-s-1) for the step and max(v, v_low)^(-s) again for the
+    residual, on the caller's operator."""
+    if s == 0:
+        op.set_shift(mu)
+    v = v_low.copy()
+    monotone_ok = True
+    residual = math.inf
+    for it in range(1, solvers.MAX_ITER + 1):
+        w = np.maximum(v, v_low)
+        rhs_vals = psi_vals * w ** (-s)
+        if s > 0:
+            shift_l = s * psi_vals * w ** (-s - 1.0)
+            op.set_shift(shift_l + mu)
+            rhs_vals += shift_l * w
+        v_new = op.solve(rhs_vals, v_low[-1])
+        drop = float(np.min(v_new - v))
+        if drop < -1e-12 * max(1.0, float(np.max(np.abs(v)))):
+            monotone_ok = False
+        v = v_new
+        inner = v[:-1]
+        res = op.laplacian(v) + mu * inner - psi_vals[:-1] * np.maximum(inner, v_low[:-1]) ** (-s)
+        residual = float(np.max(np.abs(res)))
+        if trace is not None:
+            trace.append(solvers.IterationState(op.grid.radius, it, RadialField(op.grid, v.copy()),
+                                                residual, monotone_ok))
+        if residual <= tol_residual:
+            return v, residual, it, monotone_ok
+    return v, residual, solvers.MAX_ITER, monotone_ok
+
+
+@pytest.mark.parametrize("s", [0.0, 1.0, 2.5])
+def test_monotone_ball_matches_the_three_power_loop(s):
+    # w^(-s) is taken once per iterate and serves its residual and the
+    # next step: every iterate, the residual and the count stay bit for bit
+    grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+    psi_vals = w_field(grid, 2.0).values
+    v_low = 0.3 * w_field(grid, 2.0 / (s + 1.0)).values
+    runs = []
+    for ball in (solvers._monotone_ball, three_power_ball):
+        trace = []
+        op = solvers.RadialOperator(grid, 3)
+        runs.append((ball(op, 0.5, s, psi_vals, v_low, 1e-10, trace), trace))
+    (got, got_trace), (want, want_trace) = runs
+    assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+    assert len(got_trace) == len(want_trace) == got[2] > (1 if s else 0)
+    for a, b in zip(got_trace, want_trace):
+        assert np.array_equal(a.v.values, b.v.values)
+        assert (a.residual, a.monotone_flag) == (b.residual, b.monotone_flag)
+
+
 def assert_matches_fixed_shift(run, monkeypatch):
     # Newton stops near the discrete solution; the fixed-shift iteration
     # gets there only at a 1000 times tighter residual
