@@ -28,8 +28,10 @@ nonexistence criteria are checked first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dfield
 from enum import Enum
+from functools import partialmethod
 from typing import Optional
 
 import numpy as np
@@ -105,7 +107,17 @@ def sigma_index(exponents: Exponents) -> float:
     """Cross-inhibition index sigma = m*q / ((p-1)*(s+1)); needs p > 1."""
     if exponents.p <= 1:
         raise UndefinedIndexError(f"sigma undefined for p = {exponents.p} <= 1")
-    return exponents.m * exponents.q / ((exponents.p - 1.0) * (exponents.s + 1.0))
+    return _sigma(exponents.p, exponents.q, exponents.m, exponents.s)
+
+
+def _sigma(p, q, m, s):
+    return m * q / ((p - 1.0) * (s + 1.0))
+
+
+def _rate_floor(m):
+    """2(1+1/m): Theorem 1.4's bound on the algebraic source rate a, at or
+    below which no solution exists and above which its regime starts."""
+    return 2.0 * (1.0 + 1.0 / m)
 
 
 @dataclass(frozen=True)
@@ -338,25 +350,210 @@ class ConstantsLedger:
     violated: list = dfield(default_factory=list)
 
 
-def _strict(lhs: float, rhs: float, name: str, violated: list) -> None:
-    """Record ``name`` unless lhs > rhs strictly, with ties flagged."""
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    if math.isfinite(scale) and abs(lhs - rhs) <= _TIE_REL * scale:
-        violated.append(name + " (boundary)")
-    elif not lhs > rhs:
-        violated.append(name)
+class _FloatOps:
+    """The ledger primitives on Python floats, as Python's own arithmetic:
+    a power or quotient that float64 cannot hold raises (``power_or_inf``
+    too), and a negative base's fractional power is complex, which raises
+    where it is compared.  A scalar ledger whose body raises runs it again
+    on ``_CheckedFloatOps``, which flags instead; almost no call raises."""
+
+    in_range = True
+    power = power_or_inf = staticmethod(pow)
+    divide = staticmethod(operator.truediv)
+    maximum = staticmethod(max)  # x unless y > x
+    minimum = staticmethod(min)  # the first x unless a later y < x: a nan y never wins
+
+    @staticmethod
+    def strict(lhs, rhs):
+        """(lhs > rhs, whether they tie within _TIE_REL of the larger of
+        |lhs|, |rhs| and 1e-300, taken as Python's max takes it)."""
+        scale, other = abs(lhs), abs(rhs)
+        if other > scale:
+            scale = other
+        if 1e-300 > scale:
+            scale = 1e-300
+        return lhs > rhs, scale < math.inf and abs(lhs - rhs) <= _TIE_REL * scale
 
 
-def _pow_or_inf(base: float, exponent: float) -> float:
-    """base**exponent, or inf where it exceeds the float range.
+class _CheckedFloatOps(_FloatOps):
+    """The same primitives on floats, flagging instead of raising:
+    ``in_range`` turns False at a power or quotient that float64 cannot
+    hold, which gives nan, or inf for an overflow.  ``power_or_inf`` lets
+    an overflow stand as inf: an alpha bound that overflows lies above
+    every float alpha, so inf keeps its comparison exact."""
 
-    Near sigma = 1 the alpha bounds overflow; an overflowing bound lies
-    above every float alpha, so inf keeps the comparison exact.
-    """
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
+    def power(self, base, exponent, overflow_is_inf=False):
+        try:
+            value = base**exponent
+            if type(value) is not complex:
+                return value
+        except OverflowError:
+            self.in_range &= overflow_is_inf
+            return math.inf
+        except ZeroDivisionError:  # zero to a negative power
+            pass
+        self.in_range = False
+        return math.nan
+
+    power_or_inf = partialmethod(power, overflow_is_inf=True)
+
+    def divide(self, x, y):
+        if y == 0.0:
+            self.in_range = False
+            return math.nan
+        return x / y
+
+
+class _ArrayOps:
+    """The same primitives elementwise on float arrays, flagging like
+    ``_CheckedFloatOps`` and bit for bit as on floats: numpy does the
+    correctly rounded + - * / and comparisons, and every ``**`` goes
+    through Python's float power (numpy's can differ in the last bit)."""
+
+    in_range = True  # an array once a primitive flags an element
+
+    def power(self, base, exponent, overflow_is_inf=False):
+        bases, exponents = (x.tolist() for x in np.broadcast_arrays(base, exponent))
+        try:  # on almost every call, no element raises or turns complex
+            return np.array(list(map(pow, bases, exponents)), dtype=float)
+        except (ArithmeticError, TypeError):
+            pass
+        each = [_CheckedFloatOps() for _ in bases]
+        values = [ops.power(x, y, overflow_is_inf) for ops, x, y in zip(each, bases, exponents)]
+        self.in_range &= np.array([ops.in_range for ops in each])
+        return np.array(values)
+
+    power_or_inf = partialmethod(power, overflow_is_inf=True)
+
+    def divide(self, x, y):
+        self.in_range &= y != 0.0
+        return x / y
+
+    @staticmethod
+    def maximum(x, y):
+        return np.where(y > x, y, x)
+
+    @staticmethod
+    def minimum(x, *ys):
+        for y in ys:
+            x = np.where(y < x, y, x)
+        return x
+
+    @staticmethod
+    def strict(lhs, rhs):
+        scale = _ArrayOps.maximum(_ArrayOps.maximum(np.abs(lhs), np.abs(rhs)), 1e-300)
+        return lhs > rhs, np.isfinite(scale) & (np.abs(lhs - rhs) <= _TIE_REL * scale)
+
+
+# A ledger body runs on one of the primitive sets above: on floats for the
+# scalar ledgers, on arrays for ``classify_many``.  It returns the rate b of
+# the v barrier, (M1_lower, M1_upper, M2_lower, M2_upper), the constants it
+# names in ``aux``, its checks and ``in_range``: whether float64 holds the
+# constants.  A check is (name, (holds, tie), on_constants), in the order
+# ``violated`` lists them; tie is None for a non-strict inequality.
+
+
+def _exp_ledger_body(ops, n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
+    """Theorem 1.1(iii)'s ledger, naming (c0,); see ``exp_regime_ledger``.
+    Every base is nonnegative, so a power can only overflow or divide by
+    zero."""
+    power, divide, strict = ops.power, ops.divide, ops.strict
+    b = a * m / (s + 1.0)
+    root, inv_p1, lam_4 = 1.0 / (s + 1.0), 1.0 / (p - 1.0), lam / 4.0
+    m1_lo = alpha / (2.0 * lam)
+    t = power(alpha, m) / power(2.0, m + 1.0)
+    m2_lo = power(t, root) * power(mu, -root) * power(lam, -m / (s + 1.0))
+    m1_hi = power(lam_4 * power(m2_lo, q), inv_p1)
+    m2_hi = power(2.0 * power(m1_hi, m) / mu, root)
+    # budget constant: (lam/4) M1_upper >= beta  <=>  mu <= c0 lam^(p(s+1)/q - m)
+    kconst = power(0.25 * power(t, q / (s + 1.0)), inv_p1)
+    c0 = power(kconst / (4.0 * beta), divide(m, sig))
+    inf = math.inf
+    in_range = (ops.in_range & (0.0 < m1_lo) & (m1_lo < inf) & (0.0 < m2_lo) & (m2_lo < inf)
+                & (0.0 < m1_hi) & (m1_hi < inf) & (0.0 < m2_hi) & (m2_hi < inf))
+    checks = (
+        ("lambda-threshold", strict(lam, ops.maximum(2.0 * a * a, n_sq)), False),
+        ("mu-threshold", strict(mu, ops.maximum(2.0 * b * b, n_sq)), False),
+        ("m1-ordering", strict(m1_hi, m1_lo), True),
+        ("m2-ordering", strict(m2_hi, m2_lo), True),
+        ("beta-budget", (lam_4 * m1_hi >= beta, None), True),
+    )
+    return b, (m1_lo, m1_hi, m2_lo, m2_hi), (c0,), checks, in_range
+
+
+def _alg_ledger_body(ops, n, p, q, m, s, alpha, beta, a, sig):
+    """Theorem 1.4(ii)'s ledger inside its regime, where a > 2 and
+    sigma < 1, naming (A, B, C, D, epsilon, delta); see
+    ``alg_regime_ledger``."""
+    power, power_or_inf, divide, strict = ops.power, ops.power_or_inf, ops.divide, ops.strict
+    a2, root = a - 2.0, 1.0 / (s + 1.0)
+    b = (m * a2 - 2.0) / (s + 1.0)
+    big_a = 1.0 / (a2 * n)
+    big_b = power(divide(power(big_a, m), b * n), root)
+    span = a2 * (n - a)
+    big_c = power(span * power(big_b, q) / 2.0, 1.0 / (p - 1.0))
+    big_d = power(divide(power(big_c, m), b * (n - b - 2.0)), root)
+    delta = span / 2.0 * big_c
+    inv_gap = 1.0 / (1.0 - sig)
+    eps = ops.minimum(power_or_inf(divide(big_c, big_a), inv_gap),
+                      power_or_inf(divide(big_d, big_b), divide(s + 1.0, m * (1.0 - sig))),
+                      power_or_inf(delta, inv_gap))
+    alpha_sig = power(alpha, sig)
+    m1_lo = big_a * alpha
+    m1_hi = big_c * alpha_sig
+    m2_lo = big_b * power(alpha, m / (s + 1.0))
+    m2_hi = big_d * power(alpha, sig * m / (s + 1.0))
+    inf = math.inf
+    in_range = ops.in_range & (m1_lo < inf) & (m2_lo < inf) & (m1_hi < inf) & (m2_hi < inf)
+    checks = (
+        ("alpha-upper", strict(eps, alpha), True),
+        ("alpha-beta-order", strict(beta, alpha), False),
+        ("beta-window", strict(delta * alpha_sig, beta), True),
+    )
+    named = big_a, big_b, big_c, big_d, eps, delta
+    return b, (m1_lo, m1_hi, m2_lo, m2_hi), named, checks, in_range
+
+
+def _violated(checks, in_range) -> list:
+    """A float ledger's failed checks in order: "name (boundary)" at a tie,
+    the bare name where the inequality fails, and "float-range" once in
+    place of the checks on constants that float64 cannot hold."""
+    violated = []
+    for name, (holds, tie), on_constants in checks:
+        if on_constants and not in_range:
+            if "float-range" not in violated:
+                violated.append("float-range")
+        elif tie:
+            violated.append(name + " (boundary)")
+        elif not holds:
+            violated.append(name)
+    return violated
+
+
+def _feasible(checks, in_range):
+    """Where an array ledger's ``_violated`` would be empty."""
+    for _, (holds, tie), _ in checks:
+        in_range = in_range & holds if tie is None else in_range & holds & ~tie
+    return in_range
+
+
+# alg_regime_ledger's RegimeError texts, one per condition of _alg_regime
+_ALG_REGIME_TEXTS = (
+    "algebraic regime requires 0 < sigma < 1, got {0}",
+    "source rate must satisfy 2(1+1/m) = {1} < a < N = {2}, got {3}",
+    "need m(a-2) = {4} < (N-2)s + N = {5}",
+    "need 2p/(p-1) = {6} <= a + sigma(2(1+1/m) - a) = {7}",
+)
+
+
+def _alg_regime(n, p, m, s, a, sig):
+    """Theorem 1.4(ii)'s regime for p > 1, on floats or elementwise: its
+    four conditions, and the values their RegimeError texts quote."""
+    a_low = _rate_floor(m)
+    room, cap = m * (a - 2.0), (n - 2.0) * s + n
+    gap, window = 2.0 * p / (p - 1.0), a + sig * (a_low - a)
+    return (((0.0 < sig) & (sig < 1.0), (a_low < a) & (a < n), room < cap, gap <= window),
+            (sig, a_low, n, a, room, cap, gap, window))
 
 
 def exp_regime_ledger(
@@ -389,7 +586,7 @@ def exp_regime_ledger(
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
     if p <= 1:
         raise RegimeError("exponential regime requires p > 1")
-    sig = sigma_index(exponents)
+    sig = _sigma(p, q, m, s)
     if sig > 1:
         raise RegimeError(f"exponential regime requires sigma <= 1, got {sig}")
     if not (alpha > 0 and beta >= alpha):
@@ -399,46 +596,19 @@ def exp_regime_ledger(
     if not (lam > 0 and mu > 0):
         raise ValueError("shifts must be positive in this regime")
 
-    a = rate_a
-    b = a * m / (s + 1.0)
-    n = dimension
-
-    violated: list = []
-    _strict(lam, max(2.0 * a * a, float(n * n)), "lambda-threshold", violated)
-    _strict(mu, max(2.0 * b * b, float(n * n)), "mu-threshold", violated)
+    n_sq = float(dimension * dimension)
     try:
-        m1_lo = alpha / (2.0 * lam)
-        m2_lo = ((alpha**m / 2.0 ** (m + 1.0)) ** (1.0 / (s + 1.0))
-                 * mu ** (-1.0 / (s + 1.0)) * lam ** (-m / (s + 1.0)))
-        m1_hi = ((lam / 4.0) * m2_lo**q) ** (1.0 / (p - 1.0))
-        m2_hi = (2.0 * m1_hi**m / mu) ** (1.0 / (s + 1.0))
-
-        # budget constant: (lam/4) M1_upper >= beta  <=>  mu <= c0 lam^(p(s+1)/q - m)
-        kconst = (0.25 * (alpha**m / 2.0 ** (m + 1.0)) ** (q / (s + 1.0))) ** (1.0 / (p - 1.0))
-        c0 = (kconst / (4.0 * beta)) ** (m / sig)
-        if not all(0.0 < c < math.inf for c in (m1_lo, m2_lo, m1_hi, m2_hi)):
-            raise OverflowError
-    except (OverflowError, ZeroDivisionError):  # such constants cannot certify a sandwich
-        m1_lo = m2_lo = m1_hi = m2_hi = c0 = math.nan
-        violated.append("float-range")
-    else:
-        _strict(m1_hi, m1_lo, "m1-ordering", violated)
-        _strict(m2_hi, m2_lo, "m2-ordering", violated)
-        if not (lam / 4.0) * m1_hi >= beta:
-            violated.append("beta-budget")
-
-    return ConstantsLedger(
-        regime=Regime.EXPONENTIAL,
-        m1_lower=m1_lo,
-        m1_upper=m1_hi,
-        m2_lower=m2_lo,
-        m2_upper=m2_hi,
-        rate_u=a,
-        rate_v=b,
-        aux={"c0": c0, "sigma": sig, "lambda": lam, "mu": mu, "alpha": alpha, "beta": beta},
-        feasible=not violated,
-        violated=violated,
-    )
+        b, constants, (c0,), checks, in_range = _exp_ledger_body(
+            _FloatOps, n_sq, p, q, m, s, lam, mu, alpha, beta, rate_a, sig)
+    except (ArithmeticError, TypeError):  # see _FloatOps
+        b, constants, (c0,), checks, in_range = _exp_ledger_body(
+            _CheckedFloatOps(), n_sq, p, q, m, s, lam, mu, alpha, beta, rate_a, sig)
+    if not in_range:
+        constants, c0 = (math.nan,) * 4, math.nan
+    violated = _violated(checks, in_range)
+    aux = {"c0": c0, "sigma": sig, "lambda": lam, "mu": mu, "alpha": alpha, "beta": beta}
+    # positional: the fields are regime, the four constants, rate_u, rate_v, ...
+    return ConstantsLedger(Regime.EXPONENTIAL, *constants, rate_a, b, aux, not violated, violated)
 
 
 def alg_regime_ledger(
@@ -462,89 +632,35 @@ def alg_regime_ledger(
     Feasible iff 0 < alpha < eps and alpha < beta < delta * alpha^sigma,
     where delta = ((a-2)(N-a)/2) C and eps is the minimum of
     (C/A)^(1/(1-sigma)), (D/B)^((s+1)/(m(1-sigma))) and delta^(1/(1-sigma)).
-    A constant that overflows float64, or a zero divisor, makes it
-    infeasible ("float-range", NaN); a lower barrier that underflows to 0
-    keeps its verdict, and the solvers refuse it.
+    A constant that overflows float64, a zero divisor or a base that
+    rounds negative makes it infeasible ("float-range", NaN); a lower
+    barrier that underflows to 0 keeps its verdict, and the solvers
+    refuse it.
     """
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
-    n = dimension
-    a = rate_a
     if p <= 1:
         raise RegimeError("algebraic regime requires p > 1")
-    sig = sigma_index(exponents)
-    if not 0.0 < sig < 1.0:
-        raise RegimeError(f"algebraic regime requires 0 < sigma < 1, got {sig}")
-    a_low = 2.0 * (1.0 + 1.0 / m)
-    if not a_low < a < n:
-        raise RegimeError(
-            f"source rate must satisfy 2(1+1/m) = {a_low} < a < N = {n}, got {a}"
-        )
-    if not m * (a - 2.0) < (n - 2.0) * s + n:
-        raise RegimeError(
-            f"need m(a-2) = {m * (a - 2.0)} < (N-2)s + N = {(n - 2.0) * s + n}"
-        )
-    lhs_gap = 2.0 * p / (p - 1.0)
-    rhs_gap = a + sig * (a_low - a)
-    if not lhs_gap <= rhs_gap:
-        raise RegimeError(
-            f"need 2p/(p-1) = {lhs_gap} <= a + sigma(2(1+1/m) - a) = {rhs_gap}"
-        )
+    sig = _sigma(p, q, m, s)
+    holds, quoted = _alg_regime(dimension, p, m, s, rate_a, sig)
+    if False in holds:
+        raise RegimeError(_ALG_REGIME_TEXTS[holds.index(False)].format(*quoted))
     if not (alpha > 0 and beta >= alpha):
         raise ValueError("need 0 < alpha <= beta")
 
-    b = (m * (a - 2.0) - 2.0) / (s + 1.0)
-    violated: list = []
     try:
-        big_a = 1.0 / ((a - 2.0) * n)
-        big_b = (big_a**m / (b * n)) ** (1.0 / (s + 1.0))
-        big_c = ((a - 2.0) * (n - a) * big_b**q / 2.0) ** (1.0 / (p - 1.0))
-        big_d = (big_c**m / (b * (n - b - 2.0))) ** (1.0 / (s + 1.0))
-        delta = (a - 2.0) * (n - a) / 2.0 * big_c
-        eps = min(
-            _pow_or_inf(big_c / big_a, 1.0 / (1.0 - sig)),
-            _pow_or_inf(big_d / big_b, (s + 1.0) / (m * (1.0 - sig))),
-            _pow_or_inf(delta, 1.0 / (1.0 - sig)),
-        )
-        alpha_sig = alpha**sig
-        m1_lo = big_a * alpha
-        m1_hi = big_c * alpha_sig
-        m2_lo = big_b * alpha ** (m / (s + 1.0))
-        m2_hi = big_d * alpha ** (sig * m / (s + 1.0))
-        if not all(c < math.inf for c in (m1_lo, m2_lo, m1_hi, m2_hi)):
-            raise OverflowError
-    except (OverflowError, ZeroDivisionError):  # such constants cannot certify a sandwich
-        big_a = big_b = big_c = big_d = delta = eps = math.nan
-        m1_lo = m2_lo = m1_hi = m2_hi = math.nan
-        violated.append("float-range")
-        _strict(beta, alpha, "alpha-beta-order", violated)
-    else:
-        _strict(eps, alpha, "alpha-upper", violated)
-        _strict(beta, alpha, "alpha-beta-order", violated)
-        _strict(delta * alpha_sig, beta, "beta-window", violated)
-
-    return ConstantsLedger(
-        regime=Regime.ALGEBRAIC,
-        m1_lower=m1_lo,
-        m1_upper=m1_hi,
-        m2_lower=m2_lo,
-        m2_upper=m2_hi,
-        rate_u=a - 2.0,
-        rate_v=b,
-        aux={
-            "A": big_a,
-            "B": big_b,
-            "C": big_c,
-            "D": big_d,
-            "epsilon": eps,
-            "delta": delta,
-            "sigma": sig,
-            "alpha": alpha,
-            "beta": beta,
-            "source_rate": a,
-        },
-        feasible=not violated,
-        violated=violated,
-    )
+        b, constants, named, checks, in_range = _alg_ledger_body(
+            _FloatOps, dimension, p, q, m, s, alpha, beta, rate_a, sig)
+    except (ArithmeticError, TypeError):  # see _FloatOps
+        b, constants, named, checks, in_range = _alg_ledger_body(
+            _CheckedFloatOps(), dimension, p, q, m, s, alpha, beta, rate_a, sig)
+    if not in_range:
+        constants, named = (math.nan,) * 4, (math.nan,) * 6
+    violated = _violated(checks, in_range)
+    big_a, big_b, big_c, big_d, eps, delta = named
+    aux = {"A": big_a, "B": big_b, "C": big_c, "D": big_d, "epsilon": eps, "delta": delta,
+           "sigma": sig, "alpha": alpha, "beta": beta, "source_rate": rate_a}
+    return ConstantsLedger(Regime.ALGEBRAIC, *constants, rate_a - 2.0, b, aux,
+                           not violated, violated)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +692,19 @@ class Verdict:
                 raise ValueError("existence verdict requires a feasible ledger")
 
 
+def _nonexistence_shifted(p):
+    """Theorem 1.1(i): with positive shifts, no solution for p <= 1."""
+    return p <= 1.0
+
+
+def _nonexistence_zero_shift(n, p, m, rate, matched):
+    """Theorems 1.2(i) and 1.4(i) with zero shifts, on floats or
+    elementwise: whether p <= N/(N-2) or m <= 2/(N-2), whether the
+    regime's algebraic envelope has rate a <= 2(1+1/m), and those bounds."""
+    p_crit, m_crit, a_low = n / (n - 2.0), 2.0 / (n - 2.0), _rate_floor(m)
+    return (p <= p_crit) | (m <= m_crit), matched & (rate <= a_low), p_crit, m_crit, a_low
+
+
 def classify(problem: Problem, exponents: Exponents) -> Verdict:
     """Strongest applicable verdict for a parameter point, in fixed priority:
 
@@ -590,63 +719,45 @@ def classify(problem: Problem, exponents: Exponents) -> Verdict:
     conditional certificate, hence the ordering.
     """
     n = problem.dimension
-    p, m = exponents.p, exponents.m
     shifted = problem.lam > 0
     rho = problem.rho
     # the existence rules need a source envelope of the regime's family
     matched = rho.family is problem.family
 
-    if shifted and p <= 1.0:
-        return Verdict(
-            VerdictStatus.NONEXISTENCE,
-            "Theorem 1.1(i)",
-            "Theorem 1.1(i): no positive solutions for 0 < p <= 1 with positive shifts.",
-        )
-    if not shifted and (p <= n / (n - 2.0) or m <= 2.0 / (n - 2.0)):
-        return Verdict(
-            VerdictStatus.NONEXISTENCE,
-            "Theorem 1.2(i)",
-            f"Theorem 1.2(i): zero shifts with p <= N/(N-2) = {n / (n - 2.0)} "
-            f"or m <= 2/(N-2) = {2.0 / (n - 2.0)} admit no positive solutions.",
-        )
-    if not shifted and matched and rho.rate <= 2.0 * (1.0 + 1.0 / m):
-        return Verdict(
-            VerdictStatus.NONEXISTENCE,
-            "Theorem 1.4(i)",
-            f"Theorem 1.4(i): algebraic source rate a = {rho.rate} <= "
-            f"2(1+1/m) = {2.0 * (1.0 + 1.0 / m)} forces a divergent representation.",
-        )
+    if shifted and _nonexistence_shifted(exponents.p):
+        return _nonexistence(
+            "Theorem 1.1(i)", "no positive solutions for 0 < p <= 1 with positive shifts.")
+    if not shifted:
+        rule2, rule3, p_crit, m_crit, a_low = _nonexistence_zero_shift(
+            n, exponents.p, exponents.m, rho.rate, matched)
+        if rule2:
+            return _nonexistence("Theorem 1.2(i)", f"zero shifts with p <= N/(N-2) = {p_crit} "
+                                 f"or m <= 2/(N-2) = {m_crit} admit no positive solutions.")
+        if rule3:
+            return _nonexistence("Theorem 1.4(i)", f"algebraic source rate a = {rho.rate} <= "
+                                 f"2(1+1/m) = {a_low} forces a divergent representation.")
 
     if shifted and matched and sigma_index(exponents) <= 1.0:
+        tag, kind = "Theorem 1.1(iii)", "exponential"
         ledger = exp_regime_ledger(
-            exponents, n, problem.lam, problem.mu, rho.alpha, rho.beta, rho.rate
-        )
-        if ledger.feasible:
-            return Verdict(
-                VerdictStatus.EXISTENCE_GUARANTEED,
-                "Theorem 1.1(iii)",
-                "Theorem 1.1(iii): feasible exponential-regime ledger; "
-                "a solution with exponential decay exists inside the sandwich.",
-                ledger=ledger,
-            )
-        return _unknown(problem, exponents, f"exponential ledger infeasible: {ledger.violated}")
-
-    if not shifted and matched:
+            exponents, n, problem.lam, problem.mu, rho.alpha, rho.beta, rho.rate)
+    elif not shifted and matched:
+        tag, kind = "Theorem 1.4(ii)", "algebraic"
         try:
             ledger = alg_regime_ledger(exponents, n, rho.alpha, rho.beta, rho.rate)
         except RegimeError as exc:
             return _unknown(problem, exponents, f"algebraic regime not applicable: {exc}")
-        if ledger.feasible:
-            return Verdict(
-                VerdictStatus.EXISTENCE_GUARANTEED,
-                "Theorem 1.4(ii)",
-                "Theorem 1.4(ii): feasible algebraic-regime ledger; "
-                "a solution with algebraic decay exists inside the sandwich.",
-                ledger=ledger,
-            )
-        return _unknown(problem, exponents, f"algebraic ledger infeasible: {ledger.violated}")
+    else:
+        return _unknown(problem, exponents, "no criterion applies")
+    if not ledger.feasible:
+        return _unknown(problem, exponents, f"{kind} ledger infeasible: {ledger.violated}")
+    return Verdict(VerdictStatus.EXISTENCE_GUARANTEED, tag,
+                   f"{tag}: feasible {kind}-regime ledger; "
+                   f"a solution with {kind} decay exists inside the sandwich.", ledger)
 
-    return _unknown(problem, exponents, "no criterion applies")
+
+def _nonexistence(tag: str, detail: str) -> Verdict:
+    return Verdict(VerdictStatus.NONEXISTENCE, tag, f"{tag}: {detail}")
 
 
 def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
@@ -654,7 +765,8 @@ def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
     if problem.lam > 0 and exponents.p > 1:
         sig = sigma_index(exponents)
         if sig > 1.0:
-            thresh = _pow_or_inf(exponents.m / (exponents.s + 1.0), 2.0) * problem.lam
+            thresh = _CheckedFloatOps().power_or_inf(exponents.m / (exponents.s + 1.0), 2.0)
+            thresh *= problem.lam
             if problem.mu > thresh:
                 advisories.append(
                     "Theorem 1.1(ii): no solution with exponentially decaying u "
@@ -684,124 +796,6 @@ VERDICT_CODES = (
 #: ``classify_many``'s code for a point it leaves to ``classify``.
 DEFERRED = -1
 
-# how each element of a ``_pow`` ended
-_OVERFLOWED, _RAISED = 1, 2
-
-
-def _pow(base, exponent):
-    """Python's float ``base ** exponent`` elementwise, and how each one ended.
-
-    numpy's power can differ from Python's in the last bit, so every
-    element goes through float ``**``.  The flags are _OVERFLOWED where
-    it raised OverflowError (the value is inf) and _RAISED where it
-    raised anything else or gave a complex number (the value is nan).
-    """
-    bases, exponents = (x.tolist() for x in np.broadcast_arrays(base, exponent))
-    flags = np.zeros(len(bases), dtype=np.int8)
-    try:  # on almost every call, no element raises or turns complex
-        return np.array(list(map(pow, bases, exponents)), dtype=float), flags
-    except (ArithmeticError, TypeError):
-        pass
-    out = np.empty(len(bases))
-    for i, (x, y) in enumerate(zip(bases, exponents)):
-        try:
-            value = x**y
-        except OverflowError:
-            out[i], flags[i] = math.inf, _OVERFLOWED
-            continue
-        except ArithmeticError:
-            value = None
-        if isinstance(value, float):
-            out[i] = value
-        else:
-            out[i], flags[i] = math.nan, _RAISED
-    return out, flags
-
-
-def _max(x, y):
-    """Python's ``max(x, y)`` elementwise: x unless y > x (a nan y never wins)."""
-    return np.where(y > x, y, x)
-
-
-def _strict_holds(lhs, rhs):
-    """Where ``_strict`` records no violation: lhs > rhs, and not within _TIE_REL."""
-    scale = _max(_max(np.abs(lhs), np.abs(rhs)), 1e-300)
-    tie = np.isfinite(scale) & (np.abs(lhs - rhs) <= _TIE_REL * scale)
-    return ~tie & (lhs > rhs)
-
-
-def _exp_ledger_many(n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
-    """``exp_regime_ledger(...).feasible`` at each point.
-
-    Every base is nonnegative, so a power can only overflow or divide
-    by zero, and either reads float-range.
-    """
-    b = a * m / (s + 1.0)
-    holds = (_strict_holds(lam, _max(2.0 * a * a, n_sq))
-             & _strict_holds(mu, _max(2.0 * b * b, n_sq)))
-    in_range = sig != 0.0  # c0's m / sig
-
-    def power(base, exponent):
-        nonlocal in_range
-        value, flags = _pow(base, exponent)
-        in_range &= flags == 0
-        return value
-
-    m1_lo = alpha / (2.0 * lam)
-    t = power(alpha, m) / power(2.0, m + 1.0)
-    m2_lo = power(t, 1.0 / (s + 1.0)) * power(mu, -1.0 / (s + 1.0)) * power(lam, -m / (s + 1.0))
-    m1_hi = power((lam / 4.0) * power(m2_lo, q), 1.0 / (p - 1.0))
-    m2_hi = power(2.0 * power(m1_hi, m) / mu, 1.0 / (s + 1.0))
-    kconst = power(0.25 * power(t, q / (s + 1.0)), 1.0 / (p - 1.0))
-    power(kconst / (4.0 * beta), m / sig)  # c0: only its overflow counts
-    for c in (m1_lo, m2_lo, m1_hi, m2_hi):
-        in_range &= (0.0 < c) & (c < math.inf)
-    holds &= in_range
-    holds &= _strict_holds(m1_hi, m1_lo) & _strict_holds(m2_hi, m2_lo)
-    holds &= (lam / 4.0) * m1_hi >= beta
-    return holds
-
-
-def _alg_ledger_many(n, p, q, m, s, alpha, beta, a, sig):
-    """``alg_regime_ledger(...).feasible`` at points inside its regime, and
-    where it may raise: a power that turns complex (a base that rounds
-    negative) escapes the ledger.  An overflow or a zero divisor reads
-    float-range, except the overflows ``_pow_or_inf`` turns into inf."""
-    raised = np.zeros(p.size, dtype=bool)
-    in_range = np.ones(p.size, dtype=bool)
-
-    def power(base, exponent, overflow_is_inf=False):
-        nonlocal raised, in_range
-        value, flags = _pow(base, exponent)
-        raised |= flags == _RAISED
-        if not overflow_is_inf:
-            in_range &= flags != _OVERFLOWED
-        return value
-
-    def divide(x, y):
-        nonlocal in_range
-        in_range &= y != 0.0
-        return x / y
-
-    b = (m * (a - 2.0) - 2.0) / (s + 1.0)
-    big_a = divide(1.0, (a - 2.0) * n)
-    big_b = power(divide(power(big_a, m), b * n), 1.0 / (s + 1.0))
-    big_c = power((a - 2.0) * (n - a) * power(big_b, q) / 2.0, 1.0 / (p - 1.0))
-    big_d = power(divide(power(big_c, m), b * (n - b - 2.0)), 1.0 / (s + 1.0))
-    delta = (a - 2.0) * (n - a) / 2.0 * big_c
-    eps = power(divide(big_c, big_a), divide(1.0, 1.0 - sig), overflow_is_inf=True)
-    # Python's min(x, y) keeps x unless y < x, so a nan y never wins
-    for y in (power(divide(big_d, big_b), divide(s + 1.0, m * (1.0 - sig)), overflow_is_inf=True),
-              power(delta, divide(1.0, 1.0 - sig), overflow_is_inf=True)):
-        eps = np.where(y < eps, y, eps)
-    alpha_sig = power(alpha, sig)
-    for c in (big_a * alpha, big_b * power(alpha, m / (s + 1.0)), big_c * alpha_sig,
-              big_d * power(alpha, sig * m / (s + 1.0))):
-        in_range &= c < math.inf
-    holds = (in_range & _strict_holds(eps, alpha) & _strict_holds(beta, alpha)
-             & _strict_holds(delta * alpha_sig, beta))
-    return holds & ~raised, raised
-
 
 def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> np.ndarray:
     """``classify`` at every point of broadcast arrays, as one code per point.
@@ -809,12 +803,12 @@ def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> 
     ``family`` is the source's envelope family, None for the zero source;
     ``alpha``, ``beta`` and ``rate`` are ignored for the zero source.
     Code k >= 0 stands for ``VERDICT_CODES[k]``, the status and tag that
-    ``classify`` gives the same point, bit for bit: numpy does the
-    correctly rounded + - * / and comparisons in the scalar order, and
-    every ``**`` is Python's (``_pow``).  ``DEFERRED`` marks a point left
-    to the scalar path, because ``Exponents``, ``SourceModel`` or
-    ``Problem`` refuses it or ``classify`` raises there; every point is
-    deferred when float64 cannot hold the dimension exactly.
+    ``classify`` gives the same point: the rules, the regime and the
+    ledger bodies are ``classify``'s own, evaluated elementwise with the
+    same bits.  ``DEFERRED`` marks a point left to the scalar path,
+    because ``Exponents``, ``SourceModel`` or ``Problem`` refuses it;
+    every point is deferred when float64 cannot hold the dimension or its
+    square exactly.
     """
     values = np.broadcast_arrays(
         *(np.asarray(x, dtype=float) for x in (p, q, m, s, lam, mu, alpha, beta, rate)))
@@ -838,26 +832,27 @@ def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> 
                       & (0.0 < alpha) & (alpha <= beta) & (rate > 0))
         shifted = lam > 0
         matched = shifted == (family is BarrierFamily.W) if family is not None else False
-        sig = m * q / ((p - 1.0) * (s + 1.0))
-        a_low = 2.0 * (1.0 + 1.0 / m)
-        rule1 = shifted & (p <= 1.0)
-        rule2 = ~shifted & ((p <= n / (n - 2.0)) | (m <= 2.0 / (n - 2.0)))
-        rule3 = ~shifted & matched & (rate <= a_low)
-        deferred = ~valid
+        sig = _sigma(p, q, m, s)
+        rule1 = shifted & _nonexistence_shifted(p)
+        rule2, rule3, *_ = _nonexistence_zero_shift(n, p, m, rate, matched)
+        rule2, rule3 = ~shifted & rule2, ~shifted & rule3
         feasible = np.zeros(p.size, dtype=bool)
 
         at = np.flatnonzero(valid & shifted & matched & ~rule1 & (sig <= 1.0))
-        feasible[at] = _exp_ledger_many(
-            n_sq, *(x[at] for x in (p, q, m, s, lam, mu, alpha, beta, rate, sig)))
-        # inside alg_regime_ledger's regime; outside it classify reads unknown
-        at = np.flatnonzero(
-            valid & ~shifted & matched & ~rule2 & ~rule3 & (p > 1.0) & (0.0 < sig) & (sig < 1.0)
-            & (a_low < rate) & (rate < n) & (m * (rate - 2.0) < (n - 2.0) * s + n)
-            & (2.0 * p / (p - 1.0) <= rate + sig * (a_low - rate)))
-        feasible[at], deferred[at] = _alg_ledger_many(
-            n, *(x[at] for x in (p, q, m, s, alpha, beta, rate, sig)))
+        *_, checks, in_range = _exp_ledger_body(_ArrayOps(), n_sq, *(
+            x[at] for x in (p, q, m, s, lam, mu, alpha, beta, rate, sig)))
+        feasible[at] = _feasible(checks, in_range)
+        # inside alg_regime_ledger's regime (p > 1 where rule 2 fails);
+        # outside it classify reads unknown
+        inside = valid & ~shifted & matched & ~rule2 & ~rule3
+        for holds in _alg_regime(n, p, m, s, rate, sig)[0]:
+            inside &= holds
+        at = np.flatnonzero(inside)
+        *_, checks, in_range = _alg_ledger_body(_ArrayOps(), n, *(
+            x[at] for x in (p, q, m, s, alpha, beta, rate, sig)))
+        feasible[at] = _feasible(checks, in_range)
 
         codes = np.select(
-            [deferred, rule1, rule2, rule3, feasible & shifted, feasible],
+            [~valid, rule1, rule2, rule3, feasible & shifted, feasible],
             [DEFERRED, 0, 1, 2, 3, 4], default=5)
     return codes.astype(np.int8).reshape(shape)

@@ -211,6 +211,103 @@ def test_alg_ledger_lists_alpha_upper_first():
     assert ledger.violated == ["alpha-upper", "alpha-beta-order (boundary)", "beta-window"]
 
 
+# (exponents, ledger arguments, violated): every named inequality of both
+# ledgers at a tie, where it reads "name (boundary)", and beyond the tie,
+# where it reads the bare name.  A tie is equality or a gap within 1e-14
+# relative, on either side.  beta-budget is the one non-strict inequality:
+# equality satisfies it, so it never reads "(boundary)".  beta >= alpha
+# is an input check, so alpha-beta-order never reads the bare name.
+# sigma = 1 at (2, 1, 1, 0), so there every exp constant is alpha times a
+# power of 2 and the ties below are exact.
+_EXP = Exponents(2, 1, 1, 0)
+_ALG = Exponents(5, 2, 2, 1)
+_ALG_EPS = 0.0447213595499958  # epsilon of the alg worked example (N = 5, a = 4)
+_LABELLED_LEDGERS = [
+    (_EXP, (3, 9.0, 16.0, 1.0, 2.0, 1.0),
+     ["lambda-threshold (boundary)", "m1-ordering", "m2-ordering", "beta-budget"]),
+    (_EXP, (3, 9.0 * (1.0 + 4e-15), 16.0, 1.0, 2.0, 1.0),
+     ["lambda-threshold (boundary)", "m1-ordering", "m2-ordering", "beta-budget"]),
+    (_EXP, (3, 8.9, 16.0, 1.0, 2.0, 1.0),
+     ["lambda-threshold", "m1-ordering", "m2-ordering", "beta-budget"]),
+    (_EXP, (3, 4096.0, 9.0, 1.0, 2.0, 1.0), ["mu-threshold (boundary)"]),
+    (_EXP, (3, 4096.0, 8.99, 1.0, 2.0, 1.0), ["mu-threshold"]),
+    (_EXP, (3, 4096.0, 512.0, 1.0, 1.0, 1.0), ["m1-ordering (boundary)", "beta-budget"]),
+    (_EXP, (3, 4096.0, 1024.0, 1.0, 1.0, 1.0), ["m1-ordering", "beta-budget"]),
+    (_EXP, (3, 4096.0, 2048.0, 1.0, 1.0, 1.0),
+     ["m1-ordering", "m2-ordering (boundary)", "beta-budget"]),
+    (_EXP, (3, 4096.0, 4096.0, 1.0, 1.0, 1.0), ["m1-ordering", "m2-ordering", "beta-budget"]),
+    (_EXP, (3, 4096.0, 16.0, 1.0, 4.0, 1.0), []),  # (lam/4) M1_upper = beta
+    (_EXP, (3, 4096.0, 16.0, 1.0, 4.000000000001, 1.0), ["beta-budget"]),
+    # float-range takes the place of the checks on the constants
+    (Exponents(1.001, 0.0005, 1, 0), (3, 4096.0, 9.0, 1.0, 2.0, 1.0),
+     ["mu-threshold (boundary)", "float-range"]),
+    (Exponents(1.001, 0.0005, 1, 0), (3, 4096.0, 8.0, 1.0, 2.0, 1.0),
+     ["mu-threshold", "float-range"]),
+    # sigma = 1e-10: only c0 = (K/(4 beta))^(m/sigma) overflows
+    (Exponents(2, 1e-10, 1, 0), (3, 4096.0, 16.0, 1e-3, 1e-3, 1.0), ["float-range"]),
+    (_ALG, (5, _ALG_EPS, _ALG_EPS, 4.0),
+     ["alpha-upper (boundary)", "alpha-beta-order (boundary)", "beta-window (boundary)"]),
+    (_ALG, (5, 0.05, 0.05 * (1.0 + 1e-12), 4.0), ["alpha-upper", "beta-window"]),
+    (_ALG, (5, 0.01, 0.01, 4.0), ["alpha-beta-order (boundary)"]),
+    (_ALG, (5, 0.01, 0.01 * (1.0 + 4e-15), 4.0), ["alpha-beta-order (boundary)"]),
+    (_ALG, (5, 0.01, 0.015, 4.0), []),
+    (_ALG, (5, 0.01, 0.021147425268811287, 4.0), ["beta-window (boundary)"]),
+    (_ALG, (5, _ALG_EPS * (1.0 - 1e-12), _ALG_EPS, 4.0), ["beta-window"]),
+    (Exponents(5.0, 1.0, 4.0, 1.0), (5, 1e300, 1e300, 3.5),
+     ["float-range", "alpha-beta-order (boundary)"]),
+]
+
+
+@pytest.mark.parametrize("exponents, args, violated", _LABELLED_LEDGERS)
+def test_ledgers_label_each_inequality(exponents, args, violated):
+    ledger = (exp_regime_ledger if len(args) == 6 else alg_regime_ledger)(exponents, *args)
+    assert ledger.violated == violated
+    assert ledger.feasible == (not violated)
+
+
+# (base, exponent): Python's float power overflows, divides by zero or
+# turns complex, or gives a plain float
+_POWERS = [(1e300, 2.0), (0.0, -1.0), (-8.0, 1.0 / 3.0), (8.0, 1.0 / 3.0), (1e-300, 2.0)]
+
+
+def test_ledger_primitives_flag_what_float_arithmetic_raises():
+    from gmsteady.barriers import _ArrayOps, _CheckedFloatOps, _FloatOps
+
+    with pytest.raises(OverflowError):
+        _FloatOps.power(1e300, 2.0)
+    with pytest.raises(ZeroDivisionError):
+        _FloatOps.divide(1.0, 0.0)
+    assert isinstance(_FloatOps.power(-8.0, 1.0 / 3.0), complex)
+    bases, exponents = np.array(_POWERS).T
+    for name, overflow_in_range in (("power", False), ("power_or_inf", True)):
+        arrays = _ArrayOps()
+        values = getattr(arrays, name)(bases, exponents)
+        for i, (base, exponent) in enumerate(_POWERS):
+            floats = _CheckedFloatOps()
+            value = getattr(floats, name)(base, exponent)
+            assert floats.in_range == arrays.in_range[i] == (i > 2 or (i == 0 and overflow_in_range))
+            assert value == values[i] or math.isnan(value) and math.isnan(values[i])
+        assert values[0] == math.inf and values[3] == 8.0 ** (1.0 / 3.0) and values[4] == 0.0
+    floats, arrays = _CheckedFloatOps(), _ArrayOps()
+    assert math.isnan(floats.divide(1.0, 0.0)) and not floats.in_range
+    with np.errstate(divide="ignore"):  # classify_many runs the primitives under errstate
+        arrays.divide(np.ones(2), np.array([0.0, 2.0]))
+    assert arrays.in_range.tolist() == [False, True]
+
+
+def test_strict_primitive_is_the_same_on_floats_and_arrays():
+    from gmsteady.barriers import _ArrayOps, _FloatOps
+
+    tie = 9.0 * (1.0 + 4e-15)
+    pairs = [(9.0, 9.0), (tie, 9.0), (9.0, tie), (9.1, 9.0), (8.9, 9.0), (math.nan, 1.0),
+             (1.0, math.nan), (math.inf, math.inf), (math.inf, 1.0), (1e-310, 0.0), (0.0, 0.0),
+             (-1.0, -1.0 - 1e-15), (-math.inf, 0.0)]
+    with np.errstate(invalid="ignore"):
+        holds, ties = _ArrayOps.strict(*np.array(pairs).T)
+    assert [_FloatOps.strict(lhs, rhs) for lhs, rhs in pairs] == list(zip(holds, ties))
+    assert ties.tolist()[:3] == [True, True, True] and not ties[3] and not ties[4]
+
+
 def test_exp_ledger_regime_errors():
     with pytest.raises(RegimeError):
         exp_regime_ledger(Exponents(2, 1, 2, 0), 3, 4096.0, 16.0, 1.0, 2.0, 1.0)  # sigma 2
