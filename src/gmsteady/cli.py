@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import sys
@@ -126,11 +127,34 @@ def _verify_exit(residuals: dict, tol: float) -> int:
     return _unconverged(f"{worst} {residuals[worst]:.3e} > --tol {tol:g}")
 
 
-def _write_csv(path, header, rows) -> None:
+def _csv_cells(groups) -> list:
+    """Each group of cells as csv.writer writes it within a row, without line end.
+
+    Quoting is minimal, so a cell is quoted by its own text alone, except
+    that a group of one empty cell is written as "" (a row of one empty
+    cell): give an empty cell a neighbour in its group.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="")
+    out = []
+    for group in groups:
+        writer.writerow(group)
+        out.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return out
+
+
+def _write_table(path, header, columns) -> None:
+    """Write a CSV table whose row i joins the i-th string of each column.
+
+    The column strings come from ``_csv_cells``, so the file holds the
+    bytes that csv.writer writes for the same header and rows.  Rows are
+    streamed, not joined into one string.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_cells([header])[0] + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 _SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -244,12 +268,13 @@ def cmd_region(args) -> int:
         if count:
             counts[f"{status}:{tag}" if tag else status] = count
     if args.out_table:
-        # csv writes a float as its repr, so each swept value is formatted once
-        cells = [np.array(list(map(repr, values.tolist())), dtype=object)[at].tolist()
+        # each swept value (as its repr, which is how csv writes a float)
+        # and each status,tag pair is formatted once; the lattice gathers them
+        swept = [np.array(_csv_cells(zip(map(repr, values.tolist()))), dtype=object)[at].tolist()
                  for (_, values), at in zip(sweeps, lattice)]
-        labels = np.array(VERDICT_CODES, dtype=object)[codes].T.tolist()
-        _write_csv(args.out_table, ["index", *names, "status", "tag"],
-                   zip(range(codes.size), *cells, *labels))
+        labels = np.array(_csv_cells(VERDICT_CODES), dtype=object)[codes].tolist()
+        _write_table(args.out_table, ["index", *names, "status", "tag"],
+                     [map(str, range(codes.size)), *swept, labels])
     _write_report(args.report, "region", dimension=args.dimension, rho=args.rho,
                   sweeps={name: vals.tolist() for name, vals in sweeps},
                   counts=counts, points=codes.size)
@@ -333,15 +358,16 @@ def cmd_kernel(args) -> int:
             if not math.isfinite(mass):
                 raise ValueError("kernel mass 1/lam leaves float64 range")
 
-    header = ["r", "value", "mass_identity"]
     mass_cell = mass if mass is not None else ""
-    rows = [[float(r), float(v), mass_cell] for r, v in zip(r_values, values)]
     if args.out_table:
-        _write_csv(args.out_table, header, rows)
+        # the mass cell may be empty, so it is formatted with its row's value
+        _write_table(args.out_table, ["r", "value", "mass_identity"],
+                     [_csv_cells(zip(r_values.tolist())),
+                      _csv_cells((float(v), mass_cell) for v in values)])
     _write_report(args.report, "kernel", dimension=args.dimension, lam=args.lam,
                   mass_integral=mass, expected_mass=(1.0 / args.lam) if args.lam > 0 else None,
                   c1=bounds.c1 if bounds else None, c2=bounds.c2 if bounds else None,
-                  rows=len(rows))
+                  rows=len(values))
     return EXIT_OK
 
 
@@ -443,6 +469,10 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except (ValueError, OSError) as exc:
         return _fail(f"error: {exc}")
+    except MemoryError as exc:
+        # numpy raises this for an array too large to allocate, such as a
+        # huge sweep count or lattice
+        return _fail(f"error: out of memory: {str(exc) or 'allocation failed'}")
     except OverflowError as exc:
         # Python float arithmetic raises where numpy would give inf
         return _fail(f"error: float64 overflow: {exc}")

@@ -1,6 +1,9 @@
+import collections
 import csv
 import dataclasses
 import enum
+import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +17,7 @@ import numpy as np
 import pytest
 
 from gmsteady import solvers
-from gmsteady.barriers import Exponents, Problem, SourceModel, classify
+from gmsteady.barriers import VERDICT_CODES, Exponents, Problem, SourceModel, classify
 from gmsteady.cli import _jsonable, main
 
 
@@ -31,10 +34,10 @@ def test_kernel_report_and_table(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["mass_integral"] == pytest.approx(0.25, abs=1e-8)
     assert payload["c1"] > 1.0 and payload["c2"] > 1.0
-    with open(table, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_writer_rows(table)
     assert rows[0] == ["r", "value", "mass_identity"]
     assert len(rows) == payload["rows"] + 1
+    assert all(row[2] == repr(payload["mass_integral"]) for row in rows[1:])
 
 
 def test_kernel_zero_shift_table(tmp_path):
@@ -43,10 +46,11 @@ def test_kernel_zero_shift_table(tmp_path):
     rc = run(["kernel", "-N", "3", "--lam", "0", "--report", str(report),
               "--out-table", str(table)])
     assert rc == 0
-    with open(table, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _csv_writer_rows(table)
     r, v = float(rows[1][0]), float(rows[1][1])
     assert v == pytest.approx(1.0 / (4.0 * math.pi * r), rel=1e-12)
+    # the unshifted kernel has no mass, so its mass_identity cells are empty
+    assert all(row[2] == "" for row in rows[1:])
 
 
 def test_kernel_negative_shift_usage_error(tmp_path):
@@ -233,6 +237,54 @@ def test_region_rows_match_scalar_classify(tmp_path, fixed, sweeps, build):
         assert row[3:] == [verdict.status.value, verdict.tag or ""]
 
 
+def _csv_writer_rows(path):
+    """The rows of a CSV table, after checking that its raw text is what
+    csv.writer writes for them, with every line ended by \\r\\n."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    assert out.getvalue() == text
+    lines = text.splitlines(keepends=True)
+    assert len(lines) == len(rows) and all(line.endswith("\r\n") for line in lines)
+    return rows
+
+
+# one, two and three sweeps (C order), value lists with -0.0 and 1e-300,
+# and between them every status,tag pair of VERDICT_CODES
+_TABLE_LATTICES = [
+    ["-N", "3", "--m", "5", "--sweep", "p=1.1:6.0:50"],
+    [*_REGION_CASES[0][0], "--sweep", "p=0.5:6.0:12", "--sweep", "q=0.1:4.0:9"],
+    [*_REGION_CASES[1][0], "--sweep", "p=1.2:9.0:12", "--sweep", "rate=2.0:5.0:9"],
+    ["-N", "3", "--s", "1", "--sweep", "p=1.1:6:7", "--sweep", "m=0.5:6:3",
+     "--sweep", "q=0.5,2"],
+    ["-N", "3", "--m", "5", "--sweep", "s=-0.0,1e-300,2", "--sweep", "p=1e-300,4,6",
+     "--sweep", "lam=0,-0.0"],
+]
+
+
+def test_region_table_is_csv_writer_bytes(tmp_path):
+    seen = set()
+    for flags in _TABLE_LATTICES:
+        table, report = tmp_path / "t.csv", tmp_path / "r.json"
+        assert run(["region", *flags, "--out-table", str(table), "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        rows = _csv_writer_rows(table)
+        names = [spec.partition("=")[0] for spec in flags[flags.index("--sweep") + 1::2]]
+        assert rows[0] == ["index", *names, "status", "tag"]
+        lattice = list(itertools.product(*(payload["sweeps"][name] for name in names)))
+        assert len(rows) - 1 == len(lattice) == payload["points"]
+        labels = collections.Counter()
+        for i, (row, point) in enumerate(zip(rows[1:], lattice)):
+            assert row[:-2] == [str(i), *map(repr, point)]
+            labels[tuple(row[-2:])] += 1
+        assert set(labels) <= set(VERDICT_CODES)
+        assert {f"{s}:{t}" if t else s: n for (s, t), n in labels.items()} == payload["counts"]
+        seen |= set(labels)
+    assert seen == set(VERDICT_CODES)
+
+
 # an invalid lattice point fails as classify's own checks fail, at the
 # first such point in lattice order, and no table or report is written
 @pytest.mark.parametrize("flags, line", [
@@ -259,6 +311,26 @@ def test_region_sweep_across_sigma_one(tmp_path):
               "--sweep", "p=2.99:3.01:21", "--sweep", "rate=3:5:41",
               "--report", str(tmp_path / "r.json")])
     assert rc == 0
+
+
+# a lattice too large to allocate ends in one error: line; numpy's
+# allocation is replaced, so nothing large is ever allocated
+@pytest.mark.parametrize("sweeps, allocator", [
+    (["p=1:2:10000000000"], "linspace"),
+    (["p=1:2:100000", "q=1:2:100000"], "indices"),
+])
+def test_region_lattice_too_large_error_line(tmp_path, capsys, monkeypatch, sweeps, allocator):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(np, allocator, refuse)
+    table, report = tmp_path / "t.csv", tmp_path / "r.json"
+    sweep_args = [a for spec in sweeps for a in ("--sweep", spec)]
+    rc = run(["region", "-N", "3", "--m", "5", *sweep_args,
+              "--out-table", str(table), "--report", str(report)])
+    assert rc == 1
+    _assert_one_line_error(capsys)
+    assert not table.exists() and not report.exists()
 
 
 _EXP_POINT = ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1",
