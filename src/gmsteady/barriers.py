@@ -28,7 +28,6 @@ nonexistence criteria are checked first.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field as dfield
 from enum import Enum
 from functools import partialmethod
@@ -62,23 +61,7 @@ __all__ = [
     "exp_regime_ledger",
     "operator_bounds",
     "sigma_index",
-    "NONEXISTENCE_TAGS",
 ]
-
-# Verdict tags are stable vocabulary for reports; downstream tooling
-# diffs classification tables on these exact strings.
-NONEXISTENCE_TAGS = frozenset(
-    {
-        "Theorem 1.1(i)",
-        "Theorem 1.1(ii)",
-        "Theorem 1.2(i)",
-        "Theorem 1.2(ii)",
-        "Theorem 1.2(iii)",
-        "Theorem 1.4(i)",
-        "Corollary 1.3(i)",
-        "Corollary 1.3(ii)",
-    }
-)
 
 # relative tie tolerance: strict inequalities decided closer than this
 # are reported as infeasible boundary cases
@@ -351,36 +334,17 @@ class ConstantsLedger:
 
 
 class _FloatOps:
-    """The ledger primitives on Python floats, as Python's own arithmetic:
-    a power or quotient that float64 cannot hold raises (``power_or_inf``
-    too), and a negative base's fractional power is complex, which raises
-    where it is compared.  A scalar ledger whose body raises runs it again
-    on ``_CheckedFloatOps``, which flags instead; almost no call raises."""
+    """The ledger primitives on Python floats, flagging where float64
+    cannot hold a power or quotient: ``in_range`` turns False and the
+    result is inf for an overflow, nan otherwise (a zero divisor, zero to
+    a negative power, a negative base's fractional power).  Each ledger
+    makes one pass.  ``power_or_inf`` lets an overflow stand as inf:
+    an alpha bound that overflows lies above every float alpha, so inf
+    keeps its comparison exact."""
 
     in_range = True
-    power = power_or_inf = staticmethod(pow)
-    divide = staticmethod(operator.truediv)
     maximum = staticmethod(max)  # x unless y > x
     minimum = staticmethod(min)  # the first x unless a later y < x: a nan y never wins
-
-    @staticmethod
-    def strict(lhs, rhs):
-        """(lhs > rhs, whether they tie within _TIE_REL of the larger of
-        |lhs|, |rhs| and 1e-300, taken as Python's max takes it)."""
-        scale, other = abs(lhs), abs(rhs)
-        if other > scale:
-            scale = other
-        if 1e-300 > scale:
-            scale = 1e-300
-        return lhs > rhs, scale < math.inf and abs(lhs - rhs) <= _TIE_REL * scale
-
-
-class _CheckedFloatOps(_FloatOps):
-    """The same primitives on floats, flagging instead of raising:
-    ``in_range`` turns False at a power or quotient that float64 cannot
-    hold, which gives nan, or inf for an overflow.  ``power_or_inf`` lets
-    an overflow stand as inf: an alpha bound that overflows lies above
-    every float alpha, so inf keeps its comparison exact."""
 
     def power(self, base, exponent, overflow_is_inf=False):
         try:
@@ -403,10 +367,21 @@ class _CheckedFloatOps(_FloatOps):
             return math.nan
         return x / y
 
+    @staticmethod
+    def strict(lhs, rhs):
+        """(lhs > rhs, whether they tie within _TIE_REL of the larger of
+        |lhs|, |rhs| and 1e-300, taken as Python's max takes it)."""
+        scale, other = abs(lhs), abs(rhs)
+        if other > scale:
+            scale = other
+        if 1e-300 > scale:
+            scale = 1e-300
+        return lhs > rhs, scale < math.inf and abs(lhs - rhs) <= _TIE_REL * scale
+
 
 class _ArrayOps:
     """The same primitives elementwise on float arrays, flagging like
-    ``_CheckedFloatOps`` and bit for bit as on floats: numpy does the
+    ``_FloatOps`` and bit for bit as on floats: numpy does the
     correctly rounded + - * / and comparisons, and every ``**`` goes
     through Python's float power (numpy's can differ in the last bit)."""
 
@@ -418,7 +393,7 @@ class _ArrayOps:
             return np.array(list(map(pow, bases, exponents)), dtype=float)
         except (ArithmeticError, TypeError):
             pass
-        each = [_CheckedFloatOps() for _ in bases]
+        each = [_FloatOps() for _ in bases]
         values = [ops.power(x, y, overflow_is_inf) for ops, x, y in zip(each, bases, exponents)]
         self.in_range &= np.array([ops.in_range for ops in each])
         return np.array(values)
@@ -597,12 +572,8 @@ def exp_regime_ledger(
         raise ValueError("shifts must be positive in this regime")
 
     n_sq = float(dimension * dimension)
-    try:
-        b, constants, (c0,), checks, in_range = _exp_ledger_body(
-            _FloatOps, n_sq, p, q, m, s, lam, mu, alpha, beta, rate_a, sig)
-    except (ArithmeticError, TypeError):  # see _FloatOps
-        b, constants, (c0,), checks, in_range = _exp_ledger_body(
-            _CheckedFloatOps(), n_sq, p, q, m, s, lam, mu, alpha, beta, rate_a, sig)
+    b, constants, (c0,), checks, in_range = _exp_ledger_body(
+        _FloatOps(), n_sq, p, q, m, s, lam, mu, alpha, beta, rate_a, sig)
     if not in_range:
         constants, c0 = (math.nan,) * 4, math.nan
     violated = _violated(checks, in_range)
@@ -647,12 +618,8 @@ def alg_regime_ledger(
     if not (alpha > 0 and beta >= alpha):
         raise ValueError("need 0 < alpha <= beta")
 
-    try:
-        b, constants, named, checks, in_range = _alg_ledger_body(
-            _FloatOps, dimension, p, q, m, s, alpha, beta, rate_a, sig)
-    except (ArithmeticError, TypeError):  # see _FloatOps
-        b, constants, named, checks, in_range = _alg_ledger_body(
-            _CheckedFloatOps(), dimension, p, q, m, s, alpha, beta, rate_a, sig)
+    b, constants, named, checks, in_range = _alg_ledger_body(
+        _FloatOps(), dimension, p, q, m, s, alpha, beta, rate_a, sig)
     if not in_range:
         constants, named = (math.nan,) * 4, (math.nan,) * 6
     violated = _violated(checks, in_range)
@@ -674,6 +641,19 @@ class VerdictStatus(Enum):
     UNKNOWN = "unknown"
 
 
+#: Every (status value, tag or "") a verdict can carry, and the one that
+#: each code of ``classify_many`` stands for.  Reports and region tables
+#: are diffed on these exact strings.
+VERDICT_CODES = (
+    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.1(i)"),
+    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.2(i)"),
+    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.4(i)"),
+    (VerdictStatus.EXISTENCE_GUARANTEED.value, Regime.EXPONENTIAL.value),
+    (VerdictStatus.EXISTENCE_GUARANTEED.value, Regime.ALGEBRAIC.value),
+    (VerdictStatus.UNKNOWN.value, ""),
+)
+
+
 @dataclass
 class Verdict:
     """Classification of a parameter point, with its justifying tag."""
@@ -685,8 +665,8 @@ class Verdict:
     advisories: list = dfield(default_factory=list)
 
     def __post_init__(self) -> None:
-        if self.status is VerdictStatus.NONEXISTENCE and self.tag not in NONEXISTENCE_TAGS:
-            raise ValueError(f"invalid nonexistence tag {self.tag!r}")
+        if (self.status.value, self.tag or "") not in VERDICT_CODES:
+            raise ValueError(f"invalid {self.status.value} tag {self.tag!r}")
         if self.status is VerdictStatus.EXISTENCE_GUARANTEED:
             if self.ledger is None or not self.ledger.feasible:
                 raise ValueError("existence verdict requires a feasible ledger")
@@ -738,17 +718,16 @@ def classify(problem: Problem, exponents: Exponents) -> Verdict:
                                  f"2(1+1/m) = {a_low} forces a divergent representation.")
 
     if shifted and matched and sigma_index(exponents) <= 1.0:
-        tag, kind = "Theorem 1.1(iii)", "exponential"
         ledger = exp_regime_ledger(
             exponents, n, problem.lam, problem.mu, rho.alpha, rho.beta, rho.rate)
     elif not shifted and matched:
-        tag, kind = "Theorem 1.4(ii)", "algebraic"
         try:
             ledger = alg_regime_ledger(exponents, n, rho.alpha, rho.beta, rho.rate)
         except RegimeError as exc:
             return _unknown(problem, exponents, f"algebraic regime not applicable: {exc}")
     else:
         return _unknown(problem, exponents, "no criterion applies")
+    tag, kind = ledger.regime.value, ledger.regime.name.lower()
     if not ledger.feasible:
         return _unknown(problem, exponents, f"{kind} ledger infeasible: {ledger.violated}")
     return Verdict(VerdictStatus.EXISTENCE_GUARANTEED, tag,
@@ -765,7 +744,7 @@ def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
     if problem.lam > 0 and exponents.p > 1:
         sig = sigma_index(exponents)
         if sig > 1.0:
-            thresh = _CheckedFloatOps().power_or_inf(exponents.m / (exponents.s + 1.0), 2.0)
+            thresh = _FloatOps().power_or_inf(exponents.m / (exponents.s + 1.0), 2.0)
             thresh *= problem.lam
             if problem.mu > thresh:
                 advisories.append(
@@ -784,15 +763,6 @@ def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
 # classification of whole arrays of points
 # ---------------------------------------------------------------------------
 
-#: (status value, tag or "") that each code of ``classify_many`` stands for.
-VERDICT_CODES = (
-    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.1(i)"),
-    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.2(i)"),
-    (VerdictStatus.NONEXISTENCE.value, "Theorem 1.4(i)"),
-    (VerdictStatus.EXISTENCE_GUARANTEED.value, "Theorem 1.1(iii)"),
-    (VerdictStatus.EXISTENCE_GUARANTEED.value, "Theorem 1.4(ii)"),
-    (VerdictStatus.UNKNOWN.value, ""),
-)
 #: ``classify_many``'s code for a point it leaves to ``classify``.
 DEFERRED = -1
 

@@ -289,10 +289,7 @@ def cmd_solve(args) -> int:
     problem, exponents = _problem_from_args(args)
     verdict = classify(problem, exponents)
     if verdict.status is not VerdictStatus.EXISTENCE_GUARANTEED:
-        detail = verdict.reason
-        if verdict.ledger is not None:
-            detail += f"; violated: {verdict.ledger.violated}"
-        print(f"refused: {detail}", file=sys.stderr)
+        print(f"refused: {verdict.reason}", file=sys.stderr)
         return EXIT_REFUSED
 
     grid = None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from gmsteady.barriers import (
     Problem,
     Regime,
     SourceModel,
+    Verdict,
     VerdictStatus,
     alg_regime_ledger,
     barrier_operator_value,
@@ -271,24 +273,19 @@ _POWERS = [(1e300, 2.0), (0.0, -1.0), (-8.0, 1.0 / 3.0), (8.0, 1.0 / 3.0), (1e-3
 
 
 def test_ledger_primitives_flag_what_float_arithmetic_raises():
-    from gmsteady.barriers import _ArrayOps, _CheckedFloatOps, _FloatOps
+    from gmsteady.barriers import _ArrayOps, _FloatOps
 
-    with pytest.raises(OverflowError):
-        _FloatOps.power(1e300, 2.0)
-    with pytest.raises(ZeroDivisionError):
-        _FloatOps.divide(1.0, 0.0)
-    assert isinstance(_FloatOps.power(-8.0, 1.0 / 3.0), complex)
     bases, exponents = np.array(_POWERS).T
     for name, overflow_in_range in (("power", False), ("power_or_inf", True)):
         arrays = _ArrayOps()
         values = getattr(arrays, name)(bases, exponents)
         for i, (base, exponent) in enumerate(_POWERS):
-            floats = _CheckedFloatOps()
+            floats = _FloatOps()
             value = getattr(floats, name)(base, exponent)
             assert floats.in_range == arrays.in_range[i] == (i > 2 or (i == 0 and overflow_in_range))
             assert value == values[i] or math.isnan(value) and math.isnan(values[i])
         assert values[0] == math.inf and values[3] == 8.0 ** (1.0 / 3.0) and values[4] == 0.0
-    floats, arrays = _CheckedFloatOps(), _ArrayOps()
+    floats, arrays = _FloatOps(), _ArrayOps()
     assert math.isnan(floats.divide(1.0, 0.0)) and not floats.in_range
     with np.errstate(divide="ignore"):  # classify_many runs the primitives under errstate
         arrays.divide(np.ones(2), np.array([0.0, 2.0]))
@@ -469,6 +466,22 @@ def test_classify_existence_rules():
         Exponents(5, 2, 2, 1),
     )
     assert v.status is VerdictStatus.EXISTENCE_GUARANTEED and v.tag == "Theorem 1.4(ii)"
+
+
+def test_verdict_refuses_what_verdict_codes_does_not_hold():
+    ledger = classify(Problem(3, 4096.0, 16.0, SourceModel.exp_envelope(1.0, 2.0, 1.0)),
+                      Exponents(2, 1, 1, 0)).ledger
+    for status, tag in VERDICT_CODES:
+        Verdict(VerdictStatus(status), tag or None, "", ledger)
+    for status, tag in [(VerdictStatus.NONEXISTENCE, "Theorem 1.1(ii)"),
+                        (VerdictStatus.NONEXISTENCE, None),
+                        (VerdictStatus.UNKNOWN, "Theorem 1.1(i)"),
+                        (VerdictStatus.EXISTENCE_GUARANTEED, "Theorem 1.2(i)")]:
+        with pytest.raises(ValueError, match="invalid"):
+            Verdict(status, tag, "", ledger)
+    for without in (None, dataclasses.replace(ledger, feasible=False)):
+        with pytest.raises(ValueError, match="feasible ledger"):
+            Verdict(VerdictStatus.EXISTENCE_GUARANTEED, "Theorem 1.1(iii)", "", without)
 
 
 def test_classify_unknown_and_advisory():

@@ -219,6 +219,12 @@ _REGION_CASES = [
     (["-N", "3", "--s", "1"],
      ["p=1.1:6.0:12", "m=0.5:6.0:9"],
      lambda p, m: (Problem(3, 0.0, 0.0, SourceModel.zero()), Exponents(p, 1.0, m, 1.0))),
+    # float64 cannot hold N = 2**53 + 1 exactly, so classify_many defers
+    # every point and region takes each row from classify itself
+    (["-N", str(2**53 + 1), "--lam", "4096", "--mu", "16"],
+     ["p=0.5:6.0:12", "q=0.1:4.0:9"],
+     lambda p, q: (Problem(2**53 + 1, 4096.0, 16.0, SourceModel.zero()),
+                   Exponents(p, q, 1.0, 0.0))),
 ]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -560,3 +561,17 @@ def test_run_status_ranks_sandwich_then_ball_growth():
     assert status is SolveStatus.MAX_ITERATIONS
     assert notes == ["ball-growth stability gap 3.000e+00 exceeds boundary barrier 2.000e+00"]
     assert solvers._run_status(3.0, 2.0, False, True) == (SolveStatus.SANDWICH_VIOLATED, notes)
+
+
+def test_sandwich_violated_when_an_iterate_leaves_the_ledger(exp_worked_case):
+    """The solve's own SANDWICH_VIOLATED; test_run_status_ranks_sandwich_then_ball_growth
+    shows that it outranks a ball-growth note."""
+    problem, exponents, ledger, report = exp_worked_case
+    # the converged u reaches top * M1_lower B_u; an M1_upper below that
+    # is left by the first Picard iterate, which ends the loop there
+    top = report.margins["u"][1]
+    cut = dataclasses.replace(ledger, m1_upper=0.5 * (1.0 + top) * ledger.m1_lower)
+    violated = solve_coupled_exp(problem, exponents, cut)
+    assert violated.status is SolveStatus.SANDWICH_VIOLATED
+    assert violated.iterations == 1 < report.iterations
+    assert violated.margins["u"][1] > cut.m1_upper / cut.m1_lower
