@@ -381,22 +381,23 @@ class _FloatOps:
 
 class _ArrayOps:
     """The same primitives elementwise on float arrays, flagging like
-    ``_FloatOps`` and bit for bit as on floats: numpy does the
-    correctly rounded + - * / and comparisons, and every ``**`` goes
-    through Python's float power (numpy's can differ in the last bit)."""
+    ``_FloatOps`` and bit for bit: + - * / and comparisons round alike,
+    ``np.float_power`` calls the C ``pow`` that float ``**`` calls (``np.power``
+    may run a SIMD kernel, an ulp off), and a non-finite power is redone on floats."""
 
-    in_range = True  # an array once a primitive flags an element
+    in_range = True  # an array once a power or quotient is taken
 
     def power(self, base, exponent, overflow_is_inf=False):
-        bases, exponents = (x.tolist() for x in np.broadcast_arrays(base, exponent))
-        try:  # on almost every call, no element raises or turns complex
-            return np.array(list(map(pow, bases, exponents)), dtype=float)
-        except (ArithmeticError, TypeError):
-            pass
-        each = [_FloatOps() for _ in bases]
-        values = [ops.power(x, y, overflow_is_inf) for ops, x, y in zip(each, bases, exponents)]
-        self.in_range &= np.array([ops.in_range for ops in each])
-        return np.array(values)
+        bases, exponents = np.broadcast_arrays(base, exponent)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values = np.float_power(bases, exponents)
+        flags = np.isfinite(values)  # an overflow, 0 ** -y, nan or complex: flag as on floats
+        for i in np.flatnonzero(~flags).tolist():
+            ops = _FloatOps()
+            values[i] = ops.power(bases.item(i), exponents.item(i), overflow_is_inf)
+            flags[i] = ops.in_range
+        self.in_range &= flags
+        return values
 
     power_or_inf = partialmethod(power, overflow_is_inf=True)
 
@@ -558,7 +559,9 @@ def exp_regime_ledger(
     float64 cannot hold make the ledger infeasible ("float-range", NaN),
     and so does a sigma that underflows to 0, where c0 is undefined.
     """
-    p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
+    # floats raise where float64 cannot hold a power; numpy scalars only warn
+    p, q, m, s = map(float, (exponents.p, exponents.q, exponents.m, exponents.s))
+    lam, mu, alpha, beta, rate_a = map(float, (lam, mu, alpha, beta, rate_a))
     if p <= 1:
         raise RegimeError("exponential regime requires p > 1")
     sig = _sigma(p, q, m, s)
@@ -608,7 +611,8 @@ def alg_regime_ledger(
     barrier that underflows to 0 keeps its verdict, and the solvers
     refuse it.
     """
-    p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
+    p, q, m, s = map(float, (exponents.p, exponents.q, exponents.m, exponents.s))
+    alpha, beta, rate_a = map(float, (alpha, beta, rate_a))  # as in exp_regime_ledger
     if p <= 1:
         raise RegimeError("algebraic regime requires p > 1")
     sig = _sigma(p, q, m, s)
@@ -619,7 +623,7 @@ def alg_regime_ledger(
         raise ValueError("need 0 < alpha <= beta")
 
     b, constants, named, checks, in_range = _alg_ledger_body(
-        _FloatOps(), dimension, p, q, m, s, alpha, beta, rate_a, sig)
+        _FloatOps(), float(dimension), p, q, m, s, alpha, beta, rate_a, sig)
     if not in_range:
         constants, named = (math.nan,) * 4, (math.nan,) * 6
     violated = _violated(checks, in_range)

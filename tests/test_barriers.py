@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,25 @@ def test_float_range_points_read_unknown(n, family, point, ledger):
     assert VERDICT_CODES[codes[0]] == ("unknown", "")
 
 
+def test_float_range_sweep_reads_unknown_where_only_float_range_fails():
+    # the README's float-range sweep, -N 3 --mu 16 --q 0.0005 --m 1 --s 0
+    # --rho exp --alpha 1 --beta 2 --rate 1 --sweep p=1.001:1.02:20
+    # --sweep lam=16:4096:5: near p = 1, M1_upper = ((lam/4) M2_lower^q)^(1/(p-1))
+    # overflows while every threshold, ordering and the budget hold, so
+    # float-range is the only violation; elsewhere the ledger is feasible
+    p, lam = (x.ravel() for x in np.meshgrid(np.linspace(1.001, 1.02, 20),
+                                             np.linspace(16.0, 4096.0, 5), indexing="ij"))
+    violated = [exp_regime_ledger(Exponents(pk, 0.0005, 1.0, 0.0), 3, lk, 16.0, 1.0, 2.0,
+                                  1.0).violated for pk, lk in zip(p.tolist(), lam.tolist())]
+    only_range = np.array([v == ["float-range"] for v in violated])
+    assert only_range.sum() == 34
+    assert all(v == [] for v, bad in zip(violated, only_range) if not bad)
+    codes = classify_many(3, BarrierFamily.W, p, 0.0005, 1.0, 0.0, lam, 16.0, 1.0, 2.0, 1.0)
+    assert [VERDICT_CODES[code] for code in codes.tolist()] == [
+        ("unknown", "") if bad else ("existence-guaranteed", "Theorem 1.1(iii)")
+        for bad in only_range]
+
+
 def test_alg_ledger_underflowing_lower_barrier_keeps_its_verdict():
     # alpha^(m/(s+1)) underflows, so M2_lower = 0 while the theorem's
     # conditions hold: only an overflow reads float-range, and solve
@@ -267,6 +287,27 @@ def test_ledgers_label_each_inequality(exponents, args, violated):
     assert ledger.feasible == (not violated)
 
 
+def test_ledgers_take_numpy_scalars_as_floats():
+    # numpy scalars warn and give inf or nan where Python floats raise;
+    # the ledgers take their operands as floats, so a point read from an
+    # array flags float-range as the same point given as floats does
+    points = [
+        (exp_regime_ledger, Exponents(1.001, 0.0005, 1.0, 0.0), (3, 4096.0, 16.0, 1.0, 2.0, 1.0)),
+        (alg_regime_ledger, Exponents(1e5, 1.0, 1000.0, 0.0), (3, 0.01, 0.015, 2.0021)),
+        (alg_regime_ledger, Exponents(5.0, 1.0, 4.0, 1.0), (5, 1e300, 1e300, 3.5)),
+        (exp_regime_ledger, Exponents(2.0, 1.0, 1.0, 0.0), (3, 4096.0, 16.0, 1.0, 2.0, 1.0)),
+        (alg_regime_ledger, Exponents(5.0, 2.0, 2.0, 1.0), (5, 0.01, 0.015, 4.0)),
+    ]
+    for ledger, exponents, args in points:
+        expected = ledger(exponents, *args)
+        as_numpy = Exponents(*np.array(dataclasses.astuple(exponents)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ledger(as_numpy, np.int64(args[0]), *np.array(args[1:]))
+        assert repr(got) == repr(expected)
+    assert [ledger(e, *args).violated[0] for ledger, e, args in points[:3]] == ["float-range"] * 3
+
+
 # (base, exponent): Python's float power overflows, divides by zero or
 # turns complex, or gives a plain float
 _POWERS = [(1e300, 2.0), (0.0, -1.0), (-8.0, 1.0 / 3.0), (8.0, 1.0 / 3.0), (1e-300, 2.0)]
@@ -290,6 +331,45 @@ def test_ledger_primitives_flag_what_float_arithmetic_raises():
     with np.errstate(divide="ignore"):  # classify_many runs the primitives under errstate
         arrays.divide(np.ones(2), np.array([0.0, 2.0]))
     assert arrays.in_range.tolist() == [False, True]
+
+
+def _python_powers(bases, exponents):
+    """Python's float ** of each pair, inf where it overflows."""
+    values = []
+    for x, y in zip(bases.tolist(), exponents.tolist()):
+        try:
+            values.append(x**y)
+        except OverflowError:
+            values.append(math.inf)
+    return np.array(values)
+
+
+def test_array_powers_are_pythons_float_powers():
+    # _ArrayOps.power rests on np.float_power calling the C library's pow,
+    # as Python's float ** does, so the two agree bit for bit; numpy's
+    # np.power may not (on an AVX-512 host it is an ulp off on 1339 of
+    # these 40k pairs).  How a mixed array flags its overflow, zero
+    # divisor and complex power is the test above.
+    from gmsteady.barriers import _ArrayOps
+
+    rng = np.random.default_rng(20261019)
+    k = 20000
+    # the ledgers' ranges: bases from 1e-300 to 1e300 with exponents up
+    # to 3 in size, and exponents from 1.1 to 1e4 in size whose results
+    # are subnormal or just below overflow (bases within 1e-288 to 1e288)
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, k), rng.uniform(-3.0, 3.0, k)
+    large = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(0.05, 4.0, k)
+    logs = np.concatenate([rng.uniform(-744.0, -708.4, k // 2), rng.uniform(700.0, 709.78, k // 2)])
+    steep = np.exp(logs / large), large
+    for bases, exponents in (wide, steep):
+        expected = _python_powers(bases, exponents)
+        ops = _ArrayOps()
+        values = ops.power(bases, exponents)
+        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert np.array_equal(np.broadcast_to(ops.in_range, k), np.isfinite(expected))
+    subnormal = (0.0 < expected) & (expected < 2.2250738585072014e-308)
+    assert np.count_nonzero(subnormal) > 1000
+    assert np.count_nonzero((1e307 < expected) & (expected < math.inf)) > 1000
 
 
 def test_strict_primitive_is_the_same_on_floats_and_arrays():
