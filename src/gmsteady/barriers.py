@@ -80,6 +80,9 @@ class Exponents:
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.p, self.q, self.m, self.s))):
             raise ValueError("p, q, m, s must be finite")
+        # Python floats overflow to inf silently where numpy scalars warn
+        for name in ("p", "q", "m", "s"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.p > 0 and self.q > 0 and self.m > 0):
             raise ValueError("p, q, m must be positive")
         if self.s < 0:
@@ -189,6 +192,8 @@ class Problem:
             raise ValueError("dimension must be >= 3")
         if not (math.isfinite(self.lam) and math.isfinite(self.mu)):
             raise ValueError("shifts must be finite")
+        for name in ("lam", "mu"):  # Python floats, as in Exponents
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.lam < 0 or self.mu < 0:
             raise ValueError("shifts must be >= 0")
         if (self.lam > 0) != (self.mu > 0):

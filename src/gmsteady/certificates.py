@@ -170,7 +170,7 @@ def verify_solution(
       * "Corollary 1.3(i)": same window, and the fitted algebraic decay
         rate of u lies below ((N-2)s + N)/m.
     """
-    if np.any(u.values <= 0) or np.any(v.values <= 0):
+    if (u.values <= 0).any() or (v.values <= 0).any():
         raise ValueError("fields must be positive")
     n = problem.dimension
     pde_u, pde_v = _pde_residuals(problem, exponents, u, v)

@@ -318,11 +318,11 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     the declared tail models, not truncation, dominate the comparison.
     Returns (residual_u, residual_v).
     """
-    if np.any(u.values <= 0) or np.any(v.values <= 0):
+    if (u.values <= 0).any() or (v.values <= 0).any():
         raise ValueError("fields must be positive")
     n = problem.dimension
     r = u.grid.nodes
-    if u.grid.nodes.shape != v.grid.nodes.shape or np.any(u.grid.nodes != v.grid.nodes):
+    if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
         raise ValueError("u and v must share a grid")
 
     family = problem.family
@@ -356,7 +356,7 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
             # the candidate's right side has a divergent potential: the
             # representation cannot hold, report an infinite gap
             return math.inf
-        return float(np.max(np.abs(target.values[mask] - pot.values[mask])))
+        return float(np.abs(target.values[mask] - pot.values[mask]).max())
 
     res_u = one_side(u, problem.lam, rhs_u)
     res_v = one_side(v, problem.mu, rhs_v)
@@ -418,16 +418,16 @@ def convr_check(v: RadialField):
     """
     r = v.grid.nodes
     vals = v.values
-    if np.any(vals <= 0):
+    if (vals <= 0).any():
         raise ValueError("field must be positive")
     dv = np.gradient(vals, r)
     q = r * np.abs(dv) / vals
     # np.gradient is one-sided (first order) at the outer endpoint
     mask = (r >= 1.0) & (r < r[-1])
-    if not np.any(mask):
+    if not mask.any():
         raise ValueError("grid must extend beyond r = 1")
     qm = q[mask]
-    bound = float(np.max(qm))
+    bound = float(qm.max())
     if not math.isfinite(bound):
         return math.inf, False
     if bound < 1e-12:
@@ -435,6 +435,6 @@ def convr_check(v: RadialField):
     rm = r[mask]
     mid_idx = int(np.searchsorted(rm, 0.5 * rm[-1]))
     mid_idx = min(max(mid_idx, 0), qm.size - 2)
-    tail_level = float(np.max(qm[-max(3, qm.size // 20):]))
+    tail_level = float(qm[-max(3, qm.size // 20):].max())
     holds = tail_level <= 1.25 * max(qm[mid_idx], 1e-300)
     return bound, bool(holds)

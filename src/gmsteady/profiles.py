@@ -61,7 +61,7 @@ def eval_barrier(profile: BarrierProfile, x_norm):
     W(a): exp(-a*sqrt(1+r^2));  Z(a): (1+r^2)^(-a/2).
     """
     r = np.asarray(x_norm, dtype=float)
-    if np.any(r < 0):
+    if (r < 0).any():
         raise ValueError("radius must be nonnegative")
     u = 1.0 + r * r
     if profile.family is BarrierFamily.W:

@@ -185,7 +185,7 @@ class RadialField:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != self.grid.nodes.shape:
             raise ValueError("field values must match the grid")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("field values must be finite")
         self.values = vals
 

@@ -23,11 +23,13 @@ L(v) <= L(vlow) for v >= vlow, so each step is order preserving on
 
 Coupled problems.  The fixed-point map updates u by a resolvent or
 Newtonian potential applied to u^p/v^q + rho and v by the scalar solve
-with weight u^m.  When the feasibility ledger holds, every iterate
-stays inside its barrier sandwich; this is checked on each iterate and
-violations abort with an explicit status.  Plain Picard iteration is
-used (existence comes from compactness, not contraction);
-non-convergence after the iteration cap is reported honestly.
+with weight u^m.  At s = 0 that solve is linear, and v is updated by
+one solve of -Delta + mu, as u is by -Delta + lam.  When the
+feasibility ledger holds, every iterate stays inside its barrier
+sandwich; this is checked on each iterate and violations abort with an
+explicit status.  Plain Picard iteration is used (existence comes from
+compactness, not contraction); non-convergence after the iteration cap
+is reported honestly.
 
 Truncation.  Exponential-family runs pick the smallest radius where
 the barrier has dropped by 1e12 relative to the origin; algebraic
@@ -124,21 +126,22 @@ class SolveReport:
 def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     """Least-squares decay rate of a positive field over a radius window.
 
-    Regresses log(field) on the family's ``log_coordinate``.  Returns
-    (rate, rms residual).
+    Fits log(field) = rate * x + c, x the family's ``log_coordinate``, in
+    closed form on the centred data xc = x - mean(x), yc = y - mean(y):
+    rate = sum(xc yc) / sum(xc^2), and the residual is yc - rate * xc.
+    Returns (rate, rms residual).
     """
     r = field.grid.nodes
     mask = _window_mask(r, window)
     vals = field.values[mask]
-    if np.any(vals <= 0):
+    if (vals <= 0).any():
         raise ValueError("field must be positive on the window")
     y = np.log(vals)
     x = log_coordinate(family, r[mask])
-    design = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fit = design @ coef
-    rms = float(np.sqrt(np.mean((y - fit) ** 2)))
-    return float(coef[0]), rms
+    xc, yc = x - x.mean(), y - y.mean()
+    rate = float(xc @ yc / (xc @ xc))
+    rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
+    return rate, rms
 
 
 def algebraic_scalar_admissible(dimension: int, s: float, gamma: float) -> bool:
@@ -190,13 +193,13 @@ def _pde_residuals(
     res_u = lap_u + problem.lam * uu - (uu**exponents.p / vv**exponents.q + rho_vals)
     res_v = lap_v + problem.mu * vv - uu**exponents.m / vv**exponents.s
     mask = r <= 0.5 * u.grid.radius
-    return float(np.max(np.abs(res_u[mask]))), float(np.max(np.abs(res_v[mask])))
+    return float(np.abs(res_u[mask]).max()), float(np.abs(res_v[mask]).max())
 
 
 def _sandwich_margins(vals: np.ndarray, env: np.ndarray, lo: float, hi: float):
     """((min, max) of vals / (lo * env), whether both lie in [1, hi/lo] up to 1e-9)."""
     ratios = vals / (lo * env)
-    margin = (float(np.min(ratios)), float(np.max(ratios)))
+    margin = (float(ratios.min()), float(ratios.max()))
     return margin, margin[0] >= 1.0 - 1e-9 and margin[1] <= (hi / lo) * (1.0 + 1e-9)
 
 
@@ -205,9 +208,9 @@ def _field_envelope(psi: RadialField, profile: BarrierProfile):
     env = np.asarray(eval_barrier(profile, psi.grid.nodes), dtype=float)
     good = env > 1e-290
     ratios = psi.values[good] / env[good]
-    if np.any(psi.values <= 0):
+    if (psi.values <= 0).any():
         raise ValueError("weight psi must be positive")
-    return float(np.min(ratios)), float(np.max(ratios))
+    return float(ratios.min()), float(ratios.max())
 
 
 def _run_status(gap: float, allowance: float, sandwiched: bool, converged: bool) -> tuple:
@@ -357,7 +360,7 @@ def solve_singular_scalar(
 
     psi_big = np.concatenate((psi.values, psi.tail(big.nodes[grid.n :])))
     vals2, _, _res2, its2, _mono2 = run(big, psi_big)
-    gap = float(np.max(np.abs(vals2[: grid.n] - vals)))
+    gap = float(np.abs(vals2[: grid.n] - vals).max())
     allowance = c_high * float(eval_barrier(barrier, grid.radius)) + 1e-14
     margin_v, sandwiched = _sandwich_margins(vals, env, c_low, c_high)
     status, notes = _run_status(gap, allowance, sandwiched, res <= tol_residual and mono)
@@ -405,11 +408,11 @@ def _ball_envelopes(
     env_v = np.asarray(eval_barrier(b_v, grid.nodes), dtype=float)
     low_v = ledger.m2_lower * env_v
     for name, low in (("M1_lower * B_u", ledger.m1_lower * env_u), ("M2_lower * B_v", low_v)):
-        if not np.min(low) >= np.finfo(float).tiny:
+        if not low.min() >= np.finfo(float).tiny:
             raise HypothesisError(f"{name} underflows below the smallest normal double "
                                   f"within radius {grid.radius:g}")
     power = max(exponents.q, exponents.s + 1.0)
-    if -power * math.log(np.min(low_v)) > math.log(np.finfo(float).max):
+    if -power * math.log(low_v.min()) > math.log(np.finfo(float).max):
         raise HypothesisError(f"(M2_lower * B_v)^(-{power:g}) overflows "
                               f"within radius {grid.radius:g}")
     return env_u, env_v
@@ -445,9 +448,12 @@ def _picard_coupled(
 
     margins, _ = sandwich(u, v)
     # one operator per ball for each field: the resolvent of -Delta + lam
-    # (W runs) and the scalar solve's -Delta + mu + L(v)
+    # (W runs) and the scalar solve's -Delta + mu + L(v).  At s = 0 the v
+    # equation is linear: Newton's first step from v_low solves
+    # (-Delta + mu) v = psi, since v_low^(-0) = 1, and every later step
+    # repeats that solve, so one solve gives Newton's v bit for bit
     resolvent = RadialOperator(grid, n, problem.lam) if problem.family is BarrierFamily.W else None
-    v_op = RadialOperator(grid, n)
+    v_op = RadialOperator(grid, n, problem.mu)
 
     it, change = 0, math.inf
     for it in range(1, MAX_ITER + 1):
@@ -459,18 +465,15 @@ def _picard_coupled(
             u_new = newton_potential_radial(n, rhs_u).values
 
         psi_vals = u_new**m
-        v_new, _, _, _ = _monotone_ball(
-            v_op,
-            problem.mu,
-            s,
-            psi_vals,
-            v_low_guard,
-            tol_residual * max(ledger.m2_lower, 1e-300),
-        )
+        if s == 0:
+            v_new = v_op.solve(psi_vals, v_low_guard[-1])
+        else:
+            v_new = _monotone_ball(v_op, problem.mu, s, psi_vals, v_low_guard,
+                                   tol_residual * max(ledger.m2_lower, 1e-300))[0]
 
         change = max(
-            float(np.max(np.abs(u_new - u))) / max(float(np.max(u_new)), 1e-300),
-            float(np.max(np.abs(v_new - v))) / max(float(np.max(v_new)), 1e-300),
+            float(np.abs(u_new - u).max()) / max(float(u_new.max()), 1e-300),
+            float(np.abs(v_new - v).max()) / max(float(v_new.max()), 1e-300),
         )
         u, v = u_new, v_new
 
@@ -519,8 +522,8 @@ def _coupled_report(
         problem, exponents, ledger, big, big_envelopes, tol_change, tol_residual
     )
     gap = max(
-        float(np.max(np.abs(u2[: grid.n] - u))),
-        float(np.max(np.abs(v2[: grid.n] - v))),
+        float(np.abs(u2[: grid.n] - u).max()),
+        float(np.abs(v2[: grid.n] - v).max()),
     )
     allowance = (
         ledger.m1_upper * float(eval_barrier(b_u, grid.radius))

@@ -191,6 +191,33 @@ def test_float_range_points_read_unknown(n, family, point, ledger):
     assert VERDICT_CODES[codes[0]] == ("unknown", "")
 
 
+_WORKED_POINTS = [
+    (3, BarrierFamily.W, (2.0, 1.0, 1.0, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0)),
+    (5, BarrierFamily.Z, (5.0, 2.0, 2.0, 1.0, 0.0, 0.0, 0.01, 0.015, 4.0)),
+]
+
+
+@pytest.mark.parametrize("n, family, point",
+                         [case[:3] for case in _FLOAT_RANGE_POINTS] + _WORKED_POINTS)
+def test_classify_takes_numpy_scalars_as_floats(n, family, point):
+    # numpy scalars warn where Python floats overflow to inf silently (at
+    # (2, 1e200, 1e200, 0), sigma's m q and the Theorem 1.1(ii) threshold);
+    # Exponents and Problem keep them as floats, so the verdict is the
+    # floats' verdict and nothing warns
+    def verdict(p, q, m, s, lam, mu, alpha, beta, rate):
+        rho = SourceModel.zero() if family is None else SourceModel(family, alpha, beta, rate)
+        return classify(Problem(n, lam, mu, rho), Exponents(p, q, m, s))
+
+    expected = verdict(*point)
+    as_numpy = np.array(point)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verdict(*as_numpy)
+        exponents, problem = Exponents(*as_numpy[:4]), Problem(n, *as_numpy[4:6], SourceModel.zero())
+    assert repr(got) == repr(expected)
+    assert {type(x) for x in (*dataclasses.astuple(exponents), problem.lam, problem.mu)} == {float}
+
+
 def test_float_range_sweep_reads_unknown_where_only_float_range_fails():
     # the README's float-range sweep, -N 3 --mu 16 --q 0.0005 --m 1 --s 0
     # --rho exp --alpha 1 --beta 2 --rate 1 --sweep p=1.001:1.02:20

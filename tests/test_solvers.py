@@ -13,7 +13,7 @@ from gmsteady.barriers import (
     exp_regime_ledger,
 )
 from gmsteady.errors import HypothesisError, NonexistenceError, RegimeError
-from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier
+from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
 from gmsteady.radial_core import (
     RadialField,
     RadialGrid,
@@ -129,6 +129,25 @@ def test_monotone_ball_matches_the_three_power_loop(s):
     for a, b in zip(got_trace, want_trace):
         assert np.array_equal(a.v.values, b.v.values)
         assert (a.residual, a.monotone_flag) == (b.residual, b.monotone_flag)
+
+
+@pytest.mark.parametrize("mu", [16.0, 0.0])
+@pytest.mark.parametrize("doubled", [False, True])
+def test_linear_monotone_ball_is_one_solve(mu, doubled):
+    # at s = 0 Newton's steps from v_low all solve (-Delta + mu) v = psi,
+    # since v_low^(-0) = 1: the coupled loop's single solve of that
+    # resolvent is the Newton loop's answer bit for bit
+    rng = np.random.default_rng(2203)
+    grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+    if doubled:
+        grid = grid.extended(2.0)
+    envelope = w_field(grid, 1.0).values
+    psi_vals = envelope * rng.uniform(0.5, 2.0, grid.n)
+    v_low = 0.3 * envelope * rng.uniform(0.9, 1.0, grid.n)
+    op = solvers.RadialOperator(grid, 3)
+    newton = solvers._monotone_ball(op, mu, 0.0, psi_vals, v_low, 1e-12)[0]
+    solve = solvers.RadialOperator(grid, 3, mu).solve(psi_vals, v_low[-1])
+    assert np.array_equal(newton, solve)
 
 
 def assert_matches_fixed_shift(run, monkeypatch):
@@ -528,14 +547,15 @@ class TestDecayFit:
         grid = RadialGrid.auto(40.0, h0=0.05, stretch=1.02)
         field = w_field(grid, 2.0)
         rate, resid = decay_fit(field, BarrierFamily.W, (5.0, 20.0))
-        assert rate == pytest.approx(2.0, abs=1e-6)
-        assert resid <= 1e-9
+        assert rate == pytest.approx(2.0, rel=1e-13)
+        assert resid <= 1e-13
 
     def test_fits_own_generator_algebraic(self):
         grid = RadialGrid.auto(150.0, h0=0.05, stretch=1.03)
         field = z_field(grid, 3.0)
-        rate, _ = decay_fit(field, BarrierFamily.Z, (10.0, 100.0))
-        assert rate == pytest.approx(3.0, abs=1e-3)
+        rate, resid = decay_fit(field, BarrierFamily.Z, (10.0, 100.0))
+        assert rate == pytest.approx(3.0, rel=1e-13)
+        assert resid <= 1e-13
 
     def test_mixture_slowest_mode_dominates(self):
         grid = RadialGrid.auto(60.0, h0=0.05, stretch=1.02)
@@ -549,8 +569,42 @@ class TestDecayFit:
     def test_rejects_nonpositive(self):
         grid = RadialGrid.uniform(10.0, 64)
         field = RadialField(grid, np.zeros(grid.n))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             decay_fit(field, BarrierFamily.W, (1.0, 5.0))
+        field = w_field(grid, 1.0)
+        field.values[40] = -field.values[40]
+        with pytest.raises(ValueError, match="positive"):
+            decay_fit(field, BarrierFamily.W, (1.0, 9.0))
+
+    def test_rejects_windows_of_fewer_than_four_nodes(self):
+        grid = RadialGrid.uniform(10.0, 64)
+        field, r = w_field(grid, 1.0), grid.nodes
+        assert decay_fit(field, BarrierFamily.W, (r[7], r[10]))[0] == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="fewer than 4"):
+            decay_fit(field, BarrierFamily.W, (r[7], r[9]))
+
+    def test_closed_form_agrees_with_lstsq(self):
+        # the centred closed form and a least-squares solver fit the same line
+        rng = np.random.default_rng(5261)
+        grid = RadialGrid.auto(150.0, h0=0.05, stretch=1.03)
+        r = grid.nodes
+        for family in (BarrierFamily.W, BarrierFamily.Z):
+            for _ in range(20):
+                rate = float(rng.uniform(0.2, 4.0))
+                lo = float(rng.uniform(0.0, 60.0))
+                window = (lo, lo + float(rng.uniform(10.0, 90.0)))
+                noise = rng.normal(0.0, float(rng.uniform(1e-6, 0.3)), grid.n)
+                profile = BarrierProfile(family, rate)
+                field = RadialField(grid, np.asarray(eval_barrier(profile, r)) * np.exp(noise))
+                fitted, rms = decay_fit(field, family, window)
+                mask = (r >= window[0]) & (r <= window[1])
+                x = log_coordinate(family, r[mask])
+                design = np.column_stack([x, np.ones_like(x)])
+                y = np.log(field.values[mask])
+                coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+                want_rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
+                assert fitted == pytest.approx(coef[0], rel=1e-12, abs=0)
+                assert rms == pytest.approx(want_rms, rel=0, abs=1e-12)
 
 
 def test_run_status_ranks_sandwich_then_ball_growth():
