@@ -33,7 +33,7 @@ from .barriers import Exponents, Problem
 from .errors import HypothesisError
 from .potentials import convr_check, representation_residual
 from .radial_core import RadialField, RadialGrid, RadialOperator
-from .solvers import _fit_window, _pde_residuals, decay_fit
+from .solvers import _fit_windows, _pde_residuals, decay_fit
 
 __all__ = [
     "Cor3Certificate",
@@ -162,6 +162,7 @@ def verify_solution(
     Differential residuals are sup norms over r <= R/2 (truncation
     stays out of the measurement); representation residuals compare
     against the integral form and need decay tags on both fields.
+    Decay rates are fitted over the windows a solve report uses.
 
     Advisory flags (never hard errors):
       * "Theorem 1.2(iv)": zero shifts, zero source, N/(N-2) < p <
@@ -180,9 +181,9 @@ def verify_solution(
         rep_u, rep_v = representation_residual(problem, exponents, u, v)
 
     family = problem.family
-    window = _fit_window(family, u.grid)
-    fit_u = decay_fit(u, family, window)
-    fit_v = decay_fit(v, family, window)
+    window_u, window_v = _fit_windows(family, u.grid.radius)
+    fit_u = decay_fit(u, family, window_u)
+    fit_v = decay_fit(v, family, window_v)
     bound, holds = convr_check(v)
 
     flags: list = []

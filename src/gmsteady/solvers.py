@@ -34,9 +34,10 @@ is reported honestly.
 Truncation.  Exponential-family runs pick the smallest radius where
 the barrier has dropped by 1e12 relative to the origin; algebraic
 families cannot reach that drop at any practical radius, so they start
-from a configurable default.  Either way the ball is doubled once and
-the solution accepted only if it moves by less than the boundary
-barrier value on the original ball.
+from a configurable default.  Either way one driver,
+``_two_ball_report``, runs the solve on the ball and again on the
+doubled ball, and reports the first run; ``SolveReport`` states its
+sandwich, convergence and allowance rules.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,10 +104,28 @@ class IterationState:
 class SolveReport:
     """Outcome of a solver run; its report holds every field but u, v and trace.
 
-    ``margins`` maps field name to (min, max) of field/(lower constant
-    times barrier); converged runs keep these inside [1, upper/lower]
-    up to 1e-9 slack.  ``decay`` maps field name to (fitted rate, fit
-    residual).
+    Every solve runs on its ball (radius R) and again on the doubled
+    ball, and reports the first run; the doubled ball only checks it.
+    ``iterations`` counts the first ball's steps (Newton steps of the
+    scalar solve, Picard steps of the coupled one), and the residuals are
+    the first ball's.  ``margins`` maps field name to (min, max) of
+    field/(lower constant times barrier) on the first ball.  ``decay``
+    maps field name to (fitted rate, fit residual) over the family's fit
+    window (``_fit_windows``).  The status is
+
+    * ``sandwich-violated`` unless both balls' fields lie inside
+      [1, upper/lower] on the original nodes r <= R, up to 1e-9 slack,
+      and the coupled Picard loop, which stops at the first iterate that
+      leaves the sandwich anywhere on its ball, never stopped so;
+    * else ``converged`` if the first ball's run converged (scalar:
+      Newton residual below its tolerance and every iterate monotone;
+      coupled: relative change below ``tol_change`` and both PDE
+      residuals on r <= R/2 below ``tol_residual``) and
+      ``stability_gap``, the largest move of a field between the balls
+      on r <= R, is at most the allowance: the sum over the fields of
+      upper constant times barrier at R, plus 1e-14;
+    * else ``max-iterations``, with a ball-growth note if the gap
+      exceeds the allowance.
     """
 
     status: SolveStatus
@@ -158,23 +177,18 @@ def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
     return mask
 
 
-def _fit_window(family: BarrierFamily, grid: RadialGrid, far: bool = False) -> tuple:
-    """Decay-fit window on ``grid``, refused (ValueError) if it holds fewer than 4 nodes.
+def _fit_windows(family: BarrierFamily, radius: float) -> tuple:
+    """Decay-fit windows (u's, v's) of a ``family`` run on a ball of ``radius``.
 
     Dirichlet truncation error decays exponentially inward for W runs
-    but only algebraically for Z runs, so Z fits sit deeper inside;
-    ``far`` moves a Z fit to the far field, for a field that carries no
-    truncation error.
+    but only algebraically for Z runs, so a Z fit of v sits deeper
+    inside; Z-family u comes from a tail-closed potential, carries no
+    truncation error and fits in the far field.
     """
-    radius = grid.radius
     if family is BarrierFamily.W:
         window = (0.35 * radius, 0.75 * radius)
-    elif far:
-        window = (0.3 * radius, 0.7 * radius)
-    else:
-        window = (0.04 * radius, 0.16 * radius)
-    _window_mask(grid.nodes, window)
-    return window
+        return window, window
+    return (0.3 * radius, 0.7 * radius), (0.04 * radius, 0.16 * radius)
 
 
 def _pde_residuals(
@@ -196,11 +210,11 @@ def _pde_residuals(
     return float(np.abs(res_u[mask]).max()), float(np.abs(res_v[mask]).max())
 
 
-def _sandwich_margins(vals: np.ndarray, env: np.ndarray, lo: float, hi: float):
-    """((min, max) of vals / (lo * env), whether both lie in [1, hi/lo] up to 1e-9)."""
-    ratios = vals / (lo * env)
+def _sandwich_margins(vals: np.ndarray, low: np.ndarray, cap: float):
+    """((min, max) of vals / low, whether both lie in [1, cap] up to 1e-9)."""
+    ratios = vals / low
     margin = (float(ratios.min()), float(ratios.max()))
-    return margin, margin[0] >= 1.0 - 1e-9 and margin[1] <= (hi / lo) * (1.0 + 1e-9)
+    return margin, margin[0] >= 1.0 - 1e-9 and margin[1] <= cap * (1.0 + 1e-9)
 
 
 def _field_envelope(psi: RadialField, profile: BarrierProfile):
@@ -280,6 +294,82 @@ def _monotone_ball(
     return v, residual, MAX_ITER, monotone_ok
 
 
+class _Field(NamedTuple):
+    """One field of a two-ball run, kept inside lower * B <= field <= upper * B."""
+
+    label: str  # names lower * B in a refusal
+    barrier: BarrierProfile
+    lower: float
+    upper: float
+    power: float  # runs raise the field to powers down to -power
+    window: tuple  # decay-fit window
+
+
+def _ball_envelopes(grid: RadialGrid, fields: dict) -> dict:
+    """Each field's lower * B on ``grid``; a ball on which a run leaves float64 is refused.
+
+    The margins divide by every lower * B, and runs raise a field to
+    -power: each lower * B must stay a normal double on ``grid``, and
+    its -power-th power may not overflow (HypothesisError otherwise).
+    """
+    lows = {}
+    for name, f in fields.items():
+        low = f.lower * np.asarray(eval_barrier(f.barrier, grid.nodes), dtype=float)
+        if not low.min() >= np.finfo(float).tiny:
+            raise HypothesisError(f"{f.label} underflows below the smallest normal double "
+                                  f"within radius {grid.radius:g}")
+        if -f.power * math.log(low.min()) > math.log(np.finfo(float).max):
+            raise HypothesisError(f"({f.label})^(-{f.power:g}) overflows "
+                                  f"within radius {grid.radius:g}")
+        lows[name] = low
+    return lows
+
+
+def _two_ball_report(grid: RadialGrid, fields: dict, run) -> SolveReport:
+    """Run on ``grid`` and on the doubled ball; report the first run by ``SolveReport``'s rules.
+
+    ``fields`` maps each field name to its ``_Field``.  ``run(g, lows)``
+    solves on ball ``g`` from the lower barriers ``lows`` (by name) and
+    returns (values by name, iteration count, whether the run kept every
+    iterate inside the sandwich, check), where ``check(out)`` takes the
+    fields of the first ball's run and returns (residual of u or None,
+    residual of v, whether the run converged).  The fit windows, the
+    doubled ball's node cap and both balls' float range are checked
+    before either run, so a refusal costs no solve.
+    """
+    for f in fields.values():
+        _window_mask(grid.nodes, f.window)
+    big = grid.extended(2.0)
+    lows, lows2 = _ball_envelopes(grid, fields), _ball_envelopes(big, fields)
+    (vals, its, inside, check), (vals2, _, inside2, _) = run(grid, lows), run(big, lows2)
+    margins, gaps, sandwiched = {}, [], inside and inside2
+    for name, f in fields.items():
+        cap, near = f.upper / f.lower, vals2[name][: grid.n]
+        margins[name], ok = _sandwich_margins(vals[name], lows[name], cap)
+        sandwiched = sandwiched and ok and _sandwich_margins(near, lows[name], cap)[1]
+        gaps.append(float(np.abs(near - vals[name]).max()))
+    gap = max(gaps)
+    allowance = sum(f.upper * float(eval_barrier(f.barrier, grid.radius))
+                    for f in fields.values()) + 1e-14
+    out = {name: RadialField(grid, vals[name], f.barrier) for name, f in fields.items()}
+    res_u, res_v, converged = check(out)
+    status, notes = _run_status(gap, allowance, sandwiched, converged)
+    return SolveReport(
+        status=status,
+        u=out.get("u"),
+        v=out["v"],
+        residual_u=res_u,
+        residual_v=res_v,
+        margins=margins,
+        decay={name: decay_fit(out[name], f.barrier.family, f.window)
+               for name, f in fields.items()},
+        iterations=its,
+        ball_radius=grid.radius,
+        stability_gap=gap,
+        notes=notes,
+    )
+
+
 def solve_singular_scalar(
     dimension: int,
     shift: float,
@@ -303,9 +393,10 @@ def solve_singular_scalar(
     a = (gamma-2)/(s+1), lo = a (N - a - 2), so 2 < gamma < (N-2)s + N
     (rates gamma <= 2 provably admit no positive solution).
 
-    The run solves on the weight's grid, then re-solves on the doubled
-    ball (weight continued by its tail) and accepts only if the
-    solution moves by at most the upper-barrier boundary value.
+    The run solves on the weight's grid and re-solves on the doubled
+    ball, the weight continued by its tail (``_two_ball_report``).  A
+    ball on which c B leaves the normal float64 range, or on which
+    (c B)^(-s-1) overflows, is refused before any solve.
     """
     n = dimension
     env_profile = psi.decay_tag
@@ -340,49 +431,20 @@ def solve_singular_scalar(
     m_env, big_m = _field_envelope(psi, env_profile)
     c_low = (m_env / hi) ** (1.0 / (s + 1.0))
     c_high = (big_m / lo) ** (1.0 / (s + 1.0))
+    window = _fit_windows(family, psi.grid.radius)[1]
+    trace: list = []
 
-    grid = psi.grid
-    # the fit window and the doubled ball come first, so a grid too coarse
-    # for the decay fit or over the node cap costs no solve
-    window = _fit_window(family, grid)
-    big = grid.extended(2.0)
-    trace: Optional[list] = [] if record_trace else None
+    def run(g: RadialGrid, lows: dict):
+        psi_vals = np.concatenate((psi.values, psi.tail(g.nodes[psi.grid.n :])))
+        vals, res, its, mono = _monotone_ball(RadialOperator(g, n), shift, s, psi_vals,
+                                              lows["v"], tol_residual,
+                                              trace if record_trace else None)
+        return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono)
 
-    def run(g: RadialGrid, psi_vals: np.ndarray):
-        env = np.asarray(eval_barrier(barrier, g.nodes), dtype=float)
-        v_low = c_low * env
-        vals, res, its, mono = _monotone_ball(
-            RadialOperator(g, n), shift, s, psi_vals, v_low, tol_residual, trace
-        )
-        return vals, env, res, its, mono
-
-    vals, env, res, its, mono = run(grid, psi.values)
-
-    psi_big = np.concatenate((psi.values, psi.tail(big.nodes[grid.n :])))
-    vals2, _, _res2, its2, _mono2 = run(big, psi_big)
-    gap = float(np.abs(vals2[: grid.n] - vals).max())
-    allowance = c_high * float(eval_barrier(barrier, grid.radius)) + 1e-14
-    margin_v, sandwiched = _sandwich_margins(vals, env, c_low, c_high)
-    status, notes = _run_status(gap, allowance, sandwiched, res <= tol_residual and mono)
-
-    radius = grid.radius
-    field_out = RadialField(grid, vals, barrier)
-    rate, fit_res = decay_fit(field_out, barrier.family, window)
-
-    return SolveReport(
-        status=status,
-        u=None,
-        v=field_out,
-        residual_u=None,
-        residual_v=res,
-        margins={"v": margin_v},
-        decay={"v": (rate, fit_res)},
-        iterations=its + its2,
-        ball_radius=radius,
-        stability_gap=gap,
-        notes=notes,
-        trace=trace or [],
-    )
+    report = _two_ball_report(
+        psi.grid, {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0, window)}, run)
+    report.trace = trace
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -390,63 +452,26 @@ def solve_singular_scalar(
 # ---------------------------------------------------------------------------
 
 
-def _ball_envelopes(
-    ledger: ConstantsLedger,
-    exponents: Exponents,
-    b_u: BarrierProfile,
-    b_v: BarrierProfile,
-    grid: RadialGrid,
-) -> tuple:
-    """(B_u, B_v) on ``grid``; a ball on which the Picard loop leaves float64 is refused.
-
-    The margins divide by both lower barriers, and the loop raises v to
-    -q and -s-1: M1_lower B_u and M2_lower B_v must stay normal doubles
-    on ``grid``, and neither power of M2_lower B_v may overflow
-    (HypothesisError otherwise).
-    """
-    env_u = np.asarray(eval_barrier(b_u, grid.nodes), dtype=float)
-    env_v = np.asarray(eval_barrier(b_v, grid.nodes), dtype=float)
-    low_v = ledger.m2_lower * env_v
-    for name, low in (("M1_lower * B_u", ledger.m1_lower * env_u), ("M2_lower * B_v", low_v)):
-        if not low.min() >= np.finfo(float).tiny:
-            raise HypothesisError(f"{name} underflows below the smallest normal double "
-                                  f"within radius {grid.radius:g}")
-    power = max(exponents.q, exponents.s + 1.0)
-    if -power * math.log(low_v.min()) > math.log(np.finfo(float).max):
-        raise HypothesisError(f"(M2_lower * B_v)^(-{power:g}) overflows "
-                              f"within radius {grid.radius:g}")
-    return env_u, env_v
-
-
 def _picard_coupled(
     problem: Problem,
     exponents: Exponents,
     ledger: ConstantsLedger,
     grid: RadialGrid,
-    envelopes: tuple,
+    lows: dict,
     tol_change: float,
     tol_residual: float,
 ) -> tuple:
-    """Shared Picard loop on a ball whose ``_ball_envelopes`` are given.
+    """Picard loop on ``grid`` from the lower barriers ``lows``: a ``_two_ball_report`` run.
 
-    Returns (u, v, final sandwich margins, iteration count, last change,
-    whether every iterate stayed inside).
+    The loop stops at the first iterate that leaves the sandwich anywhere
+    on the ball, before v's negative powers can leave float64.
     """
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
-    env_u, env_v = envelopes
+    u, v = low_u, low_v = lows["u"], lows["v"]
+    cap_u, cap_v = ledger.m1_upper / ledger.m1_lower, ledger.m2_upper / ledger.m2_lower
     rho_vals = problem.rho.evaluate(grid.nodes)
 
-    u = ledger.m1_lower * env_u
-    v = ledger.m2_lower * env_v
-    v_low_guard = ledger.m2_lower * env_v
-
-    def sandwich(u, v):
-        margin_u, inside_u = _sandwich_margins(u, env_u, ledger.m1_lower, ledger.m1_upper)
-        margin_v, inside_v = _sandwich_margins(v, env_v, ledger.m2_lower, ledger.m2_upper)
-        return {"u": margin_u, "v": margin_v}, inside_u and inside_v
-
-    margins, _ = sandwich(u, v)
     # one operator per ball for each field: the resolvent of -Delta + lam
     # (W runs) and the scalar solve's -Delta + mu + L(v).  At s = 0 the v
     # equation is linear: Newton's first step from v_low solves
@@ -455,20 +480,20 @@ def _picard_coupled(
     resolvent = RadialOperator(grid, n, problem.lam) if problem.family is BarrierFamily.W else None
     v_op = RadialOperator(grid, n, problem.mu)
 
-    it, change = 0, math.inf
+    it, change, inside = 0, math.inf, True
     for it in range(1, MAX_ITER + 1):
         rhs_u_vals = u**p / v**q + rho_vals
         if resolvent is not None:
-            u_new = resolvent.solve(rhs_u_vals, ledger.m1_lower * env_u[-1])
+            u_new = resolvent.solve(rhs_u_vals, low_u[-1])
         else:
             rhs_u = RadialField(grid, rhs_u_vals, problem.rho.envelope_profile)
             u_new = newton_potential_radial(n, rhs_u).values
 
         psi_vals = u_new**m
         if s == 0:
-            v_new = v_op.solve(psi_vals, v_low_guard[-1])
+            v_new = v_op.solve(psi_vals, low_v[-1])
         else:
-            v_new = _monotone_ball(v_op, problem.mu, s, psi_vals, v_low_guard,
+            v_new = _monotone_ball(v_op, problem.mu, s, psi_vals, low_v,
                                    tol_residual * max(ledger.m2_lower, 1e-300))[0]
 
         change = max(
@@ -476,14 +501,16 @@ def _picard_coupled(
             float(np.abs(v_new - v).max()) / max(float(v_new.max()), 1e-300),
         )
         u, v = u_new, v_new
-
-        margins, inside = sandwich(u, v)
-        if not inside:
-            return u, v, margins, it, change, False
-        if change <= tol_change:
+        inside = _sandwich_margins(u, low_u, cap_u)[1] and _sandwich_margins(v, low_v, cap_v)[1]
+        if not inside or change <= tol_change:
             break
 
-    return u, v, margins, it, change, True
+    def check(out: dict) -> tuple:
+        res_u, res_v = _pde_residuals(problem, exponents, out["u"], out["v"])
+        converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
+        return res_u, res_v, converged
+
+    return {"u": u, "v": v}, it, inside, check
 
 
 def _coupled_report(
@@ -494,67 +521,23 @@ def _coupled_report(
     tol_change: float,
     tol_residual: float,
 ) -> SolveReport:
-    """Both regimes' solve and doubled-ball check; callers check ledger regime and shifts."""
+    """Both regimes' two-ball solve; callers check ledger regime and shifts."""
     if not ledger.feasible:
         raise RegimeError(f"ledger infeasible: {ledger.violated}")
     fam = problem.family
     if problem.rho.family is not fam:
         regime = ledger.regime.name.lower()
         raise RegimeError(f"{regime} regime expects an {regime} source envelope")
-    # the fit windows and the doubled ball come first, so a grid too coarse
-    # for a decay fit or over the node cap costs no solve; u in the
-    # algebraic regime comes from a tail-closed potential, so it carries
-    # no truncation error and fits best in the far field
-    window_u = _fit_window(fam, grid, far=True)
-    window = _fit_window(fam, grid)
-    big = grid.extended(2.0)
-    b_u = BarrierProfile(fam, ledger.rate_u)
-    b_v = BarrierProfile(fam, ledger.rate_v)
-    # a doubled ball that leaves float64 is refused before the first solve
-    envelopes = _ball_envelopes(ledger, exponents, b_u, b_v, grid)
-    big_envelopes = _ball_envelopes(ledger, exponents, b_u, b_v, big)
-    u, v, margins, its, change, sandwiched = _picard_coupled(
-        problem, exponents, ledger, grid, envelopes, tol_change, tol_residual
-    )
-
-    # re-run on the doubled ball and compare on the original one
-    u2, v2, *_rest, sandwiched2 = _picard_coupled(
-        problem, exponents, ledger, big, big_envelopes, tol_change, tol_residual
-    )
-    gap = max(
-        float(np.abs(u2[: grid.n] - u).max()),
-        float(np.abs(v2[: grid.n] - v).max()),
-    )
-    allowance = (
-        ledger.m1_upper * float(eval_barrier(b_u, grid.radius))
-        + ledger.m2_upper * float(eval_barrier(b_v, grid.radius))
-        + 1e-14
-    )
-
-    u_field = RadialField(grid, u, b_u)
-    v_field = RadialField(grid, v, b_v)
-    res_u, res_v = _pde_residuals(problem, exponents, u_field, v_field)
-    converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
-    status, notes = _run_status(gap, allowance, sandwiched and sandwiched2, converged)
-
-    decay = {
-        "u": decay_fit(u_field, fam, window_u),
-        "v": decay_fit(v_field, fam, window),
+    window_u, window_v = _fit_windows(fam, grid.radius)
+    # the loop raises u to positive powers only, and v to -q and -s-1
+    fields = {
+        "u": _Field("M1_lower * B_u", BarrierProfile(fam, ledger.rate_u),
+                    ledger.m1_lower, ledger.m1_upper, 0.0, window_u),
+        "v": _Field("M2_lower * B_v", BarrierProfile(fam, ledger.rate_v), ledger.m2_lower,
+                    ledger.m2_upper, max(exponents.q, exponents.s + 1.0), window_v),
     }
-
-    return SolveReport(
-        status=status,
-        u=u_field,
-        v=v_field,
-        residual_u=res_u,
-        residual_v=res_v,
-        margins=margins,
-        decay=decay,
-        iterations=its,
-        ball_radius=grid.radius,
-        stability_gap=gap,
-        notes=notes,
-    )
+    return _two_ball_report(grid, fields, lambda g, lows: _picard_coupled(
+        problem, exponents, ledger, g, lows, tol_change, tol_residual))
 
 
 def solve_coupled_exp(

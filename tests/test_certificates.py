@@ -127,7 +127,10 @@ def test_verify_solution_on_solver_output(alg_worked_case):
 
 @pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
 def test_solve_and_verify_share_the_pde_residual(case, request):
+    # and the decay fits: both commands fit over the same windows
     problem, exponents, _, rep = request.getfixturevalue(case)
     cert = verify_solution(problem, exponents, rep.u, rep.v, representation=False)
     assert rep.residual_u == cert.pde_residual_u
     assert rep.residual_v == cert.pde_residual_v
+    assert rep.decay["u"] == cert.decay_u
+    assert rep.decay["v"] == cert.decay_v

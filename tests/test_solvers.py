@@ -215,6 +215,22 @@ class TestScalarExponential:
     def test_newton_iteration_count(self):
         assert self.run().iterations <= 16
 
+    def test_iterations_count_the_first_ball(self):
+        # the trace holds both balls' Newton steps; the report counts the first's
+        rep = self.run(record_trace=True)
+        first = sum(state.ball_radius == rep.ball_radius for state in rep.trace)
+        assert rep.iterations == first < len(rep.trace)
+
+    def test_float_range_refused_before_any_solve(self, monkeypatch):
+        # W_20 gives the barrier W_10, and c W_10 falls to about 1e-253 on
+        # the doubled ball, where the Newton shift's (c W_10)^(-2) overflows
+        calls = []
+        monkeypatch.setattr(solvers, "_monotone_ball", lambda *args: calls.append(args))
+        grid = RadialGrid.auto(28.6, h0=0.02, stretch=1.02)
+        with pytest.raises(HypothesisError, match=r"^\(c \* B\)\^\(-2\) overflows within radius"):
+            solve_singular_scalar(3, 104.0, 1.0, w_field(grid, 20.0))
+        assert calls == []
+
     def test_exponential_rate(self):
         rep = self.run()
         rate, _ = rep.decay["v"]
@@ -605,6 +621,26 @@ class TestDecayFit:
                 want_rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
                 assert fitted == pytest.approx(coef[0], rel=1e-12, abs=0)
                 assert rms == pytest.approx(want_rms, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("nodes, status", [("inside", SolveStatus.SANDWICH_VIOLATED),
+                                           ("beyond", SolveStatus.CONVERGED)])
+def test_scalar_doubled_ball_sandwich_is_judged_on_the_original_nodes(nodes, status,
+                                                                      monkeypatch):
+    # the doubled ball's field, doubled on r <= R, leaves the sandwich
+    # there; doubled only beyond R it is outside the rule's reach
+    grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+    real_ball = solvers._monotone_ball
+
+    def spy(op, *args):
+        vals, *rest = real_ball(op, *args)
+        if op.grid.n > grid.n:
+            vals = vals.copy()
+            vals[slice(None, grid.n) if nodes == "inside" else slice(grid.n, None)] *= 2.0
+        return (vals, *rest)
+
+    monkeypatch.setattr(solvers, "_monotone_ball", spy)
+    assert solve_singular_scalar(3, 4.0, 1.0, w_field(grid, 2.0)).status is status
 
 
 def test_run_status_ranks_sandwich_then_ball_growth():
