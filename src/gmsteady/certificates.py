@@ -31,7 +31,7 @@ import numpy as np
 
 from .barriers import Exponents, Problem
 from .errors import HypothesisError
-from .potentials import convr_check, representation_residual
+from .potentials import _require_shared_grid, convr_check, representation_residual
 from .radial_core import RadialField, RadialGrid, RadialOperator
 from .solvers import _fit_windows, _pde_residuals, decay_fit
 
@@ -162,7 +162,9 @@ def verify_solution(
     Differential residuals are sup norms over r <= R/2 (truncation
     stays out of the measurement); representation residuals compare
     against the integral form and need decay tags on both fields.
-    Decay rates are fitted over the windows a solve report uses.
+    Decay rates are fitted over the windows a solve report uses.  A
+    pair whose fields sit on different nodes is refused (ValueError)
+    before any residual.
 
     Advisory flags (never hard errors):
       * "Theorem 1.2(iv)": zero shifts, zero source, N/(N-2) < p <
@@ -173,6 +175,7 @@ def verify_solution(
     """
     if (u.values <= 0).any() or (v.values <= 0).any():
         raise ValueError("fields must be positive")
+    _require_shared_grid(u, v)
     n = problem.dimension
     pde_u, pde_v = _pde_residuals(problem, exponents, u, v)
 

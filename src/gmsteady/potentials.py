@@ -31,13 +31,23 @@ e-folds of e^(k r) per grid interval (one 8-point piece when k = 0,
 potential in runs of at most _PIECE_BLOCK pieces, which bounds its
 memory at large k).  The spline is built in house: its slopes come from
 one LAPACK ``dgtsv`` call with ``scipy.interpolate.CubicSpline``'s own
-arithmetic, and it is evaluated in ``PPoly``'s order, so its values are
-scipy's bit for bit without importing ``scipy.interpolate``.
+arithmetic, and the shifted potential evaluates it at its Gauss points
+in ``PPoly``'s order, so those values are scipy's bit for bit without
+importing ``scipy.interpolate``.
+
+The Newtonian potential never evaluates the spline.  On interval i the
+spline is sum_m c_m (s - r_i)^m, m = 0..3, so the 8-point rule applied
+to W(s) times it is sum_m c_m M_m, with the rule's moments
+M_m = half_i sum_j w_j W(s_j) (s_j - r_i)^m of the weights W = s^(N-1)
+and W = s.  The rule is exact to degree 15, so for N <= 13 the moments
+are the exact integrals of W times the powers, and the sum integrates
+the spline exactly, as the rule did point by point.
 
 What depends only on the grid is built once per grid and kept on it
 (``RadialGrid.plan``): the spline's tridiagonal system, which both
-potentials share, and per N the Newtonian potential's quadrature.  The
-arithmetic and its order are those of a fresh grid, bit for bit.
+potentials share (32 bytes per node), and per N the Newtonian
+potential's moments and r^(2-N) (72 bytes per node).  The arithmetic
+and its order are those of a fresh grid, bit for bit.
 
 The divergence probe decides the source's improper integral by the
 exact exponent test and reports the dyadic shell sums of its envelope.
@@ -129,17 +139,14 @@ def _local_powers(r: np.ndarray, pts: np.ndarray, owner: np.ndarray):
     return x, z, z * x
 
 
-def _not_a_knot(g: np.ndarray, system):
-    """The not-a-knot cubic spline through (r, g) as ``spline(owner, powers)``.
+def _not_a_knot(g: np.ndarray, system) -> np.ndarray:
+    """The not-a-knot cubic spline through (r, g) as its (4, n-1) coefficients.
 
-    ``system`` is the nodes' ``_spline_system(r)``.  ``spline(owner,
-    powers)`` evaluates it at points (one row per piece) with row i
-    inside interval [r[owner[i]], r[owner[i]+1]], from the points'
-    ``_local_powers``.  The slopes solve CubicSpline's
-    tridiagonal system, the coefficients are CubicHermiteSpline's and
-    each value is PPoly's sum c0 + c1 x + c2 x^2 + c3 x^3 with the
-    powers accumulated, all in scipy's operation order, and so are its
-    refusals (ValueError) of non-finite nodes, values or slopes.
+    ``system`` is the nodes' ``_spline_system(r)``.  Row m holds c_m, so
+    that on [r_i, r_(i+1)] the spline is sum_m c_m[i] (s - r_i)^m.  The
+    slopes solve CubicSpline's tridiagonal system and the coefficients
+    are CubicHermiteSpline's, all in scipy's operation order, and so are
+    its refusals (ValueError) of non-finite nodes, values or slopes.
     """
     dx, d0, d1, lower, diag, upper = system
     if not np.isfinite(g).all():
@@ -152,29 +159,45 @@ def _not_a_knot(g: np.ndarray, system):
     dydx = _gtsv(lower, diag, upper, b)
     if not np.isfinite(dydx).all():
         raise ValueError("spline slopes must be finite")
+    coef = np.empty((4, dx.size))
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
-    coef = (g[:-1], dydx[:-1], (slope - dydx[:-1]) / dx - t, t / dx)
+    coef[0], coef[1] = g[:-1], dydx[:-1]
+    coef[2] = (slope - dydx[:-1]) / dx - t
+    coef[3] = t / dx
+    return coef
 
-    def spline(owner: np.ndarray, powers) -> np.ndarray:
-        c0, c1, c2, c3 = (c[owner, None] for c in coef)
-        x, z, zx = powers
-        return c0 + c1 * x + c2 * z + c3 * zx
 
-    return spline
+def _spline_at(coef: np.ndarray, owner: np.ndarray, powers) -> np.ndarray:
+    """The spline of coefficients ``coef`` at points (one row per piece).
+
+    Row i lies inside interval [r[owner[i]], r[owner[i]+1]], and
+    ``powers`` are the points' ``_local_powers``.  Each value is PPoly's
+    sum c0 + c1 x + c2 x^2 + c3 x^3 with the powers accumulated, so it is
+    scipy's bit for bit.
+    """
+    c0, c1, c2, c3 = coef[:, owner, None]
+    x, z, zx = powers
+    return c0 + c1 * x + c2 * z + c3 * zx
 
 
 def _newton_plan(r: np.ndarray, dimension: int):
     """What ``newton_potential_radial`` needs of nodes r in dimension N.
 
-    One 8-point Gauss piece per interval: (owner, half, powers, w_inner,
-    w_outer, r_pow) holds each piece's interval and half-width, the
-    points' ``_local_powers``, the Gauss weights times s^(N-1) and times
-    s at the points, and r[1:]^(2-N).
+    (moments, r_pow): the 8-point rule's (2, 4, n-1) moments
+    M_m[i] = half_i sum_j w_j W(s_j) (s_j - r_i)^m of the weights
+    W = s^(N-1) and W = s, m = 0..3, one Gauss piece per interval, and
+    r[1:]^(2-N).  Since s_j - r_i = half_i (1 + x_j), each weight's
+    moments are one (n-1, 8) @ (8, 4) product scaled by half_i^(m+1).
     """
-    pts, half, owner = next(_gauss_pieces(r, 8))
-    w = _gauss(8)[1]
-    return (owner, half, _local_powers(r, pts, owner), w * pts ** (dimension - 1), w * pts,
-            r[1:] ** (2.0 - dimension))
+    x, w = _gauss(8)
+    # the points _gauss_pieces(r, 8) gives, without its bookkeeping for
+    # intervals cut into several pieces
+    half = 0.5 * np.diff(r)
+    pts = (0.5 * (r[:-1] + r[1:]))[:, None] + half[:, None] * x
+    weights = np.stack((pts ** (dimension - 1), pts))
+    basis = w[:, None] * (1.0 + x[:, None]) ** np.arange(4)
+    moments = weights @ basis * half[:, None] ** np.arange(1, 5)
+    return np.ascontiguousarray(moments.transpose(0, 2, 1)), r[1:] ** (2.0 - dimension)
 
 
 def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
@@ -182,7 +205,7 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
 
     The tail beyond the grid is integrated in closed form from the
     declared decay model; an algebraic tail with rate <= 2 is rejected
-    as non-integrable.  The quadrature and the spline system come from
+    as non-integrable.  The moments and the spline system come from
     the grid's plans, built on its first call for N.
     """
     n = dimension
@@ -200,12 +223,13 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     # int_R^inf s g(s) ds = -c F(R), where F(inf) = 0
     tail_j = -source.tail(grid.radius, weighted_antiderivative)
 
-    owner, half, powers, w_inner, w_outer, r_pow = grid.plan(_newton_plan, n)
-    g_pts = _not_a_knot(g, grid.plan(_spline_system))(owner, powers)
-    # int_0^r s^(N-1) g and int_0^r s g, one Gauss piece per interval
-    inner, j_cum = np.zeros((2, g.size))
-    np.cumsum(half * np.sum(w_inner * g_pts, axis=1), out=inner[1:])
-    np.cumsum(half * np.sum(w_outer * g_pts, axis=1), out=j_cum[1:])
+    moments, r_pow = grid.plan(_newton_plan, n)
+    coef = _not_a_knot(g, grid.plan(_spline_system))
+    # int_0^r s^(N-1) g and int_0^r s g: the rule on interval i gives
+    # sum_m c_m[i] M_m[i] for the cubic c_0 + ... + c_3 (s - r_i)^3
+    acc = np.zeros((2, g.size))
+    np.cumsum(np.einsum("kmi,mi->ki", moments, coef), axis=1, out=acc[:, 1:])
+    inner, j_cum = acc
     outer = (j_cum[-1] - j_cum) + tail_j  # int_r^inf s g
 
     u = np.empty_like(g)
@@ -252,12 +276,12 @@ def bessel_potential_radial(
         return half[:, None] * wg * vals * pts ** (n / 2.0)
 
     nnode = r.size
-    spline = _not_a_knot(g, source.grid.plan(_spline_system))
+    coef = _not_a_knot(g, source.grid.plan(_spline_system))
     ip_int, iq_int = np.zeros((2, nnode - 1))
     # the piece count grows like sqrt(shift) * R; summing run by run
     # bounds the memory
     for pts, half, owner in _gauss_pieces(r, 12, k, _PIECE_BLOCK):
-        core = weighted(pts, half, spline(owner, _local_powers(r, pts, owner)))
+        core = weighted(pts, half, _spline_at(coef, owner, _local_powers(r, pts, owner)))
         ip = core * ive(k * pts) * np.exp(k * (pts - r[1:][owner, None]))
         iq = core * kve(k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
         ip_int += np.bincount(owner, np.sum(ip, axis=1), minlength=nnode - 1)
@@ -310,6 +334,12 @@ def _combined_tail_rate(
     return power * base.decay_tag.rate - other_power * other.decay_tag.rate
 
 
+def _require_shared_grid(u: RadialField, v: RadialField) -> None:
+    """Refuse a pair (u, v) whose fields do not sit on the same nodes."""
+    if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
+        raise ValueError("u and v must share a grid")
+
+
 def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     """Sup-norm gap between (u, v) and the potentials of their own right sides.
 
@@ -320,10 +350,9 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     """
     if (u.values <= 0).any() or (v.values <= 0).any():
         raise ValueError("fields must be positive")
+    _require_shared_grid(u, v)
     n = problem.dimension
     r = u.grid.nodes
-    if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
-        raise ValueError("u and v must share a grid")
 
     family = problem.family
     rate_u_rhs = _combined_tail_rate(u, exponents.p, v, exponents.q)

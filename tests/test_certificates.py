@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gmsteady import certificates
 from gmsteady.barriers import Exponents, Problem, SourceModel
 from gmsteady.certificates import (
     aubin_talenti,
@@ -134,3 +135,23 @@ def test_solve_and_verify_share_the_pde_residual(case, request):
     assert rep.residual_v == cert.pde_residual_v
     assert rep.decay["u"] == cert.decay_u
     assert rep.decay["v"] == cert.decay_v
+
+
+@pytest.mark.parametrize("representation", [True, False])
+@pytest.mark.parametrize("nodes", ["scaled", "fewer"])
+def test_verify_solution_refuses_fields_on_different_grids(alg_worked_case, monkeypatch,
+                                                          representation, nodes):
+    # a v whose radii are wrong is refused before any residual, with or
+    # without the representation check
+    problem, exponents, _, rep = alg_worked_case
+    r = rep.v.grid.nodes
+    v = (RadialField(RadialGrid(1.5 * r), rep.v.values, rep.v.decay_tag) if nodes == "scaled"
+         else RadialField(RadialGrid(r[:-1]), rep.v.values[:-1], rep.v.decay_tag))
+
+    def no_residual(*args):
+        raise AssertionError("a residual was computed")
+
+    monkeypatch.setattr(certificates, "_pde_residuals", no_residual)
+    monkeypatch.setattr(certificates, "representation_residual", no_residual)
+    with pytest.raises(ValueError, match="u and v must share a grid"):
+        verify_solution(problem, exponents, rep.u, v, representation=representation)

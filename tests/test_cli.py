@@ -19,6 +19,7 @@ import pytest
 from gmsteady import solvers
 from gmsteady.barriers import VERDICT_CODES, Exponents, Problem, SourceModel, classify
 from gmsteady.cli import _jsonable, main
+from gmsteady.radial_core import RadialField, RadialGrid, write_field
 
 
 def run(args):
@@ -344,6 +345,22 @@ _EXP_POINT = ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1",
               "--rate", "1"]
 _ALG_POINT = ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho", "alg",
               "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125"]
+
+
+def test_verify_refuses_a_v_dump_on_other_radii(tmp_path, capsys, alg_worked_case):
+    # the zero-shift worked case's dumps verify without the representation
+    # check; with every v radius scaled by 1.5 they are refused, exit 1
+    _, _, _, rep = alg_worked_case
+    u_dump, v_dump, scaled = (tmp_path / name for name in ("u.txt", "v.txt", "scaled.txt"))
+    write_field(rep.u, u_dump)
+    write_field(rep.v, v_dump)
+    write_field(RadialField(RadialGrid(1.5 * rep.v.grid.nodes), rep.v.values), scaled)
+    flags = ["verify", *_ALG_POINT, "--u-field", str(u_dump), "--u-rate", "2", "--v-rate", "1",
+             "--tol", "1e-4", "--no-representation"]
+    assert run([*flags, "--v-field", str(v_dump)]) == 0
+    capsys.readouterr()
+    assert run([*flags, "--v-field", str(scaled)]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: u and v must share a grid"
 
 
 def _assert_one_line_error(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from gmsteady.potentials import (
     newton_potential_radial,
     representation_residual,
 )
-from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier
-from gmsteady.radial_core import RadialField, RadialGrid, apply_radial_laplacian
-from gmsteady.solvers import default_exp_radius
+from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier, weighted_antiderivative
+from gmsteady.radial_core import RadialField, RadialGrid, RadialOperator, apply_radial_laplacian
+from gmsteady.solvers import DEFAULT_ALG_RADIUS, default_exp_radius
 
 
 def test_newton_uniform_ball():
@@ -103,6 +104,102 @@ def test_newton_plan_is_built_once_per_grid_and_dimension(monkeypatch):
     assert sorted(built) == [("_newton_plan", 64, 3), ("_newton_plan", 64, 5),
                              ("_newton_plan", 65, 3),
                              ("_spline_system", 64), ("_spline_system", 65)]
+
+
+_ORACLE_GRIDS = {
+    "graded-40": lambda: RadialGrid.auto(40.0, 0.02, 1.02),
+    "uniform-64": lambda: RadialGrid.uniform(5.0, 64),
+    "alg-ball": lambda: RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02),
+}
+
+
+def _cubic_potential(n, radius, r):
+    """The exact potential of g(s) = (R - s)^3 on [0, R], zero beyond, at r.
+
+    u(r) = [r^(2-N) I(r) + J(R) - J(r)] / (N - 2) with I(r) the integral
+    of s^(N-1) g and J(r) that of s g over [0, r], both polynomials,
+    evaluated in exact rational arithmetic at the float nodes.
+    """
+    big = Fraction(radius)
+
+    def moments(x, k):
+        # int_0^x s^(k-1) (R - s)^3 ds
+        return (big**3 * x**k / k - 3 * big**2 * x ** (k + 1) / (k + 1)
+                + 3 * big * x ** (k + 2) / (k + 2) - x ** (k + 3) / (k + 3))
+
+    j_total = moments(big, 2)
+    out = []
+    for x in map(Fraction, r):
+        inner = moments(x, n) / x ** (n - 2) if x else 0
+        out.append(float((inner + j_total - moments(x, 2)) / (n - 2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("grid", list(_ORACLE_GRIDS))
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_newton_integrates_a_cubic_source_exactly(grid, n):
+    # the not-a-knot spline reproduces a cubic and the 8-point rule is exact
+    # to degree 15, so the potential of (R - s)^3 is exact up to rounding
+    grid = _ORACLE_GRIDS[grid]()
+    r = grid.nodes
+    u = newton_potential_radial(n, RadialField(grid, (grid.radius - r) ** 3)).values
+    exact = _cubic_potential(n, grid.radius, r)
+    assert np.max(np.abs(u / exact - 1.0)) <= 1e-13
+
+
+def _newton_loop_reference(n, source):
+    """Interval-by-interval loop form of the Newtonian potential.
+
+    scipy's CubicSpline is summed against s^(N-1) and s at each interval's
+    8 Gauss points; the potential's moment sums must agree to rounding.
+    """
+    r = source.grid.nodes
+    spline = CubicSpline(r, source.values)
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    inner, j_cum = np.zeros(r.size), np.zeros(r.size)
+    for i in range(r.size - 1):
+        half = 0.5 * (r[i + 1] - r[i])
+        pts = 0.5 * (r[i] + r[i + 1]) + half * xg
+        vals = half * wg * spline(pts)
+        inner[i + 1] = inner[i] + np.sum(vals * pts ** (n - 1))
+        j_cum[i + 1] = j_cum[i] + np.sum(vals * pts)
+    outer = j_cum[-1] - j_cum - source.tail(source.grid.radius, weighted_antiderivative)
+    u = outer / (n - 2.0)
+    u[1:] += r[1:] ** (2.0 - n) * inner[1:] / (n - 2.0)
+    return u
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("scale", [1.0, 1e-30, 1e30])
+def test_newton_matches_loop_reference(n, scale):
+    rng = np.random.default_rng(n)
+    grid = RadialGrid.auto(40.0, h0=0.02, stretch=1.02)
+    r = grid.nodes
+    tag = BarrierProfile(BarrierFamily.Z, 4.0)
+    vals = np.zeros(grid.n)
+    for _ in range(3):
+        c, wdt, amp = rng.uniform(0, 5), rng.uniform(0.8, 2.0), rng.uniform(0.1, 3)
+        vals += amp * np.exp(-(((r - c) / wdt) ** 2))
+    vals = scale * (vals + 0.1) * np.asarray(eval_barrier(tag, r))
+    src = RadialField(grid, vals, tag)
+    u = newton_potential_radial(n, src).values
+    assert np.max(np.abs(u / _newton_loop_reference(n, src) - 1.0)) <= 1e-14
+
+
+def _array_bytes(part):
+    """Bytes of the arrays in a plan, its nested tuples included."""
+    if isinstance(part, tuple):
+        return sum(map(_array_bytes, part))
+    return part.nbytes if isinstance(part, np.ndarray) else 0
+
+
+def test_grid_plans_hold_at_most_160_bytes_per_node():
+    # a zero-shift call and an operator at N = 5 leave the Newtonian
+    # moments, the spline system and the flux form on the grid
+    grid = RadialGrid.graded(200.0, 100_000, 1.00005)
+    newton_potential_radial(5, _alg_source(grid))
+    RadialOperator(grid, 5)
+    assert _array_bytes(tuple(grid._plans.values())) <= 160 * grid.n
 
 
 def test_newton_consistency_second_order():
@@ -422,11 +519,11 @@ def test_spline_matches_cubic_spline_bit_for_bit(grid, npts, rate):
     for scale in (1.0, 1e-30, 1e30):
         g = scale * rng.random(r.size)
         g[rng.integers(r.size)] = 0.0
-        spline = potentials._not_a_knot(g, potentials._spline_system(r))
+        coef = potentials._not_a_knot(g, potentials._spline_system(r))
         reference = CubicSpline(r, g)
         for pts, _, owner in potentials._gauss_pieces(r, npts, rate, 500):
             powers = potentials._local_powers(r, pts, owner)
-            assert np.array_equal(spline(owner, powers), reference(pts))
+            assert np.array_equal(potentials._spline_at(coef, owner, powers), reference(pts))
 
 
 def test_spline_refuses_non_finite_data_like_cubic_spline():
