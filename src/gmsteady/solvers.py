@@ -21,6 +21,17 @@ iteration of Pao (1992) with the shift re-evaluated at each iterate:
 L(v) <= L(vlow) for v >= vlow, so each step is order preserving on
 [v, infinity).
 
+Any positive start reaches the same solution.  Each step is Newton's
+step at w = max(v, vlow), and by concavity F(v_new) <= F(w) + F'(w)
+(v_new - w) = 0: one step from anywhere lands on a positive
+sub-solution, and so does its maximum with the sub-solution vlow, from
+which the iterates rise as above.  The guarded residual
+(-Delta + mu) v - psi max(v, vlow)^(-s), an M-matrix plus an isotone
+diagonal map, has only one zero.  ``solve_singular_scalar`` starts from
+vlow, so its whole trace is monotone; the coupled Picard loop starts
+each step's solve from the previous step's v, and after a ball's first
+solve Newton takes a step or two.
+
 Coupled problems.  The fixed-point map updates u by a resolvent or
 Newtonian potential applied to u^p/v^q + rho and v by the scalar solve
 with weight u^m.  At s = 0 that solve is linear, and v is updated by
@@ -253,11 +264,15 @@ def _monotone_ball(
     v_low: np.ndarray,
     tol_residual: float,
     trace: Optional[list] = None,
+    start: Optional[np.ndarray] = None,
 ) -> tuple:
-    """Newton's method from the sub-solution on the ball of ``op``.
+    """Newton's method on the ball of ``op``, from ``start`` or else the sub-solution.
 
     Returns (values, residual, iterations, monotone_ok).  The boundary
-    value is pinned to the sub-solution at R throughout.  The caller's
+    value is pinned to the sub-solution at R throughout.  Each step is
+    taken at max(v, v_low), so any positive ``start`` reaches the
+    solution that the start from v_low reaches (module docstring); its
+    first step may fall, which clears ``monotone_ok``.  The caller's
     operator on the ball serves every step and every residual (which
     skips the Dirichlet node at R); a step rewrites only its diagonal
     mu + L(v), and for s = 0, where L = 0, the diagonal is set to mu
@@ -267,7 +282,7 @@ def _monotone_ball(
     grid = op.grid
     if s == 0:
         op.set_shift(mu)
-    v = v_low.copy()
+    v = v_low if start is None else start
     w = np.maximum(v, v_low)
     w_s = w ** (-s)
     monotone_ok = True
@@ -494,7 +509,7 @@ def _picard_coupled(
             v_new = v_op.solve(psi_vals, low_v[-1])
         else:
             v_new = _monotone_ball(v_op, problem.mu, s, psi_vals, low_v,
-                                   tol_residual * max(ledger.m2_lower, 1e-300))[0]
+                                   tol_residual * max(ledger.m2_lower, 1e-300), start=v)[0]
 
         change = max(
             float(np.abs(u_new - u).max()) / max(float(u_new.max()), 1e-300),

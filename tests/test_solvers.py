@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gmsteady.barriers import (
     SourceModel,
     alg_regime_ledger,
     exp_regime_ledger,
+    operator_bounds,
 )
 from gmsteady.errors import HypothesisError, NonexistenceError, RegimeError
 from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
@@ -150,6 +152,49 @@ def test_linear_monotone_ball_is_one_solve(mu, doubled):
     assert np.array_equal(newton, solve)
 
 
+@pytest.mark.parametrize("family", [BarrierFamily.W, BarrierFamily.Z])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("start", [1 - 1e-3, 1 + 1e-3, 0.7, 1.3, "high"])
+def test_warm_started_monotone_ball_matches_the_cold_start(family, s, start):
+    # one Newton step from any positive start lands on a sub-solution, from
+    # which the iterates rise (solvers' docstring): a start from the
+    # solution for the weight psi (1 -+ eps), or from far above the
+    # solution, ends where the start from v_low does, in fewer steps when near
+    if family is BarrierFamily.W:
+        grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+        n, mu, gamma = 3, 4.0, 2.0
+        a = gamma / (s + 1.0)
+    else:
+        grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
+        n, mu, gamma = 5, 0.0, 4.0
+        a = (gamma - 2.0) / (s + 1.0)
+    rng = np.random.default_rng(4409)
+    envelope = eval_barrier(BarrierProfile(family, gamma), grid.nodes)
+    psi_vals = envelope * rng.uniform(0.5, 2.0, grid.n)
+    barrier = BarrierProfile(family, a)
+    v_low = (0.5 / operator_bounds(barrier, mu, n)[1]) ** (1.0 / (s + 1.0)) * \
+        eval_barrier(barrier, grid.nodes)
+    tol = 1e-10 * v_low.max()
+
+    def ball(weight, **kwargs):
+        return solvers._monotone_ball(solvers.RadialOperator(grid, n), mu, s, weight,
+                                      v_low, tol, **kwargs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cold, _, cold_its, _ = ball(psi_vals)
+        if start == "high":
+            v0 = np.full(grid.n, 10.0 * cold.max())
+        else:
+            v0 = ball(start * psi_vals)[0]
+        trace = []
+        warm, _, warm_its, _ = ball(psi_vals, trace=trace, start=v0)
+    assert np.abs(warm - cold).max() <= 1e-12 * cold.max()
+    assert start == "high" or warm_its < cold_its
+    for prev, state in zip(trace[:-1], trace[1:]):
+        assert (state.v.values - prev.v.values).min() >= -1e-12 * prev.v.values.max()
+
+
 def assert_matches_fixed_shift(run, monkeypatch):
     # Newton stops near the discrete solution; the fixed-shift iteration
     # gets there only at a 1000 times tighter residual
@@ -166,6 +211,28 @@ def assert_matches_fixed_shift(run, monkeypatch):
     ref = run()
     assert max(counts) < solvers.MAX_ITER
     assert np.max(np.abs(rep.v.values - ref.v.values)) <= 1e-8 * np.max(ref.v.values)
+
+
+def inner_counts_by_ball(monkeypatch):
+    """Spy on ``_monotone_ball``: Newton step counts of its calls, by ball radius."""
+    counts = {}
+    real_ball = solvers._monotone_ball
+
+    def spy(op, *args, **kwargs):
+        out = real_ball(op, *args, **kwargs)
+        counts.setdefault(op.grid.radius, []).append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "_monotone_ball", spy)
+    return counts
+
+
+def assert_warm_inner_counts(counts):
+    # on each ball the first Picard step starts Newton from v_low, and every
+    # later one from the previous step's v, a step or two from its answer
+    assert len(counts) == 2, counts
+    for calls in counts.values():
+        assert len(calls) >= 2 and calls[0] <= 10 and max(calls[1:]) <= 2, counts
 
 
 class TestScalarExponential:
@@ -376,14 +443,16 @@ class TestCoupledExponential:
         with pytest.raises(RegimeError, match="expects an exponential source envelope"):
             solve_coupled_exp(problem, exponents, ledger)
 
-    def test_singular_inner_equation(self):
+    def test_singular_inner_equation(self, monkeypatch):
         # s > 0 exercises the singular v-update inside the coupled loop
         exponents = Exponents(2.0, 1.0, 1.0, 1.0)  # sigma = 1/2, b = 1/2
         ledger = exp_regime_ledger(exponents, 3, 1000.0, 12.0, 1.0, 1.2, 1.0)
         assert ledger.feasible
         problem = Problem(3, 1000.0, 12.0, SourceModel.exp_envelope(1.0, 1.2, 1.0, 1.1))
+        counts = inner_counts_by_ball(monkeypatch)
         rep = solve_coupled_exp(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
+        assert_warm_inner_counts(counts)
         assert rep.residual_u <= 1e-6 and rep.residual_v <= 1e-6
         ratio = rep.decay["v"][0] / rep.decay["u"][0]
         assert ratio == pytest.approx(0.5, rel=0.02)  # m/(s+1) = 1/2
@@ -424,18 +493,20 @@ class TestCoupledAlgebraic:
 
     def test_inner_newton_iteration_counts(self, alg_worked_case, monkeypatch):
         problem, exponents, ledger, _ = alg_worked_case
-        counts = []
-        real_ball = solvers._monotone_ball
-
-        def spy(*args):
-            out = real_ball(*args)
-            counts.append(out[2])
-            return out
-
-        monkeypatch.setattr(solvers, "_monotone_ball", spy)
+        counts = inner_counts_by_ball(monkeypatch)
         rep = solve_coupled_alg(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
-        assert counts and max(counts) <= 10, counts
+        assert_warm_inner_counts(counts)
+
+    def test_default_solve_lies_on_the_tightened_one(self, alg_worked_case):
+        # each warm-started inner solve ends far below its tolerance, so the
+        # default run sits on the run with every tolerance tightened
+        problem, exponents, ledger, rep = alg_worked_case
+        tight = solve_coupled_alg(problem, exponents, ledger, tol_residual=1e-5 / 1000.0,
+                                  tol_change=1e-12)
+        for got, want in ((rep.u, tight.u), (rep.v, tight.v)):
+            assert np.abs(got.values - want.values).max() <= 1e-11 * want.values.max()
+        assert rep.residual_v <= 1e-12
 
     def test_refuses_boundary_rate(self):
         exponents = Exponents(5.0, 2.0, 2.0, 1.0)
