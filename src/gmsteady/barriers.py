@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
-from functools import partialmethod
+from functools import lru_cache, partialmethod
 from typing import Optional
 
 import numpy as np
@@ -686,12 +686,31 @@ def _nonexistence_shifted(p):
     return p <= 1.0
 
 
+@lru_cache(maxsize=None)
+def _critical_floors(n):
+    """The largest doubles <= N/(N-2) and <= 2/(N-2).
+
+    A float x satisfies x <= N/(N-2) exactly iff it is at most the first,
+    where the rounded quotient n / (n - 2.0) is above N/(N-2) at N = 5, 9,
+    11, ... (and 2.0 / (n - 2.0) above 2/(N-2) at N = 7, 12, ...).
+    """
+    a, b = float(n).as_integer_ratio()  # N = a/b exactly
+    floors = []
+    for num, den in ((a, a - 2 * b), (2 * b, a - 2 * b)):
+        x = num / den  # int division rounds correctly; compare its exact ratio
+        top, bottom = x.as_integer_ratio()
+        floors.append(math.nextafter(x, -math.inf) if top * den > num * bottom else x)
+    return tuple(floors)
+
+
 def _nonexistence_zero_shift(n, p, m, rate, matched):
     """Theorems 1.2(i) and 1.4(i) with zero shifts, on floats or
-    elementwise: whether p <= N/(N-2) or m <= 2/(N-2), whether the
-    regime's algebraic envelope has rate a <= 2(1+1/m), and those bounds."""
+    elementwise: whether p <= N/(N-2) or m <= 2/(N-2), decided exactly,
+    whether the regime's algebraic envelope has rate a <= 2(1+1/m), and
+    those bounds (the first two as rounded quotients, for messages)."""
+    p_floor, m_floor = _critical_floors(n)
     p_crit, m_crit, a_low = n / (n - 2.0), 2.0 / (n - 2.0), _rate_floor(m)
-    return (p <= p_crit) | (m <= m_crit), matched & (rate <= a_low), p_crit, m_crit, a_low
+    return (p <= p_floor) | (m <= m_floor), matched & (rate <= a_low), p_crit, m_crit, a_low
 
 
 def classify(problem: Problem, exponents: Exponents) -> Verdict:

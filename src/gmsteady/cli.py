@@ -26,6 +26,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -145,16 +146,23 @@ def _csv_cells(groups) -> list:
     return out
 
 
+#: rows that ``_write_table`` joins into one string and writes with one call
+_BLOCK_ROWS = 4096
+
+
 def _write_table(path, header, columns) -> None:
     """Write a CSV table whose row i joins the i-th string of each column.
 
     The column strings come from ``_csv_cells``, so the file holds the
     bytes that csv.writer writes for the same header and rows.  Rows are
-    streamed, not joined into one string.
+    joined in blocks of ``_BLOCK_ROWS``, each written with one call, so
+    the per-row joins run in C and no string holds the whole table.
     """
+    rows = map(",".join, zip(*columns))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_cells([header])[0] + "\r\n")
-        fh.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            fh.write("\r\n".join(block) + "\r\n")
 
 
 _SWITCH_VALUES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -368,12 +376,27 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The ``gmsteady`` parser, with every subcommand's name, help and handler.
+
+    Arguments go to ``command``'s subparser alone when it names a
+    subcommand, else to all four.  argparse builds a help formatter for
+    each argument it adds, so ``main`` adds only those of the subcommand
+    it runs; help and error text read the same either way.
+    """
     parser = _Parser(prog="gmsteady", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser, for --config
+
+    every = command not in ("region", "solve", "verify", "kernel")
+
+    def subcommand(name, help_text, func):
+        """The subparser ``name`` if its arguments are wanted, else None."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
+        return p if every or name == command else None
 
     def add_common(p):
         p.add_argument("--config", help="key=value config file; flags override")
@@ -393,62 +416,58 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=2.0, help="upper envelope constant")
         p.add_argument("--rate", type=float, default=1.0, help="envelope decay rate")
 
-    p_region = sub.add_parser("region", help="classify a parameter lattice")
-    add_common(p_region)
-    add_problem(p_region)
-    p_region.add_argument("--sweep", action="append", default=[],
-                          help="name=start:stop:count or name=v1,v2,... (repeatable)")
-    p_region.add_argument("--out-table", help="CSV output path")
-    p_region.set_defaults(func=cmd_region)
+    if p := subcommand("region", "classify a parameter lattice", cmd_region):
+        add_common(p)
+        add_problem(p)
+        p.add_argument("--sweep", action="append", default=[],
+                       help="name=start:stop:count or name=v1,v2,... (repeatable)")
+        p.add_argument("--out-table", help="CSV output path")
 
-    p_solve = sub.add_parser("solve", help="run a coupled solver at one point")
-    add_common(p_solve)
-    add_problem(p_solve)
-    p_solve.add_argument("--rho-amplitude", type=float, default=None,
-                         help="evaluable amplitude in [alpha, beta] (default midpoint)")
-    p_solve.add_argument("--radius", type=float, default=None, help="truncation radius")
-    p_solve.add_argument("--h0", type=float, default=None,
-                         help="initial grid spacing (needs --radius; default 0.02)")
-    p_solve.add_argument("--stretch", type=float, default=None,
-                         help="grid stretch factor (needs --radius; default 1.02)")
-    p_solve.add_argument("--out-u", help="u field dump path")
-    p_solve.add_argument("--out-v", help="v field dump path")
-    p_solve.set_defaults(func=cmd_solve)
+    if p := subcommand("solve", "run a coupled solver at one point", cmd_solve):
+        add_common(p)
+        add_problem(p)
+        p.add_argument("--rho-amplitude", type=float, default=None,
+                       help="evaluable amplitude in [alpha, beta] (default midpoint)")
+        p.add_argument("--radius", type=float, default=None, help="truncation radius")
+        p.add_argument("--h0", type=float, default=None,
+                       help="initial grid spacing (needs --radius; default 0.02)")
+        p.add_argument("--stretch", type=float, default=None,
+                       help="grid stretch factor (needs --radius; default 1.02)")
+        p.add_argument("--out-u", help="u field dump path")
+        p.add_argument("--out-v", help="v field dump path")
 
-    p_verify = sub.add_parser("verify", help="certify a solution pair")
-    add_common(p_verify)
-    add_problem(p_verify)
-    p_verify.add_argument("--cor3", action="store_true",
-                          help="verify the closed-form supercritical pair")
-    p_verify.add_argument("--amplitude", type=float, default=1.0, help="closed-form amplitude A")
-    p_verify.add_argument("--radius", type=float, default=None)
-    p_verify.add_argument("--nodes", type=int, default=20001)
-    p_verify.add_argument("--tol", type=float, default=1e-5,
-                          help="max residual for exit code 0")
-    p_verify.add_argument("--u-field", help="two-column u dump")
-    p_verify.add_argument("--v-field", help="two-column v dump")
-    p_verify.add_argument("--u-rate", type=float, default=None, help="declared u decay rate")
-    p_verify.add_argument("--v-rate", type=float, default=None, help="declared v decay rate")
-    p_verify.add_argument("--rho-amplitude", type=float, default=None)
-    p_verify.add_argument("--no-representation", action="store_true",
-                          help="skip the integral-representation residuals")
-    p_verify.set_defaults(func=cmd_verify)
+    if p := subcommand("verify", "certify a solution pair", cmd_verify):
+        add_common(p)
+        add_problem(p)
+        p.add_argument("--cor3", action="store_true",
+                       help="verify the closed-form supercritical pair")
+        p.add_argument("--amplitude", type=float, default=1.0, help="closed-form amplitude A")
+        p.add_argument("--radius", type=float, default=None)
+        p.add_argument("--nodes", type=int, default=20001)
+        p.add_argument("--tol", type=float, default=1e-5,
+                       help="max residual for exit code 0")
+        p.add_argument("--u-field", help="two-column u dump")
+        p.add_argument("--v-field", help="two-column v dump")
+        p.add_argument("--u-rate", type=float, default=None, help="declared u decay rate")
+        p.add_argument("--v-rate", type=float, default=None, help="declared v decay rate")
+        p.add_argument("--rho-amplitude", type=float, default=None)
+        p.add_argument("--no-representation", action="store_true",
+                       help="skip the integral-representation residuals")
 
-    p_kernel = sub.add_parser("kernel", help="tabulate the fundamental solution")
-    add_common(p_kernel)
-    p_kernel.add_argument("--lam", type=float, default=1.0, help="kernel shift (0 for -Delta)")
-    p_kernel.add_argument("--r-min", type=float, default=0.01)
-    p_kernel.add_argument("--r-max", type=float, default=20.0)
-    p_kernel.add_argument("--r-count", type=int, default=64)
-    p_kernel.add_argument("--out-table", help="CSV output path")
-    p_kernel.set_defaults(func=cmd_kernel)
+    if p := subcommand("kernel", "tabulate the fundamental solution", cmd_kernel):
+        add_common(p)
+        p.add_argument("--lam", type=float, default=1.0, help="kernel shift (0 for -Delta)")
+        p.add_argument("--r-min", type=float, default=0.01)
+        p.add_argument("--r-max", type=float, default=20.0)
+        p.add_argument("--r-count", type=int, default=64)
+        p.add_argument("--out-table", help="CSV output path")
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if args.config:

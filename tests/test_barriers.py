@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -535,6 +536,38 @@ def test_classify_nonexistence_rules():
         Exponents(5, 2, 2, 1),
     )
     assert v.status is VerdictStatus.NONEXISTENCE and v.tag == "Theorem 1.4(i)"
+
+
+def _largest_double_at_most(bound: Fraction) -> float:
+    x = float(bound)
+    while Fraction(x) > bound:
+        x = math.nextafter(x, -math.inf)
+    assert Fraction(math.nextafter(x, math.inf)) > bound
+    return x
+
+
+# rule 2 is decided on the exact quotients: the rounded n / (n - 2.0) lies
+# above N/(N-2) at N = 5, 9, 11, ..., and 2.0 / (n - 2.0) above 2/(N-2) at
+# N = 7, 12, ..., so a point on the rounded quotient is strictly beyond
+@pytest.mark.parametrize("n", range(3, 41))
+def test_rule_2_thresholds_are_the_exact_quotients(n):
+    p_at = _largest_double_at_most(Fraction(n, n - 2))
+    m_at = _largest_double_at_most(Fraction(2, n - 2))
+    up = lambda x: math.nextafter(x, math.inf)
+    # (p, m, whether rule 2 holds); p = 10 and m = 10 lie beyond both bounds
+    points = [(p_at, 10.0, True), (up(p_at), 10.0, False),
+              (10.0, m_at, True), (10.0, up(m_at), False)]
+    problem = Problem(n, 0.0, 0.0, SourceModel.zero())
+    codes = classify_many(n, None, [p for p, _, _ in points], 1.0, [m for _, m, _ in points],
+                          0.0, 0.0, 0.0, 1.0, 2.0, 1.0)
+    rule_2 = VERDICT_CODES.index((VerdictStatus.NONEXISTENCE.value, "Theorem 1.2(i)"))
+    for (p, m, holds), code in zip(points, codes):
+        verdict = classify(problem, Exponents(p, 1.0, m, 0.0))
+        assert (verdict.tag == "Theorem 1.2(i)") is holds, (n, p, m)
+        assert (int(code) == rule_2) is holds, (n, p, m)
+        if holds:  # the message quotes the rounded quotients
+            assert f"N/(N-2) = {n / (n - 2.0)} " in verdict.reason
+            assert f"2/(N-2) = {2.0 / (n - 2.0)} " in verdict.reason
 
 
 # Zero shifts: the potential of a source of rate a decays like

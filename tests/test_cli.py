@@ -18,7 +18,7 @@ import pytest
 
 from gmsteady import solvers
 from gmsteady.barriers import VERDICT_CODES, Exponents, Problem, SourceModel, classify
-from gmsteady.cli import _jsonable, main
+from gmsteady.cli import _BLOCK_ROWS, _jsonable, build_parser, main
 from gmsteady.radial_core import RadialField, RadialGrid, write_field
 
 
@@ -290,6 +290,36 @@ def test_region_table_is_csv_writer_bytes(tmp_path):
         assert {f"{s}:{t}" if t else s: n for (s, t), n in labels.items()} == payload["counts"]
         seen |= set(labels)
     assert seen == set(VERDICT_CODES)
+
+
+# tables around the block size of _write_table: rows are lost or doubled
+# only where a block ends, so each count sits at or next to a block end
+@pytest.mark.parametrize("sweeps", [
+    [f"p=1.1:6.0:{_BLOCK_ROWS - 1}"],
+    [f"p=1.1:6.0:{_BLOCK_ROWS}"],
+    [f"p=1.1:6.0:{_BLOCK_ROWS + 1}"],
+    [f"p=1.1:6.0:{3 * _BLOCK_ROWS + 1}"],
+    ["p=1.1:6.0:17", "m=0.5:6.0:16", "q=0.5:2.0:16"],
+])
+def test_region_table_across_block_ends(tmp_path, sweeps):
+    table, report = tmp_path / "t.csv", tmp_path / "r.json"
+    sweep_args = [a for spec in sweeps for a in ("--sweep", spec)]
+    rc = run(["region", "-N", "3", "--s", "1", *sweep_args,
+              "--out-table", str(table), "--report", str(report)])
+    assert rc == 0
+    points = json.loads(report.read_text())["points"]
+    rows = _csv_writer_rows(table)
+    assert len(rows) - 1 == points == math.prod(int(s.rsplit(":", 1)[1]) for s in sweeps)
+    assert [row[0] for row in rows[1:]] == [str(i) for i in range(points)]
+
+
+def test_kernel_table_of_no_rows_is_its_header(tmp_path):
+    table, report = tmp_path / "k.csv", tmp_path / "k.json"
+    rc = run(["kernel", "--lam", "0", "--r-count", "0",
+              "--out-table", str(table), "--report", str(report)])
+    assert rc == 0
+    assert json.loads(report.read_text())["rows"] == 0
+    assert _csv_writer_rows(table) == [["r", "value", "mass_identity"]]
 
 
 # an invalid lattice point fails as classify's own checks fail, at the
@@ -899,3 +929,32 @@ def test_jsonable_converts_each_kind():
     }
     assert _jsonable(_Colour.RED) == "red"
     json.dumps(_jsonable(obj), allow_nan=False)
+
+
+# main builds the arguments of the subcommand it runs alone; help and
+# usage text must read as they do with every subcommand built
+@pytest.mark.parametrize("command", ["region", "solve", "verify", "kernel"])
+def test_one_subcommand_parser_reads_as_the_full_one(command, capsys):
+    full, one = build_parser(), build_parser(command)
+    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
+    assert one.commands[command].format_help() == full.commands[command].format_help()
+    for name, parser in one.commands.items():
+        # every subcommand keeps its handler; the others get no arguments
+        assert parser.get_default("func") is full.commands[name].get_default("func")
+        if name != command:
+            assert [a.dest for a in parser._actions] == ["help"]
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out == full.commands[command].format_help()
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["bogus"], ["error: argument command: invalid choice: 'bogus' "
+                 "(choose from 'region', 'solve', 'verify', 'kernel')"]),
+    ([], ["error: the following arguments are required: command"]),
+    (["--bogus"], ["error: the following arguments are required: command"]),
+])
+def test_unknown_subcommand_exits_1_with_the_usage_line(argv, lines, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [build_parser().format_usage().strip(), *lines]
