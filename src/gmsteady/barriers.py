@@ -66,6 +66,9 @@ __all__ = [
 # relative tie tolerance: strict inequalities decided closer than this
 # are reported as infeasible boundary cases
 _TIE_REL = 1e-14
+# the smallest normal double (sys.float_info.min): a ledger constant below
+# it has lost precision to underflow, and the solvers refuse its barrier
+_MIN_NORMAL = 2.0**-1022
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,29 @@ def _sigma(p, q, m, s):
 
 
 def _rate_floor(m):
-    """2(1+1/m): Theorem 1.4's bound on the algebraic source rate a, at or
-    below which no solution exists and above which its regime starts."""
-    return 2.0 * (1.0 + 1.0 / m)
+    """The largest double <= 2(1+1/m), Theorem 1.4's bound on the algebraic
+    source rate a, at or below which no solution exists and above which
+    its regime starts.
+
+    A float a satisfies a <= 2(1+1/m) exactly iff it is at most this,
+    where the rounded quotient 2.0 * (1.0 + 1.0 / m) is above 2(1+1/m) at
+    m = 0.3, 0.7, 1.1, 1.2, 6, ...  On floats, or elementwise once per
+    distinct m; nan where m is not finite and positive.
+    """
+    if np.ndim(m):
+        values, inverse = np.unique(m, return_inverse=True)
+        return np.array([_rate_floor(x) for x in values.tolist()])[inverse]
+    m = float(m)
+    if not 0.0 < m < math.inf:
+        return math.nan
+    top, bottom = m.as_integer_ratio()
+    num = 2 * (top + bottom)  # 2(1+1/m) = num/top exactly
+    try:
+        x = num / top  # int division rounds correctly; compare its exact ratio
+    except OverflowError:
+        return math.nextafter(math.inf, 0.0)
+    hi, lo = x.as_integer_ratio()
+    return math.nextafter(x, -math.inf) if hi * top > num * lo else x
 
 
 @dataclass(frozen=True)
@@ -430,8 +453,17 @@ class _ArrayOps:
 # scalar ledgers, on arrays for ``classify_many``.  It returns the rate b of
 # the v barrier, (M1_lower, M1_upper, M2_lower, M2_upper), the constants it
 # names in ``aux``, its checks and ``in_range``: whether float64 holds the
-# constants.  A check is (name, (holds, tie), on_constants), in the order
-# ``violated`` lists them; tie is None for a non-strict inequality.
+# constants as normal doubles.  A check is (name, (holds, tie),
+# on_constants), in the order ``violated`` lists them; tie is None for a
+# non-strict inequality.
+
+
+def _in_normal_range(ops, *constants):
+    """``ops.in_range``, and whether each constant is a finite normal double."""
+    in_range = ops.in_range
+    for x in constants:
+        in_range = in_range & (_MIN_NORMAL <= x) & (x < math.inf)
+    return in_range
 
 
 def _exp_ledger_body(ops, n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
@@ -449,9 +481,7 @@ def _exp_ledger_body(ops, n_sq, p, q, m, s, lam, mu, alpha, beta, a, sig):
     # budget constant: (lam/4) M1_upper >= beta  <=>  mu <= c0 lam^(p(s+1)/q - m)
     kconst = power(0.25 * power(t, q / (s + 1.0)), inv_p1)
     c0 = power(kconst / (4.0 * beta), divide(m, sig))
-    inf = math.inf
-    in_range = (ops.in_range & (0.0 < m1_lo) & (m1_lo < inf) & (0.0 < m2_lo) & (m2_lo < inf)
-                & (0.0 < m1_hi) & (m1_hi < inf) & (0.0 < m2_hi) & (m2_hi < inf))
+    in_range = _in_normal_range(ops, m1_lo, m1_hi, m2_lo, m2_hi)
     checks = (
         ("lambda-threshold", strict(lam, ops.maximum(2.0 * a * a, n_sq)), False),
         ("mu-threshold", strict(mu, ops.maximum(2.0 * b * b, n_sq)), False),
@@ -484,8 +514,7 @@ def _alg_ledger_body(ops, n, p, q, m, s, alpha, beta, a, sig):
     m1_hi = big_c * alpha_sig
     m2_lo = big_b * power(alpha, m / (s + 1.0))
     m2_hi = big_d * power(alpha, sig * m / (s + 1.0))
-    inf = math.inf
-    in_range = ops.in_range & (m1_lo < inf) & (m2_lo < inf) & (m1_hi < inf) & (m2_hi < inf)
+    in_range = _in_normal_range(ops, m1_lo, m1_hi, m2_lo, m2_hi)
     checks = (
         ("alpha-upper", strict(eps, alpha), True),
         ("alpha-beta-order", strict(beta, alpha), False),
@@ -529,11 +558,12 @@ _ALG_REGIME_TEXTS = (
 
 def _alg_regime(n, p, m, s, a, sig):
     """Theorem 1.4(ii)'s regime for p > 1, on floats or elementwise: its
-    four conditions, and the values their RegimeError texts quote."""
-    a_low = _rate_floor(m)
+    four conditions, with a > 2(1+1/m) decided exactly, and the values
+    their RegimeError texts quote (2(1+1/m) as the rounded quotient)."""
+    a_low = 2.0 * (1.0 + 1.0 / m)
     room, cap = m * (a - 2.0), (n - 2.0) * s + n
     gap, window = 2.0 * p / (p - 1.0), a + sig * (a_low - a)
-    return (((0.0 < sig) & (sig < 1.0), (a_low < a) & (a < n), room < cap, gap <= window),
+    return (((0.0 < sig) & (sig < 1.0), (_rate_floor(m) < a) & (a < n), room < cap, gap <= window),
             (sig, a_low, n, a, room, cap, gap, window))
 
 
@@ -561,8 +591,9 @@ def exp_regime_ledger(
     M1_upper > M1_lower, M2_upper > M2_lower, and the source budget
     (lam/4) M1_upper >= beta.  The budget is equivalent to
     mu <= c0 * lam^(p(s+1)/q - m) with the reported c0.  Constants that
-    float64 cannot hold make the ledger infeasible ("float-range", NaN),
-    and so does a sigma that underflows to 0, where c0 is undefined.
+    float64 cannot hold as normal doubles make the ledger infeasible
+    ("float-range", NaN), and so does a sigma that underflows to 0, where
+    c0 is undefined.
     """
     # floats raise where float64 cannot hold a power; numpy scalars only warn
     p, q, m, s = map(float, (exponents.p, exponents.q, exponents.m, exponents.s))
@@ -611,10 +642,9 @@ def alg_regime_ledger(
     Feasible iff 0 < alpha < eps and alpha < beta < delta * alpha^sigma,
     where delta = ((a-2)(N-a)/2) C and eps is the minimum of
     (C/A)^(1/(1-sigma)), (D/B)^((s+1)/(m(1-sigma))) and delta^(1/(1-sigma)).
-    A constant that overflows float64, a zero divisor or a base that
-    rounds negative makes it infeasible ("float-range", NaN); a lower
-    barrier that underflows to 0 keeps its verdict, and the solvers
-    refuse it.
+    A constant that overflows float64 or falls below its smallest normal
+    double, a zero divisor or a base that rounds negative makes it
+    infeasible ("float-range", NaN).
     """
     p, q, m, s = map(float, (exponents.p, exponents.q, exponents.m, exponents.s))
     alpha, beta, rate_a = map(float, (alpha, beta, rate_a))  # as in exp_regime_ledger
@@ -705,12 +735,13 @@ def _critical_floors(n):
 
 def _nonexistence_zero_shift(n, p, m, rate, matched):
     """Theorems 1.2(i) and 1.4(i) with zero shifts, on floats or
-    elementwise: whether p <= N/(N-2) or m <= 2/(N-2), decided exactly,
-    whether the regime's algebraic envelope has rate a <= 2(1+1/m), and
-    those bounds (the first two as rounded quotients, for messages)."""
+    elementwise: whether p <= N/(N-2) or m <= 2/(N-2), and whether the
+    regime's algebraic envelope has rate a <= 2(1+1/m), each decided
+    exactly, and those bounds as rounded quotients, for messages."""
     p_floor, m_floor = _critical_floors(n)
-    p_crit, m_crit, a_low = n / (n - 2.0), 2.0 / (n - 2.0), _rate_floor(m)
-    return (p <= p_floor) | (m <= m_floor), matched & (rate <= a_low), p_crit, m_crit, a_low
+    p_crit, m_crit, a_low = n / (n - 2.0), 2.0 / (n - 2.0), 2.0 * (1.0 + 1.0 / m)
+    return ((p <= p_floor) | (m <= m_floor), matched & (rate <= _rate_floor(m)),
+            p_crit, m_crit, a_low)
 
 
 def classify(problem: Problem, exponents: Exponents) -> Verdict:

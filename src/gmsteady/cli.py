@@ -46,13 +46,11 @@ from .barriers import (
     classify,
     classify_many,
 )
-from .certificates import verify_cor3, verify_solution
 from .errors import FieldParseError, HypothesisError, NonexistenceError, RegimeError
-from .kernels import GreenParams, green_lambda, green_lambda_mass, verify_kernel_bounds
-from .potentials import divergence_probe_rho
 from .profiles import BarrierFamily, BarrierProfile
-from .radial_core import RadialGrid, read_field, write_field
-from .solvers import SolveStatus, solve_coupled_alg, solve_coupled_exp
+
+# solve, verify and kernel import their numerics in their handlers, so
+# region and the parser start without the solver and certificate stack
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -292,6 +290,10 @@ def cmd_region(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .potentials import divergence_probe_rho
+    from .radial_core import RadialGrid, write_field
+    from .solvers import SolveStatus, solve_coupled_alg, solve_coupled_exp
+
     if args.radius is None and (args.h0 is not None or args.stretch is not None):
         raise ValueError("--h0 and --stretch shape the --radius grid; they need --radius")
     problem, exponents = _problem_from_args(args)
@@ -322,6 +324,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .certificates import verify_cor3, verify_solution
+    from .radial_core import RadialGrid, read_field
+
     if args.cor3:
         grid = RadialGrid.uniform(args.radius or 20.0, args.nodes)
         cert = verify_cor3(args.dimension, args.p, args.s, args.amplitude, grid)
@@ -345,6 +350,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    from .kernels import GreenParams, green_lambda, green_lambda_mass, verify_kernel_bounds
+
     if not (0.0 < args.r_min < math.inf and 0.0 < args.r_max < math.inf):
         raise ValueError("kernel needs finite positive --r-min and --r-max")
     r_values = np.geomspace(args.r_min, args.r_max, args.r_count)

@@ -174,6 +174,11 @@ _FLOAT_RANGE_POINTS = [
     (5, BarrierFamily.Z, (5.0, 1.0, 4.0, 1.0, 0.0, 0.0, 1e300, 1e300, 3.5), True),
     # sigma > 1: the Theorem 1.1(ii) advisory squares m/(s+1) = 1e200
     (3, None, (2.0, 1e200, 1e200, 0.0, 4096.0, 16.0, 1.0, 2.0, 1.0), False),
+    # the alg worked case's exponents: M1_lower = 1e-311 and M2_lower =
+    # 4.5e-312 are subnormal
+    (5, BarrierFamily.Z, (5.0, 2.0, 2.0, 1.0, 0.0, 0.0, 1e-310, 1.2e-310, 4.0), True),
+    # the exp worked case's: M1_lower = 1.2e-309 and M2_lower = 3.8e-311
+    (3, BarrierFamily.W, (2.0, 1.0, 1.0, 0.0, 4096.0, 16.0, 1e-305, 2e-305, 1.0), True),
 ]
 
 
@@ -238,19 +243,20 @@ def test_float_range_sweep_reads_unknown_where_only_float_range_fails():
         for bad in only_range]
 
 
-def test_alg_ledger_underflowing_lower_barrier_keeps_its_verdict():
+def test_alg_ledger_underflowing_lower_barrier_reads_float_range():
     # alpha^(m/(s+1)) underflows, so M2_lower = 0 while the theorem's
-    # conditions hold: only an overflow reads float-range, and solve
-    # refuses the underflowing barrier itself
+    # conditions hold: a constant below the smallest normal double reads
+    # float-range, as an overflowing one does
     point = (1e5, 3.7942141000975074, 11.78086015945043, 3.419350855590295,
              0.0, 0.0, 1.4955270482839752e-250, 5.832253967854931e-250, 2.169766890781369)
     p, q, m, s, lam, mu, alpha, beta, rate = point
+    ledger = alg_regime_ledger(Exponents(p, q, m, s), 3, alpha, beta, rate)
+    assert ledger.violated == ["float-range"]
     rho = SourceModel(BarrierFamily.Z, alpha, beta, rate)
     verdict = classify(Problem(3, lam, mu, rho), Exponents(p, q, m, s))
-    assert verdict.status is VerdictStatus.EXISTENCE_GUARANTEED
-    assert verdict.ledger.m2_lower == 0.0 and verdict.ledger.m1_lower > 0.0
+    assert verdict.status is VerdictStatus.UNKNOWN and "float-range" in verdict.reason
     codes = classify_many(3, BarrierFamily.Z, *np.array([point]).T)
-    assert VERDICT_CODES[codes[0]] == ("existence-guaranteed", "Theorem 1.4(ii)")
+    assert VERDICT_CODES[codes[0]] == ("unknown", "")
 
 
 def test_alg_ledger_lists_alpha_upper_first():
@@ -568,6 +574,40 @@ def test_rule_2_thresholds_are_the_exact_quotients(n):
         if holds:  # the message quotes the rounded quotients
             assert f"N/(N-2) = {n / (n - 2.0)} " in verdict.reason
             assert f"2/(N-2) = {2.0 / (n - 2.0)} " in verdict.reason
+
+
+def _quotient_rounds_up(m):
+    return Fraction(2.0 * (1.0 + 1.0 / m)) > 2 * (1 + 1 / Fraction(m))
+
+
+# rule 3 and the algebraic regime decide a <= 2(1+1/m) on the exact bound:
+# the rounded 2.0 * (1.0 + 1.0 / m) lies above it at m = 0.3, 0.7, 1.1,
+# 1.2, 6, ..., so a rate on the rounded quotient is strictly beyond
+def test_rule_3_threshold_is_the_exact_bound():
+    rng = np.random.default_rng(27)
+    seeded = [m for m in rng.uniform(0.25, 8.0, 200).tolist() if _quotient_rounds_up(m)]
+    ms = [0.3, 0.7, 1.1, 1.2, 1.7, 6.0] + seeded[:30]
+    assert all(map(_quotient_rounds_up, ms)) and len(ms) == 36
+    # at N = 12, p = 12 and m > 0.25 rule 2 fails and every bound lies below N
+    n, p, q, s, alpha, beta = 12, 12.0, 0.5, 1.0, 0.01, 0.015
+    rule_3 = VERDICT_CODES.index((VerdictStatus.NONEXISTENCE.value, "Theorem 1.4(i)"))
+    for m in ms:
+        quotient = 2.0 * (1.0 + 1.0 / m)
+        at = _largest_double_at_most(2 * (1 + 1 / Fraction(m)))
+        assert at < quotient
+        codes = classify_many(n, BarrierFamily.Z, p, q, m, s, 0.0, 0.0, alpha, beta,
+                              [at, quotient])
+        for rate, code in zip((at, quotient), codes.tolist()):
+            rho = SourceModel.alg_envelope(alpha, beta, rate)
+            verdict = classify(Problem(n, 0.0, 0.0, rho), Exponents(p, q, m, s))
+            assert VERDICT_CODES[code] == (verdict.status.value, verdict.tag or ""), (m, rate)
+            assert (code == rule_3) is (rate == at), (m, rate)
+            if rate == at:  # the message quotes the rounded quotient
+                assert f"2(1+1/m) = {quotient} " in verdict.reason
+    # the double m = 1.2 puts 2(1+1/m) below the rate 3.666666666666667
+    rho = SourceModel.alg_envelope(0.01, 0.015, 3.666666666666667)
+    verdict = classify(Problem(5, 0.0, 0.0, rho), Exponents(5.0, 2.0, 1.2, 1.0))
+    assert verdict.tag != "Theorem 1.4(i)"
 
 
 # Zero shifts: the potential of a source of rate a decays like

@@ -536,10 +536,18 @@ _SIGMA_ZERO_POINT = ["-N", "3", "--rho", "exp", "--lam", "4096", "--mu", "16",
 # alpha^(m/(s+1)) = 1e600 overflows in the algebraic ledger
 _ALG_OVERFLOW_POINT = ["-N", "5", "--p", "5", "--q", "1", "--m", "4", "--s", "1",
                        "--rho", "alg", "--alpha", "1e300", "--beta", "1e300"]
+# the worked cases' exponents with lower constants below the smallest
+# normal double: M1_lower = 1e-311 and M2_lower = 4.5e-312 (alg), and
+# M1_lower = 1.2e-309 and M2_lower = 3.8e-311 (exp)
+_SUBNORMAL_ALG_POINT = [*_ALG_POINT[:-8], "--alpha", "1e-310", "--beta", "1.2e-310",
+                        "--rate", "4"]
+_SUBNORMAL_EXP_POINT = [*_EXP_POINT[:-6], "--alpha", "1e-305", "--beta", "2e-305",
+                        "--rate", "1"]
 
 
 @pytest.mark.parametrize("flags", [[*_SIGMA_ZERO_POINT, "--p", "2"],
-                                   [*_ALG_OVERFLOW_POINT, "--rate", "3.5"]])
+                                   [*_ALG_OVERFLOW_POINT, "--rate", "3.5"],
+                                   _SUBNORMAL_ALG_POINT, _SUBNORMAL_EXP_POINT])
 def test_solve_float_range_ledger_refused(tmp_path, capsys, flags):
     rc = run(["solve", *flags, "--report", str(tmp_path / "s.json")])
     assert rc == 2
@@ -551,6 +559,8 @@ def test_solve_float_range_ledger_refused(tmp_path, capsys, flags):
      [["0", "0.5", "nonexistence", "Theorem 1.1(i)"], ["1", "2.0", "unknown", ""]]),
     (_ALG_OVERFLOW_POINT, "rate=3.5,3.6",
      [["0", "3.5", "unknown", ""], ["1", "3.6", "unknown", ""]]),
+    (_SUBNORMAL_ALG_POINT, "p=5", [["0", "5.0", "unknown", ""]]),
+    (_SUBNORMAL_EXP_POINT, "p=2", [["0", "2.0", "unknown", ""]]),
 ])
 def test_region_float_range_ledger_is_unknown(tmp_path, capsys, flags, sweep, rows):
     table = tmp_path / "region.csv"
@@ -608,6 +618,24 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # scipy is imported where a kernel, potential or solve first needs it
     _run_fresh("import sys, gmsteady.cli; "
                "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']", tmp_path)
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # the package loads no submodule; region runs without the solver and
+    # certificate stack, and solve without certificates
+    _run_fresh(textwrap.dedent(f"""
+        import sys
+        import gmsteady
+        assert not [m for m in sys.modules if m.startswith('gmsteady.') or m == 'numpy']
+        from gmsteady.cli import main
+        assert main(['region', '-N', '3', '--m', '5', '--sweep', 'p=1.1:6.0:50',
+                     '--report', 'r.json', '--out-table', 'r.csv']) == 0
+        stack = ['solvers', 'potentials', 'certificates', 'kernels', 'radial_core']
+        assert not [m for m in stack if 'gmsteady.' + m in sys.modules]
+        assert main(['solve', *{_EXP_POINT!r}, '--report', 's.json']) == 0
+        assert 'gmsteady.solvers' in sys.modules
+        assert 'gmsteady.certificates' not in sys.modules
+        """), tmp_path)
 
 
 @pytest.mark.parametrize("point, changes, u_rate", [

@@ -17,7 +17,7 @@ from unittest import mock
 
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
-from gmsteady import cli
+from gmsteady import cli, solvers
 from gmsteady.radial_core import MAX_GRID_NODES
 
 _NUMBER = (
@@ -147,8 +147,9 @@ def test_cli_exit_codes_and_reasons(run):
             args += ["--config", "fuzz.conf"]
         os.chdir(tmp)
         try:
-            with mock.patch.object(cli, "solve_coupled_exp", _stand_in_solver), \
-                    mock.patch.object(cli, "solve_coupled_alg", _stand_in_solver), \
+            # cmd_solve looks the solvers up on their module when it runs
+            with mock.patch.object(solvers, "solve_coupled_exp", _stand_in_solver), \
+                    mock.patch.object(solvers, "solve_coupled_alg", _stand_in_solver), \
                     contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = cli.main(args)
         except _ReachedSolver:
