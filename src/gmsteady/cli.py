@@ -328,7 +328,7 @@ def cmd_verify(args) -> int:
     from .radial_core import RadialGrid, read_field
 
     if args.cor3:
-        grid = RadialGrid.uniform(args.radius or 20.0, args.nodes)
+        grid = RadialGrid.uniform(20.0 if args.radius is None else args.radius, args.nodes)
         cert = verify_cor3(args.dimension, args.p, args.s, args.amplitude, grid)
         _write_report(args.report, "verify", mode="cor3", certificate=cert)
         return _verify_exit(cert.residuals(), args.tol)

@@ -1,4 +1,4 @@
-"""Modified Bessel functions and radial fundamental solutions of -Delta + lambda.
+"""Radial fundamental solutions of -Delta + lambda and their Bessel factors.
 
 The shifted operator -Delta + lambda on R^N (N >= 3, lambda > 0) has the
 radial, delta-calibrated fundamental solution
@@ -21,21 +21,23 @@ r^(-(N-1)/2) * exp(-sqrt(lambda)*r) for r > 1 (far field) and of
 r^(2-N) for 0 < r < 1 (near field).  ``verify_kernel_bounds`` measures
 the sandwich constants on a grid.
 
-``bessel_k``, ``green_lambda`` and the bounds use scipy.special's
-AMOS kve; the scaled variant avoids premature underflow.  ``bessel_k``
-returns values that would fall below the smallest normal double as
-exact 0 rather than subnormal noise, so there an exact 0 is the
-underflow indicator; ``green_lambda`` does not flush, and may return a
-subnormal.  Every consumer dominates such tails by a barrier anyway.
-
-``_scaled_bessel(nu)`` gives the shifted potential its pair
-I_nu(z) e^(-z), K_nu(z) e^z.  The orders of N = 3, 4, 5 need no AMOS:
-nu = 1/2 and 3/2 are elementary (DLMF 10.49.i), I_{3/2} by its power
-series below z = 1 where the closed form cancels, and nu = 1 is
-Cephes' i1e/k1e.  Against 40-digit mpmath on z in [1e-8, 1e4] the
-closed forms stay within 9e-16 relative and Cephes within 1.4e-15,
+``_scaled_bessel(nu)`` is the one Bessel evaluator: it gives the pair
+I_nu(z) e^(-z), K_nu(z) e^z, and ``green_lambda``, the bounds, the mass
+and the shifted potential all take K_nu from it.  The scaling avoids
+premature underflow; far tails may still be subnormal, and every
+consumer dominates them by a barrier anyway.  The orders of N = 3, 4, 5
+need no AMOS: nu = 1/2 and 3/2 are elementary (DLMF 10.49.i), I_{3/2}
+by its power series below z = 1 where the closed form cancels, and
+nu = 1 is Cephes' i1e/k1e.  Against 40-digit mpmath on z in [1e-8, 1e4]
+the closed forms stay within 9e-16 relative and Cephes within 1.4e-15,
 where AMOS ive is off by up to 2.6e-14.  Other orders fall back to
-scipy's ive/kve.
+scipy's ive/kve, the only scipy this module imports.
+
+``green_lambda_mass`` sums 12-point Gauss-Legendre pieces (``_gauss``,
+which the potentials share) of the integrand x^(N-1) G_1(x), formed in
+log space from the same expression as the bounds' far-field ratios.
+Its exact value is the Mellin integral
+integral_0^inf x^(N/2) K_nu(x) dx = 2^(N/2-1) Gamma(N/2) (DLMF 10.43.19).
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numpy as np
 __all__ = [
     "GreenParams",
     "KernelBoundsReport",
-    "bessel_k",
     "green_lambda",
     "green_zero",
     "green_lambda_mass",
@@ -94,28 +95,6 @@ class KernelBoundsReport:
     c1: float
     c2: float
     samples: list = field(default_factory=list)
-
-
-def bessel_k(nu: float, z):
-    """Modified Bessel function K_nu(z), nu >= 0, z > 0.
-
-    Monotone decreasing in z.  Where the true value falls below the
-    smallest normal double the result is exactly 0.0.  Scalar in,
-    scalar out; array in, array out.
-    """
-    from scipy import special  # here, so importing the CLI loads no scipy
-
-    if nu < 0:
-        raise ValueError(f"order must be >= 0, got {nu}")
-    zz = np.asarray(z, dtype=float)
-    if np.any(zz <= 0):
-        raise ValueError("argument of K_nu must be positive")
-    # kve = K_nu(z) * e^z is well scaled for all z > 0
-    vals = special.kve(nu, zz) * np.exp(-zz)
-    vals = np.where(vals >= _TINY, vals, 0.0)
-    if np.isscalar(z) or np.ndim(z) == 0:
-        return float(vals)
-    return vals
 
 
 def _ive_half(z):
@@ -191,63 +170,73 @@ def green_lambda(params: GreenParams, r):
     """
     if params.shift == 0.0:
         return green_zero(params.dimension, r)
-    from scipy import special
     rr = np.asarray(r, dtype=float)
     if np.any(rr <= 0):
         raise ValueError("radius must be positive")
     n = params.dimension
     nu = n / 2.0 - 1.0
+    kve = _scaled_bessel(nu)[1]
     k = math.sqrt(params.shift)
     z = k * rr
-    vals = (k / rr) ** nu * special.kve(nu, z) * np.exp(-z) / (2.0 * math.pi) ** (n / 2.0)
+    vals = (k / rr) ** nu * kve(z) * np.exp(-z) / (2.0 * math.pi) ** (n / 2.0)
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(vals)
     return vals
 
 
+@functools.cache
+def _gauss(npts: int):
+    return np.polynomial.legendre.leggauss(npts)
+
+
+#: the mass's Gauss pieces up to x = 4: [0, 2^-12], then doubling
+_MASS_NEAR_ENDS = np.concatenate(([0.0], np.geomspace(2.0**-12, 4.0, 15)))
+
+
 def green_lambda_mass(params: GreenParams) -> float:
-    """omega_N * integral_0^inf s^(N-1) G_lambda(s) ds by adaptive quadrature.
+    """omega_N * integral_0^inf s^(N-1) G_lambda(s) ds by Gauss-Legendre pieces.
 
     Equals 1/lambda for the delta-calibrated kernel.  Since
     G_lambda(s) = lambda^((N-2)/2) G_1(sqrt(lambda) s), the substitution
     x = sqrt(lambda) s gives omega_N / lambda * integral x^(N-1) G_1(x) dx,
-    so the quadrature does not depend on lambda.  Raises ValueError
-    where the quadrature reports that it failed.
+    so the sum does not depend on lambda.  Up to x = 4 the pieces halve
+    toward the origin, where the integrand vanishes like x and, for even
+    N, carries an x^(N-1) log x term that slows Gauss on wide pieces
+    near it.  Beyond 4 they are at most 4 wide and end where the
+    far-field shape x^((N-1)/2) e^(-x) has fallen e^-40 below its peak
+    at x = (N-1)/2.  Raises ValueError where the sum leaves float64
+    range: from N = 88, K_nu overflows at the smallest nodes.
     """
-    from scipy.integrate import quad
-
     if params.shift <= 0:
         raise ValueError("mass identity requires shift > 0")
     n = params.dimension
-    w = sphere_area(n)
-    unit = GreenParams(n, 1.0)
-
-    def integrand(x: float) -> float:
-        return x ** (n - 1) * green_lambda(unit, x)
-
-    # split at 1: integrable r^(2-N)-type behaviour near 0, exponential tail
-    total = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, np.inf)):
-        val, _, _, *trouble = quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=200,
-                                   full_output=1)
-        if trouble:
-            reason = trouble[0].splitlines()[0]
-            raise ValueError(f"kernel mass quadrature on [{lo:g}, {hi:g}] failed: {reason}")
-        total += val
-    return w * total / params.shift
+    a = (n - 1) / 2.0
+    # at x = a + t = a (1 + u) the shape is e^(-a (u - log(1 + u))) times its
+    # peak, and a (u - log(1 + u)) >= t^2 / (2 (a + t)), which is 40 here
+    end = a + 40.0 + math.sqrt(1600.0 + 80.0 * a)
+    far = np.linspace(4.0, end, math.ceil((end - 4.0) / 4.0) + 1)
+    ends = np.concatenate((_MASS_NEAR_ENDS, far[1:]))
+    half = 0.5 * np.diff(ends)
+    nodes, weights = _gauss(12)
+    x = (ends[:-1] + half)[:, None] + half[:, None] * nodes
+    integrand = np.exp((n - 1) * np.log(x) + _log_green_lambda(GreenParams(n, 1.0), x))
+    total = float(half @ (integrand @ weights))
+    if not math.isfinite(total):
+        raise ValueError(f"kernel mass integral leaves float64 range at N = {n}")
+    return sphere_area(n) * total / params.shift
 
 
 def _log_green_lambda(params: GreenParams, rr: np.ndarray) -> np.ndarray:
     # log G_lambda with the exponential factor kept symbolic, for ratio tests
-    from scipy import special
-
+    # and the mass
     n = params.dimension
     nu = n / 2.0 - 1.0
+    kve = _scaled_bessel(nu)[1]
     k = math.sqrt(params.shift)
     z = k * rr
     return (
         nu * (math.log(k) - np.log(rr))
-        + np.log(special.kve(nu, z))
+        + np.log(kve(z))
         - z
         - (n / 2.0) * math.log(2.0 * math.pi)
     )

@@ -65,7 +65,7 @@ import numpy as np
 
 from .barriers import SourceModel
 from .errors import NonIntegrableTailError
-from .kernels import _scaled_bessel, sphere_area
+from .kernels import _gauss, _scaled_bessel, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
 from .radial_core import RadialField, _gtsv
 
@@ -82,11 +82,6 @@ __all__ = [
 
 #: Gauss pieces the shifted potential evaluates at once (12 points each).
 _PIECE_BLOCK = 4096
-
-
-@functools.cache
-def _gauss(npts: int):
-    return np.polynomial.legendre.leggauss(npts)
 
 
 def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0):

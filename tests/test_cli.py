@@ -439,6 +439,8 @@ def test_solve_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
     ["kernel", "--r-min", "nan"],
     ["verify", "--cor3", "--radius", "inf"],
     ["verify", "--cor3", "--radius", "nan"],
+    # R = 0 reaches the grid builder rather than falling back to R = 20
+    ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "0"],
     ["verify", "--cor3", "-N", "2"],
     ["verify", "--cor3", "--amplitude", "1e300"],
 ])
@@ -638,6 +640,25 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         """), tmp_path)
 
 
+def test_kernel_loads_no_scipy_package_at_n3_and_n5(tmp_path):
+    # kernels takes K_nu from _scaled_bessel, whose N = 3 and 5 orders are
+    # closed forms, and integrates with Gauss pieces, so scipy.integrate
+    # never loads; N = 4 takes Cephes' k1e from scipy.special
+    _run_fresh(textwrap.dedent("""
+        import sys
+        from gmsteady.cli import main
+        def scipy_modules():
+            return [m for m in sys.modules if m.split('.')[0] == 'scipy']
+        for n in ('3', '5'):
+            assert main(['kernel', '-N', n, '--lam', '4', '--report', 'k.json',
+                         '--out-table', 'k.csv']) == 0
+            assert not scipy_modules(), scipy_modules()
+        assert main(['kernel', '-N', '4', '--lam', '4', '--report', 'k.json']) == 0
+        assert 'scipy.special' in sys.modules
+        assert 'scipy.integrate' not in sys.modules
+        """), tmp_path)
+
+
 @pytest.mark.parametrize("point, changes, u_rate", [
     ([*_EXP_POINT, "--rho-amplitude", "1.5"], {}, "1"),
     ([*_EXP_POINT, "--rho-amplitude", "1.5"], {"-N": "5", "--mu": "32"}, "1"),
@@ -719,6 +740,20 @@ def test_kernel_bad_shift_exit_code(tmp_path, capsys, lam):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert not (tmp_path / "k.json").exists()
+
+
+@pytest.mark.parametrize("n", [70, 80, 100, 120])
+def test_kernel_mass_at_high_dimension(tmp_path, capsys, n):
+    # the mass is met to rounding (always up to N = 80) or refused with one
+    # error line; 1/lam = 0.25 itself is in range
+    report = tmp_path / "k.json"
+    rc = run(["kernel", "-N", str(n), "--lam", "4", "--report", str(report)])
+    if n > 80 and rc == 1:
+        _assert_one_line_error(capsys)
+        assert not report.exists()
+    else:
+        assert rc == 0
+        assert abs(4.0 * json.loads(report.read_text())["mass_integral"] - 1.0) <= 1e-13
 
 
 def _config(tmp_path, text):
