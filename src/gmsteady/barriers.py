@@ -120,13 +120,17 @@ def _rate_floor(m):
     if not 0.0 < m < math.inf:
         return math.nan
     top, bottom = m.as_integer_ratio()
-    num = 2 * (top + bottom)  # 2(1+1/m) = num/top exactly
     try:
-        x = num / top  # int division rounds correctly; compare its exact ratio
+        return _ratio_floor(2 * (top + bottom), top)  # 2(1+1/m) exactly
     except OverflowError:
         return math.nextafter(math.inf, 0.0)
-    hi, lo = x.as_integer_ratio()
-    return math.nextafter(x, -math.inf) if hi * top > num * lo else x
+
+
+def _ratio_floor(num: int, den: int) -> float:
+    """The largest double <= num/den, for ints den > 0 (OverflowError past float64)."""
+    x = num / den  # int division rounds correctly; compare its exact ratio
+    top, bottom = x.as_integer_ratio()
+    return math.nextafter(x, -math.inf) if top * den > num * bottom else x
 
 
 @dataclass(frozen=True)
@@ -301,30 +305,24 @@ def check_sandwich(
 ) -> SandwichCheck:
     """Verify the two-sided ``operator_bounds`` at every grid point, to 1e-12 relative.
 
-    Comparisons are done on the operator factors, so tail underflow of
-    the profile itself cannot produce 0/0.  For the Z family with
-    a >= N - 2 the lower coefficient is <= 0; the bound still holds but
-    is flagged as vacuous.
+    Comparisons are done on ``barrier_operator_factor`` (a Z profile takes
+    shift 0), so tail underflow of the profile cannot produce 0/0.  For
+    the Z family with a >= N - 2 the lower coefficient is <= 0; the bound
+    still holds but is flagged as vacuous.
     """
     r = np.asarray(r_grid, dtype=float)
-    n = dimension
-    a = profile.rate
-    lo, hi = operator_bounds(profile, shift, n)
-    if profile.family is BarrierFamily.W:
-        fac = barrier_operator_factor(profile, shift, r, n)
-        vacuous = False
-    else:
-        # compare -Delta Z_a against bounds times Z_{a+2}: divide out Z_{a+4} scale
-        u = 1.0 + r * r
-        fac = a * (n + (n - a - 2.0) * r * r) / u
-        vacuous = lo <= 0.0
+    lo, hi = operator_bounds(profile, shift, dimension)
+    fac = barrier_operator_factor(profile, shift, r, dimension)
+    vacuous = profile.family is BarrierFamily.Z and lo <= 0.0
+    if profile.family is BarrierFamily.Z:
+        fac = fac * (1.0 + r * r)  # the bounds are on Z_{a+2} = (1 + r^2) Z_{a+4}
     scale = max(abs(lo), abs(hi), 1e-300)
     lower_margin = float(np.min(fac - lo) / scale)
     upper_margin = float(np.min(hi - fac) / scale)
     ok = lower_margin >= -1e-12 and upper_margin >= -1e-12
     eq0 = None
     if np.any(r == 0.0):
-        f0 = fac[r == 0.0][0] if fac.ndim else float(fac)
+        f0 = fac[r == 0.0][0] if np.ndim(fac) else float(fac)
         eq0 = abs(f0 - hi) / scale
     return SandwichCheck(ok, lower_margin, upper_margin, vacuous, eq0)
 
@@ -717,20 +715,17 @@ def _nonexistence_shifted(p):
 
 
 @lru_cache(maxsize=None)
-def _critical_floors(n):
-    """The largest doubles <= N/(N-2) and <= 2/(N-2).
-
-    A float x satisfies x <= N/(N-2) exactly iff it is at most the first,
-    where the rounded quotient n / (n - 2.0) is above N/(N-2) at N = 5, 9,
-    11, ... (and 2.0 / (n - 2.0) above 2/(N-2) at N = 7, 12, ...).
+def _critical_exponents(n):
+    """The largest doubles <= N/(N-2) and <= 2/(N-2) and the smallest
+    double >= (N+2)/(N-2), by which ``classify`` and ``verify_solution``
+    decide the critical exponents: a float x satisfies x <= N/(N-2) exactly
+    iff it is at most the first, and x < (N+2)/(N-2) iff it is below the
+    third.  The rounded quotients lie above N/(N-2) at N = 5, 9, 11, ...,
+    above 2/(N-2) at N = 7, 12, ..., and below (N+2)/(N-2) at N = 9, 11, ...
     """
     a, b = float(n).as_integer_ratio()  # N = a/b exactly
-    floors = []
-    for num, den in ((a, a - 2 * b), (2 * b, a - 2 * b)):
-        x = num / den  # int division rounds correctly; compare its exact ratio
-        top, bottom = x.as_integer_ratio()
-        floors.append(math.nextafter(x, -math.inf) if top * den > num * bottom else x)
-    return tuple(floors)
+    den = a - 2 * b
+    return _ratio_floor(a, den), _ratio_floor(2 * b, den), -_ratio_floor(-a - 2 * b, den)
 
 
 def _nonexistence_zero_shift(n, p, m, rate, matched):
@@ -738,7 +733,7 @@ def _nonexistence_zero_shift(n, p, m, rate, matched):
     elementwise: whether p <= N/(N-2) or m <= 2/(N-2), and whether the
     regime's algebraic envelope has rate a <= 2(1+1/m), each decided
     exactly, and those bounds as rounded quotients, for messages."""
-    p_floor, m_floor = _critical_floors(n)
+    p_floor, m_floor, _ = _critical_exponents(n)
     p_crit, m_crit, a_low = n / (n - 2.0), 2.0 / (n - 2.0), 2.0 * (1.0 + 1.0 / m)
     return ((p <= p_floor) | (m <= m_floor), matched & (rate <= _rate_floor(m)),
             p_crit, m_crit, a_low)

@@ -18,7 +18,9 @@ candidate pair: pointwise differential residuals, integral
 representation residuals, decay fits, the radial gradient criterion,
 and advisory contradiction flags.  Flags are advisory rather than hard
 failures because numerics cannot distinguish an approximate solution of
-a problem with no solutions from discretization artifacts.
+a problem with no solutions from discretization artifacts.  Their window
+N/(N-2) < p < (N+2)/(N-2) is decided exactly, as ``classify``'s rule 2
+is, by ``barriers._critical_exponents``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import Exponents, Problem
+from .barriers import Exponents, Problem, _critical_exponents
 from .errors import HypothesisError
 from .potentials import _require_shared_grid, convr_check, representation_residual
 from .radial_core import RadialField, RadialGrid, RadialOperator
@@ -71,13 +73,14 @@ def closed_form_exponents(dimension: int, p: float, s: float) -> Exponents:
     """The q and m that make u = v = w solve the zero-shift system."""
     n = dimension
     crit = (n + 2.0) / (n - 2.0)
-    if not p > crit:
+    q = p - crit
+    if not q > 0:
         raise HypothesisError(
             f"need p > (N+2)/(N-2) = {crit} so the induced q stays positive, got p = {p}"
         )
     if s <= 0:
         raise HypothesisError("need s > 0")
-    return Exponents(p, p - crit, crit + s, s)
+    return Exponents(p, q, crit + s, s)
 
 
 @dataclass
@@ -190,13 +193,8 @@ def verify_solution(
     bound, holds = convr_check(v)
 
     flags: list = []
-    crit_low = n / (n - 2.0)
-    crit_high = (n + 2.0) / (n - 2.0)
-    in_window = (
-        problem.lam == 0.0
-        and problem.rho.is_zero
-        and crit_low < exponents.p < crit_high
-    )
+    p_floor, _, p_ceiling = _critical_exponents(n)
+    in_window = problem.lam == 0.0 and problem.rho.is_zero and p_floor < exponents.p < p_ceiling
     if in_window and holds:
         flags.append(
             "Theorem 1.2(iv): bounded radial gradient ratio contradicts existence "

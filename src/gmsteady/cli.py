@@ -292,7 +292,7 @@ def cmd_region(args) -> int:
 def cmd_solve(args) -> int:
     from .potentials import divergence_probe_rho
     from .radial_core import RadialGrid, write_field
-    from .solvers import SolveStatus, solve_coupled_alg, solve_coupled_exp
+    from .solvers import _BALL_GRIDS, SolveStatus, solve_coupled_alg, solve_coupled_exp
 
     if args.radius is None and (args.h0 is not None or args.stretch is not None):
         raise ValueError("--h0 and --stretch shape the --radius grid; they need --radius")
@@ -304,9 +304,9 @@ def cmd_solve(args) -> int:
 
     grid = None
     if args.radius is not None:
-        h0 = 0.02 if args.h0 is None else args.h0
-        stretch = 1.02 if args.stretch is None else args.stretch
-        grid = RadialGrid.auto(args.radius, h0=h0, stretch=stretch)
+        h0, stretch = _BALL_GRIDS[problem.family]  # the flags override the family's recipe
+        grid = RadialGrid.auto(args.radius, h0 if args.h0 is None else args.h0,
+                               stretch if args.stretch is None else args.stretch)
     solve = solve_coupled_exp if problem.lam > 0 else solve_coupled_alg
     report = solve(problem, exponents, verdict.ledger, grid=grid)
 
@@ -437,7 +437,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                        help="evaluable amplitude in [alpha, beta] (default midpoint)")
         p.add_argument("--radius", type=float, default=None, help="truncation radius")
         p.add_argument("--h0", type=float, default=None,
-                       help="initial grid spacing (needs --radius; default 0.02)")
+                       help="initial spacing (needs --radius; default 0.02, 0.008 at zero shifts)")
         p.add_argument("--stretch", type=float, default=None,
                        help="grid stretch factor (needs --radius; default 1.02)")
         p.add_argument("--out-u", help="u field dump path")

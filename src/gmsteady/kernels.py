@@ -33,9 +33,10 @@ the closed forms stay within 9e-16 relative and Cephes within 1.4e-15,
 where AMOS ive is off by up to 2.6e-14.  Other orders fall back to
 scipy's ive/kve, the only scipy this module imports.
 
-``green_lambda_mass`` sums 12-point Gauss-Legendre pieces (``_gauss``,
-which the potentials share) of the integrand x^(N-1) G_1(x), formed in
-log space from the same expression as the bounds' far-field ratios.
+``green_lambda_mass`` sums 12-point Gauss-Legendre pieces of the
+integrand x^(N-1) G_1(x), formed in log space from the same expression
+as the bounds' far-field ratios; ``_gauss_points``, the one function
+that places Gauss points on intervals, serves it and both potentials.
 Its exact value is the Mellin integral
 integral_0^inf x^(N/2) K_nu(x) dx = 2^(N/2-1) Gamma(N/2) (DLMF 10.43.19).
 """
@@ -189,6 +190,12 @@ def _gauss(npts: int):
     return np.polynomial.legendre.leggauss(npts)
 
 
+def _gauss_points(lo: np.ndarray, hi: np.ndarray, npts: int):
+    """Gauss points mid + half*x on each [lo, hi], a row each, and the half-widths."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * _gauss(npts)[0], half
+
+
 #: the mass's Gauss pieces up to x = 4: [0, 2^-12], then doubling
 _MASS_NEAR_ENDS = np.concatenate(([0.0], np.geomspace(2.0**-12, 4.0, 15)))
 
@@ -216,11 +223,9 @@ def green_lambda_mass(params: GreenParams) -> float:
     end = a + 40.0 + math.sqrt(1600.0 + 80.0 * a)
     far = np.linspace(4.0, end, math.ceil((end - 4.0) / 4.0) + 1)
     ends = np.concatenate((_MASS_NEAR_ENDS, far[1:]))
-    half = 0.5 * np.diff(ends)
-    nodes, weights = _gauss(12)
-    x = (ends[:-1] + half)[:, None] + half[:, None] * nodes
+    x, half = _gauss_points(ends[:-1], ends[1:], 12)
     integrand = np.exp((n - 1) * np.log(x) + _log_green_lambda(GreenParams(n, 1.0), x))
-    total = float(half @ (integrand @ weights))
+    total = float(half @ (integrand @ _gauss(12)[1]))
     if not math.isfinite(total):
         raise ValueError(f"kernel mass integral leaves float64 range at N = {n}")
     return sphere_area(n) * total / params.shift

@@ -29,11 +29,12 @@ interpolant with one Gauss-piece rule: equal pieces of at most 8
 e-folds of e^(k r) per grid interval (one 8-point piece when k = 0,
 12-point pieces otherwise), evaluated as whole arrays (the shifted
 potential in runs of at most _PIECE_BLOCK pieces, which bounds its
-memory at large k).  The spline is built in house: its slopes come from
-one LAPACK ``dgtsv`` call with ``scipy.interpolate.CubicSpline``'s own
-arithmetic, and the shifted potential evaluates it at its Gauss points
-in ``PPoly``'s order, so those values are scipy's bit for bit without
-importing ``scipy.interpolate``.
+memory at large k); ``kernels._gauss_points`` places the points.  The
+spline is built in house: its slopes come from one LAPACK ``dgtsv``
+call with ``scipy.interpolate.CubicSpline``'s own arithmetic, and the
+shifted potential evaluates it at its Gauss points in ``PPoly``'s
+order, so those values are scipy's bit for bit without importing
+``scipy.interpolate``.
 
 The Newtonian potential never evaluates the spline.  On interval i the
 spline is sum_m c_m (s - r_i)^m, m = 0..3, so the 8-point rule applied
@@ -65,7 +66,7 @@ import numpy as np
 
 from .barriers import SourceModel
 from .errors import NonIntegrableTailError
-from .kernels import _gauss, _scaled_bessel, sphere_area
+from .kernels import _gauss, _gauss_points, _scaled_bessel, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
 from .radial_core import RadialField, _gtsv
 
@@ -104,8 +105,7 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
         step = ((b - a) / nsub)[owner]
         lo = a[owner] + j * step
         hi = np.where(j + 1 == nsub[owner], b[owner], lo + step)
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        yield mid[:, None] + half[:, None] * _gauss(npts)[0], half, owner
+        yield *_gauss_points(lo, hi, npts), owner
 
 
 def _spline_system(r: np.ndarray):
@@ -185,10 +185,8 @@ def _newton_plan(r: np.ndarray, dimension: int):
     moments are one (n-1, 8) @ (8, 4) product scaled by half_i^(m+1).
     """
     x, w = _gauss(8)
-    # the points _gauss_pieces(r, 8) gives, without its bookkeeping for
-    # intervals cut into several pieces
-    half = 0.5 * np.diff(r)
-    pts = (0.5 * (r[:-1] + r[1:]))[:, None] + half[:, None] * x
+    # _gauss_pieces(r, 8)'s points, without its bookkeeping for split intervals
+    pts, half = _gauss_points(r[:-1], r[1:], 8)
     weights = np.stack((pts ** (dimension - 1), pts))
     basis = w[:, None] * (1.0 + x[:, None]) ** np.arange(4)
     moments = weights @ basis * half[:, None] ** np.arange(1, 5)

@@ -110,7 +110,7 @@ class RadialGrid:
         return cls(np.linspace(0.0, radius, _node_count(n)))
 
     @classmethod
-    def graded(cls, radius: float, n: int, stretch: float = 1.02) -> "RadialGrid":
+    def graded(cls, radius: float, n: int, stretch: float) -> "RadialGrid":
         """Geometrically graded grid: each interval is ``stretch`` times the last."""
         if stretch <= 1.0:
             return cls.uniform(radius, n)
@@ -122,7 +122,7 @@ class RadialGrid:
         return cls(nodes, stretch)
 
     @classmethod
-    def auto(cls, radius: float, h0: float = 0.02, stretch: float = 1.02) -> "RadialGrid":
+    def auto(cls, radius: float, h0: float, stretch: float) -> "RadialGrid":
         """Graded grid reaching ``radius`` from an initial spacing ``h0``."""
         if not all(np.isfinite((radius, h0, stretch))):
             raise ValueError("grid radius, h0 and stretch must be finite")

@@ -45,7 +45,8 @@ is reported honestly.
 Truncation.  Exponential-family runs pick the smallest radius where
 the barrier has dropped by 1e12 relative to the origin; algebraic
 families cannot reach that drop at any practical radius, so they start
-from a configurable default.  Either way one driver,
+from a configurable default; ``_BALL_GRIDS`` holds each family's grid
+recipe.  Either way one driver,
 ``_two_ball_report``, runs the solve on the ball and again on the
 doubled ball, and reports the first run; ``SolveReport`` states its
 sandwich, convergence and allowance rules.
@@ -86,6 +87,8 @@ _EXP_DROP = 1e12
 DEFAULT_ALG_RADIUS = 480.0
 #: Iteration cap of the scalar Newton loop and of the coupled Picard loop.
 MAX_ITER = 500
+#: Each family's ball grid recipe: (h0, stretch) of ``RadialGrid.auto``.
+_BALL_GRIDS = {BarrierFamily.W: (0.02, 1.02), BarrierFamily.Z: (0.008, 1.02)}
 
 
 def default_exp_radius(rate: float) -> float:
@@ -576,7 +579,7 @@ def solve_coupled_exp(
         raise RegimeError(f"exponential regime needs positive shifts, got lam = {problem.lam}")
     if grid is None:
         radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
-        grid = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
+        grid = RadialGrid.auto(radius, *_BALL_GRIDS[BarrierFamily.W])
     return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)
 
 
@@ -602,5 +605,5 @@ def solve_coupled_alg(
     if problem.family is not BarrierFamily.Z:
         raise RegimeError(f"algebraic regime needs zero shifts, got lam = {problem.lam}")
     if grid is None:
-        grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02)
+        grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, *_BALL_GRIDS[BarrierFamily.Z])
     return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)

@@ -89,6 +89,17 @@ def test_sandwich_holds_and_is_tight_at_zero():
     assert ck_z.lower_margin >= 0.0
 
 
+@pytest.mark.parametrize("family, shift", [(BarrierFamily.W, 2.0), (BarrierFamily.Z, 0.0)])
+def test_sandwich_at_one_radius(family, shift):
+    # both families share one path, scalar radii included; a Z profile
+    # takes no shift, as barrier_operator_factor refuses one
+    ck = check_sandwich(BarrierProfile(family, 1.0), shift, 3, 0.0)
+    assert ck.ok and ck.equality_at_zero == 0.0
+    with pytest.raises(ValueError, match="shift"):
+        check_sandwich(BarrierProfile(family, 1.0), -1.0 if family is BarrierFamily.W else 1.0,
+                       3, 0.0)
+
+
 def test_sandwich_vacuous_lower_flag():
     r = np.linspace(0.0, 50.0, 2001)
     ck = check_sandwich(BarrierProfile(BarrierFamily.Z, 4.0), 0.0, 5, r)

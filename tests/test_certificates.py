@@ -155,3 +155,34 @@ def test_verify_solution_refuses_fields_on_different_grids(alg_worked_case, monk
     monkeypatch.setattr(certificates, "representation_residual", no_residual)
     with pytest.raises(ValueError, match="u and v must share a grid"):
         verify_solution(problem, exponents, rep.u, v, representation=representation)
+
+
+def _neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# the rounded quotients N/(N-2) at N = 5, 9, 11 lie above N/(N-2), and
+# (N+2)/(N-2) at N = 9 below it; each with its neighbouring doubles
+_WINDOW_ENDS = ([(n, p) for n in (5, 9, 11) for p in _neighbours(n / (n - 2.0))]
+                + [(9, p) for p in _neighbours(11.0 / 7.0)])
+
+
+@pytest.mark.parametrize("n, p", _WINDOW_ENDS)
+def test_verify_window_ends_are_decided_exactly(n, p):
+    # u = v = Z_3 with zero shifts and zero source raises both flags, so
+    # they mark exactly the p with N/(N-2) < p < (N+2)/(N-2) in exact
+    # arithmetic; the lower end is classify's rule 2 at the same p
+    from fractions import Fraction
+
+    from gmsteady.barriers import classify
+
+    grid = RadialGrid.auto(480.0, h0=0.008, stretch=1.02)
+    z3 = RadialField(grid, (1.0 + grid.nodes**2) ** -1.5)
+    problem = Problem(n, 0.0, 0.0, SourceModel.zero())
+    exponents = Exponents(p, 1.0, 1.0, 1.0)
+    cert = verify_solution(problem, exponents, z3, z3, representation=False)
+    below_low, in_window = Fraction(p) <= Fraction(n, n - 2), (
+        Fraction(n, n - 2) < Fraction(p) < Fraction(n + 2, n - 2))
+    flagged = [f.split(":")[0] for f in cert.flags]
+    assert flagged == (["Theorem 1.2(iv)", "Corollary 1.3(i)"] if in_window else [])
+    assert (classify(problem, exponents).tag == "Theorem 1.2(i)") is below_low

@@ -449,6 +449,24 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, args):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("point, radius", [
+    (_ALG_POINT, "480"),
+    ([*_EXP_POINT, "--rho-amplitude", "1.5"], "28.613552211159423"),
+])
+def test_solve_radius_reproduces_the_default_ball(tmp_path, point, radius):
+    # --radius alone takes the regime's grid recipe, so a --radius at the
+    # default ball's radius reruns the default solve, report and dumps
+    outputs = {}
+    for name, extra in (("default", []), ("radius", ["--radius", radius])):
+        report, u, v = (tmp_path / f"{name}.{ext}" for ext in ("json", "u", "v"))
+        assert run(["solve", *point, *extra, "--report", str(report), "--out-u", str(u),
+                    "--out-v", str(v)]) == 0
+        fields = json.loads(report.read_text())
+        fields.pop("timestamp")
+        outputs[name] = fields, u.read_bytes(), v.read_bytes()
+    assert outputs["radius"] == outputs["default"]
+
+
 @pytest.fixture(scope="module")
 def exp_dumps(tmp_path_factory):
     """The README solve's u and v dumps, and u dumps whose last row reads inf or nan."""

@@ -92,7 +92,7 @@ def _extended_by_loop(grid, factor):
     lambda: RadialGrid.uniform(1.0, 50),
     lambda: RadialGrid.graded(10.0, 200, 1.05),
     lambda: RadialGrid.graded(10.0, 200, 1.05).refined(),
-    lambda: RadialGrid.auto(default_exp_radius(1.0)),  # the exponential solver's default
+    lambda: RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02),  # the exp default
     lambda: RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02),  # the algebraic one
     lambda: RadialGrid.auto(20.0, h0=0.05, stretch=1.0),
 ])
