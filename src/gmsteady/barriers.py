@@ -797,14 +797,16 @@ def _unknown(problem: Problem, exponents: Exponents, detail: str) -> Verdict:
     advisories = []
     if problem.lam > 0 and exponents.p > 1:
         sig = sigma_index(exponents)
-        if sig > 1.0:
+        # mu > (m/(s+1))^2 lambda, decided on the doubles' exact ratios
+        (mu, mu_d), (m, m_d), (s, s_d), (lam, lam_d) = (
+            x.as_integer_ratio() for x in (problem.mu, exponents.m, exponents.s, problem.lam))
+        if sig > 1.0 and mu * (s + s_d) ** 2 * m_d**2 * lam_d > m**2 * lam * mu_d * s_d**2:
             thresh = _FloatOps().power_or_inf(exponents.m / (exponents.s + 1.0), 2.0)
-            thresh *= problem.lam
-            if problem.mu > thresh:
-                advisories.append(
-                    "Theorem 1.1(ii): no solution with exponentially decaying u "
-                    f"(sigma = {sig} > 1 and mu > (m/(s+1))^2 lambda = {thresh})"
-                )
+            thresh *= problem.lam  # rounded, for the message
+            advisories.append(
+                "Theorem 1.1(ii): no solution with exponentially decaying u "
+                f"(sigma = {sig} > 1 and mu > (m/(s+1))^2 lambda = {thresh})"
+            )
     return Verdict(
         VerdictStatus.UNKNOWN,
         None,

@@ -70,17 +70,30 @@ def aubin_talenti(dimension: int, amplitude: float, r):
 
 
 def closed_form_exponents(dimension: int, p: float, s: float) -> Exponents:
-    """The q and m that make u = v = w solve the zero-shift system."""
+    """The q and m that make u = v = w solve the zero-shift system.
+
+    q = p - (N+2)/(N-2) and m = (N+2)/(N-2) + s are the exact values
+    rounded once, so p is refused exactly when p <= (N+2)/(N-2).
+    """
     n = dimension
-    crit = (n + 2.0) / (n - 2.0)
-    q = p - crit
+    q, m = _plus_ratio(p, -(n + 2), n - 2), _plus_ratio(s, n + 2, n - 2)
     if not q > 0:
         raise HypothesisError(
-            f"need p > (N+2)/(N-2) = {crit} so the induced q stays positive, got p = {p}"
+            f"need p > (N+2)/(N-2) = {(n + 2.0) / (n - 2.0)} so the induced q stays "
+            f"positive, got p = {p}"
         )
     if s <= 0:
         raise HypothesisError("need s > 0")
-    return Exponents(p, q, crit + s, s)
+    return Exponents(p, q, m, s)
+
+
+def _plus_ratio(x: float, num: int, den: int) -> float:
+    """x + num/den rounded once (int division rounds correctly), for a
+    finite x and den > 0; x itself when it is inf or nan."""
+    if not math.isfinite(x):
+        return x
+    top, bottom = x.as_integer_ratio()
+    return (top * den + num * bottom) / (bottom * den)
 
 
 @dataclass

@@ -18,18 +18,21 @@ with k = sqrt(lam) and nu = N/2 - 1.  The closed product form (the
 spherical mean evaluated analytically) is what the shifted potential
 uses; the angular-quadrature form is the tests' oracle for it.  All
 Bessel factors are evaluated in exponentially scaled form so the
-scheme never overflows, and tails beyond the grid are closed using the
-declared decay model of the source.  They come from
-``kernels._scaled_bessel``: closed forms at nu = 1/2 and 3/2 (N = 3, 5)
-and Cephes' i1e/k1e at nu = 1 (N = 4), within 1.4e-15 relative of
-40-digit values, and scipy's AMOS ive/kve at other orders.
+scheme never overflows.  Tails beyond the grid are closed with the
+source's declared decay model: in closed form for the Newtonian
+potential, and for the shifted one on geometric intervals past R that
+join the grid's in its one pass of Gauss pieces.  The Bessel factors
+come from ``kernels._scaled_bessel``: closed forms at nu = 1/2 and 3/2
+(N = 3, 5) and Cephes' i1e/k1e at nu = 1 (N = 4), within 1.4e-15
+relative of 40-digit values, and scipy's AMOS ive/kve at other orders.
 
 Both potentials integrate the source's not-a-knot cubic-spline
 interpolant with one Gauss-piece rule: equal pieces of at most 8
 e-folds of e^(k r) per grid interval (one 8-point piece when k = 0,
 12-point pieces otherwise), evaluated as whole arrays (the shifted
 potential in runs of at most _PIECE_BLOCK pieces, which bounds its
-memory at large k); ``kernels._gauss_points`` places the points.  The
+memory at large k, and at most MAX_GRID_NODES pieces in all, which
+bounds its time); ``kernels._gauss_points`` places the points.  The
 spline is built in house: its slopes come from one LAPACK ``dgtsv``
 call with ``scipy.interpolate.CubicSpline``'s own arithmetic, and the
 shifted potential evaluates it at its Gauss points in ``PPoly``'s
@@ -68,7 +71,7 @@ from .barriers import SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import _gauss, _gauss_points, _scaled_bessel, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
-from .radial_core import RadialField, _gtsv
+from .radial_core import MAX_GRID_NODES, RadialField, _gtsv
 
 __all__ = [
     "DivergenceVerdict",
@@ -91,12 +94,17 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
 
     Yields the (pieces, npts) points mid + half*x, each piece's
     half-width (its weights are half*w) and the interval owning it, in
-    runs of at most ``block`` consecutive pieces (one run when 0).
+    runs of at most ``block`` consecutive pieces (one run when 0).  More
+    than MAX_GRID_NODES pieces in all are refused (ValueError).
     """
     a, b = ends[:-1], ends[1:]
-    nsub = np.maximum(1, np.ceil(rate * (b - a) / 8.0)).astype(int)
+    nsub = np.maximum(1.0, np.ceil(rate * (b - a) / 8.0))
+    total = nsub.sum()  # in floats, so no count wraps round
+    if not total <= MAX_GRID_NODES:
+        raise ValueError(f"the shifted potential needs {total:.4g} Gauss pieces, "
+                         f"more than the cap of {MAX_GRID_NODES}")
+    nsub, total = nsub.astype(int), int(total)
     first = np.cumsum(nsub) - nsub  # index of each interval's first piece
-    total = int(first[-1] + nsub[-1])
     size = block or total
     for start in range(0, total, size):
         piece = np.arange(start, min(start + size, total))
@@ -127,13 +135,6 @@ def _spline_system(r: np.ndarray):
     return dx, d0, d1, lower, diag, upper
 
 
-def _local_powers(r: np.ndarray, pts: np.ndarray, owner: np.ndarray):
-    """(x, x^2, x^3) with x = pts - r[owner]: each point's offset in its interval."""
-    x = pts - r[owner, None]
-    z = x * x
-    return x, z, z * x
-
-
 def _not_a_knot(g: np.ndarray, system) -> np.ndarray:
     """The not-a-knot cubic spline through (r, g) as its (4, n-1) coefficients.
 
@@ -162,17 +163,19 @@ def _not_a_knot(g: np.ndarray, system) -> np.ndarray:
     return coef
 
 
-def _spline_at(coef: np.ndarray, owner: np.ndarray, powers) -> np.ndarray:
-    """The spline of coefficients ``coef`` at points (one row per piece).
+def _spline_at(coef: np.ndarray, r: np.ndarray, pts: np.ndarray,
+               owner: np.ndarray) -> np.ndarray:
+    """The spline of coefficients ``coef`` on nodes r at points ``pts``.
 
-    Row i lies inside interval [r[owner[i]], r[owner[i]+1]], and
-    ``powers`` are the points' ``_local_powers``.  Each value is PPoly's
-    sum c0 + c1 x + c2 x^2 + c3 x^3 with the powers accumulated, so it is
+    Row i of ``pts`` lies inside interval [r[owner[i]], r[owner[i]+1]].
+    Each value is PPoly's sum c0 + c1 x + c2 x^2 + c3 x^3, x the point's
+    offset in its interval, with the powers accumulated, so it is
     scipy's bit for bit.
     """
     c0, c1, c2, c3 = coef[:, owner, None]
-    x, z, zx = powers
-    return c0 + c1 * x + c2 * z + c3 * zx
+    x = pts - r[owner, None]
+    z = x * x
+    return c0 + c1 * x + c2 * z + c3 * (z * x)
 
 
 def _newton_plan(r: np.ndarray, dimension: int):
@@ -241,13 +244,14 @@ def bessel_potential_radial(
     """Convolution G_shift * source restricted to radii (shift > 0).
 
     Evaluated through the factored spherical mean: cumulative scaled
-    integrals against I_nu below the diagonal and K_nu above it, on the
-    shared Gauss pieces.  Each point's e^(k s) growth is suppressed
-    against its own interval end, e^(k(s - r_(i+1))) for I_nu and
-    e^(k(r_i - s)) for K_nu (e^(k(R - s)) in the tail beyond R), and the
-    interval sums are chained with e^(-k h) factors, so no intermediate
-    ever overflows.  Applying -Delta + shift discretely to the output
-    reproduces the source to quadrature accuracy.
+    integrals against I_nu below the diagonal and K_nu above it, in one
+    pass of Gauss pieces over the grid's intervals and the tail's, which
+    grow 1.25-fold until 46 e-folds past R and carry the source's decay
+    model.  Each point's e^(k s) growth is suppressed against its own
+    interval end, e^(k(s - r_(i+1))) for I_nu and e^(k(r_i - s)) for
+    K_nu, and the interval sums are chained with e^(-k h) factors, so no
+    intermediate ever overflows.  Applying -Delta + shift discretely to
+    the output reproduces the source to quadrature accuracy.
     """
     n = dimension
     if n < 3:
@@ -264,43 +268,35 @@ def bessel_potential_radial(
     k = math.sqrt(shift)
     wg = _gauss(12)[1]
 
-    def weighted(pts, half, vals):
-        # Gauss-weighted s^(N/2) g(s) at every point of every piece
-        return half[:, None] * wg * vals * pts ** (n / 2.0)
-
+    h = max(r[-1] - r[-2], 1e-3)
+    tail = r[-1] + np.cumsum(h * 1.25 ** np.arange(400))
+    tail = tail[: np.searchsorted(k * (tail - r[-1]), 46.0, side="right") + 1]
+    ends = np.concatenate((r, tail))
     nnode = r.size
     coef = _not_a_knot(g, source.grid.plan(_spline_system))
-    ip_int, iq_int = np.zeros((2, nnode - 1))
+    ip_int, iq_int = np.zeros(nnode - 1), np.zeros(ends.size - 1)
     # the piece count grows like sqrt(shift) * R; summing run by run
     # bounds the memory
-    for pts, half, owner in _gauss_pieces(r, 12, k, _PIECE_BLOCK):
-        core = weighted(pts, half, _spline_at(coef, owner, _local_powers(r, pts, owner)))
-        ip = core * ive(k * pts) * np.exp(k * (pts - r[1:][owner, None]))
-        iq = core * kve(k * pts) * np.exp(k * (r[:-1][owner, None] - pts))
-        ip_int += np.bincount(owner, np.sum(ip, axis=1), minlength=nnode - 1)
-        iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=nnode - 1)
+    for pts, half, owner in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
+        ball = np.searchsorted(owner, nnode - 1)  # a run's ball pieces come first
+        bpts, bowner = pts[:ball], owner[:ball]
+        vals = np.concatenate((_spline_at(coef, r, bpts, bowner), source.tail(pts[ball:])))
+        core = half[:, None] * wg * vals * pts ** (n / 2.0)
+        ip = core[:ball] * ive(k * bpts) * np.exp(k * (bpts - ends[1:][bowner, None]))
+        iq = core * kve(k * pts) * np.exp(k * (ends[:-1][owner, None] - pts))
+        ip_int += np.bincount(bowner, np.sum(ip, axis=1), minlength=nnode - 1)
+        iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=ends.size - 1)
 
     # both recurrences run on Python floats: numpy scalar indexing costs
-    # about three times as much per step, for the same IEEE arithmetic
-    decay = np.exp(-k * np.diff(r)).tolist()
-    p_acc = [0.0]
+    # about three times as much per step, for the same IEEE arithmetic;
+    # P runs up the ball, Q down from the tail's last end
+    decay = np.exp(-k * np.diff(ends)).tolist()
+    p_acc, q_acc = [0.0], [0.0]
     for d, ip in zip(decay, ip_int.tolist()):
         p_acc.append(p_acc[-1] * d + ip)
-
-    # tail contribution to Q at r = R: geometric intervals until 46 e-folds
-    q_tail = 0.0
-    radius = source.grid.radius
-    h = max(r[-1] - r[-2], 1e-3)
-    ends = radius + np.concatenate(([0.0], np.cumsum(h * 1.25 ** np.arange(400))))
-    ends = ends[: np.searchsorted(k * (ends - radius), 46.0, side="right") + 1]
-    for tpts, thalf, _ in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
-        tq = weighted(tpts, thalf, source.tail(tpts)) * kve(k * tpts)
-        q_tail += float(np.sum(tq * np.exp(k * (radius - tpts))))
-
-    q_acc = [q_tail]
     for d, iq in zip(reversed(decay), reversed(iq_int.tolist())):
         q_acc.append(q_acc[-1] * d + iq)
-    p_acc, q_acc = np.array(p_acc), np.array(q_acc[::-1])
+    p_acc, q_acc = np.array(p_acc), np.array(q_acc[::-1][:nnode])
 
     u = np.empty(nnode)
     zr = k * r[1:]

@@ -692,6 +692,25 @@ def test_classify_unknown_and_advisory():
     assert v.status is VerdictStatus.NONEXISTENCE  # m <= 2/(N-2) fails first
 
 
+@pytest.mark.parametrize("mu, advised", [
+    (1.0, False),
+    (1.0000000000000002, True),
+    (1.0000000000000004, True),
+])
+def test_theorem_1_1_ii_advisory_compares_exactly(mu, advised):
+    # (m/(s+1))^2 lambda with m = 0.1 and lambda = 100 is 1 + 1.1e-16
+    # exactly, between the first two doubles of mu; rounded, it reads as
+    # the second, which then drew no advisory
+    exponents = Exponents(2.0, 20.0, 0.1, 0.0)
+    exact = (Fraction(exponents.m) / (Fraction(exponents.s) + 1)) ** 2 * 100
+    assert (Fraction(mu) > exact) is advised
+    v = classify(Problem(3, 100.0, mu, SourceModel.zero()), exponents)
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.advisories == ([
+        "Theorem 1.1(ii): no solution with exponentially decaying u "
+        "(sigma = 2.0 > 1 and mu > (m/(s+1))^2 lambda = 1.0000000000000002)"] if advised else [])
+
+
 @pytest.mark.parametrize("problem, exponents", [
     # the alg worked case with an exp envelope at zero shifts
     (Problem(5, 0.0, 0.0, SourceModel.exp_envelope(0.01, 0.015, 4.0)), Exponents(5, 2, 2, 1)),

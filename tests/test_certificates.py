@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -41,6 +42,24 @@ def test_induced_exponents():
 def test_subcritical_p_rejected():
     with pytest.raises(HypothesisError):
         closed_form_exponents(5, 2.0, 0.5)  # q = 2 - 7/3 < 0
+
+
+@pytest.mark.parametrize("n, p, admitted", [
+    (5, 2.3333333333333335, True),  # the rounded 7/3, which lies above 7/3
+    (5, 2.333333333333333, False),  # the double below it, below 7/3
+    (3, 5.0, False),  # exactly (N+2)/(N-2): q = 0
+    (3, 5.000000000000001, True),
+])
+def test_closed_form_exponents_decide_p_above_the_critical_exponent_exactly(n, p, admitted):
+    crit = Fraction(n + 2, n - 2)
+    if not admitted:
+        with pytest.raises(HypothesisError, match=f"= {(n + 2.0) / (n - 2.0)} so"):
+            closed_form_exponents(n, p, 1.0)
+        return
+    ex = closed_form_exponents(n, p, 1.0)
+    # q and m are the exact values, rounded once
+    assert ex.q == float(Fraction(p) - crit) > 0
+    assert ex.m == float(crit + 1)
 
 
 def test_residuals_second_order():

@@ -900,6 +900,22 @@ def test_verify_rate_zero_is_used(tmp_path, capsys, point, flag, reason):
     assert capsys.readouterr().err.strip().splitlines() == [f"error: {reason}"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_huge_shift_exits_with_the_piece_count(tmp_path, capsys):
+    # the README exp dumps re-verified at lam = 1e100: the shifted potential
+    # would need about 3.6e50 Gauss pieces, and is refused before any is built
+    u, v = str(tmp_path / "u.txt"), str(tmp_path / "v.txt")
+    assert run(["solve", *_EXP_POINT, "--rho-amplitude", "1.5",
+                "--report", str(tmp_path / "s.json"), "--out-u", u, "--out-v", v]) == 0
+    capsys.readouterr()
+    huge = [*_EXP_POINT[:3], "1e100", *_EXP_POINT[4:], "--rho-amplitude", "1.5"]
+    rc = run(["verify", *huge, "--u-field", u, "--v-field", v, "--u-rate", "1",
+              "--v-rate", "1", "--tol", "1e-4", "--report", str(tmp_path / "v.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: the shifted potential needs 3.649e+50 Gauss pieces, more than the cap of 1000000"]
+
+
 def test_verify_cor3_unconverged_reason(tmp_path, capsys):
     # 17 nodes leave the O(h^2) residuals far above the default --tol
     rc = run(["verify", "--cor3", "--nodes", "17", "--p", "6", "--s", "1",

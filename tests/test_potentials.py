@@ -490,18 +490,57 @@ def test_bessel_matches_amos_factors(monkeypatch, n, shift, tag):
     assert np.max(np.abs(u / amos - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
 @pytest.mark.parametrize("n, shift, tag", [
     (3, 4096.0, BarrierProfile(BarrierFamily.W, 0.7)),
     (5, 64.0, BarrierProfile(BarrierFamily.Z, 3.0)),
+    (4, 4096.0, BarrierProfile(BarrierFamily.Z, 3.5)),
 ])
-def test_bessel_piece_runs_match_one_run(monkeypatch, n, shift, tag):
-    # runs of 3 pieces split intervals and the tail between runs
+def test_bessel_piece_runs_match_one_run(monkeypatch, block, n, shift, tag):
+    # short runs split intervals, the ball/tail seam and the tail's
+    # intervals between runs
     g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
     src = RadialField(g, np.asarray(eval_barrier(tag, g.nodes)), tag)
     whole = bessel_potential_radial(n, shift, src).values
-    monkeypatch.setattr(potentials, "_PIECE_BLOCK", 3)
+    monkeypatch.setattr(potentials, "_PIECE_BLOCK", block)
     runs = bessel_potential_radial(n, shift, src).values
     assert np.max(np.abs(runs / whole - 1.0)) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shift", [1e100, 1e300])
+def test_bessel_refuses_huge_shifts_by_their_piece_count(shift):
+    # the piece count is a float: at these shifts it passes every integer
+    # type, and the call ends with a ValueError before any piece is built
+    g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
+    tag = BarrierProfile(BarrierFamily.W, 1.0)
+    src = RadialField(g, np.asarray(eval_barrier(tag, g.nodes)), tag)
+    with pytest.raises(ValueError, match=r"needs \S+ Gauss pieces, more than the cap of 1000000"):
+        bessel_potential_radial(3, shift, src)
+
+
+def test_bessel_piece_cap_admits_its_own_count(monkeypatch):
+    # the ball's and the tail's pieces count together against the cap
+    g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
+    tag = BarrierProfile(BarrierFamily.Z, 3.5)
+    src = RadialField(g, np.asarray(eval_barrier(tag, g.nodes)), tag)
+    owners = []
+    pieces = potentials._gauss_pieces
+
+    def counted(*args):
+        for run in pieces(*args):
+            owners.extend(run[2])
+            yield run
+
+    monkeypatch.setattr(potentials, "_gauss_pieces", counted)
+    whole = bessel_potential_radial(4, 4096.0, src).values
+    total = len(owners)
+    assert max(owners) > g.n - 2  # tail pieces ran
+    monkeypatch.setattr(potentials, "MAX_GRID_NODES", total)
+    assert np.array_equal(bessel_potential_radial(4, 4096.0, src).values, whole)
+    monkeypatch.setattr(potentials, "MAX_GRID_NODES", total - 1)
+    with pytest.raises(ValueError, match=f"needs {total} Gauss pieces, more than the cap of {total - 1}"):
+        bessel_potential_radial(4, 4096.0, src)
 
 
 @pytest.mark.parametrize("grid", [
@@ -522,8 +561,7 @@ def test_spline_matches_cubic_spline_bit_for_bit(grid, npts, rate):
         coef = potentials._not_a_knot(g, potentials._spline_system(r))
         reference = CubicSpline(r, g)
         for pts, _, owner in potentials._gauss_pieces(r, npts, rate, 500):
-            powers = potentials._local_powers(r, pts, owner)
-            assert np.array_equal(potentials._spline_at(coef, owner, powers), reference(pts))
+            assert np.array_equal(potentials._spline_at(coef, r, pts, owner), reference(pts))
 
 
 def test_spline_refuses_non_finite_data_like_cubic_spline():
