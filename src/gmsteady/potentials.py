@@ -186,14 +186,21 @@ def _newton_plan(r: np.ndarray, dimension: int):
     W = s^(N-1) and W = s, m = 0..3, one Gauss piece per interval, and
     r[1:]^(2-N).  Since s_j - r_i = half_i (1 + x_j), each weight's
     moments are one (n-1, 8) @ (8, 4) product scaled by half_i^(m+1).
+    Nodes on which either leaves the float64 range are refused
+    (ValueError) before any of them warns.
     """
     x, w = _gauss(8)
-    # _gauss_pieces(r, 8)'s points, without its bookkeeping for split intervals
-    pts, half = _gauss_points(r[:-1], r[1:], 8)
-    weights = np.stack((pts ** (dimension - 1), pts))
-    basis = w[:, None] * (1.0 + x[:, None]) ** np.arange(4)
-    moments = weights @ basis * half[:, None] ** np.arange(1, 5)
-    return np.ascontiguousarray(moments.transpose(0, 2, 1)), r[1:] ** (2.0 - dimension)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # _gauss_pieces(r, 8)'s points, without its bookkeeping for split intervals
+        pts, half = _gauss_points(r[:-1], r[1:], 8)
+        weights = np.stack((pts ** (dimension - 1), pts))
+        basis = w[:, None] * (1.0 + x[:, None]) ** np.arange(4)
+        moments = weights @ basis * half[:, None] ** np.arange(1, 5)
+        r_pow = r[1:] ** (2.0 - dimension)
+    if not (np.isfinite(moments).all() and np.isfinite(r_pow).all()):
+        raise ValueError(f"the Newtonian potential's moments on a grid of radius {r[-1]:g} "
+                         f"leave the float64 range in dimension {dimension}")
+    return np.ascontiguousarray(moments.transpose(0, 2, 1)), r_pow
 
 
 def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:

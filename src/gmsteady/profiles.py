@@ -58,16 +58,29 @@ class BarrierProfile:
 def eval_barrier(profile: BarrierProfile, x_norm):
     """Evaluate the profile at radius ``x_norm`` (scalar or array).
 
-    W(a): exp(-a*sqrt(1+r^2));  Z(a): (1+r^2)^(-a/2).
+    W(a): exp(-a*sqrt(1+r^2));  Z(a): (1+r^2)^(-a/2).  From r ~ 1.34e154
+    1 + r^2 overflows, but it rounds to r^2 there, so W is exp(-a r) and
+    Z is r^(-a): right at every finite r, without a warning.
     """
     r = np.asarray(x_norm, dtype=float)
     if (r < 0).any():
         raise ValueError("radius must be nonnegative")
-    u = 1.0 + r * r
-    if profile.family is BarrierFamily.W:
-        out = np.exp(-profile.rate * np.sqrt(u))
+    a = profile.rate
+    # The checked path below takes 2-3x as long per call, which makes
+    # solve-verify-alg ops about 5% slower, so radii short of the overflow
+    # take the formula alone
+    if r.max(initial=0.0) < 1e154:
+        u = 1.0 + r * r
+        out = np.exp(-a * np.sqrt(u)) if profile.family is BarrierFamily.W else u ** (-a / 2.0)
     else:
-        out = u ** (-profile.rate / 2.0)
+        # -a r may be -inf (W is 0 there), and r^(-a) is inf at r = 0, not far
+        with np.errstate(over="ignore", divide="ignore"):
+            u = 1.0 + r * r
+            far = np.isinf(u)
+            if profile.family is BarrierFamily.W:
+                out = np.exp(-a * np.where(far, r, np.sqrt(u)))
+            else:
+                out = np.where(far, r**-a, u ** (-a / 2.0))
     if np.isscalar(x_norm) or np.ndim(x_norm) == 0:
         return float(out)
     return out

@@ -96,11 +96,19 @@ class RadialGrid:
         return float(self.nodes[-1])
 
     def plan(self, build, *args):
-        """``build(nodes, *args)``, computed on the first call and kept with the grid."""
+        """``build(nodes, *args)``, computed on the first call and kept with the grid.
+
+        A plan is an array or a tuple of them (and of scalars); each array
+        is made read-only, so no caller can change what later calls read.
+        """
         key = (build, *args)
         plans = self._plans
         if key not in plans:
-            plans[key] = build(self.nodes, *args)
+            plan = build(self.nodes, *args)
+            for part in plan if isinstance(plan, tuple) else (plan,):
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+            plans[key] = plan
         return plans[key]
 
     @classmethod

@@ -48,12 +48,15 @@ families cannot reach that drop at any practical radius, so they start
 from a configurable default; ``_BALL_GRIDS`` holds each family's grid
 recipe.  Either way one driver,
 ``_two_ball_report``, runs the solve on the ball and again on the
-doubled ball, and reports the first run; ``SolveReport`` states its
-sandwich, convergence and allowance rules.
+doubled ball (``_ball_pair``), and reports the first run;
+``SolveReport`` states its sandwich, convergence and allowance rules.
+The default zero-shift ball and its doubled ball are one pair per
+process (``_default_alg_balls``), so the plans on them are built once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dfield
 from enum import Enum
@@ -162,17 +165,16 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     Fits log(field) = rate * x + c, x the family's ``log_coordinate``, in
     closed form on the centred data xc = x - mean(x), yc = y - mean(y):
     rate = sum(xc yc) / sum(xc^2), and the residual is yc - rate * xc.
+    The window's nodes, xc and sum(xc^2) are the grid's ``_fit_plan``.
     Returns (rate, rms residual).
     """
-    r = field.grid.nodes
-    mask = _window_mask(r, window)
+    mask, xc, xx = field.grid.plan(_fit_plan, family, window)
     vals = field.values[mask]
     if (vals <= 0).any():
         raise ValueError("field must be positive on the window")
     y = np.log(vals)
-    x = log_coordinate(family, r[mask])
-    xc, yc = x - x.mean(), y - y.mean()
-    rate = float(xc @ yc / (xc @ xc))
+    yc = y - y.mean()
+    rate = float(xc @ yc / xx)
     rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
     return rate, rms
 
@@ -189,6 +191,14 @@ def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
     if np.count_nonzero(mask) < 4:
         raise ValueError(f"decay-fit window [{lo:.6g}, {hi:.6g}] contains fewer than 4 grid nodes")
     return mask
+
+
+def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
+    """(mask, xc, xc @ xc): ``window``'s nodes and their centred ``log_coordinate``."""
+    mask = _window_mask(r, window)
+    x = log_coordinate(family, r[mask])
+    xc = x - x.mean()
+    return mask, xc, xc @ xc
 
 
 def _fit_windows(family: BarrierFamily, radius: float) -> tuple:
@@ -343,21 +353,36 @@ def _ball_envelopes(grid: RadialGrid, fields: dict) -> dict:
     return lows
 
 
-def _two_ball_report(grid: RadialGrid, fields: dict, run) -> SolveReport:
-    """Run on ``grid`` and on the doubled ball; report the first run by ``SolveReport``'s rules.
+def _ball_pair(grid: RadialGrid) -> tuple:
+    """The ball ``grid`` and the doubled ball that checks a run on it."""
+    return grid, grid.extended(2.0)
+
+
+@functools.cache
+def _default_alg_balls() -> tuple:
+    """The ``_ball_pair`` of every default zero-shift solve, built once per process.
+
+    So are the plans on it; every other ball's radius follows its point's
+    rates or its caller, and the ball lives only as long as its solve.
+    """
+    return _ball_pair(RadialGrid.auto(DEFAULT_ALG_RADIUS, *_BALL_GRIDS[BarrierFamily.Z]))
+
+
+def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
+    """Run on both balls of a ``_ball_pair``; report the first run by ``SolveReport``'s rules.
 
     ``fields`` maps each field name to its ``_Field``.  ``run(g, lows)``
     solves on ball ``g`` from the lower barriers ``lows`` (by name) and
     returns (values by name, iteration count, whether the run kept every
     iterate inside the sandwich, check), where ``check(out)`` takes the
     fields of the first ball's run and returns (residual of u or None,
-    residual of v, whether the run converged).  The fit windows, the
-    doubled ball's node cap and both balls' float range are checked
-    before either run, so a refusal costs no solve.
+    residual of v, whether the run converged).  The fit windows and
+    both balls' float range are checked before either run, so a refusal
+    costs no solve.
     """
+    grid, big = balls
     for f in fields.values():
         _window_mask(grid.nodes, f.window)
-    big = grid.extended(2.0)
     lows, lows2 = _ball_envelopes(grid, fields), _ball_envelopes(big, fields)
     (vals, its, inside, check), (vals2, _, inside2, _) = run(grid, lows), run(big, lows2)
     margins, gaps, sandwiched = {}, [], inside and inside2
@@ -460,7 +485,7 @@ def solve_singular_scalar(
         return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono)
 
     report = _two_ball_report(
-        psi.grid, {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0, window)}, run)
+        _ball_pair(psi.grid), {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0, window)}, run)
     report.trace = trace
     return report
 
@@ -535,18 +560,29 @@ def _coupled_report(
     problem: Problem,
     exponents: Exponents,
     ledger: ConstantsLedger,
-    grid: RadialGrid,
+    grid: Optional[RadialGrid],
     tol_change: float,
     tol_residual: float,
 ) -> SolveReport:
-    """Both regimes' two-ball solve; callers check ledger regime and shifts."""
+    """Both regimes' two-ball solve; callers check ledger regime and shifts.
+
+    Without a ``grid``, an exponential run takes the ball of
+    ``default_exp_radius`` and a zero-shift run ``_default_alg_balls``.
+    """
     if not ledger.feasible:
         raise RegimeError(f"ledger infeasible: {ledger.violated}")
     fam = problem.family
     if problem.rho.family is not fam:
         regime = ledger.regime.name.lower()
         raise RegimeError(f"{regime} regime expects an {regime} source envelope")
-    window_u, window_v = _fit_windows(fam, grid.radius)
+    if grid is not None:
+        balls = _ball_pair(grid)
+    elif fam is BarrierFamily.W:
+        radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
+        balls = _ball_pair(RadialGrid.auto(radius, *_BALL_GRIDS[fam]))
+    else:
+        balls = _default_alg_balls()
+    window_u, window_v = _fit_windows(fam, balls[0].radius)
     # the loop raises u to positive powers only, and v to -q and -s-1
     fields = {
         "u": _Field("M1_lower * B_u", BarrierProfile(fam, ledger.rate_u),
@@ -554,7 +590,7 @@ def _coupled_report(
         "v": _Field("M2_lower * B_v", BarrierProfile(fam, ledger.rate_v), ledger.m2_lower,
                     ledger.m2_upper, max(exponents.q, exponents.s + 1.0), window_v),
     }
-    return _two_ball_report(grid, fields, lambda g, lows: _picard_coupled(
+    return _two_ball_report(balls, fields, lambda g, lows: _picard_coupled(
         problem, exponents, ledger, g, lows, tol_change, tol_residual))
 
 
@@ -577,9 +613,6 @@ def solve_coupled_exp(
         raise RegimeError("expected an exponential-regime ledger")
     if problem.family is not BarrierFamily.W:
         raise RegimeError(f"exponential regime needs positive shifts, got lam = {problem.lam}")
-    if grid is None:
-        radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
-        grid = RadialGrid.auto(radius, *_BALL_GRIDS[BarrierFamily.W])
     return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)
 
 
@@ -604,6 +637,4 @@ def solve_coupled_alg(
         raise RegimeError("expected an algebraic-regime ledger")
     if problem.family is not BarrierFamily.Z:
         raise RegimeError(f"algebraic regime needs zero shifts, got lam = {problem.lam}")
-    if grid is None:
-        grid = RadialGrid.auto(DEFAULT_ALG_RADIUS, *_BALL_GRIDS[BarrierFamily.Z])
     return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)

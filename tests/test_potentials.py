@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from gmsteady.barriers import Exponents, Problem, SourceModel, barrier_operator_value
 from gmsteady.errors import NonIntegrableTailError
-from gmsteady import potentials
+from gmsteady import potentials, radial_core, solvers
 from gmsteady.kernels import GreenParams, green_lambda, sphere_area
 from gmsteady.potentials import (
     DivergenceVerdict,
@@ -200,6 +201,40 @@ def test_grid_plans_hold_at_most_160_bytes_per_node():
     newton_potential_radial(5, _alg_source(grid))
     RadialOperator(grid, 5)
     assert _array_bytes(tuple(grid._plans.values())) <= 160 * grid.n
+
+
+def test_grid_plans_are_read_only():
+    # a plan is shared by every later call on its grid, the default
+    # zero-shift balls' for the whole process: no caller may write into it
+    grid = RadialGrid.auto(40.0, 0.02, 1.02)
+    plans = [grid.plan(radial_core._flux_plan, 5), grid.plan(potentials._spline_system),
+             grid.plan(potentials._newton_plan, 5),
+             grid.plan(solvers._fit_plan, BarrierFamily.Z, (4.0, 16.0))]
+    arrays = [part for plan in plans for part in plan if isinstance(part, np.ndarray)]
+    assert len(arrays) == 4 + 4 + 2 + 2
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    # the operators and potentials that read them still run, dgtsv included
+    source = _alg_source(grid)
+    assert newton_potential_radial(5, source).values.tobytes() == \
+        newton_potential_radial(5, RadialField(RadialGrid(grid.nodes, grid.stretch),
+                                               source.values, source.decay_tag)).values.tobytes()
+    assert np.isfinite(RadialOperator(grid, 5, 1.0).solve(source.values, 0.0)).all()
+
+
+@pytest.mark.parametrize("radius, dimension", [(1e200, 5), (1e200, 3), (1e300, 3),
+                                               (1e308, 3), (1e-300, 5)])
+def test_newton_potential_refuses_a_grid_beyond_the_float_range(radius, dimension):
+    # the moments s^(N-1) h^4 (or r^(2-N)) leave float64: one ValueError up
+    # front, before any numpy warning
+    grid = RadialGrid.uniform(radius, 20)
+    tag = BarrierProfile(BarrierFamily.Z, 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        source = RadialField(grid, np.asarray(eval_barrier(tag, grid.nodes)), tag)
+        with pytest.raises(ValueError, match="leave the float64 range"):
+            newton_potential_radial(dimension, source)
 
 
 def test_newton_consistency_second_order():

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -73,3 +76,29 @@ def test_problem_family_follows_the_shifts():
     assert Problem(3, 4.0, 1.0, rho).family is BarrierFamily.W
     assert Problem(3, 0.0, 0.0, rho).family is BarrierFamily.Z
     assert Problem(5, 1e-300, 1e-300, rho).family is BarrierFamily.W
+
+
+def test_barriers_are_right_at_every_finite_radius():
+    # 1 + r^2 overflows from r ~ 1.34e154; beyond it W is exp(-a r) and Z
+    # is r^(-a), and below it the values are the formula's bit for bit
+    z1, z3 = BarrierProfile(BarrierFamily.Z, 1.0), BarrierProfile(BarrierFamily.Z, 3.0)
+    w_small = BarrierProfile(BarrierFamily.W, 1e-300)
+    near = np.array([0.0, 1.0, 480.0, 1e100, 1e154, 1.3e154, 1.34e154])
+    far = np.array([1.35e154, 1e200, 1e300, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_barrier(z1, 1e200) == 1e-200
+        assert eval_barrier(z1, 1e300) == 1e-300
+        assert eval_barrier(z3, 1e200) == 0.0
+        assert eval_barrier(w_small, 1e200) == math.exp(-1e-100)
+        assert eval_barrier(BarrierProfile(BarrierFamily.Z, 0.0), 1e300) == 1.0
+        for profile in (*_PROFILES, z1):
+            a = profile.rate
+            u = 1.0 + near * near
+            exact = np.exp(-a * np.sqrt(u)) if profile.family is BarrierFamily.W else u ** (-a / 2)
+            both = np.asarray(eval_barrier(profile, np.concatenate((near, far))))
+            assert both[: near.size].tobytes() == exact.tobytes()
+            assert [eval_barrier(profile, float(r)) for r in near] == exact.tolist()
+            with np.errstate(over="ignore"):
+                tail = np.exp(-a * far) if profile.family is BarrierFamily.W else far ** -a
+            assert both[near.size:].tobytes() == tail.tobytes()

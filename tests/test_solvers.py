@@ -1,6 +1,9 @@
 import dataclasses
+import gc
+import json
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from gmsteady.barriers import (
     exp_regime_ledger,
     operator_bounds,
 )
+from gmsteady.certificates import verify_solution
+from gmsteady.cli import _jsonable
 from gmsteady.errors import HypothesisError, NonexistenceError, RegimeError
 from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
 from gmsteady.radial_core import (
@@ -736,3 +741,63 @@ def test_sandwich_violated_when_an_iterate_leaves_the_ledger(exp_worked_case):
     assert violated.status is SolveStatus.SANDWICH_VIOLATED
     assert violated.iterations == 1 < report.iterations
     assert violated.margins["u"][1] > cut.m1_upper / cut.m1_lower
+
+
+def _plans_asked(monkeypatch, work):
+    """Run ``work()``; return its result and each plan it asked a grid for, by key."""
+    asked, plan = {}, RadialGrid.plan
+
+    def spy(grid, build, *args):
+        out = asked[(id(grid), build.__name__, *args)] = plan(grid, build, *args)
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RadialGrid, "plan", spy)
+        return work(), asked
+
+
+def _solve_and_verify(problem, exponents, ledger, **kwargs):
+    report = solve_coupled_alg(problem, exponents, ledger, **kwargs)
+    return report, verify_solution(problem, exponents, report.u, report.v)
+
+
+def test_default_alg_solves_share_one_ball_pair_and_its_plans(alg_worked_case, monkeypatch):
+    # whatever ran before, the first pass leaves every plan on the pair;
+    # the second then builds none and returns the same plan objects
+    problem, exponents, ledger, _ = alg_worked_case
+    (first, _), asked1 = _plans_asked(
+        monkeypatch, lambda: _solve_and_verify(problem, exponents, ledger))
+    (second, cert), asked2 = _plans_asked(
+        monkeypatch, lambda: _solve_and_verify(problem, exponents, ledger))
+    ball, big = solvers._default_alg_balls()
+    assert first.u.grid is second.u.grid is second.v.grid is ball
+    assert {key[0] for key in asked2} == {id(ball), id(big)}
+    assert {key[1] for key in asked2} == {"_flux_plan", "_newton_plan", "_spline_system",
+                                          "_fit_plan"}
+    assert all(asked1.get(key) is plan for key, plan in asked2.items())
+    # and it answers as a solve on a grid built afresh, bit for bit
+    fresh = RadialGrid.auto(solvers.DEFAULT_ALG_RADIUS, *solvers._BALL_GRIDS[BarrierFamily.Z])
+    own, own_cert = _solve_and_verify(problem, exponents, ledger, grid=fresh)
+    assert own.u.grid is fresh
+    assert json.dumps(_jsonable(second)) == json.dumps(_jsonable(own))
+    assert json.dumps(_jsonable(cert)) == json.dumps(_jsonable(own_cert))
+    assert second.u.values.tobytes() == own.u.values.tobytes()
+    assert second.v.values.tobytes() == own.v.values.tobytes()
+
+
+def test_only_the_default_alg_ball_pair_outlives_its_solve(exp_worked_case, alg_worked_case,
+                                                           monkeypatch):
+    made, init = [], RadialGrid.__post_init__
+
+    def spy(grid):
+        init(grid)
+        made.append(weakref.ref(grid))
+
+    monkeypatch.setattr(RadialGrid, "__post_init__", spy)
+    reports = [solve_coupled_exp(*exp_worked_case[:3]),
+               _solve_and_verify(*alg_worked_case[:3], grid=RadialGrid.auto(60.0, 0.05, 1.05))[0]]
+    # each solve's ball, which its report holds, and its doubled ball
+    assert len(made) == 4 and made[0]() is reports[0].u.grid
+    del reports
+    gc.collect()
+    assert [ref() for ref in made if ref() is not None] == []
