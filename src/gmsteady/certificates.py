@@ -33,9 +33,9 @@ import numpy as np
 
 from .barriers import Exponents, Problem, _critical_exponents
 from .errors import HypothesisError
-from .potentials import _require_shared_grid, convr_check, representation_residual
+from .potentials import _admit_pair, _pde_residuals, convr_check, representation_residual
 from .radial_core import RadialField, RadialGrid, RadialOperator
-from .solvers import _fit_windows, _pde_residuals, decay_fit
+from .solvers import _fit_windows, decay_fit
 
 __all__ = [
     "Cor3Certificate",
@@ -179,8 +179,8 @@ def verify_solution(
     stays out of the measurement); representation residuals compare
     against the integral form and need decay tags on both fields.
     Decay rates are fitted over the windows a solve report uses.  A
-    pair whose fields sit on different nodes is refused (ValueError)
-    before any residual.
+    pair that is not positive on one grid is refused (ValueError) before
+    any residual.
 
     Advisory flags (never hard errors):
       * "Theorem 1.2(iv)": zero shifts, zero source, N/(N-2) < p <
@@ -189,9 +189,7 @@ def verify_solution(
       * "Corollary 1.3(i)": same window, and the fitted algebraic decay
         rate of u lies below ((N-2)s + N)/m.
     """
-    if (u.values <= 0).any() or (v.values <= 0).any():
-        raise ValueError("fields must be positive")
-    _require_shared_grid(u, v)
+    _admit_pair(u, v)
     n = problem.dimension
     pde_u, pde_v = _pde_residuals(problem, exponents, u, v)
 
@@ -200,9 +198,9 @@ def verify_solution(
         rep_u, rep_v = representation_residual(problem, exponents, u, v)
 
     family = problem.family
-    window_u, window_v = _fit_windows(family, u.grid.radius)
-    fit_u = decay_fit(u, family, window_u)
-    fit_v = decay_fit(v, family, window_v)
+    windows = _fit_windows(family, u.grid.radius)
+    fit_u = decay_fit(u, family, windows["u"])
+    fit_v = decay_fit(v, family, windows["v"])
     bound, holds = convr_check(v)
 
     flags: list = []

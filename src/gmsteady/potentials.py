@@ -53,6 +53,10 @@ potentials share (32 bytes per node), and per N the Newtonian
 potential's moments and r^(2-N) (72 bytes per node).  The arithmetic
 and its order are those of a fresh grid, bit for bit.
 
+A candidate pair (u, v) is measured here against both forms of the
+system, ``_pde_residuals`` and ``representation_residual``, which share
+one admission check, one set of right sides and one half-ball sup.
+
 The divergence probe decides the source's improper integral by the
 exact exponent test and reports the dyadic shell sums of its envelope.
 """
@@ -67,11 +71,11 @@ from typing import Optional
 
 import numpy as np
 
-from .barriers import SourceModel
+from .barriers import Exponents, Problem, SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import _gauss, _gauss_points, _scaled_bessel, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
-from .radial_core import MAX_GRID_NODES, RadialField, _gtsv
+from .radial_core import MAX_GRID_NODES, RadialField, RadialOperator, _gtsv
 
 __all__ = [
     "DivergenceVerdict",
@@ -153,8 +157,8 @@ def _not_a_knot(g: np.ndarray, system) -> np.ndarray:
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
     dydx = _gtsv(lower, diag, upper, b)
-    if not np.isfinite(dydx).all():
-        raise ValueError("spline slopes must be finite")
+    if not np.isfinite(dydx).all():  # the nodes and values are finite
+        raise ValueError("spline slopes leave the float64 range")
     coef = np.empty((4, dx.size))
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dx
     coef[0], coef[1] = g[:-1], dydx[:-1]
@@ -258,7 +262,8 @@ def bessel_potential_radial(
     interval end, e^(k(s - r_(i+1))) for I_nu and e^(k(r_i - s)) for
     K_nu, and the interval sums are chained with e^(-k h) factors, so no
     intermediate ever overflows.  Applying -Delta + shift discretely to
-    the output reproduces the source to quadrature accuracy.
+    the output reproduces the source to quadrature accuracy.  A grid on
+    which the arithmetic leaves float64 is refused (ValueError), unwarned.
     """
     n = dimension
     if n < 3:
@@ -275,42 +280,48 @@ def bessel_potential_radial(
     k = math.sqrt(shift)
     wg = _gauss(12)[1]
 
-    h = max(r[-1] - r[-2], 1e-3)
-    tail = r[-1] + np.cumsum(h * 1.25 ** np.arange(400))
-    tail = tail[: np.searchsorted(k * (tail - r[-1]), 46.0, side="right") + 1]
-    ends = np.concatenate((r, tail))
-    nnode = r.size
-    coef = _not_a_knot(g, source.grid.plan(_spline_system))
-    ip_int, iq_int = np.zeros(nnode - 1), np.zeros(ends.size - 1)
-    # the piece count grows like sqrt(shift) * R; summing run by run
-    # bounds the memory
-    for pts, half, owner in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
-        ball = np.searchsorted(owner, nnode - 1)  # a run's ball pieces come first
-        bpts, bowner = pts[:ball], owner[:ball]
-        vals = np.concatenate((_spline_at(coef, r, bpts, bowner), source.tail(pts[ball:])))
-        core = half[:, None] * wg * vals * pts ** (n / 2.0)
-        ip = core[:ball] * ive(k * bpts) * np.exp(k * (bpts - ends[1:][bowner, None]))
-        iq = core * kve(k * pts) * np.exp(k * (ends[:-1][owner, None] - pts))
-        ip_int += np.bincount(bowner, np.sum(ip, axis=1), minlength=nnode - 1)
-        iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=ends.size - 1)
+    # on a grid of huge radius the spans' powers, the tail's layout or the
+    # weights s^(N/2) leave float64: refused below, before any warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = max(r[-1] - r[-2], 1e-3)
+        tail = r[-1] + np.cumsum(h * 1.25 ** np.arange(400))
+        tail = tail[: np.searchsorted(k * (tail - r[-1]), 46.0, side="right") + 1]
+        ends = np.concatenate((r, tail))
+        nnode = r.size
+        coef = _not_a_knot(g, source.grid.plan(_spline_system))
+        ip_int, iq_int = np.zeros(nnode - 1), np.zeros(ends.size - 1)
+        # the piece count grows like sqrt(shift) * R; summing run by run
+        # bounds the memory
+        for pts, half, owner in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
+            ball = np.searchsorted(owner, nnode - 1)  # a run's ball pieces come first
+            bpts, bowner = pts[:ball], owner[:ball]
+            vals = np.concatenate((_spline_at(coef, r, bpts, bowner), source.tail(pts[ball:])))
+            core = half[:, None] * wg * vals * pts ** (n / 2.0)
+            ip = core[:ball] * ive(k * bpts) * np.exp(k * (bpts - ends[1:][bowner, None]))
+            iq = core * kve(k * pts) * np.exp(k * (ends[:-1][owner, None] - pts))
+            ip_int += np.bincount(bowner, np.sum(ip, axis=1), minlength=nnode - 1)
+            iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=ends.size - 1)
 
-    # both recurrences run on Python floats: numpy scalar indexing costs
-    # about three times as much per step, for the same IEEE arithmetic;
-    # P runs up the ball, Q down from the tail's last end
-    decay = np.exp(-k * np.diff(ends)).tolist()
-    p_acc, q_acc = [0.0], [0.0]
-    for d, ip in zip(decay, ip_int.tolist()):
-        p_acc.append(p_acc[-1] * d + ip)
-    for d, iq in zip(reversed(decay), reversed(iq_int.tolist())):
-        q_acc.append(q_acc[-1] * d + iq)
-    p_acc, q_acc = np.array(p_acc), np.array(q_acc[::-1][:nnode])
+        # both recurrences run on Python floats: numpy scalar indexing costs
+        # about three times as much per step, for the same IEEE arithmetic;
+        # P runs up the ball, Q down from the tail's last end
+        decay = np.exp(-k * np.diff(ends)).tolist()
+        p_acc, q_acc = [0.0], [0.0]
+        for d, ip in zip(decay, ip_int.tolist()):
+            p_acc.append(p_acc[-1] * d + ip)
+        for d, iq in zip(reversed(decay), reversed(iq_int.tolist())):
+            q_acc.append(q_acc[-1] * d + iq)
+        p_acc, q_acc = np.array(p_acc), np.array(q_acc[::-1][:nnode])
 
-    u = np.empty(nnode)
-    zr = k * r[1:]
-    u[1:] = r[1:] ** (1.0 - n / 2.0) * (
-        kve(zr) * p_acc[1:] + ive(zr) * q_acc[1:]
-    )
-    u[0] = (k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
+        u = np.empty(nnode)
+        zr = k * r[1:]
+        u[1:] = r[1:] ** (1.0 - n / 2.0) * (
+            kve(zr) * p_acc[1:] + ive(zr) * q_acc[1:]
+        )
+        u[0] = (k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
+    if not np.isfinite(u).all():
+        raise ValueError(f"the shifted potential on a grid of radius {r[-1]:g} "
+                         f"leaves the float64 range in dimension {n}")
 
     if source.decay_tag is not None and source.decay_tag.family is BarrierFamily.Z:
         out_tag = source.decay_tag
@@ -330,10 +341,38 @@ def _combined_tail_rate(
     return power * base.decay_tag.rate - other_power * other.decay_tag.rate
 
 
-def _require_shared_grid(u: RadialField, v: RadialField) -> None:
-    """Refuse a pair (u, v) whose fields do not sit on the same nodes."""
+def _admit_pair(u: RadialField, v: RadialField) -> None:
+    """Refuse a candidate pair (u, v) unless both fields are positive on one grid."""
+    if (u.values <= 0).any() or (v.values <= 0).any():
+        raise ValueError("fields must be positive")
     if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
         raise ValueError("u and v must share a grid")
+
+
+def _right_sides(problem: Problem, exponents: Exponents, r: np.ndarray,
+                 u: np.ndarray, v: np.ndarray) -> tuple:
+    """(u^p/v^q + rho, u^m/v^s) at the nodes r, where u and v take the values given."""
+    return (u**exponents.p / v**exponents.q + problem.rho.evaluate(r),
+            u**exponents.m / v**exponents.s)
+
+
+def _half_ball_sup(grid, gap: np.ndarray) -> float:
+    """Sup of |gap| over the nodes r <= R/2 of ``grid`` (``gap`` may lack the last node)."""
+    r = grid.nodes[: gap.size]
+    return float(np.abs(gap[r <= 0.5 * grid.radius]).max())
+
+
+def _pde_residuals(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField):
+    """Sup over r <= R/2 of both equation residuals of the pair (u, v).
+
+    The half ball keeps the Dirichlet truncation out of the measurement.
+    """
+    op = RadialOperator(u.grid, problem.dimension)
+    uu, vv = u.values[:-1], v.values[:-1]
+    rhs_u, rhs_v = _right_sides(problem, exponents, u.grid.nodes[:-1], uu, vv)
+    res_u = op.laplacian(u.values) + problem.lam * uu - rhs_u
+    res_v = op.laplacian(v.values) + problem.mu * vv - rhs_v
+    return _half_ball_sup(u.grid, res_u), _half_ball_sup(u.grid, res_v)
 
 
 def representation_residual(problem, exponents, u: RadialField, v: RadialField):
@@ -344,32 +383,19 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     the declared tail models, not truncation, dominate the comparison.
     Returns (residual_u, residual_v).
     """
-    if (u.values <= 0).any() or (v.values <= 0).any():
-        raise ValueError("fields must be positive")
-    _require_shared_grid(u, v)
+    _admit_pair(u, v)
     n = problem.dimension
-    r = u.grid.nodes
 
     family = problem.family
     rate_u_rhs = _combined_tail_rate(u, exponents.p, v, exponents.q)
     rate_v_rhs = _combined_tail_rate(u, exponents.m, v, exponents.s)
-    rho_vals = problem.rho.evaluate(r)
     if problem.rho.family is not None:
         rate_u_rhs = min(rate_u_rhs, problem.rho.rate)
     if rate_u_rhs <= 0 or rate_v_rhs <= 0:
         raise ValueError("right-hand sides do not decay; representation undefined")
-
-    rhs_u = RadialField(
-        u.grid,
-        u.values**exponents.p / v.values**exponents.q + rho_vals,
-        BarrierProfile(family, rate_u_rhs),
-    )
-    rhs_v = RadialField(
-        u.grid,
-        u.values**exponents.m / v.values**exponents.s,
-        BarrierProfile(family, rate_v_rhs),
-    )
-    mask = r <= 0.5 * u.grid.radius
+    values_u, values_v = _right_sides(problem, exponents, u.grid.nodes, u.values, v.values)
+    rhs_u = RadialField(u.grid, values_u, BarrierProfile(family, rate_u_rhs))
+    rhs_v = RadialField(u.grid, values_v, BarrierProfile(family, rate_v_rhs))
 
     def one_side(target: RadialField, shift: float, rhs: RadialField) -> float:
         try:
@@ -381,7 +407,7 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
             # the candidate's right side has a divergent potential: the
             # representation cannot hold, report an infinite gap
             return math.inf
-        return float(np.abs(target.values[mask] - pot.values[mask]).max())
+        return _half_ball_sup(u.grid, target.values - pot.values)
 
     res_u = one_side(u, problem.lam, rhs_u)
     res_v = one_side(v, problem.mu, rhs_v)

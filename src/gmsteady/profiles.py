@@ -87,10 +87,23 @@ def eval_barrier(profile: BarrierProfile, x_norm):
 
 
 def log_coordinate(family: BarrierFamily, r):
-    """x(r) with log B_a(r) = a * x(r): -sqrt(1+r^2) for W, -(1/2) log(1+r^2) for Z."""
-    if family is BarrierFamily.W:
-        return -np.sqrt(1.0 + r * r)
-    return -0.5 * np.log1p(r * r)
+    """x(r) with log B_a(r) = a * x(r): -sqrt(1+r^2) for W, -(1/2) log(1+r^2) for Z.
+
+    Where 1 + r^2 overflows it rounds to r^2, as in ``eval_barrier``, so x
+    is -r for W and -log r for Z there, without a warning.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.max(initial=0.0) < 1e154:
+        if family is BarrierFamily.W:
+            return -np.sqrt(1.0 + r * r)
+        return -0.5 * np.log1p(r * r)
+    # log r is -inf at r = 0, which is not far
+    with np.errstate(over="ignore", divide="ignore"):
+        rr = r * r
+        far = np.isinf(rr)
+        if family is BarrierFamily.W:
+            return np.where(far, -r, -np.sqrt(1.0 + rr))
+        return np.where(far, -np.log(r), -0.5 * np.log1p(rr))
 
 
 def weighted_antiderivative(profile: BarrierProfile, r: float) -> float:

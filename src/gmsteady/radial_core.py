@@ -115,7 +115,11 @@ class RadialGrid:
     def uniform(cls, radius: float, n: int) -> "RadialGrid":
         if not 0.0 < radius < np.inf:
             raise ValueError("grid radius must be positive and finite")
-        return cls(np.linspace(0.0, radius, _node_count(n)))
+        # near the largest double, (n-1) * (radius/(n-1)) may round past it;
+        # linspace sets that last node to radius itself
+        with np.errstate(over="ignore"):
+            nodes = np.linspace(0.0, radius, _node_count(n))
+        return cls(nodes)
 
     @classmethod
     def graded(cls, radius: float, n: int, stretch: float) -> "RadialGrid":

@@ -66,7 +66,7 @@ import numpy as np
 
 from .barriers import ConstantsLedger, Exponents, Problem, Regime, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
-from .potentials import newton_potential_radial
+from .potentials import _pde_residuals, newton_potential_radial
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
 from .radial_core import RadialField, RadialGrid, RadialOperator
 
@@ -201,8 +201,8 @@ def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
     return mask, xc, xc @ xc
 
 
-def _fit_windows(family: BarrierFamily, radius: float) -> tuple:
-    """Decay-fit windows (u's, v's) of a ``family`` run on a ball of ``radius``.
+def _fit_windows(family: BarrierFamily, radius: float) -> dict:
+    """Decay-fit window of each field, by name, of a ``family`` run on a ball of ``radius``.
 
     Dirichlet truncation error decays exponentially inward for W runs
     but only algebraically for Z runs, so a Z fit of v sits deeper
@@ -211,27 +211,8 @@ def _fit_windows(family: BarrierFamily, radius: float) -> tuple:
     """
     if family is BarrierFamily.W:
         window = (0.35 * radius, 0.75 * radius)
-        return window, window
-    return (0.3 * radius, 0.7 * radius), (0.04 * radius, 0.16 * radius)
-
-
-def _pde_residuals(
-    problem: Problem, exponents: Exponents, u: RadialField, v: RadialField
-) -> tuple:
-    """Sup over r <= R/2 of both equation residuals of the pair (u, v).
-
-    The half ball keeps the Dirichlet truncation out of the measurement.
-    """
-    op = RadialOperator(u.grid, problem.dimension)
-    r = u.grid.nodes[:-1]  # the last node is never inside the half ball
-    uu, vv = u.values[:-1], v.values[:-1]
-    rho_vals = problem.rho.evaluate(u.grid.nodes)[:-1]
-    lap_u = op.laplacian(u.values)
-    lap_v = op.laplacian(v.values)
-    res_u = lap_u + problem.lam * uu - (uu**exponents.p / vv**exponents.q + rho_vals)
-    res_v = lap_v + problem.mu * vv - uu**exponents.m / vv**exponents.s
-    mask = r <= 0.5 * u.grid.radius
-    return float(np.abs(res_u[mask]).max()), float(np.abs(res_v[mask]).max())
+        return {"u": window, "v": window}
+    return {"u": (0.3 * radius, 0.7 * radius), "v": (0.04 * radius, 0.16 * radius)}
 
 
 def _sandwich_margins(vals: np.ndarray, low: np.ndarray, cap: float):
@@ -330,7 +311,6 @@ class _Field(NamedTuple):
     lower: float
     upper: float
     power: float  # runs raise the field to powers down to -power
-    window: tuple  # decay-fit window
 
 
 def _ball_envelopes(grid: RadialGrid, fields: dict) -> dict:
@@ -376,13 +356,15 @@ def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
     returns (values by name, iteration count, whether the run kept every
     iterate inside the sandwich, check), where ``check(out)`` takes the
     fields of the first ball's run and returns (residual of u or None,
-    residual of v, whether the run converged).  The fit windows and
-    both balls' float range are checked before either run, so a refusal
-    costs no solve.
+    residual of v, whether the run converged).  Each field is fitted over
+    its window in ``_fit_windows``.  The fit windows and both balls'
+    float range are checked before either run, so a refusal costs no
+    solve.
     """
     grid, big = balls
-    for f in fields.values():
-        _window_mask(grid.nodes, f.window)
+    windows = _fit_windows(fields["v"].barrier.family, grid.radius)  # one family per run
+    for name in fields:
+        _window_mask(grid.nodes, windows[name])
     lows, lows2 = _ball_envelopes(grid, fields), _ball_envelopes(big, fields)
     (vals, its, inside, check), (vals2, _, inside2, _) = run(grid, lows), run(big, lows2)
     margins, gaps, sandwiched = {}, [], inside and inside2
@@ -404,7 +386,7 @@ def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
         residual_u=res_u,
         residual_v=res_v,
         margins=margins,
-        decay={name: decay_fit(out[name], f.barrier.family, f.window)
+        decay={name: decay_fit(out[name], f.barrier.family, windows[name])
                for name, f in fields.items()},
         iterations=its,
         ball_radius=grid.radius,
@@ -474,7 +456,6 @@ def solve_singular_scalar(
     m_env, big_m = _field_envelope(psi, env_profile)
     c_low = (m_env / hi) ** (1.0 / (s + 1.0))
     c_high = (big_m / lo) ** (1.0 / (s + 1.0))
-    window = _fit_windows(family, psi.grid.radius)[1]
     trace: list = []
 
     def run(g: RadialGrid, lows: dict):
@@ -485,7 +466,7 @@ def solve_singular_scalar(
         return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono)
 
     report = _two_ball_report(
-        _ball_pair(psi.grid), {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0, window)}, run)
+        _ball_pair(psi.grid), {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0)}, run)
     report.trace = trace
     return report
 
@@ -582,13 +563,12 @@ def _coupled_report(
         balls = _ball_pair(RadialGrid.auto(radius, *_BALL_GRIDS[fam]))
     else:
         balls = _default_alg_balls()
-    window_u, window_v = _fit_windows(fam, balls[0].radius)
     # the loop raises u to positive powers only, and v to -q and -s-1
     fields = {
         "u": _Field("M1_lower * B_u", BarrierProfile(fam, ledger.rate_u),
-                    ledger.m1_lower, ledger.m1_upper, 0.0, window_u),
+                    ledger.m1_lower, ledger.m1_upper, 0.0),
         "v": _Field("M2_lower * B_v", BarrierProfile(fam, ledger.rate_v), ledger.m2_lower,
-                    ledger.m2_upper, max(exponents.q, exponents.s + 1.0), window_v),
+                    ledger.m2_upper, max(exponents.q, exponents.s + 1.0)),
     }
     return _two_ball_report(balls, fields, lambda g, lows: _picard_coupled(
         problem, exponents, ledger, g, lows, tol_change, tol_residual))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gmsteady import certificates
@@ -157,23 +158,48 @@ def test_solve_and_verify_share_the_pde_residual(case, request):
 
 
 @pytest.mark.parametrize("representation", [True, False])
-@pytest.mark.parametrize("nodes", ["scaled", "fewer"])
+@pytest.mark.parametrize("nodes", ["scaled", "fewer", "nonpositive"])
 def test_verify_solution_refuses_fields_on_different_grids(alg_worked_case, monkeypatch,
                                                           representation, nodes):
     # a v whose radii are wrong is refused before any residual, with or
-    # without the representation check
+    # without the representation check; a v with a zero value is refused
+    # as not positive first, though its radii are wrong as well
     problem, exponents, _, rep = alg_worked_case
-    r = rep.v.grid.nodes
-    v = (RadialField(RadialGrid(1.5 * r), rep.v.values, rep.v.decay_tag) if nodes == "scaled"
-         else RadialField(RadialGrid(r[:-1]), rep.v.values[:-1], rep.v.decay_tag))
+    r, values = rep.v.grid.nodes, rep.v.values.copy()
+    if nodes == "fewer":
+        v = RadialField(RadialGrid(r[:-1]), values[:-1], rep.v.decay_tag)
+    else:
+        if nodes == "nonpositive":
+            values[3] = 0.0
+        v = RadialField(RadialGrid(1.5 * r), values, rep.v.decay_tag)
 
     def no_residual(*args):
         raise AssertionError("a residual was computed")
 
     monkeypatch.setattr(certificates, "_pde_residuals", no_residual)
     monkeypatch.setattr(certificates, "representation_residual", no_residual)
-    with pytest.raises(ValueError, match="u and v must share a grid"):
+    message = "fields must be positive" if nodes == "nonpositive" else "u and v must share a grid"
+    with pytest.raises(ValueError, match=message):
         verify_solution(problem, exponents, rep.u, v, representation=representation)
+
+
+@pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
+def test_pde_residuals_read_only_the_half_ball(case, request):
+    # the residual at node i reads nodes i-1, i and i+1, so fields changed
+    # only from two nodes past the half ball's last node leave both PDE
+    # residuals as they were; a change from one node past moves the sup
+    problem, exponents, _, rep = request.getfixturevalue(case)
+    r = rep.u.grid.nodes
+    last = np.flatnonzero(r <= 0.5 * rep.u.grid.radius)[-1]
+
+    def residuals(first):
+        u, v = (RadialField(f.grid, np.where(np.arange(r.size) >= first, 1.5, 1.0) * f.values,
+                            f.decay_tag) for f in (rep.u, rep.v))
+        cert = verify_solution(problem, exponents, u, v, representation=False)
+        return cert.pde_residual_u, cert.pde_residual_v
+
+    assert residuals(last + 2) == (rep.residual_u, rep.residual_v)
+    assert residuals(last + 1) != (rep.residual_u, rep.residual_v)
 
 
 def _neighbours(x):

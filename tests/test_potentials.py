@@ -554,6 +554,19 @@ def test_bessel_refuses_huge_shifts_by_their_piece_count(shift):
         bessel_potential_radial(3, shift, src)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius, shift", [(1e200, 4096.0), (1e200, 1e300), (1e150, 1e-300)])
+def test_bessel_refuses_a_grid_beyond_the_float_range(radius, shift):
+    # the spline's end rows (spans of 5e198), the tail's layout (at shift
+    # 1e300) or the cubes of the spline's offsets (spans of 5e148) leave
+    # float64: one ValueError naming the range, before any numpy warning
+    grid = RadialGrid.uniform(radius, 20)
+    tag = BarrierProfile(BarrierFamily.Z, 3.0)
+    source = RadialField(grid, np.asarray(eval_barrier(tag, grid.nodes)), tag)
+    with pytest.raises(ValueError, match="leaves? the float64 range"):
+        bessel_potential_radial(3, shift, source)
+
+
 def test_bessel_piece_cap_admits_its_own_count(monkeypatch):
     # the ball's and the tail's pieces count together against the cap
     g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)

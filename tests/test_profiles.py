@@ -102,3 +102,24 @@ def test_barriers_are_right_at_every_finite_radius():
             with np.errstate(over="ignore"):
                 tail = np.exp(-a * far) if profile.family is BarrierFamily.W else far ** -a
             assert both[near.size:].tobytes() == tail.tobytes()
+
+
+def test_log_coordinate_is_right_at_every_finite_radius():
+    # where 1 + r^2 overflows it rounds to r^2, so x is -r for W and -log r
+    # for Z there, as eval_barrier reads its limits; below it the values
+    # are the formula's bit for bit
+    near = np.array([0.0, 1.0, 480.0, 1e100, 1e154, 1.3e154, 1.34e154])
+    far = np.array([1.35e154, 1e200, 1e300, np.finfo(float).max])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for family in BarrierFamily:
+            w = family is BarrierFamily.W
+            exact = -np.sqrt(1.0 + near * near) if w else -0.5 * np.log1p(near * near)
+            assert log_coordinate(family, near).tobytes() == exact.tobytes()
+            both = log_coordinate(family, np.concatenate((near, far)))
+            assert both[: near.size].tobytes() == exact.tobytes()
+            assert both[near.size:].tobytes() == (-far if w else -np.log(far)).tobytes()
+        # and it still linearises the profile there
+        z1 = BarrierProfile(BarrierFamily.Z, 1.0)
+        assert np.allclose(log_coordinate(BarrierFamily.Z, far),
+                           np.log(eval_barrier(z1, far)), rtol=1e-15, atol=0)

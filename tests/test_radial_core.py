@@ -38,6 +38,18 @@ def test_grid_validation():
             RadialGrid(nodes)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [16, 20, 1001])
+def test_uniform_grid_reaches_the_largest_double_unwarned(n):
+    # (n - 1) * (R / (n - 1)) may round past the largest double; the last
+    # node is R itself, every node is linspace's, and nothing warns
+    big = np.finfo(float).max
+    grid = RadialGrid.uniform(big, n)
+    assert grid.radius == big and np.isfinite(grid.nodes).all()
+    with np.errstate(over="ignore"):
+        assert grid.nodes.tobytes() == np.linspace(0.0, big, n).tobytes()
+
+
 def test_grid_keeps_a_read_only_copy_of_its_nodes():
     nodes = np.linspace(0.0, 1.0, 20)
     grid = RadialGrid(nodes)

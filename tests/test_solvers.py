@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from gmsteady import solvers
+from gmsteady import potentials, solvers
 from gmsteady.barriers import (
     Exponents,
     Problem,
@@ -546,7 +546,7 @@ class TestCoupledAlgebraic:
 ])
 def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, monkeypatch):
     # each ball assembles the scalar solve's operator and, in W runs, the
-    # resolvent once; the residual check assembles one more
+    # resolvent once; the residual check (in potentials) assembles one more
     problem, exponents, ledger, _ = request.getfixturevalue(case)
     built = []
 
@@ -556,6 +556,7 @@ def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, 
             super().__init__(grid, *args)
 
     monkeypatch.setattr(solvers, "RadialOperator", Counting)
+    monkeypatch.setattr(potentials, "RadialOperator", Counting)
     iterations = []
     for tol_change in (1e-3, 1e-9):
         built.clear()
