@@ -263,7 +263,8 @@ def bessel_potential_radial(
     K_nu, and the interval sums are chained with e^(-k h) factors, so no
     intermediate ever overflows.  Applying -Delta + shift discretely to
     the output reproduces the source to quadrature accuracy.  A grid on
-    which the arithmetic leaves float64 is refused (ValueError), unwarned.
+    which the arithmetic leaves float64 is refused (ValueError), unwarned,
+    for N <= 343; past that Gamma(N/2) itself leaves float64 (OverflowError).
     """
     n = dimension
     if n < 3:
@@ -318,7 +319,8 @@ def bessel_potential_radial(
         u[1:] = r[1:] ** (1.0 - n / 2.0) * (
             kve(zr) * p_acc[1:] + ive(zr) * q_acc[1:]
         )
-        u[0] = (k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
+        # in numpy, so that (k/2)^nu overflows to inf and is refused below
+        u[0] = np.float64(k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
     if not np.isfinite(u).all():
         raise ValueError(f"the shifted potential on a grid of radius {r[-1]:g} "
                          f"leaves the float64 range in dimension {n}")

@@ -93,12 +93,8 @@ def log_coordinate(family: BarrierFamily, r):
     is -r for W and -log r for Z there, without a warning.
     """
     r = np.asarray(r, dtype=float)
-    if r.max(initial=0.0) < 1e154:
-        if family is BarrierFamily.W:
-            return -np.sqrt(1.0 + r * r)
-        return -0.5 * np.log1p(r * r)
-    # log r is -inf at r = 0, which is not far
-    with np.errstate(over="ignore", divide="ignore"):
+    # log r is -inf at r = 0 (and nan at r < 0), which is not far
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         rr = r * r
         far = np.isinf(rr)
         if family is BarrierFamily.W:

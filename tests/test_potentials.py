@@ -567,6 +567,17 @@ def test_bessel_refuses_a_grid_beyond_the_float_range(radius, shift):
         bessel_potential_radial(3, shift, source)
 
 
+@pytest.mark.filterwarnings("error")
+def test_bessel_refuses_a_centre_value_beyond_the_float_range():
+    # u(0) carries (k/2)^nu / Gamma(nu + 1): at N = 70 and shift 1e19 the
+    # power leaves float64, and the call ends in the same ValueError
+    grid = RadialGrid.uniform(1e-6, 20)
+    tag = BarrierProfile(BarrierFamily.Z, 3.0)
+    source = RadialField(grid, np.asarray(eval_barrier(tag, grid.nodes)), tag)
+    with pytest.raises(ValueError, match="leaves the float64 range in dimension 70"):
+        bessel_potential_radial(70, 1e19, source)
+
+
 def test_bessel_piece_cap_admits_its_own_count(monkeypatch):
     # the ball's and the tail's pieces count together against the cap
     g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
