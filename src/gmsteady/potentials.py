@@ -264,7 +264,7 @@ def bessel_potential_radial(
     intermediate ever overflows.  Applying -Delta + shift discretely to
     the output reproduces the source to quadrature accuracy.  A grid on
     which the arithmetic leaves float64 is refused (ValueError), unwarned,
-    for N <= 343; past that Gamma(N/2) itself leaves float64 (OverflowError).
+    and so is every N >= 344, where Gamma(N/2) itself leaves float64.
     """
     n = dimension
     if n < 3:
@@ -274,6 +274,8 @@ def bessel_potential_radial(
     g = source.values
     if np.any(g < 0):
         raise ValueError("source must be nonnegative")
+    if n > 343:  # u(0) divides by Gamma(N/2), above 2^1024 from N = 344
+        raise ValueError(f"Gamma(N/2) leaves the float64 range in dimension {n}")
 
     r = source.grid.nodes
     nu = n / 2.0 - 1.0

@@ -50,6 +50,9 @@ recipe.  Either way one driver,
 ``_two_ball_report``, runs the solve on the ball and again on the
 doubled ball (``_ball_pair``), and reports the first run;
 ``SolveReport`` states its sandwich, convergence and allowance rules.
+A coupled W run starts the doubled ball one Picard step behind the
+first ball's answer; Z runs and the scalar solve start it from the
+lower barriers.
 The default zero-shift ball and its doubled ball are one pair per
 process (``_default_alg_balls``), so the plans on them are built once.
 """
@@ -165,10 +168,13 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     Fits log(field) = rate * x + c, x the family's ``log_coordinate``, in
     closed form on the centred data xc = x - mean(x), yc = y - mean(y):
     rate = sum(xc yc) / sum(xc^2), and the residual is yc - rate * xc.
-    The window's nodes, xc and sum(xc^2) are the grid's ``_fit_plan``.
+    The window's nodes, xc and sum(xc^2) are the grid's ``_fit_plan``,
+    which scales x by a power of two past |x| = 2^400, so that sum(xc^2)
+    stays finite; the fit in the scaled coordinate, multiplied by that
+    scale, is the rate.
     Returns (rate, rms residual).
     """
-    mask, xc, xx = field.grid.plan(_fit_plan, family, window)
+    mask, xc, xx, scale = field.grid.plan(_fit_plan, family, window)
     vals = field.values[mask]
     if (vals <= 0).any():
         raise ValueError("field must be positive on the window")
@@ -176,7 +182,7 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     yc = y - y.mean()
     rate = float(xc @ yc / xx)
     rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
-    return rate, rms
+    return rate * scale, rms
 
 
 def algebraic_scalar_admissible(dimension: int, s: float, gamma: float) -> bool:
@@ -194,11 +200,18 @@ def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
 
 
 def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
-    """(mask, xc, xc @ xc): ``window``'s nodes and their centred ``log_coordinate``."""
+    """(mask, xc, xc @ xc, scale): ``window``'s nodes and their centred ``log_coordinate``.
+
+    Past |x| = 2^400 (W windows beyond r ~ 1e120) x is multiplied by the
+    power of two ``scale`` that brings it below, so xc @ xc stays finite;
+    the scaling is exact, and below 2^400 ``scale`` is 1.
+    """
     mask = _window_mask(r, window)
     x = log_coordinate(family, r[mask])
+    scale = math.ldexp(1.0, min(400 - math.frexp(float(np.abs(x).max()))[1], 0))
+    x = x * scale
     xc = x - x.mean()
-    return mask, xc, xc @ xc
+    return mask, xc, xc @ xc, scale
 
 
 def _fit_windows(family: BarrierFamily, radius: float) -> dict:
@@ -351,22 +364,37 @@ def _default_alg_balls() -> tuple:
 def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
     """Run on both balls of a ``_ball_pair``; report the first run by ``SolveReport``'s rules.
 
-    ``fields`` maps each field name to its ``_Field``.  ``run(g, lows)``
-    solves on ball ``g`` from the lower barriers ``lows`` (by name) and
-    returns (values by name, iteration count, whether the run kept every
-    iterate inside the sandwich, check), where ``check(out)`` takes the
-    fields of the first ball's run and returns (residual of u or None,
-    residual of v, whether the run converged).  Each field is fitted over
-    its window in ``_fit_windows``.  The fit windows and both balls'
-    float range are checked before either run, so a refusal costs no
-    solve.
+    ``fields`` maps each field name to its ``_Field``.  ``run(g, lows,
+    start)`` solves on ball ``g`` from ``start`` (values by name), or
+    from the lower barriers ``lows`` (by name) when ``start`` is None,
+    and returns (values by name, iteration count, whether the run kept
+    every iterate inside the sandwich, check, the iterate before the
+    last by name or None), where ``check(out)`` takes the fields of the
+    first ball's run and returns (residual of u or None, residual of v,
+    whether the run converged).  Each field is fitted over its window in
+    ``_fit_windows``.  The fit windows and both balls' float range are
+    checked before either run, so a refusal costs no solve.
+
+    The first ball always starts from its lower barriers.  A W run that
+    reports the iterate before its last restarts the doubled ball from
+    it, continued beyond R by the doubled ball's lower barriers: every
+    iterate is pinned to them at R.  The doubled ball then repeats the
+    first ball's last step, and the gap compares the images of one
+    iterate under the two balls' maps, as two cold runs in lock step
+    do.  Z runs restart cold: the pin of v at R moves the doubled
+    ball's answer, and a warm start there takes more steps, not fewer.
     """
     grid, big = balls
-    windows = _fit_windows(fields["v"].barrier.family, grid.radius)  # one family per run
+    family = fields["v"].barrier.family  # one family per run
+    windows = _fit_windows(family, grid.radius)
     for name in fields:
         _window_mask(grid.nodes, windows[name])
     lows, lows2 = _ball_envelopes(grid, fields), _ball_envelopes(big, fields)
-    (vals, its, inside, check), (vals2, _, inside2, _) = run(grid, lows), run(big, lows2)
+    vals, its, inside, check, prev = run(grid, lows, None)
+    start = None
+    if prev is not None and family is BarrierFamily.W:
+        start = {name: np.concatenate((prev[name], lows2[name][grid.n :])) for name in fields}
+    vals2, _, inside2, _, _ = run(big, lows2, start)
     margins, gaps, sandwiched = {}, [], inside and inside2
     for name, f in fields.items():
         cap, near = f.upper / f.lower, vals2[name][: grid.n]
@@ -458,12 +486,14 @@ def solve_singular_scalar(
     c_high = (big_m / lo) ** (1.0 / (s + 1.0))
     trace: list = []
 
-    def run(g: RadialGrid, lows: dict):
+    # the run reports no earlier iterate, so ``start`` is always None: both
+    # balls start from v_low, and each trace is monotone
+    def run(g: RadialGrid, lows: dict, start: None):
         psi_vals = np.concatenate((psi.values, psi.tail(g.nodes[psi.grid.n :])))
         vals, res, its, mono = _monotone_ball(RadialOperator(g, n), shift, s, psi_vals,
                                               lows["v"], tol_residual,
                                               trace if record_trace else None)
-        return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono)
+        return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono), None
 
     report = _two_ball_report(
         _ball_pair(psi.grid), {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0)}, run)
@@ -484,15 +514,19 @@ def _picard_coupled(
     lows: dict,
     tol_change: float,
     tol_residual: float,
+    start: Optional[dict] = None,
 ) -> tuple:
-    """Picard loop on ``grid`` from the lower barriers ``lows``: a ``_two_ball_report`` run.
+    """Picard loop on ``grid`` from ``start``, else ``lows``: a ``_two_ball_report`` run.
 
-    The loop stops at the first iterate that leaves the sandwich anywhere
-    on the ball, before v's negative powers can leave float64.
+    ``lows`` are the lower barriers.  The loop stops at the first iterate
+    that leaves the sandwich anywhere on the ball, before v's negative
+    powers can leave float64.  It reports the iterate that its last step
+    mapped.
     """
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
-    u, v = low_u, low_v = lows["u"], lows["v"]
+    low_u, low_v = lows["u"], lows["v"]
+    u, v = (low_u, low_v) if start is None else (start["u"], start["v"])
     cap_u, cap_v = ledger.m1_upper / ledger.m1_lower, ledger.m2_upper / ledger.m2_lower
     rho_vals = problem.rho.evaluate(grid.nodes)
 
@@ -524,6 +558,7 @@ def _picard_coupled(
             float(np.abs(u_new - u).max()) / max(float(u_new.max()), 1e-300),
             float(np.abs(v_new - v).max()) / max(float(v_new.max()), 1e-300),
         )
+        prev = {"u": u, "v": v}
         u, v = u_new, v_new
         inside = _sandwich_margins(u, low_u, cap_u)[1] and _sandwich_margins(v, low_v, cap_v)[1]
         if not inside or change <= tol_change:
@@ -534,7 +569,7 @@ def _picard_coupled(
         converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
         return res_u, res_v, converged
 
-    return {"u": u, "v": v}, it, inside, check
+    return {"u": u, "v": v}, it, inside, check, prev
 
 
 def _coupled_report(
@@ -570,8 +605,8 @@ def _coupled_report(
         "v": _Field("M2_lower * B_v", BarrierProfile(fam, ledger.rate_v), ledger.m2_lower,
                     ledger.m2_upper, max(exponents.q, exponents.s + 1.0)),
     }
-    return _two_ball_report(balls, fields, lambda g, lows: _picard_coupled(
-        problem, exponents, ledger, g, lows, tol_change, tol_residual))
+    return _two_ball_report(balls, fields, lambda g, lows, start: _picard_coupled(
+        problem, exponents, ledger, g, lows, tol_change, tol_residual, start))
 
 
 def solve_coupled_exp(

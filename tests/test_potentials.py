@@ -578,6 +578,22 @@ def test_bessel_refuses_a_centre_value_beyond_the_float_range():
         bessel_potential_radial(70, 1e19, source)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dimension, message", [
+    (343, "on a grid of radius 1e-06 leaves the float64 range in dimension 343"),
+    (344, r"Gamma\(N/2\) leaves the float64 range in dimension 344"),
+    (400, r"Gamma\(N/2\) leaves the float64 range in dimension 400"),
+])
+def test_bessel_refuses_a_dimension_whose_gamma_leaves_the_float_range(dimension, message):
+    # u(0) divides by Gamma(N/2), above the largest double from N = 344:
+    # refused up front, as at N = 343 the grid's arithmetic is refused
+    grid = RadialGrid.uniform(1e-6, 20)
+    tag = BarrierProfile(BarrierFamily.Z, 3.0)
+    source = RadialField(grid, np.asarray(eval_barrier(tag, grid.nodes)), tag)
+    with pytest.raises(ValueError, match=message):
+        bessel_potential_radial(dimension, 1.0, source)
+
+
 def test_bessel_piece_cap_admits_its_own_count(monkeypatch):
     # the ball's and the tail's pieces count together against the cap
     g = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)

@@ -232,12 +232,68 @@ def inner_counts_by_ball(monkeypatch):
     return counts
 
 
-def assert_warm_inner_counts(counts):
+def assert_warm_inner_counts(counts, family):
     # on each ball the first Picard step starts Newton from v_low, and every
-    # later one from the previous step's v, a step or two from its answer
+    # later one from the previous step's v, a step or two from its answer; a
+    # W run's doubled ball takes one Picard step, from the iterate before the
+    # first ball's answer, so its one Newton call starts warm too
     assert len(counts) == 2, counts
-    for calls in counts.values():
-        assert len(calls) >= 2 and calls[0] <= 10 and max(calls[1:]) <= 2, counts
+    first, doubled = (counts[radius] for radius in sorted(counts))
+    assert len(first) >= 2 and first[0] <= 10 and max(first[1:]) <= 2, counts
+    if family is BarrierFamily.W:
+        assert len(doubled) == 1 and doubled[0] <= 2, counts
+    else:
+        assert len(doubled) >= 2 and doubled[0] <= 10 and max(doubled[1:]) <= 2, counts
+
+
+def picard_runs(monkeypatch, cold=False):
+    """Spy on ``_picard_coupled``: (ball radius, started warm, Picard steps) of each run.
+
+    With ``cold`` every run starts from its lower barriers, as a Z run's
+    doubled ball does: the reference that a warm doubled ball is held to.
+    """
+    runs, real = [], solvers._picard_coupled
+
+    def spy(*args):
+        args = args[:7] if cold else args
+        out = real(*args)
+        runs.append((args[3].radius, len(args) > 7 and args[7] is not None, out[1]))
+        return out
+
+    monkeypatch.setattr(solvers, "_picard_coupled", spy)
+    return runs
+
+
+def random_exp_points(count=8):
+    """``count`` feasible exponential-regime points (problem, exponents, ledger), seed 7011."""
+    rng = np.random.default_rng(7011)
+    while count:
+        p = float(rng.uniform(1.3, 3.0))
+        s = float(rng.uniform(0.0, 1.5))
+        m = float(rng.uniform(0.5, 2.0))
+        sigma = float(rng.uniform(0.2, 1.0))
+        q = sigma * (p - 1.0) * (s + 1.0) / m
+        n = int(rng.integers(3, 6))
+        a = float(rng.uniform(0.5, 1.5))
+        lam = float(rng.uniform(3.0, 20.0)) * max(2 * a * a, n * n)
+        b = a * m / (s + 1.0)
+        mu = float(rng.uniform(1.05, 2.5)) * max(2 * b * b, n * n)
+        alpha = 1.0
+        beta = float(rng.uniform(1.0, 1.3))
+        exponents = Exponents(p, q, m, s)
+        ledger = exp_regime_ledger(exponents, n, lam, mu, alpha, beta, a)
+        if not ledger.feasible:
+            continue
+        yield Problem(n, lam, mu, SourceModel.exp_envelope(alpha, beta, a)), exponents, ledger
+        count -= 1
+
+
+def singular_exp_case():
+    """An exponential-regime point with s > 0: (problem, exponents, ledger)."""
+    exponents = Exponents(2.0, 1.0, 1.0, 1.0)  # sigma = 1/2, b = 1/2
+    ledger = exp_regime_ledger(exponents, 3, 1000.0, 12.0, 1.0, 1.2, 1.0)
+    assert ledger.feasible
+    return Problem(3, 1000.0, 12.0, SourceModel.exp_envelope(1.0, 1.2, 1.0, 1.1)), exponents, ledger
 
 
 class TestScalarExponential:
@@ -450,14 +506,11 @@ class TestCoupledExponential:
 
     def test_singular_inner_equation(self, monkeypatch):
         # s > 0 exercises the singular v-update inside the coupled loop
-        exponents = Exponents(2.0, 1.0, 1.0, 1.0)  # sigma = 1/2, b = 1/2
-        ledger = exp_regime_ledger(exponents, 3, 1000.0, 12.0, 1.0, 1.2, 1.0)
-        assert ledger.feasible
-        problem = Problem(3, 1000.0, 12.0, SourceModel.exp_envelope(1.0, 1.2, 1.0, 1.1))
+        problem, exponents, ledger = singular_exp_case()
         counts = inner_counts_by_ball(monkeypatch)
         rep = solve_coupled_exp(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
-        assert_warm_inner_counts(counts)
+        assert_warm_inner_counts(counts, BarrierFamily.W)
         assert rep.residual_u <= 1e-6 and rep.residual_v <= 1e-6
         ratio = rep.decay["v"][0] / rep.decay["u"][0]
         assert ratio == pytest.approx(0.5, rel=0.02)  # m/(s+1) = 1/2
@@ -501,7 +554,7 @@ class TestCoupledAlgebraic:
         counts = inner_counts_by_ball(monkeypatch)
         rep = solve_coupled_alg(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
-        assert_warm_inner_counts(counts)
+        assert_warm_inner_counts(counts, BarrierFamily.Z)
 
     def test_default_solve_lies_on_the_tightened_one(self, alg_worked_case):
         # each warm-started inner solve ends far below its tolerance, so the
@@ -565,37 +618,60 @@ def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, 
     assert iterations[0] < iterations[1]
 
 
+@pytest.mark.parametrize("case, solve, doubled", [
+    ("exp_worked_case", solve_coupled_exp, (True, 1)),
+    ("alg_worked_case", solve_coupled_alg, (False, 3)),
+])
+def test_w_doubled_ball_repeats_only_the_last_picard_step(case, solve, doubled, request,
+                                                          monkeypatch):
+    # a converged W run restarts its doubled ball from the iterate before
+    # the first ball's answer, and the repeated step meets tol_change; a Z
+    # run restarts it from the lower barriers and takes its three steps
+    problem, exponents, ledger, _ = request.getfixturevalue(case)
+    runs = picard_runs(monkeypatch)
+    rep = solve(problem, exponents, ledger)
+    assert rep.status is SolveStatus.CONVERGED
+    (radius, warm, steps), (radius2, *rest) = runs
+    assert radius2 > radius == rep.ball_radius and not warm and steps == rep.iterations
+    assert tuple(rest) == doubled
+
+
+def test_warm_doubled_ball_keeps_the_cold_status_and_gap(exp_worked_case, monkeypatch):
+    # the first ball is untouched, and the doubled ball's one step reads
+    # the gap of the doubled ball started from its lower barriers; at the
+    # random point with s = 1.11 that gap is v's move at the node R alone,
+    # where one step from the lower barriers beyond R reads 2.48e-14 for
+    # 3.75e-14: a default W ball is cut where the barrier has fallen
+    # 1e12-fold, so 1e-12 of the fields' peak is the scale of that move
+    worked, singular = exp_worked_case[:3], singular_exp_case()
+    solves = [(point, None) for point in random_exp_points()]
+    solves += [(worked, None), (singular, None), (worked, RadialGrid.auto(4.0, 0.02, 1.02)),
+               (singular, RadialGrid.uniform(6.0, 40))]
+    for (problem, exponents, ledger), grid in solves:
+        warm = solve_coupled_exp(problem, exponents, ledger, grid)
+        with monkeypatch.context() as patch:
+            picard_runs(patch, cold=True)
+            cold = solve_coupled_exp(problem, exponents, ledger, grid)
+        assert warm.status is cold.status
+        assert warm.u.values.tobytes() == cold.u.values.tobytes()
+        assert warm.v.values.tobytes() == cold.v.values.tobytes()
+        assert json.dumps(_jsonable(dataclasses.replace(warm, stability_gap=0.0))) == \
+            json.dumps(_jsonable(dataclasses.replace(cold, stability_gap=0.0)))
+        gap, peak = cold.stability_gap, max(cold.u.values.max(), cold.v.values.max())
+        assert abs(warm.stability_gap - gap) <= 1e-14 + 1e-4 * gap + 1e-12 * peak, (gap, warm)
+
+
 class TestRandomFeasiblePoints:
     """The machinery must hold up across the feasible region, not just at
     the worked configurations: random feasible ledgers must yield
     converged, sandwiched solves."""
 
     def test_random_exponential_points(self):
-        rng = np.random.default_rng(7011)
-        done = 0
-        while done < 8:
-            p = float(rng.uniform(1.3, 3.0))
-            s = float(rng.uniform(0.0, 1.5))
-            m = float(rng.uniform(0.5, 2.0))
-            sigma = float(rng.uniform(0.2, 1.0))
-            q = sigma * (p - 1.0) * (s + 1.0) / m
-            n = int(rng.integers(3, 6))
-            a = float(rng.uniform(0.5, 1.5))
-            lam = float(rng.uniform(3.0, 20.0)) * max(2 * a * a, n * n)
-            b = a * m / (s + 1.0)
-            mu = float(rng.uniform(1.05, 2.5)) * max(2 * b * b, n * n)
-            alpha = 1.0
-            beta = float(rng.uniform(1.0, 1.3))
-            exponents = Exponents(p, q, m, s)
-            ledger = exp_regime_ledger(exponents, n, lam, mu, alpha, beta, a)
-            if not ledger.feasible:
-                continue
-            problem = Problem(n, lam, mu, SourceModel.exp_envelope(alpha, beta, a))
+        for problem, exponents, ledger in random_exp_points():
             rep = solve_coupled_exp(problem, exponents, ledger)
-            assert rep.status is SolveStatus.CONVERGED, (p, q, m, s, n, a, lam, mu)
+            assert rep.status is SolveStatus.CONVERGED, (exponents, problem, ledger.rate_u)
             assert rep.margins["u"][0] >= 1 - 1e-9
             assert rep.margins["v"][0] >= 1 - 1e-9
-            done += 1
 
     def test_random_algebraic_points(self):
         rng = np.random.default_rng(4001)
@@ -675,6 +751,41 @@ class TestDecayFit:
         assert decay_fit(field, BarrierFamily.W, (r[7], r[10]))[0] == pytest.approx(1.0)
         with pytest.raises(ValueError, match="fewer than 4"):
             decay_fit(field, BarrierFamily.W, (r[7], r[9]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius", [1e120, 1e200, np.finfo(float).max])
+    def test_fits_w_windows_where_xc_squared_overflows(self, radius):
+        # x = -r there, and sum(xc^2) passes the largest double from r ~ 1e154
+        # (1e120 stays below 2^400 and is fitted unscaled): the fit runs on x
+        # scaled by a power of two, unwarned
+        grid = RadialGrid.uniform(radius, 40)
+        field = RadialField(grid, np.exp(-grid.nodes / (radius / 10.0)))
+        rate, rms = decay_fit(field, BarrierFamily.W, (0.3 * radius, 0.9 * radius))
+        assert rate == pytest.approx(10.0 / radius, rel=1e-14, abs=0)
+        assert rms <= 1e-14
+
+    @pytest.mark.parametrize("family, radius, scale", [
+        (BarrierFamily.W, 40.0, 1.0), (BarrierFamily.Z, 150.0, 1.0),
+        (BarrierFamily.Z, 1e300, 1.0), (BarrierFamily.W, 1e150, 2.0**-98),
+    ])
+    def test_fits_are_the_closed_form_bit_for_bit(self, family, radius, scale):
+        # wherever sum(xc^2) is finite the fit is the plain closed form on
+        # the centred data: the plan's scale is 1 below |x| = 2^400, and a
+        # power of two above it, which changes no bit
+        grid = RadialGrid.auto(radius, h0=radius / 800.0, stretch=1.02)
+        r = grid.nodes
+        field = RadialField(grid, np.asarray(eval_barrier(BarrierProfile(family, 1.5 / radius), r))
+                            * np.exp(np.sin(r / radius)))
+        window = (0.2 * radius, 0.7 * radius)
+        assert grid.plan(solvers._fit_plan, family, window)[3] == scale
+        mask = (r >= window[0]) & (r <= window[1])
+        x = log_coordinate(family, r[mask])
+        xc = x - x.mean()
+        y = np.log(field.values[mask])
+        yc = y - y.mean()
+        rate = float(xc @ yc / (xc @ xc))
+        rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
+        assert decay_fit(field, family, window) == (rate, rms)
 
     def test_closed_form_agrees_with_lstsq(self):
         # the centred closed form and a least-squares solver fit the same line
