@@ -91,6 +91,9 @@ __all__ = [
 #: Gauss pieces the shifted potential evaluates at once (12 points each).
 _PIECE_BLOCK = 4096
 
+#: the shifted potential's tail intervals grow 1.25-fold from the last span
+_TAIL_STEPS = 1.25 ** np.arange(400)
+
 
 def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0):
     """Gauss points on the intervals [ends[i], ends[i+1]], cut into equal
@@ -102,22 +105,47 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
     than MAX_GRID_NODES pieces in all are refused (ValueError).
     """
     a, b = ends[:-1], ends[1:]
-    nsub = np.maximum(1.0, np.ceil(rate * (b - a) / 8.0))
+    span = b - a
+    nsub = np.maximum(1.0, np.ceil(rate * span / 8.0))
     total = nsub.sum()  # in floats, so no count wraps round
     if not total <= MAX_GRID_NODES:
         raise ValueError(f"the shifted potential needs {total:.4g} Gauss pieces, "
                          f"more than the cap of {MAX_GRID_NODES}")
     nsub, total = nsub.astype(int), int(total)
-    first = np.cumsum(nsub) - nsub  # index of each interval's first piece
+    first = nsub.cumsum() - nsub  # index of each interval's first piece
+    owners = np.repeat(np.arange(nsub.size), nsub)  # each piece's interval
+    steps = span / nsub
     size = block or total
     for start in range(0, total, size):
         piece = np.arange(start, min(start + size, total))
-        owner = np.searchsorted(first, piece, side="right") - 1
+        owner = owners[start : start + size]
         j = piece - first[owner]
-        step = ((b - a) / nsub)[owner]
+        step = steps[owner]
         lo = a[owner] + j * step
         hi = np.where(j + 1 == nsub[owner], b[owner], lo + step)
         yield *_gauss_points(lo, hi, npts), owner
+
+
+def _decay_chains(ip_int: np.ndarray, iq_int: np.ndarray, decay: np.ndarray):
+    """The shifted potential's two chained sums, in one LAPACK ``dgtsv`` solve.
+
+    P runs up the ball, P_0 = 0 and P_(i+1) = P_i decay_i + ip_int_i, and
+    Q down from the tail's last end, Q_m = 0 and Q_i = Q_(i+1) decay_i +
+    iq_int_i, with m = iq_int.size.  Stacked, they form one bidiagonal
+    system with a unit diagonal: -decay_i lies below P's row i+1 and above
+    Q's row i, and the two blocks do not touch.  As |decay| <= 1, dgtsv
+    never swaps rows, and each step of its elimination (P) or of its back
+    substitution (Q) is the recurrence's own acc * d + x, bit for bit.
+    Every input must be finite: dgtsv multiplies each unknown by the zero
+    couplings too.  Returns P and Q (ip_int.size + 1 and m + 1 values).
+    """
+    npv, size = ip_int.size + 1, ip_int.size + iq_int.size + 2
+    lower, upper, b = np.zeros(size - 1), np.zeros(size - 1), np.zeros(size)
+    lower[: npv - 1] = -decay[: npv - 1]
+    upper[npv:] = -decay
+    b[1:npv], b[npv:-1] = ip_int, iq_int
+    x = _gtsv(lower, np.ones(size), upper, b)
+    return x[:npv], x[npv:]
 
 
 def _spline_system(r: np.ndarray):
@@ -151,7 +179,7 @@ def _not_a_knot(g: np.ndarray, system) -> np.ndarray:
     dx, d0, d1, lower, diag, upper = system
     if not np.isfinite(g).all():
         raise ValueError("spline nodes and values must be finite")
-    slope = np.diff(g) / dx
+    slope = (g[1:] - g[:-1]) / dx
     b = np.empty(g.size)
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
@@ -272,7 +300,7 @@ def bessel_potential_radial(
     if shift <= 0:
         raise ValueError("shift must be positive; use newton_potential_radial for shift 0")
     g = source.values
-    if np.any(g < 0):
+    if (g < 0).any():
         raise ValueError("source must be nonnegative")
     if n > 343:  # u(0) divides by Gamma(N/2), above 2^1024 from N = 344
         raise ValueError(f"Gamma(N/2) leaves the float64 range in dimension {n}")
@@ -282,50 +310,59 @@ def bessel_potential_radial(
     ive, kve = _scaled_bessel(nu)
     k = math.sqrt(shift)
     wg = _gauss(12)[1]
+    beyond = (f"the shifted potential on a grid of radius {r[-1]:g} "
+              f"leaves the float64 range in dimension {n}")
 
     # on a grid of huge radius the spans' powers, the tail's layout or the
     # weights s^(N/2) leave float64: refused below, before any warning
     with np.errstate(over="ignore", invalid="ignore"):
         h = max(r[-1] - r[-2], 1e-3)
-        tail = r[-1] + np.cumsum(h * 1.25 ** np.arange(400))
-        tail = tail[: np.searchsorted(k * (tail - r[-1]), 46.0, side="right") + 1]
+        tail = r[-1] + (h * _TAIL_STEPS).cumsum()
+        tail = tail[: (k * (tail - r[-1])).searchsorted(46.0, side="right") + 1]
         ends = np.concatenate((r, tail))
         nnode = r.size
         coef = _not_a_knot(g, source.grid.plan(_spline_system))
         ip_int, iq_int = np.zeros(nnode - 1), np.zeros(ends.size - 1)
+        zr, at_nodes = k * r[1:], None
         # the piece count grows like sqrt(shift) * R; summing run by run
         # bounds the memory
         for pts, half, owner in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
-            ball = np.searchsorted(owner, nnode - 1)  # a run's ball pieces come first
+            ball = owner.searchsorted(nnode - 1)  # a run's ball pieces come first
             bpts, bowner = pts[:ball], owner[:ball]
-            vals = np.concatenate((_spline_at(coef, r, bpts, bowner), source.tail(pts[ball:])))
+            vals = np.empty(pts.shape)
+            vals[:ball] = _spline_at(coef, r, bpts, bowner)
+            vals[ball:] = source.tail(pts[ball:])
             core = half[:, None] * wg * vals * pts ** (n / 2.0)
-            ip = core[:ball] * ive(k * bpts) * np.exp(k * (bpts - ends[1:][bowner, None]))
-            iq = core * kve(k * pts) * np.exp(k * (ends[:-1][owner, None] - pts))
-            ip_int += np.bincount(bowner, np.sum(ip, axis=1), minlength=nnode - 1)
-            iq_int += np.bincount(owner, np.sum(iq, axis=1), minlength=ends.size - 1)
+            kb, kp = k * bpts, k * pts
+            if at_nodes is None:
+                # the first run evaluates each factor once, at the node
+                # radii k r[1:] too
+                ib = ive(np.concatenate((kb.ravel(), zr)))
+                kq = kve(np.concatenate((kp.ravel(), zr)))
+                at_nodes = ib[kb.size :], kq[kp.size :]
+                ib, kq = ib[: kb.size].reshape(kb.shape), kq[: kp.size].reshape(kp.shape)
+            else:
+                ib, kq = ive(kb), kve(kp)
+            ip = core[:ball] * ib * np.exp(k * (bpts - ends[1:][bowner, None]))
+            iq = core * kq * np.exp(k * (ends[:-1][owner, None] - pts))
+            ip_int += np.bincount(bowner, ip.sum(axis=1), minlength=nnode - 1)
+            iq_int += np.bincount(owner, iq.sum(axis=1), minlength=ends.size - 1)
 
-        # both recurrences run on Python floats: numpy scalar indexing costs
-        # about three times as much per step, for the same IEEE arithmetic;
-        # P runs up the ball, Q down from the tail's last end
-        decay = np.exp(-k * np.diff(ends)).tolist()
-        p_acc, q_acc = [0.0], [0.0]
-        for d, ip in zip(decay, ip_int.tolist()):
-            p_acc.append(p_acc[-1] * d + ip)
-        for d, iq in zip(reversed(decay), reversed(iq_int.tolist())):
-            q_acc.append(q_acc[-1] * d + iq)
-        p_acc, q_acc = np.array(p_acc), np.array(q_acc[::-1][:nnode])
+        # both chains in one dgtsv solve, whose arithmetic is the
+        # recurrences' own; P runs up the ball, Q down from the tail's last end
+        decay = np.exp(-k * (ends[1:] - ends[:-1]))
+        if not (np.isfinite(ip_int).all() and np.isfinite(iq_int).all()
+                and np.isfinite(decay).all()):
+            raise ValueError(beyond)
+        p_acc, q_acc = _decay_chains(ip_int, iq_int, decay)
 
         u = np.empty(nnode)
-        zr = k * r[1:]
-        u[1:] = r[1:] ** (1.0 - n / 2.0) * (
-            kve(zr) * p_acc[1:] + ive(zr) * q_acc[1:]
-        )
+        ive_r, kve_r = at_nodes
+        u[1:] = r[1:] ** (1.0 - n / 2.0) * (kve_r * p_acc[1:] + ive_r * q_acc[1:nnode])
         # in numpy, so that (k/2)^nu overflows to inf and is refused below
         u[0] = np.float64(k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
     if not np.isfinite(u).all():
-        raise ValueError(f"the shifted potential on a grid of radius {r[-1]:g} "
-                         f"leaves the float64 range in dimension {n}")
+        raise ValueError(beyond)
 
     if source.decay_tag is not None and source.decay_tag.family is BarrierFamily.Z:
         out_tag = source.decay_tag
@@ -464,6 +501,28 @@ def divergence_probe_rho(dimension: int, rho: SourceModel) -> DivergenceReport:
     return DivergenceReport(DivergenceVerdict.CONVERGENT, value=total, shell_sums=shells)
 
 
+def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, x)`` bit for bit, without its generic set-up.
+
+    Second-order differences inside, in numpy's operation order for
+    uniform (all spacings equal) and for non-uniform spacing, and
+    one-sided first differences at both ends.
+    """
+    dx = x[1:] - x[:-1]
+    out = np.empty_like(f)
+    if (dx == dx[0]).all():
+        out[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx[0])
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        a = -dx2 / (dx1 * (dx1 + dx2))
+        b = (dx2 - dx1) / (dx1 * dx2)
+        c = dx1 / (dx2 * (dx1 + dx2))
+        out[1:-1] = a * f[:-2] + b * f[1:-1] + c * f[2:]
+    out[0] = (f[1] - f[0]) / dx[0]
+    out[-1] = (f[-1] - f[-2]) / dx[-1]
+    return out
+
+
 def convr_check(v: RadialField):
     """Sup of r |v'(r)| / v(r) on [1, R], plus a bounded-trend verdict.
 
@@ -475,9 +534,9 @@ def convr_check(v: RadialField):
     vals = v.values
     if (vals <= 0).any():
         raise ValueError("field must be positive")
-    dv = np.gradient(vals, r)
+    dv = _gradient(vals, r)
     q = r * np.abs(dv) / vals
-    # np.gradient is one-sided (first order) at the outer endpoint
+    # the gradient is one-sided (first order) at the outer endpoint
     mask = (r >= 1.0) & (r < r[-1])
     if not mask.any():
         raise ValueError("grid must extend beyond r = 1")

@@ -326,24 +326,31 @@ class _Field(NamedTuple):
     power: float  # runs raise the field to powers down to -power
 
 
-def _ball_envelopes(grid: RadialGrid, fields: dict) -> dict:
-    """Each field's lower * B on ``grid``; a ball on which a run leaves float64 is refused.
+def _ball_envelopes(balls: tuple, fields: dict) -> tuple:
+    """Each field's lower * B on both balls of a ``_ball_pair``, by name.
 
-    The margins divide by every lower * B, and runs raise a field to
-    -power: each lower * B must stay a normal double on ``grid``, and
-    its -power-th power may not overflow (HypothesisError otherwise).
+    Each barrier is evaluated once, on the doubled ball, whose first
+    ``grid.n`` nodes are the first ball's: the first ball's envelopes
+    are views of the doubled ball's, which no run writes.  The margins
+    divide by every lower * B, and runs raise a field to -power: each
+    lower * B must stay a normal double on its ball, and its -power-th
+    power may not overflow (HypothesisError otherwise, the first ball's
+    refusals first).
     """
-    lows = {}
-    for name, f in fields.items():
-        low = f.lower * np.asarray(eval_barrier(f.barrier, grid.nodes), dtype=float)
-        if not low.min() >= np.finfo(float).tiny:
-            raise HypothesisError(f"{f.label} underflows below the smallest normal double "
-                                  f"within radius {grid.radius:g}")
-        if -f.power * math.log(low.min()) > math.log(np.finfo(float).max):
-            raise HypothesisError(f"({f.label})^(-{f.power:g}) overflows "
-                                  f"within radius {grid.radius:g}")
-        lows[name] = low
-    return lows
+    grid, big = balls
+    lows2 = {name: f.lower * np.asarray(eval_barrier(f.barrier, big.nodes), dtype=float)
+             for name, f in fields.items()}
+    lows = {name: low[: grid.n] for name, low in lows2.items()}
+    for ball, envelopes in ((grid, lows), (big, lows2)):
+        for name, f in fields.items():
+            low = envelopes[name]
+            if not low.min() >= np.finfo(float).tiny:
+                raise HypothesisError(f"{f.label} underflows below the smallest normal double "
+                                      f"within radius {ball.radius:g}")
+            if -f.power * math.log(low.min()) > math.log(np.finfo(float).max):
+                raise HypothesisError(f"({f.label})^(-{f.power:g}) overflows "
+                                      f"within radius {ball.radius:g}")
+    return lows, lows2
 
 
 def _ball_pair(grid: RadialGrid) -> tuple:
@@ -389,7 +396,7 @@ def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
     windows = _fit_windows(family, grid.radius)
     for name in fields:
         _window_mask(grid.nodes, windows[name])
-    lows, lows2 = _ball_envelopes(grid, fields), _ball_envelopes(big, fields)
+    lows, lows2 = _ball_envelopes(balls, fields)
     vals, its, inside, check, prev = run(grid, lows, None)
     start = None
     if prev is not None and family is BarrierFamily.W:

@@ -425,6 +425,20 @@ def test_convr_check_profiles():
         convr_check(RadialField(g, np.zeros(g.n)))
 
 
+@pytest.mark.parametrize("grid", [
+    RadialGrid(3.0 * np.arange(17.0), 1.0),  # equal spacings: numpy's uniform formula
+    RadialGrid.uniform(7.3, 101),
+    RadialGrid.graded(10.0, 200, 1.05),
+    RadialGrid.graded(10.0, 200, 1.05).refined(),
+    RadialGrid.auto(100.0, h0=0.01, stretch=1.02),
+], ids=["exact", "uniform", "graded", "refined", "auto"])
+def test_convr_gradient_is_numpys_bit_for_bit(grid):
+    rng = np.random.default_rng(grid.n)
+    r = grid.nodes
+    for f in (np.exp(-0.7 * r), 1.0 / (1.0 + r * r) ** 1.5, rng.random(r.size) + 1e-3):
+        assert np.array_equal(potentials._gradient(f, r), np.gradient(f, r))
+
+
 @pytest.mark.parametrize("n, shift, a, radius", [
     (3, 4096.0, 1.0, default_exp_radius(1.0)),
     (5, 16.0, 1.5, 25.0),
@@ -565,6 +579,45 @@ def test_bessel_refuses_a_grid_beyond_the_float_range(radius, shift):
     source = RadialField(grid, np.asarray(eval_barrier(tag, grid.nodes)), tag)
     with pytest.raises(ValueError, match="leaves? the float64 range"):
         bessel_potential_radial(3, shift, source)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_decay_chains_match_the_recurrences_bit_for_bit(seed):
+    # sums from 1e-300 to 1e5 with zeros among them, decays from 1 down to
+    # 0: a LAPACK build whose dgtsv contracts a step to a fused multiply-add
+    # differs in the last bit and fails here
+    rng = np.random.default_rng(seed)
+    nball, nint = 150, 230
+    ip_int, iq_int = 10.0 ** rng.uniform(-300, 5, nball), 10.0 ** rng.uniform(-300, 5, nint)
+    ip_int[rng.integers(nball, size=10)] = 0.0
+    iq_int[rng.integers(nint, size=10)] = 0.0
+    decay = np.exp(-rng.uniform(0.0, 3.0, nint) ** 4)
+    decay[[0, 3, 7]], decay[rng.integers(nint, size=5)] = 1.0, 0.0
+    p_ref, q_ref = [0.0], [0.0]
+    for d, ip in zip(decay.tolist(), ip_int.tolist()):
+        p_ref.append(p_ref[-1] * d + ip)
+    for d, iq in zip(reversed(decay.tolist()), reversed(iq_int.tolist())):
+        q_ref.append(q_ref[-1] * d + iq)
+    p_acc, q_acc = potentials._decay_chains(ip_int, iq_int, decay)
+    assert np.array_equal(p_acc, p_ref)
+    assert np.array_equal(q_acc, q_ref[::-1])
+
+
+@pytest.mark.filterwarnings("error")
+def test_bessel_refuses_interval_sums_beyond_the_float_range(monkeypatch):
+    # at N = 40 the weights s^20 carry a source of amplitude 1e300 past the
+    # largest double: the interval sums are refused before the chain solve,
+    # with the float-range ValueError and no warning
+    grid = RadialGrid.auto(20.0, h0=0.02, stretch=1.02)
+    tag = BarrierProfile(BarrierFamily.Z, 3.0)
+    source = RadialField(grid, 1e300 * np.asarray(eval_barrier(tag, grid.nodes)), tag)
+
+    def no_solve(*args):
+        raise AssertionError("the chains were solved on non-finite sums")
+
+    monkeypatch.setattr(potentials, "_decay_chains", no_solve)
+    with pytest.raises(ValueError, match="radius 20 leaves the float64 range in dimension 40"):
+        bessel_potential_radial(40, 1.0, source)
 
 
 @pytest.mark.filterwarnings("error")

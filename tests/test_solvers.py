@@ -913,3 +913,28 @@ def test_only_the_default_alg_ball_pair_outlives_its_solve(exp_worked_case, alg_
     del reports
     gc.collect()
     assert [ref() for ref in made if ref() is not None] == []
+
+
+@pytest.mark.parametrize("family, rate, lower, power", [
+    (BarrierFamily.W, 1.3, 0.7, 2.0),
+    (BarrierFamily.W, 0.4, 3e-5, 1.0),
+    (BarrierFamily.Z, 2.5, 0.02, 3.0),
+])
+def test_first_ball_envelopes_are_the_doubled_balls_first_values(family, rate, lower, power):
+    # each barrier is evaluated once, on the doubled ball: the first ball's
+    # envelope is bit for bit the barrier evaluated on its own nodes
+    balls = solvers._ball_pair(RadialGrid.auto(40.0, *solvers._BALL_GRIDS[family]))
+    field = solvers._Field("c * B", BarrierProfile(family, rate), lower, 2.0 * lower, power)
+    lows, lows2 = solvers._ball_envelopes(balls, {"v": field})
+    for ball, low in zip(balls, (lows["v"], lows2["v"])):
+        own = lower * np.asarray(eval_barrier(field.barrier, ball.nodes), dtype=float)
+        assert low.tobytes() == own.tobytes()
+
+
+def test_ball_envelopes_word_the_first_balls_refusal_first():
+    # c W_2 falls below the smallest normal double on both balls: the
+    # refusal names the first ball's radius
+    balls = solvers._ball_pair(RadialGrid.auto(400.0, *solvers._BALL_GRIDS[BarrierFamily.W]))
+    field = solvers._Field("c * B", BarrierProfile(BarrierFamily.W, 2.0), 1.0, 2.0, 1.0)
+    with pytest.raises(HypothesisError, match=f"underflows .* within radius {balls[0].radius:g}$"):
+        solvers._ball_envelopes(balls, {"v": field})
