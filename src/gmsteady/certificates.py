@@ -16,11 +16,12 @@ shrink at second order under grid refinement.
 ``verify_solution`` bundles every check this package can apply to a
 candidate pair: pointwise differential residuals, integral
 representation residuals, decay fits, the radial gradient criterion,
-and advisory contradiction flags.  Flags are advisory rather than hard
-failures because numerics cannot distinguish an approximate solution of
-a problem with no solutions from discretization artifacts.  Their window
-N/(N-2) < p < (N+2)/(N-2) is decided exactly, as ``classify``'s rule 2
-is, by ``barriers._critical_exponents``.
+and advisory contradiction flags.  Each measurement comes from
+``potentials``, so this module loads no solver.  Flags are advisory
+rather than hard failures because numerics cannot distinguish an
+approximate solution of a problem with no solutions from discretization
+artifacts.  Their window N/(N-2) < p < (N+2)/(N-2) is decided exactly,
+as ``classify``'s rule 2 is, by ``barriers._critical_exponents``.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ import numpy as np
 
 from .barriers import Exponents, Problem, _critical_exponents
 from .errors import HypothesisError
-from .potentials import _admit_pair, _pde_residuals, convr_check, representation_residual
+from .potentials import (_admit_pair, _fit_windows, _pde_residuals, convr_check, decay_fit,
+                         representation_residual)
 from .radial_core import RadialField, RadialGrid, RadialOperator
-from .solvers import _fit_windows, decay_fit
 
 __all__ = [
     "Cor3Certificate",
@@ -131,8 +132,10 @@ def verify_cor3(
         w = aubin_talenti(dimension, amplitude, grid.nodes)
         ex = closed_form_exponents(dimension, p, s)
         lap = RadialOperator(grid, dimension).laplacian(w)
-        rhs_u = w**ex.p / w**ex.q
-        rhs_v = w**ex.m / w**ex.s
+        # one power per side: w^(p-q) and w^(m-s) stay in range where the
+        # numerators w^p and w^m of the quotients would overflow
+        rhs_u = w ** (ex.p - ex.q)
+        rhs_v = w ** (ex.m - ex.s)
         res_u = float(np.max(np.abs(lap - rhs_u[:-1])))
         res_v = float(np.max(np.abs(lap - rhs_v[:-1])))
     if not (math.isfinite(res_u) and math.isfinite(res_v)):
@@ -197,10 +200,9 @@ def verify_solution(
     if representation:
         rep_u, rep_v = representation_residual(problem, exponents, u, v)
 
-    family = problem.family
-    windows = _fit_windows(family, u.grid.radius)
-    fit_u = decay_fit(u, family, windows["u"])
-    fit_v = decay_fit(v, family, windows["v"])
+    windows = _fit_windows(problem.family, u.grid.radius)
+    fit_u = decay_fit(u, problem.family, windows["u"])
+    fit_v = decay_fit(v, problem.family, windows["v"])
     bound, holds = convr_check(v)
 
     flags: list = []

@@ -327,12 +327,21 @@ def cmd_verify(args) -> int:
     from .certificates import verify_cor3, verify_solution
     from .radial_core import RadialGrid, read_field
 
+    # each mode refuses the flags of the other, which it would ignore
     if args.cor3:
+        for name in ("u_field", "v_field", "u_rate", "v_rate", "rho_amplitude",
+                     "no_representation"):
+            value = getattr(args, name)
+            if value is not None and value is not False:
+                raise ValueError(f"--{name.replace('_', '-')} applies to dumped fields, "
+                                 "not to --cor3")
         grid = RadialGrid.uniform(20.0 if args.radius is None else args.radius, args.nodes)
         cert = verify_cor3(args.dimension, args.p, args.s, args.amplitude, grid)
         _write_report(args.report, "verify", mode="cor3", certificate=cert)
         return _verify_exit(cert.residuals(), args.tol)
 
+    if args.radius is not None:
+        raise ValueError("--radius sets the --cor3 grid; it needs --cor3")
     if not (args.u_field and args.v_field):
         raise ValueError("verify needs --cor3 or both --u-field and --v-field")
     u = read_field(args.u_field)

@@ -1,4 +1,5 @@
-"""Integral representations of radial fields and divergence diagnostics.
+"""Integral representations of radial fields, measurements of a candidate
+pair, and divergence diagnostics.
 
 Newtonian potential (zero shift).  For a radial source g >= 0 with an
 integrable tail, the decaying solution of -Delta u = g is
@@ -53,9 +54,12 @@ potentials share (32 bytes per node), and per N the Newtonian
 potential's moments and r^(2-N) (72 bytes per node).  The arithmetic
 and its order are those of a fresh grid, bit for bit.
 
-A candidate pair (u, v) is measured here against both forms of the
-system, ``_pde_residuals`` and ``representation_residual``, which share
-one admission check, one set of right sides and one half-ball sup.
+A candidate pair (u, v) is measured here, whatever produced it: against
+both forms of the system, ``_pde_residuals`` and
+``representation_residual``, which share one admission check, one set
+of right sides and one half-ball sup, and by ``decay_fit`` over each
+field's window in ``_fit_windows``.  ``solvers`` and ``certificates``
+both import these, so verifying a pair loads no solver.
 
 The divergence probe decides the source's improper integral by the
 exact exponent test and reports the dyadic shell sums of its envelope.
@@ -74,7 +78,7 @@ import numpy as np
 from .barriers import Exponents, Problem, SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import _gauss, _gauss_points, _scaled_bessel, sphere_area
-from .profiles import BarrierFamily, BarrierProfile, weighted_antiderivative
+from .profiles import BarrierFamily, BarrierProfile, log_coordinate, weighted_antiderivative
 from .radial_core import MAX_GRID_NODES, RadialField, RadialOperator, _gtsv
 
 __all__ = [
@@ -83,6 +87,7 @@ __all__ = [
     "newton_potential_radial",
     "bessel_potential_radial",
     "representation_residual",
+    "decay_fit",
     "divergence_probe_rho",
     "convr_check",
 ]
@@ -453,6 +458,67 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     res_u = one_side(u, problem.lam, rhs_u)
     res_v = one_side(v, problem.mu, rhs_v)
     return res_u, res_v
+
+
+def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
+    """Least-squares decay rate of a positive field over a radius window.
+
+    Fits log(field) = rate * x + c, x the family's ``log_coordinate``, in
+    closed form on the centred data xc = x - mean(x), yc = y - mean(y):
+    rate = sum(xc yc) / sum(xc^2), and the residual is yc - rate * xc.
+    The window's nodes, xc and sum(xc^2) are the grid's ``_fit_plan``,
+    which scales x by a power of two past |x| = 2^400, so that sum(xc^2)
+    stays finite; the fit in the scaled coordinate, multiplied by that
+    scale, is the rate.
+    Returns (rate, rms residual).
+    """
+    mask, xc, xx, scale = field.grid.plan(_fit_plan, family, window)
+    vals = field.values[mask]
+    if (vals <= 0).any():
+        raise ValueError("field must be positive on the window")
+    y = np.log(vals)
+    yc = y - y.mean()
+    rate = float(xc @ yc / xx)
+    rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
+    return rate * scale, rms
+
+
+def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
+    """Nodes of ``r`` inside ``window``; a window with fewer than 4 is refused."""
+    lo, hi = window
+    mask = (r >= lo) & (r <= hi)
+    if np.count_nonzero(mask) < 4:
+        raise ValueError(f"decay-fit window [{lo:.6g}, {hi:.6g}] contains fewer than 4 grid nodes")
+    return mask
+
+
+def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
+    """(mask, xc, xc @ xc, scale): ``window``'s nodes and their centred ``log_coordinate``.
+
+    Past |x| = 2^400 (W windows beyond r ~ 1e120) x is multiplied by the
+    power of two ``scale`` that brings it below, so xc @ xc stays finite;
+    the scaling is exact, and below 2^400 ``scale`` is 1.
+    """
+    mask = _window_mask(r, window)
+    x = log_coordinate(family, r[mask])
+    scale = math.ldexp(1.0, min(400 - math.frexp(float(np.abs(x).max()))[1], 0))
+    x = x * scale
+    xc = x - x.mean()
+    return mask, xc, xc @ xc, scale
+
+
+def _fit_windows(family: BarrierFamily, radius: float) -> dict:
+    """Decay-fit window of each field, by name, of a ``family`` run on a ball of ``radius``.
+
+    Dirichlet truncation error decays exponentially inward for W runs
+    but only algebraically for Z runs, so a Z fit of v sits deeper
+    inside; Z-family u comes from a tail-closed potential, carries no
+    truncation error and fits in the far field.
+    """
+    if family is BarrierFamily.W:
+        window = (0.35 * radius, 0.75 * radius)
+        return {"u": window, "v": window}
+    return {"u": (0.3 * radius, 0.7 * radius), "v": (0.04 * radius, 0.16 * radius)}
 
 
 # ---------------------------------------------------------------------------

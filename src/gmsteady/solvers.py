@@ -55,6 +55,8 @@ first ball's answer; Z runs and the scalar solve start it from the
 lower barriers.
 The default zero-shift ball and its doubled ball are one pair per
 process (``_default_alg_balls``), so the plans on them are built once.
+A report's residuals and decay fits come from ``potentials``, which
+measures a candidate pair for ``certificates`` too.
 """
 
 from __future__ import annotations
@@ -69,15 +71,15 @@ import numpy as np
 
 from .barriers import ConstantsLedger, Exponents, Problem, Regime, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
-from .potentials import _pde_residuals, newton_potential_radial
-from .profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
+from .potentials import (_fit_windows, _pde_residuals, _window_mask, decay_fit,
+                         newton_potential_radial)
+from .profiles import BarrierFamily, BarrierProfile, eval_barrier
 from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
     "IterationState",
     "SolveReport",
     "SolveStatus",
-    "decay_fit",
     "algebraic_scalar_admissible",
     "solve_singular_scalar",
     "solve_coupled_exp",
@@ -131,7 +133,7 @@ class SolveReport:
     the first ball's.  ``margins`` maps field name to (min, max) of
     field/(lower constant times barrier) on the first ball.  ``decay``
     maps field name to (fitted rate, fit residual) over the family's fit
-    window (``_fit_windows``).  The status is
+    window (``potentials._fit_windows``).  The status is
 
     * ``sandwich-violated`` unless both balls' fields lie inside
       [1, upper/lower] on the original nodes r <= R, up to 1e-9 slack,
@@ -162,70 +164,9 @@ class SolveReport:
     trace: list = dfield(default_factory=list, metadata={"report": False})
 
 
-def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
-    """Least-squares decay rate of a positive field over a radius window.
-
-    Fits log(field) = rate * x + c, x the family's ``log_coordinate``, in
-    closed form on the centred data xc = x - mean(x), yc = y - mean(y):
-    rate = sum(xc yc) / sum(xc^2), and the residual is yc - rate * xc.
-    The window's nodes, xc and sum(xc^2) are the grid's ``_fit_plan``,
-    which scales x by a power of two past |x| = 2^400, so that sum(xc^2)
-    stays finite; the fit in the scaled coordinate, multiplied by that
-    scale, is the rate.
-    Returns (rate, rms residual).
-    """
-    mask, xc, xx, scale = field.grid.plan(_fit_plan, family, window)
-    vals = field.values[mask]
-    if (vals <= 0).any():
-        raise ValueError("field must be positive on the window")
-    y = np.log(vals)
-    yc = y - y.mean()
-    rate = float(xc @ yc / xx)
-    rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
-    return rate * scale, rms
-
-
 def algebraic_scalar_admissible(dimension: int, s: float, gamma: float) -> bool:
     """Existence window of the zero-shift scalar problem: 2 < gamma < (N-2)s + N."""
     return 2.0 < gamma < (dimension - 2.0) * s + dimension
-
-
-def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
-    """Nodes of ``r`` inside ``window``; a window with fewer than 4 is refused."""
-    lo, hi = window
-    mask = (r >= lo) & (r <= hi)
-    if np.count_nonzero(mask) < 4:
-        raise ValueError(f"decay-fit window [{lo:.6g}, {hi:.6g}] contains fewer than 4 grid nodes")
-    return mask
-
-
-def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
-    """(mask, xc, xc @ xc, scale): ``window``'s nodes and their centred ``log_coordinate``.
-
-    Past |x| = 2^400 (W windows beyond r ~ 1e120) x is multiplied by the
-    power of two ``scale`` that brings it below, so xc @ xc stays finite;
-    the scaling is exact, and below 2^400 ``scale`` is 1.
-    """
-    mask = _window_mask(r, window)
-    x = log_coordinate(family, r[mask])
-    scale = math.ldexp(1.0, min(400 - math.frexp(float(np.abs(x).max()))[1], 0))
-    x = x * scale
-    xc = x - x.mean()
-    return mask, xc, xc @ xc, scale
-
-
-def _fit_windows(family: BarrierFamily, radius: float) -> dict:
-    """Decay-fit window of each field, by name, of a ``family`` run on a ball of ``radius``.
-
-    Dirichlet truncation error decays exponentially inward for W runs
-    but only algebraically for Z runs, so a Z fit of v sits deeper
-    inside; Z-family u comes from a tail-closed potential, carries no
-    truncation error and fits in the far field.
-    """
-    if family is BarrierFamily.W:
-        window = (0.35 * radius, 0.75 * radius)
-        return {"u": window, "v": window}
-    return {"u": (0.3 * radius, 0.7 * radius), "v": (0.04 * radius, 0.16 * radius)}
 
 
 def _sandwich_margins(vals: np.ndarray, low: np.ndarray, cap: float):

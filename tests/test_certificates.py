@@ -13,6 +13,7 @@ from gmsteady.certificates import (
     verify_solution,
 )
 from gmsteady.errors import HypothesisError
+from gmsteady.potentials import decay_fit
 from gmsteady.profiles import BarrierFamily, BarrierProfile
 from gmsteady.radial_core import RadialField, RadialGrid
 
@@ -27,8 +28,6 @@ def test_tail_decay_rate():
     for n in (3, 4, 5):
         w = aubin_talenti(n, 2.0, grid.nodes)
         field = RadialField(grid, w)
-        from gmsteady.solvers import decay_fit
-
         rate, _ = decay_fit(field, BarrierFamily.Z, (40.0, 120.0))
         assert rate == pytest.approx(float(n - 2), rel=0.02)
 

@@ -658,6 +658,20 @@ def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
         """), tmp_path)
 
 
+def test_verify_loads_no_solver(tmp_path, exp_dumps):
+    # a candidate pair is measured by potentials alone, whatever produced it
+    _run_fresh(textwrap.dedent(f"""
+        import sys
+        from gmsteady.cli import main
+        assert main(['verify', *{_EXP_POINT!r}, '--rho-amplitude', '1.5',
+                     '--u-field', {str(exp_dumps / 'u.txt')!r},
+                     '--v-field', {str(exp_dumps / 'v.txt')!r}, '--u-rate', '1',
+                     '--v-rate', '1', '--tol', '1e-4', '--report', 'v.json']) == 0
+        assert 'gmsteady.certificates' in sys.modules
+        assert 'gmsteady.solvers' not in sys.modules
+        """), tmp_path)
+
+
 def test_kernel_loads_no_scipy_package_at_n3_and_n5(tmp_path):
     # kernels takes K_nu from _scaled_bessel, whose N = 3 and 5 orders are
     # closed forms, and integrates with Gauss pieces, so scipy.integrate
@@ -858,6 +872,33 @@ def test_solve_grid_keys_need_radius(tmp_path, capsys, line):
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("flag", [["--u-field", "u.txt"], ["--v-field", "v.txt"],
+                                  ["--u-rate", "0"], ["--v-rate", "1"],
+                                  ["--rho-amplitude", "1.5"], ["--no-representation"]],
+                         ids=lambda flag: flag[0])
+def test_verify_cor3_refuses_the_flags_of_dumped_fields(tmp_path, capsys, flag):
+    # each would be ignored by the closed-form check (--u-rate 0 too)
+    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", *flag,
+              "--report", str(tmp_path / "c.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        f"error: {flag[0]} applies to dumped fields, not to --cor3"]
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_verify_fields_refuse_radius(tmp_path, capsys, exp_dumps):
+    # --radius sets the cor3 grid alone; the README verify given it would
+    # pass, with the radius ignored
+    rc = run(["verify", *_EXP_POINT, "--rho-amplitude", "1.5",
+              "--u-field", str(exp_dumps / "u.txt"), "--v-field", str(exp_dumps / "v.txt"),
+              "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4", "--radius", "20",
+              "--report", str(tmp_path / "v.json")])
+    assert rc == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "error: --radius sets the --cor3 grid; it needs --cor3"]
+    assert not (tmp_path / "v.json").exists()
+
+
 def test_config_switch_values(tmp_path, capsys):
     report = tmp_path / "c.json"
     base = ["verify", "-N", "3", "--p", "6", "--s", "1", "--nodes", "2001", "--tol", "1",
@@ -923,6 +964,28 @@ def test_verify_cor3_unconverged_reason(tmp_path, capsys):
     assert rc == 3
     line = _assert_one_line_unconverged(capsys)
     assert line.startswith("unconverged: residual_u ") and line.endswith("> --tol 1e-05")
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_cor3_at_huge_p_takes_one_power_per_side(tmp_path):
+    # q = p - 5 and p - q = 5 exactly, so w^(p-q) is w^5, as at p = 6;
+    # w^p alone would overflow, since w(0) > 1 at N = 3
+    report = tmp_path / "c.json"
+    rc = run(["verify", "--cor3", "-N", "3", "--p", "1e6", "--s", "1", "--report", str(report)])
+    assert rc == 0
+    cert = json.loads(report.read_text())["certificate"]
+    assert cert["residual_u"] == cert["residual_v"] == 5.588170511661161e-06
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_cor3_at_huge_s_reads_m_minus_s_as_rounded(tmp_path, capsys):
+    # m = 5 + 1e300 rounds to s itself, so the v equation's right side is
+    # w^0 = 1, and its residual is that of the rounded exponents
+    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1e300",
+              "--report", str(tmp_path / "c.json")])
+    assert rc == 3
+    assert _assert_one_line_unconverged(capsys) == (
+        "unconverged: residual_v 2.948e+00 > --tol 1e-05")
 
 
 def test_verify_fields_unconverged_reason(tmp_path, capsys):

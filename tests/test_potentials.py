@@ -10,7 +10,7 @@ from scipy.interpolate import CubicSpline
 
 from gmsteady.barriers import Exponents, Problem, SourceModel, barrier_operator_value
 from gmsteady.errors import NonIntegrableTailError
-from gmsteady import potentials, radial_core, solvers
+from gmsteady import potentials, radial_core
 from gmsteady.kernels import GreenParams, green_lambda, sphere_area
 from gmsteady.potentials import (
     DivergenceVerdict,
@@ -209,7 +209,7 @@ def test_grid_plans_are_read_only():
     grid = RadialGrid.auto(40.0, 0.02, 1.02)
     plans = [grid.plan(radial_core._flux_plan, 5), grid.plan(potentials._spline_system),
              grid.plan(potentials._newton_plan, 5),
-             grid.plan(solvers._fit_plan, BarrierFamily.Z, (4.0, 16.0))]
+             grid.plan(potentials._fit_plan, BarrierFamily.Z, (4.0, 16.0))]
     arrays = [part for plan in plans for part in plan if isinstance(part, np.ndarray)]
     assert len(arrays) == 4 + 4 + 2 + 2
     for array in arrays:

@@ -20,6 +20,7 @@ from gmsteady.barriers import (
 from gmsteady.certificates import verify_solution
 from gmsteady.cli import _jsonable
 from gmsteady.errors import HypothesisError, NonexistenceError, RegimeError
+from gmsteady.potentials import decay_fit
 from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier, log_coordinate
 from gmsteady.radial_core import (
     RadialField,
@@ -30,7 +31,6 @@ from gmsteady.radial_core import (
 from gmsteady.solvers import (
     SolveStatus,
     algebraic_scalar_admissible,
-    decay_fit,
     default_exp_radius,
     solve_coupled_alg,
     solve_coupled_exp,
@@ -777,7 +777,7 @@ class TestDecayFit:
         field = RadialField(grid, np.asarray(eval_barrier(BarrierProfile(family, 1.5 / radius), r))
                             * np.exp(np.sin(r / radius)))
         window = (0.2 * radius, 0.7 * radius)
-        assert grid.plan(solvers._fit_plan, family, window)[3] == scale
+        assert grid.plan(potentials._fit_plan, family, window)[3] == scale
         mask = (r >= window[0]) & (r <= window[1])
         x = log_coordinate(family, r[mask])
         xc = x - x.mean()
