@@ -119,28 +119,25 @@ class Cor3Certificate:
 def verify_cor3(
     dimension: int, p: float, s: float, amplitude: float, grid: RadialGrid
 ) -> Cor3Certificate:
-    """Evaluate both discrete equation residuals with u = v = w on a grid.
+    """The discrete residual of -Delta w = w^((N+2)/(N-2)) on a grid.
 
-    The last node has no right neighbour and is left out of the sup.  The
-    residuals are O(h^2): halving the grid spacing shrinks them by
-    about four.  Raises ValueError where a residual is not finite.
+    Both equations of u = v = w reduce to this one for every p and s (see
+    ``closed_form_exponents``), so it is reported as residual_u and as
+    residual_v.  The last node has no right neighbour and is left out of
+    the sup.  The residual is O(h^2): halving the grid spacing shrinks it
+    by about four.  Raises ValueError where it is not finite.
     """
-    # at extreme N, radii, amplitudes or exponents w, its powers and the
-    # stencil leave float64 range; the finiteness check below refuses those
+    # at extreme N, radii or amplitudes w, its power and the stencil leave
+    # float64 range; the finiteness check below refuses those
     with np.errstate(all="ignore"):
-        # the bubble checks N >= 3 before the induced exponents divide by N - 2
+        # the bubble checks N >= 3 before the exponents divide by N - 2
         w = aubin_talenti(dimension, amplitude, grid.nodes)
         ex = closed_form_exponents(dimension, p, s)
         lap = RadialOperator(grid, dimension).laplacian(w)
-        # one power per side: w^(p-q) and w^(m-s) stay in range where the
-        # numerators w^p and w^m of the quotients would overflow
-        rhs_u = w ** (ex.p - ex.q)
-        rhs_v = w ** (ex.m - ex.s)
-        res_u = float(np.max(np.abs(lap - rhs_u[:-1])))
-        res_v = float(np.max(np.abs(lap - rhs_v[:-1])))
-    if not (math.isfinite(res_u) and math.isfinite(res_v)):
-        raise ValueError("cor3 residuals leave float64 range on this grid")
-    return Cor3Certificate(dimension, ex.p, ex.q, ex.m, ex.s, amplitude, res_u, res_v,
+        residual = float(np.max(np.abs(lap - w[:-1] ** ((dimension + 2) / (dimension - 2)))))
+    if not math.isfinite(residual):
+        raise ValueError("cor3 residual leaves float64 range on this grid")
+    return Cor3Certificate(dimension, ex.p, ex.q, ex.m, ex.s, amplitude, residual, residual,
                            grid.n, grid.radius)
 
 

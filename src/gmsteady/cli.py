@@ -335,15 +335,18 @@ def cmd_verify(args) -> int:
             if value is not None and value is not False:
                 raise ValueError(f"--{name.replace('_', '-')} applies to dumped fields, "
                                  "not to --cor3")
-        grid = RadialGrid.uniform(20.0 if args.radius is None else args.radius, args.nodes)
-        cert = verify_cor3(args.dimension, args.p, args.s, args.amplitude, grid)
+        grid = RadialGrid.uniform(20.0 if args.radius is None else args.radius,
+                                  20001 if args.nodes is None else args.nodes)
+        cert = verify_cor3(args.dimension, args.p, args.s,
+                           1.0 if args.amplitude is None else args.amplitude, grid)
         _write_report(args.report, "verify", mode="cor3", certificate=cert)
         return _verify_exit(cert.residuals(), args.tol)
 
-    if args.radius is not None:
-        raise ValueError("--radius sets the --cor3 grid; it needs --cor3")
     if not (args.u_field and args.v_field):
         raise ValueError("verify needs --cor3 or both --u-field and --v-field")
+    for name, what in (("radius", "grid"), ("nodes", "grid"), ("amplitude", "bubble")):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} sets the --cor3 {what}; it needs --cor3")
     u = read_field(args.u_field)
     v = read_field(args.v_field)
     problem, exponents = _problem_from_args(args)
@@ -457,9 +460,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         add_problem(p)
         p.add_argument("--cor3", action="store_true",
                        help="verify the closed-form supercritical pair")
-        p.add_argument("--amplitude", type=float, default=1.0, help="closed-form amplitude A")
+        p.add_argument("--amplitude", type=float, default=None, help="closed-form amplitude A")
         p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--nodes", type=int, default=20001)
+        p.add_argument("--nodes", type=int, default=None)
         p.add_argument("--tol", type=float, default=1e-5,
                        help="max residual for exit code 0")
         p.add_argument("--u-field", help="two-column u dump")

@@ -11,13 +11,14 @@ second-order accurate for smooth fields, and yields an M-matrix for any
 shift >= 0, so the discrete maximum principle holds on every grid.
 
 At r = 0 symmetry gives a zero flux through the origin.  The flux
-weights, cell volumes and -Delta's band depend only on the grid and N:
-a grid computes them on first use and keeps them (``RadialGrid.plan``),
-so every ``RadialOperator`` on it copies one band template, and a new
-shift rewrites only that copy's diagonal.  The operator solves by
-calling LAPACK's tridiagonal ``dgtsv`` on the band's three diagonals
-directly, the routine ``solve_banded`` would dispatch to, with its
-finiteness and singularity checks kept in the operator.  The one-shot
+weights, cell volumes and -Delta's diagonals depend only on the grid
+and N: a grid computes them on first use and keeps them
+(``RadialGrid.plan``), so every ``RadialOperator`` on it shares one
+pair of off-diagonals and owns only its diagonal, which a new shift
+rewrites.  The operator solves by calling LAPACK's tridiagonal
+``dgtsv`` on the three diagonals directly, the routine
+``solve_banded`` would dispatch to, with its finiteness and
+singularity checks kept in the operator.  The one-shot
 wrappers call it, and ``apply_radial_laplacian`` fills the last node,
 which has no right neighbour, by a one-sided cubic fit.  Grid builders
 refuse more than ``MAX_GRID_NODES`` nodes.
@@ -291,12 +292,12 @@ def _gtsv(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray, b: np.ndarray)
 
 
 def _flux_plan(nodes: np.ndarray, dimension: int):
-    """-Delta's flux form on these nodes: (g, vol, diag, band, off_finite).
+    """-Delta's flux form on these nodes: (g, vol, diag, lower, upper, off_finite).
 
     g_i = r_{i+1/2}^(N-1)/h_i are the flux weights, vol the cell volumes,
-    diag -Delta's diagonal and band its ab form with a Dirichlet last row
-    and a zero diagonal otherwise; off_finite tells whether both
-    off-diagonals are finite.
+    diag -Delta's diagonal on every node but the last, and lower and
+    upper its off-diagonals with a Dirichlet last row (lower entry 0);
+    off_finite tells whether both off-diagonals are finite.
     """
     mid = 0.5 * (nodes[:-1] + nodes[1:])
     g = mid ** (dimension - 1) / np.diff(nodes)
@@ -304,42 +305,41 @@ def _flux_plan(nodes: np.ndarray, dimension: int):
     vol = np.diff(mid**dimension / dimension, prepend=0.0)
     # no flux through r = 0
     diag = (np.concatenate(([0.0], g[:-1])) + g) / vol
-    ab = np.zeros((3, nodes.size))
-    ab[0, 1:] = -g / vol
-    ab[1, -1] = 1.0
-    ab[2, :-2] = -g[:-1] / vol[1:]
-    return g, vol, diag, ab, bool(np.isfinite(ab[::2]).all())
+    lower = np.append(-g[:-1] / vol[1:], 0.0)
+    upper = -g / vol
+    return g, vol, diag, lower, upper, bool(np.isfinite(lower).all() and np.isfinite(upper).all())
 
 
 class RadialOperator:
-    """-Delta + shift in flux form on one grid, its band copied from the grid's.
+    """-Delta + shift in flux form on one grid, its off-diagonals the grid's.
 
     ``shift`` is a finite nonnegative scalar or one value per node.  The
-    flux weights g_i = r_{i+1/2}^(N-1)/h_i, the cell volumes and the band
-    (Dirichlet row at R) come from the grid's plan for N, computed once
-    per grid; each operator copies the band, and ``set_shift`` rewrites
-    that copy's diagonal and nothing else.
+    flux weights g_i = r_{i+1/2}^(N-1)/h_i, the cell volumes and the
+    three diagonals (Dirichlet row at R) come from the grid's plan for
+    N, computed once per grid.  Every operator on the grid shares the
+    off-diagonals and owns only its diagonal, with 1 at R, which
+    ``set_shift`` rewrites.
     """
 
     def __init__(self, grid: RadialGrid, dimension: int, shift=0.0) -> None:
         if dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {dimension}")
         self.grid, self.dimension = grid, dimension
-        self._g, self._vol, self._diag, band, self._off_finite = grid.plan(_flux_plan, dimension)
-        self._band = band.copy()
+        (self._g, self._vol, self._diag, self._lower, self._upper,
+         self._off_finite) = grid.plan(_flux_plan, dimension)
+        self._d = np.ones(grid.n)
         self.set_shift(shift)
 
     def set_shift(self, shift) -> None:
         """Make the operator -Delta + ``shift`` (scalar or one value per node)."""
         shift = np.asarray(shift, dtype=float)
-        diag = self._band[1]
-        if shift.ndim and shift.shape != diag.shape:
+        if shift.ndim and shift.shape != self._d.shape:
             raise ValueError("shift values must match the grid")
         if not ((shift >= 0) & (shift < np.inf)).all():
             raise ValueError("shift must be finite and >= 0")
-        diag[:-1] = self._diag + (shift[:-1] if shift.ndim else shift)
-        # a grid too wide for float64 flux weights makes a band that solve refuses
-        self._finite = self._off_finite and bool(np.isfinite(diag).all())
+        self._d[:-1] = self._diag + (shift[:-1] if shift.ndim else shift)
+        # a grid too wide for float64 flux weights makes diagonals that solve refuses
+        self._finite = self._off_finite and bool(np.isfinite(self._d).all())
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""
@@ -359,8 +359,7 @@ class RadialOperator:
             raise ValueError("operator band must be finite")
         if not np.isfinite(b).all():
             raise ValueError("right side must be finite")
-        ab = self._band
-        u = _gtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        u = _gtsv(self._lower, self._d, self._upper, b)
         if not np.isfinite(u).all():
             raise RuntimeError("radial solve produced non-finite values")
         return u

@@ -80,6 +80,28 @@ def test_residual_magnitude_fine_grid():
     assert cert.residual_v <= 1e-5
 
 
+@pytest.fixture(scope="module")
+def cor3_grid():
+    """The CLI's default --cor3 grid."""
+    return RadialGrid.uniform(20.0, 20001)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, p, s", [
+    (3, 6.0, 1.0), (3, 1e6, 1.0), (3, 6.0, 1e16), (3, 6.0, 1e300), (3, 1e300, 1e300),
+    (4, 4.0, 1.0), (5, 5.0, 1.0), (6, 3.0, 1.0), (5, 7.0, 0.3), (7, 3.0, 2.0), (9, 2.0, 1.0),
+])
+def test_cor3_residual_does_not_depend_on_p_or_s(cor3_grid, n, p, s):
+    # u = v = w reduces both equations to -Delta w = w^((N+2)/(N-2)), so
+    # both residuals are that one equation's, whatever p and s; float
+    # differences such as m - s = 0 at s = 1e300 would check another power
+    cert = verify_cor3(n, p, s, 1.0, cor3_grid)
+    reference = verify_cor3(n, (n + 2) / (n - 2) + 1.0, 1.0, 1.0, cor3_grid)
+    assert cert.residual_u == cert.residual_v == reference.residual_u
+    if n == 3:
+        assert cert.residual_u == 5.588170511661161e-06
+
+
 def closed_form_pair(n=3, p=6.0, s=1.0, amp=1.0, radius=60.0):
     exponents = closed_form_exponents(n, p, s)
     grid = RadialGrid.auto(radius, h0=0.01, stretch=1.02)

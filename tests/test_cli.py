@@ -886,16 +886,19 @@ def test_verify_cor3_refuses_the_flags_of_dumped_fields(tmp_path, capsys, flag):
     assert not (tmp_path / "c.json").exists()
 
 
-def test_verify_fields_refuse_radius(tmp_path, capsys, exp_dumps):
-    # --radius sets the cor3 grid alone; the README verify given it would
-    # pass, with the radius ignored
+@pytest.mark.parametrize("flag, what", [(["--radius", "20"], "grid"), (["--nodes", "17"], "grid"),
+                                       (["--amplitude", "3"], "bubble")],
+                         ids=lambda value: value[0] if isinstance(value, list) else value)
+def test_verify_fields_refuse_the_flags_of_cor3(tmp_path, capsys, exp_dumps, flag, what):
+    # each sets the closed-form check alone; the README verify given it
+    # would pass, with the flag ignored
     rc = run(["verify", *_EXP_POINT, "--rho-amplitude", "1.5",
               "--u-field", str(exp_dumps / "u.txt"), "--v-field", str(exp_dumps / "v.txt"),
-              "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4", "--radius", "20",
+              "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4", *flag,
               "--report", str(tmp_path / "v.json")])
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines() == [
-        "error: --radius sets the --cor3 grid; it needs --cor3"]
+        f"error: {flag[0]} sets the --cor3 {what}; it needs --cor3"]
     assert not (tmp_path / "v.json").exists()
 
 
@@ -967,25 +970,15 @@ def test_verify_cor3_unconverged_reason(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_verify_cor3_at_huge_p_takes_one_power_per_side(tmp_path):
-    # q = p - 5 and p - q = 5 exactly, so w^(p-q) is w^5, as at p = 6;
-    # w^p alone would overflow, since w(0) > 1 at N = 3
+@pytest.mark.parametrize("p, s", [("1e6", "1"), ("6", "1e300")])
+def test_verify_cor3_at_huge_p_or_s_reads_the_residual_of_p6_s1(tmp_path, p, s):
+    # both equations are -Delta w = w^5 at N = 3, whatever p and s: w^p
+    # alone would overflow, since w(0) > 1, and the float m - s is 0 at s = 1e300
     report = tmp_path / "c.json"
-    rc = run(["verify", "--cor3", "-N", "3", "--p", "1e6", "--s", "1", "--report", str(report)])
+    rc = run(["verify", "--cor3", "-N", "3", "--p", p, "--s", s, "--report", str(report)])
     assert rc == 0
     cert = json.loads(report.read_text())["certificate"]
     assert cert["residual_u"] == cert["residual_v"] == 5.588170511661161e-06
-
-
-@pytest.mark.filterwarnings("error")
-def test_verify_cor3_at_huge_s_reads_m_minus_s_as_rounded(tmp_path, capsys):
-    # m = 5 + 1e300 rounds to s itself, so the v equation's right side is
-    # w^0 = 1, and its residual is that of the rounded exponents
-    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1e300",
-              "--report", str(tmp_path / "c.json")])
-    assert rc == 3
-    assert _assert_one_line_unconverged(capsys) == (
-        "unconverged: residual_v 2.948e+00 > --tol 1e-05")
 
 
 def test_verify_fields_unconverged_reason(tmp_path, capsys):

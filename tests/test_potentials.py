@@ -211,7 +211,7 @@ def test_grid_plans_are_read_only():
              grid.plan(potentials._newton_plan, 5),
              grid.plan(potentials._fit_plan, BarrierFamily.Z, (4.0, 16.0))]
     arrays = [part for plan in plans for part in plan if isinstance(part, np.ndarray)]
-    assert len(arrays) == 4 + 4 + 2 + 2
+    assert len(arrays) == 5 + 4 + 2 + 2
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

@@ -331,7 +331,7 @@ def test_set_shift_matches_a_fresh_assembly():
     assert np.array_equal(op.solve(f, 0.25), before)
 
 
-def test_operators_on_one_grid_share_its_plan_and_keep_their_own_bands(monkeypatch):
+def test_operators_on_one_grid_share_its_plan_and_keep_their_own_diagonals(monkeypatch):
     built = []
 
     def counted(nodes, dimension):
@@ -346,7 +346,9 @@ def test_operators_on_one_grid_share_its_plan_and_keep_their_own_bands(monkeypat
 
     def check(op, shift):
         ab = _reference_band(grid.nodes, 4, np.broadcast_to(shift, grid.nodes.shape))
-        assert np.array_equal(op._band, ab)
+        assert np.array_equal(op._upper, ab[0, 1:])
+        assert np.array_equal(op._d, ab[1])
+        assert np.array_equal(op._lower, ab[2, :-1])
         b = f.copy()
         b[-1] = 0.5
         assert np.array_equal(op.solve(f, 0.5), solve_banded((1, 1), ab, b))
@@ -356,10 +358,12 @@ def test_operators_on_one_grid_share_its_plan_and_keep_their_own_bands(monkeypat
     RadialOperator(grid, 3)
     RadialOperator(RadialGrid(grid.nodes, grid.stretch), 4)
     assert built == [4, 3, 4]  # once per (grid, N)
-    assert a._g is b._g and not np.shares_memory(a._band, b._band)
+    # the off-diagonals are the grid's, each diagonal the operator's own
+    assert a._g is b._g and a._lower is b._lower and a._upper is b._upper
+    assert not np.shares_memory(a._d, b._d)
     check(a, shift_a)
     check(b, shift_b)
-    # a new shift on one operator leaves the other's band alone
+    # a new shift on one operator leaves the other's diagonal alone
     shift_a = 3.0 * rng.random(grid.n)
     a.set_shift(shift_a)
     check(a, shift_a)
