@@ -21,11 +21,12 @@ uses; the angular-quadrature form is the tests' oracle for it.  All
 Bessel factors are evaluated in exponentially scaled form so the
 scheme never overflows.  Tails beyond the grid are closed with the
 source's declared decay model: in closed form for the Newtonian
-potential, and for the shifted one on geometric intervals past R that
-join the grid's in its one pass of Gauss pieces.  The Bessel factors
-come from ``kernels._scaled_bessel``: closed forms at nu = 1/2 and 3/2
-(N = 3, 5) and Cephes' i1e/k1e at nu = 1 (N = 4), within 1.4e-15
-relative of 40-digit values, and scipy's AMOS ive/kve at other orders.
+potential, and for the shifted one on geometric intervals past R, on
+which its I and K sides and both chains run as on the grid's.  The
+Bessel factors come from ``kernels._scaled_bessel``: closed forms at
+nu = 1/2 and 3/2 (N = 3, 5) and Cephes' i1e/k1e at nu = 1 (N = 4),
+within 1.4e-15 relative of 40-digit values, and scipy's AMOS ive/kve
+at other orders.
 
 Both potentials integrate the source's not-a-knot cubic-spline
 interpolant with one Gauss-piece rule: equal pieces of at most 8
@@ -100,14 +101,14 @@ _PIECE_BLOCK = 4096
 _TAIL_STEPS = 1.25 ** np.arange(400)
 
 
-def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0):
+def _gauss_pieces(ends: np.ndarray, npts: int, rate: float, block: int):
     """Gauss points on the intervals [ends[i], ends[i+1]], cut into equal
     pieces of at most 8 e-folds of e^(rate r) (one piece for rate 0).
 
     Yields the (pieces, npts) points mid + half*x, each piece's
     half-width (its weights are half*w) and the interval owning it, in
-    runs of at most ``block`` consecutive pieces (one run when 0).  More
-    than MAX_GRID_NODES pieces in all are refused (ValueError).
+    runs of at most ``block`` consecutive pieces, every interval's alike.
+    More than MAX_GRID_NODES pieces in all are refused (ValueError).
     """
     a, b = ends[:-1], ends[1:]
     span = b - a
@@ -120,10 +121,9 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
     first = nsub.cumsum() - nsub  # index of each interval's first piece
     owners = np.repeat(np.arange(nsub.size), nsub)  # each piece's interval
     steps = span / nsub
-    size = block or total
-    for start in range(0, total, size):
-        piece = np.arange(start, min(start + size, total))
-        owner = owners[start : start + size]
+    for start in range(0, total, block):
+        piece = np.arange(start, min(start + block, total))
+        owner = owners[start : start + block]
         j = piece - first[owner]
         step = steps[owner]
         lo = a[owner] + j * step
@@ -134,23 +134,23 @@ def _gauss_pieces(ends: np.ndarray, npts: int, rate: float = 0.0, block: int = 0
 def _decay_chains(ip_int: np.ndarray, iq_int: np.ndarray, decay: np.ndarray):
     """The shifted potential's two chained sums, in one LAPACK ``dgtsv`` solve.
 
-    P runs up the ball, P_0 = 0 and P_(i+1) = P_i decay_i + ip_int_i, and
-    Q down from the tail's last end, Q_m = 0 and Q_i = Q_(i+1) decay_i +
-    iq_int_i, with m = iq_int.size.  Stacked, they form one bidiagonal
-    system with a unit diagonal: -decay_i lies below P's row i+1 and above
-    Q's row i, and the two blocks do not touch.  As |decay| <= 1, dgtsv
-    never swaps rows, and each step of its elimination (P) or of its back
+    Over the same m intervals (m = decay.size, one sum of each per
+    interval), P runs up from the centre, P_0 = 0 and P_(i+1) = P_i decay_i
+    + ip_int_i, and Q down from the last end, Q_m = 0 and Q_i = Q_(i+1)
+    decay_i + iq_int_i.  Stacked, they form one bidiagonal system with a
+    unit diagonal: -decay_i lies below P's row i+1 and above Q's row i,
+    and the two blocks do not touch.  As |decay| <= 1, dgtsv never swaps
+    rows, and each step of its elimination (P) or of its back
     substitution (Q) is the recurrence's own acc * d + x, bit for bit.
     Every input must be finite: dgtsv multiplies each unknown by the zero
-    couplings too.  Returns P and Q (ip_int.size + 1 and m + 1 values).
+    couplings too.  Returns P and Q, m + 1 values each.
     """
-    npv, size = ip_int.size + 1, ip_int.size + iq_int.size + 2
-    lower, upper, b = np.zeros(size - 1), np.zeros(size - 1), np.zeros(size)
-    lower[: npv - 1] = -decay[: npv - 1]
-    upper[npv:] = -decay
-    b[1:npv], b[npv:-1] = ip_int, iq_int
-    x = _gtsv(lower, np.ones(size), upper, b)
-    return x[:npv], x[npv:]
+    m = decay.size
+    lower, upper = np.zeros((2, 2 * m + 1))
+    lower[:m] = upper[m + 1 :] = -decay
+    b = np.concatenate(([0.0], ip_int, iq_int, [0.0]))
+    x = _gtsv(lower, np.ones(2 * m + 2), upper, b)
+    return x[: m + 1], x[m + 1 :]
 
 
 def _spline_system(r: np.ndarray):
@@ -228,7 +228,7 @@ def _newton_plan(r: np.ndarray, dimension: int):
     """
     x, w = _gauss(8)
     with np.errstate(over="ignore", invalid="ignore"):
-        # _gauss_pieces(r, 8)'s points, without its bookkeeping for split intervals
+        # _gauss_pieces(r, 8, 0.0, ...)'s points, without its bookkeeping for runs
         pts, half = _gauss_points(r[:-1], r[1:], 8)
         weights = np.stack((pts ** (dimension - 1), pts))
         basis = w[:, None] * (1.0 + x[:, None]) ** np.arange(4)
@@ -291,13 +291,14 @@ def bessel_potential_radial(
     integrals against I_nu below the diagonal and K_nu above it, in one
     pass of Gauss pieces over the grid's intervals and the tail's, which
     grow 1.25-fold until 46 e-folds past R and carry the source's decay
-    model.  Each point's e^(k s) growth is suppressed against its own
-    interval end, e^(k(s - r_(i+1))) for I_nu and e^(k(r_i - s)) for
-    K_nu, and the interval sums are chained with e^(-k h) factors, so no
-    intermediate ever overflows.  Applying -Delta + shift discretely to
-    the output reproduces the source to quadrature accuracy.  A grid on
-    which the arithmetic leaves float64 is refused (ValueError), unwarned,
-    and so is every N >= 344, where Gamma(N/2) itself leaves float64.
+    model; both sides are summed, and chained, on every interval alike.
+    Each point's e^(k s) growth is suppressed against its own interval
+    end, e^(k(s - r_(i+1))) for I_nu and e^(k(r_i - s)) for K_nu, and the
+    interval sums are chained with e^(-k h) factors, so no intermediate
+    ever overflows.  Applying -Delta + shift discretely to the output
+    reproduces the source to quadrature accuracy.  A grid on which the
+    arithmetic leaves float64 is refused (ValueError), unwarned, and so
+    is every N >= 344, where Gamma(N/2) itself leaves float64.
     """
     n = dimension
     if n < 3:
@@ -327,43 +328,36 @@ def bessel_potential_radial(
         ends = np.concatenate((r, tail))
         nnode = r.size
         coef = _not_a_knot(g, source.grid.plan(_spline_system))
-        ip_int, iq_int = np.zeros(nnode - 1), np.zeros(ends.size - 1)
-        zr, at_nodes = k * r[1:], None
+        sums = np.zeros((2, ends.size - 1))  # the I and K sides' interval sums
+        zr = k * r[1:]  # the first run evaluates each factor at the node radii too
         # the piece count grows like sqrt(shift) * R; summing run by run
         # bounds the memory
         for pts, half, owner in _gauss_pieces(ends, 12, k, _PIECE_BLOCK):
             ball = owner.searchsorted(nnode - 1)  # a run's ball pieces come first
-            bpts, bowner = pts[:ball], owner[:ball]
             vals = np.empty(pts.shape)
-            vals[:ball] = _spline_at(coef, r, bpts, bowner)
+            vals[:ball] = _spline_at(coef, r, pts[:ball], owner[:ball])
             vals[ball:] = source.tail(pts[ball:])
             core = half[:, None] * wg * vals * pts ** (n / 2.0)
-            kb, kp = k * bpts, k * pts
-            if at_nodes is None:
-                # the first run evaluates each factor once, at the node
-                # radii k r[1:] too
-                ib = ive(np.concatenate((kb.ravel(), zr)))
-                kq = kve(np.concatenate((kp.ravel(), zr)))
-                at_nodes = ib[kb.size :], kq[kp.size :]
-                ib, kq = ib[: kb.size].reshape(kb.shape), kq[: kp.size].reshape(kp.shape)
-            else:
-                ib, kq = ive(kb), kve(kp)
-            ip = core[:ball] * ib * np.exp(k * (bpts - ends[1:][bowner, None]))
-            iq = core * kq * np.exp(k * (ends[:-1][owner, None] - pts))
-            ip_int += np.bincount(bowner, ip.sum(axis=1), minlength=nnode - 1)
-            iq_int += np.bincount(owner, iq.sum(axis=1), minlength=ends.size - 1)
+            z = np.concatenate(((k * pts).ravel(), zr))
+            iz, kz = ive(z), kve(z)
+            if zr.size:
+                at_nodes, zr = (iz[pts.size :], kz[pts.size :]), zr[:0]
+            iz, kz = iz[: pts.size].reshape(pts.shape), kz[: pts.size].reshape(pts.shape)
+            ip = core * iz * np.exp(k * (pts - ends[owner + 1, None]))
+            iq = core * kz * np.exp(k * (ends[owner, None] - pts))
+            sums[0] += np.bincount(owner, ip.sum(axis=1), minlength=ends.size - 1)
+            sums[1] += np.bincount(owner, iq.sum(axis=1), minlength=ends.size - 1)
 
         # both chains in one dgtsv solve, whose arithmetic is the
-        # recurrences' own; P runs up the ball, Q down from the tail's last end
+        # recurrences' own; P runs up from the centre, Q down from the tail's last end
         decay = np.exp(-k * (ends[1:] - ends[:-1]))
-        if not (np.isfinite(ip_int).all() and np.isfinite(iq_int).all()
-                and np.isfinite(decay).all()):
+        if not (np.isfinite(sums).all() and np.isfinite(decay).all()):
             raise ValueError(beyond)
-        p_acc, q_acc = _decay_chains(ip_int, iq_int, decay)
+        p_acc, q_acc = _decay_chains(*sums, decay)
 
         u = np.empty(nnode)
         ive_r, kve_r = at_nodes
-        u[1:] = r[1:] ** (1.0 - n / 2.0) * (kve_r * p_acc[1:] + ive_r * q_acc[1:nnode])
+        u[1:] = r[1:] ** (1.0 - n / 2.0) * (kve_r * p_acc[1:nnode] + ive_r * q_acc[1:nnode])
         # in numpy, so that (k/2)^nu overflows to inf and is refused below
         u[0] = np.float64(k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
     if not np.isfinite(u).all():

@@ -198,11 +198,18 @@ def test_reports_are_deterministic_up_to_timestamp(tmp_path):
     assert p1 == p2
 
 
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("GM_STEADY_THREADS", "2")
-    rc = run(["region", "-N", "3", "--m", "5", "--sweep", "p=1.1:6.0:100",
-              "--report", str(tmp_path / "r.json"), "--out-table", str(tmp_path / "t.csv")])
-    assert rc == 0
+def test_threads_env_is_ignored(tmp_path, monkeypatch):
+    # GM_STEADY_THREADS, which used to size a thread pool for region, is
+    # ignored: the table's bytes are the same without it and with it
+    monkeypatch.delenv("GM_STEADY_THREADS", raising=False)
+    tables = []
+    for name in ("without", "with"):
+        table = tmp_path / f"{name}.csv"
+        assert run(["region", "-N", "3", "--m", "5", "--sweep", "p=1.1:6.0:100",
+                    "--report", str(tmp_path / f"{name}.json"), "--out-table", str(table)]) == 0
+        tables.append(table.read_bytes())
+        monkeypatch.setenv("GM_STEADY_THREADS", "2")
+    assert tables[0] == tables[1]
 
 
 # (fixed flags, sweeps, Problem/Exponents factory) for one lattice per regime
