@@ -391,9 +391,13 @@ def _admit_pair(u: RadialField, v: RadialField) -> None:
 
 def _right_sides(problem: Problem, exponents: Exponents, r: np.ndarray,
                  u: np.ndarray, v: np.ndarray) -> tuple:
-    """(u^p/v^q + rho, u^m/v^s) at the nodes r, where u and v take the values given."""
-    return (u**exponents.p / v**exponents.q + problem.rho.evaluate(r),
-            u**exponents.m / v**exponents.s)
+    """(u^p/v^q + rho, u^m/v^s) at the nodes r, where u and v take the values given.
+
+    Powers that leave float64 give inf or nan, which the callers judge.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return (u**exponents.p / v**exponents.q + problem.rho.evaluate(r),
+                u**exponents.m / v**exponents.s)
 
 
 def _half_ball_sup(grid, gap: np.ndarray) -> float:
@@ -434,6 +438,8 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     if rate_u_rhs <= 0 or rate_v_rhs <= 0:
         raise ValueError("right-hand sides do not decay; representation undefined")
     values_u, values_v = _right_sides(problem, exponents, u.grid.nodes, u.values, v.values)
+    if not (np.isfinite(values_u).all() and np.isfinite(values_v).all()):
+        raise ValueError("the right sides u^p/v^q + rho and u^m/v^s leave the float64 range")
     rhs_u = RadialField(u.grid, values_u, BarrierProfile(family, rate_u_rhs))
     rhs_v = RadialField(u.grid, values_v, BarrierProfile(family, rate_v_rhs))
 

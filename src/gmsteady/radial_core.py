@@ -297,16 +297,19 @@ def _flux_plan(nodes: np.ndarray, dimension: int):
     g_i = r_{i+1/2}^(N-1)/h_i are the flux weights, vol the cell volumes,
     diag -Delta's diagonal on every node but the last, and lower and
     upper its off-diagonals with a Dirichlet last row (lower entry 0);
-    off_finite tells whether both off-diagonals are finite.
+    off_finite tells whether both off-diagonals are finite: on nodes too
+    wide or too narrow for float64 powers they are not, and the operator
+    refuses to act.
     """
-    mid = 0.5 * (nodes[:-1] + nodes[1:])
-    g = mid ** (dimension - 1) / np.diff(nodes)
-    # control cell around node i: exact shell integral of r^(N-1)
-    vol = np.diff(mid**dimension / dimension, prepend=0.0)
-    # no flux through r = 0
-    diag = (np.concatenate(([0.0], g[:-1])) + g) / vol
-    lower = np.append(-g[:-1] / vol[1:], 0.0)
-    upper = -g / vol
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mid = 0.5 * (nodes[:-1] + nodes[1:])
+        g = mid ** (dimension - 1) / np.diff(nodes)
+        # control cell around node i: exact shell integral of r^(N-1)
+        vol = np.diff(mid**dimension / dimension, prepend=0.0)
+        # no flux through r = 0
+        diag = (np.concatenate(([0.0], g[:-1])) + g) / vol
+        lower = np.append(-g[:-1] / vol[1:], 0.0)
+        upper = -g / vol
     return g, vol, diag, lower, upper, bool(np.isfinite(lower).all() and np.isfinite(upper).all())
 
 
@@ -343,6 +346,8 @@ class RadialOperator:
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""
+        if not self._off_finite:
+            raise ValueError("operator band must be finite")
         flux = self._g * (values[1:] - values[:-1])  # flux through r_{i+1/2}
         net = np.empty_like(flux)  # net outflow of each cell; none enters at r = 0
         net[0] = flux[0]

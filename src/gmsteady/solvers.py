@@ -46,17 +46,16 @@ Truncation.  Exponential-family runs pick the smallest radius where
 the barrier has dropped by 1e12 relative to the origin; algebraic
 families cannot reach that drop at any practical radius, so they start
 from a configurable default; ``_BALL_GRIDS`` holds each family's grid
-recipe.  Either way one driver,
-``_two_ball_report``, runs the solve on the ball and again on the
-doubled ball (``_ball_pair``), and reports the first run;
-``SolveReport`` states its sandwich, convergence and allowance rules.
-A coupled W run starts the doubled ball one Picard step behind the
-first ball's answer; Z runs and the scalar solve start it from the
-lower barriers.
-The default zero-shift ball and its doubled ball are one pair per
-process (``_default_alg_balls``), so the plans on them are built once.
-A report's residuals and decay fits come from ``potentials``, which
-measures a candidate pair for ``certificates`` too.
+recipe.  Either way one driver, ``_two_ball_report``, runs the solve
+from the lower barriers and reports it; ``SolveReport`` states its
+sandwich, convergence and truncation rules.  A W run solves on its
+ball only, and its truncation bound closes the report in closed form;
+a Z run is re-solved on the doubled ball (``_ball_pair``), which only
+checks it.  The default zero-shift ball and its doubled ball are one
+pair per process (``_default_alg_balls``), so the plans on them are
+built once.  A report's residuals and decay fits come from
+``potentials``, which measures a candidate pair for ``certificates``
+too.
 """
 
 from __future__ import annotations
@@ -90,6 +89,8 @@ __all__ = [
 
 #: Exponential truncation rule: barrier drops by this factor from r = 0.
 _EXP_DROP = 1e12
+#: Largest truncation bound of a converged W run (``SolveReport``).
+_TRUNCATION_LIMIT = 1e-6
 #: Starting radius for algebraic-family runs (the 1e12 drop rule would
 #: demand astronomically large balls for power-law decay).
 DEFAULT_ALG_RADIUS = 480.0
@@ -126,28 +127,33 @@ class IterationState:
 class SolveReport:
     """Outcome of a solver run; its report holds every field but u, v and trace.
 
-    Every solve runs on its ball (radius R) and again on the doubled
-    ball, and reports the first run; the doubled ball only checks it.
-    ``iterations`` counts the first ball's steps (Newton steps of the
-    scalar solve, Picard steps of the coupled one), and the residuals are
-    the first ball's.  ``margins`` maps field name to (min, max) of
-    field/(lower constant times barrier) on the first ball.  ``decay``
-    maps field name to (fitted rate, fit residual) over the family's fit
-    window (``potentials._fit_windows``).  The status is
+    Every solve runs on its ball (radius R) from the lower barriers, to
+    which every iterate is pinned at R.  ``iterations`` counts the
+    ball's steps (Newton steps of the scalar solve, Picard steps of the
+    coupled one).  ``margins`` maps field name to (min, max) of
+    field/(lower constant times barrier) on the ball.  ``decay`` maps
+    field name to (fitted rate, fit residual) over the family's fit
+    window (``potentials._fit_windows``).  A W run's
+    ``truncation_bound``, the largest over the fields of
+    (upper - lower) * B(R) / max field, is the relative error of its
+    Dirichlet data at R, where every whole-space solution in the
+    sandwich lies in [lower, upper] * B(R).  A Z run is repeated on the
+    doubled ball, and its ``stability_gap`` is the largest move of a
+    field between the balls on r <= R.  Each is None in the other
+    family's reports.  The status is
 
-    * ``sandwich-violated`` unless both balls' fields lie inside
-      [1, upper/lower] on the original nodes r <= R, up to 1e-9 slack,
+    * ``sandwich-violated`` unless the fields (both balls' for Z) lie
+      inside [1, upper/lower] on the nodes r <= R, up to 1e-9 slack,
       and the coupled Picard loop, which stops at the first iterate that
       leaves the sandwich anywhere on its ball, never stopped so;
-    * else ``converged`` if the first ball's run converged (scalar:
-      Newton residual below its tolerance and every iterate monotone;
-      coupled: relative change below ``tol_change`` and both PDE
-      residuals on r <= R/2 below ``tol_residual``) and
-      ``stability_gap``, the largest move of a field between the balls
-      on r <= R, is at most the allowance: the sum over the fields of
-      upper constant times barrier at R, plus 1e-14;
-    * else ``max-iterations``, with a ball-growth note if the gap
-      exceeds the allowance.
+    * else ``converged`` if the run converged (scalar: Newton residual
+      below its tolerance and every iterate monotone; coupled: relative
+      change below ``tol_change`` and both PDE residuals on r <= R/2
+      below ``tol_residual``), and the bound is at most
+      ``_TRUNCATION_LIMIT`` or the gap at most its allowance: the sum
+      over the fields of upper constant times barrier at R, plus 1e-14;
+    * else ``max-iterations``, with a note naming the bound or the gap
+      where it exceeds its limit.
     """
 
     status: SolveStatus
@@ -159,7 +165,8 @@ class SolveReport:
     decay: dict
     iterations: int
     ball_radius: float
-    stability_gap: float
+    stability_gap: Optional[float]
+    truncation_bound: Optional[float]
     notes: list = dfield(default_factory=list)
     trace: list = dfield(default_factory=list, metadata={"report": False})
 
@@ -186,17 +193,17 @@ def _field_envelope(psi: RadialField, profile: BarrierProfile):
     return float(ratios.min()), float(ratios.max())
 
 
-def _run_status(gap: float, allowance: float, sandwiched: bool, converged: bool) -> tuple:
-    """(status, notes) of a run whose doubled-ball re-run moved it by ``gap``.
+def _run_status(gap: float, allowance: float, sandwiched: bool, converged: bool,
+                check: str = "ball-growth stability gap", limit: str = "boundary barrier") -> tuple:
+    """(status, notes) of a run whose ``check`` of its ball read ``gap``.
 
-    A gap above ``allowance`` adds a ball-growth note and rules out
-    convergence; a sandwich violation outranks both.
+    A gap above ``allowance`` adds a note naming the ``check`` and its
+    ``limit`` and rules out convergence; a sandwich violation outranks
+    both.
     """
     notes = []
-    if gap > allowance:
-        notes.append(
-            f"ball-growth stability gap {gap:.3e} exceeds boundary barrier {allowance:.3e}"
-        )
+    if not gap <= allowance:
+        notes.append(f"{check} {gap:.3e} exceeds {limit} {allowance:.3e}")
     if not sandwiched:
         return SolveStatus.SANDWICH_VIOLATED, notes
     if converged and not notes:
@@ -267,35 +274,34 @@ class _Field(NamedTuple):
     power: float  # runs raise the field to powers down to -power
 
 
-def _ball_envelopes(balls: tuple, fields: dict) -> tuple:
-    """Each field's lower * B on both balls of a ``_ball_pair``, by name.
+def _ball_envelopes(balls: tuple, fields: dict) -> list:
+    """Each field's lower * B on each of ``balls``, by name: one dict per ball.
 
-    Each barrier is evaluated once, on the doubled ball, whose first
-    ``grid.n`` nodes are the first ball's: the first ball's envelopes
-    are views of the doubled ball's, which no run writes.  The margins
-    divide by every lower * B, and runs raise a field to -power: each
-    lower * B must stay a normal double on its ball, and its -power-th
-    power may not overflow (HypothesisError otherwise, the first ball's
-    refusals first).
+    Each ball's nodes begin with the ones before it (a ball, then its
+    doubled ball), so each barrier is evaluated once, on the last ball,
+    and the other balls' envelopes are views of it, which no run
+    writes.  The margins divide by every lower * B, and runs raise a
+    field to -power: each lower * B must stay a normal double on its
+    ball, and its -power-th power may not overflow (HypothesisError
+    otherwise, the first ball's refusals first).
     """
-    grid, big = balls
-    lows2 = {name: f.lower * np.asarray(eval_barrier(f.barrier, big.nodes), dtype=float)
+    whole = {name: f.lower * np.asarray(eval_barrier(f.barrier, balls[-1].nodes), dtype=float)
              for name, f in fields.items()}
-    lows = {name: low[: grid.n] for name, low in lows2.items()}
-    for ball, envelopes in ((grid, lows), (big, lows2)):
+    envelopes = [{name: low[: ball.n] for name, low in whole.items()} for ball in balls]
+    for ball, lows in zip(balls, envelopes):
         for name, f in fields.items():
-            low = envelopes[name]
+            low = lows[name]
             if not low.min() >= np.finfo(float).tiny:
                 raise HypothesisError(f"{f.label} underflows below the smallest normal double "
                                       f"within radius {ball.radius:g}")
             if -f.power * math.log(low.min()) > math.log(np.finfo(float).max):
                 raise HypothesisError(f"({f.label})^(-{f.power:g}) overflows "
                                       f"within radius {ball.radius:g}")
-    return lows, lows2
+    return envelopes
 
 
 def _ball_pair(grid: RadialGrid) -> tuple:
-    """The ball ``grid`` and the doubled ball that checks a run on it."""
+    """The ball ``grid`` and the doubled ball that checks a Z run on it."""
     return grid, grid.extended(2.0)
 
 
@@ -309,52 +315,62 @@ def _default_alg_balls() -> tuple:
     return _ball_pair(RadialGrid.auto(DEFAULT_ALG_RADIUS, *_BALL_GRIDS[BarrierFamily.Z]))
 
 
-def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
-    """Run on both balls of a ``_ball_pair``; report the first run by ``SolveReport``'s rules.
+def _two_ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
+    """Run on ``grid`` from the lower barriers; report the run by ``SolveReport``'s rules.
 
-    ``fields`` maps each field name to its ``_Field``.  ``run(g, lows,
-    start)`` solves on ball ``g`` from ``start`` (values by name), or
-    from the lower barriers ``lows`` (by name) when ``start`` is None,
-    and returns (values by name, iteration count, whether the run kept
-    every iterate inside the sandwich, check, the iterate before the
-    last by name or None), where ``check(out)`` takes the fields of the
-    first ball's run and returns (residual of u or None, residual of v,
-    whether the run converged).  Each field is fitted over its window in
-    ``_fit_windows``.  The fit windows and both balls' float range are
-    checked before either run, so a refusal costs no solve.
+    ``fields`` maps each field name to its ``_Field``.  ``run(g, lows)``
+    solves on ball ``g`` from the lower barriers ``lows`` (by name) and
+    returns (values by name, iteration count, whether the run kept every
+    iterate inside the sandwich, check), where ``check(out)`` takes the
+    fields of the run on ``grid`` and returns (residual of u or None,
+    residual of v, whether the run converged).  Without a ``grid`` the
+    run takes its family's default ball: for W the ball of
+    ``default_exp_radius`` at the slower field's rate, for Z
+    ``_default_alg_balls``.  Each field is fitted over its window in
+    ``_fit_windows``.  The fit windows and every ball's float range are
+    checked before any run, so a refusal costs no solve.
 
-    The first ball always starts from its lower barriers.  A W run that
-    reports the iterate before its last restarts the doubled ball from
-    it, continued beyond R by the doubled ball's lower barriers: every
-    iterate is pinned to them at R.  The doubled ball then repeats the
-    first ball's last step, and the gap compares the images of one
-    iterate under the two balls' maps, as two cold runs in lock step
-    do.  Z runs restart cold: the pin of v at R moves the doubled
-    ball's answer, and a warm start there takes more steps, not fewer.
+    A W run solves on its ball only, and its truncation bound is closed
+    form.  A Z run is repeated on the doubled ball, from that ball's
+    lower barriers, and judged by the gap between the two: its barriers
+    decay only algebraically, and the bound reads 1.9e-2 at the
+    zero-shift worked case's default ball.
     """
-    grid, big = balls
     family = fields["v"].barrier.family  # one family per run
+    if family is BarrierFamily.Z:
+        balls = _default_alg_balls() if grid is None else _ball_pair(grid)
+    elif grid is None:
+        rate = min(f.barrier.rate for f in fields.values())
+        balls = (RadialGrid.auto(default_exp_radius(rate), *_BALL_GRIDS[family]),)
+    else:
+        balls = (grid,)
+    grid = balls[0]
     windows = _fit_windows(family, grid.radius)
     for name in fields:
         _window_mask(grid.nodes, windows[name])
-    lows, lows2 = _ball_envelopes(balls, fields)
-    vals, its, inside, check, prev = run(grid, lows, None)
-    start = None
-    if prev is not None and family is BarrierFamily.W:
-        start = {name: np.concatenate((prev[name], lows2[name][grid.n :])) for name in fields}
-    vals2, _, inside2, _, _ = run(big, lows2, start)
-    margins, gaps, sandwiched = {}, [], inside and inside2
+    envelopes = _ball_envelopes(balls, fields)
+    (vals, its, sandwiched, check), *doubled = [run(*ball) for ball in zip(balls, envelopes)]
+    lows, margins, gaps = envelopes[0], {}, []
     for name, f in fields.items():
-        cap, near = f.upper / f.lower, vals2[name][: grid.n]
+        cap = f.upper / f.lower
         margins[name], ok = _sandwich_margins(vals[name], lows[name], cap)
-        sandwiched = sandwiched and ok and _sandwich_margins(near, lows[name], cap)[1]
-        gaps.append(float(np.abs(near - vals[name]).max()))
-    gap = max(gaps)
-    allowance = sum(f.upper * float(eval_barrier(f.barrier, grid.radius))
-                    for f in fields.values()) + 1e-14
+        sandwiched = sandwiched and ok
+        for vals2, _, inside2, _ in doubled:
+            near = vals2[name][: grid.n]
+            sandwiched = sandwiched and inside2 and _sandwich_margins(near, lows[name], cap)[1]
+            gaps.append(float(np.abs(near - vals[name]).max()))
     out = {name: RadialField(grid, vals[name], f.barrier) for name, f in fields.items()}
     res_u, res_v, converged = check(out)
-    status, notes = _run_status(gap, allowance, sandwiched, converged)
+    edge = {name: float(eval_barrier(f.barrier, grid.radius)) for name, f in fields.items()}
+    if doubled:
+        gap, bound = max(gaps), None
+        allowance = sum(f.upper * edge[name] for name, f in fields.items()) + 1e-14
+        status, notes = _run_status(gap, allowance, sandwiched, converged)
+    else:
+        gap, bound = None, max((f.upper - f.lower) * edge[name] / float(vals[name].max())
+                               for name, f in fields.items())
+        status, notes = _run_status(bound, _TRUNCATION_LIMIT, sandwiched, converged,
+                                    "truncation bound", "limit")
     return SolveReport(
         status=status,
         u=out.get("u"),
@@ -367,6 +383,7 @@ def _two_ball_report(balls: tuple, fields: dict, run) -> SolveReport:
         iterations=its,
         ball_radius=grid.radius,
         stability_gap=gap,
+        truncation_bound=bound,
         notes=notes,
     )
 
@@ -394,8 +411,8 @@ def solve_singular_scalar(
     a = (gamma-2)/(s+1), lo = a (N - a - 2), so 2 < gamma < (N-2)s + N
     (rates gamma <= 2 provably admit no positive solution).
 
-    The run solves on the weight's grid and re-solves on the doubled
-    ball, the weight continued by its tail (``_two_ball_report``).  A
+    The run solves on the weight's grid (``_two_ball_report``); a Z run
+    re-solves on the doubled ball, the weight continued by its tail.  A
     ball on which c B leaves the normal float64 range, or on which
     (c B)^(-s-1) overflows, is refused before any solve.
     """
@@ -434,17 +451,16 @@ def solve_singular_scalar(
     c_high = (big_m / lo) ** (1.0 / (s + 1.0))
     trace: list = []
 
-    # the run reports no earlier iterate, so ``start`` is always None: both
-    # balls start from v_low, and each trace is monotone
-    def run(g: RadialGrid, lows: dict, start: None):
+    # every ball starts from v_low, so each trace is monotone
+    def run(g: RadialGrid, lows: dict):
         psi_vals = np.concatenate((psi.values, psi.tail(g.nodes[psi.grid.n :])))
         vals, res, its, mono = _monotone_ball(RadialOperator(g, n), shift, s, psi_vals,
                                               lows["v"], tol_residual,
                                               trace if record_trace else None)
-        return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono), None
+        return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono)
 
     report = _two_ball_report(
-        _ball_pair(psi.grid), {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0)}, run)
+        psi.grid, {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0)}, run)
     report.trace = trace
     return report
 
@@ -462,19 +478,15 @@ def _picard_coupled(
     lows: dict,
     tol_change: float,
     tol_residual: float,
-    start: Optional[dict] = None,
 ) -> tuple:
-    """Picard loop on ``grid`` from ``start``, else ``lows``: a ``_two_ball_report`` run.
+    """Picard loop on ``grid`` from the lower barriers ``lows``: a ``_two_ball_report`` run.
 
-    ``lows`` are the lower barriers.  The loop stops at the first iterate
-    that leaves the sandwich anywhere on the ball, before v's negative
-    powers can leave float64.  It reports the iterate that its last step
-    mapped.
+    The loop stops at the first iterate that leaves the sandwich anywhere
+    on the ball, before v's negative powers can leave float64.
     """
     n = problem.dimension
     p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
-    low_u, low_v = lows["u"], lows["v"]
-    u, v = (low_u, low_v) if start is None else (start["u"], start["v"])
+    u, v = low_u, low_v = lows["u"], lows["v"]
     cap_u, cap_v = ledger.m1_upper / ledger.m1_lower, ledger.m2_upper / ledger.m2_lower
     rho_vals = problem.rho.evaluate(grid.nodes)
 
@@ -506,7 +518,6 @@ def _picard_coupled(
             float(np.abs(u_new - u).max()) / max(float(u_new.max()), 1e-300),
             float(np.abs(v_new - v).max()) / max(float(v_new.max()), 1e-300),
         )
-        prev = {"u": u, "v": v}
         u, v = u_new, v_new
         inside = _sandwich_margins(u, low_u, cap_u)[1] and _sandwich_margins(v, low_v, cap_v)[1]
         if not inside or change <= tol_change:
@@ -517,7 +528,7 @@ def _picard_coupled(
         converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
         return res_u, res_v, converged
 
-    return {"u": u, "v": v}, it, inside, check, prev
+    return {"u": u, "v": v}, it, inside, check
 
 
 def _coupled_report(
@@ -528,10 +539,10 @@ def _coupled_report(
     tol_change: float,
     tol_residual: float,
 ) -> SolveReport:
-    """Both regimes' two-ball solve; callers check ledger regime and shifts.
+    """Both regimes' solve; callers check ledger regime and shifts.
 
-    Without a ``grid``, an exponential run takes the ball of
-    ``default_exp_radius`` and a zero-shift run ``_default_alg_balls``.
+    Without a ``grid`` the run takes its family's default ball
+    (``_two_ball_report``).
     """
     if not ledger.feasible:
         raise RegimeError(f"ledger infeasible: {ledger.violated}")
@@ -539,13 +550,6 @@ def _coupled_report(
     if problem.rho.family is not fam:
         regime = ledger.regime.name.lower()
         raise RegimeError(f"{regime} regime expects an {regime} source envelope")
-    if grid is not None:
-        balls = _ball_pair(grid)
-    elif fam is BarrierFamily.W:
-        radius = default_exp_radius(min(ledger.rate_u, ledger.rate_v))
-        balls = _ball_pair(RadialGrid.auto(radius, *_BALL_GRIDS[fam]))
-    else:
-        balls = _default_alg_balls()
     # the loop raises u to positive powers only, and v to -q and -s-1
     fields = {
         "u": _Field("M1_lower * B_u", BarrierProfile(fam, ledger.rate_u),
@@ -553,8 +557,8 @@ def _coupled_report(
         "v": _Field("M2_lower * B_v", BarrierProfile(fam, ledger.rate_v), ledger.m2_lower,
                     ledger.m2_upper, max(exponents.q, exponents.s + 1.0)),
     }
-    return _two_ball_report(balls, fields, lambda g, lows, start: _picard_coupled(
-        problem, exponents, ledger, g, lows, tol_change, tol_residual, start))
+    return _two_ball_report(grid, fields, lambda g, lows: _picard_coupled(
+        problem, exponents, ledger, g, lows, tol_change, tol_residual))
 
 
 def solve_coupled_exp(

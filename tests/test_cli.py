@@ -504,9 +504,8 @@ def exp_dumps(tmp_path_factory):
      "--stretch", "1"],
     ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "1e4", "--h0", "1e-6",
      "--stretch", "1"],
-    # 600,001 nodes fit the cap, but the doubled ball's 1,200,001 do not
-    ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "30", "--h0", "5e-5",
-     "--stretch", "1"],
+    # 600,001 nodes fit the cap, but the zero-shift doubled ball's 1,200,001 do not
+    ["solve", *_ALG_POINT, "--radius", "30", "--h0", "5e-5", "--stretch", "1"],
     # the README verify given a u dump whose last node is inf or nan
     *(["verify", *_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", f"{{dumps}}/u_{bad}.txt",
        "--v-field", "{dumps}/v.txt", "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4"]
@@ -599,38 +598,105 @@ def test_region_float_range_ledger_is_unknown(tmp_path, capsys, flags, sweep, ro
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys):
-    # lam = 1e300 certifies M2_lower ~ 1.6e-302, and M2_lower * B_v
-    # underflows to 0 on the doubled ball; at s = 12 and 30 M1_lower * B_u
-    # leaves the normal range, and at m = 2, s = 12 (M2_lower * B_v)^(-13)
-    # overflows while u stays normal
-    for changes, reason in [({"--lam": "1e300"}, "underflows"),
-                            ({"--s": "12"}, "underflows"),
-                            ({"--s": "30"}, "underflows"),
-                            ({"--m": "2", "--s": "12"}, "^(-13) overflows")]:
-        args = ["solve", *_EXP_POINT, "--rho-amplitude", "1.5",
-                "--report", str(tmp_path / "s.json")]
-        for name, value in changes.items():
-            args[args.index(name) + 1] = value
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rc = run(args)
-        assert rc == 2 and caught == []
-        assert reason in _assert_one_line_refusal(capsys)
+def _exp_point_with(changes: dict) -> list:
+    """The README exp flags with the values of ``changes`` in place."""
+    args = [*_EXP_POINT, "--rho-amplitude", "1.5"]
+    for name, value in changes.items():
+        args[args.index(name) + 1] = value
+    return args
 
 
-def test_solve_refuses_a_doubled_ball_out_of_float_range_before_any_solve(tmp_path, capsys,
-                                                                          monkeypatch):
-    # at s = 12 only the doubled ball leaves the normal float64 range
+@pytest.mark.parametrize("changes, refusal", [
+    # lam = 1e300 certifies M1_lower = 5e-301, and M1_lower * B_u falls to
+    # about 2e-313 at the edge of the ball of radius 28.6
+    ({"--lam": "1e300"}, "refused: M1_lower * B_u underflows below the smallest normal double "
+                         "within radius 28.6136"),
+    ({"--s": "30"}, "refused: M1_lower * B_u underflows below the smallest normal double "
+                    "within radius 857.561"),
+], ids=["lam-1e300", "s-30"])
+def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys, monkeypatch, changes,
+                                                  refusal):
     calls = []
-    monkeypatch.setattr(solvers, "_monotone_ball", lambda *args: calls.append(args))
-    args = ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--report", str(tmp_path / "s.json")]
-    args[args.index("--s") + 1] = "12"
-    assert run(args) == 2
-    assert _assert_one_line_refusal(capsys) == (
-        "refused: M1_lower * B_u underflows below the smallest normal double "
-        "within radius 721.352")
-    assert calls == []
+    monkeypatch.setattr(solvers, "_picard_coupled", lambda *args: calls.append(args))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["solve", *_exp_point_with(changes), "--report", str(tmp_path / "s.json")])
+    assert rc == 2 and caught == [] and calls == []
+    assert _assert_one_line_refusal(capsys) == refusal
+
+
+@pytest.mark.parametrize("changes, v_rate", [({"--s": "12"}, 1 / 13), ({"--s": "20"}, 1 / 21),
+                                             ({"--m": "2", "--s": "12"}, 2 / 13)],
+                         ids=["s-12", "s-20", "m-2-s-12"])
+def test_solve_points_whose_doubled_ball_left_float_range_converge(tmp_path, capsys, changes,
+                                                                   v_rate):
+    # only the doubled ball, which W runs no longer solve on, left the
+    # normal float64 range at these points; their dumps verify at the
+    # README tolerance with the ledger's rates
+    u, v, report = (str(tmp_path / name) for name in ("u.txt", "v.txt", "s.json"))
+    flags = _exp_point_with(changes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["solve", *flags, "--report", report, "--out-u", u, "--out-v", v]) == 0
+        fields = json.loads(pathlib.Path(report).read_text())
+        assert fields["solve"]["status"] == "converged"
+        assert fields["verdict"]["ledger"]["rate_v"] == v_rate
+        assert run(["verify", *flags, "--u-field", u, "--v-field", v, "--u-rate", "1",
+                    "--v-rate", repr(v_rate), "--tol", "1e-4",
+                    "--report", str(tmp_path / "v.json")]) == 0
+    assert caught == [] and capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("radius", ["0.001", "1", "4", "8", "16"])
+def test_solve_on_a_too_small_exp_ball_names_the_truncation_bound(tmp_path, capsys, radius):
+    # the Picard run converges on each ball, but its Dirichlet data at R
+    # lie further than 1e-6 (relative) from any whole-space solution's
+    report = tmp_path / "s.json"
+    rc = run(["solve", *_exp_point_with({}), "--radius", radius, "--report", str(report)])
+    assert rc == 3
+    solve = json.loads(report.read_text())["solve"]
+    assert solve["status"] == "max-iterations" and solve["truncation_bound"] > 1e-6
+    note = f"truncation bound {solve['truncation_bound']:.3e} exceeds limit 1.000e-06"
+    assert solve["notes"] == [note]
+    assert _assert_one_line_unconverged(capsys) == f"unconverged: max-iterations; {note}"
+
+
+@pytest.mark.parametrize("point, check", [(_EXP_POINT, "truncation_bound"),
+                                          (_ALG_POINT, "stability_gap")], ids=["exp", "alg"])
+def test_solve_report_holds_its_familys_check_only(tmp_path, point, check):
+    # a W run is judged by its truncation bound, a Z run by its doubled ball
+    report = tmp_path / "s.json"
+    assert run(["solve", *point, "--report", str(report)]) == 0
+    solve = json.loads(report.read_text())["solve"]
+    other, = {"truncation_bound", "stability_gap"} - {check}
+    assert solve[other] is None and 0.0 <= solve[check] <= (1e-10 if point is _EXP_POINT else 1e-5)
+
+
+@pytest.mark.parametrize("radius_factor, u5_factor", [
+    # u at row 5 times 1e300: its square overflows in the right side u^p/v^q
+    (1.0, 1e300),
+    # every radius: r^(N-1) overflows, or r^N underflows, in the flux weights
+    (1e200, 1.0),
+    (1e-300, 1.0),
+], ids=["u-value-1e300", "radii-1e200", "radii-1e-300"])
+def test_verify_scaled_dumps_exit_with_one_line(tmp_path, capsys, exp_dumps, radius_factor,
+                                                u5_factor):
+    files = {}
+    for name in ("u", "v"):
+        rows = [line.split() for line in (exp_dumps / f"{name}.txt").read_text().splitlines()[1:]]
+        text = "# r value\n"
+        for k, (r, value) in enumerate(rows):
+            value = float(value) * (u5_factor if name == "u" and k == 5 else 1.0)
+            text += f"{float(r) * radius_factor!r} {value!r}\n"
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["verify", *_exp_point_with({}), "--u-field", str(files["u"]),
+                  "--v-field", str(files["v"]), "--u-rate", "1", "--v-rate", "1",
+                  "--tol", "1e-4", "--report", str(tmp_path / "r.json")])
+    assert rc == 1 and caught == []
+    _assert_one_line_error(capsys)
 
 
 def _run_fresh(code, cwd):
@@ -1030,7 +1096,7 @@ _SOLVE_KEYS = (
     + [f"rho_divergence.{k}" for k in ("growth_law", "shell_sums", "value", "verdict")]
     + [f"solve.{k}" for k in ("ball_radius", "decay.u", "decay.v", "iterations", "margins.u",
                               "margins.v", "notes", "residual_u", "residual_v",
-                              "stability_gap", "status")]
+                              "stability_gap", "status", "truncation_bound")]
     + ["verdict.advisories"]
     + [f"verdict.ledger.aux.{k}" for k in ("alpha", "beta", "c0", "lambda", "mu", "sigma")]
     + [f"verdict.ledger.{k}" for k in ("feasible", "m1_lower", "m1_upper", "m2_lower",

@@ -234,34 +234,50 @@ def inner_counts_by_ball(monkeypatch):
 
 def assert_warm_inner_counts(counts, family):
     # on each ball the first Picard step starts Newton from v_low, and every
-    # later one from the previous step's v, a step or two from its answer; a
-    # W run's doubled ball takes one Picard step, from the iterate before the
-    # first ball's answer, so its one Newton call starts warm too
-    assert len(counts) == 2, counts
-    first, doubled = (counts[radius] for radius in sorted(counts))
-    assert len(first) >= 2 and first[0] <= 10 and max(first[1:]) <= 2, counts
-    if family is BarrierFamily.W:
-        assert len(doubled) == 1 and doubled[0] <= 2, counts
-    else:
-        assert len(doubled) >= 2 and doubled[0] <= 10 and max(doubled[1:]) <= 2, counts
+    # later one from the previous step's v, a step or two from its answer;
+    # a W run solves on its ball only, a Z run on its doubled ball too
+    assert len(counts) == (1 if family is BarrierFamily.W else 2), counts
+    for radius in counts:
+        steps = counts[radius]
+        assert len(steps) >= 2 and steps[0] <= 10 and max(steps[1:]) <= 2, counts
 
 
-def picard_runs(monkeypatch, cold=False):
-    """Spy on ``_picard_coupled``: (ball radius, started warm, Picard steps) of each run.
-
-    With ``cold`` every run starts from its lower barriers, as a Z run's
-    doubled ball does: the reference that a warm doubled ball is held to.
-    """
+def picard_runs(monkeypatch):
+    """Spy on ``_picard_coupled``: (ball, lower barriers, output) of each run."""
     runs, real = [], solvers._picard_coupled
 
     def spy(*args):
-        args = args[:7] if cold else args
         out = real(*args)
-        runs.append((args[3].radius, len(args) > 7 and args[7] is not None, out[1]))
+        runs.append((args[3], args[4], out))
         return out
 
     monkeypatch.setattr(solvers, "_picard_coupled", spy)
     return runs
+
+
+def radial_solve_sizes(monkeypatch):
+    """Spy on ``RadialOperator.solve``: the node count of each radial solve's grid."""
+    sizes, real = [], solvers.RadialOperator.solve
+
+    def spy(op, *args):
+        sizes.append(op.grid.n)
+        return real(op, *args)
+
+    monkeypatch.setattr(solvers.RadialOperator, "solve", spy)
+    return sizes
+
+
+def truncation_bound(rep, fields):
+    """(upper - lower) * B(R) / max field, the largest over ``fields``: name -> (barrier, lower, upper)."""
+    return max((upper - lower) * float(eval_barrier(barrier, rep.ball_radius))
+               / float(getattr(rep, name).values.max())
+               for name, (barrier, lower, upper) in fields.items())
+
+
+def ledger_fields(ledger):
+    """The coupled W run's fields for ``truncation_bound``."""
+    return {"u": (BarrierProfile(BarrierFamily.W, ledger.rate_u), ledger.m1_lower, ledger.m1_upper),
+            "v": (BarrierProfile(BarrierFamily.W, ledger.rate_v), ledger.m2_lower, ledger.m2_upper)}
 
 
 def random_exp_points(count=8):
@@ -343,21 +359,42 @@ class TestScalarExponential:
     def test_newton_iteration_count(self):
         assert self.run().iterations <= 16
 
-    def test_iterations_count_the_first_ball(self):
-        # the trace holds both balls' Newton steps; the report counts the first's
+    def test_iterations_count_the_one_balls_steps(self, monkeypatch):
+        # a W run solves on its ball only: the trace holds its Newton steps,
+        # and no radial solve runs on a larger grid
+        sizes = radial_solve_sizes(monkeypatch)
         rep = self.run(record_trace=True)
-        first = sum(state.ball_radius == rep.ball_radius for state in rep.trace)
-        assert rep.iterations == first < len(rep.trace)
+        assert rep.iterations == len(rep.trace) > 1
+        assert all(state.ball_radius == rep.ball_radius for state in rep.trace)
+        assert set(sizes) == {rep.v.grid.n}
 
     def test_float_range_refused_before_any_solve(self, monkeypatch):
-        # W_20 gives the barrier W_10, and c W_10 falls to about 1e-253 on
-        # the doubled ball, where the Newton shift's (c W_10)^(-2) overflows
+        # W_20 gives the barrier W_10, and c W_10 falls to about 3e-158 on
+        # a ball of radius 37, where the Newton shift's (c W_10)^(-2) overflows
         calls = []
         monkeypatch.setattr(solvers, "_monotone_ball", lambda *args: calls.append(args))
-        grid = RadialGrid.auto(28.6, h0=0.02, stretch=1.02)
-        with pytest.raises(HypothesisError, match=r"^\(c \* B\)\^\(-2\) overflows within radius"):
+        grid = RadialGrid.auto(37.0, h0=0.02, stretch=1.02)
+        with pytest.raises(HypothesisError, match=r"^\(c \* B\)\^\(-2\) overflows within radius 37$"):
             solve_singular_scalar(3, 104.0, 1.0, w_field(grid, 20.0))
         assert calls == []
+
+    def test_truncation_bound(self):
+        # the sandwich [1/sqrt7, 1/sqrt3] W_1 bounds the Dirichlet data at R
+        rep = self.run()
+        barrier = BarrierProfile(BarrierFamily.W, 1.0)
+        bound = truncation_bound(rep, {"v": (barrier, 1.0 / math.sqrt(7.0), 1.0 / math.sqrt(3.0))})
+        assert rep.truncation_bound == pytest.approx(bound, rel=1e-14)
+        assert rep.truncation_bound <= 1e-10 and rep.stability_gap is None
+
+    def test_too_small_ball_reads_max_iterations(self):
+        # on a ball of radius 4 the Newton run converges, but W_1(4) is 4%
+        # of W_1(0): the Dirichlet data at R are far from any whole-space
+        # solution's
+        grid = RadialGrid.auto(4.0, h0=0.02, stretch=1.02)
+        rep = solve_singular_scalar(3, 4.0, 1.0, w_field(grid, 2.0))
+        assert rep.status is SolveStatus.MAX_ITERATIONS
+        assert rep.residual_v <= 1e-9 and rep.truncation_bound > solvers._TRUNCATION_LIMIT
+        assert rep.notes == [f"truncation bound {rep.truncation_bound:.3e} exceeds limit 1.000e-06"]
 
     def test_exponential_rate(self):
         rep = self.run()
@@ -526,13 +563,24 @@ class TestCoupledExponential:
         ratio = rep.decay["v"][0] / rep.decay["u"][0]
         assert ratio == pytest.approx(3.0, rel=0.02)
 
-    def test_ball_growth_stability(self, exp_worked_case):
+    def test_truncation_bound_at_the_default_ball(self, exp_worked_case):
+        # the default ball is cut where the barriers have fallen 1e12-fold
         _, _, ledger, rep = exp_worked_case
-        barrier_u = BarrierProfile(BarrierFamily.W, ledger.rate_u)
-        barrier_v = BarrierProfile(BarrierFamily.W, ledger.rate_v)
-        allowance = ledger.m1_upper * eval_barrier(barrier_u, rep.ball_radius) + \
-            ledger.m2_upper * eval_barrier(barrier_v, rep.ball_radius) + 1e-14
-        assert rep.stability_gap <= allowance
+        assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
+                                                     rel=1e-14)
+        assert rep.truncation_bound <= 1e-10 and rep.stability_gap is None
+
+    @pytest.mark.parametrize("radius", [0.001, 1.0, 4.0, 8.0, 16.0])
+    def test_too_small_ball_reads_max_iterations(self, exp_worked_case, radius):
+        # the Picard run converges on every ball, but the sandwich leaves the
+        # Dirichlet data at R further than 1e-6 from any whole-space solution's
+        problem, exponents, ledger, _ = exp_worked_case
+        rep = solve_coupled_exp(problem, exponents, ledger,
+                                RadialGrid.auto(radius, *solvers._BALL_GRIDS[BarrierFamily.W]))
+        assert rep.status is SolveStatus.MAX_ITERATIONS and rep.iterations < solvers.MAX_ITER
+        assert max(rep.residual_u, rep.residual_v) <= 1e-6
+        assert rep.truncation_bound > solvers._TRUNCATION_LIMIT and rep.stability_gap is None
+        assert rep.notes == [f"truncation bound {rep.truncation_bound:.3e} exceeds limit 1.000e-06"]
 
 
 class TestCoupledAlgebraic:
@@ -594,12 +642,13 @@ class TestCoupledAlgebraic:
 
 
 @pytest.mark.parametrize("case, solve, per_report", [
-    ("exp_worked_case", solve_coupled_exp, 5),
+    ("exp_worked_case", solve_coupled_exp, 3),
     ("alg_worked_case", solve_coupled_alg, 3),
 ])
 def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, monkeypatch):
     # each ball assembles the scalar solve's operator and, in W runs, the
-    # resolvent once; the residual check (in potentials) assembles one more
+    # resolvent once; the residual check (in potentials) assembles one more.
+    # A W run has one ball, a Z run two
     problem, exponents, ledger, _ = request.getfixturevalue(case)
     built = []
 
@@ -618,47 +667,46 @@ def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, 
     assert iterations[0] < iterations[1]
 
 
-@pytest.mark.parametrize("case, solve, doubled", [
-    ("exp_worked_case", solve_coupled_exp, (True, 1)),
-    ("alg_worked_case", solve_coupled_alg, (False, 3)),
+@pytest.mark.parametrize("case, solve, balls", [
+    ("exp_worked_case", solve_coupled_exp, 1),
+    ("alg_worked_case", solve_coupled_alg, 2),
 ])
-def test_w_doubled_ball_repeats_only_the_last_picard_step(case, solve, doubled, request,
-                                                          monkeypatch):
-    # a converged W run restarts its doubled ball from the iterate before
-    # the first ball's answer, and the repeated step meets tol_change; a Z
-    # run restarts it from the lower barriers and takes its three steps
+def test_w_runs_solve_on_one_ball(case, solve, balls, request, monkeypatch):
+    # a W run's report is its one Picard run on the ball, from the lower
+    # barriers, and no radial solve runs on a larger grid; a Z run repeats
+    # the run on the doubled ball, from that ball's lower barriers
     problem, exponents, ledger, _ = request.getfixturevalue(case)
-    runs = picard_runs(monkeypatch)
+    runs, sizes = picard_runs(monkeypatch), radial_solve_sizes(monkeypatch)
     rep = solve(problem, exponents, ledger)
-    assert rep.status is SolveStatus.CONVERGED
-    (radius, warm, steps), (radius2, *rest) = runs
-    assert radius2 > radius == rep.ball_radius and not warm and steps == rep.iterations
-    assert tuple(rest) == doubled
+    assert rep.status is SolveStatus.CONVERGED and len(runs) == balls
+    (grid, lows, (vals, steps, inside, _)), *doubled = runs
+    assert grid is rep.u.grid and steps == rep.iterations and inside
+    assert vals["u"].tobytes() == rep.u.values.tobytes()
+    assert vals["v"].tobytes() == rep.v.values.tobytes()
+    for name, rate, lower in (("u", ledger.rate_u, ledger.m1_lower),
+                              ("v", ledger.rate_v, ledger.m2_lower)):
+        own = lower * np.asarray(eval_barrier(BarrierProfile(problem.family, rate), grid.nodes))
+        assert lows[name].tobytes() == own.tobytes()
+    if doubled:
+        (big, _, (_, big_steps, _, _)), = doubled
+        assert big.radius >= 2.0 * grid.radius and big_steps == 3
+        assert big.nodes[: grid.n].tobytes() == grid.nodes.tobytes()
+        assert max(sizes) == big.n
+    else:
+        assert set(sizes) == {grid.n} and rep.stability_gap is None
 
 
-def test_warm_doubled_ball_keeps_the_cold_status_and_gap(exp_worked_case, monkeypatch):
-    # the first ball is untouched, and the doubled ball's one step reads
-    # the gap of the doubled ball started from its lower barriers; at the
-    # random point with s = 1.11 that gap is v's move at the node R alone,
-    # where one step from the lower barriers beyond R reads 2.48e-14 for
-    # 3.75e-14: a default W ball is cut where the barrier has fallen
-    # 1e12-fold, so 1e-12 of the fields' peak is the scale of that move
-    worked, singular = exp_worked_case[:3], singular_exp_case()
-    solves = [(point, None) for point in random_exp_points()]
-    solves += [(worked, None), (singular, None), (worked, RadialGrid.auto(4.0, 0.02, 1.02)),
-               (singular, RadialGrid.uniform(6.0, 40))]
-    for (problem, exponents, ledger), grid in solves:
-        warm = solve_coupled_exp(problem, exponents, ledger, grid)
-        with monkeypatch.context() as patch:
-            picard_runs(patch, cold=True)
-            cold = solve_coupled_exp(problem, exponents, ledger, grid)
-        assert warm.status is cold.status
-        assert warm.u.values.tobytes() == cold.u.values.tobytes()
-        assert warm.v.values.tobytes() == cold.v.values.tobytes()
-        assert json.dumps(_jsonable(dataclasses.replace(warm, stability_gap=0.0))) == \
-            json.dumps(_jsonable(dataclasses.replace(cold, stability_gap=0.0)))
-        gap, peak = cold.stability_gap, max(cold.u.values.max(), cold.v.values.max())
-        assert abs(warm.stability_gap - gap) <= 1e-14 + 1e-4 * gap + 1e-12 * peak, (gap, warm)
+def test_w_truncation_bound_is_closed_form_and_small_at_every_default_ball():
+    # the singular and random points: each default ball is cut where its
+    # slower barrier has fallen 1e12-fold, so the bound, the relative
+    # error of the Dirichlet data at R, stays far below the limit
+    points = [*random_exp_points(), singular_exp_case()]
+    for problem, exponents, ledger in points:
+        rep = solve_coupled_exp(problem, exponents, ledger)
+        assert rep.status is SolveStatus.CONVERGED and rep.stability_gap is None
+        assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
+                                                     rel=1e-14)
+        assert rep.truncation_bound <= 4.8e-9
 
 
 class TestRandomFeasiblePoints:
@@ -815,9 +863,9 @@ class TestDecayFit:
                                            ("beyond", SolveStatus.CONVERGED)])
 def test_scalar_doubled_ball_sandwich_is_judged_on_the_original_nodes(nodes, status,
                                                                       monkeypatch):
-    # the doubled ball's field, doubled on r <= R, leaves the sandwich
+    # the Z doubled ball's field, doubled on r <= R, leaves the sandwich
     # there; doubled only beyond R it is outside the rule's reach
-    grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+    grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
     real_ball = solvers._monotone_ball
 
     def spy(op, *args):
@@ -828,7 +876,7 @@ def test_scalar_doubled_ball_sandwich_is_judged_on_the_original_nodes(nodes, sta
         return (vals, *rest)
 
     monkeypatch.setattr(solvers, "_monotone_ball", spy)
-    assert solve_singular_scalar(3, 4.0, 1.0, w_field(grid, 2.0)).status is status
+    assert solve_singular_scalar(5, 0.0, 1.0, z_field(grid, 4.0)).status is status
 
 
 def test_run_status_ranks_sandwich_then_ball_growth():
@@ -908,8 +956,9 @@ def test_only_the_default_alg_ball_pair_outlives_its_solve(exp_worked_case, alg_
     monkeypatch.setattr(RadialGrid, "__post_init__", spy)
     reports = [solve_coupled_exp(*exp_worked_case[:3]),
                _solve_and_verify(*alg_worked_case[:3], grid=RadialGrid.auto(60.0, 0.05, 1.05))[0]]
-    # each solve's ball, which its report holds, and its doubled ball
-    assert len(made) == 4 and made[0]() is reports[0].u.grid
+    # the W solve's one ball, which its report holds, and the Z solve's
+    # ball and doubled ball
+    assert len(made) == 3 and made[0]() is reports[0].u.grid
     del reports
     gc.collect()
     assert [ref() for ref in made if ref() is not None] == []
