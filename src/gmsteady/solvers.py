@@ -43,14 +43,13 @@ compactness, not contraction); non-convergence after the iteration cap
 is reported honestly.
 
 Truncation.  Exponential-family runs pick the smallest radius where
-the barrier has dropped by 1e12 relative to the origin; algebraic
-families cannot reach that drop at any practical radius, so they start
-from a configurable default; ``_BALL_GRIDS`` holds each family's grid
-recipe.  Either way one driver, ``_two_ball_report``, runs the solve
-from the lower barriers and reports it; ``SolveReport`` states its
-sandwich, convergence and truncation rules.  A W run solves on its
-ball only, and its truncation bound closes the report in closed form;
-a Z run is re-solved on the doubled ball (``_ball_pair``), which only
+every barrier has dropped by 1e12 relative to the origin and the
+truncation bound cannot exceed its limit; algebraic families cannot
+reach that drop at any practical radius, so they start from a
+configurable default; ``_BALL_GRIDS`` holds each family's grid recipe.
+Either way one driver, ``_ball_report``, runs the solve from the lower
+barriers and reports it by ``SolveReport``'s rules: a W run on its ball
+only, a Z run again on the doubled ball (``_ball_pair``), which only
 checks it.  The default zero-shift ball and its doubled ball are one
 pair per process (``_default_alg_balls``), so the plans on them are
 built once.  A report's residuals and decay fits come from
@@ -100,9 +99,9 @@ MAX_ITER = 500
 _BALL_GRIDS = {BarrierFamily.W: (0.02, 1.02), BarrierFamily.Z: (0.008, 1.02)}
 
 
-def default_exp_radius(rate: float) -> float:
-    """Smallest R with W_rate(R) <= 1e-12 * W_rate(0)."""
-    t = 1.0 + math.log(_EXP_DROP) / rate
+def default_exp_radius(rate: float, drop: float = _EXP_DROP) -> float:
+    """Smallest R with W_rate(R) <= W_rate(0) / drop (by default 1e-12 * W_rate(0))."""
+    t = 1.0 + math.log(drop) / rate
     return math.sqrt(t * t - 1.0)
 
 
@@ -128,19 +127,18 @@ class SolveReport:
     """Outcome of a solver run; its report holds every field but u, v and trace.
 
     Every solve runs on its ball (radius R) from the lower barriers, to
-    which every iterate is pinned at R.  ``iterations`` counts the
-    ball's steps (Newton steps of the scalar solve, Picard steps of the
-    coupled one).  ``margins`` maps field name to (min, max) of
-    field/(lower constant times barrier) on the ball.  ``decay`` maps
-    field name to (fitted rate, fit residual) over the family's fit
-    window (``potentials._fit_windows``).  A W run's
-    ``truncation_bound``, the largest over the fields of
-    (upper - lower) * B(R) / max field, is the relative error of its
+    which every iterate is pinned at R; ``iterations`` counts its steps
+    (Newton steps of the scalar solve, Picard steps of the coupled one).
+    ``margins`` maps field name to (min, max) of field/(lower constant
+    times barrier) on the ball, ``decay`` to (fitted rate, fit residual)
+    over the family's fit window (``potentials._fit_windows``).  A W
+    run's ``truncation_bound``, the largest over the fields of
+    (upper - lower) * B(R) / max field, bounds the relative error of its
     Dirichlet data at R, where every whole-space solution in the
     sandwich lies in [lower, upper] * B(R).  A Z run is repeated on the
-    doubled ball, and its ``stability_gap`` is the largest move of a
-    field between the balls on r <= R.  Each is None in the other
-    family's reports.  The status is
+    doubled ball; its ``stability_gap`` is the largest move of a field
+    between the balls on r <= R.  Each is None in the other family's
+    reports.  The status is
 
     * ``sandwich-violated`` unless the fields (both balls' for Z) lie
       inside [1, upper/lower] on the nodes r <= R, up to 1e-9 slack,
@@ -193,22 +191,14 @@ def _field_envelope(psi: RadialField, profile: BarrierProfile):
     return float(ratios.min()), float(ratios.max())
 
 
-def _run_status(gap: float, allowance: float, sandwiched: bool, converged: bool,
-                check: str = "ball-growth stability gap", limit: str = "boundary barrier") -> tuple:
-    """(status, notes) of a run whose ``check`` of its ball read ``gap``.
-
-    A gap above ``allowance`` adds a note naming the ``check`` and its
-    ``limit`` and rules out convergence; a sandwich violation outranks
-    both.
-    """
-    notes = []
-    if not gap <= allowance:
-        notes.append(f"{check} {gap:.3e} exceeds {limit} {allowance:.3e}")
+def _run_status(notes: list, sandwiched: bool, converged: bool) -> SolveStatus:
+    """Status of a run: a sandwich violation outranks ``notes``, the
+    failed ball checks, and any note rules out convergence."""
     if not sandwiched:
-        return SolveStatus.SANDWICH_VIOLATED, notes
+        return SolveStatus.SANDWICH_VIOLATED
     if converged and not notes:
-        return SolveStatus.CONVERGED, notes
-    return SolveStatus.MAX_ITERATIONS, notes
+        return SolveStatus.CONVERGED
+    return SolveStatus.MAX_ITERATIONS
 
 
 def _monotone_ball(
@@ -265,7 +255,7 @@ def _monotone_ball(
 
 
 class _Field(NamedTuple):
-    """One field of a two-ball run, kept inside lower * B <= field <= upper * B."""
+    """One field of a run, kept inside lower * B <= field <= upper * B."""
 
     label: str  # names lower * B in a refusal
     barrier: BarrierProfile
@@ -315,7 +305,7 @@ def _default_alg_balls() -> tuple:
     return _ball_pair(RadialGrid.auto(DEFAULT_ALG_RADIUS, *_BALL_GRIDS[BarrierFamily.Z]))
 
 
-def _two_ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
+def _ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
     """Run on ``grid`` from the lower barriers; report the run by ``SolveReport``'s rules.
 
     ``fields`` maps each field name to its ``_Field``.  ``run(g, lows)``
@@ -324,24 +314,27 @@ def _two_ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveRepo
     iterate inside the sandwich, check), where ``check(out)`` takes the
     fields of the run on ``grid`` and returns (residual of u or None,
     residual of v, whether the run converged).  Without a ``grid`` the
-    run takes its family's default ball: for W the ball of
-    ``default_exp_radius`` at the slower field's rate, for Z
-    ``_default_alg_balls``.  Each field is fitted over its window in
+    run takes its family's default ball: for Z ``_default_alg_balls``,
+    for W the smallest ball on which every barrier has dropped by
+    ``_EXP_DROP`` and the truncation bound of a sandwiched run is at
+    most half its limit.  Each field is fitted over its window in
     ``_fit_windows``.  The fit windows and every ball's float range are
     checked before any run, so a refusal costs no solve.
 
-    A W run solves on its ball only, and its truncation bound is closed
-    form.  A Z run is repeated on the doubled ball, from that ball's
-    lower barriers, and judged by the gap between the two: its barriers
-    decay only algebraically, and the bound reads 1.9e-2 at the
-    zero-shift worked case's default ball.
+    A W run is judged by its truncation bound.  A Z run, whose algebraic
+    barriers keep that bound large (1.9e-2 at the zero-shift worked
+    case's default ball), is repeated on the doubled ball from its lower
+    barriers and judged by the gap.
     """
     family = fields["v"].barrier.family  # one family per run
     if family is BarrierFamily.Z:
         balls = _default_alg_balls() if grid is None else _ball_pair(grid)
     elif grid is None:
-        rate = min(f.barrier.rate for f in fields.values())
-        balls = (RadialGrid.auto(default_exp_radius(rate), *_BALL_GRIDS[family]),)
+        # a sandwiched field's bound is at most (upper/lower - 1) B(R)/B(0)
+        radius = max(default_exp_radius(f.barrier.rate, max(
+            _EXP_DROP, 2.0 * (f.upper / f.lower - 1.0) / _TRUNCATION_LIMIT))
+            for f in fields.values())
+        balls = (RadialGrid.auto(radius, *_BALL_GRIDS[family]),)
     else:
         balls = (grid,)
     grid = balls[0]
@@ -349,30 +342,31 @@ def _two_ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveRepo
     for name in fields:
         _window_mask(grid.nodes, windows[name])
     envelopes = _ball_envelopes(balls, fields)
-    (vals, its, sandwiched, check), *doubled = [run(*ball) for ball in zip(balls, envelopes)]
-    lows, margins, gaps = envelopes[0], {}, []
+    lows = envelopes[0]
+    vals, its, sandwiched, check = run(grid, lows)
+    margins = {}
     for name, f in fields.items():
-        cap = f.upper / f.lower
-        margins[name], ok = _sandwich_margins(vals[name], lows[name], cap)
+        margins[name], ok = _sandwich_margins(vals[name], lows[name], f.upper / f.lower)
         sandwiched = sandwiched and ok
-        for vals2, _, inside2, _ in doubled:
-            near = vals2[name][: grid.n]
-            sandwiched = sandwiched and inside2 and _sandwich_margins(near, lows[name], cap)[1]
-            gaps.append(float(np.abs(near - vals[name]).max()))
     out = {name: RadialField(grid, vals[name], f.barrier) for name, f in fields.items()}
     res_u, res_v, converged = check(out)
     edge = {name: float(eval_barrier(f.barrier, grid.radius)) for name, f in fields.items()}
-    if doubled:
-        gap, bound = max(gaps), None
-        allowance = sum(f.upper * edge[name] for name, f in fields.items()) + 1e-14
-        status, notes = _run_status(gap, allowance, sandwiched, converged)
-    else:
+    if family is BarrierFamily.W:
         gap, bound = None, max((f.upper - f.lower) * edge[name] / float(vals[name].max())
                                for name, f in fields.items())
-        status, notes = _run_status(bound, _TRUNCATION_LIMIT, sandwiched, converged,
-                                    "truncation bound", "limit")
+        notes = [] if bound <= _TRUNCATION_LIMIT else [
+            f"truncation bound {bound:.3e} exceeds limit {_TRUNCATION_LIMIT:.3e}"]
+    else:
+        vals2, _, sandwiched2, _ = run(balls[1], envelopes[1])
+        near = {name: vals2[name][: grid.n] for name in fields}
+        sandwiched = sandwiched and sandwiched2 and all(_sandwich_margins(
+            near[name], lows[name], f.upper / f.lower)[1] for name, f in fields.items())
+        gap, bound = max(float(np.abs(near[name] - vals[name]).max()) for name in fields), None
+        allowance = sum(f.upper * edge[name] for name, f in fields.items()) + 1e-14
+        notes = [] if gap <= allowance else [
+            f"ball-growth stability gap {gap:.3e} exceeds boundary barrier {allowance:.3e}"]
     return SolveReport(
-        status=status,
+        status=_run_status(notes, sandwiched, converged),
         u=out.get("u"),
         v=out["v"],
         residual_u=res_u,
@@ -411,7 +405,7 @@ def solve_singular_scalar(
     a = (gamma-2)/(s+1), lo = a (N - a - 2), so 2 < gamma < (N-2)s + N
     (rates gamma <= 2 provably admit no positive solution).
 
-    The run solves on the weight's grid (``_two_ball_report``); a Z run
+    The run solves on the weight's grid (``_ball_report``); a Z run
     re-solves on the doubled ball, the weight continued by its tail.  A
     ball on which c B leaves the normal float64 range, or on which
     (c B)^(-s-1) overflows, is refused before any solve.
@@ -459,7 +453,7 @@ def solve_singular_scalar(
                                               trace if record_trace else None)
         return {"v": vals}, its, True, lambda out: (None, res, res <= tol_residual and mono)
 
-    report = _two_ball_report(
+    report = _ball_report(
         psi.grid, {"v": _Field("c * B", barrier, c_low, c_high, s + 1.0)}, run)
     report.trace = trace
     return report
@@ -479,7 +473,7 @@ def _picard_coupled(
     tol_change: float,
     tol_residual: float,
 ) -> tuple:
-    """Picard loop on ``grid`` from the lower barriers ``lows``: a ``_two_ball_report`` run.
+    """Picard loop on ``grid`` from the lower barriers ``lows``: a ``_ball_report`` run.
 
     The loop stops at the first iterate that leaves the sandwich anywhere
     on the ball, before v's negative powers can leave float64.
@@ -542,7 +536,7 @@ def _coupled_report(
     """Both regimes' solve; callers check ledger regime and shifts.
 
     Without a ``grid`` the run takes its family's default ball
-    (``_two_ball_report``).
+    (``_ball_report``).
     """
     if not ledger.feasible:
         raise RegimeError(f"ledger infeasible: {ledger.violated}")
@@ -557,7 +551,7 @@ def _coupled_report(
         "v": _Field("M2_lower * B_v", BarrierProfile(fam, ledger.rate_v), ledger.m2_lower,
                     ledger.m2_upper, max(exponents.q, exponents.s + 1.0)),
     }
-    return _two_ball_report(grid, fields, lambda g, lows: _picard_coupled(
+    return _ball_report(grid, fields, lambda g, lows: _picard_coupled(
         problem, exponents, ledger, g, lows, tol_change, tol_residual))
 
 

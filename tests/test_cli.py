@@ -607,10 +607,11 @@ def _exp_point_with(changes: dict) -> list:
 
 
 @pytest.mark.parametrize("changes, refusal", [
-    # lam = 1e300 certifies M1_lower = 5e-301, and M1_lower * B_u falls to
-    # about 2e-313 at the edge of the ball of radius 28.6
+    # lam = 1e300 certifies M1_lower = 5e-301 and a sandwich about 1e300
+    # wide, whose truncation bound sizes the ball; M1_lower * B_u is
+    # subnormal long before its edge
     ({"--lam": "1e300"}, "refused: M1_lower * B_u underflows below the smallest normal double "
-                         "within radius 28.6136"),
+                         "within radius 702.818"),
     ({"--s": "30"}, "refused: M1_lower * B_u underflows below the smallest normal double "
                     "within radius 857.561"),
 ], ids=["lam-1e300", "s-30"])

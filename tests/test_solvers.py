@@ -566,9 +566,27 @@ class TestCoupledExponential:
     def test_truncation_bound_at_the_default_ball(self, exp_worked_case):
         # the default ball is cut where the barriers have fallen 1e12-fold
         _, _, ledger, rep = exp_worked_case
+        assert rep.ball_radius == default_exp_radius(1.0)
         assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
                                                      rel=1e-14)
         assert rep.truncation_bound <= 1e-10 and rep.stability_gap is None
+
+    @pytest.mark.parametrize("lam", [2e8, 1e9, 1e12])
+    def test_default_ball_meets_the_truncation_limit_at_large_lam(self, lam):
+        # the sandwich widens like lam/mu: a ball cut at the 1e12 drop read a
+        # bound of 1.2e-6 at lam 2e8, so the default ball reaches to where
+        # (upper/lower - 1) B(R)/B(0), which bounds the bound, is half the limit
+        exponents = Exponents(2.0, 1.0, 1.0, 0.0)
+        ledger = exp_regime_ledger(exponents, 3, lam, 16.0, 1.0, 2.0, 1.0)
+        problem = Problem(3, lam, 16.0, SourceModel.exp_envelope(1.0, 2.0, 1.0, 1.5))
+        rep = solve_coupled_exp(problem, exponents, ledger)
+        assert rep.status is SolveStatus.CONVERGED and rep.notes == []
+        cap = max(ledger.m1_upper / ledger.m1_lower, ledger.m2_upper / ledger.m2_lower)
+        drop = 2.0 * (cap - 1.0) / solvers._TRUNCATION_LIMIT
+        assert drop > solvers._EXP_DROP and rep.ball_radius == default_exp_radius(1.0, drop)
+        assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
+                                                     rel=1e-14)
+        assert rep.truncation_bound <= 0.5 * solvers._TRUNCATION_LIMIT
 
     @pytest.mark.parametrize("radius", [0.001, 1.0, 4.0, 8.0, 16.0])
     def test_too_small_ball_reads_max_iterations(self, exp_worked_case, radius):
@@ -876,17 +894,20 @@ def test_scalar_doubled_ball_sandwich_is_judged_on_the_original_nodes(nodes, sta
         return (vals, *rest)
 
     monkeypatch.setattr(solvers, "_monotone_ball", spy)
-    assert solve_singular_scalar(5, 0.0, 1.0, z_field(grid, 4.0)).status is status
+    rep = solve_singular_scalar(5, 0.0, 1.0, z_field(grid, 4.0))
+    assert rep.status is status
+    # doubled on r <= R, the field moves by its own size: the gap test fires too
+    gap = f"ball-growth stability gap {rep.stability_gap:.3e}"
+    assert [note.split(" exceeds boundary barrier ")[0] for note in rep.notes] == (
+        [gap] if nodes == "inside" else [])
 
 
 def test_run_status_ranks_sandwich_then_ball_growth():
-    converged = solvers._run_status(1.0, 2.0, sandwiched=True, converged=True)
-    assert converged == (SolveStatus.CONVERGED, [])
-    assert solvers._run_status(1.0, 2.0, True, False) == (SolveStatus.MAX_ITERATIONS, [])
-    status, notes = solvers._run_status(3.0, 2.0, True, True)
-    assert status is SolveStatus.MAX_ITERATIONS
-    assert notes == ["ball-growth stability gap 3.000e+00 exceeds boundary barrier 2.000e+00"]
-    assert solvers._run_status(3.0, 2.0, False, True) == (SolveStatus.SANDWICH_VIOLATED, notes)
+    notes = ["ball-growth stability gap 3.000e+00 exceeds boundary barrier 2.000e+00"]
+    assert solvers._run_status([], sandwiched=True, converged=True) is SolveStatus.CONVERGED
+    assert solvers._run_status([], True, False) is SolveStatus.MAX_ITERATIONS
+    assert solvers._run_status(notes, True, True) is SolveStatus.MAX_ITERATIONS
+    assert solvers._run_status(notes, False, True) is SolveStatus.SANDWICH_VIOLATED
 
 
 def test_sandwich_violated_when_an_iterate_leaves_the_ledger(exp_worked_case):
