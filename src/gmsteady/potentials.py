@@ -393,11 +393,14 @@ def _right_sides(problem: Problem, exponents: Exponents, r: np.ndarray,
                  u: np.ndarray, v: np.ndarray) -> tuple:
     """(u^p/v^q + rho, u^m/v^s) at the nodes r, where u and v take the values given.
 
-    Powers that leave float64 give inf or nan, which the callers judge.
+    Raises ValueError where a value leaves the float64 range.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return (u**exponents.p / v**exponents.q + problem.rho.evaluate(r),
-                u**exponents.m / v**exponents.s)
+        rhs_u = u**exponents.p / v**exponents.q + problem.rho.evaluate(r)
+        rhs_v = u**exponents.m / v**exponents.s
+    if not (np.isfinite(rhs_u).all() and np.isfinite(rhs_v).all()):
+        raise ValueError("the right sides u^p/v^q + rho and u^m/v^s leave the float64 range")
+    return rhs_u, rhs_v
 
 
 def _half_ball_sup(grid, gap: np.ndarray) -> float:
@@ -410,13 +413,18 @@ def _pde_residuals(problem: Problem, exponents: Exponents, u: RadialField, v: Ra
     """Sup over r <= R/2 of both equation residuals of the pair (u, v).
 
     The half ball keeps the Dirichlet truncation out of the measurement.
+    Raises ValueError where a residual there leaves the float64 range.
     """
     op = RadialOperator(u.grid, problem.dimension)
     uu, vv = u.values[:-1], v.values[:-1]
     rhs_u, rhs_v = _right_sides(problem, exponents, u.grid.nodes[:-1], uu, vv)
-    res_u = op.laplacian(u.values) + problem.lam * uu - rhs_u
-    res_v = op.laplacian(v.values) + problem.mu * vv - rhs_v
-    return _half_ball_sup(u.grid, res_u), _half_ball_sup(u.grid, res_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_u = op.laplacian(u.values) + problem.lam * uu - rhs_u
+        res_v = op.laplacian(v.values) + problem.mu * vv - rhs_v
+    sups = _half_ball_sup(u.grid, res_u), _half_ball_sup(u.grid, res_v)
+    if not all(map(math.isfinite, sups)):
+        raise ValueError("the PDE residuals leave the float64 range")
+    return sups
 
 
 def representation_residual(problem, exponents, u: RadialField, v: RadialField):
@@ -438,8 +446,6 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
     if rate_u_rhs <= 0 or rate_v_rhs <= 0:
         raise ValueError("right-hand sides do not decay; representation undefined")
     values_u, values_v = _right_sides(problem, exponents, u.grid.nodes, u.values, v.values)
-    if not (np.isfinite(values_u).all() and np.isfinite(values_v).all()):
-        raise ValueError("the right sides u^p/v^q + rho and u^m/v^s leave the float64 range")
     rhs_u = RadialField(u.grid, values_u, BarrierProfile(family, rate_u_rhs))
     rhs_v = RadialField(u.grid, values_v, BarrierProfile(family, rate_v_rhs))
 

@@ -19,7 +19,8 @@ import pytest
 from gmsteady import solvers
 from gmsteady.barriers import VERDICT_CODES, Exponents, Problem, SourceModel, classify
 from gmsteady.cli import _BLOCK_ROWS, _jsonable, build_parser, main
-from gmsteady.radial_core import RadialField, RadialGrid, write_field
+from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier
+from gmsteady.radial_core import RadialField, RadialGrid, read_field, write_field
 
 
 def run(args):
@@ -504,8 +505,8 @@ def exp_dumps(tmp_path_factory):
      "--stretch", "1"],
     ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "1e4", "--h0", "1e-6",
      "--stretch", "1"],
-    # 600,001 nodes fit the cap, but the zero-shift doubled ball's 1,200,001 do not
-    ["solve", *_ALG_POINT, "--radius", "30", "--h0", "5e-5", "--stretch", "1"],
+    # a zero-shift ball of 1,200,001 nodes
+    ["solve", *_ALG_POINT, "--radius", "30", "--h0", "2.5e-5", "--stretch", "1"],
     # the README verify given a u dump whose last node is inf or nan
     *(["verify", *_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", f"{{dumps}}/u_{bad}.txt",
        "--v-field", "{dumps}/v.txt", "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4"]
@@ -662,26 +663,55 @@ def test_solve_on_a_too_small_exp_ball_names_the_truncation_bound(tmp_path, caps
     assert _assert_one_line_unconverged(capsys) == f"unconverged: max-iterations; {note}"
 
 
-@pytest.mark.parametrize("point, check", [(_EXP_POINT, "truncation_bound"),
-                                          (_ALG_POINT, "stability_gap")], ids=["exp", "alg"])
-def test_solve_report_holds_its_familys_check_only(tmp_path, point, check):
-    # a W run is judged by its truncation bound, a Z run by its doubled ball
+@pytest.mark.parametrize("point, largest", [(_EXP_POINT, 1e-10), (_ALG_POINT, 2e-2)],
+                         ids=["exp", "alg"])
+def test_solve_report_holds_the_truncation_bound(tmp_path, point, largest):
+    # every report carries the bound; only a W run is judged by it
     report = tmp_path / "s.json"
     assert run(["solve", *point, "--report", str(report)]) == 0
     solve = json.loads(report.read_text())["solve"]
-    other, = {"truncation_bound", "stability_gap"} - {check}
-    assert solve[other] is None and 0.0 <= solve[check] <= (1e-10 if point is _EXP_POINT else 1e-5)
+    assert "stability_gap" not in solve and 0.0 < solve["truncation_bound"] <= largest
 
 
-@pytest.mark.parametrize("radius_factor, u5_factor", [
-    # u at row 5 times 1e300: its square overflows in the right side u^p/v^q
-    (1.0, 1e300),
+def test_zero_shift_truncation_bound_grows_as_the_ball_shrinks(tmp_path):
+    # the Z bound is its closed form, (upper - lower) * Z(R) / max field at
+    # its largest, and reads 1.9e-2 at R = 480 and 1.2 at R = 8; it gates
+    # nothing, and each run converges
+    bounds = []
+    for radius in ("480", "120", "30", "8"):
+        report, u, v = (tmp_path / f"{name}{radius}" for name in ("s", "u", "v"))
+        assert run(["solve", *_ALG_POINT, "--radius", radius, "--report", str(report),
+                    "--out-u", str(u), "--out-v", str(v)]) == 0
+        fields = json.loads(report.read_text())
+        solve, ledger = fields["solve"], fields["verdict"]["ledger"]
+        assert solve["status"] == "converged" and solve["notes"] == []
+        closed = max(
+            (upper - lower) * float(eval_barrier(BarrierProfile(BarrierFamily.Z, rate),
+                                                 solve["ball_radius"]))
+            / float(read_field(dump).values.max())
+            for dump, lower, upper, rate in (
+                (u, ledger["m1_lower"], ledger["m1_upper"], ledger["rate_u"]),
+                (v, ledger["m2_lower"], ledger["m2_upper"], ledger["rate_v"])))
+        assert solve["truncation_bound"] == pytest.approx(closed, rel=1e-14)
+        bounds.append(solve["truncation_bound"])
+    assert bounds == sorted(bounds) and 1e-2 < bounds[0] < 2e-2 and bounds[-1] > 1.0
+
+
+_RIGHT_SIDES = "the right sides u^p/v^q + rho and u^m/v^s leave the float64 range"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-representation"]],
+                         ids=["representation", "no-representation"])
+@pytest.mark.parametrize("radius_factor, u5_factor, reason", [
+    # u at row 5 times 1e300: its square overflows in the right side u^p/v^q,
+    # which both residuals refuse by one check
+    (1.0, 1e300, _RIGHT_SIDES),
     # every radius: r^(N-1) overflows, or r^N underflows, in the flux weights
-    (1e200, 1.0),
-    (1e-300, 1.0),
+    (1e200, 1.0, "operator band must be finite"),
+    (1e-300, 1.0, "operator band must be finite"),
 ], ids=["u-value-1e300", "radii-1e200", "radii-1e-300"])
 def test_verify_scaled_dumps_exit_with_one_line(tmp_path, capsys, exp_dumps, radius_factor,
-                                                u5_factor):
+                                                u5_factor, reason, flags):
     files = {}
     for name in ("u", "v"):
         rows = [line.split() for line in (exp_dumps / f"{name}.txt").read_text().splitlines()[1:]]
@@ -695,9 +725,31 @@ def test_verify_scaled_dumps_exit_with_one_line(tmp_path, capsys, exp_dumps, rad
         warnings.simplefilter("always")
         rc = run(["verify", *_exp_point_with({}), "--u-field", str(files["u"]),
                   "--v-field", str(files["v"]), "--u-rate", "1", "--v-rate", "1",
-                  "--tol", "1e-4", "--report", str(tmp_path / "r.json")])
-    assert rc == 1 and caught == []
-    _assert_one_line_error(capsys)
+                  "--tol", "1e-4", *flags, "--report", str(tmp_path / "r.json")])
+    assert rc == 1 and caught == [] and not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--no-representation"]],
+                         ids=["representation", "no-representation"])
+def test_verify_refuses_pde_residuals_out_of_float_range(tmp_path, capsys, flags):
+    # the zero-shift dumps with radii times 1e5 and v times 1e300: the right
+    # sides stay finite, but -Delta v overflows in its flux form
+    u, v = tmp_path / "u.txt", tmp_path / "v.txt"
+    assert run(["solve", *_ALG_POINT, "--report", str(tmp_path / "s.json"),
+                "--out-u", str(u), "--out-v", str(v)]) == 0
+    for dump, scale in ((u, 1.0), (v, 1e300)):
+        rows = [line.split() for line in dump.read_text().splitlines()[1:]]
+        dump.write_text("# r value\n" + "".join(f"{float(r) * 1e5!r} {float(x) * scale!r}\n"
+                                                 for r, x in rows))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["verify", *_ALG_POINT, "--u-field", str(u), "--v-field", str(v),
+                  "--u-rate", "2", "--v-rate", "1", "--tol", "1e-4", *flags,
+                  "--report", str(tmp_path / "r.json")])
+    assert rc == 1 and caught == [] and not (tmp_path / "r.json").exists()
+    assert capsys.readouterr().err == "error: the PDE residuals leave the float64 range\n"
 
 
 def _run_fresh(code, cwd):
@@ -1097,7 +1149,7 @@ _SOLVE_KEYS = (
     + [f"rho_divergence.{k}" for k in ("growth_law", "shell_sums", "value", "verdict")]
     + [f"solve.{k}" for k in ("ball_radius", "decay.u", "decay.v", "iterations", "margins.u",
                               "margins.v", "notes", "residual_u", "residual_v",
-                              "stability_gap", "status", "truncation_bound")]
+                              "status", "truncation_bound")]
     + ["verdict.advisories"]
     + [f"verdict.ledger.aux.{k}" for k in ("alpha", "beta", "c0", "lambda", "mu", "sigma")]
     + [f"verdict.ledger.{k}" for k in ("feasible", "m1_lower", "m1_upper", "m2_lower",

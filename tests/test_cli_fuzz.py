@@ -6,18 +6,25 @@ are drawn: region sweeps of at most 27 points, kernel tables of at most
 12 rows, verify --cor3 on at most 40 nodes, and solve runs that end at
 the solver call: ``solve`` starts from the README's certified point,
 builds the grid its --radius/--h0/--stretch ask for (the builder caps
-the node count), and a stand-in solver ends the run there.
+the node count), and a stand-in solver ends the run there.  ``verify``
+on dumped fields reads the README worked points' solved fields with up
+to two drawn defects (scaled radii or values, too few rows, unsorted or
+repeated nodes, u = v, one value times 1e300), and must also end
+without a warning.
 """
 
 import contextlib
+import functools
 import io
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 from hypothesis import HealthCheck, given, reject, settings, strategies as st
 
 from gmsteady import cli, solvers
+from gmsteady.barriers import classify
 from gmsteady.radial_core import MAX_GRID_NODES
 
 _NUMBER = (
@@ -164,3 +171,86 @@ def test_cli_exit_codes_and_reasons(run):
         last = (text.strip().splitlines() or [""])[-1]
         reasons = ("error:", "refused:", "parse error:") + (("unconverged:",) if rc == 3 else ())
         assert last.startswith(reasons), (args, config, text)
+
+
+# verify on dumped fields: the README worked points, each with its decay rates
+_VERIFY_POINTS = {
+    "exp": ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1", "--m", "1",
+            "--s", "0", "--rho", "exp", "--alpha", "1", "--beta", "2", "--rate", "1",
+            "--rho-amplitude", "1.5", "--u-rate", "1", "--v-rate", "1"],
+    "alg": ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho", "alg",
+            "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125",
+            "--u-rate", "2", "--v-rate", "1"],
+}
+_DEFECTS = ["radii", "values", "few-rows", "unsorted", "repeated", "u=v", "one-1e300"]
+
+
+@functools.cache
+def _solved_rows(point):
+    """(r, u, v) of the worked point's default solve, as lists of floats."""
+    args = cli.build_parser().parse_args(["solve", *_VERIFY_POINTS[point][:-4]])
+    problem, exponents = cli._problem_from_args(args)
+    solve = solvers.solve_coupled_exp if problem.lam > 0 else solvers.solve_coupled_alg
+    rep = solve(problem, exponents, classify(problem, exponents).ledger)
+    return rep.u.grid.nodes.tolist(), rep.u.values.tolist(), rep.v.values.tolist()
+
+
+@st.composite
+def _dumps(draw):
+    """(point, u rows, v rows, extra flags): a worked point's solved dumps with defects drawn."""
+    point = draw(st.sampled_from(sorted(_VERIFY_POINTS)))
+    r, u_vals, v_vals = _solved_rows(point)
+    u, v = [[x, y] for x, y in zip(r, u_vals)], [[x, y] for x, y in zip(r, v_vals)]
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2, unique=True)):
+        rows = draw(st.sampled_from([u, v]))
+        k = draw(st.integers(0, len(rows) - 1))
+        if defect == "radii":  # scaled radii, past the float range at the ends
+            factor = draw(st.sampled_from([1e-300, 1e-5, 1.5, 1e5, 1e200]))
+            for row in (*u, *v):
+                row[0] *= factor
+        elif defect == "values":  # scaled values, down to subnormal
+            scale = draw(st.sampled_from([1e-5, 1e-300, 1e-310, 5e-324, 1e300]))
+            for row in rows:
+                row[1] *= scale
+        elif defect == "few-rows":
+            del rows[draw(st.integers(1, 15)):]
+        elif defect == "unsorted":
+            rows[k][0], rows[-1 - k][0] = rows[-1 - k][0], rows[k][0]
+        elif defect == "repeated":
+            rows.insert(k, list(rows[k]))
+        elif defect == "u=v":
+            v[:] = [list(row) for row in u]
+        else:
+            rows[k][1] *= 1e300
+    flags = ["--no-representation"] if draw(st.booleans()) else []
+    return point, u, v, flags
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_dumps())
+def test_verify_dumped_fields_exit_codes_and_reasons(dumps):
+    point, u, v, flags = dumps
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, rows in (("u", u), ("v", v)):
+            paths[name] = os.path.join(tmp, f"{name}.txt")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write("# r value\n" + "".join(f"{r!r} {value!r}\n" for r, value in rows))
+        args = ["verify", *_VERIFY_POINTS[point], "--u-field", paths["u"],
+                "--v-field", paths["v"], "--tol", "1e-4", *flags,
+                "--report", os.path.join(tmp, "r.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.main(args)
+    text = err.getvalue()
+    assert caught == [], (args, [str(w.message) for w in caught])
+    assert rc in (0, 1, 2, 3), (args, rc, text)
+    lines = text.strip().splitlines()
+    if rc == 0:
+        assert lines == [], (args, text)
+    else:
+        reasons = ("error:", "refused:", "parse error:") + (("unconverged:",) if rc == 3 else ())
+        assert len(lines) == 1 and lines[0].startswith(reasons), (args, u, v, text)

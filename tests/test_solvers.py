@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import json
 import math
@@ -232,14 +233,12 @@ def inner_counts_by_ball(monkeypatch):
     return counts
 
 
-def assert_warm_inner_counts(counts, family):
-    # on each ball the first Picard step starts Newton from v_low, and every
-    # later one from the previous step's v, a step or two from its answer;
-    # a W run solves on its ball only, a Z run on its doubled ball too
-    assert len(counts) == (1 if family is BarrierFamily.W else 2), counts
-    for radius in counts:
-        steps = counts[radius]
-        assert len(steps) >= 2 and steps[0] <= 10 and max(steps[1:]) <= 2, counts
+def assert_warm_inner_counts(counts):
+    # every run solves on its one ball: the first Picard step starts Newton
+    # from v_low, and every later one from the previous step's v, a step or
+    # two from its answer
+    (steps,) = counts.values()
+    assert len(steps) >= 2 and steps[0] <= 10 and max(steps[1:]) <= 2, counts
 
 
 def picard_runs(monkeypatch):
@@ -333,11 +332,8 @@ class TestScalarExponential:
         rep = self.run(record_trace=True)
         assert len(rep.trace) > 1
         assert all(state.monotone_flag for state in rep.trace)
-        prev = None
-        for state in rep.trace:
-            if prev is not None and prev.v.grid.n == state.v.grid.n:
-                assert np.min(state.v.values - prev.v.values) >= -1e-12
-            prev = state
+        for prev, state in zip(rep.trace, rep.trace[1:]):
+            assert np.min(state.v.values - prev.v.values) >= -1e-12
 
     def test_trace_matches_per_iteration_assembly(self, monkeypatch):
         # the shared operator, whose diagonal each Newton step rewrites,
@@ -384,7 +380,7 @@ class TestScalarExponential:
         barrier = BarrierProfile(BarrierFamily.W, 1.0)
         bound = truncation_bound(rep, {"v": (barrier, 1.0 / math.sqrt(7.0), 1.0 / math.sqrt(3.0))})
         assert rep.truncation_bound == pytest.approx(bound, rel=1e-14)
-        assert rep.truncation_bound <= 1e-10 and rep.stability_gap is None
+        assert rep.truncation_bound <= 1e-10
 
     def test_too_small_ball_reads_max_iterations(self):
         # on a ball of radius 4 the Newton run converges, but W_1(4) is 4%
@@ -451,28 +447,6 @@ class TestScalarAlgebraic:
         ]:
             with pytest.raises(HypothesisError, match=match):
                 solve_singular_scalar(n, 0.0, s, z_field(grid, gamma))
-
-    def test_doubled_ball_extends_the_weight_by_its_envelope(self, monkeypatch):
-        # beyond R the doubled ball sees c Z_gamma, with c matched to psi at R
-        grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
-        tag = BarrierProfile(BarrierFamily.Z, 4.0)
-        psi = RadialField(
-            grid, 0.7 * (1.0 + 0.2 * np.cos(grid.nodes)) / (1.0 + grid.nodes**2) ** 2, tag)
-        weights = []
-        real_ball = solvers._monotone_ball
-
-        def spy(op, mu, s, psi_vals, *rest):
-            weights.append(psi_vals)
-            return real_ball(op, mu, s, psi_vals, *rest)
-
-        monkeypatch.setattr(solvers, "_monotone_ball", spy)
-        solve_singular_scalar(5, 0.0, 1.0, psi)
-        ball, doubled = weights
-        assert np.array_equal(ball, psi.values)
-        assert np.array_equal(doubled[: grid.n], psi.values)
-        beyond = grid.extended(2.0).nodes[grid.n :]
-        c = psi.values[-1] / eval_barrier(tag, grid.radius)
-        assert np.allclose(doubled[grid.n :], c * eval_barrier(tag, beyond), rtol=1e-14, atol=0)
 
     def test_untagged_weight_is_refused(self):
         grid = RadialGrid.auto(50.0, h0=0.05, stretch=1.03)
@@ -547,7 +521,7 @@ class TestCoupledExponential:
         counts = inner_counts_by_ball(monkeypatch)
         rep = solve_coupled_exp(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
-        assert_warm_inner_counts(counts, BarrierFamily.W)
+        assert_warm_inner_counts(counts)
         assert rep.residual_u <= 1e-6 and rep.residual_v <= 1e-6
         ratio = rep.decay["v"][0] / rep.decay["u"][0]
         assert ratio == pytest.approx(0.5, rel=0.02)  # m/(s+1) = 1/2
@@ -569,7 +543,7 @@ class TestCoupledExponential:
         assert rep.ball_radius == default_exp_radius(1.0)
         assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
                                                      rel=1e-14)
-        assert rep.truncation_bound <= 1e-10 and rep.stability_gap is None
+        assert rep.truncation_bound <= 1e-10
 
     @pytest.mark.parametrize("lam", [2e8, 1e9, 1e12])
     def test_default_ball_meets_the_truncation_limit_at_large_lam(self, lam):
@@ -597,7 +571,7 @@ class TestCoupledExponential:
                                 RadialGrid.auto(radius, *solvers._BALL_GRIDS[BarrierFamily.W]))
         assert rep.status is SolveStatus.MAX_ITERATIONS and rep.iterations < solvers.MAX_ITER
         assert max(rep.residual_u, rep.residual_v) <= 1e-6
-        assert rep.truncation_bound > solvers._TRUNCATION_LIMIT and rep.stability_gap is None
+        assert rep.truncation_bound > solvers._TRUNCATION_LIMIT
         assert rep.notes == [f"truncation bound {rep.truncation_bound:.3e} exceeds limit 1.000e-06"]
 
 
@@ -620,7 +594,7 @@ class TestCoupledAlgebraic:
         counts = inner_counts_by_ball(monkeypatch)
         rep = solve_coupled_alg(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
-        assert_warm_inner_counts(counts, BarrierFamily.Z)
+        assert_warm_inner_counts(counts)
 
     def test_default_solve_lies_on_the_tightened_one(self, alg_worked_case):
         # each warm-started inner solve ends far below its tolerance, so the
@@ -661,12 +635,11 @@ class TestCoupledAlgebraic:
 
 @pytest.mark.parametrize("case, solve, per_report", [
     ("exp_worked_case", solve_coupled_exp, 3),
-    ("alg_worked_case", solve_coupled_alg, 3),
+    ("alg_worked_case", solve_coupled_alg, 2),
 ])
 def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, monkeypatch):
-    # each ball assembles the scalar solve's operator and, in W runs, the
-    # resolvent once; the residual check (in potentials) assembles one more.
-    # A W run has one ball, a Z run two
+    # the run's ball assembles the scalar solve's operator and, in W runs,
+    # the resolvent once; the residual check (in potentials) assembles one more
     problem, exponents, ledger, _ = request.getfixturevalue(case)
     built = []
 
@@ -685,33 +658,24 @@ def test_operators_per_ball_not_per_iteration(case, solve, per_report, request, 
     assert iterations[0] < iterations[1]
 
 
-@pytest.mark.parametrize("case, solve, balls", [
-    ("exp_worked_case", solve_coupled_exp, 1),
-    ("alg_worked_case", solve_coupled_alg, 2),
-])
-def test_w_runs_solve_on_one_ball(case, solve, balls, request, monkeypatch):
-    # a W run's report is its one Picard run on the ball, from the lower
-    # barriers, and no radial solve runs on a larger grid; a Z run repeats
-    # the run on the doubled ball, from that ball's lower barriers
+@pytest.mark.parametrize("case, solve", [("exp_worked_case", solve_coupled_exp),
+                                         ("alg_worked_case", solve_coupled_alg)])
+def test_every_run_solves_on_one_ball(case, solve, request, monkeypatch):
+    # a report is its one Picard run on the ball, from the lower barriers,
+    # and no radial solve runs on another grid
     problem, exponents, ledger, _ = request.getfixturevalue(case)
     runs, sizes = picard_runs(monkeypatch), radial_solve_sizes(monkeypatch)
     rep = solve(problem, exponents, ledger)
-    assert rep.status is SolveStatus.CONVERGED and len(runs) == balls
-    (grid, lows, (vals, steps, inside, _)), *doubled = runs
-    assert grid is rep.u.grid and steps == rep.iterations and inside
+    assert rep.status is SolveStatus.CONVERGED and len(runs) == 1
+    (grid, lows, (vals, steps, _)), = runs
+    assert grid is rep.u.grid and steps == rep.iterations
     assert vals["u"].tobytes() == rep.u.values.tobytes()
     assert vals["v"].tobytes() == rep.v.values.tobytes()
     for name, rate, lower in (("u", ledger.rate_u, ledger.m1_lower),
                               ("v", ledger.rate_v, ledger.m2_lower)):
         own = lower * np.asarray(eval_barrier(BarrierProfile(problem.family, rate), grid.nodes))
         assert lows[name].tobytes() == own.tobytes()
-    if doubled:
-        (big, _, (_, big_steps, _, _)), = doubled
-        assert big.radius >= 2.0 * grid.radius and big_steps == 3
-        assert big.nodes[: grid.n].tobytes() == grid.nodes.tobytes()
-        assert max(sizes) == big.n
-    else:
-        assert set(sizes) == {grid.n} and rep.stability_gap is None
+    assert set(sizes) == {grid.n}
 
 
 def test_w_truncation_bound_is_closed_form_and_small_at_every_default_ball():
@@ -721,7 +685,7 @@ def test_w_truncation_bound_is_closed_form_and_small_at_every_default_ball():
     points = [*random_exp_points(), singular_exp_case()]
     for problem, exponents, ledger in points:
         rep = solve_coupled_exp(problem, exponents, ledger)
-        assert rep.status is SolveStatus.CONVERGED and rep.stability_gap is None
+        assert rep.status is SolveStatus.CONVERGED
         assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
                                                      rel=1e-14)
         assert rep.truncation_bound <= 4.8e-9
@@ -877,33 +841,8 @@ class TestDecayFit:
                 assert rms == pytest.approx(want_rms, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("nodes, status", [("inside", SolveStatus.SANDWICH_VIOLATED),
-                                           ("beyond", SolveStatus.CONVERGED)])
-def test_scalar_doubled_ball_sandwich_is_judged_on_the_original_nodes(nodes, status,
-                                                                      monkeypatch):
-    # the Z doubled ball's field, doubled on r <= R, leaves the sandwich
-    # there; doubled only beyond R it is outside the rule's reach
-    grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
-    real_ball = solvers._monotone_ball
-
-    def spy(op, *args):
-        vals, *rest = real_ball(op, *args)
-        if op.grid.n > grid.n:
-            vals = vals.copy()
-            vals[slice(None, grid.n) if nodes == "inside" else slice(grid.n, None)] *= 2.0
-        return (vals, *rest)
-
-    monkeypatch.setattr(solvers, "_monotone_ball", spy)
-    rep = solve_singular_scalar(5, 0.0, 1.0, z_field(grid, 4.0))
-    assert rep.status is status
-    # doubled on r <= R, the field moves by its own size: the gap test fires too
-    gap = f"ball-growth stability gap {rep.stability_gap:.3e}"
-    assert [note.split(" exceeds boundary barrier ")[0] for note in rep.notes] == (
-        [gap] if nodes == "inside" else [])
-
-
-def test_run_status_ranks_sandwich_then_ball_growth():
-    notes = ["ball-growth stability gap 3.000e+00 exceeds boundary barrier 2.000e+00"]
+def test_run_status_ranks_sandwich_then_truncation():
+    notes = ["truncation bound 3.000e-06 exceeds limit 1.000e-06"]
     assert solvers._run_status([], sandwiched=True, converged=True) is SolveStatus.CONVERGED
     assert solvers._run_status([], True, False) is SolveStatus.MAX_ITERATIONS
     assert solvers._run_status(notes, True, True) is SolveStatus.MAX_ITERATIONS
@@ -911,8 +850,8 @@ def test_run_status_ranks_sandwich_then_ball_growth():
 
 
 def test_sandwich_violated_when_an_iterate_leaves_the_ledger(exp_worked_case):
-    """The solve's own SANDWICH_VIOLATED; test_run_status_ranks_sandwich_then_ball_growth
-    shows that it outranks a ball-growth note."""
+    """The solve's own SANDWICH_VIOLATED; test_run_status_ranks_sandwich_then_truncation
+    shows that it outranks a truncation note."""
     problem, exponents, ledger, report = exp_worked_case
     # the converged u reaches top * M1_lower B_u; an M1_upper below that
     # is left by the first Picard iterate, which ends the loop there
@@ -942,17 +881,17 @@ def _solve_and_verify(problem, exponents, ledger, **kwargs):
     return report, verify_solution(problem, exponents, report.u, report.v)
 
 
-def test_default_alg_solves_share_one_ball_pair_and_its_plans(alg_worked_case, monkeypatch):
-    # whatever ran before, the first pass leaves every plan on the pair;
+def test_default_alg_solves_share_one_ball_and_its_plans(alg_worked_case, monkeypatch):
+    # whatever ran before, the first pass leaves every plan on the ball;
     # the second then builds none and returns the same plan objects
     problem, exponents, ledger, _ = alg_worked_case
     (first, _), asked1 = _plans_asked(
         monkeypatch, lambda: _solve_and_verify(problem, exponents, ledger))
     (second, cert), asked2 = _plans_asked(
         monkeypatch, lambda: _solve_and_verify(problem, exponents, ledger))
-    ball, big = solvers._default_alg_balls()
+    ball = solvers._default_alg_ball()
     assert first.u.grid is second.u.grid is second.v.grid is ball
-    assert {key[0] for key in asked2} == {id(ball), id(big)}
+    assert {key[0] for key in asked2} == {id(ball)}
     assert {key[1] for key in asked2} == {"_flux_plan", "_newton_plan", "_spline_system",
                                           "_fit_plan"}
     assert all(asked1.get(key) is plan for key, plan in asked2.items())
@@ -966,8 +905,8 @@ def test_default_alg_solves_share_one_ball_pair_and_its_plans(alg_worked_case, m
     assert second.v.values.tobytes() == own.v.values.tobytes()
 
 
-def test_only_the_default_alg_ball_pair_outlives_its_solve(exp_worked_case, alg_worked_case,
-                                                           monkeypatch):
+def test_only_the_default_alg_ball_outlives_its_solve(exp_worked_case, alg_worked_case,
+                                                      monkeypatch):
     made, init = [], RadialGrid.__post_init__
 
     def spy(grid):
@@ -977,34 +916,44 @@ def test_only_the_default_alg_ball_pair_outlives_its_solve(exp_worked_case, alg_
     monkeypatch.setattr(RadialGrid, "__post_init__", spy)
     reports = [solve_coupled_exp(*exp_worked_case[:3]),
                _solve_and_verify(*alg_worked_case[:3], grid=RadialGrid.auto(60.0, 0.05, 1.05))[0]]
-    # the W solve's one ball, which its report holds, and the Z solve's
-    # ball and doubled ball
-    assert len(made) == 3 and made[0]() is reports[0].u.grid
+    # each solve's one ball, which its report holds
+    assert len(made) == 2 and all(ref() is rep.u.grid for ref, rep in zip(made, reports))
     del reports
     gc.collect()
     assert [ref() for ref in made if ref() is not None] == []
 
 
-@pytest.mark.parametrize("family, rate, lower, power", [
-    (BarrierFamily.W, 1.3, 0.7, 2.0),
-    (BarrierFamily.W, 0.4, 3e-5, 1.0),
-    (BarrierFamily.Z, 2.5, 0.02, 3.0),
-])
-def test_first_ball_envelopes_are_the_doubled_balls_first_values(family, rate, lower, power):
-    # each barrier is evaluated once, on the doubled ball: the first ball's
-    # envelope is bit for bit the barrier evaluated on its own nodes
-    balls = solvers._ball_pair(RadialGrid.auto(40.0, *solvers._BALL_GRIDS[family]))
-    field = solvers._Field("c * B", BarrierProfile(family, rate), lower, 2.0 * lower, power)
-    lows, lows2 = solvers._ball_envelopes(balls, {"v": field})
-    for ball, low in zip(balls, (lows["v"], lows2["v"])):
-        own = lower * np.asarray(eval_barrier(field.barrier, ball.nodes), dtype=float)
-        assert low.tobytes() == own.tobytes()
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "scalar"])
+def test_zero_shift_solve_builds_one_grid_and_makes_one_run(coupled, alg_worked_case,
+                                                            monkeypatch):
+    # the coupled solve on its default ball, built afresh here, and the
+    # scalar solve on its weight's grid: the ball is the only grid, and
+    # one run on it makes the report
+    made, init = [], RadialGrid.__post_init__
+
+    def spy(grid):
+        init(grid)
+        made.append(grid)
+
+    monkeypatch.setattr(RadialGrid, "__post_init__", spy)
+    if coupled:
+        runs = picard_runs(monkeypatch)
+        monkeypatch.setattr(solvers, "_default_alg_ball",
+                            functools.cache(solvers._default_alg_ball.__wrapped__))
+        rep = solve_coupled_alg(*alg_worked_case[:3])
+    else:
+        runs, real_ball = [], solvers._monotone_ball
+        monkeypatch.setattr(solvers, "_monotone_ball",
+                            lambda *args: runs.append(args) or real_ball(*args))
+        rep = solve_singular_scalar(5, 0.0, 1.0,
+                                    z_field(RadialGrid.auto(150.0, h0=0.02, stretch=1.03), 4.0))
+    assert rep.status is SolveStatus.CONVERGED and len(runs) == 1
+    assert len(made) == 1 and made[0] is rep.v.grid
 
 
-def test_ball_envelopes_word_the_first_balls_refusal_first():
-    # c W_2 falls below the smallest normal double on both balls: the
-    # refusal names the first ball's radius
-    balls = solvers._ball_pair(RadialGrid.auto(400.0, *solvers._BALL_GRIDS[BarrierFamily.W]))
+def test_ball_envelopes_name_the_balls_radius_in_a_refusal():
+    # c W_2 falls below the smallest normal double on the ball
+    grid = RadialGrid.auto(400.0, *solvers._BALL_GRIDS[BarrierFamily.W])
     field = solvers._Field("c * B", BarrierProfile(BarrierFamily.W, 2.0), 1.0, 2.0, 1.0)
-    with pytest.raises(HypothesisError, match=f"underflows .* within radius {balls[0].radius:g}$"):
-        solvers._ball_envelopes(balls, {"v": field})
+    with pytest.raises(HypothesisError, match=f"underflows .* within radius {grid.radius:g}$"):
+        solvers._ball_envelopes(grid, {"v": field})
