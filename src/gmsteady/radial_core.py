@@ -161,26 +161,6 @@ class RadialGrid:
         nodes[1::2] = r[:-1] + (r[1:] - r[:-1]) / (1.0 + ratio)
         return RadialGrid(nodes, ratio if self.stretch > 1.0 else self.stretch)
 
-    def extended(self, factor: float = 2.0) -> "RadialGrid":
-        """Continue the grading beyond R until ``factor * R``; keeps old nodes."""
-        target = self.radius * factor
-        r = self.nodes
-        h = r[-1] - r[-2]
-        g = self.stretch if self.stretch > 1.0 else 1.0
-        if r[-1] >= target:
-            return RadialGrid(r, self.stretch)
-        # step k is h g^k and node k is r[-1] + step 1 + ... + step k; both
-        # accumulate left to right, so the nodes are bit for bit those of
-        # the step-by-step loop.  Two steps past the exact count absorb the
-        # roundoff of the estimate and of the sums
-        gap = target - r[-1]
-        count = gap / h if g == 1.0 else math.log1p(gap * (g - 1.0) / h) / math.log(g)
-        steps = np.multiply.accumulate(np.concatenate(([h], np.full(int(count) + 2, g))))
-        new = np.add.accumulate(np.concatenate(([r[-1]], steps[1:])))[1:]
-        assert new[-1] >= target, "extension fell short of factor * R"
-        size = _node_count(r.size + np.searchsorted(new, target) + 1)
-        return RadialGrid(np.concatenate((r, new[: size - r.size])), self.stretch)
-
 
 @dataclass
 class RadialField:

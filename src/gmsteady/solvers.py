@@ -42,11 +42,11 @@ explicit status.  Plain Picard iteration is used (existence comes from
 compactness, not contraction); non-convergence after the iteration cap
 is reported honestly.
 
-Truncation.  Exponential-family runs pick the smallest radius where
-every barrier has dropped by 1e12 relative to the origin and the
-truncation bound cannot exceed its limit; algebraic families cannot
-reach that drop at any practical radius, so they start from a
-configurable default; ``_BALL_GRIDS`` holds each family's grid recipe.
+Truncation.  Exponential-family runs pick the smallest radius on
+which the truncation bound of a sandwiched run is at most half its
+limit; algebraic barriers cannot bring that bound down at any practical
+radius, so those runs start from a configurable default;
+``_BALL_GRIDS`` holds each family's grid recipe.
 Either way one function, ``_ball_report``, runs the solve on that one
 ball from the lower barriers and reports it by ``SolveReport``'s rules.
 The default zero-shift ball is one per process (``_default_alg_ball``),
@@ -84,12 +84,10 @@ __all__ = [
     "DEFAULT_ALG_RADIUS",
 ]
 
-#: Exponential truncation rule: barrier drops by this factor from r = 0.
-_EXP_DROP = 1e12
 #: Largest truncation bound of a converged W run (``SolveReport``).
 _TRUNCATION_LIMIT = 1e-6
-#: Starting radius for algebraic-family runs (the 1e12 drop rule would
-#: demand astronomically large balls for power-law decay).
+#: Starting radius for algebraic-family runs (the truncation bound of a
+#: power-law barrier falls too slowly to size a ball).
 DEFAULT_ALG_RADIUS = 480.0
 #: Iteration cap of the scalar Newton loop and of the coupled Picard loop.
 MAX_ITER = 500
@@ -97,8 +95,10 @@ MAX_ITER = 500
 _BALL_GRIDS = {BarrierFamily.W: (0.02, 1.02), BarrierFamily.Z: (0.008, 1.02)}
 
 
-def default_exp_radius(rate: float, drop: float = _EXP_DROP) -> float:
-    """Smallest R with W_rate(R) <= W_rate(0) / drop (by default 1e-12 * W_rate(0))."""
+def default_exp_radius(rate: float, drop: float) -> float:
+    """Smallest R with W_rate(R) <= W_rate(0) / drop; ``drop`` must be at least 1."""
+    if not drop >= 1.0:
+        raise ValueError(f"barrier drop must be at least 1, not {drop!r}")
     t = 1.0 + math.log(drop) / rate
     return math.sqrt(t * t - 1.0)
 
@@ -297,13 +297,12 @@ def _ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
     returns (values by name, iteration count, (residual of u or None,
     residual of v, whether the run converged)).  Without a ``grid`` the
     run takes its family's default ball: for Z ``_default_alg_ball``,
-    for W the smallest ball on which every barrier has dropped by
-    ``_EXP_DROP`` and the truncation bound of a sandwiched run is at
-    most half its limit.  Each field is fitted over its window in
-    ``_fit_windows``.  The fit windows and the ball's float range are
-    checked before the run, so a refusal costs no solve.  The
-    truncation bound gates W runs only (1.9e-2 at the zero-shift worked
-    case's default ball).
+    for W the smallest ball on which the truncation bound of a
+    sandwiched run is at most half its limit.  Each field is fitted over
+    its window in ``_fit_windows``.  The fit windows and the ball's
+    float range are checked before the run, so a refusal costs no solve.
+    The truncation bound gates W runs only (1.9e-2 at the zero-shift
+    worked case's default ball).
     """
     family = fields["v"].barrier.family  # one family per run
     if grid is None and family is BarrierFamily.Z:
@@ -311,7 +310,7 @@ def _ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
     elif grid is None:
         # a sandwiched field's bound is at most (upper/lower - 1) B(R)/B(0)
         radius = max(default_exp_radius(f.barrier.rate, max(
-            _EXP_DROP, 2.0 * (f.upper / f.lower - 1.0) / _TRUNCATION_LIMIT))
+            1.0, 2.0 * (f.upper / f.lower - 1.0) / _TRUNCATION_LIMIT))
             for f in fields.values())
         grid = RadialGrid.auto(radius, *_BALL_GRIDS[family])
     windows = _fit_windows(family, grid.radius)

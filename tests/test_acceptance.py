@@ -181,7 +181,7 @@ def test_03_ledger_identities(rng):
 
 def test_04_scalar_solver_exponential():
     with Budget("4 scalar solver exponential", 10.0):
-        grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+        grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
         profile = BarrierProfile(BarrierFamily.W, 2.0)
         psi = RadialField.from_function(
             grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)

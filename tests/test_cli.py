@@ -457,22 +457,34 @@ def test_out_of_range_input_exit_code(tmp_path, capsys, args):
     _assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("point, radius", [
-    (_ALG_POINT, "480"),
-    ([*_EXP_POINT, "--rho-amplitude", "1.5"], "28.613552211159423"),
-])
-def test_solve_radius_reproduces_the_default_ball(tmp_path, point, radius):
+def _default_w_radius(ledger: dict) -> float:
+    """The default W ball's radius for a report's ledger: the smallest on
+    which each field's (upper/lower - 1) B(R)/B(0) is half the truncation limit."""
+    half = 0.5 * solvers._TRUNCATION_LIMIT
+    return max(solvers.default_exp_radius(ledger[f"rate_{name}"], max(
+        1.0, (ledger[f"m{i}_upper"] / ledger[f"m{i}_lower"] - 1.0) / half))
+        for i, name in ((1, "u"), (2, "v")))
+
+
+@pytest.mark.parametrize("point", [_ALG_POINT, [*_EXP_POINT, "--rho-amplitude", "1.5"]],
+                         ids=["alg", "exp"])
+def test_solve_radius_reproduces_the_default_ball(tmp_path, point):
     # --radius alone takes the regime's grid recipe, so a --radius at the
     # default ball's radius reruns the default solve, report and dumps
-    outputs = {}
-    for name, extra in (("default", []), ("radius", ["--radius", radius])):
+    outputs, extra = {}, []
+    for name in ("default", "radius"):
         report, u, v = (tmp_path / f"{name}.{ext}" for ext in ("json", "u", "v"))
         assert run(["solve", *point, *extra, "--report", str(report), "--out-u", str(u),
                     "--out-v", str(v)]) == 0
         fields = json.loads(report.read_text())
         fields.pop("timestamp")
         outputs[name] = fields, u.read_bytes(), v.read_bytes()
+        extra = ["--radius", repr(fields["solve"]["ball_radius"])]
     assert outputs["radius"] == outputs["default"]
+    fields = outputs["default"][0]
+    assert fields["solve"]["ball_radius"] == (
+        solvers.DEFAULT_ALG_RADIUS if point is _ALG_POINT
+        else _default_w_radius(fields["verdict"]["ledger"]))
 
 
 @pytest.fixture(scope="module")
@@ -613,9 +625,9 @@ def _exp_point_with(changes: dict) -> list:
     # subnormal long before its edge
     ({"--lam": "1e300"}, "refused: M1_lower * B_u underflows below the smallest normal double "
                          "within radius 702.818"),
-    ({"--s": "30"}, "refused: M1_lower * B_u underflows below the smallest normal double "
-                    "within radius 857.561"),
-], ids=["lam-1e300", "s-30"])
+    ({"--s": "60"}, "refused: M1_lower * B_u underflows below the smallest normal double "
+                    "within radius 817.296"),
+], ids=["lam-1e300", "s-60"])
 def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys, monkeypatch, changes,
                                                   refusal):
     calls = []
@@ -628,13 +640,13 @@ def test_solve_underflowing_lower_barrier_refused(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("changes, v_rate", [({"--s": "12"}, 1 / 13), ({"--s": "20"}, 1 / 21),
+                                             ({"--s": "30"}, 1 / 31), ({"--s": "50"}, 1 / 51),
                                              ({"--m": "2", "--s": "12"}, 2 / 13)],
-                         ids=["s-12", "s-20", "m-2-s-12"])
-def test_solve_points_whose_doubled_ball_left_float_range_converge(tmp_path, capsys, changes,
-                                                                   v_rate):
-    # only the doubled ball, which W runs no longer solve on, left the
-    # normal float64 range at these points; their dumps verify at the
-    # README tolerance with the ledger's rates
+                         ids=["s-12", "s-20", "s-30", "s-50", "m-2-s-12"])
+def test_solve_points_with_a_slow_v_barrier_converge(tmp_path, capsys, changes, v_rate):
+    # the v barrier decays at 1/(s+1), so the default ball grows with s, and
+    # on it the lower barrier on u stays in the normal float64 range up to
+    # s = 50; the dumps verify at the README tolerance with the ledger's rates
     u, v, report = (str(tmp_path / name) for name in ("u.txt", "v.txt", "s.json"))
     flags = _exp_point_with(changes)
     with warnings.catch_warnings(record=True) as caught:
@@ -663,8 +675,8 @@ def test_solve_on_a_too_small_exp_ball_names_the_truncation_bound(tmp_path, caps
     assert _assert_one_line_unconverged(capsys) == f"unconverged: max-iterations; {note}"
 
 
-@pytest.mark.parametrize("point, largest", [(_EXP_POINT, 1e-10), (_ALG_POINT, 2e-2)],
-                         ids=["exp", "alg"])
+@pytest.mark.parametrize("point, largest", [(_EXP_POINT, 0.5 * solvers._TRUNCATION_LIMIT),
+                                            (_ALG_POINT, 2e-2)], ids=["exp", "alg"])
 def test_solve_report_holds_the_truncation_bound(tmp_path, point, largest):
     # every report carries the bound; only a W run is judged by it
     report = tmp_path / "s.json"
@@ -1073,7 +1085,9 @@ def test_verify_rate_zero_is_used(tmp_path, capsys, point, flag, reason):
 @pytest.mark.filterwarnings("error")
 def test_verify_huge_shift_exits_with_the_piece_count(tmp_path, capsys):
     # the README exp dumps re-verified at lam = 1e100: the shifted potential
-    # would need about 3.6e50 Gauss pieces, and is refused before any is built
+    # would need sqrt(lam) (R + h)/8 Gauss pieces, 8 e-folds each, over the
+    # ball and its one tail interval of the last span h, and is refused
+    # before any is built
     u, v = str(tmp_path / "u.txt"), str(tmp_path / "v.txt")
     assert run(["solve", *_EXP_POINT, "--rho-amplitude", "1.5",
                 "--report", str(tmp_path / "s.json"), "--out-u", u, "--out-v", v]) == 0
@@ -1082,8 +1096,11 @@ def test_verify_huge_shift_exits_with_the_piece_count(tmp_path, capsys):
     rc = run(["verify", *huge, "--u-field", u, "--v-field", v, "--u-rate", "1",
               "--v-rate", "1", "--tol", "1e-4", "--report", str(tmp_path / "v.json")])
     assert rc == 1
+    r = read_field(u).grid.nodes
+    pieces = 1e50 * (r[-1] + (r[-1] - r[-2])) / 8.0
     assert capsys.readouterr().err.strip().splitlines() == [
-        "error: the shifted potential needs 3.649e+50 Gauss pieces, more than the cap of 1000000"]
+        f"error: the shifted potential needs {pieces:.4g} Gauss pieces, "
+        "more than the cap of 1000000"]
 
 
 def test_verify_cor3_unconverged_reason(tmp_path, capsys):

@@ -440,7 +440,7 @@ def test_convr_gradient_is_numpys_bit_for_bit(grid):
 
 
 @pytest.mark.parametrize("n, shift, a, radius", [
-    (3, 4096.0, 1.0, default_exp_radius(1.0)),
+    (3, 4096.0, 1.0, default_exp_radius(1.0, 1e12)),
     (5, 16.0, 1.5, 25.0),
     (4, 1.0, 0.5, 40.0),
 ])

@@ -19,7 +19,6 @@ from gmsteady.radial_core import (
     solve_linear_radial_variable,
     write_field,
 )
-from gmsteady.solvers import DEFAULT_ALG_RADIUS, default_exp_radius
 
 
 def test_grid_validation():
@@ -70,59 +69,16 @@ def test_graded_grid_and_refinement():
     fine = g.refined()
     assert fine.n == 2 * g.n - 1
     assert np.array_equal(fine.nodes[::2], g.nodes)
-    big = g.extended(2.0)
-    assert big.radius >= 20.0
-    assert np.allclose(big.nodes[: g.n], g.nodes)
-    assert big.stretch == 1.05
-    # every neighbouring pair of the refined grid, and of its extension,
-    # has the ratio sqrt(1.05) that the refined grid records
+    # every neighbouring pair of the refined grid has the ratio sqrt(1.05)
+    # that it records
     assert fine.stretch == math.sqrt(1.05)
-    for grid in (fine, fine.extended(2.0)):
-        h = np.diff(grid.nodes)
-        assert np.allclose(h[1:] / h[:-1], math.sqrt(1.05), rtol=1e-9)
+    h = np.diff(fine.nodes)
+    assert np.allclose(h[1:] / h[:-1], math.sqrt(1.05), rtol=1e-9)
     # a uniform grid is cut at its midpoints
     u = RadialGrid.uniform(10.0, 50)
     assert u.refined().stretch == 1.0
     assert np.allclose(u.refined().nodes[1::2], 0.5 * (u.nodes[:-1] + u.nodes[1:]),
                        rtol=1e-15, atol=0.0)
-
-
-def _extended_by_loop(grid, factor):
-    """The node-by-node continuation ``RadialGrid.extended`` must reproduce bit for bit."""
-    target = grid.radius * factor
-    nodes = list(grid.nodes)
-    h = nodes[-1] - nodes[-2]
-    g = grid.stretch if grid.stretch > 1.0 else 1.0
-    while nodes[-1] < target:
-        h = h * g
-        nodes.append(nodes[-1] + h)
-    nodes[-1] = max(nodes[-1], target)
-    return np.asarray(nodes)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: RadialGrid.uniform(1.0, 50),
-    lambda: RadialGrid.graded(10.0, 200, 1.05),
-    lambda: RadialGrid.graded(10.0, 200, 1.05).refined(),
-    lambda: RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02),  # the exp default
-    lambda: RadialGrid.auto(DEFAULT_ALG_RADIUS, h0=0.008, stretch=1.02),  # the algebraic one
-    lambda: RadialGrid.auto(20.0, h0=0.05, stretch=1.0),
-])
-@pytest.mark.parametrize("factor", [2.0, 1.5, 1.0])
-def test_extended_matches_the_loop(build, factor):
-    grid = build()
-    big = grid.extended(factor)
-    assert np.array_equal(big.nodes, _extended_by_loop(grid, factor))
-    assert big.stretch == grid.stretch
-
-
-def test_extended_matches_the_loop_at_the_node_cap():
-    with pytest.raises(ValueError, match="cap"):
-        RadialGrid.uniform(1.0, MAX_GRID_NODES).extended(2.0)
-    grid = RadialGrid.uniform(1.0, MAX_GRID_NODES // 2)
-    big = grid.extended(2.0)
-    assert big.n == MAX_GRID_NODES - 1
-    assert np.array_equal(big.nodes, _extended_by_loop(grid, 2.0))
 
 
 def test_constants_are_harmonic():

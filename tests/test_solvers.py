@@ -123,7 +123,7 @@ def three_power_ball(op, mu, s, psi_vals, v_low, tol_residual, trace=None):
 def test_monotone_ball_matches_the_three_power_loop(s):
     # w^(-s) is taken once per iterate and serves its residual and the
     # next step: every iterate, the residual and the count stay bit for bit
-    grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+    grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
     psi_vals = w_field(grid, 2.0).values
     v_low = 0.3 * w_field(grid, 2.0 / (s + 1.0)).values
     runs = []
@@ -140,15 +140,12 @@ def test_monotone_ball_matches_the_three_power_loop(s):
 
 
 @pytest.mark.parametrize("mu", [16.0, 0.0])
-@pytest.mark.parametrize("doubled", [False, True])
-def test_linear_monotone_ball_is_one_solve(mu, doubled):
+def test_linear_monotone_ball_is_one_solve(mu):
     # at s = 0 Newton's steps from v_low all solve (-Delta + mu) v = psi,
     # since v_low^(-0) = 1: the coupled loop's single solve of that
     # resolvent is the Newton loop's answer bit for bit
     rng = np.random.default_rng(2203)
-    grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
-    if doubled:
-        grid = grid.extended(2.0)
+    grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
     envelope = w_field(grid, 1.0).values
     psi_vals = envelope * rng.uniform(0.5, 2.0, grid.n)
     v_low = 0.3 * envelope * rng.uniform(0.9, 1.0, grid.n)
@@ -167,7 +164,7 @@ def test_warm_started_monotone_ball_matches_the_cold_start(family, s, start):
     # solution for the weight psi (1 -+ eps), or from far above the
     # solution, ends where the start from v_low does, in fewer steps when near
     if family is BarrierFamily.W:
-        grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+        grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
         n, mu, gamma = 3, 4.0, 2.0
         a = gamma / (s + 1.0)
     else:
@@ -279,6 +276,42 @@ def ledger_fields(ledger):
             "v": (BarrierProfile(BarrierFamily.W, ledger.rate_v), ledger.m2_lower, ledger.m2_upper)}
 
 
+def assert_default_w_ball(rep, fields):
+    """``rep`` ran on the default W ball of ``fields`` (name -> (barrier, lower, upper)).
+
+    That ball is the smallest on which every field's (upper/lower - 1) B(R)/B(0),
+    which bounds its truncation bound, is at most half the limit, so the
+    report's bound, its closed form, is at most half the limit too.
+    """
+    half = 0.5 * solvers._TRUNCATION_LIMIT
+    assert rep.ball_radius == max(
+        default_exp_radius(barrier.rate, max(1.0, (upper / lower - 1.0) / half))
+        for barrier, lower, upper in fields.values())
+    widest = max((upper / lower - 1.0) * float(eval_barrier(barrier, rep.ball_radius))
+                 / float(eval_barrier(barrier, 0.0)) for barrier, lower, upper in fields.values())
+    assert widest == pytest.approx(half, rel=1e-9)
+    assert rep.truncation_bound == pytest.approx(truncation_bound(rep, fields), rel=1e-14)
+    assert rep.truncation_bound <= half
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 1.0 / 31.0])
+@pytest.mark.parametrize("drop", [1.0, 8.0, 1e12, 1e300])
+def test_default_exp_radius_is_where_the_barrier_has_dropped(rate, drop):
+    radius = default_exp_radius(rate, drop)
+    barrier = BarrierProfile(BarrierFamily.W, rate)
+    assert float(eval_barrier(barrier, radius)) == pytest.approx(
+        float(eval_barrier(barrier, 0.0)) / drop, rel=1e-12)
+    assert (radius == 0.0) is (drop == 1.0)
+
+
+@pytest.mark.parametrize("drop", [1.0 - 1e-16, 0.5, 0.1, 0.0, -1.0, float("nan")])
+def test_default_exp_radius_refuses_a_drop_below_one(drop):
+    # below 1 the square root's argument is negative (a math domain error),
+    # or, from -1 down, positive and meaningless
+    with pytest.raises(ValueError, match="barrier drop must be at least 1"):
+        default_exp_radius(1.0, drop)
+
+
 def random_exp_points(count=8):
     """``count`` feasible exponential-regime points (problem, exponents, ledger), seed 7011."""
     rng = np.random.default_rng(7011)
@@ -313,7 +346,7 @@ def singular_exp_case():
 
 class TestScalarExponential:
     def run(self, record_trace=False):
-        grid = RadialGrid.auto(default_exp_radius(1.0), h0=0.02, stretch=1.02)
+        grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
         psi = w_field(grid, 2.0)
         return solve_singular_scalar(3, 4.0, 1.0, psi, record_trace=record_trace)
 
@@ -538,29 +571,20 @@ class TestCoupledExponential:
         assert ratio == pytest.approx(3.0, rel=0.02)
 
     def test_truncation_bound_at_the_default_ball(self, exp_worked_case):
-        # the default ball is cut where the barriers have fallen 1e12-fold
+        # the default ball reaches to where (upper/lower - 1) B(R)/B(0) is
+        # half the limit for the field whose sandwich and rate need most
         _, _, ledger, rep = exp_worked_case
-        assert rep.ball_radius == default_exp_radius(1.0)
-        assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
-                                                     rel=1e-14)
-        assert rep.truncation_bound <= 1e-10
+        assert_default_w_ball(rep, ledger_fields(ledger))
 
     @pytest.mark.parametrize("lam", [2e8, 1e9, 1e12])
     def test_default_ball_meets_the_truncation_limit_at_large_lam(self, lam):
-        # the sandwich widens like lam/mu: a ball cut at the 1e12 drop read a
-        # bound of 1.2e-6 at lam 2e8, so the default ball reaches to where
-        # (upper/lower - 1) B(R)/B(0), which bounds the bound, is half the limit
+        # the sandwich widens like lam/mu, and the default ball with it
         exponents = Exponents(2.0, 1.0, 1.0, 0.0)
         ledger = exp_regime_ledger(exponents, 3, lam, 16.0, 1.0, 2.0, 1.0)
         problem = Problem(3, lam, 16.0, SourceModel.exp_envelope(1.0, 2.0, 1.0, 1.5))
         rep = solve_coupled_exp(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED and rep.notes == []
-        cap = max(ledger.m1_upper / ledger.m1_lower, ledger.m2_upper / ledger.m2_lower)
-        drop = 2.0 * (cap - 1.0) / solvers._TRUNCATION_LIMIT
-        assert drop > solvers._EXP_DROP and rep.ball_radius == default_exp_radius(1.0, drop)
-        assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
-                                                     rel=1e-14)
-        assert rep.truncation_bound <= 0.5 * solvers._TRUNCATION_LIMIT
+        assert_default_w_ball(rep, ledger_fields(ledger))
 
     @pytest.mark.parametrize("radius", [0.001, 1.0, 4.0, 8.0, 16.0])
     def test_too_small_ball_reads_max_iterations(self, exp_worked_case, radius):
@@ -679,16 +703,14 @@ def test_every_run_solves_on_one_ball(case, solve, request, monkeypatch):
 
 
 def test_w_truncation_bound_is_closed_form_and_small_at_every_default_ball():
-    # the singular and random points: each default ball is cut where its
-    # slower barrier has fallen 1e12-fold, so the bound, the relative
-    # error of the Dirichlet data at R, stays far below the limit
+    # the singular and random points: each default ball is sized so the
+    # bound, the relative error of the Dirichlet data at R, is at most
+    # half the limit
     points = [*random_exp_points(), singular_exp_case()]
     for problem, exponents, ledger in points:
         rep = solve_coupled_exp(problem, exponents, ledger)
         assert rep.status is SolveStatus.CONVERGED
-        assert rep.truncation_bound == pytest.approx(truncation_bound(rep, ledger_fields(ledger)),
-                                                     rel=1e-14)
-        assert rep.truncation_bound <= 4.8e-9
+        assert_default_w_ball(rep, ledger_fields(ledger))
 
 
 class TestRandomFeasiblePoints:
