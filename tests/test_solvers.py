@@ -140,12 +140,15 @@ def test_monotone_ball_matches_the_three_power_loop(s):
 
 
 @pytest.mark.parametrize("mu", [16.0, 0.0])
-def test_linear_monotone_ball_is_one_solve(mu):
+@pytest.mark.parametrize("doubled", [False, True])
+def test_linear_monotone_ball_is_one_solve(mu, doubled):
     # at s = 0 Newton's steps from v_low all solve (-Delta + mu) v = psi,
     # since v_low^(-0) = 1: the coupled loop's single solve of that
-    # resolvent is the Newton loop's answer bit for bit
+    # resolvent is the Newton loop's answer bit for bit, also on a ball
+    # twice as wide, whose edge data have fallen 1e24-fold
     rng = np.random.default_rng(2203)
-    grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
+    radius = default_exp_radius(1.0, 1e12) * (2.0 if doubled else 1.0)
+    grid = RadialGrid.auto(radius, h0=0.02, stretch=1.02)
     envelope = w_field(grid, 1.0).values
     psi_vals = envelope * rng.uniform(0.5, 2.0, grid.n)
     v_low = 0.3 * envelope * rng.uniform(0.9, 1.0, grid.n)
