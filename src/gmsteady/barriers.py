@@ -867,19 +867,24 @@ def classify_many(dimension, family, p, q, m, s, lam, mu, alpha, beta, rate) -> 
         shifted = lam > 0
         matched = shifted == (family is BarrierFamily.W) if family is not None else False
         sig = _sigma(p, q, m, s)
-        rule1 = shifted & _nonexistence_shifted(p)
-        rule2, rule3, *_ = _nonexistence_zero_shift(n, p, m, rate, matched)
-        rule2, rule3 = ~shifted & rule2, ~shifted & rule3
+        # a regime's rules run only if some point of the sweep is in it
+        rule1 = rule2 = rule3 = np.zeros(1, dtype=bool)
+        if shifted.any():
+            rule1 = shifted & _nonexistence_shifted(p)
+        if not shifted.all():
+            rule2, rule3, *_ = _nonexistence_zero_shift(n, p, m, rate, matched)
+            rule2, rule3 = ~shifted & rule2, ~shifted & rule3
         feasible = np.zeros(math.prod(shape), dtype=bool)
 
         _ledger_at(feasible, valid & shifted & matched & ~rule1 & (sig <= 1.0),
                    _exp_ledger_body, n_sq, p, q, m, s, lam, mu, alpha, beta, rate, sig)
-        # inside alg_regime_ledger's regime (p > 1 where rule 2 fails);
-        # outside it classify reads unknown
-        inside = valid & ~shifted & matched & ~rule2 & ~rule3
-        for holds in _alg_regime(n, p, m, s, rate, sig)[0]:
-            inside = inside & holds
-        _ledger_at(feasible, inside, _alg_ledger_body, n, p, q, m, s, alpha, beta, rate, sig)
+        if not shifted.all():
+            # inside alg_regime_ledger's regime (p > 1 where rule 2 fails);
+            # outside it classify reads unknown
+            inside = valid & ~shifted & matched & ~rule2 & ~rule3
+            for holds in _alg_regime(n, p, m, s, rate, sig)[0]:
+                inside = inside & holds
+            _ledger_at(feasible, inside, _alg_ledger_body, n, p, q, m, s, alpha, beta, rate, sig)
 
         codes = np.select(
             [~valid, rule1, rule2, rule3, feasible & shifted, feasible],

@@ -34,8 +34,8 @@ import numpy as np
 
 from .barriers import Exponents, Problem, _critical_exponents
 from .errors import HypothesisError
-from .potentials import (_admit_pair, _fit_windows, _pde_residuals, convr_check, decay_fit,
-                         representation_residual)
+from .potentials import (_admit_pair, _fit_windows, _pair_sides, _pde_residuals, convr_check,
+                         decay_fit, representation_residual)
 from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
@@ -191,11 +191,12 @@ def verify_solution(
     """
     _admit_pair(u, v)
     n = problem.dimension
-    pde_u, pde_v = _pde_residuals(problem, exponents, u, v)
+    sides = _pair_sides(problem, exponents, u, v)  # both measurements read them
+    pde_u, pde_v = _pde_residuals(problem, exponents, u, v, sides)
 
     rep_u = rep_v = None
     if representation:
-        rep_u, rep_v = representation_residual(problem, exponents, u, v)
+        rep_u, rep_v = representation_residual(problem, exponents, u, v, sides)
 
     windows = _fit_windows(problem.family, u.grid.radius)
     fit_u = decay_fit(u, problem.family, windows["u"])

@@ -59,9 +59,16 @@ __all__ = [
     "verify_kernel_bounds",
 ]
 
-#: Surface area of the unit sphere S^{N-1} in R^N.
 def sphere_area(dimension: int) -> float:
-    return 2.0 * math.pi ** (dimension / 2.0) / math.gamma(dimension / 2.0)
+    """Surface area of the unit sphere S^{N-1} in R^N, 2 pi^(N/2) / Gamma(N/2).
+
+    From N = 344, where Gamma(N/2) leaves the float64 range, ValueError.
+    """
+    try:
+        gamma = math.gamma(dimension / 2.0)
+    except OverflowError:
+        raise ValueError(f"Gamma(N/2) leaves the float64 range in dimension {dimension}") from None
+    return 2.0 * math.pi ** (dimension / 2.0) / gamma
 
 
 _TINY = np.finfo(float).tiny
@@ -113,12 +120,14 @@ _I32_SERIES = [1 / (math.factorial(2 * j + 1) * (2 * j + 3)) for j in range(13)]
 
 def _ive_three_halves(z):
     # the closed form sqrt(2/(pi z)) (cosh z - sinh z / z) e^-z cancels for
-    # small z, so the series replaces it below 1
-    big = np.maximum(z, 1.0)
-    e2 = np.expm1(-2.0 * big)
-    out = np.sqrt(2.0 / (np.pi * big)) * ((1.0 + 0.5 * e2) + e2 / (2.0 * big))
+    # small z, so the series takes the points below 1
+    out = np.empty_like(z)
     small = z < 1.0
-    if np.any(small):
+    big = ~small
+    zb = z[big]
+    e2 = np.expm1(-2.0 * zb)
+    out[big] = np.sqrt(2.0 / (np.pi * zb)) * ((1.0 + 0.5 * e2) + e2 / (2.0 * zb))
+    if small.any():
         zs = z[small]
         t = zs * zs
         series = np.zeros_like(zs)
@@ -215,12 +224,14 @@ def green_lambda_mass(params: GreenParams) -> float:
     smallest nodes, where the integrand takes K_nu's small-argument form
     (see ``_log_green_lambda``): |lambda * mass - 1| stays within 1e-13
     up to N = 166, and grows to 1.5e-13 at N = 167 and 1.4e-6 at N = 300.
-    Raises ValueError where the sum leaves float64 range, and OverflowError
-    from N = 344, where Gamma(N/2) in omega_N does.
+    Raises ValueError, unwarned, from N = 344, where Gamma(N/2) in
+    omega_N leaves float64 range (``sphere_area``), before any integrand
+    is formed; below, the sum stays finite.
     """
     if params.shift <= 0:
         raise ValueError("mass identity requires shift > 0")
     n = params.dimension
+    area = sphere_area(n)
     a = (n - 1) / 2.0
     # at x = a + t = a (1 + u) the shape is e^(-a (u - log(1 + u))) times its
     # peak, and a (u - log(1 + u)) >= t^2 / (2 (a + t)), which is 40 here
@@ -232,7 +243,7 @@ def green_lambda_mass(params: GreenParams) -> float:
     total = float(half @ (integrand @ _gauss(12)[1]))
     if not math.isfinite(total):
         raise ValueError(f"kernel mass integral leaves float64 range at N = {n}")
-    return sphere_area(n) * total / params.shift
+    return area * total / params.shift
 
 
 def _log_green_lambda(params: GreenParams, rr: np.ndarray) -> np.ndarray:

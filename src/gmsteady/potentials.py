@@ -57,10 +57,14 @@ and its order are those of a fresh grid, bit for bit.
 
 A candidate pair (u, v) is measured here, whatever produced it: against
 both forms of the system, ``_pde_residuals`` and
-``representation_residual``, which share one admission check, one set
-of right sides and one half-ball sup, and by ``decay_fit`` over each
-field's window in ``_fit_windows``.  ``solvers`` and ``certificates``
-both import these, so verifying a pair loads no solver.
+``representation_residual``, and by ``decay_fit`` over each field's
+window in ``_fit_windows``.  The pair is admitted once, and both forms
+read one set of right sides, formed once from one evaluation of rho at
+the nodes (``_pair_sides``; a solve hands in the rho it iterated with),
+and one half-ball mask, a plan of the grid.  The PDE residuals take
+-Delta from the grid's flux plan, with no operator of their own.
+``solvers`` and ``certificates`` both import these, so verifying a pair
+loads no solver.
 
 The divergence probe decides the source's improper integral by the
 exact exponent test and reports the dyadic shell sums of its envelope.
@@ -80,7 +84,7 @@ from .barriers import Exponents, Problem, SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import _gauss, _gauss_points, _scaled_bessel, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, log_coordinate, weighted_antiderivative
-from .radial_core import MAX_GRID_NODES, RadialField, RadialOperator, _gtsv
+from .radial_core import MAX_GRID_NODES, RadialField, _flux_laplacian, _flux_plan, _gtsv
 
 __all__ = [
     "DivergenceVerdict",
@@ -389,53 +393,75 @@ def _admit_pair(u: RadialField, v: RadialField) -> None:
         raise ValueError("u and v must share a grid")
 
 
-def _right_sides(problem: Problem, exponents: Exponents, r: np.ndarray,
-                 u: np.ndarray, v: np.ndarray) -> tuple:
-    """(u^p/v^q + rho, u^m/v^s) at the nodes r, where u and v take the values given.
+def _right_sides(exponents: Exponents, rho: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
+    """(u^p/v^q + rho, u^m/v^s) from the values of u, v and rho at the same nodes.
 
-    Raises ValueError where a value leaves the float64 range.
+    A value that leaves the float64 range is kept, unwarned: each measurement
+    refuses it over the nodes it reads (``_refuse_overflow``).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        rhs_u = u**exponents.p / v**exponents.q + problem.rho.evaluate(r)
-        rhs_v = u**exponents.m / v**exponents.s
+        return u**exponents.p / v**exponents.q + rho, u**exponents.m / v**exponents.s
+
+
+def _refuse_overflow(rhs_u: np.ndarray, rhs_v: np.ndarray) -> None:
+    """Raise ValueError unless both right sides are finite."""
     if not (np.isfinite(rhs_u).all() and np.isfinite(rhs_v).all()):
         raise ValueError("the right sides u^p/v^q + rho and u^m/v^s leave the float64 range")
-    return rhs_u, rhs_v
+
+
+def _pair_sides(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField):
+    """Both right sides of the pair (u, v) at every node of its grid (``_right_sides``)."""
+    return _right_sides(exponents, problem.rho.evaluate(u.grid.nodes), u.values, v.values)
+
+
+def _half_ball(nodes: np.ndarray) -> np.ndarray:
+    """The nodes r <= R/2 of a grid, as a mask."""
+    return nodes <= 0.5 * nodes[-1]
 
 
 def _half_ball_sup(grid, gap: np.ndarray) -> float:
     """Sup of |gap| over the nodes r <= R/2 of ``grid`` (``gap`` may lack the last node)."""
-    r = grid.nodes[: gap.size]
-    return float(np.abs(gap[r <= 0.5 * grid.radius]).max())
+    return float(np.abs(gap[grid.plan(_half_ball)[: gap.size]]).max())
 
 
-def _pde_residuals(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField):
+def _pde_residuals(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField,
+                   sides: Optional[tuple] = None):
     """Sup over r <= R/2 of both equation residuals of the pair (u, v).
 
+    ``sides`` are the pair's right sides at every node (``_pair_sides``),
+    computed here when not given.  -Delta comes from the grid's flux plan.
     The half ball keeps the Dirichlet truncation out of the measurement.
-    Raises ValueError where a residual there leaves the float64 range.
+    Raises ValueError where a right side or a residual there leaves the
+    float64 range.
     """
-    op = RadialOperator(u.grid, problem.dimension)
-    uu, vv = u.values[:-1], v.values[:-1]
-    rhs_u, rhs_v = _right_sides(problem, exponents, u.grid.nodes[:-1], uu, vv)
+    if sides is None:
+        sides = _pair_sides(problem, exponents, u, v)
+    rhs_u, rhs_v = sides[0][:-1], sides[1][:-1]
+    _refuse_overflow(rhs_u, rhs_v)
+    g, vol, *_, off_finite = u.grid.plan(_flux_plan, problem.dimension)
     with np.errstate(over="ignore", invalid="ignore"):
-        res_u = op.laplacian(u.values) + problem.lam * uu - rhs_u
-        res_v = op.laplacian(v.values) + problem.mu * vv - rhs_v
+        res_u = _flux_laplacian(g, vol, off_finite, u.values) + problem.lam * u.values[:-1] - rhs_u
+        res_v = _flux_laplacian(g, vol, off_finite, v.values) + problem.mu * v.values[:-1] - rhs_v
     sups = _half_ball_sup(u.grid, res_u), _half_ball_sup(u.grid, res_v)
     if not all(map(math.isfinite, sups)):
         raise ValueError("the PDE residuals leave the float64 range")
     return sups
 
 
-def representation_residual(problem, exponents, u: RadialField, v: RadialField):
+def representation_residual(problem, exponents, u: RadialField, v: RadialField,
+                            sides: Optional[tuple] = None):
     """Sup-norm gap between (u, v) and the potentials of their own right sides.
 
     For positive shifts the kernel is G_lambda / G_mu; for zero shifts
     the Newtonian potential.  Differences are measured on r <= R/2 so
     the declared tail models, not truncation, dominate the comparison.
+    ``sides`` are the pair's right sides at every node (``_pair_sides``);
+    a caller that hands them has admitted the pair (``_admit_pair``).
     Returns (residual_u, residual_v).
     """
-    _admit_pair(u, v)
+    if sides is None:
+        _admit_pair(u, v)
+        sides = _pair_sides(problem, exponents, u, v)
     n = problem.dimension
 
     family = problem.family
@@ -445,9 +471,9 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField):
         rate_u_rhs = min(rate_u_rhs, problem.rho.rate)
     if rate_u_rhs <= 0 or rate_v_rhs <= 0:
         raise ValueError("right-hand sides do not decay; representation undefined")
-    values_u, values_v = _right_sides(problem, exponents, u.grid.nodes, u.values, v.values)
-    rhs_u = RadialField(u.grid, values_u, BarrierProfile(family, rate_u_rhs))
-    rhs_v = RadialField(u.grid, values_v, BarrierProfile(family, rate_v_rhs))
+    _refuse_overflow(*sides)
+    rhs_u = RadialField(u.grid, sides[0], BarrierProfile(family, rate_u_rhs))
+    rhs_v = RadialField(u.grid, sides[1], BarrierProfile(family, rate_v_rhs))
 
     def one_side(target: RadialField, shift: float, rhs: RadialField) -> float:
         try:

@@ -293,6 +293,19 @@ def _flux_plan(nodes: np.ndarray, dimension: int):
     return g, vol, diag, lower, upper, bool(np.isfinite(lower).all() and np.isfinite(upper).all())
 
 
+def _flux_laplacian(g: np.ndarray, vol: np.ndarray, off_finite: bool,
+                   values: np.ndarray) -> np.ndarray:
+    """-Delta of ``values`` at every node but the last, from a ``_flux_plan``'s
+    flux weights g, cell volumes and off_finite (refused when False)."""
+    if not off_finite:
+        raise ValueError("operator band must be finite")
+    flux = g * (values[1:] - values[:-1])  # flux through r_{i+1/2}
+    net = np.empty_like(flux)  # net outflow of each cell; none enters at r = 0
+    net[0] = flux[0]
+    np.subtract(flux[1:], flux[:-1], out=net[1:])
+    return -net / vol
+
+
 class RadialOperator:
     """-Delta + shift in flux form on one grid, its off-diagonals the grid's.
 
@@ -326,13 +339,7 @@ class RadialOperator:
 
     def laplacian(self, values: np.ndarray) -> np.ndarray:
         """-Delta of ``values`` at every node but the last (no right neighbour)."""
-        if not self._off_finite:
-            raise ValueError("operator band must be finite")
-        flux = self._g * (values[1:] - values[:-1])  # flux through r_{i+1/2}
-        net = np.empty_like(flux)  # net outflow of each cell; none enters at r = 0
-        net[0] = flux[0]
-        np.subtract(flux[1:], flux[:-1], out=net[1:])
-        return -net / self._vol
+        return _flux_laplacian(self._g, self._vol, self._off_finite, values)
 
     def solve(self, rhs_values: np.ndarray, boundary_value: float) -> np.ndarray:
         """Solve (-Delta + shift) u = rhs with u'(0) = 0 and u(R) = boundary_value."""

@@ -67,7 +67,7 @@ import numpy as np
 
 from .barriers import ConstantsLedger, Exponents, Problem, Regime, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
-from .potentials import (_fit_windows, _pde_residuals, _window_mask, decay_fit,
+from .potentials import (_fit_windows, _pde_residuals, _right_sides, _window_mask, decay_fit,
                          newton_potential_radial)
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
 from .radial_core import RadialField, RadialGrid, RadialOperator
@@ -476,7 +476,8 @@ def _picard_coupled(
         if not inside or change <= tol_change:
             break
 
-    res_u, res_v = _pde_residuals(problem, exponents, RadialField(grid, u), RadialField(grid, v))
+    res_u, res_v = _pde_residuals(problem, exponents, RadialField(grid, u), RadialField(grid, v),
+                                  _right_sides(exponents, rho_vals, u, v))
     converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
     return {"u": u, "v": v}, it, (res_u, res_v, converged)
 

@@ -926,6 +926,28 @@ def test_classify_many_fixed_inputs_edge_lattices(n, family, fixed, swept):
     _assert_matches_classify(n, family, _grid(fixed, **swept), set(fixed) - set(swept))
 
 
+@pytest.mark.parametrize("n, family, fixed, swept, skipped", [
+    (3, BarrierFamily.W, _EXP_FIXED, {"p": _PS, "q": _QS},
+     ("_nonexistence_zero_shift", "_alg_regime")),
+    (3, None, _EXP_FIXED, {"p": _PS, "lam": [9.5, 1e5]}, ("_nonexistence_zero_shift", "_alg_regime")),
+    (5, BarrierFamily.Z, _ALG_FIXED, {"p": _PS, "rate": _RATES}, ("_nonexistence_shifted",)),
+    (5, None, _ALG_FIXED, {"p": _PS, "q": _QS}, ("_nonexistence_shifted",)),
+])
+def test_classify_many_skips_the_rules_of_a_regime_no_point_is_in(n, family, fixed, swept,
+                                                                  skipped, monkeypatch):
+    # a sweep with no zero-shift point runs neither zero-shift rule nor
+    # _alg_regime, one with no shifted point not the shifted rule; the codes
+    # are classify's all the same
+    import gmsteady.barriers as barriers
+
+    def never(*args):
+        raise AssertionError("a rule of a regime no point is in ran")
+
+    for name in skipped:
+        monkeypatch.setattr(barriers, name, never)
+    _assert_matches_classify(n, family, _grid(fixed, **swept), set(fixed) - set(swept))
+
+
 # (N, family, point): ties, sigma = 1, p = N/(N-2), a = 2(1+1/m), float-range
 _EDGE_POINTS = [
     (3, BarrierFamily.W, (2.0, 1.0, 1.0, 0.0, 9.0, 16.0, 1.0, 2.0, 1.0)),  # lam = N^2

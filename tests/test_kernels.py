@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gmsteady import kernels
 from gmsteady.kernels import (
     GreenParams,
     _scaled_bessel,
@@ -86,6 +87,28 @@ def test_scaled_bessel_matches_mpmath(nu):
         exact_k = [float(mp.besselk(nu, mp.mpf(z)) * mp.exp(mp.mpf(z))) for z in _SCALED_Z]
     assert np.max(np.abs(ive(_SCALED_Z) / exact_i - 1.0)) <= 2e-15
     assert np.max(np.abs(kve(_SCALED_Z) / exact_k - 1.0)) <= 2e-15
+
+
+def _ive_three_halves_everywhere(z):
+    # the closed form on every point, the series then written over z < 1
+    big = np.maximum(z, 1.0)
+    e2 = np.expm1(-2.0 * big)
+    out = np.sqrt(2.0 / (np.pi * big)) * ((1.0 + 0.5 * e2) + e2 / (2.0 * big))
+    small = z < 1.0
+    zs = z[small]
+    t = zs * zs
+    series = np.zeros_like(zs)
+    for c in reversed(kernels._I32_SERIES):
+        series = series * t + c
+    out[small] = np.sqrt(2.0 * zs / np.pi) * zs * series * np.exp(-zs)
+    return out
+
+
+@pytest.mark.parametrize("z", [_SCALED_Z, _SCALED_Z[_SCALED_Z < 1.0], _SCALED_Z[_SCALED_Z >= 1.0],
+                               np.geomspace(1e-300, 1e300, 601)],
+                         ids=["both", "series-only", "closed-only", "wide"])
+def test_ive_three_halves_takes_each_branch_on_its_own_points(z):
+    assert kernels._ive_three_halves(z).tobytes() == _ive_three_halves_everywhere(z).tobytes()
 
 
 def test_scaled_bessel_other_orders_are_scipy():
@@ -186,6 +209,17 @@ def test_mass_identity_where_scaled_bessel_overflows():
     # meets 1/lam to 1e-13 up to N = 166
     for n in range(88, 167):
         assert abs(4.0 * green_lambda_mass(GreenParams(n, 4.0)) - 1.0) <= 1e-13, n
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [344, 1000])
+def test_mass_refuses_where_gamma_leaves_float64(n):
+    # from N = 344 Gamma(N/2) in omega_N overflows; at N = 1000 the integrand
+    # would too: one ValueError, before any numpy warning
+    with pytest.raises(ValueError, match=rf"^Gamma\(N/2\) leaves the float64 range in dimension {n}$"):
+        green_lambda_mass(GreenParams(n, 4.0))
+    with pytest.raises(ValueError, match=rf"in dimension {n}$"):
+        sphere_area(n)
 
 
 def test_near_field_bound_small_radius():

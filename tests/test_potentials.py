@@ -379,6 +379,34 @@ def test_representation_residual_closed_form_pair():
     assert res_u >= 1e-2 and res_v >= 1e-2
 
 
+@pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
+def test_handed_in_right_sides_give_the_same_bits(case, request):
+    # the sides a caller forms once are the ones each measurement forms alone
+    problem, exponents, _, rep = request.getfixturevalue(case)
+    u, v = rep.u, rep.v
+    sides = potentials._pair_sides(problem, exponents, u, v)
+    assert (potentials._pde_residuals(problem, exponents, u, v, sides)
+            == potentials._pde_residuals(problem, exponents, u, v))
+    assert (representation_residual(problem, exponents, u, v, sides)
+            == representation_residual(problem, exponents, u, v))
+
+
+@pytest.mark.filterwarnings("error")
+def test_each_measurement_refuses_the_right_sides_over_its_own_nodes(exp_worked_case):
+    # a right side that overflows at the last node only: the PDE residuals,
+    # which stop short of it, measure the pair; the representation refuses
+    problem, exponents, _, rep = exp_worked_case
+    values = rep.u.values.copy()
+    values[-1] = 1e300
+    u = RadialField(rep.u.grid, values, rep.u.decay_tag)
+    sides = potentials._pair_sides(problem, exponents, u, rep.v)
+    assert not np.isfinite(sides[0][-1]) and np.isfinite(sides[0][:-1]).all()
+    assert all(map(math.isfinite, potentials._pde_residuals(problem, exponents, u, rep.v, sides)))
+    with pytest.raises(ValueError, match=r"^the right sides u\^p/v\^q \+ rho and u\^m/v\^s "
+                                         r"leave the float64 range$"):
+        representation_residual(problem, exponents, u, rep.v, sides)
+
+
 def test_representation_residual_needs_positive_fields():
     g = RadialGrid.uniform(4.0, 64)
     pos = RadialField(g, np.ones(g.n), BarrierProfile(BarrierFamily.Z, 3.0))
