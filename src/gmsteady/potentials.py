@@ -509,9 +509,10 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     if (vals <= 0).any():
         raise ValueError("field must be positive on the window")
     y = np.log(vals)
-    yc = y - y.mean()
+    # sum / size is ndarray.mean's arithmetic, bit for bit, without its wrapper
+    yc = y - y.sum() / y.size
     rate = float(xc @ yc / xx)
-    rms = float(np.sqrt(((yc - rate * xc) ** 2).mean()))
+    rms = float(np.sqrt(((yc - rate * xc) ** 2).sum() / y.size))
     return rate * scale, rms
 
 
