@@ -165,7 +165,7 @@ class SourceModel:
         if not self.rate > 0:
             raise ValueError("envelope rate must be positive")
         if amp and not (self.alpha <= self.profile <= self.beta):
-            raise ValueError("profile amplitude must lie in [alpha, beta]")
+            raise ValueError("source amplitude must lie in [alpha, beta]")
 
     @classmethod
     def zero(cls) -> "SourceModel":

@@ -34,8 +34,8 @@ import numpy as np
 
 from .barriers import Exponents, Problem, _critical_exponents
 from .errors import HypothesisError
-from .potentials import (_admit_pair, _fit_windows, _pair_sides, _pde_residuals, convr_check,
-                         decay_fit, representation_residual)
+from .potentials import (_fit_windows, _pair_sides, _pde_residuals, convr_check, decay_fit,
+                         representation_residual)
 from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
@@ -189,10 +189,9 @@ def verify_solution(
       * "Corollary 1.3(i)": same window, and the fitted algebraic decay
         rate of u lies below ((N-2)s + N)/m.
     """
-    _admit_pair(u, v)
     n = problem.dimension
-    sides = _pair_sides(problem, exponents, u, v)  # both measurements read them
-    pde_u, pde_v = _pde_residuals(problem, exponents, u, v, sides)
+    sides = _pair_sides(problem, exponents, u, v)  # admits the pair; both measurements read them
+    pde_u, pde_v = _pde_residuals(problem, u.grid, u.values, v.values, sides)
 
     rep_u = rep_v = None
     if representation:

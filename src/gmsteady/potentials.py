@@ -58,11 +58,11 @@ and its order are those of a fresh grid, bit for bit.
 A candidate pair (u, v) is measured here, whatever produced it: against
 both forms of the system, ``_pde_residuals`` and
 ``representation_residual``, and by ``decay_fit`` over each field's
-window in ``_fit_windows``.  The pair is admitted once, and both forms
-read one set of right sides, formed once from one evaluation of rho at
-the nodes (``_pair_sides``; a solve hands in the rho it iterated with),
-and one half-ball mask, a plan of the grid.  The PDE residuals take
--Delta from the grid's flux plan, with no operator of their own.
+window in ``_fit_windows``.  ``_pair_sides`` admits the pair (both
+fields positive, on one grid) and forms its right sides from one
+evaluation of rho at the nodes; both forms read them (a solve forms
+them from the rho it iterated with) and one half-ball mask, a plan of
+the grid.  The PDE residuals take -Delta from the grid's flux plan.
 ``solvers`` and ``certificates`` both import these, so verifying a pair
 loads no solver.
 
@@ -385,14 +385,6 @@ def _combined_tail_rate(
     return power * base.decay_tag.rate - other_power * other.decay_tag.rate
 
 
-def _admit_pair(u: RadialField, v: RadialField) -> None:
-    """Refuse a candidate pair (u, v) unless both fields are positive on one grid."""
-    if (u.values <= 0).any() or (v.values <= 0).any():
-        raise ValueError("fields must be positive")
-    if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
-        raise ValueError("u and v must share a grid")
-
-
 def _right_sides(exponents: Exponents, rho: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
     """(u^p/v^q + rho, u^m/v^s) from the values of u, v and rho at the same nodes.
 
@@ -410,7 +402,15 @@ def _refuse_overflow(rhs_u: np.ndarray, rhs_v: np.ndarray) -> None:
 
 
 def _pair_sides(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField):
-    """Both right sides of the pair (u, v) at every node of its grid (``_right_sides``)."""
+    """Both right sides of the pair (u, v) at every node of its grid (``_right_sides``).
+
+    Unless both fields are positive on one grid, the pair is refused
+    (ValueError) before rho is evaluated.
+    """
+    if (u.values <= 0).any() or (v.values <= 0).any():
+        raise ValueError("fields must be positive")
+    if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
+        raise ValueError("u and v must share a grid")
     return _right_sides(exponents, problem.rho.evaluate(u.grid.nodes), u.values, v.values)
 
 
@@ -424,25 +424,21 @@ def _half_ball_sup(grid, gap: np.ndarray) -> float:
     return float(np.abs(gap[grid.plan(_half_ball)[: gap.size]]).max())
 
 
-def _pde_residuals(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField,
-                   sides: Optional[tuple] = None):
-    """Sup over r <= R/2 of both equation residuals of the pair (u, v).
+def _pde_residuals(problem: Problem, grid, u: np.ndarray, v: np.ndarray, sides: tuple):
+    """Sup over r <= R/2 of both equation residuals of the values u, v on ``grid``.
 
-    ``sides`` are the pair's right sides at every node (``_pair_sides``),
-    computed here when not given.  -Delta comes from the grid's flux plan.
-    The half ball keeps the Dirichlet truncation out of the measurement.
-    Raises ValueError where a right side or a residual there leaves the
-    float64 range.
+    ``sides`` are the pair's right sides at every node (``_right_sides``).
+    -Delta comes from the grid's flux plan.  The half ball keeps the
+    Dirichlet truncation out of the measurement.  Raises ValueError
+    where a right side or a residual there leaves the float64 range.
     """
-    if sides is None:
-        sides = _pair_sides(problem, exponents, u, v)
     rhs_u, rhs_v = sides[0][:-1], sides[1][:-1]
     _refuse_overflow(rhs_u, rhs_v)
-    g, vol, *_, off_finite = u.grid.plan(_flux_plan, problem.dimension)
+    g, vol, *_, off_finite = grid.plan(_flux_plan, problem.dimension)
     with np.errstate(over="ignore", invalid="ignore"):
-        res_u = _flux_laplacian(g, vol, off_finite, u.values) + problem.lam * u.values[:-1] - rhs_u
-        res_v = _flux_laplacian(g, vol, off_finite, v.values) + problem.mu * v.values[:-1] - rhs_v
-    sups = _half_ball_sup(u.grid, res_u), _half_ball_sup(u.grid, res_v)
+        res_u = _flux_laplacian(g, vol, off_finite, u) + problem.lam * u[:-1] - rhs_u
+        res_v = _flux_laplacian(g, vol, off_finite, v) + problem.mu * v[:-1] - rhs_v
+    sups = _half_ball_sup(grid, res_u), _half_ball_sup(grid, res_v)
     if not all(map(math.isfinite, sups)):
         raise ValueError("the PDE residuals leave the float64 range")
     return sups
@@ -455,12 +451,10 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField,
     For positive shifts the kernel is G_lambda / G_mu; for zero shifts
     the Newtonian potential.  Differences are measured on r <= R/2 so
     the declared tail models, not truncation, dominate the comparison.
-    ``sides`` are the pair's right sides at every node (``_pair_sides``);
-    a caller that hands them has admitted the pair (``_admit_pair``).
+    ``sides`` are the pair's ``_pair_sides``, formed here when not given.
     Returns (residual_u, residual_v).
     """
     if sides is None:
-        _admit_pair(u, v)
         sides = _pair_sides(problem, exponents, u, v)
     n = problem.dimension
 
@@ -516,23 +510,18 @@ def decay_fit(field: RadialField, family: BarrierFamily, window: tuple):
     return rate * scale, rms
 
 
-def _window_mask(r: np.ndarray, window: tuple) -> np.ndarray:
-    """Nodes of ``r`` inside ``window``; a window with fewer than 4 is refused."""
+def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
+    """(mask, xc, xc @ xc, scale): ``window``'s nodes and their centred ``log_coordinate``.
+
+    A window with fewer than 4 nodes is refused (ValueError).  Past
+    |x| = 2^400 (W windows beyond r ~ 1e120) x is multiplied by the power
+    of two ``scale`` that brings it below, so xc @ xc stays finite; the
+    scaling is exact, and below 2^400 ``scale`` is 1.
+    """
     lo, hi = window
     mask = (r >= lo) & (r <= hi)
     if np.count_nonzero(mask) < 4:
         raise ValueError(f"decay-fit window [{lo:.6g}, {hi:.6g}] contains fewer than 4 grid nodes")
-    return mask
-
-
-def _fit_plan(r: np.ndarray, family: BarrierFamily, window: tuple) -> tuple:
-    """(mask, xc, xc @ xc, scale): ``window``'s nodes and their centred ``log_coordinate``.
-
-    Past |x| = 2^400 (W windows beyond r ~ 1e120) x is multiplied by the
-    power of two ``scale`` that brings it below, so xc @ xc stays finite;
-    the scaling is exact, and below 2^400 ``scale`` is 1.
-    """
-    mask = _window_mask(r, window)
     x = log_coordinate(family, r[mask])
     scale = math.ldexp(1.0, min(400 - math.frexp(float(np.abs(x).max()))[1], 0))
     x = x * scale

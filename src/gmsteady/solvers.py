@@ -67,7 +67,7 @@ import numpy as np
 
 from .barriers import ConstantsLedger, Exponents, Problem, Regime, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
-from .potentials import (_fit_windows, _pde_residuals, _right_sides, _window_mask, decay_fit,
+from .potentials import (_fit_plan, _fit_windows, _pde_residuals, _right_sides, decay_fit,
                          newton_potential_radial)
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
 from .radial_core import RadialField, RadialGrid, RadialOperator
@@ -178,12 +178,18 @@ def _sandwich_margins(vals: np.ndarray, low: np.ndarray, cap: float):
 
 
 def _field_envelope(psi: RadialField, profile: BarrierProfile):
-    """Tightest constants (m, M) with m * B <= psi <= M * B on the grid."""
-    env = np.asarray(eval_barrier(profile, psi.grid.nodes), dtype=float)
-    good = env > 1e-290
-    ratios = psi.values[good] / env[good]
+    """Tightest constants (m, M) with m * B <= psi <= M * B over the nodes where B > 1e-290.
+
+    A weight that is not positive, or has no such node, is refused (ValueError).
+    """
     if (psi.values <= 0).any():
         raise ValueError("weight psi must be positive")
+    env = np.asarray(eval_barrier(profile, psi.grid.nodes), dtype=float)
+    good = env > 1e-290
+    if not good.any():
+        raise ValueError(f"the envelope {profile.family.value}({profile.rate:g}) of psi is at "
+                         "most 1e-290 at every node")
+    ratios = psi.values[good] / env[good]
     return float(ratios.min()), float(ratios.max())
 
 
@@ -216,24 +222,19 @@ def _monotone_ball(
     first step may fall, which clears ``monotone_ok``.  The caller's
     operator on the ball serves every step and every residual (which
     skips the Dirichlet node at R); a step rewrites only its diagonal
-    mu + L(v), and for s = 0, where L = 0, the diagonal is set to mu
-    once.  w = max(v, v_low) and w^(-s) are taken once per iterate: they
-    serve its residual and the next step's right side.
+    mu + L(v).  w = max(v, v_low) and w^(-s) are taken once per iterate:
+    they serve its residual and the next step's right side.
     """
     grid = op.grid
-    if s == 0:
-        op.set_shift(mu)
     v = v_low if start is None else start
     w = np.maximum(v, v_low)
     w_s = w ** (-s)
     monotone_ok = True
     residual = math.inf
     for it in range(1, MAX_ITER + 1):
-        rhs_vals = psi_vals * w_s
-        if s > 0:
-            shift_l = s * psi_vals * w ** (-s - 1.0)
-            op.set_shift(shift_l + mu)
-            rhs_vals += shift_l * w
+        shift_l = s * psi_vals * w ** (-s - 1.0)
+        op.set_shift(shift_l + mu)
+        rhs_vals = psi_vals * w_s + shift_l * w
         v_new = op.solve(rhs_vals, v_low[-1])
         if (v_new - v).min() < -1e-12 * max(1.0, float(np.abs(v).max())):
             monotone_ok = False
@@ -299,8 +300,9 @@ def _ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
     run takes its family's default ball: for Z ``_default_alg_ball``,
     for W the smallest ball on which the truncation bound of a
     sandwiched run is at most half its limit.  Each field is fitted over
-    its window in ``_fit_windows``.  The fit windows and the ball's
-    float range are checked before the run, so a refusal costs no solve.
+    its window in ``_fit_windows``.  Each fit's plan (``_fit_plan``,
+    which refuses a window of fewer than 4 nodes) is built, and the
+    ball's float range checked, before the run: a refusal costs no solve.
     The truncation bound gates W runs only (1.9e-2 at the zero-shift
     worked case's default ball).
     """
@@ -315,7 +317,7 @@ def _ball_report(grid: Optional[RadialGrid], fields: dict, run) -> SolveReport:
         grid = RadialGrid.auto(radius, *_BALL_GRIDS[family])
     windows = _fit_windows(family, grid.radius)
     for name in fields:
-        _window_mask(grid.nodes, windows[name])
+        grid.plan(_fit_plan, family, windows[name])
     lows = _ball_envelopes(grid, fields)
     vals, its, (res_u, res_v, converged) = run(grid, lows)
     margins, sandwiched = {}, True
@@ -476,8 +478,7 @@ def _picard_coupled(
         if not inside or change <= tol_change:
             break
 
-    res_u, res_v = _pde_residuals(problem, exponents, RadialField(grid, u), RadialField(grid, v),
-                                  _right_sides(exponents, rho_vals, u, v))
+    res_u, res_v = _pde_residuals(problem, grid, u, v, _right_sides(exponents, rho_vals, u, v))
     converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
     return {"u": u, "v": v}, it, (res_u, res_v, converged)
 

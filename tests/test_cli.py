@@ -472,6 +472,14 @@ def test_solve_non_finite_flag_exit_code(tmp_path, capsys, flag, value):
     _assert_one_line_error(capsys)
 
 
+def test_rho_amplitude_outside_its_envelope_is_named_a_source_amplitude(tmp_path, capsys):
+    # the same words as the sibling refusal of a non-float amplitude
+    rc = run(["solve", *_EXP_POINT, "--rho-amplitude", "5", "--report", str(tmp_path / "s.json")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: source amplitude must lie in [alpha, beta]\n"
+    assert not (tmp_path / "s.json").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["region", "--sweep", "p=-1:inf:3"],
     ["region", "--sweep", "p=-1e308:1e308:3"],

@@ -381,14 +381,42 @@ def test_representation_residual_closed_form_pair():
 
 @pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
 def test_handed_in_right_sides_give_the_same_bits(case, request):
-    # the sides a caller forms once are the ones each measurement forms alone
+    # the sides a caller forms once are the ones the representation forms alone
     problem, exponents, _, rep = request.getfixturevalue(case)
     u, v = rep.u, rep.v
     sides = potentials._pair_sides(problem, exponents, u, v)
-    assert (potentials._pde_residuals(problem, exponents, u, v, sides)
-            == potentials._pde_residuals(problem, exponents, u, v))
     assert (representation_residual(problem, exponents, u, v, sides)
             == representation_residual(problem, exponents, u, v))
+
+
+@pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
+@pytest.mark.parametrize("measure", ["verify", "representation"])
+def test_a_pair_is_admitted_before_rho_is_evaluated_once(case, measure, request, monkeypatch):
+    # without handed-in sides, a pair with a zero value and a pair on two
+    # grids are refused before rho is evaluated; an admitted pair
+    # evaluates rho once, at the nodes of its grid
+    from gmsteady.certificates import verify_solution
+
+    problem, exponents, _, rep = request.getfixturevalue(case)
+    calls, evaluate = [], SourceModel.evaluate
+
+    def spy(model, r):
+        calls.append(r)
+        return evaluate(model, r)
+
+    monkeypatch.setattr(SourceModel, "evaluate", spy)
+    measure = verify_solution if measure == "verify" else representation_residual
+    zero = rep.v.values.copy()
+    zero[3] = 0.0
+    refused = [(RadialField(rep.v.grid, zero, rep.v.decay_tag), "fields must be positive"),
+               (RadialField(RadialGrid(1.5 * rep.v.grid.nodes), rep.v.values, rep.v.decay_tag),
+                "u and v must share a grid")]
+    for v, message in refused:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            measure(problem, exponents, rep.u, v)
+    assert calls == []
+    measure(problem, exponents, rep.u, rep.v)
+    assert len(calls) == 1 and calls[0] is rep.u.grid.nodes
 
 
 @pytest.mark.filterwarnings("error")
@@ -401,7 +429,8 @@ def test_each_measurement_refuses_the_right_sides_over_its_own_nodes(exp_worked_
     u = RadialField(rep.u.grid, values, rep.u.decay_tag)
     sides = potentials._pair_sides(problem, exponents, u, rep.v)
     assert not np.isfinite(sides[0][-1]) and np.isfinite(sides[0][:-1]).all()
-    assert all(map(math.isfinite, potentials._pde_residuals(problem, exponents, u, rep.v, sides)))
+    assert all(map(math.isfinite, potentials._pde_residuals(problem, u.grid, values,
+                                                             rep.v.values, sides)))
     with pytest.raises(ValueError, match=r"^the right sides u\^p/v\^q \+ rho and u\^m/v\^s "
                                          r"leave the float64 range$"):
         representation_residual(problem, exponents, u, rep.v, sides)

@@ -983,3 +983,15 @@ def test_ball_envelopes_name_the_balls_radius_in_a_refusal():
     field = solvers._Field("c * B", BarrierProfile(BarrierFamily.W, 2.0), 1.0, 2.0, 1.0)
     with pytest.raises(HypothesisError, match=f"underflows .* within radius {grid.radius:g}$"):
         solvers._ball_envelopes(grid, {"v": field})
+
+
+def test_a_weight_envelope_below_1e_290_at_every_node_is_refused_by_name():
+    # W_700 is at most e^-700 < 1e-290 on the whole ball, so no node
+    # bounds psi / B; a weight that is not positive is refused first
+    grid = RadialGrid.auto(5.0, h0=0.02, stretch=1.02)
+    tag = BarrierProfile(BarrierFamily.W, 700.0)
+    with pytest.raises(ValueError, match=r"^the envelope W\(700\) of psi is at most 1e-290 "
+                                         r"at every node$"):
+        solve_singular_scalar(3, 1e6, 1.0, RadialField(grid, np.ones(grid.n), tag))
+    with pytest.raises(ValueError, match="^weight psi must be positive$"):
+        solve_singular_scalar(3, 1e6, 1.0, RadialField(grid, np.zeros(grid.n), tag))
