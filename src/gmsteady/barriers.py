@@ -52,7 +52,6 @@ __all__ = [
     "Verdict",
     "VerdictStatus",
     "alg_regime_ledger",
-    "barrier_operator_value",
     "barrier_operator_factor",
     "check_sandwich",
     "classify",
@@ -264,14 +263,6 @@ def barrier_operator_factor(
     if np.isscalar(x_norm) or np.ndim(x_norm) == 0:
         return float(fac)
     return fac
-
-
-def barrier_operator_value(
-    profile: BarrierProfile, shift: float, x_norm, dimension: int
-):
-    """Exact value of (-Delta + shift) applied to the profile at radius r."""
-    fac = barrier_operator_factor(profile, shift, x_norm, dimension)
-    return fac * eval_barrier(profile, x_norm)
 
 
 @dataclass

@@ -203,18 +203,25 @@ def _parse_sweep(spec: str):
         raise ValueError(f"sweep {spec!r} needs name=range")
     name, _, rng = spec.partition("=")
     name = name.strip()
+
+    def number(text: str, kind=float):
+        try:
+            return kind(text)
+        except ValueError as exc:
+            raise ValueError(f"sweep {spec!r}: {exc}") from None
+
     if ":" in rng:
         parts = rng.split(":")
         if len(parts) != 3:
             raise ValueError(f"sweep range {rng!r} must be start:stop:count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = number(parts[0]), number(parts[1]), number(parts[2], int)
         if not math.isfinite(stop - start):
             raise ValueError(f"sweep range {rng!r} needs finite ends")
         if count < 1:
-            raise ValueError("sweep count must be >= 1")
+            raise ValueError(f"sweep {spec!r} count must be >= 1")
         values = np.linspace(start, stop, count)
     else:
-        values = np.array([float(v) for v in rng.split(",") if v.strip() != ""])
+        values = np.array([number(v) for v in rng.split(",") if v.strip() != ""])
     if values.size == 0:
         raise ValueError(f"sweep {spec!r} is empty")
     return name, values

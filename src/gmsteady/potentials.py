@@ -84,7 +84,7 @@ from .barriers import Exponents, Problem, SourceModel
 from .errors import NonIntegrableTailError
 from .kernels import _gauss, _gauss_points, _scaled_bessel, sphere_area
 from .profiles import BarrierFamily, BarrierProfile, log_coordinate, weighted_antiderivative
-from .radial_core import MAX_GRID_NODES, RadialField, _flux_laplacian, _flux_plan, _gtsv
+from .radial_core import MAX_GRID_NODES, RadialField, _flux_laplacian, _gtsv
 
 __all__ = [
     "DivergenceVerdict",
@@ -250,7 +250,8 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     The tail beyond the grid is integrated in closed form from the
     declared decay model; an algebraic tail with rate <= 2 is rejected
     as non-integrable.  The moments and the spline system come from
-    the grid's plans, built on its first call for N.
+    the grid's plans, built on its first call for N.  The result
+    carries no decay tag.
     """
     n = dimension
     if n < 3:
@@ -280,10 +281,7 @@ def newton_potential_radial(dimension: int, source: RadialField) -> RadialField:
     u[0] = outer[0] / (n - 2.0)
     u[1:] = (r_pow * inner[1:] + outer[1:]) / (n - 2.0)
 
-    out_rate = float(n - 2)
-    if tag is not None and tag.family is BarrierFamily.Z:
-        out_rate = min(tag.rate - 2.0, float(n - 2))
-    return RadialField(grid, u, BarrierProfile(BarrierFamily.Z, out_rate))
+    return RadialField(grid, u)
 
 
 def bessel_potential_radial(
@@ -302,7 +300,8 @@ def bessel_potential_radial(
     ever overflows.  Applying -Delta + shift discretely to the output
     reproduces the source to quadrature accuracy.  A grid on which the
     arithmetic leaves float64 is refused (ValueError), unwarned, and so
-    is every N >= 344, where Gamma(N/2) itself leaves float64.
+    is every N >= 344, where Gamma(N/2) itself leaves float64.  The
+    result carries no decay tag.
     """
     n = dimension
     if n < 3:
@@ -366,14 +365,7 @@ def bessel_potential_radial(
         u[0] = np.float64(k / 2.0) ** nu / math.gamma(nu + 1.0) * q_acc[0]
     if not np.isfinite(u).all():
         raise ValueError(beyond)
-
-    if source.decay_tag is not None and source.decay_tag.family is BarrierFamily.Z:
-        out_tag = source.decay_tag
-    elif source.decay_tag is not None and source.decay_tag.family is BarrierFamily.W:
-        out_tag = BarrierProfile(BarrierFamily.W, min(source.decay_tag.rate, k))
-    else:
-        out_tag = BarrierProfile(BarrierFamily.W, k)
-    return RadialField(source.grid, u, out_tag)
+    return RadialField(source.grid, u)
 
 
 def _combined_tail_rate(
@@ -434,10 +426,10 @@ def _pde_residuals(problem: Problem, grid, u: np.ndarray, v: np.ndarray, sides: 
     """
     rhs_u, rhs_v = sides[0][:-1], sides[1][:-1]
     _refuse_overflow(rhs_u, rhs_v)
-    g, vol, *_, off_finite = grid.plan(_flux_plan, problem.dimension)
+    n = problem.dimension
     with np.errstate(over="ignore", invalid="ignore"):
-        res_u = _flux_laplacian(g, vol, off_finite, u) + problem.lam * u[:-1] - rhs_u
-        res_v = _flux_laplacian(g, vol, off_finite, v) + problem.mu * v[:-1] - rhs_v
+        res_u = _flux_laplacian(grid, n, u) + problem.lam * u[:-1] - rhs_u
+        res_v = _flux_laplacian(grid, n, v) + problem.mu * v[:-1] - rhs_v
     sups = _half_ball_sup(grid, res_u), _half_ball_sup(grid, res_v)
     if not all(map(math.isfinite, sups)):
         raise ValueError("the PDE residuals leave the float64 range")

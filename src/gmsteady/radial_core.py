@@ -13,8 +13,9 @@ shift >= 0, so the discrete maximum principle holds on every grid.
 At r = 0 symmetry gives a zero flux through the origin.  The flux
 weights, cell volumes and -Delta's diagonals depend only on the grid
 and N: a grid computes them on first use and keeps them
-(``RadialGrid.plan``), so every ``RadialOperator`` on it shares one
-pair of off-diagonals and owns only its diagonal, which a new shift
+(``RadialGrid.plan``).  -Delta of a field comes from that plan alone
+(``_flux_laplacian``); a ``RadialOperator`` only solves, sharing the
+plan's off-diagonals and owning only its diagonal, which a new shift
 rewrites.  The operator solves by calling LAPACK's tridiagonal
 ``dgtsv`` on the three diagonals directly, the routine
 ``solve_banded`` would dispatch to, with its finiteness and
@@ -32,7 +33,7 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -182,15 +183,6 @@ class RadialField:
             raise ValueError("field values must be finite")
         self.values = vals
 
-    @classmethod
-    def from_function(
-        cls,
-        grid: RadialGrid,
-        fn: Callable[[np.ndarray], np.ndarray],
-        decay_tag: Optional[BarrierProfile] = None,
-    ) -> "RadialField":
-        return cls(grid, np.asarray(fn(grid.nodes), dtype=float), decay_tag)
-
     def tail(self, r, form=None):
         """The far-field model c * B(r), with B the decay tag and c matched at R.
 
@@ -293,10 +285,13 @@ def _flux_plan(nodes: np.ndarray, dimension: int):
     return g, vol, diag, lower, upper, bool(np.isfinite(lower).all() and np.isfinite(upper).all())
 
 
-def _flux_laplacian(g: np.ndarray, vol: np.ndarray, off_finite: bool,
-                   values: np.ndarray) -> np.ndarray:
-    """-Delta of ``values`` at every node but the last, from a ``_flux_plan``'s
-    flux weights g, cell volumes and off_finite (refused when False)."""
+def _flux_laplacian(grid: RadialGrid, dimension: int, values: np.ndarray) -> np.ndarray:
+    """-Delta of ``values`` at every node but the last (no right neighbour).
+
+    The flux weights and cell volumes are the grid's ``_flux_plan`` for
+    N; a grid on which they leave float64 is refused (ValueError).
+    """
+    g, vol, *_, off_finite = grid.plan(_flux_plan, dimension)
     if not off_finite:
         raise ValueError("operator band must be finite")
     flux = g * (values[1:] - values[:-1])  # flux through r_{i+1/2}
@@ -307,22 +302,22 @@ def _flux_laplacian(g: np.ndarray, vol: np.ndarray, off_finite: bool,
 
 
 class RadialOperator:
-    """-Delta + shift in flux form on one grid, its off-diagonals the grid's.
+    """-Delta + shift in flux form on one grid, solved with a Dirichlet row at R.
 
-    ``shift`` is a finite nonnegative scalar or one value per node.  The
-    flux weights g_i = r_{i+1/2}^(N-1)/h_i, the cell volumes and the
-    three diagonals (Dirichlet row at R) come from the grid's plan for
-    N, computed once per grid.  Every operator on the grid shares the
-    off-diagonals and owns only its diagonal, with 1 at R, which
-    ``set_shift`` rewrites.
+    ``shift`` is a finite nonnegative scalar or one value per node.
+    -Delta's three diagonals come from the grid's plan for N, computed
+    once per grid.  Every operator on the grid shares the off-diagonals
+    and owns only its diagonal, with 1 at R, which ``set_shift``
+    rewrites.  The operator only solves: -Delta of a field is
+    ``_flux_laplacian``.
     """
 
     def __init__(self, grid: RadialGrid, dimension: int, shift=0.0) -> None:
         if dimension < 3:
             raise ValueError(f"dimension must be >= 3, got {dimension}")
         self.grid, self.dimension = grid, dimension
-        (self._g, self._vol, self._diag, self._lower, self._upper,
-         self._off_finite) = grid.plan(_flux_plan, dimension)
+        *_, self._diag, self._lower, self._upper, self._off_finite = grid.plan(
+            _flux_plan, dimension)
         self._d = np.ones(grid.n)
         self.set_shift(shift)
 
@@ -336,10 +331,6 @@ class RadialOperator:
         self._d[:-1] = self._diag + (shift[:-1] if shift.ndim else shift)
         # a grid too wide for float64 flux weights makes diagonals that solve refuses
         self._finite = self._off_finite and bool(np.isfinite(self._d).all())
-
-    def laplacian(self, values: np.ndarray) -> np.ndarray:
-        """-Delta of ``values`` at every node but the last (no right neighbour)."""
-        return _flux_laplacian(self._g, self._vol, self._off_finite, values)
 
     def solve(self, rhs_values: np.ndarray, boundary_value: float) -> np.ndarray:
         """Solve (-Delta + shift) u = rhs with u'(0) = 0 and u(R) = boundary_value."""
@@ -364,11 +355,13 @@ def apply_radial_laplacian(field: RadialField, dimension: int) -> RadialField:
     uses the symmetric zero-flux cell.  The last node has no right
     neighbour and is filled from a one-sided cubic fit.
     """
+    if dimension < 3:
+        raise ValueError(f"dimension must be >= 3, got {dimension}")
     nodes = field.grid.nodes
     u = field.values
     n = nodes.size
     out = np.empty(n)
-    out[:-1] = RadialOperator(field.grid, dimension).laplacian(u)
+    out[:-1] = _flux_laplacian(field.grid, dimension, u)
     # one-sided cubic at the last node: -u'' - (N-1)/r u'
     tail = slice(n - 4, n)
     coeffs = np.polyfit(nodes[tail] - nodes[-1], u[tail], 3)
@@ -390,8 +383,6 @@ def solve_linear_radial_variable(
     The system matrix is an M-matrix, so f >= 0 and boundary_value >= 0
     imply u >= 0.
     """
-    if np.shape(shift_values) != rhs.grid.nodes.shape:
-        raise ValueError("shift values must match the grid")
     op = RadialOperator(rhs.grid, dimension, shift_values)
     return RadialField(rhs.grid, op.solve(rhs.values, boundary_value))
 

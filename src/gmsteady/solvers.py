@@ -70,7 +70,7 @@ from .errors import HypothesisError, NonexistenceError, RegimeError
 from .potentials import (_fit_plan, _fit_windows, _pde_residuals, _right_sides, decay_fit,
                          newton_potential_radial)
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
-from .radial_core import RadialField, RadialGrid, RadialOperator
+from .radial_core import RadialField, RadialGrid, RadialOperator, _flux_laplacian
 
 __all__ = [
     "IterationState",
@@ -111,10 +111,12 @@ class SolveStatus(Enum):
 
 @dataclass
 class IterationState:
-    """Snapshot of one fixed-point step (used for monotonicity traces)."""
+    """Snapshot of one Newton step of a scalar solve (used for monotonicity traces).
 
-    ball_radius: float
-    iterate_index: int
+    A trace lists the steps in order, so step k is at position k - 1,
+    and every step of a run is on its one ball, the report's.
+    """
+
     v: RadialField
     residual: float
     monotone_flag: bool
@@ -180,16 +182,20 @@ def _sandwich_margins(vals: np.ndarray, low: np.ndarray, cap: float):
 def _field_envelope(psi: RadialField, profile: BarrierProfile):
     """Tightest constants (m, M) with m * B <= psi <= M * B over the nodes where B > 1e-290.
 
-    A weight that is not positive, or has no such node, is refused (ValueError).
+    A weight that is not positive, that has no such node, or whose ratio
+    psi / B leaves the float64 range there, is refused (ValueError).
     """
     if (psi.values <= 0).any():
         raise ValueError("weight psi must be positive")
     env = np.asarray(eval_barrier(profile, psi.grid.nodes), dtype=float)
     good = env > 1e-290
+    envelope = f"{profile.family.value}({profile.rate:g})"
     if not good.any():
-        raise ValueError(f"the envelope {profile.family.value}({profile.rate:g}) of psi is at "
-                         "most 1e-290 at every node")
-    ratios = psi.values[good] / env[good]
+        raise ValueError(f"the envelope {envelope} of psi is at most 1e-290 at every node")
+    with np.errstate(over="ignore"):
+        ratios = psi.values[good] / env[good]
+    if not np.isfinite(ratios).all():
+        raise ValueError(f"psi over its envelope {envelope} leaves the float64 range")
     return float(ratios.min()), float(ratios.max())
 
 
@@ -220,10 +226,11 @@ def _monotone_ball(
     taken at max(v, v_low), so any positive ``start`` reaches the
     solution that the start from v_low reaches (module docstring); its
     first step may fall, which clears ``monotone_ok``.  The caller's
-    operator on the ball serves every step and every residual (which
-    skips the Dirichlet node at R); a step rewrites only its diagonal
-    mu + L(v).  w = max(v, v_low) and w^(-s) are taken once per iterate:
-    they serve its residual and the next step's right side.
+    operator on the ball serves every step, which rewrites only its
+    diagonal mu + L(v); each residual (which skips the Dirichlet node
+    at R) takes -Delta from the grid's flux plan.  w = max(v, v_low)
+    and w^(-s) are taken once per iterate: they serve its residual and
+    the next step's right side.
     """
     grid = op.grid
     v = v_low if start is None else start
@@ -241,11 +248,10 @@ def _monotone_ball(
         v = v_new
         w = np.maximum(v, v_low)
         w_s = w ** (-s)
-        res = op.laplacian(v) + mu * v[:-1] - psi_vals[:-1] * w_s[:-1]
+        res = _flux_laplacian(grid, op.dimension, v) + mu * v[:-1] - psi_vals[:-1] * w_s[:-1]
         residual = float(np.abs(res).max())
         if trace is not None:
-            trace.append(IterationState(grid.radius, it, RadialField(grid, v.copy()),
-                                        residual, monotone_ok))
+            trace.append(IterationState(RadialField(grid, v.copy()), residual, monotone_ok))
         if residual <= tol_residual:
             return v, residual, it, monotone_ok
     return v, residual, MAX_ITER, monotone_ok

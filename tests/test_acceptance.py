@@ -183,8 +183,7 @@ def test_04_scalar_solver_exponential():
     with Budget("4 scalar solver exponential", 10.0):
         grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
         profile = BarrierProfile(BarrierFamily.W, 2.0)
-        psi = RadialField.from_function(
-            grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)
+        psi = RadialField(grid, np.asarray(eval_barrier(profile, grid.nodes)), profile)
         rep = solve_singular_scalar(3, 4.0, 1.0, psi, record_trace=True)
         assert rep.status is SolveStatus.CONVERGED
         assert rep.residual_v <= 1e-8
@@ -200,8 +199,7 @@ def test_05_scalar_solver_algebraic():
     with Budget("5 scalar solver algebraic", 10.0):
         grid = RadialGrid.auto(150.0, h0=0.02, stretch=1.03)
         profile = BarrierProfile(BarrierFamily.Z, 4.0)
-        psi = RadialField.from_function(
-            grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)
+        psi = RadialField(grid, np.asarray(eval_barrier(profile, grid.nodes)), profile)
         rep = solve_singular_scalar(5, 0.0, 1.0, psi)
         assert rep.status is SolveStatus.CONVERGED
         env = np.asarray(eval_barrier(BarrierProfile(BarrierFamily.Z, 1.0), grid.nodes))
@@ -283,8 +281,7 @@ def test_09_nonexistence_boundaries():
             assert admissible == (gamma > 2.0)
             if gamma <= 2.0:
                 profile = BarrierProfile(BarrierFamily.Z, float(gamma))
-                psi = RadialField.from_function(
-                    grid, lambda r: np.asarray(eval_barrier(profile, r)), profile)
+                psi = RadialField(grid, np.asarray(eval_barrier(profile, grid.nodes)), profile)
                 with pytest.raises(NonexistenceError):
                     solve_singular_scalar(5, 0.0, 1.0, psi)
 

@@ -20,7 +20,7 @@ from gmsteady.barriers import (
     Verdict,
     VerdictStatus,
     alg_regime_ledger,
-    barrier_operator_value,
+    barrier_operator_factor,
     check_sandwich,
     classify,
     classify_many,
@@ -45,18 +45,17 @@ def test_eval_barrier_values():
 
 def test_operator_value_at_origin_hits_upper_bound():
     w = BarrierProfile(BarrierFamily.W, 1.0)
-    assert barrier_operator_value(w, 2.0, 0.0, 3) == pytest.approx(
+    assert barrier_operator_factor(w, 2.0, 0.0, 3) * eval_barrier(w, 0.0) == pytest.approx(
         5.0 * math.exp(-1.0), rel=1e-14
     )
     z = BarrierProfile(BarrierFamily.Z, 2.0)
-    assert barrier_operator_value(z, 0.0, 0.0, 5) == pytest.approx(10.0, rel=1e-14)
+    assert barrier_operator_factor(z, 0.0, 0.0, 5) * eval_barrier(z, 0.0) == pytest.approx(
+        10.0, rel=1e-14)
 
 
 def test_operator_far_field_limit():
     # ratio to the lower sandwich bound tends to 1; compare the operator
     # factors since the profile itself underflows at r = 1e3
-    from gmsteady.barriers import barrier_operator_factor
-
     w = BarrierProfile(BarrierFamily.W, 1.0)
     factor = barrier_operator_factor(w, 2.0, 1e3, 3)
     assert factor / (2.0 - 1.0) == pytest.approx(1.0, abs=0.01)
@@ -71,9 +70,8 @@ def test_operator_matches_discrete_laplacian():
     ]:
         vals = np.asarray(eval_barrier(profile, grid.nodes))
         lap = apply_radial_laplacian(RadialField(grid, vals), n).values
-        closed = np.asarray(
-            barrier_operator_value(profile, shift, grid.nodes[:-1], n)
-        )
+        closed = barrier_operator_factor(profile, shift, grid.nodes[:-1], n) * np.asarray(
+            eval_barrier(profile, grid.nodes[:-1]))
         diff = np.abs(lap[:-1] + shift * vals[:-1] - closed)
         assert np.max(diff) <= 1e-3  # O(h^2) at h = 5e-3
 

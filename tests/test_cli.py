@@ -157,6 +157,14 @@ def test_verify_cor3_exit_codes(tmp_path):
     assert rc == 3
 
 
+def test_verify_cor3_refuses_zero_s(tmp_path, capsys):
+    report = tmp_path / "c.json"
+    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "0", "--report", str(report)])
+    assert rc == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["refused: need s > 0"]
+    assert not report.exists()
+
+
 def test_verify_corrupted_field_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("# r value\n0.0 1.0\nnot numbers here\n")
@@ -378,6 +386,22 @@ def test_region_invalid_point_error_line(tmp_path, capsys, flags, line):
     assert rc == 1
     assert capsys.readouterr().err.strip().splitlines() == [line]
     assert not table.exists() and not report.exists()
+
+
+# a sweep spec that does not parse ends in one error: line that quotes it
+@pytest.mark.parametrize("spec, line", [
+    ("p=1:2:x", "error: sweep 'p=1:2:x': invalid literal for int() with base 10: 'x'"),
+    ("p=a:2:3", "error: sweep 'p=a:2:3': could not convert string to float: 'a'"),
+    ("p=1,x", "error: sweep 'p=1,x': could not convert string to float: 'x'"),
+    ("p", "error: sweep 'p' needs name=range"),
+    ("p=1:2", "error: sweep range '1:2' must be start:stop:count"),
+    ("p=1:2:0", "error: sweep 'p=1:2:0' count must be >= 1"),
+])
+def test_region_bad_sweep_spec_error_line(tmp_path, capsys, spec, line):
+    report = tmp_path / "r.json"
+    assert run(["region", "-N", "3", "--sweep", spec, "--report", str(report)]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+    assert not report.exists()
 
 
 def test_region_sweep_across_sigma_one(tmp_path):

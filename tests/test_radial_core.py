@@ -13,6 +13,7 @@ from gmsteady.radial_core import (
     RadialField,
     RadialGrid,
     RadialOperator,
+    _flux_laplacian,
     _gtsv,
     apply_radial_laplacian,
     read_field,
@@ -88,6 +89,13 @@ def test_constants_are_harmonic():
     # conditioning-level noise
     assert np.max(np.abs(out.values[:-1])) <= 1e-13
     assert abs(out.values[-1]) <= 1e-11
+
+
+def test_graded_grid_of_stretch_one_is_uniform():
+    for radius, n in ((2.0, 41), (7.5, 16)):
+        graded, uniform = RadialGrid.graded(radius, n, 1.0), RadialGrid.uniform(radius, n)
+        assert np.array_equal(graded.nodes, uniform.nodes)
+        assert graded.stretch == uniform.stretch == 1.0
 
 
 def test_quadratic_exact():
@@ -240,10 +248,11 @@ def test_operator_matches_reference_stencil_and_band(dimension, array_shift):
     op = RadialOperator(grid, dimension, shift)
     for _ in range(3):
         u = np.exp(-grid.nodes) + rng.random(grid.n)
-        assert np.array_equal(op.laplacian(u), _reference_laplacian(grid.nodes, dimension, u))
+        lap = _flux_laplacian(grid, dimension, u)
+        assert np.array_equal(lap, _reference_laplacian(grid.nodes, dimension, u))
         # bit for bit -np.diff(flux, prepend=0.0) / vol: no flux enters at r = 0
-        flux = op._g * (u[1:] - u[:-1])
-        assert np.array_equal(op.laplacian(u), -np.diff(flux, prepend=0.0) / op._vol)
+        g, vol = grid.plan(radial_core._flux_plan, dimension)[:2]
+        assert np.array_equal(lap, -np.diff(g * (u[1:] - u[:-1]), prepend=0.0) / vol)
         f, boundary = rng.random(grid.n), float(rng.random())
         b = f.copy()
         b[-1] = boundary
@@ -251,7 +260,7 @@ def test_operator_matches_reference_stencil_and_band(dimension, array_shift):
         assert np.array_equal(op.solve(f, boundary), solve_banded((1, 1), ab, b))
     # the wrappers route through the same operator
     field = RadialField(grid, u)
-    assert np.array_equal(apply_radial_laplacian(field, dimension).values[:-1], op.laplacian(u))
+    assert np.array_equal(apply_radial_laplacian(field, dimension).values[:-1], lap)
     shift_values = np.broadcast_to(shift, grid.nodes.shape)
     assert np.array_equal(
         solve_linear_radial_variable(dimension, shift_values, RadialField(grid, f), boundary).values,
@@ -315,7 +324,7 @@ def test_operators_on_one_grid_share_its_plan_and_keep_their_own_diagonals(monke
     RadialOperator(RadialGrid(grid.nodes, grid.stretch), 4)
     assert built == [4, 3, 4]  # once per (grid, N)
     # the off-diagonals are the grid's, each diagonal the operator's own
-    assert a._g is b._g and a._lower is b._lower and a._upper is b._upper
+    assert a._lower is b._lower and a._upper is b._upper
     assert not np.shares_memory(a._d, b._d)
     check(a, shift_a)
     check(b, shift_b)
@@ -376,8 +385,17 @@ _NAN_AT_3 = np.where(np.arange(20) == 3, np.nan, 1.0)
      "operator band must be finite"),
     (lambda: _op().solve(np.full(20, np.finfo(float).max), 0.0), RuntimeError,
      "radial solve produced non-finite values"),
+    # the one-shot wrappers and -Delta of a field refuse as the operator does
+    (lambda: apply_radial_laplacian(RadialField(RadialGrid.uniform(10.0, 20), np.ones(20)), 2),
+     ValueError, "dimension must be >= 3, got 2"),
+    (lambda: solve_linear_radial_variable(
+        3, np.ones(19), RadialField(RadialGrid.uniform(10.0, 20), np.ones(20)), 0.0),
+     ValueError, "shift values must match the grid"),
+    (lambda: _flux_laplacian(_wide_band().grid, 3, np.ones(20)), ValueError,
+     "operator band must be finite"),
 ], ids=["dimension", "shift-shape", "negative-shift", "inf-shift", "nan-shift", "boundary",
-        "right-side", "wide-band", "overflowing-diagonal", "non-finite-solution"])
+        "right-side", "wide-band", "overflowing-diagonal", "non-finite-solution",
+        "laplacian-dimension", "wrapper-shift-shape", "laplacian-wide-band"])
 def test_operator_refusals_keep_their_type_and_message(refused, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         refused()

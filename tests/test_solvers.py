@@ -26,6 +26,7 @@ from gmsteady.profiles import BarrierFamily, BarrierProfile, eval_barrier, log_c
 from gmsteady.radial_core import (
     RadialField,
     RadialGrid,
+    _flux_laplacian,
     apply_radial_laplacian,
     solve_linear_radial_variable,
 )
@@ -41,16 +42,12 @@ from gmsteady.solvers import (
 
 def w_field(grid, rate):
     profile = BarrierProfile(BarrierFamily.W, rate)
-    return RadialField.from_function(
-        grid, lambda r: np.asarray(eval_barrier(profile, r)), profile
-    )
+    return RadialField(grid, np.asarray(eval_barrier(profile, grid.nodes)), profile)
 
 
 def z_field(grid, rate):
     profile = BarrierProfile(BarrierFamily.Z, rate)
-    return RadialField.from_function(
-        grid, lambda r: np.asarray(eval_barrier(profile, r)), profile
-    )
+    return RadialField(grid, np.asarray(eval_barrier(profile, grid.nodes)), profile)
 
 
 def reference_ball(newton):
@@ -78,8 +75,8 @@ def reference_ball(newton):
             res = lap.values + mu * v - psi_vals * np.maximum(v, v_low) ** (-s)
             residual = float(np.max(np.abs(res[:-1])))
             if trace is not None:
-                trace.append(solvers.IterationState(
-                    grid.radius, it, RadialField(grid, v.copy()), residual, monotone_ok))
+                trace.append(solvers.IterationState(RadialField(grid, v.copy()), residual,
+                                                    monotone_ok))
             if residual <= tol_residual:
                 return v, residual, it, monotone_ok
         return v, residual, solvers.MAX_ITER, monotone_ok
@@ -109,11 +106,12 @@ def three_power_ball(op, mu, s, psi_vals, v_low, tol_residual, trace=None):
             monotone_ok = False
         v = v_new
         inner = v[:-1]
-        res = op.laplacian(v) + mu * inner - psi_vals[:-1] * np.maximum(inner, v_low[:-1]) ** (-s)
+        res = (_flux_laplacian(op.grid, op.dimension, v) + mu * inner
+               - psi_vals[:-1] * np.maximum(inner, v_low[:-1]) ** (-s))
         residual = float(np.max(np.abs(res)))
         if trace is not None:
-            trace.append(solvers.IterationState(op.grid.radius, it, RadialField(op.grid, v.copy()),
-                                                residual, monotone_ok))
+            trace.append(solvers.IterationState(RadialField(op.grid, v.copy()), residual,
+                                                monotone_ok))
         if residual <= tol_residual:
             return v, residual, it, monotone_ok
     return v, residual, solvers.MAX_ITER, monotone_ok
@@ -348,10 +346,10 @@ def singular_exp_case():
 
 
 class TestScalarExponential:
-    def run(self, record_trace=False):
+    def run(self, **options):
         grid = RadialGrid.auto(default_exp_radius(1.0, 1e12), h0=0.02, stretch=1.02)
         psi = w_field(grid, 2.0)
-        return solve_singular_scalar(3, 4.0, 1.0, psi, record_trace=record_trace)
+        return solve_singular_scalar(3, 4.0, 1.0, psi, **options)
 
     def test_converges_inside_sandwich(self):
         rep = self.run()
@@ -379,7 +377,6 @@ class TestScalarExponential:
         ref = self.run(record_trace=True)
         assert len(rep.trace) == len(ref.trace) > 1
         for got, want in zip(rep.trace, ref.trace):
-            assert (got.ball_radius, got.iterate_index) == (want.ball_radius, want.iterate_index)
             assert np.array_equal(got.v.grid.nodes, want.v.grid.nodes)
             np.testing.assert_allclose(got.v.values, want.v.values, rtol=1e-13, atol=0)
             assert got.monotone_flag == want.monotone_flag
@@ -391,13 +388,20 @@ class TestScalarExponential:
     def test_newton_iteration_count(self):
         assert self.run().iterations <= 16
 
+    def test_newton_cap_ends_the_run_unconverged(self):
+        # a zero residual tolerance is never met: the loop stops at its cap
+        rep = self.run(tol_residual=0.0)
+        assert rep.status is SolveStatus.MAX_ITERATIONS
+        assert rep.iterations == solvers.MAX_ITER
+        assert rep.notes == []
+        assert 0.0 < rep.residual_v <= 1e-8
+
     def test_iterations_count_the_one_balls_steps(self, monkeypatch):
         # a W run solves on its ball only: the trace holds its Newton steps,
         # and no radial solve runs on a larger grid
         sizes = radial_solve_sizes(monkeypatch)
         rep = self.run(record_trace=True)
         assert rep.iterations == len(rep.trace) > 1
-        assert all(state.ball_radius == rep.ball_radius for state in rep.trace)
         assert set(sizes) == {rep.v.grid.n}
 
     def test_float_range_refused_before_any_solve(self, monkeypatch):
@@ -995,3 +999,15 @@ def test_a_weight_envelope_below_1e_290_at_every_node_is_refused_by_name():
         solve_singular_scalar(3, 1e6, 1.0, RadialField(grid, np.ones(grid.n), tag))
     with pytest.raises(ValueError, match="^weight psi must be positive$"):
         solve_singular_scalar(3, 1e6, 1.0, RadialField(grid, np.zeros(grid.n), tag))
+
+
+def test_a_weight_whose_ratio_to_its_envelope_overflows_is_refused_by_name():
+    # W_130 falls to about 1e-232 at r = 5, so 1e300 / W_130 leaves float64
+    # there; the refusal comes before numpy can warn of the overflow
+    grid = RadialGrid.auto(5.0, h0=0.02, stretch=1.02)
+    psi = RadialField(grid, np.full(grid.n, 1e300), BarrierProfile(BarrierFamily.W, 130.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^psi over its envelope W\(130\) leaves the "
+                                             r"float64 range$"):
+            solve_singular_scalar(3, 1e6, 1.0, psi)
