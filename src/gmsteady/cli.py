@@ -334,6 +334,9 @@ def cmd_verify(args) -> int:
     from .certificates import verify_cor3, verify_solution
     from .radial_core import RadialGrid, read_field
 
+    # an infinite --tol would pass an infinite residual
+    if not 0.0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol:g}")
     # each mode refuses the flags of the other, which it would ignore
     if args.cor3:
         for name in ("u_field", "v_field", "u_rate", "v_rate", "rho_amplitude",
@@ -356,6 +359,11 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--{name} sets the --cor3 {what}; it needs --cor3")
     u = read_field(args.u_field)
     v = read_field(args.v_field)
+    missing = [flag for flag, rate in (("--u-rate", args.u_rate), ("--v-rate", args.v_rate))
+               if rate is None]
+    if missing and not args.no_representation:
+        raise ValueError(f"the representation checks need {' and '.join(missing)} "
+                         "(or --no-representation to skip them)")
     problem, exponents = _problem_from_args(args)
     if args.u_rate is not None:
         u.decay_tag = BarrierProfile(problem.family, args.u_rate)

@@ -614,8 +614,10 @@ def convr_check(v: RadialField):
     vals = v.values
     if (vals <= 0).any():
         raise ValueError("field must be positive")
-    dv = _gradient(vals, r)
-    q = r * np.abs(dv) / vals
+    # a value near either end of the float64 range can overflow the
+    # gradient or the ratio; the bound below is then inf, unwarned
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        q = r * np.abs(_gradient(vals, r)) / vals
     # the gradient is one-sided (first order) at the outer endpoint
     mask = (r >= 1.0) & (r < r[-1])
     if not mask.any():

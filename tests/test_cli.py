@@ -441,20 +441,33 @@ _ALG_POINT = ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho"
               "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125"]
 
 
-def test_verify_refuses_a_v_dump_on_other_radii(tmp_path, capsys, alg_worked_case):
-    # the zero-shift worked case's dumps verify without the representation
-    # check; with every v radius scaled by 1.5 they are refused, exit 1
+@pytest.mark.parametrize("flags", [[], ["--no-representation"]],
+                         ids=["representation", "no-representation"])
+def test_verify_refuses_a_bad_v_dump(tmp_path, capsys, alg_worked_case, flags):
+    # the zero-shift worked case's dumps verify and fit the decay rates of
+    # its solve (both fit over the same windows); a v dump with every
+    # radius scaled by 1.5, or holding one 0, is refused with one line
     _, _, _, rep = alg_worked_case
-    u_dump, v_dump, scaled = (tmp_path / name for name in ("u.txt", "v.txt", "scaled.txt"))
+    u_dump, v_dump, scaled, zero = (tmp_path / name for name in
+                                    ("u.txt", "v.txt", "scaled.txt", "zero.txt"))
     write_field(rep.u, u_dump)
     write_field(rep.v, v_dump)
     write_field(RadialField(RadialGrid(1.5 * rep.v.grid.nodes), rep.v.values), scaled)
-    flags = ["verify", *_ALG_POINT, "--u-field", str(u_dump), "--u-rate", "2", "--v-rate", "1",
-             "--tol", "1e-4", "--no-representation"]
-    assert run([*flags, "--v-field", str(v_dump)]) == 0
-    capsys.readouterr()
-    assert run([*flags, "--v-field", str(scaled)]) == 1
-    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: u and v must share a grid"
+    write_field(RadialField(rep.v.grid, np.where(np.arange(rep.v.grid.n) == 3, 0.0,
+                                                 rep.v.values)), zero)
+    report = tmp_path / "v.json"
+    verify = ["verify", *_ALG_POINT, "--u-field", str(u_dump), "--u-rate", "2", "--v-rate", "1",
+              "--tol", "1e-4", *flags, "--report", str(report)]
+    assert run([*verify, "--v-field", str(v_dump)]) == 0
+    cert = json.loads(report.read_text())["certificate"]
+    assert (cert["decay_u"], cert["decay_v"]) == (list(rep.decay["u"]), list(rep.decay["v"]))
+    assert capsys.readouterr().err == ""
+    report.unlink()
+    for dump, line in ((scaled, "error: u and v must share a grid"),
+                       (zero, "error: fields must be positive")):
+        assert run([*verify, "--v-field", str(dump)]) == 1
+        assert capsys.readouterr().err == line + "\n"
+        assert not report.exists()
 
 
 def _assert_one_line_error(capsys):
@@ -625,6 +638,28 @@ def test_region_ledger_overflow_point_is_unknown(tmp_path, capsys):
         rows = list(csv.reader(fh))[1:]
     assert rows == [["0", "1.037", "unknown", ""]]
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    [*_OVERFLOW_POINT, "--sweep", "p=1.001:1.3:300", "--sweep", "s=0:40:41"],
+    [*_EXP_POINT[:2], *_EXP_POINT[4:], "--sweep", "lam=1e2:1e300:400"],
+], ids=["overflow-300x41", "lam-400"])
+def test_region_sweeps_out_of_float_range_match_classify(tmp_path, capsys, flags):
+    # the array classifier meets ledgers that leave the float range without
+    # a numpy warning, and each row is still the scalar verdict
+    table, report = tmp_path / "region.csv", tmp_path / "r.json"
+    argv = ["region", *flags]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([*argv, "--report", str(report), "--out-table", str(table)]) == 0
+    assert caught == [] and "Traceback" not in capsys.readouterr().err
+    header, *rows = _csv_writer_rows(table)
+    assert len(rows) == json.loads(report.read_text())["points"]
+    args = build_parser().parse_args(argv)
+    for row in rows:
+        swept = {name: float(value) for name, value in zip(header[1:-2], row[1:-2])}
+        verdict = classify(*_problem_from_args(args, **swept))
+        assert row[-2:] == [verdict.status.value, verdict.tag or ""], row
 
 
 def test_solve_ledger_overflow_point_refused(tmp_path, capsys):
@@ -1179,10 +1214,11 @@ def test_verify_cor3_unconverged_reason(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("p, s", [("1e6", "1"), ("6", "1e300")])
+@pytest.mark.parametrize("p, s", [("6", "1"), ("1e6", "1"), ("6", "1e300")])
 def test_verify_cor3_at_huge_p_or_s_reads_the_residual_of_p6_s1(tmp_path, p, s):
     # both equations are -Delta w = w^5 at N = 3, whatever p and s: w^p
-    # alone would overflow, since w(0) > 1, and the float m - s is 0 at s = 1e300
+    # alone would overflow, since w(0) > 1, and the float m - s is 0 at s = 1e300;
+    # the first case is the README's --p 6 --s 1
     report = tmp_path / "c.json"
     rc = run(["verify", "--cor3", "-N", "3", "--p", p, "--s", s, "--report", str(report)])
     assert rc == 0
@@ -1199,6 +1235,59 @@ def test_verify_fields_unconverged_reason(tmp_path, capsys):
     assert rc == 3
     line = _assert_one_line_unconverged(capsys)
     assert line.startswith("unconverged: rep_residual_v ") and line.endswith("> --tol 1e-12")
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("mode", [
+    ["--cor3", "-N", "3", "--p", "6", "--s", "1"],
+    # dumps that do not exist: --tol is refused before any is read
+    [*_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", "no-u.txt", "--v-field", "no-v.txt",
+     "--u-rate", "1", "--v-rate", "1"],
+], ids=["cor3", "fields"])
+def test_verify_tol_that_is_not_finite_and_nonnegative_exits_1(tmp_path, capsys, mode, tol):
+    # nan and negative --tol pass no residual, inf passes an infinite one
+    report = tmp_path / "v.json"
+    assert run(["verify", *mode, "--tol", tol, "--report", str(report)]) == 1
+    assert capsys.readouterr().err == f"error: --tol must be finite and >= 0, got {float(tol):g}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("rates, missing", [([], "--u-rate and --v-rate"),
+                                            (["--u-rate", "1"], "--v-rate"),
+                                            (["--v-rate", "1"], "--u-rate")],
+                         ids=["none", "u-only", "v-only"])
+def test_verify_representation_names_the_missing_rates(tmp_path, capsys, exp_dumps, rates,
+                                                       missing):
+    # the representation checks close each tail with a declared decay rate
+    report = tmp_path / "v.json"
+    verify = ["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
+              "--v-field", str(exp_dumps / "v.txt"), *rates, "--tol", "1e-4",
+              "--report", str(report)]
+    assert run(verify) == 1
+    assert capsys.readouterr().err == (
+        f"error: the representation checks need {missing} (or --no-representation to skip them)\n")
+    assert not report.exists()
+    assert run([*verify, "--no-representation"]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e-320, 1e308])
+def test_verify_v_value_at_a_float_range_end_reads_an_infinite_convr_bound(tmp_path, capsys,
+                                                                           exp_dumps, value):
+    # one v value beyond R/2, which the PDE residuals do not read, at either
+    # end of the float64 range: r |v'| / v overflows there, so the gradient
+    # criterion reads inf and does not hold
+    v = read_field(exp_dumps / "v.txt")
+    values = v.values.copy()
+    values[np.flatnonzero(v.grid.nodes > 0.75 * v.grid.radius)[0]] = value
+    write_field(RadialField(v.grid, values), tmp_path / "v.txt")
+    report = tmp_path / "r.json"
+    assert run(["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
+                "--v-field", str(tmp_path / "v.txt"), "--u-rate", "1", "--v-rate", "1",
+                "--tol", "1e-4", "--no-representation", "--report", str(report)]) == 0
+    cert = json.loads(report.read_text())["certificate"]
+    assert (cert["convr_bound"], cert["convr_holds"]) == ("inf", False)
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_unconverged_reason(tmp_path, capsys):

@@ -481,6 +481,17 @@ def test_convr_check_profiles():
         convr_check(RadialField(g, np.zeros(g.n)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [1e-320, 1e308])
+def test_convr_check_at_a_float_range_end_is_infinite(exp_worked_case, value):
+    # r |v'| / v overflows at a subnormal or a huge value: the bound is
+    # inf and the criterion does not hold, without a warning
+    v = exp_worked_case[3].v
+    values = v.values.copy()
+    values[np.flatnonzero(v.grid.nodes > 0.75 * v.grid.radius)[0]] = value
+    assert convr_check(RadialField(v.grid, values)) == (math.inf, False)
+
+
 @pytest.mark.parametrize("grid", [
     RadialGrid(3.0 * np.arange(17.0), 1.0),  # equal spacings: numpy's uniform formula
     RadialGrid.uniform(7.3, 101),
