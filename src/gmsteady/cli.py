@@ -4,7 +4,8 @@ Subcommands
     kernel   tabulate the fundamental solution, check its bounds and mass
     region   classify a parameter lattice and write a verdict table
     solve    run a coupled solver at one parameter point
-    verify   certify a closed-form or dumped solution pair
+    verify   certify a dumped solution pair
+    cor3     certify the closed-form supercritical pair of Corollary 1.3
 
 Configuration comes from flags or from a key=value text file passed via
 --config (one pair per line, '#' starts a comment, keys are the long flag
@@ -49,7 +50,7 @@ from .barriers import (
 from .errors import FieldParseError, HypothesisError, NonexistenceError, RegimeError
 from .profiles import BarrierFamily, BarrierProfile
 
-# solve, verify and kernel import their numerics in their handlers, so
+# every subcommand but region imports its numerics in its handler, so
 # region and the parser start without the solver and certificate stack
 
 EXIT_OK = 0
@@ -59,6 +60,9 @@ EXIT_NO_CONVERGENCE = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, allow_abbrev=False, **kwargs):  # whole flag names, as in --config
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     # argparse exits with 2 on usage errors; this tool reserves 2 for
     # hypothesis refusals, so remap to 1
     def error(self, message):
@@ -116,6 +120,17 @@ def _write_report(path, command: str, **fields) -> None:
 def _unconverged(reason: str) -> int:
     print(f"unconverged: {reason}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: nan or a negative one would pass no residual, inf an infinite one."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {tol:g}")
+    return tol
 
 
 def _verify_exit(residuals: dict, tol: float) -> int:
@@ -331,32 +346,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .certificates import verify_cor3, verify_solution
-    from .radial_core import RadialGrid, read_field
+    from .certificates import verify_solution
+    from .radial_core import read_field
 
-    # an infinite --tol would pass an infinite residual
-    if not 0.0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol:g}")
-    # each mode refuses the flags of the other, which it would ignore
-    if args.cor3:
-        for name in ("u_field", "v_field", "u_rate", "v_rate", "rho_amplitude",
-                     "no_representation"):
-            value = getattr(args, name)
-            if value is not None and value is not False:
-                raise ValueError(f"--{name.replace('_', '-')} applies to dumped fields, "
-                                 "not to --cor3")
-        grid = RadialGrid.uniform(20.0 if args.radius is None else args.radius,
-                                  20001 if args.nodes is None else args.nodes)
-        cert = verify_cor3(args.dimension, args.p, args.s,
-                           1.0 if args.amplitude is None else args.amplitude, grid)
-        _write_report(args.report, "verify", mode="cor3", certificate=cert)
-        return _verify_exit(cert.residuals(), args.tol)
-
+    # not argparse's required: main parses once before it reads --config
     if not (args.u_field and args.v_field):
-        raise ValueError("verify needs --cor3 or both --u-field and --v-field")
-    for name, what in (("radius", "grid"), ("nodes", "grid"), ("amplitude", "bubble")):
-        if getattr(args, name) is not None:
-            raise ValueError(f"--{name} sets the --cor3 {what}; it needs --cor3")
+        raise ValueError("verify needs both --u-field and --v-field")
     u = read_field(args.u_field)
     v = read_field(args.v_field)
     missing = [flag for flag, rate in (("--u-rate", args.u_rate), ("--v-rate", args.v_rate))
@@ -365,14 +360,21 @@ def cmd_verify(args) -> int:
         raise ValueError(f"the representation checks need {' and '.join(missing)} "
                          "(or --no-representation to skip them)")
     problem, exponents = _problem_from_args(args)
-    if args.u_rate is not None:
-        u.decay_tag = BarrierProfile(problem.family, args.u_rate)
-    if args.v_rate is not None:
-        v.decay_tag = BarrierProfile(problem.family, args.v_rate)
-    cert = verify_solution(
-        problem, exponents, u, v, representation=not args.no_representation
-    )
-    _write_report(args.report, "verify", mode="fields", certificate=cert)
+    for field, rate in ((u, args.u_rate), (v, args.v_rate)):
+        if rate is not None:
+            field.decay_tag = BarrierProfile(problem.family, rate)
+    cert = verify_solution(problem, exponents, u, v, representation=not args.no_representation)
+    _write_report(args.report, "verify", certificate=cert)
+    return _verify_exit(cert.residuals(), args.tol)
+
+
+def cmd_cor3(args) -> int:
+    from .certificates import verify_cor3
+    from .radial_core import RadialGrid
+
+    grid = RadialGrid.uniform(args.radius, args.nodes)
+    cert = verify_cor3(args.dimension, args.p, args.s, args.amplitude, grid)
+    _write_report(args.report, "cor3", certificate=cert)
     return _verify_exit(cert.residuals(), args.tol)
 
 
@@ -414,7 +416,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     """The ``gmsteady`` parser, with every subcommand's name, help and handler.
 
     Arguments go to ``command``'s subparser alone when it names a
-    subcommand, else to all four.  argparse builds a help formatter for
+    subcommand, else to all five.  argparse builds a help formatter for
     each argument it adds, so ``main`` adds only those of the subcommand
     it runs; help and error text read the same either way.
     """
@@ -424,18 +426,18 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices  # subcommand name -> its parser, for --config
 
-    every = command not in ("region", "solve", "verify", "kernel")
+    every = command not in ("region", "solve", "verify", "cor3", "kernel")
 
     def subcommand(name, help_text, func):
-        """The subparser ``name`` if its arguments are wanted, else None."""
+        """The subparser ``name`` with the common flags, or None if its arguments are unwanted."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p if every or name == command else None
-
-    def add_common(p):
+        if not (every or name == command):
+            return None
         p.add_argument("--config", help="key=value config file; flags override")
         p.add_argument("--report", help="JSON report path ('-' for stdout, default)")
         p.add_argument("--dimension", "-N", type=int, default=3, help="ambient dimension N >= 3")
+        return p
 
     def add_problem(p):
         p.add_argument("--p", type=float, default=2.0)
@@ -451,14 +453,12 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--rate", type=float, default=1.0, help="envelope decay rate")
 
     if p := subcommand("region", "classify a parameter lattice", cmd_region):
-        add_common(p)
         add_problem(p)
         p.add_argument("--sweep", action="append", default=[],
                        help="name=start:stop:count or name=v1,v2,... (repeatable)")
         p.add_argument("--out-table", help="CSV output path")
 
     if p := subcommand("solve", "run a coupled solver at one point", cmd_solve):
-        add_common(p)
         add_problem(p)
         p.add_argument("--rho-amplitude", type=float, default=None,
                        help="evaluable amplitude in [alpha, beta] (default midpoint)")
@@ -470,16 +470,9 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--out-u", help="u field dump path")
         p.add_argument("--out-v", help="v field dump path")
 
-    if p := subcommand("verify", "certify a solution pair", cmd_verify):
-        add_common(p)
+    if p := subcommand("verify", "certify a dumped solution pair", cmd_verify):
         add_problem(p)
-        p.add_argument("--cor3", action="store_true",
-                       help="verify the closed-form supercritical pair")
-        p.add_argument("--amplitude", type=float, default=None, help="closed-form amplitude A")
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--nodes", type=int, default=None)
-        p.add_argument("--tol", type=float, default=1e-5,
-                       help="max residual for exit code 0")
+        p.add_argument("--tol", type=_tolerance, default=1e-5, help="max residual for exit code 0")
         p.add_argument("--u-field", help="two-column u dump")
         p.add_argument("--v-field", help="two-column v dump")
         p.add_argument("--u-rate", type=float, default=None, help="declared u decay rate")
@@ -488,8 +481,15 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--no-representation", action="store_true",
                        help="skip the integral-representation residuals")
 
+    if p := subcommand("cor3", "certify the closed-form supercritical pair", cmd_cor3):
+        p.add_argument("--p", type=float, default=2.0)
+        p.add_argument("--s", type=float, default=0.0)
+        p.add_argument("--amplitude", type=float, default=1.0, help="closed-form amplitude A")
+        p.add_argument("--radius", type=float, default=20.0, help="uniform grid radius")
+        p.add_argument("--nodes", type=int, default=20001, help="uniform grid node count")
+        p.add_argument("--tol", type=_tolerance, default=1e-5, help="max residual for exit code 0")
+
     if p := subcommand("kernel", "tabulate the fundamental solution", cmd_kernel):
-        add_common(p)
         p.add_argument("--lam", type=float, default=1.0, help="kernel shift (0 for -Delta)")
         p.add_argument("--r-min", type=float, default=0.01)
         p.add_argument("--r-max", type=float, default=20.0)

@@ -82,7 +82,7 @@ def test_residual_magnitude_fine_grid():
 
 @pytest.fixture(scope="module")
 def cor3_grid():
-    """The CLI's default --cor3 grid."""
+    """The CLI's default cor3 grid."""
     return RadialGrid.uniform(20.0, 20001)
 
 

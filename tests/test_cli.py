@@ -145,24 +145,51 @@ def test_solve_force_flag_is_gone(tmp_path, capsys):
         "error: unrecognized arguments: --force")
 
 
-def test_verify_cor3_exit_codes(tmp_path):
-    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1",
-              "--report", str(tmp_path / "c.json")])
+def test_cor3_exit_codes(tmp_path):
+    rc = run(["cor3", "-N", "3", "--p", "6", "--s", "1", "--report", str(tmp_path / "c.json")])
     assert rc == 0
     payload = json.loads(tmp_path.joinpath("c.json").read_text())
     assert payload["certificate"]["residual_u"] <= 1e-5
     # absurdly tight tolerance: non-convergence exit code
-    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1",
+    rc = run(["cor3", "-N", "3", "--p", "6", "--s", "1",
               "--tol", "1e-12", "--report", str(tmp_path / "c2.json")])
     assert rc == 3
 
 
-def test_verify_cor3_refuses_zero_s(tmp_path, capsys):
+# the certificate of the README's closed-form check as `verify --cor3`
+# wrote it before the check became the cor3 subcommand
+_COR3_README = {"amplitude": 1.0, "dimension": 3, "grid_nodes": 20001, "grid_radius": 20.0,
+                "m": 6.0, "p": 6.0, "q": 1.0, "residual_u": 5.588170511661161e-06,
+                "residual_v": 5.588170511661161e-06, "s": 1.0}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, rc, certificate, err", [
+    (["-N", "3", "--p", "6", "--s", "1"], 0, _COR3_README, []),
+    # both equations are -Delta w = w^5 at N = 3, whatever p and s: w^p
+    # alone would overflow, since w(0) > 1, and the float m - s is 0 at s = 1e300
+    (["-N", "3", "--p", "1e6", "--s", "1"], 0, {**_COR3_README, "p": 1e6, "q": 999995.0}, []),
+    (["-N", "3", "--p", "6", "--s", "1e300"], 0, {**_COR3_README, "m": 1e300, "s": 1e300}, []),
+    # 17 nodes leave the O(h^2) residuals far above the default --tol
+    (["--nodes", "17", "--p", "6", "--s", "1"], 3,
+     {**_COR3_README, "grid_nodes": 17, "residual_u": 2.0515343146488627,
+      "residual_v": 2.0515343146488627}, ["unconverged: residual_u 2.052e+00 > --tol 1e-05"]),
+    # (2 pi)^(N/2) overflows as a Python float, w^(N-2)/2 as an array
+    (["-N", "4096", "--p", "2000", "--s", "1", "--nodes", "20"], 1, None,
+     ["error: operator band must be finite"]),
+    (["-N", "3", "--p", "6", "--s", "0"], 2, None, ["refused: need s > 0"]),
+], ids=["readme", "p-1e6", "s-1e300", "nodes-17", "n-4096", "s-0"])
+def test_cor3_gives_the_certificate_and_exit_code_of_verify_cor3(tmp_path, capsys, flags, rc,
+                                                                certificate, err):
     report = tmp_path / "c.json"
-    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "0", "--report", str(report)])
-    assert rc == 2
-    assert capsys.readouterr().err.strip().splitlines() == ["refused: need s > 0"]
-    assert not report.exists()
+    assert run(["cor3", *flags, "--report", str(report)]) == rc
+    assert capsys.readouterr().err.splitlines() == err
+    if certificate is None:
+        assert not report.exists()
+    else:
+        payload = json.loads(report.read_text())
+        assert payload["command"] == "cor3"
+        assert payload["certificate"] == certificate
 
 
 def test_verify_corrupted_field_file(tmp_path, capsys):
@@ -522,12 +549,12 @@ def test_rho_amplitude_outside_its_envelope_is_named_a_source_amplitude(tmp_path
     ["region", "--sweep", "p=-1e308:1e308:3"],
     ["kernel", "--r-max", "-1"],
     ["kernel", "--r-min", "nan"],
-    ["verify", "--cor3", "--radius", "inf"],
-    ["verify", "--cor3", "--radius", "nan"],
+    ["cor3", "--radius", "inf"],
+    ["cor3", "--radius", "nan"],
     # R = 0 reaches the grid builder rather than falling back to R = 20
-    ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "0"],
-    ["verify", "--cor3", "-N", "2"],
-    ["verify", "--cor3", "--amplitude", "1e300"],
+    ["cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "0"],
+    ["cor3", "-N", "2"],
+    ["cor3", "--amplitude", "1e300"],
 ])
 def test_out_of_range_input_exit_code(tmp_path, capsys, args):
     assert run([*args, "--report", str(tmp_path / "r.json")]) == 1
@@ -582,13 +609,11 @@ def exp_dumps(tmp_path_factory):
     # the mass 1/lam of a subnormal shift overflows
     ["kernel", "--lam", "1e-320"],
     # r^2 overflows in the bubble
-    ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "1e200",
-     "--nodes", "100"],
+    ["cor3", "-N", "3", "--p", "6", "--s", "1", "--radius", "1e200", "--nodes", "100"],
     # argparse before Python 3.12 stores [] for a "--" value
     ["kernel", "--lam=--"],
-    # (2 pi)^(N/2) overflows as a Python float, w^(N-2)/2 as an array
+    # (2 pi)^(N/2) overflows as a Python float
     ["kernel", "-N", "4096"],
-    ["verify", "--cor3", "-N", "4096", "--p", "2000", "--s", "1", "--nodes", "20"],
     # grids asking for inf and 1e10 nodes
     ["solve", *_EXP_POINT, "--rho-amplitude", "1.5", "--radius", "1e10", "--h0", "1e-300",
      "--stretch", "1"],
@@ -1111,50 +1136,99 @@ def test_solve_grid_keys_need_radius(tmp_path, capsys, line):
     _assert_one_line_error(capsys)
 
 
-@pytest.mark.parametrize("flag", [["--u-field", "u.txt"], ["--v-field", "v.txt"],
-                                  ["--u-rate", "0"], ["--v-rate", "1"],
-                                  ["--rho-amplitude", "1.5"], ["--no-representation"]],
-                         ids=lambda flag: flag[0])
-def test_verify_cor3_refuses_the_flags_of_dumped_fields(tmp_path, capsys, flag):
-    # each would be ignored by the closed-form check (--u-rate 0 too)
-    rc = run(["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1", *flag,
+def _assert_argparse_refusal(capsys, last):
+    """stderr is argparse's usage, then one error line: ``last``."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[-1] == last
+    assert lines[0].startswith("usage: gmsteady ")
+    assert [line for line in lines if line.startswith("error:")] == [last]
+
+
+@pytest.mark.parametrize("flag", [
+    ["--q", "1"], ["--m", "1"], ["--lam", "4096"], ["--mu", "16"], ["--rho", "exp"],
+    ["--alpha", "1"], ["--beta", "2"], ["--rate", "1"], ["--rho-amplitude", "1.5"],
+    ["--u-field", "u.txt"], ["--v-field", "v.txt"], ["--u-rate", "0"], ["--v-rate", "1"],
+    ["--no-representation"]], ids=lambda flag: flag[0])
+def test_cor3_refuses_the_flags_it_does_not_read(tmp_path, capsys, flag):
+    # the closed-form check reads no problem flag beyond N, p and s, and no dump
+    rc = run(["cor3", "-N", "3", "--p", "6", "--s", "1", *flag,
               "--report", str(tmp_path / "c.json")])
     assert rc == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        f"error: {flag[0]} applies to dumped fields, not to --cor3"]
+    _assert_argparse_refusal(capsys, f"error: unrecognized arguments: {' '.join(flag)}")
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("flag, what", [(["--radius", "20"], "grid"), (["--nodes", "17"], "grid"),
-                                       (["--amplitude", "3"], "bubble")],
-                         ids=lambda value: value[0] if isinstance(value, list) else value)
-def test_verify_fields_refuse_the_flags_of_cor3(tmp_path, capsys, exp_dumps, flag, what):
-    # each sets the closed-form check alone; the README verify given it
-    # would pass, with the flag ignored
+@pytest.mark.parametrize("flag", [["--cor3"], ["--amplitude", "3"], ["--radius", "20"],
+                                  ["--nodes", "17"]], ids=lambda flag: flag[0])
+def test_verify_refuses_the_flags_of_cor3(tmp_path, capsys, exp_dumps, flag):
+    # the README verify, given a flag that only the closed-form check reads
     rc = run(["verify", *_EXP_POINT, "--rho-amplitude", "1.5",
               "--u-field", str(exp_dumps / "u.txt"), "--v-field", str(exp_dumps / "v.txt"),
               "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4", *flag,
               "--report", str(tmp_path / "v.json")])
     assert rc == 1
-    assert capsys.readouterr().err.strip().splitlines() == [
-        f"error: {flag[0]} sets the --cor3 {what}; it needs --cor3"]
+    _assert_argparse_refusal(capsys, f"error: unrecognized arguments: {' '.join(flag)}")
     assert not (tmp_path / "v.json").exists()
 
 
-def test_config_switch_values(tmp_path, capsys):
-    report = tmp_path / "c.json"
-    base = ["verify", "-N", "3", "--p", "6", "--s", "1", "--nodes", "2001", "--tol", "1",
-            "--report", str(report)]
+def test_verify_config_key_cor3_is_unknown(tmp_path, capsys, exp_dumps):
+    report = tmp_path / "v.json"
+    rc = run(["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
+              "--v-field", str(exp_dumps / "v.txt"), "--u-rate", "1", "--v-rate", "1",
+              "--tol", "1e-4", *_config(tmp_path, "cor3 = true\n"), "--report", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: config line 1: unknown key 'cor3'\n"
+    assert not report.exists()
+
+
+def test_verify_reads_dumps_named_in_a_config_file(tmp_path, capsys, exp_dumps):
+    # verify, not argparse, requires the dumps: main parses the command line
+    # once before it reads the config file that may name them
+    report = tmp_path / "v.json"
+    verify = ["verify", *_exp_point_with({}), "--u-rate", "1", "--v-rate", "1", "--tol", "1e-4",
+              "--report", str(report)]
+    u_line = f"u-field = {exp_dumps / 'u.txt'}\n"
+    assert run([*verify, *_config(tmp_path, u_line + f"v_field = {exp_dumps / 'v.txt'}\n")]) == 0
+    assert run([*verify, *_config(tmp_path, u_line)]) == 1
+    assert capsys.readouterr().err == "error: verify needs both --u-field and --v-field\n"
+
+
+def _long_flag_prefixes():
+    """For each long flag of each subcommand, the flag's proper prefixes from
+    "--" and one letter on that are not themselves flags there."""
+    cases = []
+    for name, parser in build_parser().commands.items():
+        flags = [flag for flag in parser._option_string_actions if flag.startswith("--")]
+        for flag in flags:
+            prefixes = [flag[:k] for k in range(3, len(flag)) if flag[:k] not in flags]
+            if prefixes:
+                cases.append(pytest.param(name, prefixes, id=f"{name}{flag}"))
+    return cases
+
+
+@pytest.mark.parametrize("command, prefixes", _long_flag_prefixes())
+def test_a_proper_prefix_of_a_long_flag_exits_1(capsys, command, prefixes):
+    # argparse would read a unique prefix as its flag; a flag is read by its
+    # whole name only, as a config key is
+    for prefix in prefixes:
+        assert run([command, prefix, "1"]) == 1, prefix
+        _assert_argparse_refusal(capsys, f"error: unrecognized arguments: {prefix} 1")
+
+
+def test_config_switch_values(tmp_path, capsys, exp_dumps):
+    report = tmp_path / "v.json"
+    # the README verify without its decay rates, which the representation checks need
+    base = ["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
+            "--v-field", str(exp_dumps / "v.txt"), "--tol", "1e-4", "--report", str(report)]
     for value in ("true", "Yes", "1"):
-        assert run([*base, *_config(tmp_path, f"cor3 = {value}\n")]) == 0
-        assert json.loads(report.read_text())["mode"] == "cor3"
+        assert run([*base, *_config(tmp_path, f"no-representation = {value}\n")]) == 0
+        assert json.loads(report.read_text())["certificate"]["rep_residual_u"] is None
     for value in ("false", "NO", "0"):
-        # without --cor3, verify needs field dumps
-        assert run([*base, *_config(tmp_path, f"cor3 = {value}\n")]) == 1
-        assert "--u-field" in capsys.readouterr().err
-    assert run([*base, *_config(tmp_path, "cor3 = maybe\n")]) == 1
+        assert run([*base, *_config(tmp_path, f"no_representation = {value}\n")]) == 1
+        assert "--no-representation" in capsys.readouterr().err
+    assert run([*base, *_config(tmp_path, "no-representation = maybe\n")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "cor3" in err and "'maybe'" in err
+    assert err.startswith("error: ") and "no-representation" in err and "'maybe'" in err
 
 
 def _assert_one_line_unconverged(capsys):
@@ -1204,28 +1278,6 @@ def test_verify_huge_shift_exits_with_the_piece_count(tmp_path, capsys):
         "more than the cap of 1000000"]
 
 
-def test_verify_cor3_unconverged_reason(tmp_path, capsys):
-    # 17 nodes leave the O(h^2) residuals far above the default --tol
-    rc = run(["verify", "--cor3", "--nodes", "17", "--p", "6", "--s", "1",
-              "--report", str(tmp_path / "c.json")])
-    assert rc == 3
-    line = _assert_one_line_unconverged(capsys)
-    assert line.startswith("unconverged: residual_u ") and line.endswith("> --tol 1e-05")
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("p, s", [("6", "1"), ("1e6", "1"), ("6", "1e300")])
-def test_verify_cor3_at_huge_p_or_s_reads_the_residual_of_p6_s1(tmp_path, p, s):
-    # both equations are -Delta w = w^5 at N = 3, whatever p and s: w^p
-    # alone would overflow, since w(0) > 1, and the float m - s is 0 at s = 1e300;
-    # the first case is the README's --p 6 --s 1
-    report = tmp_path / "c.json"
-    rc = run(["verify", "--cor3", "-N", "3", "--p", p, "--s", s, "--report", str(report)])
-    assert rc == 0
-    cert = json.loads(report.read_text())["certificate"]
-    assert cert["residual_u"] == cert["residual_v"] == 5.588170511661161e-06
-
-
 def test_verify_fields_unconverged_reason(tmp_path, capsys):
     u, v = str(tmp_path / "u.txt"), str(tmp_path / "v.txt")
     assert run(["solve", *_EXP_POINT, "--report", str(tmp_path / "s.json"),
@@ -1238,17 +1290,20 @@ def test_verify_fields_unconverged_reason(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
-@pytest.mark.parametrize("mode", [
-    ["--cor3", "-N", "3", "--p", "6", "--s", "1"],
+@pytest.mark.parametrize("command", [
+    ["cor3", "-N", "3", "--p", "6", "--s", "1"],
     # dumps that do not exist: --tol is refused before any is read
-    [*_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", "no-u.txt", "--v-field", "no-v.txt",
-     "--u-rate", "1", "--v-rate", "1"],
-], ids=["cor3", "fields"])
-def test_verify_tol_that_is_not_finite_and_nonnegative_exits_1(tmp_path, capsys, mode, tol):
+    ["verify", *_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", "no-u.txt",
+     "--v-field", "no-v.txt", "--u-rate", "1", "--v-rate", "1"],
+], ids=["cor3", "verify"])
+@pytest.mark.parametrize("as_key", [False, True], ids=["flag", "config"])
+def test_tol_that_is_not_finite_and_nonnegative_exits_1(tmp_path, capsys, command, tol, as_key):
     # nan and negative --tol pass no residual, inf passes an infinite one
     report = tmp_path / "v.json"
-    assert run(["verify", *mode, "--tol", tol, "--report", str(report)]) == 1
-    assert capsys.readouterr().err == f"error: --tol must be finite and >= 0, got {float(tol):g}\n"
+    given = _config(tmp_path, f"tol = {tol}\n") if as_key else ["--tol", tol]
+    assert run([*command, *given, "--report", str(report)]) == 1
+    _assert_argparse_refusal(
+        capsys, f"error: argument --tol: must be finite and >= 0, got {float(tol):g}")
     assert not report.exists()
 
 
@@ -1347,9 +1402,9 @@ def test_report_key_paths(tmp_path):
     assert report("verify", ["verify", *_EXP_POINT, "--rho-amplitude", "1.5", "--u-field", u,
                              "--v-field", v, "--u-rate", "1", "--v-rate", "1",
                              "--tol", "1e-4"]) == sorted(
-        _HEADER + ["mode"] + [f"certificate.{k}" for k in _CERTIFICATE_KEYS])
-    assert report("cor3", ["verify", "--cor3", "-N", "3", "--p", "6", "--s", "1"]) == sorted(
-        _HEADER + ["mode"] + [f"certificate.{k}" for k in _COR3_KEYS])
+        _HEADER + [f"certificate.{k}" for k in _CERTIFICATE_KEYS])
+    assert report("cor3", ["cor3", "-N", "3", "--p", "6", "--s", "1"]) == sorted(
+        _HEADER + [f"certificate.{k}" for k in _COR3_KEYS])
 
 
 class _Colour(enum.Enum):
@@ -1384,7 +1439,7 @@ def test_jsonable_converts_each_kind():
 
 # main builds the arguments of the subcommand it runs alone; help and
 # usage text must read as they do with every subcommand built
-@pytest.mark.parametrize("command", ["region", "solve", "verify", "kernel"])
+@pytest.mark.parametrize("command", ["region", "solve", "verify", "cor3", "kernel"])
 def test_one_subcommand_parser_reads_as_the_full_one(command, capsys):
     full, one = build_parser(), build_parser(command)
     assert one.format_help() == full.format_help()
@@ -1401,7 +1456,7 @@ def test_one_subcommand_parser_reads_as_the_full_one(command, capsys):
 
 @pytest.mark.parametrize("argv, lines", [
     (["bogus"], ["error: argument command: invalid choice: 'bogus' "
-                 "(choose from 'region', 'solve', 'verify', 'kernel')"]),
+                 "(choose from 'region', 'solve', 'verify', 'cor3', 'kernel')"]),
     ([], ["error: the following arguments are required: command"]),
     (["--bogus"], ["error: the following arguments are required: command"]),
 ])

@@ -3,14 +3,14 @@
 Every input must end in a documented exit code with no traceback, and a
 failing run must end its stderr with one reason line.  Only cheap runs
 are drawn: region sweeps of at most 27 points, kernel tables of at most
-12 rows, verify --cor3 on at most 40 nodes, and solve runs that end at
-the solver call: ``solve`` starts from the README's certified point,
-builds the grid its --radius/--h0/--stretch ask for (the builder caps
-the node count), and a stand-in solver ends the run there.  ``verify``
-on dumped fields reads the README worked points' solved fields with up
-to two drawn defects (scaled radii or values, too few rows, unsorted or
-repeated nodes, u = v, one value times 1e300), and must also end
-without a warning.
+12 rows, cor3 on at most 40 nodes, verify runs whose dumps are missing
+or do not parse, and solve runs that end at the solver call: ``solve``
+starts from the README's certified point, builds the grid its
+--radius/--h0/--stretch ask for (the builder caps the node count), and
+a stand-in solver ends the run there.  ``verify`` on dumped fields reads
+the README worked points' solved fields with up to two drawn defects
+(scaled radii or values, too few rows, unsorted or repeated nodes,
+u = v, one value times 1e300), and must also end without a warning.
 """
 
 import contextlib
@@ -65,7 +65,7 @@ _COMMAND_FLAGS = {
            if flag.startswith("--") and flag != "--help"}
     for name, parser in cli.build_parser().commands.items()
 }
-_BASES = {"region": [], "kernel": ["--r-count", "8"], "verify": ["--cor3", "--nodes", "17"],
+_BASES = {"region": [], "kernel": ["--r-count", "8"], "cor3": ["--nodes", "17"], "verify": [],
           "solve": ["-N", "3", "--lam", "4096", "--mu", "16", "--p", "2", "--q", "1", "--m", "1",
                     "--s", "0", "--rho", "exp", "--alpha", "1", "--beta", "2", "--rate", "1",
                     "--rho-amplitude", "1.5"]}

@@ -71,7 +71,7 @@ def _report(path, name):
 
 def test_readme_names_the_config_file_and_every_subcommand():
     assert "point.conf" in _FILES
-    assert {argv[1] for argv in _COMMANDS} == {"kernel", "region", "solve", "verify"}
+    assert {argv[1] for argv in _COMMANDS} == {"kernel", "region", "solve", "verify", "cor3"}
 
 
 def test_every_readme_command_exits_0(readme_run):
