@@ -34,7 +34,7 @@ import numpy as np
 
 from .barriers import Exponents, Problem, _critical_exponents
 from .errors import HypothesisError
-from .potentials import (_fit_windows, _pair_sides, _pde_residuals, convr_check, decay_fit,
+from .potentials import (_DiscreteSystem, _fit_windows, convr_check, decay_fit,
                          representation_residual)
 from .radial_core import RadialField, RadialGrid, _flux_laplacian
 
@@ -190,8 +190,9 @@ def verify_solution(
         rate of u lies below ((N-2)s + N)/m.
     """
     n = problem.dimension
-    sides = _pair_sides(problem, exponents, u, v)  # admits the pair; both measurements read them
-    pde_u, pde_v = _pde_residuals(problem, u.grid, u.values, v.values, sides)
+    system = _DiscreteSystem.admit(problem, exponents, u, v)
+    sides = system.sides(u.values, v.values)  # both measurements read them
+    pde_u, pde_v = system.pde_residuals(u.values, v.values, sides)
 
     rep_u = rep_v = None
     if representation:

@@ -248,13 +248,34 @@ _SWEEPABLE = {"p", "q", "m", "s", "lam", "mu", "alpha", "beta", "rate"}
 # --rho kind -> envelope family (None for the zero source)
 _FAMILIES = {"zero": None, "exp": BarrierFamily.W, "alg": BarrierFamily.Z}
 
+#: the envelope's constants and rate, which --rho zero does not read, and their defaults
+_ENVELOPE_DEFAULTS = {"alpha": 1.0, "beta": 2.0, "rate": 1.0}
+
+
+def _problem_values(args, swept=()) -> dict:
+    """The nine sweepable values by name, each envelope value left unset given its default.
+
+    With --rho zero, an envelope value or --rho-amplitude that is given (as a
+    flag, a config key, or a sweep named in ``swept``) is read by no code,
+    and so is refused (ValueError).
+    """
+    if args.rho == "zero":
+        for name in (*_ENVELOPE_DEFAULTS, "rho_amplitude"):
+            if name in swept or getattr(args, name, None) is not None:
+                flag = f"--sweep {name}" if name in swept else "--" + name.replace("_", "-")
+                raise ValueError(f"--rho zero reads no {flag}; only --rho exp and alg do")
+    vals = {name: getattr(args, name) for name in _SWEEPABLE}
+    vals.update((name, default) for name, default in _ENVELOPE_DEFAULTS.items()
+                if vals[name] is None)
+    return vals
+
 
 def _problem_from_args(args, **overrides) -> tuple:
     """(Problem, Exponents) from the parsed flags, with swept values overriding.
 
     Subcommands without --rho-amplitude use the envelope midpoint.
     """
-    vals = {name: getattr(args, name) for name in _SWEEPABLE}
+    vals = _problem_values(args)
     vals.update(overrides)
     exponents = Exponents(vals["p"], vals["q"], vals["m"], vals["s"])
     family = _FAMILIES[args.rho]
@@ -279,9 +300,9 @@ def cmd_region(args) -> int:
         raise ValueError("region needs at least one --sweep")
 
     names = [name for name, _ in sweeps]
+    params = _problem_values(args, names)
     # lattice point i takes sweep k's value at lattice[k, i], in C order
     lattice = np.indices([values.size for _, values in sweeps]).reshape(len(sweeps), -1)
-    params = {name: getattr(args, name) for name in _SWEEPABLE}
     params.update((name, values[at]) for (name, values), at in zip(sweeps, lattice))
     codes = classify_many(args.dimension, _FAMILIES[args.rho], **params)
     # in lattice order, so the first point that fails fails as it does in classify
@@ -324,15 +345,18 @@ def cmd_solve(args) -> int:
         print(f"refused: {verdict.reason}", file=sys.stderr)
         return EXIT_REFUSED
 
-    grid = None
+    grid, recipe = None, dict.fromkeys(("radius", "h0", "stretch"))  # None: the default ball
     if args.radius is not None:
         h0, stretch = _BALL_GRIDS[problem.family]  # the flags override the family's recipe
-        grid = RadialGrid.auto(args.radius, h0 if args.h0 is None else args.h0,
-                               stretch if args.stretch is None else args.stretch)
+        recipe = {"radius": args.radius, "h0": h0 if args.h0 is None else args.h0,
+                  "stretch": stretch if args.stretch is None else args.stretch}
+        grid = RadialGrid.auto(*recipe.values())
     solve = solve_coupled_exp if problem.lam > 0 else solve_coupled_alg
     report = solve(problem, exponents, verdict.ledger, grid=grid)
 
-    parameters = {name: getattr(args, name) for name in ("dimension", "rho", *_SWEEPABLE)}
+    # every input that decides the solve; a zero source is never solved
+    parameters = {"dimension": args.dimension, "rho": args.rho, **_problem_values(args),
+                  "rho_amplitude": problem.rho.amplitude(), **recipe}
     _write_report(args.report, "solve", parameters=parameters, verdict=verdict,
                   rho_divergence=divergence_probe_rho(args.dimension, problem.rho),
                   solve=report)
@@ -354,10 +378,13 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs both --u-field and --v-field")
     u = read_field(args.u_field)
     v = read_field(args.v_field)
-    missing = [flag for flag, rate in (("--u-rate", args.u_rate), ("--v-rate", args.v_rate))
-               if rate is None]
-    if missing and not args.no_representation:
-        raise ValueError(f"the representation checks need {' and '.join(missing)} "
+    # the representation checks read both rates, and no other code reads either
+    wrong = [flag for flag, rate in (("--u-rate", args.u_rate), ("--v-rate", args.v_rate))
+             if (rate is None) is not args.no_representation]
+    if wrong and args.no_representation:
+        raise ValueError(f"--no-representation skips the checks that read {' and '.join(wrong)}")
+    if wrong:
+        raise ValueError(f"the representation checks need {' and '.join(wrong)} "
                          "(or --no-representation to skip them)")
     problem, exponents = _problem_from_args(args)
     for field, rate in ((u, args.u_rate), (v, args.v_rate)):
@@ -448,9 +475,10 @@ def build_parser(command=None) -> argparse.ArgumentParser:
         p.add_argument("--mu", type=float, default=0.0, help="shift of the v equation")
         p.add_argument("--rho", choices=["zero", "exp", "alg"], default="zero",
                        help="source model kind")
-        p.add_argument("--alpha", type=float, default=1.0, help="lower envelope constant")
-        p.add_argument("--beta", type=float, default=2.0, help="upper envelope constant")
-        p.add_argument("--rate", type=float, default=1.0, help="envelope decay rate")
+        # the envelope's defaults 1, 2 and 1 are filled in by _problem_values
+        p.add_argument("--alpha", type=float, help="lower envelope constant (default 1)")
+        p.add_argument("--beta", type=float, help="upper envelope constant (default 2)")
+        p.add_argument("--rate", type=float, help="envelope decay rate (default 1)")
 
     if p := subcommand("region", "classify a parameter lattice", cmd_region):
         add_problem(p)

@@ -55,16 +55,17 @@ potentials share (32 bytes per node), and per N the Newtonian
 potential's moments and r^(2-N) (72 bytes per node).  The arithmetic
 and its order are those of a fresh grid, bit for bit.
 
-A candidate pair (u, v) is measured here, whatever produced it: against
-both forms of the system, ``_pde_residuals`` and
-``representation_residual``, and by ``decay_fit`` over each field's
-window in ``_fit_windows``.  ``_pair_sides`` admits the pair (both
-fields positive, on one grid) and forms its right sides from one
-evaluation of rho at the nodes; both forms read them (a solve forms
-them from the rho it iterated with) and one half-ball mask, a plan of
-the grid.  The PDE residuals take -Delta from the grid's flux plan.
-``solvers`` and ``certificates`` both import these, so verifying a pair
-loads no solver.
+The discrete system lives here, in ``_DiscreteSystem``: the one home of
+its right sides, u^p/v^q + rho and u^m/v^s, and of its residuals
+(-Delta + c) w - f, with -Delta from the grid's flux plan.  It evaluates
+rho at the nodes once.  A solve builds it on its ball and iterates with
+it; ``_DiscreteSystem.admit`` builds it on a candidate pair (both fields
+positive, on one grid), whatever produced the pair.  The pair is measured
+against both forms of the system, the PDE residuals and
+``representation_residual``, which read the same right sides and one
+half-ball mask, a plan of the grid, and by ``decay_fit`` over each
+field's window in ``_fit_windows``.  ``solvers`` and ``certificates``
+both import these, so verifying a pair loads no solver.
 
 The divergence probe decides the source's improper integral by the
 exact exponent test and reports the dyadic shell sums of its envelope.
@@ -377,33 +378,10 @@ def _combined_tail_rate(
     return power * base.decay_tag.rate - other_power * other.decay_tag.rate
 
 
-def _right_sides(exponents: Exponents, rho: np.ndarray, u: np.ndarray, v: np.ndarray) -> tuple:
-    """(u^p/v^q + rho, u^m/v^s) from the values of u, v and rho at the same nodes.
-
-    A value that leaves the float64 range is kept, unwarned: each measurement
-    refuses it over the nodes it reads (``_refuse_overflow``).
-    """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return u**exponents.p / v**exponents.q + rho, u**exponents.m / v**exponents.s
-
-
 def _refuse_overflow(rhs_u: np.ndarray, rhs_v: np.ndarray) -> None:
     """Raise ValueError unless both right sides are finite."""
     if not (np.isfinite(rhs_u).all() and np.isfinite(rhs_v).all()):
         raise ValueError("the right sides u^p/v^q + rho and u^m/v^s leave the float64 range")
-
-
-def _pair_sides(problem: Problem, exponents: Exponents, u: RadialField, v: RadialField):
-    """Both right sides of the pair (u, v) at every node of its grid (``_right_sides``).
-
-    Unless both fields are positive on one grid, the pair is refused
-    (ValueError) before rho is evaluated.
-    """
-    if (u.values <= 0).any() or (v.values <= 0).any():
-        raise ValueError("fields must be positive")
-    if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
-        raise ValueError("u and v must share a grid")
-    return _right_sides(exponents, problem.rho.evaluate(u.grid.nodes), u.values, v.values)
 
 
 def _half_ball(nodes: np.ndarray) -> np.ndarray:
@@ -416,24 +394,58 @@ def _half_ball_sup(grid, gap: np.ndarray) -> float:
     return float(np.abs(gap[grid.plan(_half_ball)[: gap.size]]).max())
 
 
-def _pde_residuals(problem: Problem, grid, u: np.ndarray, v: np.ndarray, sides: tuple):
-    """Sup over r <= R/2 of both equation residuals of the values u, v on ``grid``.
+class _DiscreteSystem:
+    """-Delta u + lam u = u^p/v^q + rho, -Delta v + mu v = u^m/v^s of a ``Problem`` with
+    ``Exponents`` on ``grid``, the equations' one home.  rho is evaluated at the nodes
+    once, when a solve builds it on its ball or ``admit`` on a candidate pair's grid."""
 
-    ``sides`` are the pair's right sides at every node (``_right_sides``).
-    -Delta comes from the grid's flux plan.  The half ball keeps the
-    Dirichlet truncation out of the measurement.  Raises ValueError
-    where a right side or a residual there leaves the float64 range.
-    """
-    rhs_u, rhs_v = sides[0][:-1], sides[1][:-1]
-    _refuse_overflow(rhs_u, rhs_v)
-    n = problem.dimension
-    with np.errstate(over="ignore", invalid="ignore"):
-        res_u = _flux_laplacian(grid, n, u) + problem.lam * u[:-1] - rhs_u
-        res_v = _flux_laplacian(grid, n, v) + problem.mu * v[:-1] - rhs_v
-    sups = _half_ball_sup(grid, res_u), _half_ball_sup(grid, res_v)
-    if not all(map(math.isfinite, sups)):
-        raise ValueError("the PDE residuals leave the float64 range")
-    return sups
+    def __init__(self, problem: Problem, exponents: Exponents, grid):
+        self.problem, self.exponents, self.grid = problem, exponents, grid
+        self.rho = problem.rho.evaluate(grid.nodes)
+
+    @classmethod
+    def admit(cls, problem: Problem, exponents: Exponents, u: RadialField, v: RadialField):
+        """The system on the grid of (u, v), refused (ValueError) before rho is
+        evaluated unless both fields are positive on one grid."""
+        if (u.values <= 0).any() or (v.values <= 0).any():
+            raise ValueError("fields must be positive")
+        if u.grid.nodes.shape != v.grid.nodes.shape or (u.grid.nodes != v.grid.nodes).any():
+            raise ValueError("u and v must share a grid")
+        return cls(problem, exponents, u.grid)
+
+    def source_u(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """u^p/v^q + rho, the right side of u's equation."""
+        return u**self.exponents.p / v**self.exponents.q + self.rho
+
+    def weight_v(self, u: np.ndarray) -> np.ndarray:
+        """u^m, the weight of v's equation."""
+        return u**self.exponents.m
+
+    def sides(self, u: np.ndarray, v: np.ndarray) -> tuple:
+        """Both right sides at every node.  A value that leaves the float64 range is
+        kept, unwarned: each measurement refuses it over the nodes it reads."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return self.source_u(u, v), self.weight_v(u) / v**self.exponents.s
+
+    @staticmethod
+    def residual(grid, dimension: int, shift: float, w: np.ndarray, f: np.ndarray):
+        """(-Delta + shift) w - f at every node but R, with ``f`` given there."""
+        return _flux_laplacian(grid, dimension, w) + shift * w[:-1] - f
+
+    def pde_residuals(self, u: np.ndarray, v: np.ndarray, sides: tuple):
+        """Sup over r <= R/2, out of the truncation's reach, of both equation residuals of
+        the values u, v with their ``sides``.  Raises ValueError where a right side
+        or a residual there leaves the float64 range."""
+        rhs_u, rhs_v = sides[0][:-1], sides[1][:-1]
+        _refuse_overflow(rhs_u, rhs_v)
+        n, grid = self.problem.dimension, self.grid
+        with np.errstate(over="ignore", invalid="ignore"):
+            res_u = self.residual(grid, n, self.problem.lam, u, rhs_u)
+            res_v = self.residual(grid, n, self.problem.mu, v, rhs_v)
+        sups = _half_ball_sup(grid, res_u), _half_ball_sup(grid, res_v)
+        if not all(map(math.isfinite, sups)):
+            raise ValueError("the PDE residuals leave the float64 range")
+        return sups
 
 
 def representation_residual(problem, exponents, u: RadialField, v: RadialField,
@@ -443,11 +455,11 @@ def representation_residual(problem, exponents, u: RadialField, v: RadialField,
     For positive shifts the kernel is G_lambda / G_mu; for zero shifts
     the Newtonian potential.  Differences are measured on r <= R/2 so
     the declared tail models, not truncation, dominate the comparison.
-    ``sides`` are the pair's ``_pair_sides``, formed here when not given.
-    Returns (residual_u, residual_v).
+    ``sides`` are the pair's ``_DiscreteSystem.sides``, formed here when
+    not given.  Returns (residual_u, residual_v).
     """
     if sides is None:
-        sides = _pair_sides(problem, exponents, u, v)
+        sides = _DiscreteSystem.admit(problem, exponents, u, v).sides(u.values, v.values)
     n = problem.dimension
 
     family = problem.family

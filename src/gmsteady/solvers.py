@@ -35,7 +35,10 @@ solve Newton takes a step or two.
 Coupled problems.  The fixed-point map updates u by a resolvent or
 Newtonian potential applied to u^p/v^q + rho and v by the scalar solve
 with weight u^m.  At s = 0 that solve is linear, and v is updated by
-one solve of -Delta + mu, as u is by -Delta + lam.  When the
+one solve of -Delta + mu, as u is by -Delta + lam.  The equations are
+written once, in ``potentials._DiscreteSystem``: the loop takes its
+right sides and residuals from it, and the scalar solve its residual
+(-Delta + mu) v - psi w^(-s); the operators stay here.  When the
 feasibility ledger holds, every iterate stays inside its barrier
 sandwich; this is checked on each iterate and violations abort with an
 explicit status.  Plain Picard iteration is used (existence comes from
@@ -67,10 +70,9 @@ import numpy as np
 
 from .barriers import ConstantsLedger, Exponents, Problem, Regime, operator_bounds
 from .errors import HypothesisError, NonexistenceError, RegimeError
-from .potentials import (_fit_plan, _fit_windows, _pde_residuals, _right_sides, decay_fit,
-                         newton_potential_radial)
+from .potentials import _DiscreteSystem, _fit_plan, _fit_windows, decay_fit, newton_potential_radial
 from .profiles import BarrierFamily, BarrierProfile, eval_barrier
-from .radial_core import RadialField, RadialGrid, RadialOperator, _flux_laplacian
+from .radial_core import RadialField, RadialGrid, RadialOperator
 
 __all__ = [
     "IterationState",
@@ -248,7 +250,7 @@ def _monotone_ball(
         v = v_new
         w = np.maximum(v, v_low)
         w_s = w ** (-s)
-        res = _flux_laplacian(grid, op.dimension, v) + mu * v[:-1] - psi_vals[:-1] * w_s[:-1]
+        res = _DiscreteSystem.residual(grid, op.dimension, mu, v, psi_vals[:-1] * w_s[:-1])
         residual = float(np.abs(res).max())
         if trace is not None:
             trace.append(IterationState(RadialField(grid, v.copy()), residual, monotone_ok))
@@ -445,11 +447,10 @@ def _picard_coupled(
     The loop stops at the first iterate that leaves the sandwich anywhere
     on the ball, before v's negative powers can leave float64.
     """
-    n = problem.dimension
-    p, q, m, s = exponents.p, exponents.q, exponents.m, exponents.s
+    n, s = problem.dimension, exponents.s
     u, v = low_u, low_v = lows["u"], lows["v"]
     cap_u, cap_v = ledger.m1_upper / ledger.m1_lower, ledger.m2_upper / ledger.m2_lower
-    rho_vals = problem.rho.evaluate(grid.nodes)
+    system = _DiscreteSystem(problem, exponents, grid)
 
     # one operator per ball for each field: the resolvent of -Delta + lam
     # (W runs) and the scalar solve's -Delta + mu + L(v).  At s = 0 the v
@@ -461,14 +462,14 @@ def _picard_coupled(
 
     it, change = 0, math.inf
     for it in range(1, MAX_ITER + 1):
-        rhs_u_vals = u**p / v**q + rho_vals
+        rhs_u_vals = system.source_u(u, v)
         if resolvent is not None:
             u_new = resolvent.solve(rhs_u_vals, low_u[-1])
         else:
             rhs_u = RadialField(grid, rhs_u_vals, problem.rho.envelope_profile)
             u_new = newton_potential_radial(n, rhs_u).values
 
-        psi_vals = u_new**m
+        psi_vals = system.weight_v(u_new)
         if s == 0:
             v_new = v_op.solve(psi_vals, low_v[-1])
         else:
@@ -484,12 +485,13 @@ def _picard_coupled(
         if not inside or change <= tol_change:
             break
 
-    res_u, res_v = _pde_residuals(problem, grid, u, v, _right_sides(exponents, rho_vals, u, v))
+    res_u, res_v = system.pde_residuals(u, v, system.sides(u, v))
     converged = change <= tol_change and res_u <= tol_residual and res_v <= tol_residual
     return {"u": u, "v": v}, it, (res_u, res_v, converged)
 
 
 def _coupled_report(
+    regime: Regime,
     problem: Problem,
     exponents: Exponents,
     ledger: ConstantsLedger,
@@ -497,17 +499,23 @@ def _coupled_report(
     tol_change: float,
     tol_residual: float,
 ) -> SolveReport:
-    """Both regimes' solve; callers check ledger regime and shifts.
+    """Both regimes' solve, refused (RegimeError) unless the ledger is of ``regime``,
+    the shifts are its own (positive or zero) and so is the source envelope.
 
     Without a ``grid`` the run takes its family's default ball
     (``_ball_report``).
     """
+    name = regime.name.lower()
+    fam, shifts = ((BarrierFamily.W, "positive") if regime is Regime.EXPONENTIAL
+                   else (BarrierFamily.Z, "zero"))
+    if ledger.regime is not regime:
+        raise RegimeError(f"expected an {name}-regime ledger")
+    if problem.family is not fam:
+        raise RegimeError(f"{name} regime needs {shifts} shifts, got lam = {problem.lam}")
     if not ledger.feasible:
         raise RegimeError(f"ledger infeasible: {ledger.violated}")
-    fam = problem.family
     if problem.rho.family is not fam:
-        regime = ledger.regime.name.lower()
-        raise RegimeError(f"{regime} regime expects an {regime} source envelope")
+        raise RegimeError(f"{name} regime expects an {name} source envelope")
     # the loop raises u to positive powers only, and v to -q and -s-1
     fields = {
         "u": _Field("M1_lower * B_u", BarrierProfile(fam, ledger.rate_u),
@@ -534,11 +542,8 @@ def solve_coupled_exp(
     Starts from the lower barriers (M1_lower W_a, M2_lower W_b); every
     iterate must stay inside the ledger sandwich.
     """
-    if ledger.regime is not Regime.EXPONENTIAL:
-        raise RegimeError("expected an exponential-regime ledger")
-    if problem.family is not BarrierFamily.W:
-        raise RegimeError(f"exponential regime needs positive shifts, got lam = {problem.lam}")
-    return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)
+    return _coupled_report(Regime.EXPONENTIAL, problem, exponents, ledger, grid, tol_change,
+                           tol_residual)
 
 
 def solve_coupled_alg(
@@ -558,8 +563,5 @@ def solve_coupled_alg(
     route with the finite-difference residual operator, leaving an
     O(h^2) mismatch floor.
     """
-    if ledger.regime is not Regime.ALGEBRAIC:
-        raise RegimeError("expected an algebraic-regime ledger")
-    if problem.family is not BarrierFamily.Z:
-        raise RegimeError(f"algebraic regime needs zero shifts, got lam = {problem.lam}")
-    return _coupled_report(problem, exponents, ledger, grid, tol_change, tol_residual)
+    return _coupled_report(Regime.ALGEBRAIC, problem, exponents, ledger, grid, tol_change,
+                           tol_residual)

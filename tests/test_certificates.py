@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gmsteady import certificates
+from gmsteady import certificates, potentials
 from gmsteady.barriers import Exponents, Problem, SourceModel
 from gmsteady.certificates import (
     aubin_talenti,
@@ -197,7 +197,7 @@ def test_verify_solution_refuses_fields_on_different_grids(alg_worked_case, monk
     def no_residual(*args):
         raise AssertionError("a residual was computed")
 
-    monkeypatch.setattr(certificates, "_pde_residuals", no_residual)
+    monkeypatch.setattr(potentials._DiscreteSystem, "pde_residuals", no_residual)
     monkeypatch.setattr(certificates, "representation_residual", no_residual)
     message = "fields must be positive" if nodes == "nonpositive" else "u and v must share a grid"
     with pytest.raises(ValueError, match=message):

@@ -468,7 +468,7 @@ _ALG_POINT = ["-N", "5", "--p", "5", "--q", "2", "--m", "2", "--s", "1", "--rho"
               "--alpha", "0.01", "--beta", "0.015", "--rate", "4", "--rho-amplitude", "0.0125"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-representation"]],
+@pytest.mark.parametrize("flags", [["--u-rate", "2", "--v-rate", "1"], ["--no-representation"]],
                          ids=["representation", "no-representation"])
 def test_verify_refuses_a_bad_v_dump(tmp_path, capsys, alg_worked_case, flags):
     # the zero-shift worked case's dumps verify and fit the decay rates of
@@ -483,8 +483,8 @@ def test_verify_refuses_a_bad_v_dump(tmp_path, capsys, alg_worked_case, flags):
     write_field(RadialField(rep.v.grid, np.where(np.arange(rep.v.grid.n) == 3, 0.0,
                                                  rep.v.values)), zero)
     report = tmp_path / "v.json"
-    verify = ["verify", *_ALG_POINT, "--u-field", str(u_dump), "--u-rate", "2", "--v-rate", "1",
-              "--tol", "1e-4", *flags, "--report", str(report)]
+    verify = ["verify", *_ALG_POINT, "--u-field", str(u_dump), "--tol", "1e-4", *flags,
+              "--report", str(report)]
     assert run([*verify, "--v-field", str(v_dump)]) == 0
     cert = json.loads(report.read_text())["certificate"]
     assert (cert["decay_u"], cert["decay_v"]) == (list(rep.decay["u"]), list(rep.decay["v"]))
@@ -574,18 +574,23 @@ def _default_w_radius(ledger: dict) -> float:
                          ids=["alg", "exp"])
 def test_solve_radius_reproduces_the_default_ball(tmp_path, point):
     # --radius alone takes the regime's grid recipe, so a --radius at the
-    # default ball's radius reruns the default solve, report and dumps
-    outputs, extra = {}, []
+    # default ball's radius reruns the default solve, report and dumps; only
+    # the recorded grid differs, null on the default ball
+    outputs, recipes, extra = {}, {}, []
     for name in ("default", "radius"):
         report, u, v = (tmp_path / f"{name}.{ext}" for ext in ("json", "u", "v"))
         assert run(["solve", *point, *extra, "--report", str(report), "--out-u", str(u),
                     "--out-v", str(v)]) == 0
         fields = json.loads(report.read_text())
         fields.pop("timestamp")
+        recipes[name] = [fields["parameters"].pop(key) for key in ("radius", "h0", "stretch")]
         outputs[name] = fields, u.read_bytes(), v.read_bytes()
         extra = ["--radius", repr(fields["solve"]["ball_radius"])]
     assert outputs["radius"] == outputs["default"]
     fields = outputs["default"][0]
+    family = BarrierFamily.Z if point is _ALG_POINT else BarrierFamily.W
+    assert recipes == {"default": [None] * 3,
+                       "radius": [fields["solve"]["ball_radius"], *solvers._BALL_GRIDS[family]]}
     assert fields["solve"]["ball_radius"] == (
         solvers.DEFAULT_ALG_RADIUS if point is _ALG_POINT
         else _default_w_radius(fields["verdict"]["ledger"]))
@@ -836,7 +841,7 @@ def test_zero_shift_truncation_bound_grows_as_the_ball_shrinks(tmp_path):
 _RIGHT_SIDES = "the right sides u^p/v^q + rho and u^m/v^s leave the float64 range"
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-representation"]],
+@pytest.mark.parametrize("flags", [["--u-rate", "1", "--v-rate", "1"], ["--no-representation"]],
                          ids=["representation", "no-representation"])
 @pytest.mark.parametrize("radius_factor, u5_factor, reason", [
     # u at row 5 times 1e300: its square overflows in the right side u^p/v^q,
@@ -860,13 +865,13 @@ def test_verify_scaled_dumps_exit_with_one_line(tmp_path, capsys, exp_dumps, rad
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run(["verify", *_exp_point_with({}), "--u-field", str(files["u"]),
-                  "--v-field", str(files["v"]), "--u-rate", "1", "--v-rate", "1",
-                  "--tol", "1e-4", *flags, "--report", str(tmp_path / "r.json")])
+                  "--v-field", str(files["v"]), "--tol", "1e-4", *flags,
+                  "--report", str(tmp_path / "r.json")])
     assert rc == 1 and caught == [] and not (tmp_path / "r.json").exists()
     assert capsys.readouterr().err == f"error: {reason}\n"
 
 
-@pytest.mark.parametrize("flags", [[], ["--no-representation"]],
+@pytest.mark.parametrize("flags", [["--u-rate", "2", "--v-rate", "1"], ["--no-representation"]],
                          ids=["representation", "no-representation"])
 def test_verify_refuses_pde_residuals_out_of_float_range(tmp_path, capsys, flags):
     # the zero-shift dumps with radii times 1e5 and v times 1e300: the right
@@ -882,8 +887,7 @@ def test_verify_refuses_pde_residuals_out_of_float_range(tmp_path, capsys, flags
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = run(["verify", *_ALG_POINT, "--u-field", str(u), "--v-field", str(v),
-                  "--u-rate", "2", "--v-rate", "1", "--tol", "1e-4", *flags,
-                  "--report", str(tmp_path / "r.json")])
+                  "--tol", "1e-4", *flags, "--report", str(tmp_path / "r.json")])
     assert rc == 1 and caught == [] and not (tmp_path / "r.json").exists()
     assert capsys.readouterr().err == "error: the PDE residuals leave the float64 range\n"
 
@@ -1316,13 +1320,88 @@ def test_verify_representation_names_the_missing_rates(tmp_path, capsys, exp_dum
     # the representation checks close each tail with a declared decay rate
     report = tmp_path / "v.json"
     verify = ["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
-              "--v-field", str(exp_dumps / "v.txt"), *rates, "--tol", "1e-4",
-              "--report", str(report)]
-    assert run(verify) == 1
+              "--v-field", str(exp_dumps / "v.txt"), "--tol", "1e-4", "--report", str(report)]
+    assert run([*verify, *rates]) == 1
     assert capsys.readouterr().err == (
         f"error: the representation checks need {missing} (or --no-representation to skip them)\n")
     assert not report.exists()
     assert run([*verify, "--no-representation"]) == 0
+
+
+@pytest.mark.parametrize("rates, given", [(["--u-rate", "1", "--v-rate", "1"],
+                                           "--u-rate and --v-rate"),
+                                          (["--u-rate", "1"], "--u-rate"),
+                                          (["--v-rate", "1"], "--v-rate")],
+                         ids=["both", "u-only", "v-only"])
+@pytest.mark.parametrize("as_key", [False, True], ids=["flag", "config-key"])
+def test_verify_no_representation_refuses_the_rates(tmp_path, capsys, exp_dumps, rates, given,
+                                                    as_key):
+    # only the representation checks read the declared decay rates
+    report = tmp_path / "v.json"
+    if as_key:
+        rates = _config(tmp_path, "".join(f"{flag[2:]} = {value}\n"
+                                          for flag, value in zip(rates[::2], rates[1::2])))
+    assert run(["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
+                "--v-field", str(exp_dumps / "v.txt"), *rates, "--no-representation",
+                "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --no-representation skips the checks that read {given}\n")
+    assert not report.exists()
+
+
+_ZERO_SOURCE_RUNS = {
+    "region": ["region", "-N", "3", "--m", "5", "--sweep", "p=1.1:6.0:5", "--rho", "zero"],
+    "solve": ["solve", "-N", "3", "--lam", "4096", "--mu", "16", "--rho", "zero"],
+    "verify": ["verify", "-N", "3", "--lam", "4096", "--mu", "16", "--rho", "zero",
+               "--no-representation"],
+}
+
+
+# (command, value, how it is given); region takes no --rho-amplitude
+_ZERO_SOURCE_CASES = [
+    (command, name, given) for command in _ZERO_SOURCE_RUNS
+    for name in ("alpha", "beta", "rate", *(("rho-amplitude",) if command != "region" else ()))
+    for given in ("flag", "config-key", *(("sweep",) if command == "region" else ()))]
+
+
+@pytest.mark.parametrize("command, name, given", _ZERO_SOURCE_CASES,
+                         ids=["-".join(case) for case in _ZERO_SOURCE_CASES])
+def test_rho_zero_refuses_the_values_of_an_envelope(tmp_path, capsys, exp_dumps, command, name,
+                                                    given):
+    # the zero source reads no envelope value and no amplitude, so each one
+    # given is refused with one line, at its default value as at any other
+    args = [*_ZERO_SOURCE_RUNS[command], "--report", str(tmp_path / "r.json")]
+    if command == "verify":
+        args += ["--u-field", str(exp_dumps / "u.txt"), "--v-field", str(exp_dumps / "v.txt")]
+    if given == "flag":
+        args += [f"--{name}", "1"]
+    elif given == "config-key":
+        args += _config(tmp_path, f"{name.replace('-', '_')} = 1\n")
+    else:
+        args += ["--sweep", f"{name}=1:5:3"]
+    assert run(args) == 1
+    flag = f"--sweep {name}" if given == "sweep" else f"--{name}"
+    assert capsys.readouterr().err == (
+        f"error: --rho zero reads no {flag}; only --rho exp and alg do\n")
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key, first, second", [
+    ("rho_amplitude", ["--rho-amplitude", "1.2"], ["--rho-amplitude", "1.8"]),
+    ("radius", ["--radius", "30"], ["--radius", "31"]),
+    ("h0", ["--radius", "30", "--h0", "0.02"], ["--radius", "30", "--h0", "0.03"]),
+    ("stretch", ["--radius", "30", "--stretch", "1.02"], ["--radius", "30", "--stretch", "1.03"]),
+], ids=["rho-amplitude", "radius", "h0", "stretch"])
+def test_solve_parameters_record_each_input(tmp_path, key, first, second):
+    # two solves that differ in one input write parameters that differ in
+    # that input's value alone
+    params = []
+    for k, extra in enumerate((first, second)):
+        report = tmp_path / f"{k}.json"
+        assert run(["solve", *_EXP_POINT, *extra, "--report", str(report)]) in (0, 3)
+        params.append(json.loads(report.read_text())["parameters"])
+    assert [key] == [name for name in params[0] if params[0][name] != params[1][name]]
+    assert [p[key] for p in params] == [float(first[-1]), float(second[-1])]
 
 
 @pytest.mark.filterwarnings("error")
@@ -1338,8 +1417,8 @@ def test_verify_v_value_at_a_float_range_end_reads_an_infinite_convr_bound(tmp_p
     write_field(RadialField(v.grid, values), tmp_path / "v.txt")
     report = tmp_path / "r.json"
     assert run(["verify", *_exp_point_with({}), "--u-field", str(exp_dumps / "u.txt"),
-                "--v-field", str(tmp_path / "v.txt"), "--u-rate", "1", "--v-rate", "1",
-                "--tol", "1e-4", "--no-representation", "--report", str(report)]) == 0
+                "--v-field", str(tmp_path / "v.txt"), "--tol", "1e-4", "--no-representation",
+                "--report", str(report)]) == 0
     cert = json.loads(report.read_text())["certificate"]
     assert (cert["convr_bound"], cert["convr_holds"]) == ("inf", False)
     assert capsys.readouterr().err == ""
@@ -1371,8 +1450,9 @@ _CERTIFICATE_KEYS = ["convr_bound", "convr_holds", "decay_u", "decay_v", "flags"
 _COR3_KEYS = ["amplitude", "dimension", "grid_nodes", "grid_radius", "m", "p", "q",
               "residual_u", "residual_v", "s"]
 _SOLVE_KEYS = (
-    [f"parameters.{k}" for k in ("alpha", "beta", "dimension", "lam", "m", "mu", "p", "q",
-                                 "rate", "rho", "s")]
+    [f"parameters.{k}" for k in ("alpha", "beta", "dimension", "h0", "lam", "m", "mu", "p",
+                                 "q", "radius", "rate", "rho", "rho_amplitude", "s",
+                                 "stretch")]
     + [f"rho_divergence.{k}" for k in ("growth_law", "shell_sums", "value", "verdict")]
     + [f"solve.{k}" for k in ("ball_radius", "decay.u", "decay.v", "iterations", "margins.u",
                               "margins.v", "notes", "residual_u", "residual_v",

@@ -383,7 +383,7 @@ def test_handed_in_right_sides_give_the_same_bits(case, request):
     # the sides a caller forms once are the ones the representation forms alone
     problem, exponents, _, rep = request.getfixturevalue(case)
     u, v = rep.u, rep.v
-    sides = potentials._pair_sides(problem, exponents, u, v)
+    sides = potentials._DiscreteSystem.admit(problem, exponents, u, v).sides(u.values, v.values)
     assert (representation_residual(problem, exponents, u, v, sides)
             == representation_residual(problem, exponents, u, v))
 
@@ -418,6 +418,26 @@ def test_a_pair_is_admitted_before_rho_is_evaluated_once(case, measure, request,
     assert len(calls) == 1 and calls[0] is rep.u.grid.nodes
 
 
+@pytest.mark.parametrize("case", ["exp_worked_case", "alg_worked_case"])
+def test_each_coupled_solve_evaluates_rho_once(case, request, monkeypatch):
+    # the solve's discrete system evaluates rho at the nodes of its ball,
+    # once, and iterates and measures with those values
+    from gmsteady.solvers import solve_coupled_alg, solve_coupled_exp
+
+    problem, exponents, ledger, rep = request.getfixturevalue(case)
+    calls, evaluate = [], SourceModel.evaluate
+
+    def spy(model, r):
+        calls.append(r)
+        return evaluate(model, r)
+
+    monkeypatch.setattr(SourceModel, "evaluate", spy)
+    solve = solve_coupled_exp if problem.lam > 0 else solve_coupled_alg
+    report = solve(problem, exponents, ledger)
+    assert len(calls) == 1 and calls[0] is report.v.grid.nodes
+    assert (report.u.values == rep.u.values).all() and (report.v.values == rep.v.values).all()
+
+
 @pytest.mark.filterwarnings("error")
 def test_each_measurement_refuses_the_right_sides_over_its_own_nodes(exp_worked_case):
     # a right side that overflows at the last node only: the PDE residuals,
@@ -426,10 +446,10 @@ def test_each_measurement_refuses_the_right_sides_over_its_own_nodes(exp_worked_
     values = rep.u.values.copy()
     values[-1] = 1e300
     u = RadialField(rep.u.grid, values, rep.u.decay_tag)
-    sides = potentials._pair_sides(problem, exponents, u, rep.v)
+    system = potentials._DiscreteSystem.admit(problem, exponents, u, rep.v)
+    sides = system.sides(values, rep.v.values)
     assert not np.isfinite(sides[0][-1]) and np.isfinite(sides[0][:-1]).all()
-    assert all(map(math.isfinite, potentials._pde_residuals(problem, u.grid, values,
-                                                             rep.v.values, sides)))
+    assert all(map(math.isfinite, system.pde_residuals(values, rep.v.values, sides)))
     with pytest.raises(ValueError, match=r"^the right sides u\^p/v\^q \+ rho and u\^m/v\^s "
                                          r"leave the float64 range$"):
         representation_residual(problem, exponents, u, rep.v, sides)
